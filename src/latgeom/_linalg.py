@@ -68,6 +68,36 @@ def det(a):
     return sign * prod
 
 
+def det_int(a):
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact, so all entries stay ints."""
+    n = len(a)
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * row_k[j]) // prev
+        prev = p
+    return sign * m[-1][-1] if n else 1
+
+
+def integer_form(a):
+    """(A_int, d) with ``a == A_int / d``: integer rows over d, the lcm of
+    the denominators of the rational (int or Fraction) entries of ``a``."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row in a), d
+
+
 def rank(a):
     if not a:
         return 0

@@ -100,6 +100,9 @@ def load_body(args) -> pt.Polytope:
         name, n = tok.split(":", 1)
         if name not in _BODY_BUILDERS:
             raise InvalidInputError(f"unknown body constructor {name!r}")
+        if not n.isdigit() or int(n) < 1:
+            raise InvalidInputError(f"body dimension must be an integer >= 1, "
+                                    f"got {n!r}")
         return _BODY_BUILDERS[name](int(n))
     with open(tok) as fh:
         return pt.Polytope.from_dict(json.load(fh))

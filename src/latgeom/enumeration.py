@@ -40,24 +40,36 @@ def _check_rank(lat: Lattice, cap: int, what: str):
 def _enumerate_gram(g, center, bound_sq):
     """All integer x with (x - center)^T G (x - center) <= bound_sq.
 
-    Yields (x, exact_norm_sq). ``center`` is a rational (or float) vector;
-    pruning is float with slack, scoring is exact in G's arithmetic.
+    Returns (x, norm_sq) pairs. Pruning is float with slack. A rational G
+    and center are scored exactly in integers: with G = G_int / d and c the
+    lcm of the center's denominators, norm_sq = q / (d c^2) where q is the
+    G_int-form of the integer vector c x - c center, and the leaf is kept
+    when q <= floor(bound_sq d c^2). A float G is scored in floats.
     """
     m = len(g)
     gf = [[float(v) for v in row] for row in g]
     r = la.float_cholesky(gf)
     cf = [float(c) for c in center]
     bound_f = float(bound_sq) * (1 + _PRUNE_SLACK) + _PRUNE_SLACK
+    if any(isinstance(v, float) for row in g for v in row):
+        gi, c, ct, limit, den = g, 1, center, bound_sq, None
+    else:
+        gi, d = la.integer_form(g)
+        center = [Fraction(t) for t in center]
+        c = math.lcm(*(t.denominator for t in center))
+        ct = [t.numerator * (c // t.denominator) for t in center]
+        den = d * c * c
+        limit = math.floor(Fraction(bound_sq) * den)
 
     x = [0] * m
     results = []
 
     def rec(i, remaining):
         if i < 0:
-            dx = [xi - ci for xi, ci in zip(x, center)]
-            q = sum(di * sum(gij * dj for gij, dj in zip(gi, dx))
-                    for di, gi in zip(dx, g))
-            if q <= bound_sq:
+            dx = [c * xi - ti for xi, ti in zip(x, ct)]
+            q = sum(di * sum(gij * dj for gij, dj in zip(row, dx))
+                    for di, row in zip(dx, gi))
+            if q <= limit:
                 results.append((tuple(x), q))
             return
         s = sum(r[i][j] * (x[j] - cf[j]) for j in range(i + 1, m))
@@ -72,7 +84,9 @@ def _enumerate_gram(g, center, bound_sq):
         x[i] = 0
 
     rec(m - 1, bound_f)
-    return results
+    if den is None:
+        return results
+    return [(xs, Fraction(q, den)) for xs, q in results]
 
 
 def vectors_within(lat: Lattice, bound_sq, include_zero=False,
@@ -182,14 +196,28 @@ def closest_vector(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
     return d, vs[0]
 
 
+def _once(lat: Lattice, key, compute):
+    """Result of ``compute()`` for this lattice value, computed on the first
+    request and kept on the value; results must be immutable."""
+    memo = lat._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def relevant_vectors(lat: Lattice, max_rank=MAX_VORONOI_RANK):
-    """Voronoi-relevant vectors, one per +- pair, as coefficient vectors.
+    """Voronoi-relevant vectors, one per +- pair, as a sorted tuple of
+    coefficient vectors; computed once per lattice value.
 
     A nonzero v is relevant iff +-v are the unique minimizers of the norm in
     the coset v + 2L; scanning the 2^m - 1 nonzero cosets of L/2L finds all
     of them.
     """
     _check_rank(lat, max_rank, "Voronoi computation")
+    return _once(lat, "relevant_vectors", lambda: _coset_scan(lat))
+
+
+def _coset_scan(lat: Lattice):
     red = lll_reduce(lat)
     u = [list(row) for row in red.meta["reduction_transform"]]
     g = red.gram()
@@ -213,7 +241,7 @@ def relevant_vectors(lat: Lattice, max_rank=MAX_VORONOI_RANK):
             continue
         v = [b + 2 * y for b, y in zip(bits, mins[0])]
         out.append(_canonical_sign(tuple(la.vec_mat(v, u))))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def voronoi_cell(lat: Lattice, max_rank=MAX_VORONOI_RANK):
@@ -235,7 +263,12 @@ def voronoi_cell(lat: Lattice, max_rank=MAX_VORONOI_RANK):
 def covering_radius(lat: Lattice, max_rank=MAX_VORONOI_RANK):
     """(mu squared, deep hole) where mu is the covering radius and the deep
     hole is the lexicographically greatest Voronoi-cell vertex attaining it,
-    in coefficient coordinates."""
+    in coefficient coordinates; computed once per lattice value."""
+    _check_rank(lat, max_rank, "Voronoi computation")
+    return _once(lat, "covering_radius", lambda: _deep_hole(lat, max_rank))
+
+
+def _deep_hole(lat: Lattice, max_rank):
     cell = voronoi_cell(lat, max_rank=max_rank)
     g = lat.gram()
     best = None

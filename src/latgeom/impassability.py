@@ -20,8 +20,8 @@ import sympy as sp
 from . import _linalg as la
 from .enumeration import (closest_vectors, covering_radius, kappa,
                           shortest_vectors, vectors_within)
-from .errors import NotAPackingError, UnsupportedRankError
-from .lattice import Lattice, dual
+from .errors import InvalidInputError, NotAPackingError, UnsupportedRankError
+from .lattice import Lattice, dual_in_span
 from .sublattice import (SublatticeWitness, enumerate_sublattices,
                          project_along, successive_minima)
 
@@ -206,20 +206,37 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     return clearance, cert
 
 
-def is_nonseparable_ball_lattice(lat: Lattice, r):
-    """Hyperplane criterion for balls of radius r: no hyperplane misses all
-    balls iff lambda_1 of the dual lattice is >= 1/(2r).
-
-    Returns (flag, margin) with margin = lambda_1(dual) - 1/(2r); exact
-    comparison for exact lattices and rational r.
-    """
-    d = dual(lat)
-    l1_sq, _ = shortest_vectors(d)
-    if lat.exact:
+def _exact_radius(r):
+    """(r^2 as a Fraction, r as a float) for an exact comparison that needs
+    only r^2. Floats are rationalized to denominators up to 1e12; a sympy
+    value such as sqrt(2) is squared symbolically. Raises InvalidInputError
+    when r^2 is not rational (pi, for one)."""
+    if isinstance(r, (int, float, Fraction)):
         r_ex = Fraction(r) if not isinstance(r, float) else \
             Fraction(r).limit_denominator(10**12)
-        flag = Fraction(l1_sq) * 4 * r_ex * r_ex >= 1
-        margin = float(_sqrt_exact(l1_sq)) - 1.0 / (2 * float(r_ex))
+        return r_ex * r_ex, float(r_ex)
+    r_sq = sp.sympify(r) ** 2
+    if not r_sq.is_rational:
+        raise InvalidInputError(f"r = {r} has an irrational square; the exact "
+                                "criterion needs r^2 rational")
+    return Fraction(int(sp.numer(r_sq)), int(sp.denom(r_sq))), float(r)
+
+
+def is_nonseparable_ball_lattice(lat: Lattice, r):
+    """Hyperplane criterion for balls of radius r: no hyperplane misses all
+    balls iff lambda_1 of the dual lattice is >= 1/(2r). The dual is taken
+    in the span of the lattice, so lattices of lower rank than their ambient
+    space (E7, A5) are handled.
+
+    Returns (flag, margin) with margin = lambda_1(dual) - 1/(2r); exact
+    comparison for exact lattices and r with rational r^2.
+    """
+    d = dual_in_span(lat)
+    l1_sq, _ = shortest_vectors(d)
+    if lat.exact:
+        r_sq, r_f = _exact_radius(r)
+        flag = Fraction(l1_sq) * 4 * r_sq >= 1
+        margin = float(_sqrt_exact(l1_sq)) - 1.0 / (2 * r_f)
     else:
         margin = math.sqrt(l1_sq) - 1.0 / (2 * float(r))
         flag = margin >= -VALIDATION_TOL

@@ -4,8 +4,12 @@ catalog of named lattices.
 A lattice is ``sqrt(scale_sq)`` times the integer row span of ``basis``.
 Keeping the irrational part as a single squared scalar means every Gram matrix
 of an exact lattice is rational, so squared lengths and squared determinants
-stay exact. Float lattices (``exact=False``) run through the same code with
-IEEE doubles and a documented tolerance of 1e-9.
+stay exact. A ``Lattice`` is an immutable value, so its Gram matrix, that
+Gram's integer form ``(G_int, d)`` with ``G = G_int / d``, and its squared
+determinant are computed once per value and cached; quadratic forms and
+determinants of exact lattices are evaluated in ``int`` against ``G_int``.
+Float lattices (``exact=False``) run through the same code with IEEE doubles
+and a documented tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -105,16 +109,45 @@ class Lattice:
             return len(self.basis)
         return len(self.gram_override)
 
-    def gram(self):
-        """Gram matrix of the (scaled) basis; rational for exact lattices."""
+    # Derived invariants, computed once per value. ``cached_property`` writes
+    # to the instance ``__dict__`` directly, which a frozen dataclass allows.
+
+    @functools.cached_property
+    def _gram(self) -> tuple:
         if self.gram_override is not None:
-            return [list(r) for r in self.gram_override]
-        g = la.gram_matrix([list(r) for r in self.basis])
+            return self.gram_override
         s = self.scale_sq
-        return [[s * x for x in row] for row in g]
+        return tuple(tuple(s * x for x in row)
+                     for row in la.gram_matrix([list(r) for r in self.basis]))
+
+    @functools.cached_property
+    def int_gram(self) -> tuple:
+        """(G_int, d): the exact Gram as integer rows over one positive
+        denominator d, so ``gram() == G_int / d``. Exact lattices only."""
+        return la.integer_form(self._gram)
+
+    @functools.cached_property
+    def _det_sq(self):
+        if not self.exact:
+            return la.det(self.gram())
+        g, d = self.int_gram
+        return Fraction(la.det_int(g), d ** self.rank)
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Invariants other modules derive from this value (relevant vectors,
+        covering radius), keyed by name; every entry is immutable."""
+        return {}
+
+    def gram(self):
+        """Gram matrix of the (scaled) basis; rational for exact lattices.
+
+        A fresh list on every call, so a caller that edits it cannot change
+        the cached Gram."""
+        return [list(r) for r in self._gram]
 
     def det_sq(self):
-        return la.det(self.gram())
+        return self._det_sq
 
     def determinant(self):
         """D(L): volume of a basic parallelotope. Exact (sympy) when exact."""
@@ -125,12 +158,12 @@ class Lattice:
 
     def norm_sq(self, coeffs):
         """Squared length of the lattice vector with the given coefficients."""
-        g = self.gram()
+        g = self._gram
         return sum(ci * sum(gij * cj for gij, cj in zip(gi, coeffs))
                    for ci, gi in zip(coeffs, g))
 
     def inner(self, coeffs_a, coeffs_b):
-        g = self.gram()
+        g = self._gram
         return sum(ai * sum(gij * bj for gij, bj in zip(gi, coeffs_b))
                    for ai, gi in zip(coeffs_a, g))
 

@@ -53,9 +53,16 @@ class SublatticeWitness:
 
 
 def _sub_det_sq(lat: Lattice, rows):
-    g = lat.gram()
-    sub = [[la.dot(list(r), la.vec_mat(list(s), g)) for s in rows] for r in rows]
-    return la.det(sub)
+    """det(R G R^T) for integer coefficient rows R; for an exact parent the
+    product is formed in integers against G_int and divided by d^k once."""
+    if not lat.exact:
+        g = lat.gram()
+        return la.det([[la.dot(list(r), la.vec_mat(list(s), g)) for s in rows]
+                       for r in rows])
+    g, d = lat.int_gram
+    rg = [la.vec_mat(list(r), g) for r in rows]
+    return Fraction(la.det_int([[la.dot(a, s) for s in rows] for a in rg]),
+                    d ** len(rows))
 
 
 def witness(lat: Lattice, rows) -> SublatticeWitness:

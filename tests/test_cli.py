@@ -68,6 +68,15 @@ def test_nonsep(capsys):
     assert d["margin"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_nonsep_radius_with_rational_square(capsys):
+    d = _json(capsys, "nonsep", "--catalog", "Z3", "--r", "sqrt2")
+    assert d["nonseparable"] is True
+    assert d["margin"] == pytest.approx(1 - 1 / (2 * math.sqrt(2)), abs=1e-12)
+    code, out, err = _run(capsys, "nonsep", "--catalog", "Z3", "--r", "pi")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
 def test_cylinder(capsys):
     d = _json(capsys, "cylinder", "--catalog", "D3", "--scale", "sqrt2",
               "--r", "1", "--k", "1")
@@ -80,6 +89,12 @@ def test_polytope_and_mvee(capsys):
     assert d["facets"] == 6 and d["zonotope"] is True
     m = _json(capsys, "mvee", "--body", "cross:2")
     assert m["ratio"] == pytest.approx(math.pi / 2, abs=1e-6)
+
+
+def test_body_dimension_below_one_exit_2(capsys):
+    code, out, err = _run(capsys, "mvee", "--body", "cube:0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
 
 
 def test_mahler(capsys):

@@ -1,10 +1,17 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from latgeom.enumeration import (closest_vector, covering_density,
+import latgeom._linalg as la
+from latgeom import enumeration
+from latgeom.cli import run
+from latgeom.enumeration import (_enumerate_gram, closest_vector,
+                                 closest_vectors, covering_density,
                                  covering_radius, kappa, packing_density,
                                  relevant_vectors, shortest_vectors,
                                  successive_minima, vectors_within,
@@ -144,3 +151,95 @@ def test_covering_densities(name, n, value):
 def test_voronoi_rank_cap():
     with pytest.raises(CapabilityError):
         voronoi_cell(catalog("Leech", 24))
+
+
+# -- the exact integer kernel -------------------------------------------------
+
+_fractions = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _rational_gram_and_center(draw):
+    """G = B B^T for a lower-triangular rational B with nonzero diagonal (so
+    G is positive definite with mixed denominators), and a rational center."""
+    n = draw(st.integers(1, 3))
+    b = [[draw(_fractions) if j < i else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        b[i][i] = draw(st.builds(Fraction, st.sampled_from([-2, -1, 1, 2]),
+                                 st.sampled_from([1, 2, 3])))
+    g = la.gram_matrix(b)
+    center = [draw(st.builds(Fraction, st.integers(-7, 7),
+                             st.sampled_from([1, 2, 3, 4, 7])))
+              for _ in range(n)]
+    return g, center
+
+
+def _form(g, v):
+    return sum(a * gij * b for a, gi in zip(v, g) for gij, b in zip(gi, v))
+
+
+def _brute_force(g, center, bound):
+    """Every (x, q) with q = (x - center)^T G (x - center) <= bound, from a
+    box that contains the ellipsoid: |x_i - c_i| <= sqrt(bound (G^-1)_ii)."""
+    ginv = la.inverse(g)
+    ranges = []
+    for i, c in enumerate(center):
+        rad = math.sqrt(float(bound * ginv[i][i])) + 1
+        ranges.append(range(math.floor(c - rad), math.ceil(c + rad) + 1))
+    assume(math.prod(len(r) for r in ranges) <= 3000)
+    out = {}
+    for x in itertools.product(*ranges):
+        q = _form(g, [xi - ci for xi, ci in zip(x, center)])
+        if q <= bound:
+            out[x] = q
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_gram_and_center(),
+       st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 3, 4, 10])))
+def test_enumerate_gram_matches_fraction_evaluation(gc, bound):
+    g, center = gc
+    found = _enumerate_gram(g, center, bound)
+    assert len(found) == len({x for x, _ in found})
+    assert dict(found) == _brute_force(g, center, bound)
+    assert all(isinstance(q, Fraction) for _, q in found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_gram_and_center())
+def test_closest_vectors_matches_fraction_evaluation(gc):
+    g, target = gc
+    # the rounded target bounds the distance of every closest vector
+    start = _form(g, [round(t) - t for t in target])
+    points = _brute_force(g, target, start)
+    best = min(points.values())
+    dist, vecs = closest_vectors(Lattice.from_gram(g), target)
+    assert dist == best
+    assert vecs == sorted(x for x, q in points.items() if q == best)
+
+
+def test_cached_invariants_are_not_aliased():
+    lat = catalog("D", 4)
+    g = lat.gram()
+    g[0][0] = Fraction(99)
+    g.append([])
+    assert lat.gram() == Lattice.from_rows(lat.basis).gram()
+    rel = relevant_vectors(lat)
+    with pytest.raises(TypeError):
+        rel[0] = (0, 0, 0, 0)
+    assert relevant_vectors(lat) == rel and len(rel) == 12
+    mu_sq, hole = covering_radius(lat)
+    assert isinstance(hole, tuple) and covering_radius(lat) == (mu_sq, hole)
+
+
+@pytest.mark.parametrize("verb", ["cover", "voronoi"])
+def test_cli_scans_cosets_once(verb, monkeypatch, capsys):
+    calls = []
+    scan = enumeration._coset_scan
+    monkeypatch.setattr(enumeration, "_coset_scan",
+                        lambda lat: calls.append(lat) or scan(lat))
+    assert run([verb, "--catalog", "D4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

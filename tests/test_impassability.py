@@ -76,6 +76,16 @@ def test_nonseparable_catalog_lattice():
     assert margin == pytest.approx(0, abs=1e-12)
 
 
+def test_nonseparable_lower_rank_lattices():
+    # the dual is taken in the span: lambda_1(E7*)^2 = 3/2, lambda_1(A5*)^2 = 5/6
+    flag, margin = is_nonseparable_ball_lattice(catalog("E", 7), Fraction(1, 2))
+    assert flag
+    assert margin == pytest.approx(math.sqrt(3 / 2) - 1, abs=1e-12)
+    flag, margin = is_nonseparable_ball_lattice(catalog("A", 5), Fraction(1, 2))
+    assert not flag
+    assert margin == pytest.approx(math.sqrt(5 / 6) - 1, abs=1e-12)
+
+
 def test_separable_when_balls_small():
     flag, margin = is_nonseparable_ball_lattice(catalog("Z", 3), Fraction(2, 5))
     assert not flag
