@@ -1,14 +1,50 @@
 """Exact linear algebra over the rationals plus integer normal forms.
 
-Matrices are lists of lists (rows). Rational entries are ``fractions.Fraction``;
-the same routines work on floats (the arithmetic degrades gracefully), but the
-integer normal forms require genuine ints.
+Matrices are lists of lists (rows) of ints and ``fractions.Fraction``s. One
+fraction-free elimination kernel serves ``det``, ``rank``, ``solve`` and
+``inverse``: rational rows are scaled to ints and eliminated in ints.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
+
+from .errors import InvalidInputError
+
+# Floats are rationalized to the nearest fraction with a denominator up to
+# this bound, so short decimals such as 0.1 or 2.75 come back exactly.
+MAX_DENOMINATOR = 10**12
+
+
+def _rational(x) -> Fraction:
+    """``x`` as an exact rational; every number from outside the program
+    passes through here once.
+
+    Rationals (ints, Fractions, numpy and sympy integers) and strings such as
+    ``"3"``, ``"-1/2"`` or ``"0.5"`` are read exactly; any other finite real,
+    a float for one, becomes the nearest fraction with denominator at most
+    ``MAX_DENOMINATOR``. Anything else raises InvalidInputError.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (numbers.Rational, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(x, numbers.Real) and math.isfinite(x):
+        return Fraction(float(x)).limit_denominator(MAX_DENOMINATOR)
+    raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _canonical_sign(v):
+    """``v`` as a tuple, negated if its first nonzero entry is negative."""
+    for x in v:
+        if x:
+            return tuple(v) if x > 0 else tuple(-y for y in v)
+    return tuple(v)
 
 
 def mat_mul(a, b):
@@ -28,8 +64,8 @@ def transpose(a):
     return [list(row) for row in zip(*a)]
 
 
-def identity(n, one=Fraction(1)):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def dot(u, v):
@@ -40,54 +76,73 @@ def gram_matrix(rows):
     return [[dot(u, v) for v in rows] for u in rows]
 
 
-def det(a):
-    """Determinant by fraction-free-ish Gaussian elimination (exact on Fractions)."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign = 1
-    result_one = m[0][0] * 0 + 1 if n else 1
-    prod = result_one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
+def _int_rows(a):
+    """Rows of the rational matrix ``a`` as int lists, each row multiplied
+    by the lcm of its denominators (1 for a row of ints); returns the rows
+    and the product of those multipliers."""
+    rows, scale = [], 1
+    for row in a:
+        d = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return rows, scale
+
+
+def _bareiss(m, ncols, jordan=False):
+    """Fraction-free elimination (Bareiss 1968) of the int rows ``m`` in
+    place, pivoting on the first ``ncols`` columns and updating every column.
+
+    Every division is exact, so all entries stay ints: after each step the
+    entries are minors of the input. Forward elimination leaves an echelon
+    form whose last pivot is the determinant of the pivot block; with
+    ``jordan`` the rows above each pivot are cleared too, so a nonsingular
+    square block ends as ``p I`` with p its determinant (up to the sign) and
+    the other columns hold p times the solution. Returns (rank, sign of the
+    row permutation, last pivot).
+    """
+    rows = len(m)
+    width = len(m[0]) if rows else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
-            return prod * 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        p = m[col][col]
-        prod = prod * p
-        inv = Fraction(1) / p if isinstance(p, (Fraction, int)) else 1.0 / p
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return sign * prod
+        p, prow = m[r][c], m[r]
+        # below the pivot, the columns left of c are already zero
+        first = 0 if jordan else c + 1
+        for i in range(0 if jordan else r + 1, rows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            for j in range(first, width):
+                row[j] = (row[j] * p - f * prow[j]) // prev
+            row[c] = 0
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
+def det(a):
+    """Determinant of a square rational (int or Fraction) matrix, exact."""
+    m, scale = _int_rows(a)
+    return Fraction(_det(m), scale)
 
 
 def det_int(a):
-    """Determinant of an integer matrix by fraction-free (Bareiss)
-    elimination; every division is exact, so all entries stay ints."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        p, row_k = m[k][k], m[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * p - f * row_k[j]) // prev
-        prev = p
-    return sign * m[-1][-1] if n else 1
+    """Determinant of an integer matrix; the elimination stays in ints."""
+    return _det([list(row) for row in a])
+
+
+def _det(m):
+    """Determinant of the square int rows ``m``, which it overwrites."""
+    r, sign, p = _bareiss(m, len(m))
+    return sign * p if r == len(m) else 0
 
 
 def integer_form(a):
@@ -99,72 +154,35 @@ def integer_form(a):
 
 
 def rank(a):
+    """Rank of a rational matrix (forward elimination only)."""
     if not a:
         return 0
-    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for col in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        for i in range(r + 1, rows):
-            if m[i][col]:
-                f = m[i][col] / p
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    m, _ = _int_rows(a)
+    return _bareiss(m, len(m[0]))[0]
+
+
+def _gauss_jordan(a, extra):
+    """Columns ``extra`` (one list per row) of the reduced system
+    [a | extra] with a square: the rows of a^{-1} extra, or None when a is
+    singular."""
+    n = len(a)
+    m, _ = _int_rows([list(row) + list(e) for row, e in zip(a, extra)])
+    r, _, p = _bareiss(m, n, jordan=True)
+    if r < n:
+        return None
+    return [[Fraction(x, p) for x in row[n:]] for row in m]
 
 
 def solve(a, b):
     """Solve a x = b for square nonsingular a. Returns None if singular."""
-    n = len(a)
-    m = [list(row) + [bv] for row, bv in zip(a, b)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+    sol = _gauss_jordan(a, [[bv] for bv in b])
+    return None if sol is None else [row[0] for row in sol]
 
 
 def inverse(a):
+    """Inverse of a square rational matrix, or None if it is singular."""
     n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    return _gauss_jordan(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def affine_rank(points):
@@ -298,8 +316,7 @@ def complete_to_unimodular(a):
     wt = [list(col) for col in zip(*w)]  # k x m
     complement = integer_kernel(wt)  # {z : z w = 0}, rank m - k
     full = [list(map(int, row)) for row in a] + complement
-    d = det([[Fraction(x) for x in row] for row in full])
-    assert abs(d) == 1
+    assert abs(det(full)) == 1
     return full
 
 

@@ -52,14 +52,14 @@ def parse_scalar(tok):
 
 
 def _scale_factor_sq(tok):
-    """Squared scale factor from a --scale token (kept rational if possible)."""
+    """Squared scale factor from a --scale token; it must be rational."""
     v = parse_scalar(tok)
     if isinstance(v, Fraction):
         return v * v
     sq = sp.simplify(sp.sympify(v) ** 2)
-    if sq.is_rational:
-        return Fraction(int(sp.numer(sq)), int(sp.denom(sq)))
-    return float(sq)
+    if not sq.is_rational:
+        raise InvalidInputError(f"--scale {tok} has an irrational square")
+    return Fraction(int(sp.numer(sq)), int(sp.denom(sq)))
 
 
 def load_lattice(args) -> Lattice:
@@ -147,7 +147,7 @@ def cmd_lattice_info(args):
     g = lat.gram()
     return {
         "rank": lat.rank,
-        "exact": lat.exact,
+        "exact": True,
         "determinant": _num(lat.determinant()),
         "det_sq": str(lat.det_sq()),
         "gram": [[str(x) for x in row] for row in g],
@@ -160,8 +160,7 @@ def cmd_svp(args):
     l1_sq, vecs = enu.shortest_vectors(lat)
     return {
         "min_norm_sq": str(l1_sq),
-        "lambda1": _num(sp.sqrt(sp.nsimplify(Fraction(l1_sq))) if lat.exact
-                        else math.sqrt(l1_sq)),
+        "lambda1": _num(sp.sqrt(sp.nsimplify(Fraction(l1_sq)))),
         "count": 2 * len(vecs),
         "vectors_up_to_sign": [list(v) for v in vecs],
     }
@@ -208,8 +207,7 @@ def cmd_cover(args):
     mu_sq, hole = enu.covering_radius(lat)
     out = {
         "covering_radius_sq": str(mu_sq),
-        "covering_radius": _num(sp.sqrt(sp.nsimplify(Fraction(mu_sq)))
-                                if lat.exact else math.sqrt(mu_sq)),
+        "covering_radius": _num(sp.sqrt(sp.nsimplify(Fraction(mu_sq)))),
         "deep_hole_coeffs": [str(c) for c in hole],
         "covering_density": _num(enu.covering_density(lat)),
     }
@@ -390,8 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--verify", action="store_true",
                        help="run independent validation (brute-force checks)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (computations here are single-threaded)")
     return parser
 
 
@@ -407,7 +403,7 @@ def _apply_config(args):
             key = key.strip().replace("-", "_")
             value = value.strip()
             if getattr(args, key, None) in (None, False):
-                if key in ("n", "k", "threads"):
+                if key in ("n", "k"):
                     value = int(value)
                 elif key in ("det_bound", "tol"):
                     value = float(value)

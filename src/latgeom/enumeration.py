@@ -2,8 +2,8 @@
 minima, Voronoi-relevant vectors, Dirichlet-Voronoi cells, covering radii,
 and packing/covering densities.
 
-All enumeration happens in coefficient space against the (rational) Gram
-matrix, so results are exact for exact lattices. A float Cholesky factor
+All enumeration happens in coefficient space against the rational Gram
+matrix, so results are exact. A float Cholesky factor
 drives the branch-and-bound pruning with a small slack; every candidate is
 rescored exactly before acceptance.
 """
@@ -17,7 +17,7 @@ from fractions import Fraction
 import sympy as sp
 
 from . import _linalg as la
-from .errors import CapabilityError, ProjectionMismatchError, UnsupportedRankError
+from .errors import CapabilityError
 from .lattice import Lattice, reduce as lll_reduce
 
 MAX_ENUM_RANK = 12
@@ -40,26 +40,23 @@ def _check_rank(lat: Lattice, cap: int, what: str):
 def _enumerate_gram(g, center, bound_sq):
     """All integer x with (x - center)^T G (x - center) <= bound_sq.
 
-    Returns (x, norm_sq) pairs. Pruning is float with slack. A rational G
-    and center are scored exactly in integers: with G = G_int / d and c the
-    lcm of the center's denominators, norm_sq = q / (d c^2) where q is the
-    G_int-form of the integer vector c x - c center, and the leaf is kept
-    when q <= floor(bound_sq d c^2). A float G is scored in floats.
+    Returns (x, norm_sq) pairs. Pruning is float with slack. G and the
+    center are rational and leaves are scored exactly in integers: with
+    G = G_int / d and c the lcm of the center's denominators,
+    norm_sq = q / (d c^2) where q is the G_int-form of the integer vector
+    c x - c center, and the leaf is kept when q <= floor(bound_sq d c^2).
     """
     m = len(g)
     gf = [[float(v) for v in row] for row in g]
     r = la.float_cholesky(gf)
     cf = [float(c) for c in center]
     bound_f = float(bound_sq) * (1 + _PRUNE_SLACK) + _PRUNE_SLACK
-    if any(isinstance(v, float) for row in g for v in row):
-        gi, c, ct, limit, den = g, 1, center, bound_sq, None
-    else:
-        gi, d = la.integer_form(g)
-        center = [Fraction(t) for t in center]
-        c = math.lcm(*(t.denominator for t in center))
-        ct = [t.numerator * (c // t.denominator) for t in center]
-        den = d * c * c
-        limit = math.floor(Fraction(bound_sq) * den)
+    gi, d = la.integer_form(g)
+    center = [Fraction(t) for t in center]
+    c = math.lcm(*(t.denominator for t in center))
+    ct = [t.numerator * (c // t.denominator) for t in center]
+    den = d * c * c
+    limit = math.floor(Fraction(bound_sq) * den)
 
     x = [0] * m
     results = []
@@ -84,8 +81,6 @@ def _enumerate_gram(g, center, bound_sq):
         x[i] = 0
 
     rec(m - 1, bound_f)
-    if den is None:
-        return results
     return [(xs, Fraction(q, den)) for xs, q in results]
 
 
@@ -109,13 +104,6 @@ def vectors_within(lat: Lattice, bound_sq, include_zero=False,
     return out
 
 
-def _canonical_sign(coeffs):
-    for c in coeffs:
-        if c != 0:
-            return coeffs if c > 0 else tuple(-v for v in coeffs)
-    return coeffs
-
-
 def shortest_vectors(lat: Lattice, max_rank=MAX_ENUM_RANK):
     """(lambda_1 squared, canonical coefficient vectors of all minimal
     vectors, one per +- pair, sorted lexicographically)."""
@@ -135,7 +123,7 @@ def shortest_vectors(lat: Lattice, max_rank=MAX_ENUM_RANK):
     for x, q in found:
         if any(x) and q == best:
             orig = tuple(la.vec_mat(list(x), [list(row) for row in u]))
-            mins.add(_canonical_sign(orig))
+            mins.add(la._canonical_sign(orig))
     return best, sorted(mins)
 
 
@@ -153,10 +141,10 @@ def successive_minima(lat: Lattice, max_rank=MAX_ENUM_RANK):
     vecs.sort(key=lambda p: (p[1], p[0]))
     chosen, norms, rows = [], [], []
     for x, q in vecs:
-        if la.rank(rows + [list(map(Fraction, x))]) > len(rows):
-            rows.append(list(map(Fraction, x)))
+        if la.rank(rows + [x]) > len(rows):
+            rows.append(x)
             orig = tuple(la.vec_mat(list(x), [list(row) for row in u]))
-            chosen.append(_canonical_sign(orig))
+            chosen.append(la._canonical_sign(orig))
             norms.append(q)
         if len(chosen) == m:
             break
@@ -172,16 +160,15 @@ def closest_vectors(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
     u = [list(row) for row in red.meta["reduction_transform"]]
     g = red.gram()
     # target in reduced coordinates: t_red = t . u^{-1}
-    uinv = la.inverse([[Fraction(x) for x in row] for row in u])
-    t = la.vec_mat([Fraction(c) if lat.exact else float(c)
-                    for c in target_coeffs], uinv)
+    uinv = la.inverse(u)
+    t = la.vec_mat([la._rational(c) for c in target_coeffs], uinv)
     # Babai rounding gives an initial radius
     x0 = [round(c) for c in t]
     dx = [a - b for a, b in zip(x0, t)]
     bound = sum(di * sum(gij * dj for gij, dj in zip(gi, dx))
                 for di, gi in zip(dx, g))
     if bound == 0:
-        return Fraction(0) if lat.exact else 0.0, [tuple(
+        return Fraction(0), [tuple(
             la.vec_mat(list(map(int, x0)), u))]
     found = _enumerate_gram(g, t, bound)
     best = min(q for _, q in found)
@@ -222,7 +209,7 @@ def _coset_scan(lat: Lattice):
     u = [list(row) for row in red.meta["reduction_transform"]]
     g = red.gram()
     m = lat.rank
-    half = Fraction(1, 2) if lat.exact else 0.5
+    half = Fraction(1, 2)
     out = []
     for bits in itertools.product((0, 1), repeat=m):
         if not any(bits):
@@ -233,14 +220,13 @@ def _coset_scan(lat: Lattice):
         bound = 4 * sum(di * sum(gij * dj for gij, dj in zip(gi, dx))
                         for di, gi in zip(dx, g))
         # minimize ||c + 2y||^2 = 4 ||y + c/2||^2 over y
-        found = _enumerate_gram(g, [-v for v in t], Fraction(bound, 4)
-                                if lat.exact else bound / 4)
+        found = _enumerate_gram(g, [-v for v in t], Fraction(bound, 4))
         best = min(q for _, q in found)
         mins = [x for x, q in found if q == best]
         if len(mins) != 2:
             continue
         v = [b + 2 * y for b, y in zip(bits, mins[0])]
-        out.append(_canonical_sign(tuple(la.vec_mat(v, u))))
+        out.append(la._canonical_sign(tuple(la.vec_mat(v, u))))
     return tuple(sorted(out))
 
 
@@ -256,7 +242,7 @@ def voronoi_cell(lat: Lattice, max_rank=MAX_VORONOI_RANK):
         nn = la.dot(list(v), gv)
         for s in (1, -1):
             rows.append([s * x for x in gv])
-            b.append(Fraction(nn, 2) if lat.exact else nn / 2)
+            b.append(Fraction(nn, 2))
     return Polytope.from_halfspaces(rows, b, metric=g)
 
 
@@ -290,22 +276,14 @@ def _lambda1_sq(lat: Lattice):
 def packing_density(lat: Lattice):
     """delta_L(B^n) = kappa_n (lambda_1 / 2)^n / D(L), exact sympy."""
     n = lat.rank
-    l1sq = _lambda1_sq(lat)
-    l1sq = sp.Rational(Fraction(l1sq).numerator, Fraction(l1sq).denominator) \
-        if lat.exact else sp.Float(l1sq)
-    d2 = lat.det_sq()
-    d = sp.sqrt(sp.Rational(Fraction(d2).numerator, Fraction(d2).denominator)) \
-        if lat.exact else sp.Float(math.sqrt(d2))
-    return sp.simplify(kappa(n) * (l1sq / 4) ** sp.Rational(n, 2) / d)
+    l1sq = sp.Rational(_lambda1_sq(lat))
+    return sp.simplify(kappa(n) * (l1sq / 4) ** sp.Rational(n, 2)
+                       / lat.determinant())
 
 
 def covering_density(lat: Lattice, max_rank=MAX_VORONOI_RANK):
     """theta_L = kappa_n mu^n / D(L), exact sympy."""
     n = lat.rank
     mu_sq, _ = covering_radius(lat, max_rank=max_rank)
-    mu_sq = sp.Rational(Fraction(mu_sq).numerator, Fraction(mu_sq).denominator) \
-        if lat.exact else sp.Float(mu_sq)
-    d2 = lat.det_sq()
-    d = sp.sqrt(sp.Rational(Fraction(d2).numerator, Fraction(d2).denominator)) \
-        if lat.exact else sp.Float(math.sqrt(d2))
-    return sp.simplify(kappa(n) * mu_sq ** sp.Rational(n, 2) / d)
+    return sp.simplify(kappa(n) * sp.Rational(mu_sq) ** sp.Rational(n, 2)
+                       / lat.determinant())

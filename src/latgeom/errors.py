@@ -30,10 +30,6 @@ class CatalogMissError(InvalidInputError):
     """Unknown catalog name / dimension pair."""
 
 
-class ProjectionMismatchError(InvalidInputError):
-    """Target point lies outside the span of the lattice."""
-
-
 class PolarUndefinedError(InvalidInputError):
     """Polar requested for a body without 0 in its interior."""
 

@@ -50,11 +50,11 @@ class PassageCertificate:
 
     @property
     def mu(self):
-        return _sqrt_exact(self.mu_sq) if self.lattice.exact else math.sqrt(self.mu_sq)
+        return _sqrt_exact(self.mu_sq)
 
     @property
     def clearance(self):
-        return self.mu - (sp.nsimplify(self.r) if self.lattice.exact else self.r)
+        return self.mu - sp.nsimplify(self.r)
 
     @property
     def clearance_float(self) -> float:
@@ -103,8 +103,7 @@ def _validate_certificate(proj: Lattice, deep_hole, mu_sq, r) -> int:
     """Check every projected lattice point within mu + r of the deep hole
     keeps distance >= mu - tol; returns the number of points checked."""
     radius = math.sqrt(float(mu_sq)) + float(r) + 1.0
-    bound_sq = Fraction(radius * radius).limit_denominator(10**9) \
-        if proj.exact else radius * radius
+    bound_sq = Fraction(radius * radius).limit_denominator(10**9)
     g = proj.gram()
     m = proj.rank
     # enumerate y with ||y - hole||^2 <= bound via shifted enumeration
@@ -146,12 +145,20 @@ def _ambient_plane(lat: Lattice, w: SublatticeWitness, proj: Lattice, deep_hole)
     return (tuple(lift0), tuple(tuple(x) for x in ortho))
 
 
-def _certificate_for(lat: Lattice, w: SublatticeWitness, r, validate=True):
+def _projection(lat: Lattice, w: SublatticeWitness):
+    """(projection along w, its squared covering radius, a deep hole)."""
     proj = project_along(lat, w)
     if proj.rank > 8:
         raise UnsupportedRankError(
             "projected lattice rank exceeds the Voronoi cap")
     mu_sq, hole = covering_radius(proj)
+    return proj, mu_sq, hole
+
+
+def _certificate(lat: Lattice, w: SublatticeWitness, r, projected, validate):
+    """Certificate for the ``_projection`` of lat along w, or None when its
+    covering radius does not exceed r."""
+    proj, mu_sq, hole = projected
     if float(mu_sq) <= float(r) ** 2:
         return None
     n_pts = _validate_certificate(proj, hole, mu_sq, r) if validate else 0
@@ -168,7 +175,7 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
     for w in enumerate_sublattices(lat, k, det_bound):
-        cert = _certificate_for(lat, w, r, validate=validate)
+        cert = _certificate(lat, w, r, _projection(lat, w), validate)
         if cert is not None:
             return cert
     return None
@@ -183,27 +190,16 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     best = None
     best_key = None
     for w in enumerate_sublattices(lat, k, det_bound):
-        proj = project_along(lat, w)
-        if proj.rank > 8:
-            raise UnsupportedRankError(
-                "projected lattice rank exceeds the Voronoi cap")
-        mu_sq, hole = covering_radius(proj)
-        key = (-float(mu_sq), w.coeffs)
+        projected = _projection(lat, w)
+        key = (-projected[1], w.coeffs)
         if best_key is None or key < best_key:
             best_key = key
-            best = (w, proj, mu_sq, hole)
+            best = (w, projected)
     if best is None:
         return float("-inf"), None
-    w, proj, mu_sq, hole = best
-    clearance = math.sqrt(float(mu_sq)) - float(r)
-    if float(mu_sq) <= float(r) ** 2:
-        return clearance, None
-    n_pts = _validate_certificate(proj, hole, mu_sq, r) if validate else 0
-    plane = _ambient_plane(lat, w, proj, hole)
-    cert = PassageCertificate(lat, k, r, w, tuple(hole), mu_sq, proj,
-                              validated=validate, validation_points=n_pts,
-                              plane=plane)
-    return clearance, cert
+    w, projected = best
+    clearance = math.sqrt(float(projected[1])) - float(r)
+    return clearance, _certificate(lat, w, r, projected, validate)
 
 
 def _exact_radius(r):
@@ -212,8 +208,7 @@ def _exact_radius(r):
     value such as sqrt(2) is squared symbolically. Raises InvalidInputError
     when r^2 is not rational (pi, for one)."""
     if isinstance(r, (int, float, Fraction)):
-        r_ex = Fraction(r) if not isinstance(r, float) else \
-            Fraction(r).limit_denominator(10**12)
+        r_ex = la._rational(r)
         return r_ex * r_ex, float(r_ex)
     r_sq = sp.sympify(r) ** 2
     if not r_sq.is_rational:
@@ -228,28 +223,21 @@ def is_nonseparable_ball_lattice(lat: Lattice, r):
     in the span of the lattice, so lattices of lower rank than their ambient
     space (E7, A5) are handled.
 
-    Returns (flag, margin) with margin = lambda_1(dual) - 1/(2r); exact
-    comparison for exact lattices and r with rational r^2.
+    Returns (flag, margin) with margin = lambda_1(dual) - 1/(2r); the
+    comparison is exact and needs r^2 rational.
     """
     d = dual_in_span(lat)
     l1_sq, _ = shortest_vectors(d)
-    if lat.exact:
-        r_sq, r_f = _exact_radius(r)
-        flag = Fraction(l1_sq) * 4 * r_sq >= 1
-        margin = float(_sqrt_exact(l1_sq)) - 1.0 / (2 * r_f)
-    else:
-        margin = math.sqrt(l1_sq) - 1.0 / (2 * float(r))
-        flag = margin >= -VALIDATION_TOL
+    r_sq, r_f = _exact_radius(r)
+    flag = Fraction(l1_sq) * 4 * r_sq >= 1
+    margin = float(_sqrt_exact(l1_sq)) - 1.0 / (2 * r_f)
     return flag, margin
 
 
 def ball_lattice_density(lat: Lattice, r):
     """Density of the ball packing/arrangement {rB^n + x : x in L}."""
     n = lat.rank
-    d2 = Fraction(lat.det_sq())
-    det = sp.sqrt(sp.Rational(d2.numerator, d2.denominator)) if lat.exact \
-        else math.sqrt(lat.det_sq())
-    return kappa(n) * sp.nsimplify(r) ** n / det
+    return kappa(n) * sp.nsimplify(r) ** n / lat.determinant()
 
 
 def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitness:

@@ -1,15 +1,15 @@
 """Lattice representation, exact determinants, duals, LLL reduction, and the
 catalog of named lattices.
 
-A lattice is ``sqrt(scale_sq)`` times the integer row span of ``basis``.
-Keeping the irrational part as a single squared scalar means every Gram matrix
-of an exact lattice is rational, so squared lengths and squared determinants
-stay exact. A ``Lattice`` is an immutable value, so its Gram matrix, that
-Gram's integer form ``(G_int, d)`` with ``G = G_int / d``, and its squared
-determinant are computed once per value and cached; quadratic forms and
-determinants of exact lattices are evaluated in ``int`` against ``G_int``.
-Float lattices (``exact=False``) run through the same code with IEEE doubles
-and a documented tolerance of 1e-9.
+A lattice is ``sqrt(scale_sq)`` times the integer row span of a rational
+``basis``. Keeping the irrational part as a single squared scalar means every
+Gram matrix is rational, so squared lengths and squared determinants stay
+exact. Entries are read through ``_linalg._rational``, so float input is
+rationalized once, on construction. A ``Lattice`` is an immutable value, so
+its Gram matrix, that Gram's integer form ``(G_int, d)`` with
+``G = G_int / d``, and its squared determinant are computed once per value and
+cached; quadratic forms and determinants are evaluated in ``int`` against
+``G_int``.
 """
 
 from __future__ import annotations
@@ -31,20 +31,9 @@ from .errors import (
     UnsupportedRankError,
 )
 
-FLOAT_TOL = 1e-9
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if "/" in x:
-            p, q = x.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(x))
-    raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
+# Derived invariants that depend only on the basis and Gram; ``with_meta``
+# hands them to the new value.
+_CACHED = ("_gram", "int_gram", "_det_sq", "_memo")
 
 
 @dataclass(frozen=True)
@@ -53,49 +42,32 @@ class Lattice:
 
     basis: tuple | None  # m rows of length ambient_dim, or None for gram-only
     ambient_dim: int
-    scale_sq: Any = Fraction(1)  # lattice = sqrt(scale_sq) * rows
-    exact: bool = True
+    scale_sq: Fraction = Fraction(1)  # lattice = sqrt(scale_sq) * rows
     gram_override: tuple | None = None  # for gram-only lattices
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], scale_sq=1, exact: bool | None = None,
+    def from_rows(rows: Sequence[Sequence], scale_sq=1,
                   meta: Mapping[str, Any] | None = None) -> "Lattice":
-        rows = [list(r) for r in rows]
+        rows = [tuple(la._rational(x) for x in r) for r in rows]
         if not rows:
             raise InvalidInputError("empty basis")
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise InvalidInputError("ragged basis")
-        if exact is None:
-            exact = all(isinstance(x, (int, Fraction, str)) for r in rows for x in r)
-        if exact:
-            rows = [[_to_fraction(x) for x in r] for r in rows]
-            scale_sq = _to_fraction(scale_sq)
-        else:
-            rows = [[float(x) for x in r] for r in rows]
-            scale_sq = float(scale_sq)
-        lat = Lattice(basis=tuple(tuple(r) for r in rows), ambient_dim=n,
-                      scale_sq=scale_sq, exact=exact, meta=dict(meta or {}))
+        lat = Lattice(basis=tuple(rows), ambient_dim=n,
+                      scale_sq=la._rational(scale_sq), meta=dict(meta or {}))
         if lat.det_sq() <= 0:
             raise InvalidLatticeError("basis vectors are linearly dependent")
         return lat
 
     @staticmethod
-    def from_gram(gram: Sequence[Sequence], exact: bool | None = None,
+    def from_gram(gram: Sequence[Sequence],
                   meta: Mapping[str, Any] | None = None) -> "Lattice":
-        g = [list(r) for r in gram]
-        m = len(g)
-        if exact is None:
-            exact = all(isinstance(x, (int, Fraction, str)) for r in g for x in r)
-        if exact:
-            g = [[_to_fraction(x) for x in r] for r in g]
-        else:
-            g = [[float(x) for x in r] for r in g]
-        lat = Lattice(basis=None, ambient_dim=m, scale_sq=Fraction(1) if exact else 1.0,
-                      exact=exact, gram_override=tuple(tuple(r) for r in g),
+        g = tuple(tuple(la._rational(x) for x in r) for r in gram)
+        lat = Lattice(basis=None, ambient_dim=len(g), gram_override=g,
                       meta=dict(meta or {}))
         if lat.det_sq() <= 0:
             raise InvalidLatticeError("Gram matrix is not positive definite")
@@ -123,13 +95,11 @@ class Lattice:
     @functools.cached_property
     def int_gram(self) -> tuple:
         """(G_int, d): the exact Gram as integer rows over one positive
-        denominator d, so ``gram() == G_int / d``. Exact lattices only."""
+        denominator d, so ``gram() == G_int / d``."""
         return la.integer_form(self._gram)
 
     @functools.cached_property
     def _det_sq(self):
-        if not self.exact:
-            return la.det(self.gram())
         g, d = self.int_gram
         return Fraction(la.det_int(g), d ** self.rank)
 
@@ -140,7 +110,7 @@ class Lattice:
         return {}
 
     def gram(self):
-        """Gram matrix of the (scaled) basis; rational for exact lattices.
+        """Gram matrix of the (scaled) basis, rational.
 
         A fresh list on every call, so a caller that edits it cannot change
         the cached Gram."""
@@ -150,11 +120,9 @@ class Lattice:
         return self._det_sq
 
     def determinant(self):
-        """D(L): volume of a basic parallelotope. Exact (sympy) when exact."""
+        """D(L): volume of a basic parallelotope, exact (sympy)."""
         d2 = self.det_sq()
-        if self.exact:
-            return sp.sqrt(sp.Rational(d2.numerator, d2.denominator))
-        return math.sqrt(d2)
+        return sp.sqrt(sp.Rational(d2.numerator, d2.denominator))
 
     def norm_sq(self, coeffs):
         """Squared length of the lattice vector with the given coefficients."""
@@ -177,20 +145,21 @@ class Lattice:
 
     def coords_of(self, point):
         """Coefficients (in the rational part of the basis) of an ambient point
-        divided by sqrt(scale_sq); exact for exact lattices and rational input."""
+        divided by sqrt(scale_sq), exact."""
         if self.basis is None:
             raise UnsupportedRankError("gram-only lattice has no ambient embedding")
         b = [list(r) for r in self.basis]
-        g0 = la.gram_matrix(b)
-        rhs = [la.dot(list(point), row) for row in b]
-        sol = la.solve(g0, rhs)
-        return sol
+        point = [la._rational(x) for x in point]
+        return la.solve(la.gram_matrix(b), [la.dot(point, row) for row in b])
 
     def with_meta(self, **kv) -> "Lattice":
         meta = dict(self.meta)
         meta.update(kv)
-        return Lattice(self.basis, self.ambient_dim, self.scale_sq, self.exact,
-                       self.gram_override, meta)
+        out = Lattice(self.basis, self.ambient_dim, self.scale_sq,
+                      self.gram_override, meta)
+        # same basis and Gram, so the cached invariants still hold
+        out.__dict__.update({k: v for k, v in self.__dict__.items() if k in _CACHED})
+        return out
 
     def _scaled_meta(self, f):
         meta = dict(self.meta)
@@ -199,58 +168,49 @@ class Lattice:
         return meta
 
     def scaled(self, factor_sq) -> "Lattice":
-        """Lattice scaled by sqrt(factor_sq); factor_sq rational keeps exactness."""
-        if self.exact:
-            f = _to_fraction(factor_sq)
-            if self.gram_override is not None:
-                g = [[f * x for x in row] for row in self.gram_override]
-                return Lattice(None, self.ambient_dim, Fraction(1), True,
-                               tuple(tuple(r) for r in g), self._scaled_meta(f))
-            return Lattice(self.basis, self.ambient_dim, self.scale_sq * f,
-                           True, None, self._scaled_meta(f))
-        f = float(factor_sq)
+        """Lattice scaled by sqrt(factor_sq), factor_sq rational."""
+        f = la._rational(factor_sq)
         if self.gram_override is not None:
-            g = [[f * x for x in row] for row in self.gram_override]
-            return Lattice(None, self.ambient_dim, 1.0, False,
-                           tuple(tuple(r) for r in g), self._scaled_meta(f))
-        return Lattice(self.basis, self.ambient_dim, float(self.scale_sq) * f,
-                       False, None, self._scaled_meta(f))
+            g = tuple(tuple(f * x for x in row) for row in self.gram_override)
+            return Lattice(None, self.ambient_dim, Fraction(1), g,
+                           self._scaled_meta(f))
+        return Lattice(self.basis, self.ambient_dim, self.scale_sq * f, None,
+                       self._scaled_meta(f))
 
     def transformed(self, u) -> "Lattice":
         """Apply an integer change of basis (rows of u give new generators)."""
         meta = dict(self.meta)
         meta.pop("min_norm_sq", None)  # u need not be unimodular
+        u = [list(r) for r in u]
         if self.gram_override is not None:
-            g = self.gram()
-            ug = la.mat_mul([list(map(Fraction, r)) if self.exact else list(map(float, r))
-                             for r in u], g)
-            new_g = la.mat_mul(ug, la.transpose([list(map(Fraction, r)) if self.exact
-                                                 else list(map(float, r)) for r in u]))
-            return Lattice(None, self.ambient_dim, self.scale_sq, self.exact,
+            new_g = la.mat_mul(la.mat_mul(u, self.gram()), la.transpose(u))
+            return Lattice(None, self.ambient_dim, self.scale_sq,
                            tuple(tuple(r) for r in new_g), meta)
-        rows = la.mat_mul([list(r) for r in u], [list(r) for r in self.basis])
+        rows = la.mat_mul(u, [list(r) for r in self.basis])
         return Lattice(tuple(tuple(r) for r in rows), self.ambient_dim,
-                       self.scale_sq, self.exact, None, meta)
+                       self.scale_sq, None, meta)
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
         if self.gram_override is not None:
             g = [[str(x) for x in row] for row in self.gram_override]
-            return json.dumps({"gram": g, "exact": self.exact})
-        basis = [[str(x) if self.exact else x for x in row] for row in self.basis]
-        payload = {"ambient_dim": self.ambient_dim, "basis": basis, "exact": self.exact}
+            return json.dumps({"gram": g, "exact": True})
+        basis = [[str(x) for x in row] for row in self.basis]
+        payload = {"ambient_dim": self.ambient_dim, "basis": basis, "exact": True}
         if self.scale_sq != 1:
-            payload["scale_sq"] = str(self.scale_sq) if self.exact else self.scale_sq
+            payload["scale_sq"] = str(self.scale_sq)
         return json.dumps(payload)
 
     @staticmethod
     def from_json(text: str) -> "Lattice":
+        """Lattice from ``to_json`` output. Entries may be ints, strings
+        (``"1/2"``, ``"0.5"``) or floats; an ``"exact"`` key, which older
+        files set to false for float entries, is ignored."""
         obj = json.loads(text)
         if "gram" in obj:
-            return Lattice.from_gram(obj["gram"], exact=obj.get("exact"))
-        return Lattice.from_rows(obj["basis"], scale_sq=obj.get("scale_sq", 1),
-                                 exact=obj.get("exact"))
+            return Lattice.from_gram(obj["gram"])
+        return Lattice.from_rows(obj["basis"], scale_sq=obj.get("scale_sq", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -265,40 +225,29 @@ def dual(lat: Lattice) -> Lattice:
     """Polar lattice L*: inverse-transpose basis; requires full rank."""
     if lat.basis is None or lat.rank != lat.ambient_dim:
         raise UnsupportedRankError("dual requires a full-rank lattice with a basis")
-    if lat.exact:
-        inv = la.inverse([list(r) for r in lat.basis])
-        rows = la.transpose(inv)
-        return Lattice.from_rows(rows, scale_sq=Fraction(1) / Fraction(lat.scale_sq))
-    import numpy as np
-    inv = np.linalg.inv(np.array(lat.basis, dtype=float)).T / math.sqrt(float(lat.scale_sq))
-    return Lattice.from_rows(inv.tolist(), exact=False)
+    rows = la.transpose(la.inverse([list(r) for r in lat.basis]))
+    return Lattice.from_rows(rows, scale_sq=1 / lat.scale_sq)
 
 
 def dual_in_span(lat: Lattice) -> Lattice:
     """Dual taken inside the span of a (possibly lower-rank) lattice."""
     if lat.basis is None:
-        g = lat.gram()
-        return Lattice.from_gram(la.inverse(g), exact=lat.exact)
+        return Lattice.from_gram(la.inverse(lat.gram()))
     b = [list(r) for r in lat.basis]
-    g0 = la.gram_matrix(b)
-    rows = la.mat_mul(la.inverse(g0), b)
-    if lat.exact:
-        return Lattice.from_rows(rows, scale_sq=Fraction(1) / Fraction(lat.scale_sq))
-    return Lattice.from_rows(rows, scale_sq=1.0 / float(lat.scale_sq), exact=False)
+    rows = la.mat_mul(la.inverse(la.gram_matrix(b)), b)
+    return Lattice.from_rows(rows, scale_sq=1 / lat.scale_sq)
 
 
-def _lll_transform(gram, delta, exact):
-    """LLL on a Gram matrix; returns the unimodular transform U (list of rows).
-
-    Exact rational arithmetic when ``exact`` (parameter as a Fraction), float
-    otherwise. Textbook Gram-only LLL with full GSO recomputation; fine at
-    desk scale (rank <= 24).
+def _lll_transform(gram, delta):
+    """LLL on a rational Gram matrix; returns the unimodular transform U
+    (list of rows). Textbook Gram-only LLL in exact rational arithmetic with
+    full GSO recomputation; fine at desk scale (rank <= 24).
     """
     m = len(gram)
     g = [list(r) for r in gram]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    delta = Fraction(delta).limit_denominator(10**6) if exact else float(delta)
-    half = Fraction(1, 2) if exact else 0.5
+    delta = la._rational(delta)
+    half = Fraction(1, 2)
 
     def gso():
         mu = [[0] * m for _ in range(m)]
@@ -343,7 +292,7 @@ def _lll_transform(gram, delta, exact):
 
 def reduce(lat: Lattice, delta=Fraction(99, 100)) -> Lattice:
     """LLL-reduced basis of the same lattice (unimodular change of basis)."""
-    u = _lll_transform(lat.gram(), delta, lat.exact)
+    u = _lll_transform(lat.gram(), delta)
     out = lat.transformed(u)
     return out.with_meta(reduction_transform=tuple(tuple(r) for r in u))
 

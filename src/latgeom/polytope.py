@@ -27,18 +27,6 @@ from .errors import (
 )
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    raise InvalidInputError(f"cannot interpret {x!r} as a rational")
-
-
 def _sqrt_rat(q: Fraction):
     return sp.sqrt(sp.Rational(q.numerator, q.denominator))
 
@@ -80,7 +68,7 @@ def _cone_extreme_rays(normals):
             break
     if len(mat) < d:
         raise UnboundedBodyError("cone has a lineality space (not pointed)")
-    inv = la.inverse([[Fraction(x) for x in row] for row in mat])
+    inv = la.inverse(mat)
     # rays of the simplicial cone {x : mat x <= 0}: columns of -mat^{-1}
     rays = [_primitive_int([-inv[r][c] for r in range(d)]) for c in range(d)]
     processed = [norm_int[i] for i in idx]
@@ -214,19 +202,19 @@ class Polytope:
     @staticmethod
     def from_halfspaces(a_rows: Sequence[Sequence], b_vals: Sequence,
                         metric=None) -> "Polytope":
-        a = [[_frac(x) for x in row] for row in a_rows]
-        b = [_frac(x) for x in b_vals]
+        a = [[la._rational(x) for x in row] for row in a_rows]
+        b = [la._rational(x) for x in b_vals]
         if any(len(r) != len(a[0]) for r in a) or len(b) != len(a):
             raise DimensionMismatchError("inconsistent H-description shapes")
-        m = [[_frac(x) for x in row] for row in metric] if metric else None
+        m = [[la._rational(x) for x in row] for row in metric] if metric else None
         return Polytope(_a=a, _b=b, metric=m)
 
     @staticmethod
     def from_vertices(verts: Sequence[Sequence], metric=None) -> "Polytope":
-        v = [tuple(_frac(x) for x in p) for p in verts]
+        v = [tuple(la._rational(x) for x in p) for p in verts]
         if any(len(p) != len(v[0]) for p in v):
             raise DimensionMismatchError("inconsistent vertex shapes")
-        m = [[_frac(x) for x in row] for row in metric] if metric else None
+        m = [[la._rational(x) for x in row] for row in metric] if metric else None
         return Polytope(_verts=_dedupe_rays(v), metric=m)
 
     @property
@@ -264,7 +252,7 @@ class Polytope:
 
     def contains(self, point, strict=False) -> bool:
         a, b = self.halfspaces()
-        pt = [_frac(x) for x in point]
+        pt = [la._rational(x) for x in point]
         if strict:
             return all(la.dot(row, pt) < bv for row, bv in zip(a, b))
         return all(la.dot(row, pt) <= bv for row, bv in zip(a, b))
@@ -309,8 +297,9 @@ class Polytope:
             if la.dot(row, list(v0)) == bv:
                 continue
             fverts = [v for v in verts if la.dot(row, list(v)) == bv]
-            for facet_simplex in _facet_triangulation(fverts, d):
-                simplices.append((v0,) + facet_simplex)
+            sub, back = _facet_chart(fverts, d)
+            for s in sub.triangulation():
+                simplices.append((v0,) + tuple(back[c] for c in s))
         return simplices
 
     def volume(self):
@@ -342,12 +331,12 @@ class Polytope:
                                       metric=self.metric)
 
     def scaled(self, c) -> "Polytope":
-        c = _frac(c)
+        c = la._rational(c)
         return Polytope.from_vertices([[c * x for x in v] for v in self.vertices()],
                                       metric=self.metric)
 
     def translated(self, t) -> "Polytope":
-        t = [_frac(x) for x in t]
+        t = [la._rational(x) for x in t]
         return Polytope.from_vertices([[x + dx for x, dx in zip(v, t)]
                                        for v in self.vertices()], metric=self.metric)
 
@@ -363,7 +352,7 @@ class Polytope:
         volume is the metric volume of the projected body.
         """
         g = self._metric()
-        d_rows = [[_frac(x) for x in r] for r in directions]
+        d_rows = [[la._rational(x) for x in r] for r in directions]
         k = len(d_rows)
         # metric Gram of the direction vectors
         dg = [[la.dot(la.vec_mat(u, g), v) for v in d_rows] for u in d_rows]
@@ -379,7 +368,7 @@ class Polytope:
 
     def support(self, direction):
         """max over the body of <x, direction> in plain coordinates."""
-        dvec = [_frac(x) for x in direction]
+        dvec = [la._rational(x) for x in direction]
         return max(la.dot(list(v), dvec) for v in self.vertices())
 
     def is_centrally_symmetric(self) -> bool:
@@ -408,13 +397,11 @@ class Polytope:
         return Polytope.from_halfspaces(hs["a"], hs["b"], metric=metric)
 
 
-def _facet_triangulation(fverts, d):
-    """Triangulate a facet (affine dimension d-1, given by its vertices in
-    R^d) into (d-1)-simplices, returned as tuples of d original vertices.
-
-    Uses a rational chart (d-1 independent edge directions from the first
-    vertex) purely for the combinatorics; the returned points are the
-    original facet vertices.
+def _facet_chart(fverts, d):
+    """A facet (affine dimension d-1, given by its vertices in R^d) as a
+    full-dimensional polytope in a rational chart (d-1 independent edge
+    directions from the first vertex), with the map from chart points back
+    to the original facet vertices. The chart serves only the combinatorics.
     """
     p0 = list(fverts[0])
     diffs = [[x - y for x, y in zip(p, p0)] for p in fverts]
@@ -424,13 +411,11 @@ def _facet_triangulation(fverts, d):
             chart.append(dvec)
         if len(chart) == d - 1:
             break
-    g = la.gram_matrix(chart)
-    ginv = la.inverse(g)
+    ginv = la.inverse(la.gram_matrix(chart))
     coords = [tuple(la.mat_vec(ginv, [la.dot(dvec, c) for c in chart]))
               for dvec in diffs]
     back = {c: tuple(v) for c, v in zip(coords, fverts)}
-    sub = Polytope.from_vertices(coords)
-    return [tuple(back[c] for c in s) for s in sub.triangulation()]
+    return Polytope.from_vertices(coords), back
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +423,7 @@ def _facet_triangulation(fverts, d):
 # ---------------------------------------------------------------------------
 
 def cube(n, half_side=Fraction(1, 2)) -> Polytope:
-    h = _frac(half_side)
+    h = la._rational(half_side)
     rows, b = [], []
     for i in range(n):
         e = [Fraction(0)] * n
@@ -594,28 +579,9 @@ def is_zonotope(p: Polytope):
         return False, None
     gens = {}
     for u, v in _edges(p):
-        dvec = tuple(x - y for x, y in zip(u, v))
-        key = _normalize_ray(dvec)
-        if tuple(-x for x in key) in gens:
-            key = tuple(-x for x in key)
-        gens.setdefault(key, dvec)
-    out = []
-    seen = set()
-    for key, dvec in gens.items():
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append([abs_if_first_negative(dvec)])
-    return True, [g[0] for g in out]
-
-
-def abs_if_first_negative(dvec):
-    for x in dvec:
-        if x != 0:
-            if x < 0:
-                return tuple(-y for y in dvec)
-            return tuple(dvec)
-    return tuple(dvec)
+        dvec = la._canonical_sign([x - y for x, y in zip(u, v)])
+        gens.setdefault(_normalize_ray(dvec), dvec)
+    return True, list(gens.values())
 
 
 def _facet_vertex_sets(p: Polytope):
@@ -634,20 +600,7 @@ def _faces_2d(p: Polytope):
         return [tuple(p.vertices())]
     faces = {}
     for fverts in _facet_vertex_sets(p):
-        p0 = list(fverts[0])
-        diffs = [[x - y for x, y in zip(v, p0)] for v in fverts]
-        chart = []
-        for dvec in diffs:
-            if la.rank(chart + [dvec]) > len(chart):
-                chart.append(dvec)
-            if len(chart) == p.dim - 1:
-                break
-        g = la.gram_matrix(chart)
-        ginv = la.inverse(g)
-        coords = [tuple(la.mat_vec(ginv, [la.dot(dvec, c) for c in chart]))
-                  for dvec in diffs]
-        back = {c: tuple(v) for c, v in zip(coords, fverts)}
-        sub = Polytope.from_vertices(coords)
+        sub, back = _facet_chart(fverts, p.dim)
         for face in _faces_2d(sub):
             pts = tuple(sorted(back[c] for c in face))
             faces[frozenset(pts)] = pts

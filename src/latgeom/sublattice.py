@@ -8,10 +8,8 @@ span; equivalently its coefficient rows extend to a unimodular matrix.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy as sp
@@ -27,8 +25,8 @@ NODE_BUDGET = 10**7
 @dataclass(frozen=True)
 class SublatticeWitness:
     """A k-dimensional sublattice of ``parent`` given by integer coefficient
-    rows; ``det_sq`` is the squared determinant (Gram determinant of the
-    generators), exact for exact parents."""
+    rows; ``det_sq`` is the exact squared determinant (Gram determinant of
+    the generators)."""
 
     parent: Lattice
     coeffs: tuple  # k rows of m ints
@@ -40,25 +38,18 @@ class SublatticeWitness:
         return len(self.coeffs)
 
     def det_value(self):
-        if self.parent.exact:
-            d = Fraction(self.det_sq)
-            return sp.sqrt(sp.Rational(d.numerator, d.denominator))
-        return math.sqrt(self.det_sq)
+        d = Fraction(self.det_sq)
+        return sp.sqrt(sp.Rational(d.numerator, d.denominator))
 
     def to_dict(self) -> dict:
         return {"coeffs": [list(map(int, r)) for r in self.coeffs],
-                "det": str(self.det_value()) if self.parent.exact
-                else float(self.det_sq) ** 0.5,
+                "det": str(self.det_value()),
                 "saturated": self.saturated}
 
 
 def _sub_det_sq(lat: Lattice, rows):
-    """det(R G R^T) for integer coefficient rows R; for an exact parent the
-    product is formed in integers against G_int and divided by d^k once."""
-    if not lat.exact:
-        g = lat.gram()
-        return la.det([[la.dot(list(r), la.vec_mat(list(s), g)) for s in rows]
-                       for r in rows])
+    """det(R G R^T) for integer coefficient rows R, formed in integers
+    against G_int and divided by d^k once."""
     g, d = lat.int_gram
     rg = [la.vec_mat(list(r), g) for r in rows]
     return Fraction(la.det_int([[la.dot(a, s) for s in rows] for a in rg]),
@@ -69,7 +60,7 @@ def witness(lat: Lattice, rows) -> SublatticeWitness:
     """Wrap integer coefficient rows as a witness, computing det and checking
     saturation via the Hermite normal form."""
     rows = [list(map(int, r)) for r in rows]
-    if la.rank([[Fraction(x) for x in r] for r in rows]) != len(rows):
+    if la.rank(rows) != len(rows):
         raise InvalidInputError("witness rows are linearly dependent")
     d2 = _sub_det_sq(lat, rows)
     sat = la.hnf_basis(rows) == la.saturation(rows)
@@ -102,7 +93,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
     m = lat.rank
     if not 1 <= k <= m - 1:
         raise InvalidInputError("need 1 <= k <= rank - 1")
-    det_bound = Fraction(det_bound) if lat.exact else float(det_bound)
+    det_bound = Fraction(det_bound)
     if det_bound <= 0:
         return []
     if k > m - k:
@@ -118,13 +109,12 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
     prod_bound = (2.0 ** k / float(kappa(k))) * float(det_bound)
     r_max = max(prod_bound / l1 ** (k - 1), l1)
     bound_sq = Fraction(r_max * r_max).limit_denominator(10**9) * \
-        Fraction(1000000001, 1000000000) if lat.exact else r_max * r_max * (1 + 1e-9)
+        Fraction(1000000001, 1000000000)
     vecs = vectors_within(lat, bound_sq, max_rank=max_rank)
     # keep one representative per +- pair
     pairs = {}
     for v, q in vecs:
-        key = v if next(x for x in v if x) > 0 else tuple(-x for x in v)
-        pairs[key] = q
+        pairs[la._canonical_sign(v)] = q
     vecs = sorted(pairs.items(), key=lambda p: (p[1], p[0]))
     coeff_rows = [list(v) for v, _ in vecs]
     norms = [float(q) for _, q in vecs]
@@ -156,8 +146,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
             if nodes > node_budget:
                 raise CapabilityError(
                     f"sublattice search exceeded the node budget {node_budget}")
-            rows = [[Fraction(x) for x in coeff_rows[j]] for j in chosen]
-            if la.rank(rows + [[Fraction(x) for x in coeff_rows[i]]]) <= len(chosen):
+            if la.rank([coeff_rows[j] for j in chosen + [i]]) <= len(chosen):
                 continue
             chosen.append(i)
             dfs(i + 1, prod_sq * norms[i])
@@ -170,21 +159,15 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
 
 def _enumerate_via_dual(lat: Lattice, k: int, det_bound, max_rank, node_budget):
     m = lat.rank
-    dlat = Lattice.from_gram(la.inverse(lat.gram()), exact=lat.exact)
-    dsq = lat.det_sq()
-    if lat.exact:
-        dual_bound_sq = Fraction(det_bound) ** 2 / Fraction(dsq)
-        dual_bound = math.sqrt(float(dual_bound_sq)) * (1 + 1e-12)
-    else:
-        dual_bound_sq = float(det_bound) ** 2 / float(dsq)
-        dual_bound = math.sqrt(dual_bound_sq) * (1 + 1e-12)
+    dlat = Lattice.from_gram(la.inverse(lat.gram()))
+    dual_bound = math.sqrt(float(det_bound ** 2 / lat.det_sq())) * (1 + 1e-12)
     out = []
     for wd in enumerate_sublattices(dlat, m - k, dual_bound,
                                     max_rank=max_rank, node_budget=node_budget):
         rows = la.integer_kernel([list(r) for r in wd.coeffs])
         key = _canonical_key(rows)
         d2 = _sub_det_sq(lat, list(key))
-        if d2 <= (Fraction(det_bound) if lat.exact else det_bound) ** 2:
+        if d2 <= det_bound ** 2:
             out.append(SublatticeWitness(lat, key, d2, True))
     return sorted(out, key=lambda w: (w.det_sq, w.coeffs))
 
@@ -242,10 +225,7 @@ def project_along(lat: Lattice, w: SublatticeWitness):
     k = w.k
     m = lat.rank
     g = lat.gram()
-    tg = la.mat_mul([[Fraction(x) if lat.exact else float(x) for x in row]
-                     for row in t], g)
-    gp = la.mat_mul(tg, la.transpose([[Fraction(x) if lat.exact else float(x)
-                                       for x in row] for row in t]))
+    gp = la.mat_mul(la.mat_mul(t, g), la.transpose(t))
     g11 = [row[:k] for row in gp[:k]]
     g12 = [row[k:] for row in gp[:k]]
     g21 = [row[:k] for row in gp[k:]]
@@ -253,7 +233,7 @@ def project_along(lat: Lattice, w: SublatticeWitness):
     inv11 = la.inverse(g11)
     schur = [[g22[i][j] - la.dot(g21[i], la.mat_vec(inv11, [g12[r][j] for r in range(k)]))
               for j in range(m - k)] for i in range(m - k)]
-    out = Lattice.from_gram(schur, exact=lat.exact)
+    out = Lattice.from_gram(schur)
     emb = _orthonormal_embedding(schur)
     return out.with_meta(projection_of=lat, witness=w,
                          completion=tuple(tuple(r) for r in t),

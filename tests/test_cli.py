@@ -150,3 +150,25 @@ def test_table_format(capsys):
     code, out, _ = _run(capsys, "svp", "--catalog", "Z2", "--format", "table")
     assert code == 0
     assert "min_norm_sq: 1" in out
+
+
+def test_basis_file_decimal_strings(tmp_path, capsys):
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps({"basis": [["0.5", "0"], ["0", "2"]]}))
+    d = _json(capsys, "lattice-info", "--basis", str(f))
+    assert d["gram"] == [["1/4", "0"], ["0", "4"]]
+
+
+def test_basis_file_junk_entry_exit_2(tmp_path, capsys):
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps({"basis": [["x", "0"], ["0", "1"]]}))
+    code, out, err = _run(capsys, "lattice-info", "--basis", str(f))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_irrational_scale_exit_2(capsys):
+    code, out, err = _run(capsys, "lattice-info", "--catalog", "Z2",
+                          "--scale", "pi")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"

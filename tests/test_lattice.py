@@ -146,3 +146,19 @@ def test_transformed_sublattice():
     sub = lat.transformed([[2, 0], [0, 1]])
     assert sub.det_sq() == 4
     assert "min_norm_sq" not in sub.meta
+
+
+def test_float_rows_are_rationalized():
+    lat = Lattice.from_rows([[0.5, 0.0], [0.1, 1.5]], scale_sq=0.25)
+    ref = Lattice.from_rows([["1/2", 0], ["1/10", "3/2"]], scale_sq="1/4")
+    assert lat == ref
+    assert lat.det_sq() == ref.det_sq() == Fraction(9, 256)
+
+
+def test_json_float_lattice_loads_exact():
+    rows = json.dumps({"ambient_dim": 2, "basis": [[0.5, 0.0], [0.1, 1.5]],
+                       "scale_sq": 0.25, "exact": False})
+    ref = Lattice.from_rows([["1/2", 0], ["1/10", "3/2"]], scale_sq="1/4")
+    assert Lattice.from_json(rows) == ref
+    gram = json.dumps({"gram": [[2.0, 0.5], [0.5, 1.0]], "exact": False})
+    assert Lattice.from_json(gram) == Lattice.from_gram([[2, "1/2"], ["1/2", 1]])

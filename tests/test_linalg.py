@@ -1,0 +1,103 @@
+"""The fraction-free elimination kernel behind det, rank, solve and inverse,
+checked against sympy's exact matrices as an independent reference."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import latgeom._linalg as la
+from latgeom.errors import InvalidInputError
+
+# ints next to Fractions with mixed denominators, and plenty of zeros
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 7, 12])),
+)
+
+
+@st.composite
+def _matrices(draw, square):
+    rows = draw(st.integers(1, 8))
+    cols = rows if square else draw(st.integers(1, 8))
+    m = [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):  # a zero column
+        j = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[j] = 0
+    if rows > 1 and draw(st.booleans()):  # a row dependent on two others
+        i, p, q = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        a, b = draw(_entries), draw(_entries)
+        m[i] = [a * x + b * y for x, y in zip(m[p], m[q])]
+    if draw(st.booleans()):  # a zero leading pivot
+        m[0][0] = 0
+    return m
+
+
+def _sym(m):
+    return sp.Matrix([[sp.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                       for x in row] for row in m])
+
+
+def _frac(q):
+    return Fraction(int(sp.numer(q)), int(sp.denom(q)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(square=False))
+def test_rank_matches_sympy(m):
+    assert la.rank(m) == _sym(m).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(square=True))
+def test_det_matches_sympy(m):
+    d = _frac(_sym(m).det())
+    assert la.det(m) == d
+    if all(isinstance(x, int) for row in m for x in row):
+        assert la.det_int(m) == d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices(square=True), st.data())
+def test_solve_and_inverse_match_sympy(m, data):
+    s = _sym(m)
+    b = [data.draw(_entries) for _ in m]
+    if s.det() == 0:
+        assert la.inverse(m) is None
+        assert la.solve(m, b) is None
+        return
+    assert la.inverse(m) == [[_frac(x) for x in row] for row in s.inv().tolist()]
+    assert la.solve(m, b) == [_frac(x) for x in s.LUsolve(_sym([[x] for x in b]))]
+
+
+def test_rank_of_empty_and_det_of_empty():
+    assert la.rank([]) == 0
+    assert la.det([]) == 1
+
+
+def test_elimination_leaves_input_unchanged():
+    m = [[0, Fraction(1, 2)], [3, 4]]
+    copy = [list(row) for row in m]
+    la.det(m), la.rank(m), la.inverse(m), la.solve(m, [1, 2])
+    assert m == copy
+
+
+@pytest.mark.parametrize("x,want", [
+    (3, Fraction(3)), ("-1/2", Fraction(-1, 2)), ("0.5", Fraction(1, 2)),
+    (0.1, Fraction(1, 10)), (Fraction(2, 3), Fraction(2, 3)),
+    (np.int64(-4), Fraction(-4)), (np.float32(0.25), Fraction(1, 4)),
+    (sp.Rational(3, 7), Fraction(3, 7)),
+])
+def test_rational_reads_numbers(x, want):
+    assert la._rational(x) == want
+
+
+@pytest.mark.parametrize("x", ["x", "1/0", "", float("nan"), float("inf"), None, [1]])
+def test_rational_rejects_non_numbers(x):
+    with pytest.raises(InvalidInputError):
+        la._rational(x)

@@ -123,3 +123,10 @@ def test_project_embedding_matches_gram():
         for j, rj in enumerate(emb):
             dot = sum(a * b for a, b in zip(ri, rj))
             assert dot == pytest.approx(float(g[i][j]), abs=1e-9)
+
+
+def test_project_along_keeps_cached_invariants():
+    lat = catalog("D", 4)
+    _, w = dk_min(lat, 1)
+    proj = project_along(lat, w)
+    assert {"_gram", "int_gram", "_det_sq"} <= set(vars(proj))
