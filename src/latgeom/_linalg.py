@@ -250,10 +250,9 @@ def hnf_basis(a):
 
 
 def integer_kernel(a):
-    """Basis of {x in Z^rows? -> no: {x in Z^m : x is integer row vector with a @ x^T = 0}.
+    """Basis rows of the integer right kernel {x in Z^m : a x = 0}.
 
-    Input a: k x m integers. Returns basis rows of the right kernel lattice
-    {x in Z^m : a x = 0}, computed via column HNF with transform tracking.
+    Input a: k x m integers. Computed via column HNF with transform tracking.
     """
     k = len(a)
     m = len(a[0]) if k else 0

@@ -53,7 +53,10 @@ def parse_scalar(tok):
 
 def _scale_factor_sq(tok):
     """Squared scale factor from a --scale token; it must be rational."""
-    v = parse_scalar(tok)
+    try:
+        v = parse_scalar(tok)
+    except ValueError:
+        raise InvalidInputError(f"--scale {tok!r} is not a number") from None
     if isinstance(v, Fraction):
         return v * v
     sq = sp.simplify(sp.sympify(v) ** 2)

@@ -254,6 +254,22 @@ def covering_radius(lat: Lattice, max_rank=MAX_VORONOI_RANK):
     return _once(lat, "covering_radius", lambda: _deep_hole(lat, max_rank))
 
 
+def _covering_radius_bound(lat: Lattice):
+    """Babai's nearest-plane bound mu^2 <= (1/4) sum ||b*_i||^2 on the
+    LLL-reduced basis of lat, as an exact Fraction.
+
+    The GSO norms are ratios of leading principal minors,
+    ||b*_i||^2 = D_i / D_{i-1}; one fraction-free elimination of the integer
+    Gram G_int = d G leaves those minors of G_int on its diagonal (a positive
+    definite Gram never needs a row swap), so the sum is taken over d once.
+    """
+    g, d = lll_reduce(lat).int_gram
+    m = [list(row) for row in g]
+    la._bareiss(m, len(m))
+    minors = [1] + [m[i][i] for i in range(len(m))]
+    return sum(Fraction(b, a) for a, b in zip(minors, minors[1:])) / (4 * d)
+
+
 def _deep_hole(lat: Lattice, max_rank):
     cell = voronoi_cell(lat, max_rank=max_rank)
     g = lat.gram()

@@ -10,6 +10,11 @@ class LatgeomError(Exception):
     """Base class for all toolkit errors."""
 
 
+class CertificateValidationError(LatgeomError):
+    """A passage certificate failed its exact brute-force validation: some
+    projected lattice point is closer to the deep hole than mu."""
+
+
 class InvalidInputError(LatgeomError):
     """Malformed or degenerate input (CLI exit code 2)."""
 

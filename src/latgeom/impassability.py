@@ -7,6 +7,17 @@ mu > r, the plane through a lift of a deep hole parallel to the sublattice
 clears every ball by mu - r. The search is one-sided: absence of a
 certificate up to a determinant bound is evidence, never a proof, except for
 hyperplanes (k = n-1) where the exact dual-packing criterion decides.
+
+The covering radius needs a full Voronoi cell, but most searched directions
+cannot matter. Babai's nearest-plane argument bounds it on any basis,
+mu^2 <= (1/4) sum ||b*_i||^2 over the Gram-Schmidt vectors; on the
+LLL-reduced basis of a projection that bound costs one reduction and one
+elimination (``enumeration._covering_radius_bound``). As mu^2 never exceeds
+the bound, a direction whose bound is at most r^2 cannot clear the balls,
+and one whose (-bound, coeffs) sorts after the best (-mu^2, coeffs) so far
+cannot win ``max_clearance``; both are skipped, compared exactly, so every
+certificate and clearance is the one an exhaustive search returns.
+Acceptance and validation compare exact rationals too.
 """
 
 from __future__ import annotations
@@ -18,9 +29,11 @@ from fractions import Fraction
 import sympy as sp
 
 from . import _linalg as la
-from .enumeration import (closest_vectors, covering_radius, kappa,
-                          shortest_vectors, vectors_within)
-from .errors import InvalidInputError, NotAPackingError, UnsupportedRankError
+from .enumeration import (MAX_VORONOI_RANK, _covering_radius_bound,
+                          _enumerate_gram, closest_vectors, covering_radius,
+                          kappa, shortest_vectors, vectors_within)
+from .errors import (CertificateValidationError, InvalidInputError,
+                     NotAPackingError, UnsupportedRankError)
 from .lattice import Lattice, dual_in_span
 from .sublattice import (SublatticeWitness, enumerate_sublattices,
                          project_along, successive_minima)
@@ -100,19 +113,17 @@ def _default_det_bound(lat: Lattice, k: int) -> float:
 
 
 def _validate_certificate(proj: Lattice, deep_hole, mu_sq, r) -> int:
-    """Check every projected lattice point within mu + r of the deep hole
-    keeps distance >= mu - tol; returns the number of points checked."""
+    """Check that no projected lattice point within mu + r + 1 of the deep
+    hole is closer to it than mu, comparing squared distances exactly;
+    returns the number of points checked."""
     radius = math.sqrt(float(mu_sq)) + float(r) + 1.0
     bound_sq = Fraction(radius * radius).limit_denominator(10**9)
-    g = proj.gram()
-    m = proj.rank
-    # enumerate y with ||y - hole||^2 <= bound via shifted enumeration
-    from .enumeration import _enumerate_gram
-    pts = _enumerate_gram(g, list(deep_hole), bound_sq)
-    mu_f = math.sqrt(float(mu_sq))
+    pts = _enumerate_gram(proj.gram(), list(deep_hole), bound_sq)
     for y, q in pts:
-        if math.sqrt(float(q)) < mu_f - VALIDATION_TOL:
-            raise AssertionError("certificate validation failed")
+        if q < mu_sq:
+            raise CertificateValidationError(
+                f"lattice point {y} is at squared distance {q} < mu^2 = "
+                f"{mu_sq} from the deep hole")
     return len(pts)
 
 
@@ -145,21 +156,21 @@ def _ambient_plane(lat: Lattice, w: SublatticeWitness, proj: Lattice, deep_hole)
     return (tuple(lift0), tuple(tuple(x) for x in ortho))
 
 
-def _projection(lat: Lattice, w: SublatticeWitness):
-    """(projection along w, its squared covering radius, a deep hole)."""
+def _projection(lat: Lattice, w: SublatticeWitness) -> Lattice:
+    """Projection of lat along w, within the Voronoi rank cap."""
     proj = project_along(lat, w)
-    if proj.rank > 8:
+    if proj.rank > MAX_VORONOI_RANK:
         raise UnsupportedRankError(
             "projected lattice rank exceeds the Voronoi cap")
+    return proj
+
+
+def _certificate(lat: Lattice, w: SublatticeWitness, r, proj: Lattice,
+                 validate):
+    """Certificate for the projection ``proj`` of lat along w, or None when
+    its covering radius does not exceed r (mu^2 <= r^2, compared exactly)."""
     mu_sq, hole = covering_radius(proj)
-    return proj, mu_sq, hole
-
-
-def _certificate(lat: Lattice, w: SublatticeWitness, r, projected, validate):
-    """Certificate for the ``_projection`` of lat along w, or None when its
-    covering radius does not exceed r."""
-    proj, mu_sq, hole = projected
-    if float(mu_sq) <= float(r) ** 2:
+    if mu_sq <= _exact_radius(r)[0]:
         return None
     n_pts = _validate_certificate(proj, hole, mu_sq, r) if validate else 0
     plane = _ambient_plane(lat, w, proj, hole)
@@ -171,11 +182,17 @@ def _certificate(lat: Lattice, w: SublatticeWitness, r, projected, validate):
 def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
                         validate=True):
     """First passability certificate over saturated k-sublattices in
-    ascending determinant order, or None if no searched direction works."""
+    ascending determinant order, or None if no searched direction works.
+    A direction whose covering-radius bound is at most r^2 is skipped
+    without building a Voronoi cell."""
+    r_sq, _ = _exact_radius(r)
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
     for w in enumerate_sublattices(lat, k, det_bound):
-        cert = _certificate(lat, w, r, _projection(lat, w), validate)
+        proj = _projection(lat, w)
+        if _covering_radius_bound(proj) <= r_sq:
+            continue
+        cert = _certificate(lat, w, r, proj, validate)
         if cert is not None:
             return cert
     return None
@@ -184,22 +201,27 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
 def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     """(best clearance, best certificate) over all searched directions;
     certificate is None when no direction clears radius r. Deterministic:
-    ties broken by the HNF-lexicographic order of the witness."""
+    ties broken by the HNF-lexicographic order of the witness. A direction
+    whose key (-bound, coeffs) already sorts after the best key cannot win
+    and is skipped without building a Voronoi cell."""
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
     best = None
     best_key = None
     for w in enumerate_sublattices(lat, k, det_bound):
-        projected = _projection(lat, w)
-        key = (-projected[1], w.coeffs)
+        proj = _projection(lat, w)
+        if best_key is not None and \
+                (-_covering_radius_bound(proj), w.coeffs) > best_key:
+            continue
+        key = (-covering_radius(proj)[0], w.coeffs)
         if best_key is None or key < best_key:
             best_key = key
-            best = (w, projected)
+            best = (w, proj)
     if best is None:
         return float("-inf"), None
-    w, projected = best
-    clearance = math.sqrt(float(projected[1])) - float(r)
-    return clearance, _certificate(lat, w, r, projected, validate)
+    w, proj = best
+    clearance = math.sqrt(float(covering_radius(proj)[0])) - float(r)
+    return clearance, _certificate(lat, w, r, proj, validate)
 
 
 def _exact_radius(r):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -206,8 +206,17 @@ class Lattice:
     def from_json(text: str) -> "Lattice":
         """Lattice from ``to_json`` output. Entries may be ints, strings
         (``"1/2"``, ``"0.5"``) or floats; an ``"exact"`` key, which older
-        files set to false for float entries, is ignored."""
-        obj = json.loads(text)
+        files set to false for float entries, is ignored. Text that is not
+        a JSON object with a ``"basis"`` or ``"gram"`` key raises
+        InvalidInputError."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(
+                f"lattice file is not valid JSON: {exc}") from None
+        if not isinstance(obj, dict) or not ("gram" in obj or "basis" in obj):
+            raise InvalidInputError(
+                'lattice JSON needs a "basis" or a "gram" key')
         if "gram" in obj:
             return Lattice.from_gram(obj["gram"])
         return Lattice.from_rows(obj["basis"], scale_sq=obj.get("scale_sq", 1))
@@ -239,9 +248,10 @@ def dual_in_span(lat: Lattice) -> Lattice:
 
 
 def _lll_transform(gram, delta):
-    """LLL on a rational Gram matrix; returns the unimodular transform U
-    (list of rows). Textbook Gram-only LLL in exact rational arithmetic with
-    full GSO recomputation; fine at desk scale (rank <= 24).
+    """LLL on a rational Gram matrix; returns the unimodular transform U and
+    the reduced Gram U G U^T (both lists of rows). Textbook Gram-only LLL in
+    exact rational arithmetic with full GSO recomputation; fine at desk scale
+    (rank <= 24).
     """
     m = len(gram)
     g = [list(r) for r in gram]
@@ -287,14 +297,25 @@ def _lll_transform(gram, delta):
         else:
             swap(k, k - 1)
             k = max(k - 1, 1)
-    return u
+    return u, g
 
 
 def reduce(lat: Lattice, delta=Fraction(99, 100)) -> Lattice:
-    """LLL-reduced basis of the same lattice (unimodular change of basis)."""
-    u = _lll_transform(lat.gram(), delta)
-    out = lat.transformed(u)
-    return out.with_meta(reduction_transform=tuple(tuple(r) for r in u))
+    """LLL-reduced basis of the same lattice (unimodular change of basis).
+
+    The result keeps the reduced Gram that LLL computed and the input's
+    squared determinant, which a unimodular change of basis preserves."""
+    u, g = _lll_transform(lat.gram(), delta)
+    g = tuple(tuple(r) for r in g)
+    meta = {k: v for k, v in lat.meta.items() if k != "min_norm_sq"}
+    meta["reduction_transform"] = tuple(tuple(r) for r in u)
+    if lat.basis is None:
+        out = replace(lat, gram_override=g, meta=meta)
+    else:
+        rows = la.mat_mul(u, [list(r) for r in lat.basis])
+        out = replace(lat, basis=tuple(tuple(r) for r in rows), meta=meta)
+    out.__dict__.update(_gram=g, _det_sq=lat.det_sq())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,9 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
     def dfs(start, prod_sq):
         nonlocal nodes
         if len(chosen) == k:
-            rows = [coeff_rows[i] for i in chosen]
-            sat_rows = la.saturation(rows)
-            key = _canonical_key(sat_rows)
+            # saturation returns a row HNF, already the canonical key
+            sat_rows = la.saturation([coeff_rows[i] for i in chosen])
+            key = tuple(map(tuple, sat_rows))
             if key not in seen:
                 d2 = _sub_det_sq(lat, list(key))
                 if d2 <= det_bound_sq:
@@ -223,16 +223,14 @@ def project_along(lat: Lattice, w: SublatticeWitness):
         w = saturate(lat, w)
     t = _completion(w)
     k = w.k
-    m = lat.rank
-    g = lat.gram()
+    # re-base G_int = d G in ints; with its blocks G_ij, the projected Gram
+    # is the Schur complement (G22 - G21 G11^{-1} G12) / d
+    g, d = lat.int_gram
     gp = la.mat_mul(la.mat_mul(t, g), la.transpose(t))
-    g11 = [row[:k] for row in gp[:k]]
-    g12 = [row[k:] for row in gp[:k]]
-    g21 = [row[:k] for row in gp[k:]]
-    g22 = [row[k:] for row in gp[k:]]
-    inv11 = la.inverse(g11)
-    schur = [[g22[i][j] - la.dot(g21[i], la.mat_vec(inv11, [g12[r][j] for r in range(k)]))
-              for j in range(m - k)] for i in range(m - k)]
+    x = la.mat_mul(la.inverse([row[:k] for row in gp[:k]]),
+                   [row[k:] for row in gp[:k]])
+    schur = [[(gij - la.dot(row[:k], col)) / d
+              for gij, col in zip(row[k:], zip(*x))] for row in gp[k:]]
     out = Lattice.from_gram(schur)
     emb = _orthonormal_embedding(schur)
     return out.with_meta(projection_of=lat, witness=w,

@@ -172,3 +172,20 @@ def test_irrational_scale_exit_2(capsys):
                           "--scale", "pi")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"rows": [[1, 0], [0, 1]]}'],
+                         ids=["invalid-json", "no-basis-or-gram-key"])
+def test_malformed_basis_file_exit_2(tmp_path, capsys, text):
+    f = tmp_path / "lat.json"
+    f.write_text(text)
+    code, out, err = _run(capsys, "lattice-info", "--basis", str(f))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_non_numeric_scale_exit_2(capsys):
+    code, out, err = _run(capsys, "lattice-info", "--catalog", "Z2",
+                          "--scale", "abc")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"

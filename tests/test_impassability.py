@@ -3,13 +3,19 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import latgeom._linalg as la
 from latgeom.bounds import dnk_known, dnk_lower
-from latgeom.errors import NotAPackingError
-from latgeom.impassability import (ball_lattice_density, free_cylinder,
+from latgeom.enumeration import _covering_radius_bound, covering_radius
+from latgeom.errors import CertificateValidationError, NotAPackingError
+from latgeom.impassability import (_default_det_bound, _validate_certificate,
+                                   ball_lattice_density, free_cylinder,
                                    is_nonseparable_ball_lattice,
                                    max_clearance, passage_certificate)
 from latgeom.lattice import Lattice, catalog
+from latgeom.sublattice import enumerate_sublattices, project_along
 
 
 def test_certificate_cubic_lattice():
@@ -134,3 +140,82 @@ def test_certificate_serialization():
     assert d["k"] == 1
     assert isinstance(d["witness"]["coeffs"], list)
     assert d["plane"] is not None
+
+
+def test_certificate_rejected_when_plane_touches_balls():
+    # projecting Z^4 along a coordinate axis leaves Z^3 with mu^2 = 3/4 =
+    # r^2: the plane through the deep hole touches the balls, clearance 0
+    assert passage_certificate(catalog("Z", 4), sp.sqrt(3) / 2, 1) is None
+
+
+def test_validation_failure_is_typed():
+    cert = passage_certificate(catalog("Z", 3), Fraction(1, 2), 1)
+    proj, hole, mu_sq = cert.projection, cert.deep_hole, cert.mu_sq
+    assert _validate_certificate(proj, hole, mu_sq, cert.r) > 0
+    # a lattice point is no hole
+    with pytest.raises(CertificateValidationError):
+        _validate_certificate(proj, (0,) * proj.rank, mu_sq, cert.r)
+    # a claimed mu^2 above the true one
+    with pytest.raises(CertificateValidationError):
+        _validate_certificate(proj, hole, mu_sq + Fraction(1, 10**6), cert.r)
+
+
+def _exhaustive(lat, r, k, det_bound):
+    """(max_clearance key and hole, first certificate) with a covering
+    radius for every witness, checking the pruning bound on each."""
+    best = first = None
+    for w in enumerate_sublattices(lat, k, det_bound):
+        proj = project_along(lat, w)
+        mu_sq, hole = covering_radius(proj)
+        assert _covering_radius_bound(proj) >= mu_sq
+        key = (-mu_sq, w.coeffs)
+        if best is None or key < best[0]:
+            best = (key, hole)
+        if first is None and mu_sq > r * r:
+            first = (w.coeffs, hole, mu_sq)
+    return best, first
+
+
+@st.composite
+def _passage_inputs(draw):
+    m = draw(st.sampled_from([3, 4]))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    assume(la.det_int(rows) != 0)
+    k = draw(st.integers(1, m - 1))
+    r = draw(st.fractions(Fraction(1, 10), Fraction(3, 2), max_denominator=12))
+    return la.gram_matrix(rows), k, r
+
+
+@settings(max_examples=25, deadline=None)
+@given(_passage_inputs())
+# max_clearance tie: e1 (det^2 7) projects to the A2 Gram times 6, the later
+# e3 (det^2 12, smaller HNF) to an orthogonal lattice whose bound equals its
+# mu^2 = 4
+@example(([[7, 0, 0], [0, 12, 6], [0, 6, 12]], 1, Fraction(1, 2)))
+# passage tie: the first witness e1 has mu^2 = 25/4 = r^2, so nothing clears
+@example(([[4, 0, 0], [0, 9, 0], [0, 0, 16]], 1, Fraction(5, 2)))
+def test_pruned_search_matches_exhaustive(inputs):
+    gram, k, r = inputs
+    lat = Lattice.from_gram(gram)
+    det_bound = _default_det_bound(lat, k)
+    best, first = _exhaustive(lat, r, k, det_bound)
+
+    clearance, cert = max_clearance(lat, r, k, det_bound=det_bound)
+    if best is None:
+        assert cert is None and clearance == float("-inf")
+    else:
+        (neg_mu_sq, coeffs), hole = best
+        assert clearance == math.sqrt(float(-neg_mu_sq)) - float(r)
+        if -neg_mu_sq > r * r:
+            assert (cert.witness.coeffs, cert.deep_hole, cert.mu_sq) == \
+                (coeffs, hole, -neg_mu_sq)
+            assert cert.validated
+        else:
+            assert cert is None
+
+    cert = passage_certificate(lat, r, k, det_bound=det_bound)
+    if first is None:
+        assert cert is None
+    else:
+        assert (cert.witness.coeffs, cert.deep_hole, cert.mu_sq) == first

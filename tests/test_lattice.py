@@ -101,6 +101,23 @@ def test_reduce_preserves_lattice():
     assert g[0][0] <= 2  # the short vector was found
 
 
+@pytest.mark.parametrize("lat", [
+    Lattice.from_rows([[1, 0, 0], [1000, 1, 0], [3, 7, Fraction(1, 2)]],
+                      scale_sq=Fraction(2, 3)),
+    Lattice.from_gram([[5, 2, Fraction(1, 3)], [2, 9, 4], [Fraction(1, 3), 4, 7]]),
+    catalog("E", 7),
+])
+def test_reduce_cached_invariants_match_recomputed(lat):
+    # reduce hands over the Gram LLL already holds and the input's det_sq;
+    # a fresh value with the same basis or Gram must agree with both
+    red = reduce(lat)
+    fresh = Lattice(red.basis, red.ambient_dim, red.scale_sq,
+                    red.gram_override)
+    assert red.gram() == fresh.gram()
+    assert red.int_gram == fresh.int_gram
+    assert red.det_sq() == fresh.det_sq() == lat.det_sq()
+
+
 @pytest.mark.parametrize("name,n,det_sq", [
     ("Z", 5, 1), ("A", 2, 3), ("A", 3, 4), ("Astar", 2, Fraction(1, 3)),
     ("Astar", 5, Fraction(1, 6)), ("D", 3, 4), ("D", 4, 4), ("D", 8, 4),
