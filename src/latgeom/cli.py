@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import sympy as sp
 
+from . import _linalg as la
 from . import bounds as bnd
 from . import enumeration as enu
 from . import impassability as imp
@@ -108,7 +109,12 @@ def load_body(args) -> pt.Polytope:
                                     f"got {n!r}")
         return _BODY_BUILDERS[name](int(n))
     with open(tok) as fh:
-        return pt.Polytope.from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(
+                f"body file is not valid JSON: {exc}") from None
+    return pt.Polytope.from_dict(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +391,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int)
         p.add_argument("--k", type=int)
         p.add_argument("--r", type=parse_scalar)
-        p.add_argument("--det-bound", dest="det_bound", type=float)
+        p.add_argument("--det-bound", dest="det_bound", type=la._rational)
         p.add_argument("--witness", help="JSON rows of sublattice coefficients")
         p.add_argument("--tol", type=float)
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--verify", action="store_true",
                        help="run independent validation (brute-force checks)")
     return parser
+
+
+def _config_value(key, value):
+    """A --config value converted as its flag would be."""
+    if key == "verify":
+        return value.lower() in ("1", "true", "yes")
+    convert = {"n": int, "k": int, "tol": float, "r": parse_scalar,
+               "det_bound": la._rational}.get(key, str)
+    try:
+        return convert(value)
+    except ValueError:
+        raise InvalidInputError(f"config value {key}={value!r} is not a "
+                                f"number") from None
 
 
 def _apply_config(args):
@@ -404,25 +423,15 @@ def _apply_config(args):
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
             if getattr(args, key, None) in (None, False):
-                if key in ("n", "k"):
-                    value = int(value)
-                elif key in ("det_bound", "tol"):
-                    value = float(value)
-                elif key == "r":
-                    value = parse_scalar(value)
-                elif key == "verify":
-                    value = value.lower() in ("1", "true", "yes")
-                setattr(args, key, value)
+                setattr(args, key, _config_value(key, value.strip()))
     return args
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    args = _apply_config(args)
     try:
+        args = _apply_config(parser.parse_args(argv))
         payload = _HANDLERS[args.verb](args)
     except InvalidInputError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},

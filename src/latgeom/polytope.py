@@ -10,9 +10,11 @@ volume is the coordinate volume times sqrt(det metric).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -99,28 +101,22 @@ def _cone_extreme_rays(normals):
         if not pos:
             rays, masks = keep_r, keep_m
             continue
-        all_masks = masks
-        new_r, new_m = [], []
+        new_r = []
         for (rp, mp, vp), (rn, mn, vn) in itertools.product(pos, neg):
             shared = mp & mn
             if bin(shared).count("1") < d - 2:
                 continue
             # combinatorial adjacency: no third extreme ray tight on shared
-            if any(m & shared == shared for r3, m in zip(rays, all_masks)
+            if any(m & shared == shared for r3, m in zip(rays, masks)
                    if r3 is not rp and r3 is not rn):
                 continue
-            comb = _primitive_int([vp * xn - vn * xp
-                                   for xp, xn in zip(rp, rn)])
-            new_r.append(comb)
-            new_m.append(None)
+            new_r.append(_primitive_int([vp * xn - vn * xp
+                                         for xp, xn in zip(rp, rn)]))
         rays = keep_r + new_r
-        masks = keep_m + [tight_mask(r) if m is None else m
-                          for r, m in zip(new_r, new_m)]
+        masks = keep_m + [tight_mask(r) for r in new_r]
         # dedupe (combinations can coincide)
-        seen = {}
-        for r, m in zip(rays, masks):
-            seen[r] = m
-        rays, masks = list(seen.keys()), list(seen.values())
+        seen = dict(zip(rays, masks))
+        rays, masks = list(seen), list(seen.values())
     return [tuple(Fraction(x) for x in r) for r in rays]
 
 
@@ -132,11 +128,29 @@ def _normalize_ray(r):
     return tuple(Fraction(0) for _ in r)
 
 
-def _dedupe_rays(rays):
-    seen = {}
-    for r in rays:
-        seen[tuple(r)] = r
-    return list(seen.values())
+def _tight_masks(points, a_rows, b_vals):
+    """One bitmask per row of ``a x <= b``: bit j is set when points[j] lies
+    on the row's hyperplane. Exact in ints: each row (a, b) is scaled to a
+    primitive int vector and the points to their common denominator."""
+    pts, den = la.integer_form(points)
+    masks = []
+    for row, bv in zip(a_rows, b_vals):
+        *normal, rhs = _primitive_int(list(row) + [bv])
+        rhs *= den
+        masks.append(sum(1 << j for j, p in enumerate(pts)
+                         if sum(x * y for x, y in zip(normal, p)) == rhs))
+    return masks
+
+
+def _maximal(masks, whole):
+    """The inclusion-maximal masks among ``masks`` other than 0 and
+    ``whole``, in ascending order."""
+    out = []
+    # a strict superset has more bits, so it is kept (or covered) first
+    for m in sorted(set(masks) - {0, whole}, key=int.bit_count, reverse=True):
+        if all(m & t != m for t in out):
+            out.append(m)
+    return sorted(out)
 
 
 def _vertices_from_halfspaces(a_rows, b_vals):
@@ -158,7 +172,7 @@ def _vertices_from_halfspaces(a_rows, b_vals):
         verts.append(tuple(x / t for x in r[:-1]))
     if not verts:
         raise InvalidInputError("empty polytope")
-    return _dedupe_rays(verts)
+    return list(dict.fromkeys(verts))
 
 
 def _halfspaces_from_vertices(verts):
@@ -196,6 +210,9 @@ class Polytope:
     _verts: list | None = None
     metric: list | None = None  # rational SPD Gram of the coordinate basis
     _canonical: bool = False  # _verts known to be exactly the extreme points
+    # face lattice: facet masks over the sorted vertices, and face -> facets
+    _facets: list | None = field(default=None, repr=False)
+    _below: dict = field(default_factory=dict, repr=False)
 
     # -- construction --------------------------------------------------------
 
@@ -215,7 +232,7 @@ class Polytope:
         if any(len(p) != len(v[0]) for p in v):
             raise DimensionMismatchError("inconsistent vertex shapes")
         m = [[la._rational(x) for x in row] for row in metric] if metric else None
-        return Polytope(_verts=_dedupe_rays(v), metric=m)
+        return Polytope(_verts=list(dict.fromkeys(v)), metric=m)
 
     @property
     def dim(self) -> int:
@@ -234,14 +251,13 @@ class Polytope:
             self._canonical = True
         if not self._canonical:
             # constructor points may include non-extreme ones; a point is a
-            # vertex iff its tight facet normals span the whole space
-            a, b = self.halfspaces()
-            keep = []
-            for v in self._verts:
-                tight = [row for row, bv in zip(a, b) if la.dot(row, list(v)) == bv]
-                if len(tight) >= self.dim and la.rank(tight) == self.dim:
-                    keep.append(v)
-            self._verts = keep
+            # vertex iff the rows tight at it are tight at no other point
+            masks = _tight_masks(self._verts, *self.halfspaces())
+            meets = [functools.reduce(operator.and_,
+                                      [m for m in masks if m >> j & 1], -1)
+                     for j in range(len(self._verts))]
+            self._verts = [v for j, v in enumerate(self._verts)
+                           if meets[j] == 1 << j]
             self._canonical = True
         return sorted(self._verts)
 
@@ -264,43 +280,77 @@ class Polytope:
             return False
         return sorted(self.vertices()) == sorted(other.vertices())
 
+    # -- face lattice ---------------------------------------------------------
+
+    def _facets_of(self, face):
+        """Facets of a face, both as bitmasks over the sorted vertices.
+
+        The facets of the polytope are the maximal tight vertex sets of its
+        rows, found once; the facets of a face F are the inclusion-maximal
+        sets among the proper, nonempty F & G over the facets G of the
+        polytope. So every face follows from one vertex-facet incidence by
+        bit operations alone.
+        """
+        if self._facets is None:
+            verts = self.vertices()
+            self._facets = _maximal(_tight_masks(verts, *self.halfspaces()),
+                                    (1 << len(verts)) - 1)
+        if face not in self._below:
+            self._below[face] = _maximal([face & g for g in self._facets],
+                                         face)
+        return self._below[face]
+
+    def _faces(self, k):
+        """Vertex masks of the k-dimensional faces, in ascending order."""
+        level = {(1 << len(self.vertices())) - 1}
+        for _ in range(self.dim - k):
+            level = {g for f in level for g in self._facets_of(f)}
+        return sorted(level)
+
     # -- volume ---------------------------------------------------------------
 
     def coordinate_volume(self) -> Fraction:
-        """Lebesgue volume in coordinate space, exact rational."""
-        verts = self.vertices()
-        d = self.dim
-        if la.affine_rank(list(map(list, verts))) < d:
-            return Fraction(0)
-        total = Fraction(0)
-        fact = Fraction(math.factorial(d))
-        for simplex_verts in self.triangulation():
-            v0 = simplex_verts[0]
-            rows = [[x - y for x, y in zip(v, v0)] for v in simplex_verts[1:]]
-            total += abs(la.det(rows)) / fact
-        return total
+        """Lebesgue volume in coordinate space, exact rational.
 
-    def triangulation(self):
-        """List of d-simplices (tuples of d+1 vertices) covering the polytope.
-
-        Recursive: cone each facet's triangulation from a fixed base vertex.
-        The simplices have disjoint interiors and exactly tile the polytope.
+        The simplex determinants are taken in ints, on the vertices scaled
+        to their common denominator D, and divided once by d! D^d. A body
+        that is not full-dimensional triangulates into smaller simplices and
+        has volume 0.
         """
         d = self.dim
         verts = self.vertices()
-        if d == 1:
-            return [(min(verts), max(verts))]
-        a, b = self.halfspaces()
-        v0 = verts[0]
-        simplices = []
-        for row, bv in zip(a, b):
-            if la.dot(row, list(v0)) == bv:
-                continue
-            fverts = [v for v in verts if la.dot(row, list(v)) == bv]
-            sub, back = _facet_chart(fverts, d)
-            for s in sub.triangulation():
-                simplices.append((v0,) + tuple(back[c] for c in s))
-        return simplices
+        ints, den = la.integer_form(verts)
+        ints = dict(zip(verts, ints))
+        total = 0
+        for s in self.triangulation():
+            if len(s) <= d:
+                return Fraction(0)
+            p0 = ints[s[0]]
+            total += abs(la.det_int([[x - y for x, y in zip(ints[v], p0)]
+                                     for v in s[1:]]))
+        return Fraction(total, math.factorial(d) * den ** d)
+
+    def triangulation(self):
+        """List of d-simplices (tuples of d+1 vertices) tiling the polytope.
+
+        Pulling triangulation: each face is coned from its lowest vertex over
+        the triangulations of its facets that do not contain that vertex.
+        The simplices have disjoint interiors and exactly tile the polytope.
+        """
+        verts = self.vertices()
+
+        def pull(face):
+            if face & (face - 1) == 0:
+                yield (face.bit_length() - 1,)
+                return
+            apex = (face & -face).bit_length() - 1
+            for g in self._facets_of(face):
+                if not g >> apex & 1:
+                    for s in pull(g):
+                        yield (apex,) + s
+
+        return [tuple(verts[i] for i in s)
+                for s in pull((1 << len(verts)) - 1)]
 
     def volume(self):
         """Metric volume, exact sympy expression."""
@@ -390,32 +440,19 @@ class Polytope:
 
     @staticmethod
     def from_dict(obj: dict) -> "Polytope":
-        metric = obj.get("metric")
-        if "vertices" in obj and obj["vertices"]:
-            return Polytope.from_vertices(obj["vertices"], metric=metric)
-        hs = obj["halfspaces"]
-        return Polytope.from_halfspaces(hs["a"], hs["b"], metric=metric)
-
-
-def _facet_chart(fverts, d):
-    """A facet (affine dimension d-1, given by its vertices in R^d) as a
-    full-dimensional polytope in a rational chart (d-1 independent edge
-    directions from the first vertex), with the map from chart points back
-    to the original facet vertices. The chart serves only the combinatorics.
-    """
-    p0 = list(fverts[0])
-    diffs = [[x - y for x, y in zip(p, p0)] for p in fverts]
-    chart = []
-    for dvec in diffs:
-        if la.rank(chart + [dvec]) > len(chart):
-            chart.append(dvec)
-        if len(chart) == d - 1:
-            break
-    ginv = la.inverse(la.gram_matrix(chart))
-    coords = [tuple(la.mat_vec(ginv, [la.dot(dvec, c) for c in chart]))
-              for dvec in diffs]
-    back = {c: tuple(v) for c, v in zip(coords, fverts)}
-    return Polytope.from_vertices(coords), back
+        """Polytope from ``to_dict`` output: nonempty "vertices", or
+        "halfspaces" with "a" and "b"; anything else raises InvalidInputError.
+        """
+        try:
+            metric = obj.get("metric")
+            if obj.get("vertices"):
+                return Polytope.from_vertices(obj["vertices"], metric=metric)
+            hs = obj["halfspaces"]
+            return Polytope.from_halfspaces(hs["a"], hs["b"], metric=metric)
+        except (AttributeError, IndexError, KeyError, TypeError):
+            raise InvalidInputError(
+                'polytope JSON needs nonempty "vertices", or "halfspaces" '
+                'with "a" and "b"') from None
 
 
 # ---------------------------------------------------------------------------
@@ -544,81 +581,31 @@ def volume_product(p: Polytope):
 # Zonotope recognition
 # ---------------------------------------------------------------------------
 
-def _edges(p: Polytope):
-    """Vertex pairs forming edges, via the rank test on shared tight facets."""
-    verts = p.vertices()
-    a, b = p.halfspaces()
-    d = p.dim
-    tight = []
-    for v in verts:
-        tight.append({i for i, (row, bv) in enumerate(zip(a, b))
-                      if la.dot(row, list(v)) == bv})
-    edges = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            shared = tight[i] & tight[j]
-            rows = [a[t] for t in shared]
-            if rows and la.rank(rows) == d - 1:
-                edges.append((verts[i], verts[j]))
-    return edges
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _symmetric(points) -> bool:
+    """Whether a point set is symmetric about its centroid."""
+    c2 = [2 * sum(col) / len(points) for col in zip(*points)]
+    pts = set(points)
+    return all(tuple(c - x for c, x in zip(c2, v)) in pts for v in points)
 
 
 def is_zonotope(p: Polytope):
-    """Zonotope test: every 2-face centrally symmetric. Returns (flag,
-    generators) where generators are the distinct primitive edge directions
-    scaled to full edge length, or (False, None)."""
-    if not p.is_centrally_symmetric():
-        # zonotopes here are taken centered; recenter by the vertex centroid
-        verts = p.vertices()
-        c = [sum(v[j] for v in verts) / len(verts) for j in range(p.dim)]
-        p = p.translated([-x for x in c])
-        if not p.is_centrally_symmetric():
-            return False, None
-    ok = _all_2faces_symmetric(p)
-    if not ok:
+    """Zonotope test: the body and every 2-face centrally symmetric. Returns
+    (flag, generators) where generators are the distinct primitive edge
+    directions scaled to full edge length, or (False, None)."""
+    verts = p.vertices()
+    if not _symmetric(verts) or not all(
+            _symmetric([verts[j] for j in _bits(f)]) for f in p._faces(2)):
         return False, None
     gens = {}
-    for u, v in _edges(p):
-        dvec = la._canonical_sign([x - y for x, y in zip(u, v)])
+    for i, j in sorted(_bits(e) for e in p._faces(1)):
+        dvec = la._canonical_sign([x - y for x, y in zip(verts[i], verts[j])])
         gens.setdefault(_normalize_ray(dvec), dvec)
     return True, list(gens.values())
-
-
-def _facet_vertex_sets(p: Polytope):
-    verts = p.vertices()
-    a, b = p.halfspaces()
-    out = []
-    for row, bv in zip(a, b):
-        out.append([v for v in verts if la.dot(row, list(v)) == bv])
-    return out
-
-
-def _faces_2d(p: Polytope):
-    """All 2-faces as vertex tuples (in p's coordinates), by recursive facet
-    descent through rational charts."""
-    if p.dim == 2:
-        return [tuple(p.vertices())]
-    faces = {}
-    for fverts in _facet_vertex_sets(p):
-        sub, back = _facet_chart(fverts, p.dim)
-        for face in _faces_2d(sub):
-            pts = tuple(sorted(back[c] for c in face))
-            faces[frozenset(pts)] = pts
-    return list(faces.values())
-
-
-def _all_2faces_symmetric(p: Polytope) -> bool:
-    d = p.dim
-    if d <= 2:
-        return p.is_centrally_symmetric()
-    for pts in _faces_2d(p):
-        c = [sum(p_[t] for p_ in pts) * Fraction(1, len(pts)) for t in range(d)]
-        vset = {tuple(v) for v in pts}
-        for v in pts:
-            refl = tuple(2 * cx - x for cx, x in zip(c, v))
-            if refl not in vset:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

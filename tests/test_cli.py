@@ -189,3 +189,56 @@ def test_non_numeric_scale_exit_2(capsys):
                           "--scale", "abc")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_polytope_cube_7(capsys):
+    d = _json(capsys, "polytope", "--body", "cube:7")
+    assert (d["vertices"], d["facets"], d["zonotope"]) == (128, 14, True)
+    assert d["volume"]["exact"] == "1"
+    assert d["volume_product"]["exact"] == "1024/315"  # 4^7 / 7!
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"rows": [[1, 0], [0, 1]]}',
+                                  '[[0, 0], [1, 0], [0, 1]]',
+                                  '{"halfspaces": {"a": [[1, 0]]}}'],
+                         ids=["invalid-json", "no-known-key", "not-an-object",
+                              "halfspaces-without-b"])
+def test_malformed_body_file_exit_2(tmp_path, capsys, text):
+    f = tmp_path / "body.json"
+    f.write_text(text)
+    code, out, err = _run(capsys, "polytope", "--body", str(f))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("line", ["r=abc", "k=x", "n=1.5", "tol=tiny",
+                                  "det-bound=zz"])
+def test_bad_config_value_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = _run(capsys, "--config", str(cfg), "impass",
+                          "--catalog", "Z3")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    code, out, err = _run(capsys, "--config", str(tmp_path / "none"),
+                          "svp", "--catalog", "Z2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "OSError"
+
+
+def test_det_bound_is_exact(tmp_path, capsys):
+    # the float 0.49 is below 49/100, so a float bound misses the witness
+    d = _json(capsys, "dk", "--catalog", "Z3", "--scale", "7/10", "--k", "2",
+              "--det-bound", "0.49")
+    assert d["dk"]["exact"] == "49/100"
+    cfg = tmp_path / "cfg"
+    cfg.write_text("det-bound=3/2\n")
+    d = _json(capsys, "--config", str(cfg), "dk", "--catalog", "Z2",
+              "--scale", "3/2", "--k", "1")
+    assert d["dk"]["exact"] == "3/2"
+    code, _, err = _run(capsys, "dk", "--catalog", "Z2", "--k", "1",
+                        "--det-bound", "abc")
+    assert code == 2 and json.loads(err)["error"] == "InvalidInputError"

@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import latgeom._linalg as la
 
 from latgeom.errors import InvalidInputError, PolarUndefinedError, UnboundedBodyError
 from latgeom.polytope import (Polytope, cross_polytope, cube,
@@ -46,6 +50,15 @@ def test_empty_rejected():
     with pytest.raises(InvalidInputError):
         Polytope.from_halfspaces([[1, 0], [-1, 0], [0, 1], [0, -1]],
                                  [-1, -1, 1, 1]).vertices()
+
+
+def test_redundant_rows_do_not_change_volume():
+    # a duplicated row, and a row touching the square at one vertex only
+    p = Polytope.from_halfspaces([[1, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
+                                  [1, 1]], [1, 1, 1, 1, 1, 2])
+    assert len(p.vertices()) == 4
+    assert p.coordinate_volume() == 4
+    assert len(p.triangulation()) == 2
 
 
 def test_contains():
@@ -213,3 +226,114 @@ def test_mvee_respects_metric():
     for v in verts:
         assert ell.contains(v, tol=1e-6)
     assert ell.volume() == pytest.approx(math.pi / 3, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Triangulation from the vertex-facet incidence, on random integer bodies
+# ---------------------------------------------------------------------------
+
+def _points(d, lo=2, hi=9):
+    pt = st.tuples(*[st.integers(-4, 4)] * d)
+    return st.lists(pt, min_size=lo, max_size=hi, unique=True)
+
+
+def _full_dimensional(pts, d):
+    return la.affine_rank([list(p) for p in pts]) == d
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _shoelace_hull_area(pts):
+    """Area of the convex hull by Andrew's monotone chain and the shoelace
+    formula, exact, independent of the polytope code."""
+    pts = sorted(pts)
+    hull = []
+    for chain in (pts, pts[::-1]):
+        part = []
+        for p in chain:
+            while len(part) >= 2 and _cross(part[-2], part[-1], p) <= 0:
+                part.pop()
+            part.append(p)
+        hull += part[:-1]
+    twice = sum(a[0] * b[1] - a[1] * b[0]
+                for a, b in zip(hull, hull[1:] + hull[:1]))
+    return Fraction(abs(twice), 2)
+
+
+def _check_simplices(p):
+    d = p.dim
+    for s in p.triangulation():
+        assert len(s) == d + 1
+        assert la.det([[x - y for x, y in zip(v, s[0])] for v in s[1:]]) != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(_points(2, lo=3))
+def test_planar_volume_is_shoelace_area(pts):
+    assume(_full_dimensional(pts, 2))
+    p = Polytope.from_vertices(pts)
+    assert p.coordinate_volume() == _shoelace_hull_area(pts)
+    _check_simplices(p)
+
+
+@st.composite
+def _body_and_unimodular_map(draw):
+    d = draw(st.integers(3, 4))
+    pts = draw(_points(d, lo=d + 1))
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        c = draw(st.integers(-2, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    if draw(st.booleans()):
+        u[0] = [-x for x in u[0]]
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * d))
+    return pts, u, shift
+
+
+@settings(max_examples=40, deadline=None)
+@given(_body_and_unimodular_map())
+def test_volume_invariant_under_unimodular_maps(case):
+    pts, u, shift = case
+    d = len(u)
+    assume(_full_dimensional(pts, d))
+    assert abs(la.det_int(u)) == 1
+    p = Polytope.from_vertices(pts)
+    image = Polytope.from_vertices(
+        [[sum(x * row[j] for x, row in zip(v, u)) + t
+          for j, t in enumerate(shift)] for v in pts])
+    vol = p.coordinate_volume()
+    assert vol > 0 and image.coordinate_volume() == vol
+    _check_simplices(p)
+    _check_simplices(image)
+
+
+def _direction(g):
+    lead = next(x for x in g if x)
+    return tuple(Fraction(x) / lead for x in g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=d,
+                       max_size=d + 2)))
+def test_segment_sums_are_zonotopes(gens):
+    d = len(gens[0])
+    assume(la.rank([list(g) for g in gens]) == d)
+    pts = {tuple(map(sum, zip(*sub))) if sub else (0,) * d
+           for r in range(len(gens) + 1)
+           for sub in itertools.combinations(gens, r)}
+    flag, found = is_zonotope(Polytope.from_vertices(sorted(pts)))
+    assert flag
+    assert ({_direction(g) for g in found}
+            == {_direction(g) for g in gens if any(g)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: _points(d, lo=d + 1, hi=d + 1)))
+def test_simplices_are_not_zonotopes(pts):
+    assume(_full_dimensional(pts, len(pts[0])))
+    flag, gens = is_zonotope(Polytope.from_vertices(pts))
+    assert not flag and gens is None
