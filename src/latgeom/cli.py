@@ -313,12 +313,11 @@ def cmd_table_321(args):
 def cmd_polytope(args):
     body = load_body(args)
     verts = body.vertices()
-    a, _ = body.halfspaces()
     zono, gens = pt.is_zonotope(body)
     out = {
         "dim": body.dim,
         "vertices": len(verts),
-        "facets": len(a),
+        "facets": len(body._faces(body.dim - 1)),
         "volume": _num(body.volume()),
         "centrally_symmetric": body.is_centrally_symmetric(),
         "zonotope": zono,
@@ -388,29 +387,37 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--body", help="polytope JSON file or NAME:n "
                                       "(cube, cross, simplex)")
         p.add_argument("--scale", help="scale factor token (e.g. 2, 1/2, sqrt2)")
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--r", type=parse_scalar)
-        p.add_argument("--det-bound", dest="det_bound", type=la._rational)
+        p.add_argument("--n")
+        p.add_argument("--k")
+        p.add_argument("--r")
+        p.add_argument("--det-bound", dest="det_bound")
         p.add_argument("--witness", help="JSON rows of sublattice coefficients")
-        p.add_argument("--tol", type=float)
+        p.add_argument("--tol")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--verify", action="store_true",
                        help="run independent validation (brute-force checks)")
     return parser
 
 
+# How a numeric flag, given on the command line or in --config, is read.
+_NUMBERS = {"n": int, "k": int, "tol": float, "r": parse_scalar,
+            "det_bound": la._rational}
+
+
+def _number(key, value):
+    """The string ``value`` of numeric flag ``key`` converted by its type."""
+    try:
+        return _NUMBERS[key](value)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInputError(f"{key} value {value!r} is not a "
+                                f"number") from None
+
+
 def _config_value(key, value):
     """A --config value converted as its flag would be."""
     if key == "verify":
         return value.lower() in ("1", "true", "yes")
-    convert = {"n": int, "k": int, "tol": float, "r": parse_scalar,
-               "det_bound": la._rational}.get(key, str)
-    try:
-        return convert(value)
-    except ValueError:
-        raise InvalidInputError(f"config value {key}={value!r} is not a "
-                                f"number") from None
+    return _number(key, value) if key in _NUMBERS else value
 
 
 def _apply_config(args):
@@ -429,9 +436,12 @@ def _apply_config(args):
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    args = _build_parser().parse_args(argv)
     try:
-        args = _apply_config(parser.parse_args(argv))
+        for key in _NUMBERS:
+            if getattr(args, key) is not None:
+                setattr(args, key, _number(key, getattr(args, key)))
+        args = _apply_config(args)
         payload = _HANDLERS[args.verb](args)
     except InvalidInputError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},

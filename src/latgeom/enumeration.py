@@ -271,15 +271,17 @@ def _covering_radius_bound(lat: Lattice):
 
 
 def _deep_hole(lat: Lattice, max_rank):
-    cell = voronoi_cell(lat, max_rank=max_rank)
-    g = lat.gram()
-    best = None
-    hole = None
-    for v in cell.vertices():
-        q = la.dot(list(v), la.vec_mat(list(v), g))
-        if best is None or q > best or (q == best and tuple(v) > tuple(hole)):
-            best, hole = q, tuple(v)
-    return best, hole
+    """(mu^2, deep hole) scored in ints: with G = G_int / d and the sorted
+    cell vertices v = w / D over their common denominator D, the norm of v
+    is w^T G_int w / (d D^2). Ties go to the higher index, which is the
+    lexicographically greater vertex."""
+    verts = voronoi_cell(lat, max_rank=max_rank).vertices()
+    ints, den = la.integer_form(verts)
+    g, d = lat.int_gram
+    q, i = max((sum(x * sum(gij * y for gij, y in zip(row, w))
+                    for x, row in zip(w, g)), i)
+               for i, w in enumerate(ints))
+    return Fraction(q, d * den * den), verts[i]
 
 
 def _lambda1_sq(lat: Lattice):

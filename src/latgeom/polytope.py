@@ -11,7 +11,6 @@ volume is the coordinate volume times sqrt(det metric).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -22,11 +21,17 @@ import sympy as sp
 
 from . import _linalg as la
 from .errors import (
+    CapabilityError,
     DimensionMismatchError,
     InvalidInputError,
     PolarUndefinedError,
     UnboundedBodyError,
 )
+
+
+# Rays the double description may hold at once; the largest cell known to
+# latgeom, E8's, peaks at 19,440.
+RAY_BUDGET = 200_000
 
 
 def _sqrt_rat(q: Fraction):
@@ -37,24 +42,98 @@ def _sqrt_rat(q: Fraction):
 # Exact double description on the homogenization cone
 # ---------------------------------------------------------------------------
 
+def _primitive(ints):
+    """An integer vector divided by the gcd of its entries, as a tuple."""
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
 def _primitive_int(vec):
     """Scale a rational vector to a primitive integer tuple (gcd 1)."""
-    fr = [Fraction(x) for x in vec]
-    lcm = math.lcm(*(f.denominator for f in fr)) if fr else 1
-    ints = [int(f * lcm) for f in fr]
-    g = math.gcd(*ints) if any(ints) else 1
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    den = math.lcm(*(x.denominator for x in vec))
+    return _primitive([x.numerator * (den // x.denominator) for x in vec])
+
+
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _at_least(cols, t, universe):
+    """Bitmask of the indices in ``universe`` set in at least t of the
+    bitmasks ``cols``, by adding the columns in a bit-sliced binary counter:
+    plane i holds bit i of every index's count."""
+    planes = []
+    for x in cols:
+        i = 0
+        while x:
+            if i == len(planes):
+                planes.append(x)
+                break
+            planes[i], x = planes[i] ^ x, planes[i] & x
+            i += 1
+    if t >> len(planes):
+        return 0
+    # count >= t, comparing the planes with t from the top bit down
+    above, equal = 0, universe
+    for i in reversed(range(len(planes))):
+        if t >> i & 1:
+            equal &= planes[i]
+        else:
+            above |= equal & planes[i]
+            equal &= ~planes[i]
+    return above | equal
+
+
+def _adjacent_pairs(masks, vals, d):
+    """The adjacent pairs (p, n) of rays in a pointed cone of dimension d
+    with vals[p] > 0 > vals[n], in order of p, then n.
+
+    ``masks[i]`` is the bitmask of constraints tight at ray i. By the
+    combinatorial test of Fukuda & Prodon, p and n are adjacent iff they
+    share at least d - 2 constraints and no third ray is tight on all of
+    them. With one bitmask per constraint over the ray indices, that is:
+    the AND of those bitmasks over the shared constraints is the pair alone.
+    """
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    if not pos:
+        return
+    negs = sum(1 << i for i, v in enumerate(vals) if v < 0)
+    # rays tight at each constraint, as bitmasks over the ray indices; only
+    # the constraints tight at some positive ray are ever read
+    need = functools.reduce(operator.or_, [masks[p] for p in pos])
+    tight = [0] * need.bit_length()
+    for i, m in enumerate(masks):
+        for j in _bits(m & need):
+            tight[j] |= 1 << i
+    everyone = (1 << len(masks)) - 1
+    for p in pos:
+        mp = masks[p]
+        for n in _bits(_at_least([tight[j] for j in _bits(mp)], d - 2, negs)):
+            pair = 1 << p | 1 << n
+            common = everyone
+            for j in _bits(mp & masks[n]):
+                if common == pair:
+                    break
+                common &= tight[j]
+            if common == pair:
+                yield p, n
 
 
 def _cone_extreme_rays(normals):
-    """Extreme rays of {x : n . x <= 0 for all n}, by incremental double
-    description over primitive integer vectors.
+    """Extreme rays of {x : n . x <= 0 for all n}, as primitive integer
+    tuples, by incremental double description.
 
-    Tight constraint sets are tracked as bitmasks; ray adjacency uses the
-    combinatorial criterion (no third extreme ray is tight on the shared
-    set), valid because the cone stays pointed throughout.
+    Each ray carries a bitmask of the processed constraints tight at it. A
+    new ray is a positive combination of an adjacent (positive, negative)
+    pair, so it is tight exactly where both are, and on the new constraint.
+    The cone stays pointed throughout, so the combinatorial adjacency test
+    of ``_adjacent_pairs`` holds.
     """
     d = len(normals[0])
     norm_int = [_primitive_int(nv) for nv in normals]
@@ -71,53 +150,30 @@ def _cone_extreme_rays(normals):
     if len(mat) < d:
         raise UnboundedBodyError("cone has a lineality space (not pointed)")
     inv = la.inverse(mat)
-    # rays of the simplicial cone {x : mat x <= 0}: columns of -mat^{-1}
-    rays = [_primitive_int([-inv[r][c] for r in range(d)]) for c in range(d)]
-    processed = [norm_int[i] for i in idx]
-    rest = [nv for i, nv in enumerate(norm_int) if i not in set(idx)]
-
-    def tight_mask(ray):
-        mask = 0
-        for bit, nv in enumerate(processed):
-            if sum(a * b for a, b in zip(nv, ray)) == 0:
-                mask |= 1 << bit
-        return mask
-
-    masks = [tight_mask(r) for r in rays]
-    for nv in rest:
-        vals = [sum(a * b for a, b in zip(nv, r)) for r in rays]
-        bit = 1 << len(processed)
-        processed.append(nv)
-        keep_r, keep_m = [], []
-        pos, neg = [], []
-        for r, m, v in zip(rays, masks, vals):
-            if v <= 0:
-                keep_r.append(r)
-                keep_m.append(m | bit if v == 0 else m)
-            if v > 0:
-                pos.append((r, m, v))
-            elif v < 0:
-                neg.append((r, m, v))
-        if not pos:
-            rays, masks = keep_r, keep_m
-            continue
-        new_r = []
-        for (rp, mp, vp), (rn, mn, vn) in itertools.product(pos, neg):
-            shared = mp & mn
-            if bin(shared).count("1") < d - 2:
-                continue
-            # combinatorial adjacency: no third extreme ray tight on shared
-            if any(m & shared == shared for r3, m in zip(rays, masks)
-                   if r3 is not rp and r3 is not rn):
-                continue
-            new_r.append(_primitive_int([vp * xn - vn * xp
-                                         for xp, xn in zip(rp, rn)]))
-        rays = keep_r + new_r
-        masks = keep_m + [tight_mask(r) for r in new_r]
-        # dedupe (combinations can coincide)
-        seen = dict(zip(rays, masks))
-        rays, masks = list(seen), list(seen.values())
-    return [tuple(Fraction(x) for x in r) for r in rays]
+    # rays of the simplicial cone {x : mat x <= 0}: the columns of -mat^{-1};
+    # column c is tight at every row of mat but row c
+    rays = [_primitive_int([-row[c] for row in inv]) for c in range(d)]
+    masks = [((1 << d) - 1) ^ (1 << c) for c in range(d)]
+    chosen = set(idx)
+    rest = [nv for i, nv in enumerate(norm_int) if i not in chosen]
+    for step, nv in enumerate(rest, d + 1):
+        vals = [sum(map(operator.mul, nv, r)) for r in rays]
+        bit = 1 << (step - 1)
+        new_r, new_m = [], []
+        for p, n in _adjacent_pairs(masks, vals, d):
+            vp, vn = vals[p], vals[n]
+            new_r.append(_primitive([vp * xn - vn * xp
+                                     for xp, xn in zip(rays[p], rays[n])]))
+            new_m.append(masks[p] & masks[n] | bit)
+        keep = [i for i, v in enumerate(vals) if v <= 0]
+        rays = [rays[i] for i in keep] + new_r
+        masks = [masks[i] | bit if vals[i] == 0 else masks[i]
+                 for i in keep] + new_m
+        if len(rays) > RAY_BUDGET:
+            raise CapabilityError(
+                f"double description exceeded the ray budget {RAY_BUDGET} "
+                f"at constraint {step} of {len(normals)}: {len(rays)} rays")
+    return rays
 
 
 def _normalize_ray(r):
@@ -159,20 +215,19 @@ def _vertices_from_halfspaces(a_rows, b_vals):
     d = len(a_rows[0]) if a_rows else 0
     normals = [list(row) + [-b] for row, b in zip(a_rows, b_vals)]
     normals.append([Fraction(0)] * d + [Fraction(-1)])
-    rays = _cone_extreme_rays(normals)
     verts = []
-    for r in rays:
-        t = r[-1]
+    for *r, t in _cone_extreme_rays(normals):
         if t == 0:
-            if any(x != 0 for x in r[:-1]):
+            if any(r):
                 raise UnboundedBodyError("polytope is unbounded")
             continue
         if t < 0:
             continue
-        verts.append(tuple(x / t for x in r[:-1]))
+        verts.append(tuple(Fraction(x, t) for x in r))
     if not verts:
         raise InvalidInputError("empty polytope")
-    return list(dict.fromkeys(verts))
+    # distinct primitive rays with t > 0 give distinct vertices
+    return verts
 
 
 def _halfspaces_from_vertices(verts):
@@ -580,11 +635,6 @@ def volume_product(p: Polytope):
 # ---------------------------------------------------------------------------
 # Zonotope recognition
 # ---------------------------------------------------------------------------
-
-def _bits(mask):
-    """Indices of the set bits of ``mask``, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
 
 def _symmetric(points) -> bool:
     """Whether a point set is symmetric about its centroid."""

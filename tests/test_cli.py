@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from latgeom.cli import run
+from latgeom.cli import VERBS, run
 from latgeom.lattice import Lattice
 
 
@@ -242,3 +242,21 @@ def test_det_bound_is_exact(tmp_path, capsys):
     code, _, err = _run(capsys, "dk", "--catalog", "Z2", "--k", "1",
                         "--det-bound", "abc")
     assert code == 2 and json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_polytope_facets_ignore_repeated_rows(tmp_path, capsys):
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps({"halfspaces": {
+        "a": [[1, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], "b": [1] * 5}}))
+    d = _json(capsys, "polytope", "--body", str(f))
+    assert (d["vertices"], d["facets"], d["volume"]["exact"]) == (4, 4, "4")
+
+
+@pytest.mark.parametrize("flag", ["--n", "--k", "--r", "--tol", "--det-bound"])
+def test_malformed_numeric_flag_exit_2(capsys, flag):
+    for verb in VERBS:
+        for value in ("abc", "1/0", "1..2"):
+            code, out, err = _run(capsys, verb, flag, value)
+            assert code == 2 and out == "", (verb, value)
+            assert "Traceback" not in err
+            assert json.loads(err)["error"] == "InvalidInputError"

@@ -243,3 +243,27 @@ def test_cli_scans_cosets_once(verb, monkeypatch, capsys):
     assert run([verb, "--catalog", "D4"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@st.composite
+def _integer_lattice(draw):
+    """A rank-3 or rank-4 lattice from an integer basis with diagonal 2..4
+    and off-diagonal entries in {-1, 0, 1}, scaled by a rational square."""
+    n = draw(st.integers(3, 4))
+    rows = [[draw(st.integers(2, 4)) if i == j else draw(st.integers(-1, 1))
+             for j in range(n)] for i in range(n)]
+    assume(la.det(rows) != 0)
+    scale_sq = draw(st.sampled_from([Fraction(1), Fraction(1, 2),
+                                     Fraction(2, 3)]))
+    return Lattice.from_rows(rows).scaled(scale_sq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_integer_lattice())
+def test_covering_radius_is_the_farthest_cell_vertex(lat):
+    g = lat.gram()
+    norms = {v: _form(g, v) for v in voronoi_cell(lat).vertices()}
+    mu_sq = max(norms.values())
+    # the cell is symmetric about 0, so the farthest vertices tie in pairs
+    assert covering_radius(lat) == (
+        mu_sq, max(v for v, q in norms.items() if q == mu_sq))

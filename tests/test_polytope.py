@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 
 import latgeom._linalg as la
 
-from latgeom.errors import InvalidInputError, PolarUndefinedError, UnboundedBodyError
-from latgeom.polytope import (Polytope, cross_polytope, cube,
+from latgeom.enumeration import voronoi_cell
+from latgeom.errors import (CapabilityError, InvalidInputError,
+                            PolarUndefinedError, UnboundedBodyError)
+from latgeom.lattice import catalog
+from latgeom.polytope import (Polytope, _at_least,
+                              _vertices_from_halfspaces, cross_polytope, cube,
                               equilateral_triangle, hanner, is_zonotope, mvee,
                               mvee_ratio, simplex, simplex_dv_cell,
                               volume_product)
@@ -337,3 +342,84 @@ def test_simplices_are_not_zonotopes(pts):
     assume(_full_dimensional(pts, len(pts[0])))
     flag, gens = is_zonotope(Polytope.from_vertices(pts))
     assert not flag and gens is None
+
+
+# ---------------------------------------------------------------------------
+# Double description against an independent brute force
+# ---------------------------------------------------------------------------
+
+def _solve(rows, rhs):
+    """The unique solution of a square Fraction system, or None when it is
+    singular; plain Gauss-Jordan elimination."""
+    m = [[Fraction(x) for x in row] + [Fraction(b)]
+         for row, b in zip(rows, rhs)]
+    n = len(m)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _brute_force_vertices(rows, b):
+    """The feasible points solving some d rows with equality: the vertices."""
+    d = len(rows[0])
+    out = set()
+    for sub in itertools.combinations(range(len(rows)), d):
+        x = _solve([rows[i] for i in sub], [b[i] for i in sub])
+        if x is not None and all(
+                sum(a * y for a, y in zip(row, x)) <= bv
+                for row, bv in zip(rows, b)):
+            out.add(x)
+    return sorted(out)
+
+
+@st.composite
+def _bounded_h_polytope(draw):
+    """A box cut by extra rows with entries in {-1, 0, 1}; right-hand sides
+    are small, so many rows meet at a vertex (degenerate vertices)."""
+    d = draw(st.integers(1, 4))
+    rows, b = [], []
+    for i in range(d):
+        for s in (1, -1):
+            rows.append([s * (j == i) for j in range(d)])
+            b.append(draw(st.integers(1, 2)))
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append(list(draw(st.tuples(*[st.integers(-1, 1)] * d))))
+        b.append(draw(st.integers(0, 2)))
+    return rows, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bounded_h_polytope())
+def test_double_description_matches_brute_force(hp):
+    rows, b = hp
+    verts = _vertices_from_halfspaces([[Fraction(x) for x in r] for r in rows],
+                                      [Fraction(x) for x in b])
+    assert len(verts) == len(set(verts))
+    assert sorted(verts) == _brute_force_vertices(rows, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 12 - 1), max_size=9), st.integers(0, 10),
+       st.integers(0, 2 ** 12 - 1))
+def test_at_least_counts_columns(cols, t, universe):
+    want = sum(1 << i for i in range(12) if universe >> i & 1
+               and sum(c >> i & 1 for c in cols) >= t)
+    assert _at_least(cols, t, universe) == want
+
+
+def test_ray_budget_reports_progress(monkeypatch):
+    monkeypatch.setattr("latgeom.polytope.RAY_BUDGET", 10)
+    with pytest.raises(CapabilityError) as err:
+        voronoi_cell(catalog("D", 4)).vertices()
+    # the D4 cell has 24 facets, so its cone has 25 constraints
+    step, total, rays = map(int, re.fullmatch(
+        r"double description exceeded the ray budget 10 at constraint "
+        r"(\d+) of (\d+): (\d+) rays", str(err.value)).groups())
+    assert step <= total == 25 and rays > 10
