@@ -205,10 +205,16 @@ def hnf_row(a):
     positive pivots and reduced entries above each pivot. Zero rows sink to
     the bottom.
     """
+    n = len(a)
+    return _hnf(a, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _hnf(a, u):
+    """``hnf_row`` applying every row operation to the rows ``u`` as well;
+    rows of length 0 skip the transform at almost no cost."""
     m = [list(map(int, row)) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     r = 0
     for col in range(cols):
         piv = None
@@ -245,7 +251,7 @@ def hnf_row(a):
 
 def hnf_basis(a):
     """Nonzero rows of the row HNF: canonical basis of the integer row span."""
-    h, _ = hnf_row(a)
+    h, _ = _hnf(a, [[] for _ in a])
     return [row for row in h if any(row)]
 
 
@@ -277,6 +283,14 @@ def saturation(a):
         return [[int(i == j) for j in range(m)] for i in range(m)]
     sat = integer_kernel(ker)
     return hnf_basis(sat)
+
+
+def _saturated(a):
+    """Whether the independent integer rows ``a`` span a saturated
+    sublattice of Z^m: the gcd of their maximal minors, the product of the
+    pivots of the HNF of a^T, is 1."""
+    h, _ = _hnf(transpose(a), [[] for _ in a[0]])
+    return all(h[i][i] == 1 for i in range(len(a)))
 
 
 def integer_right_inverse(a):

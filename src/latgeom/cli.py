@@ -430,7 +430,8 @@ def _apply_config(args):
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if getattr(args, key, None) in (None, False):
+            current = getattr(args, key, None)
+            if current is None or current is False:
                 setattr(args, key, _config_value(key, value.strip()))
     return args
 

@@ -32,13 +32,11 @@ from . import _linalg as la
 from .enumeration import (MAX_VORONOI_RANK, _covering_radius_bound,
                           _enumerate_gram, closest_vectors, covering_radius,
                           kappa, shortest_vectors, vectors_within)
-from .errors import (CertificateValidationError, InvalidInputError,
-                     NotAPackingError, UnsupportedRankError)
+from .errors import (CapabilityError, CertificateValidationError,
+                     InvalidInputError, NotAPackingError, UnsupportedRankError)
 from .lattice import Lattice, dual_in_span
 from .sublattice import (SublatticeWitness, enumerate_sublattices,
                          project_along, successive_minima)
-
-VALIDATION_TOL = 1e-9
 
 
 def _sqrt_exact(q):
@@ -269,11 +267,14 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
     or exact value); the floor (d_nk / density)^{1/n} - 1 is positive exactly
     when the packing is less dense than the threshold. The returned
     base_radius is the best validated clearance found by the search.
+    Raises NotAPackingError when lambda_1^2 < 4 r^2 (compared exactly) and
+    CapabilityError when no direction within the determinant bound clears
+    the balls.
     """
     n = lat.rank
     l1_sq, _ = shortest_vectors(lat) if "min_norm_sq" not in lat.meta \
         else (lat.meta["min_norm_sq"], None)
-    if float(l1_sq) < (2 * float(r)) ** 2 - VALIDATION_TOL:
+    if l1_sq < 4 * _exact_radius(r)[0]:
         raise NotAPackingError("balls of this radius overlap (lambda_1 < 2r)")
     d_value = getattr(d_nk, "value_exact", None)
     if d_value is None:
@@ -283,7 +284,7 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
     floor_f = float(floor)
     clearance, cert = max_clearance(lat, r, k, det_bound=det_bound)
     if cert is None:
-        raise NotAPackingError(
+        raise CapabilityError(
             "no passage direction found within the determinant bound")
     base = max(clearance, 0.0)
     return CylinderWitness(cert, base, floor, floor_f,

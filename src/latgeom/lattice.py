@@ -249,55 +249,81 @@ def dual_in_span(lat: Lattice) -> Lattice:
 
 def _lll_transform(gram, delta):
     """LLL on a rational Gram matrix; returns the unimodular transform U and
-    the reduced Gram U G U^T (both lists of rows). Textbook Gram-only LLL in
-    exact rational arithmetic with full GSO recomputation; fine at desk scale
-    (rank <= 24).
+    the reduced Gram U G U^T (both lists of rows).
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7) on ``G_int = d G``: it keeps the leading principal minors
+    D_i of the current Gram and the integers lam_kj = D_{j+1} mu_kj, so every
+    quantity is an int and every division exact. Row k is size-reduced
+    against j = k-1 down to 0, by mu_kj rounded half to even, and then the
+    Lovasz test q (D_{k+1} D_{k-1} + lam_k,k-1^2) >= p D_k^2 for
+    delta = p/q runs. These are the decisions, in the same order, of the
+    textbook loop on the Fraction Gram-Schmidt data, so U and U G U^T are
+    the ones it returns.
     """
     m = len(gram)
-    g = [list(r) for r in gram]
+    g, den = la.integer_form(gram)
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     delta = la._rational(delta)
-    half = Fraction(1, 2)
+    p, q = delta.numerator, delta.denominator
+    dm = [1] * (m + 1)  # dm[i]: leading i x i minor of the current Gram
+    lam = [[0] * m for _ in range(m)]
 
-    def gso():
-        mu = [[0] * m for _ in range(m)]
-        bstar = [0] * m
-        for i in range(m):
-            bstar[i] = g[i][i]
-            for j in range(i):
-                num = g[i][j] - sum(mu[i][t] * mu[j][t] * bstar[t] for t in range(j))
-                mu[i][j] = num / bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        return mu, bstar
+    def add_gso_row(k):
+        # incremental Gram-Schmidt of row k, still the input's row k, against
+        # rows 0..k-1; b_k . b_j is then row k of G_int times u_j
+        for j in range(k + 1):
+            x = la.dot(g[k], u[j])
+            for i in range(j):
+                x = (dm[i + 1] * x - lam[k][i] * lam[j][i]) // dm[i]
+            if j < k:
+                lam[k][j] = x
+            else:
+                dm[k + 1] = x
 
-    def apply_row_op(i, j, q):
-        # row_i -= q * row_j on both the transform and the gram
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        for c in range(m):
-            g[i][c] -= q * g[j][c]
-        for r in range(m):
-            g[r][i] -= q * g[r][j]
+    def size_reduce(k, j):
+        # row_k -= c row_j on the transform and lam, c = round(mu_kj) half
+        # to even
+        lk, lj = lam[k], lam[j]
+        c = round(Fraction(lk[j], dm[j + 1]))
+        u[k] = [x - c * y for x, y in zip(u[k], u[j])]
+        lk[j] -= c * dm[j + 1]
+        for i in range(j):
+            lk[i] -= c * lj[i]
 
-    def swap(i, j):
-        u[i], u[j] = u[j], u[i]
-        g[i], g[j] = g[j], g[i]
-        for r in range(m):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
+    def swap(k, kmax):
+        # exchange rows k-1 and k; the minors and lam move as in Cohen's SWAPI
+        u[k], u[k - 1] = u[k - 1], u[k]
+        lk, lk1 = lam[k], lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        mu = lk[k - 1]
+        b = (dm[k - 1] * dm[k + 1] + mu * mu) // dm[k]
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dm[k + 1] * li[k - 1] - mu * t) // dm[k]
+            li[k - 1] = (b * t + mu * li[k]) // dm[k + 1]
+        dm[k] = b
 
-    k = 1
+    k, kmax = 1, 0
+    if m:
+        add_gso_row(0)
     while k < m:
-        mu, bstar = gso()
+        if k > kmax:
+            kmax = k
+            add_gso_row(k)
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > half:
-                q = round(mu[k][j])
-                apply_row_op(k, j, q)
-                mu, bstar = gso()
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            if 2 * abs(lam[k][j]) > dm[j + 1]:
+                size_reduce(k, j)
+        lk = lam[k][k - 1]
+        if q * (dm[k + 1] * dm[k - 1] + lk * lk) >= p * dm[k] * dm[k]:
             k += 1
         else:
-            swap(k, k - 1)
+            swap(k, kmax)
             k = max(k - 1, 1)
-    return u, g
+    ug = la.mat_mul(u, g)
+    return u, [[Fraction(la.dot(a, b), den) for b in u] for a in ug]
 
 
 def reduce(lat: Lattice, delta=Fraction(99, 100)) -> Lattice:

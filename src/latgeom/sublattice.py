@@ -15,7 +15,7 @@ from fractions import Fraction
 import sympy as sp
 
 from . import _linalg as la
-from .enumeration import kappa, successive_minima, vectors_within
+from .enumeration import successive_minima, vectors_within
 from .errors import CapabilityError, InvalidInputError
 from .lattice import Lattice
 
@@ -63,8 +63,8 @@ def witness(lat: Lattice, rows) -> SublatticeWitness:
     if la.rank(rows) != len(rows):
         raise InvalidInputError("witness rows are linearly dependent")
     d2 = _sub_det_sq(lat, rows)
-    sat = la.hnf_basis(rows) == la.saturation(rows)
-    return SublatticeWitness(lat, tuple(tuple(r) for r in rows), d2, sat)
+    return SublatticeWitness(lat, tuple(tuple(r) for r in rows), d2,
+                             la._saturated(rows))
 
 
 def saturate(lat: Lattice, w: SublatticeWitness) -> SublatticeWitness:
@@ -75,100 +75,143 @@ def saturate(lat: Lattice, w: SublatticeWitness) -> SublatticeWitness:
     return SublatticeWitness(lat, tuple(tuple(r) for r in rows), d2, True)
 
 
-def _canonical_key(rows):
-    return tuple(tuple(r) for r in la.hnf_basis(rows))
+# pi exceeds this, so dividing by its powers keeps an upper bound an upper bound
+_PI_BELOW = Fraction(3141592653, 10**9)
+
+
+def _minkowski_sq(k):
+    """Rational upper bound on (2^k / kappa_k)^2 = 4^k Gamma(k/2 + 1)^2 / pi^k,
+    the squared constant of Minkowski's prod lambda_i <= (2^k / kappa_k) det."""
+    if k % 2 == 0:
+        gamma_sq, pi_pow = Fraction(math.factorial(k // 2) ** 2), k
+    else:
+        # Gamma(k/2 + 1) = k!! sqrt(pi) / 2^((k + 1)/2)
+        gamma_sq = Fraction(math.prod(range(k, 0, -2)) ** 2, 2 ** (k + 1))
+        pi_pow = k - 1
+    return 4 ** k * gamma_sq / _PI_BELOW ** pi_pow
 
 
 def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
                           node_budget=NODE_BUDGET):
     """All saturated k-sublattices with determinant <= det_bound, ascending.
 
+    ``det_bound`` is a real number (a float is read exactly) or a sympy
+    square root of a rational; only its square enters the search.
+
     Every saturated sublattice with small determinant contains k independent
     vectors no longer than its own successive minima; the Minkowski bound
-    prod lambda_i <= (2^k / kappa_k) det caps those minima by
-    (2^k / kappa_k) * det_bound / lambda_1^{k-1}, so enumerating all vectors
-    up to that length and saturating the span of every independent k-subset
-    finds each sublattice at least once. Deduplicated by HNF canonical form.
+    prod lambda_i <= (2^k / kappa_k) det caps their squared-norm product by
+    (2^k / kappa_k)^2 det_bound^2, with pi bounded below by a rational, and
+    each of them by that product over lambda_1^{2(k-1)}. A depth-first
+    search over the vectors up to that length, in ascending norm, compares
+    the integer norm products against G_int exactly. Each chosen vector
+    carries its fraction-free echelon row, reduced against the earlier
+    pivots, so a dependent candidate is one whose row reduces to zero. At a
+    leaf the span is keyed by its row HNF. A key whose maximal minors have
+    gcd 1 is already saturated; any other is saturated once. Each saturated
+    HNF, the canonical form, has its determinant computed once, also when
+    it exceeds the bound.
     """
     m = lat.rank
     if not 1 <= k <= m - 1:
         raise InvalidInputError("need 1 <= k <= rank - 1")
-    det_bound = Fraction(det_bound)
+    if isinstance(det_bound, sp.Expr):
+        det_bound_sq = det_bound ** 2
+        if not det_bound_sq.is_Rational:
+            raise InvalidInputError(f"det_bound {det_bound} has an irrational "
+                                    "square")
+        det_bound_sq = Fraction(det_bound_sq.p, det_bound_sq.q)
+    else:
+        det_bound = Fraction(det_bound)
+        det_bound_sq = det_bound * det_bound
     if det_bound <= 0:
         return []
     if k > m - k:
         # saturated k-sublattices correspond to saturated (m-k)-sublattices
         # of the dual via orthogonal complement, with
         # det(M)^2 = det_sq(L) * det(M_perp)^2; search the smaller side
-        return _enumerate_via_dual(lat, k, det_bound, max_rank, node_budget)
+        return _enumerate_via_dual(lat, k, det_bound_sq, max_rank, node_budget)
     if "min_norm_sq" in lat.meta:
         l1_sq = lat.meta["min_norm_sq"]
     else:
         l1_sq = successive_minima(lat, max_rank)[0][0]
-    l1 = math.sqrt(float(l1_sq))
-    prod_bound = (2.0 ** k / float(kappa(k))) * float(det_bound)
-    r_max = max(prod_bound / l1 ** (k - 1), l1)
-    bound_sq = Fraction(r_max * r_max).limit_denominator(10**9) * \
-        Fraction(1000000001, 1000000000)
-    vecs = vectors_within(lat, bound_sq, max_rank=max_rank)
+    prod_sq_bound = _minkowski_sq(k) * det_bound_sq
+    vecs = vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq),
+                          max_rank=max_rank)
     # keep one representative per +- pair
     pairs = {}
     for v, q in vecs:
         pairs[la._canonical_sign(v)] = q
     vecs = sorted(pairs.items(), key=lambda p: (p[1], p[0]))
     coeff_rows = [list(v) for v, _ in vecs]
-    norms = [float(q) for _, q in vecs]
-    # the k successive minima of any target sublattice have squared-norm
-    # product at most this (Minkowski), so subsets beyond it are not needed
-    prod_sq_bound = prod_bound * prod_bound * (1 + 1e-9)
-    det_bound_sq = det_bound * det_bound
-    seen = {}
+    # squared norms over G_int's d are ints, and so is the Minkowski cap
+    d = lat.int_gram[1]
+    norms = [q.numerator * (d // q.denominator) for _, q in vecs]
+    cap = math.floor(prod_sq_bound * d ** k)
+    seen = {}  # saturated HNF -> witness, or None when det_sq > det_bound^2
+    spans = {}  # row HNF of a leaf's span -> the HNF of its saturation
     nodes = 0
     chosen = []
+    echelon = []  # (pivot column, primitive reduced row) per chosen vector
 
-    def dfs(start, prod_sq):
+    def leaf():
+        span = tuple(map(tuple, la.hnf_basis([coeff_rows[i] for i in chosen])))
+        sat = spans.get(span)
+        if sat is None:
+            sat = spans[span] = span if la._saturated(span) else \
+                tuple(map(tuple, la.saturation(list(span))))
+        if sat not in seen:
+            d2 = _sub_det_sq(lat, sat)
+            seen[sat] = SublatticeWitness(lat, sat, d2, True) \
+                if d2 <= det_bound_sq else None
+
+    def dfs(start, prod):
         nonlocal nodes
-        if len(chosen) == k:
-            # saturation returns a row HNF, already the canonical key
-            sat_rows = la.saturation([coeff_rows[i] for i in chosen])
-            key = tuple(map(tuple, sat_rows))
-            if key not in seen:
-                d2 = _sub_det_sq(lat, list(key))
-                if d2 <= det_bound_sq:
-                    seen[key] = SublatticeWitness(lat, key, d2, True)
-            return
         remaining = k - len(chosen)
         for i in range(start, len(coeff_rows)):
-            new_prod = prod_sq * norms[i] ** remaining
-            if new_prod > prod_sq_bound:
+            if prod * norms[i] ** remaining > cap:
                 break  # norms ascend, so all later candidates fail too
             nodes += 1
             if nodes > node_budget:
                 raise CapabilityError(
                     f"sublattice search exceeded the node budget {node_budget}")
-            if la.rank([coeff_rows[j] for j in chosen + [i]]) <= len(chosen):
-                continue
+            row = coeff_rows[i]
+            for c, e in echelon:
+                f = row[c]
+                if f:
+                    p = e[c]
+                    row = [p * x - f * y for x, y in zip(row, e)]
+            if not any(row):
+                continue  # dependent on the chosen vectors
             chosen.append(i)
-            dfs(i + 1, prod_sq * norms[i])
+            if remaining == 1:
+                leaf()
+            else:
+                g = math.gcd(*row)
+                row = [x // g for x in row]
+                echelon.append((next(c for c, x in enumerate(row) if x), row))
+                dfs(i + 1, prod * norms[i])
+                echelon.pop()
             chosen.pop()
 
-    dfs(0, 1.0)
-    out = sorted(seen.values(), key=lambda w: (w.det_sq, w.coeffs))
-    return out
+    dfs(0, 1)
+    return sorted((w for w in seen.values() if w is not None),
+                  key=lambda w: (w.det_sq, w.coeffs))
 
 
-def _enumerate_via_dual(lat: Lattice, k: int, det_bound, max_rank, node_budget):
+def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, max_rank,
+                        node_budget):
     m = lat.rank
     dlat = Lattice.from_gram(la.inverse(lat.gram()))
-    dual_bound = math.sqrt(float(det_bound ** 2 / lat.det_sq())) * (1 + 1e-12)
+    q = det_bound_sq / lat.det_sq()
+    dual_bound = sp.sqrt(sp.Rational(q.numerator, q.denominator))
     out = []
     for wd in enumerate_sublattices(dlat, m - k, dual_bound,
                                     max_rank=max_rank, node_budget=node_budget):
-        rows = la.integer_kernel([list(r) for r in wd.coeffs])
-        key = _canonical_key(rows)
-        d2 = _sub_det_sq(lat, list(key))
-        if d2 <= det_bound ** 2:
-            out.append(SublatticeWitness(lat, key, d2, True))
+        # det(M)^2 = det_sq(L) * det(M_perp)^2 <= det_bound^2
+        key = tuple(map(tuple, la.hnf_basis(
+            la.integer_kernel([list(r) for r in wd.coeffs]))))
+        out.append(SublatticeWitness(lat, key, _sub_det_sq(lat, key), True))
     return sorted(out, key=lambda w: (w.det_sq, w.coeffs))
 
 

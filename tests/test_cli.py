@@ -146,6 +146,30 @@ def test_config_file(tmp_path, capsys):
     assert d["certificate"]["clearance"] == pytest.approx(0.0607, abs=1e-4)
 
 
+def test_config_keeps_zero_flag(tmp_path, capsys):
+    # a flag given as 0 is set, so the config line k=2 must not replace it
+    cfg = tmp_path / "cfg"
+    cfg.write_text("k=2\n")
+    with_cfg = _run(capsys, "--config", str(cfg), "bounds", "--n", "4",
+                    "--k", "0")
+    assert with_cfg == _run(capsys, "bounds", "--n", "4", "--k", "0")
+    assert with_cfg != _run(capsys, "bounds", "--n", "4", "--k", "2")
+    assert json.loads(with_cfg[1])["cnk_upper"]["k"] == 0
+
+
+def test_cylinder_error_exit_codes(capsys):
+    # overlapping balls are invalid input; a search that finds no direction
+    # within the determinant bound hit a capability limit
+    code, out, err = _run(capsys, "cylinder", "--catalog", "Z3", "--r", "0.7",
+                          "--k", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "NotAPackingError"
+    code, out, err = _run(capsys, "cylinder", "--catalog", "Z3", "--r",
+                          "49/100", "--k", "1", "--det-bound", "1/2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "CapabilityError"
+
+
 def test_table_format(capsys):
     code, out, _ = _run(capsys, "svp", "--catalog", "Z2", "--format", "table")
     assert code == 0

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import latgeom._linalg as la
 from latgeom.bounds import dnk_known, dnk_lower
 from latgeom.enumeration import _covering_radius_bound, covering_radius
-from latgeom.errors import CertificateValidationError, NotAPackingError
+from latgeom.errors import (CapabilityError, CertificateValidationError,
+                            NotAPackingError)
 from latgeom.impassability import (_default_det_bound, _validate_certificate,
                                    ball_lattice_density, free_cylinder,
                                    is_nonseparable_ball_lattice,
@@ -122,6 +123,21 @@ def test_free_cylinder_d4_floor_exact():
 def test_free_cylinder_rejects_overlapping_balls():
     with pytest.raises(NotAPackingError):
         free_cylinder(catalog("Z", 3), 0.7, 1, dnk_lower(3, 1))
+
+
+def test_free_cylinder_packing_test_is_exact():
+    # lambda_1^2 = 1 < 4 r^2 = 1 + 4e-11 + 4e-22: overlapping by a margin
+    # below any float tolerance
+    with pytest.raises(NotAPackingError):
+        free_cylinder(catalog("Z", 3), Fraction(1, 2) + Fraction(1, 10**11), 1,
+                      dnk_lower(3, 1))
+
+
+def test_free_cylinder_without_direction_is_capability_error():
+    # no saturated line of Z^3 has determinant <= 1/2
+    with pytest.raises(CapabilityError):
+        free_cylinder(catalog("Z", 3), Fraction(49, 100), 1, dnk_lower(3, 1),
+                      det_bound=Fraction(1, 2))
 
 
 def test_free_cylinder_no_guarantee_flag():

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import latgeom._linalg as la
 from latgeom.errors import (CatalogMissError, InvalidInputError,
                             InvalidLatticeError, UnsupportedRankError)
-from latgeom.lattice import Lattice, catalog, dual, reduce
+from latgeom.lattice import Lattice, _lll_transform, catalog, dual, reduce
 
 
 def test_from_rows_gram_is_rational():
@@ -179,3 +182,77 @@ def test_json_float_lattice_loads_exact():
     assert Lattice.from_json(rows) == ref
     gram = json.dumps({"gram": [[2.0, 0.5], [0.5, 1.0]], "exact": False})
     assert Lattice.from_json(gram) == Lattice.from_gram([[2, "1/2"], ["1/2", 1]])
+
+
+def _fraction_gso_lll(gram, delta):
+    """Reference LLL: the textbook Gram-only loop that recomputes the full
+    Fraction Gram-Schmidt data after every size-reduction step."""
+    m = len(gram)
+    g = [list(r) for r in gram]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def gso():
+        mu = [[0] * m for _ in range(m)]
+        bstar = [0] * m
+        for i in range(m):
+            bstar[i] = g[i][i]
+            for j in range(i):
+                num = g[i][j] - sum(mu[i][t] * mu[j][t] * bstar[t]
+                                    for t in range(j))
+                mu[i][j] = num / bstar[j]
+                bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        return mu, bstar
+
+    def row_op(i, j, q):
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        for c in range(m):
+            g[i][c] -= q * g[j][c]
+        for r in range(m):
+            g[r][i] -= q * g[r][j]
+
+    def swap(i, j):
+        u[i], u[j] = u[j], u[i]
+        g[i], g[j] = g[j], g[i]
+        for r in range(m):
+            g[r][i], g[r][j] = g[r][j], g[r][i]
+
+    k = 1
+    while k < m:
+        mu, bstar = gso()
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                row_op(k, j, round(mu[k][j]))
+                mu, bstar = gso()
+        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            swap(k, k - 1)
+            k = max(k - 1, 1)
+    return u, g
+
+
+@st.composite
+def _rational_grams(draw):
+    m = draw(st.integers(1, 6))
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    assume(la.det(rows) != 0)
+    return [[Fraction(x, den) for x in r] for r in la.gram_matrix(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_grams(), st.sampled_from([Fraction(3, 4), Fraction(99, 100)]))
+# huge entries with determinant 1: the reduced basis is the identity
+@example([[1, 10**8], [10**8, 10**16 + 1]], Fraction(99, 100))
+# mu = 5/2 rounds half to even, to 2; half away from zero would give 3
+@example([[2, 5], [5, 20]], Fraction(3, 4))
+def test_integral_lll_matches_fraction_gso(gram, delta):
+    gram = [[Fraction(x) for x in r] for r in gram]
+    want = _fraction_gso_lll([r[:] for r in gram], delta)
+    assert _lll_transform(gram, delta) == want
+
+
+def test_integral_lll_rounds_half_to_even():
+    u, g = _lll_transform([[2, 5], [5, 20]], Fraction(3, 4))
+    assert u == [[1, 0], [-2, 1]] and g == [[2, 1], [1, 8]]

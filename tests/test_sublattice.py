@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import latgeom._linalg as la
+import latgeom.sublattice as sub
+from latgeom.enumeration import kappa, shortest_vectors, vectors_within
 from latgeom.errors import CapabilityError, InvalidInputError
 from latgeom.lattice import Lattice, catalog
 from latgeom.sublattice import (dk_min, enumerate_sublattices, project_along,
@@ -130,3 +134,99 @@ def test_project_along_keeps_cached_invariants():
     _, w = dk_min(lat, 1)
     proj = project_along(lat, w)
     assert {"_gram", "int_gram", "_det_sq"} <= set(vars(proj))
+
+
+def _saturate_every_subset(lat, k, det_bound):
+    """Reference search: saturate the span of every independent k-subset of
+    the vectors the Minkowski bound allows, with float bounds and slack (a
+    larger searched set finds the same sublattices), through the dual when
+    k > rank - k; sorted (det_sq, HNF) pairs."""
+    m = lat.rank
+    det_sq = Fraction(det_bound) ** 2
+
+    def det_sq_of(rows):
+        return la.det([[lat.inner(a, b) for b in rows] for a in rows])
+
+    if k > m - k:
+        # det(M)^2 = det_sq(L) det(M_perp)^2 for M_perp in the dual
+        dlat = Lattice.from_gram(la.inverse(lat.gram()))
+        dual_bound = math.sqrt(det_sq / lat.det_sq()) * (1 + 1e-9)
+        found = []
+        for _, perp in _saturate_every_subset(dlat, m - k, dual_bound):
+            rows = la.hnf_basis(la.integer_kernel([list(r) for r in perp]))
+            if det_sq_of(rows) <= det_sq:
+                found.append((det_sq_of(rows), tuple(map(tuple, rows))))
+        return sorted(found)
+    l1_sq = float(shortest_vectors(lat)[0])
+    prod_sq = float(2 ** k / kappa(k)) ** 2 * float(det_sq) * (1 + 1e-6)
+    radius_sq = max(prod_sq / l1_sq ** (k - 1), l1_sq) * (1 + 1e-6)
+    norms = {la._canonical_sign(v): float(q)
+             for v, q in vectors_within(lat, Fraction(radius_sq))}
+    vecs = sorted(norms, key=norms.get)
+    found = {}
+
+    def dfs(start, chosen, prod):
+        if len(chosen) == k:
+            rows = la.saturation([list(v) for v in chosen])
+            if det_sq_of(rows) <= det_sq:
+                found[tuple(map(tuple, rows))] = det_sq_of(rows)
+            return
+        for i in range(start, len(vecs)):
+            q = norms[vecs[i]]
+            if prod * q ** (k - len(chosen)) > prod_sq:
+                break
+            rows = [list(v) for v in chosen + [vecs[i]]]
+            if la.rank(rows) == len(rows):
+                dfs(i + 1, chosen + [vecs[i]], prod * q)
+
+    dfs(0, [], 1.0)
+    return sorted((d2, key) for key, d2 in found.items())
+
+
+@st.composite
+def _search_inputs(draw):
+    m = draw(st.integers(3, 5))
+    rows = [[3 if i == j else draw(st.integers(-1, 1)) for j in range(m)]
+            for i in range(m)]
+    assume(la.det(rows) != 0)
+    lat = Lattice.from_gram(la.gram_matrix(rows))
+    k = draw(st.integers(1, m - 1))
+    # det_bound^2 from about l1^k / 2 to 4 l1^k: many leaves saturate to
+    # keys above the bound, and the larger bounds reach pairs (v, 2v)
+    l1_k = math.isqrt(int(shortest_vectors(lat)[0] ** k))
+    return lat, k, Fraction(l1_k * draw(st.integers(6, 16)), 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_search_inputs())
+# the search visits the dependent pair (v, 2v) with v a shortest vector
+@example((Lattice.from_gram(la.gram_matrix(
+    [[3, 1, 0, 0], [0, 3, 1, 0], [1, 0, 3, -1], [0, 0, 1, 3]])), 2, 20))
+def test_enumerate_matches_saturating_every_subset(inputs):
+    lat, k, det_bound = inputs
+    got = enumerate_sublattices(lat, k, det_bound)
+    assert all(w.saturated and w.k == k for w in got)
+    assert [(w.det_sq, w.coeffs) for w in got] == \
+        _saturate_every_subset(lat, k, det_bound)
+
+
+def test_search_saturates_each_span_once(monkeypatch):
+    saturated, det_keys = [], []
+    real_saturation, real_det_sq = la.saturation, sub._sub_det_sq
+
+    def spy_saturation(rows):
+        saturated.append(tuple(map(tuple, la.hnf_basis(rows))))
+        return real_saturation(rows)
+
+    def spy_det_sq(lat, rows):
+        det_keys.append(tuple(map(tuple, rows)))
+        return real_det_sq(lat, rows)
+
+    monkeypatch.setattr(la, "saturation", spy_saturation)
+    monkeypatch.setattr(sub, "_sub_det_sq", spy_det_sq)
+    got = enumerate_sublattices(catalog("Z", 4), 2, 2)
+    # the saturated planes of Z^4 with det^2 1, 2, 3 and 4
+    assert [w.det_sq for w in got] == [1] * 6 + [2] * 24 + [3] * 32 + [4] * 12
+    assert len(saturated) == len(set(saturated))
+    assert len(det_keys) == len(set(det_keys))
+    assert {w.coeffs for w in got} <= set(det_keys)
