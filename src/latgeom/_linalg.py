@@ -97,12 +97,13 @@ def _bareiss(m, ncols, jordan=False):
     form whose last pivot is the determinant of the pivot block; with
     ``jordan`` the rows above each pivot are cleared too, so a nonsingular
     square block ends as ``p I`` with p its determinant (up to the sign) and
-    the other columns hold p times the solution. Returns (rank, sign of the
-    row permutation, last pivot).
+    the other columns hold p times the solution. Returns (rank, number of
+    row exchanges, last pivot); with no exchange, forward elimination of a
+    square matrix leaves its leading principal minors on the diagonal.
     """
     rows = len(m)
     width = len(m[0]) if rows else 0
-    r, sign, prev = 0, 1, 1
+    r, swaps, prev = 0, 0, 1
     for c in range(ncols):
         if r == rows:
             break
@@ -111,7 +112,7 @@ def _bareiss(m, ncols, jordan=False):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            sign = -sign
+            swaps += 1
         p, prow = m[r][c], m[r]
         # below the pivot, the columns left of c are already zero
         first = 0 if jordan else c + 1
@@ -125,7 +126,7 @@ def _bareiss(m, ncols, jordan=False):
             row[c] = 0
         prev = p
         r += 1
-    return r, sign, prev
+    return r, swaps, prev
 
 
 def det(a):
@@ -141,8 +142,8 @@ def det_int(a):
 
 def _det(m):
     """Determinant of the square int rows ``m``, which it overwrites."""
-    r, sign, p = _bareiss(m, len(m))
-    return sign * p if r == len(m) else 0
+    r, swaps, p = _bareiss(m, len(m))
+    return (-1) ** swaps * p if r == len(m) else 0
 
 
 def integer_form(a):
@@ -302,20 +303,10 @@ def integer_right_inverse(a):
     k = len(a)
     at = [list(col) for col in zip(*a)]  # m x k
     h, u = hnf_row(at)  # u @ a^T = h, h = [h1; 0] with h1 k x k
-    h1 = [row[:k] for row in h[:k]]
-    if any(h1[i][i] != 1 for i in range(k)):
+    if any(h[i][i] != 1 for i in range(k)):
         return None
-    # back-substitute h1^{-1} over the integers (unit diagonal, upper triangular)
-    inv = [[int(i == j) for j in range(k)] for i in range(k)]
-    for i in range(k - 1, -1, -1):
-        for j in range(i + 1, k):
-            f = h1[i][j]
-            if f:
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[j])]
-    # W^T = [h1^{-1} | 0] @ u
-    wt = [[sum(inv[i][t] * u[t][c] for t in range(k)) for c in range(len(u))]
-          for i in range(k)]
-    return [list(col) for col in zip(*wt)]
+    # unit pivots leave nothing above them, so h1 = I and u[:k] a^T = I
+    return transpose(u[:k])
 
 
 def complete_to_unimodular(a):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from .enumeration import covering_density, kappa, packing_density
-from .errors import MissingConstantError, PolarUndefinedError
+from .errors import InvalidInputError, MissingConstantError, PolarUndefinedError
 from .lattice import catalog
 
 
@@ -133,6 +133,8 @@ def constants(n: int) -> dict:
 def cnk_upper(n: int, k: int) -> BoundReport:
     """Upper bound 2^k (delta / kappa_n)^{k/n} on the minimal-sublattice
     determinant constant; exact equality when k = 1."""
+    if not 1 <= k <= n - 1:
+        raise InvalidInputError(f"need 1 <= k <= n - 1; got n={n}, k={k}")
     delta = delta_ball(n)
     value = 2 ** k * (delta.value_exact / kappa(n)) ** sp.Rational(k, n)
     strict = "equality" if k == 1 else "upper-bound"
@@ -158,8 +160,8 @@ def dnn1_ball(n: int) -> BoundReport:
 def dnk_chain(n: int, k: int) -> BoundReport:
     """Covering-based lower bound on d_{n,k} for balls:
     kappa_n * (theta_{n-k} / (kappa_{n-k} c_{n,k}))^{n/(n-k)}."""
+    c = cnk_upper(n, k)  # first, as it checks 1 <= k <= n - 1
     theta = theta_ball(n - k)
-    c = cnk_upper(n, k)
     e = sp.Rational(n, n - k)
     value = kappa(n) * (theta.value_exact / (kappa(n - k) * c.value_exact)) ** e
     if n == 2 and k == 1:

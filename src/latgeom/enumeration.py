@@ -3,9 +3,9 @@ minima, Voronoi-relevant vectors, Dirichlet-Voronoi cells, covering radii,
 and packing/covering densities.
 
 All enumeration happens in coefficient space against the rational Gram
-matrix, so results are exact. A float Cholesky factor
-drives the branch-and-bound pruning with a small slack; every candidate is
-rescored exactly before acceptance.
+matrix, in integers: the branch bounds come from the fraction-free
+elimination of the integer Gram that each lattice value caches, so every
+pruning decision and every reported norm is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .lattice import Lattice, reduce as lll_reduce
 
 MAX_ENUM_RANK = 12
 MAX_VORONOI_RANK = 8
-_PRUNE_SLACK = 1e-7
 
 
 def kappa(n: int):
@@ -37,50 +36,49 @@ def _check_rank(lat: Lattice, cap: int, what: str):
             f"(raise the cap explicitly to override)")
 
 
-def _enumerate_gram(g, center, bound_sq):
-    """All integer x with (x - center)^T G (x - center) <= bound_sq.
+def _enumerate_gram(lat: Lattice, center, bound_sq):
+    """All integer x with (x - center)^T G (x - center) <= bound_sq, G the
+    Gram of lat, as (x, norm_sq) pairs, in ints throughout.
 
-    Returns (x, norm_sq) pairs. Pruning is float with slack. G and the
-    center are rational and leaves are scored exactly in integers: with
-    G = G_int / d and c the lcm of the center's denominators,
-    norm_sq = q / (d c^2) where q is the G_int-form of the integer vector
-    c x - c center, and the leaf is kept when q <= floor(bound_sq d c^2).
+    With G = G_int / d, c the lcm of the center's denominators and
+    z = c x - c center, the form is sum_i (a_i . z)^2 / (d c^2 D_i D_{i+1})
+    over the rows a_i of lat's cached elimination. Times L = lcm(D_i D_{i+1})
+    each term and the budget floor(bound_sq d c^2 L) are ints, so isqrt gives
+    the exact range of x_i, fixed last first and in ascending order.
     """
-    m = len(g)
-    gf = [[float(v) for v in row] for row in g]
-    r = la.float_cholesky(gf)
-    cf = [float(c) for c in center]
-    bound_f = float(bound_sq) * (1 + _PRUNE_SLACK) + _PRUNE_SLACK
-    gi, d = la.integer_form(g)
+    e = lat._elimination
+    m = len(e)
+    _, d = lat.int_gram
     center = [Fraction(t) for t in center]
     c = math.lcm(*(t.denominator for t in center))
     ct = [t.numerator * (c // t.denominator) for t in center]
-    den = d * c * c
-    limit = math.floor(Fraction(bound_sq) * den)
-
+    minors = [1] + [e[i][i] for i in range(m)]
+    pairs = [a * b for a, b in zip(minors, minors[1:])]
+    scale = math.lcm(*pairs)
+    w = [scale // p for p in pairs]
+    limit = math.floor(Fraction(bound_sq) * d * c * c * scale)
     x = [0] * m
+    z = [0] * m
     results = []
 
-    def rec(i, remaining):
+    def rec(i, left):
         if i < 0:
-            dx = [c * xi - ti for xi, ti in zip(x, ct)]
-            q = sum(di * sum(gij * dj for gij, dj in zip(row, dx))
-                    for di, row in zip(dx, gi))
-            if q <= limit:
-                results.append((tuple(x), q))
+            results.append((tuple(x), limit - left))
             return
-        s = sum(r[i][j] * (x[j] - cf[j]) for j in range(i + 1, m))
-        rad = math.sqrt(max(remaining, 0.0))
-        lo = math.ceil(cf[i] + (-rad - s) / r[i][i] - 1e-12)
-        hi = math.floor(cf[i] + (rad - s) / r[i][i] + 1e-12)
-        for xi in range(lo, hi + 1):
+        a, wi, cti = e[i], w[i], ct[i]
+        s = sum(a[j] * z[j] for j in range(i + 1, m))
+        t = math.isqrt(left // wi)
+        # |D_{i+1} (c x_i - ct_i) + s| <= t
+        p, base = a[i] * c, a[i] * cti - s
+        for xi in range(-((t - base) // p), (base + t) // p + 1):
             x[i] = xi
-            term = (r[i][i] * (xi - cf[i]) + s) ** 2
-            if term <= remaining + 1e-12:
-                rec(i - 1, remaining - term)
-        x[i] = 0
+            z[i] = zi = c * xi - cti
+            v = a[i] * zi + s
+            rec(i - 1, left - v * v * wi)
 
-    rec(m - 1, bound_f)
+    if limit >= 0:
+        rec(m - 1, limit)
+    den = d * c * c * scale
     return [(xs, Fraction(q, den)) for xs, q in results]
 
 
@@ -91,9 +89,7 @@ def vectors_within(lat: Lattice, bound_sq, include_zero=False,
     _check_rank(lat, max_rank, "enumeration")
     red = lll_reduce(lat)
     u = red.meta["reduction_transform"]
-    g = red.gram()
-    zero = [0] * lat.rank
-    found = _enumerate_gram(g, zero, bound_sq)
+    found = _enumerate_gram(red, [0] * lat.rank, bound_sq)
     out = []
     for x, q in found:
         if not include_zero and all(v == 0 for v in x):
@@ -113,9 +109,8 @@ def shortest_vectors(lat: Lattice, max_rank=MAX_ENUM_RANK):
     g = red.gram()
     m = lat.rank
     bound = min(g[i][i] for i in range(m))
-    zero = [0] * m
     best = bound
-    found = _enumerate_gram(g, zero, bound)
+    found = _enumerate_gram(red, [0] * m, bound)
     for x, q in found:
         if any(x) and q < best:
             best = q
@@ -136,7 +131,7 @@ def successive_minima(lat: Lattice, max_rank=MAX_ENUM_RANK):
     g = red.gram()
     m = lat.rank
     bound = max(g[i][i] for i in range(m))
-    vecs = _enumerate_gram(g, [0] * m, bound)
+    vecs = _enumerate_gram(red, [0] * m, bound)
     vecs = [(x, q) for x, q in vecs if any(x)]
     vecs.sort(key=lambda p: (p[1], p[0]))
     chosen, norms, rows = [], [], []
@@ -167,10 +162,7 @@ def closest_vectors(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
     dx = [a - b for a, b in zip(x0, t)]
     bound = sum(di * sum(gij * dj for gij, dj in zip(gi, dx))
                 for di, gi in zip(dx, g))
-    if bound == 0:
-        return Fraction(0), [tuple(
-            la.vec_mat(list(map(int, x0)), u))]
-    found = _enumerate_gram(g, t, bound)
+    found = _enumerate_gram(red, t, bound)
     best = min(q for _, q in found)
     out = sorted(tuple(la.vec_mat(list(x), u)) for x, q in found if q == best)
     return best, out
@@ -220,7 +212,7 @@ def _coset_scan(lat: Lattice):
         bound = 4 * sum(di * sum(gij * dj for gij, dj in zip(gi, dx))
                         for di, gi in zip(dx, g))
         # minimize ||c + 2y||^2 = 4 ||y + c/2||^2 over y
-        found = _enumerate_gram(g, [-v for v in t], Fraction(bound, 4))
+        found = _enumerate_gram(red, [-v for v in t], Fraction(bound, 4))
         best = min(q for _, q in found)
         mins = [x for x, q in found if q == best]
         if len(mins) != 2:
@@ -259,15 +251,15 @@ def _covering_radius_bound(lat: Lattice):
     LLL-reduced basis of lat, as an exact Fraction.
 
     The GSO norms are ratios of leading principal minors,
-    ||b*_i||^2 = D_i / D_{i-1}; one fraction-free elimination of the integer
-    Gram G_int = d G leaves those minors of G_int on its diagonal (a positive
-    definite Gram never needs a row swap), so the sum is taken over d once.
+    ||b*_i||^2 = D_i / D_{i-1}, and the elimination of the integer Gram
+    G_int = d G that the reduced lattice caches holds the minors of G_int on
+    its diagonal, so the sum is taken over d once.
     """
-    g, d = lll_reduce(lat).int_gram
-    m = [list(row) for row in g]
-    la._bareiss(m, len(m))
-    minors = [1] + [m[i][i] for i in range(len(m))]
-    return sum(Fraction(b, a) for a, b in zip(minors, minors[1:])) / (4 * d)
+    red = lll_reduce(lat)
+    e = red._elimination
+    minors = [1] + [e[i][i] for i in range(len(e))]
+    return (sum(Fraction(b, a) for a, b in zip(minors, minors[1:]))
+            / (4 * red.int_gram[1]))
 
 
 def _deep_hole(lat: Lattice, max_rank):

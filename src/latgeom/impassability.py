@@ -116,7 +116,7 @@ def _validate_certificate(proj: Lattice, deep_hole, mu_sq, r) -> int:
     returns the number of points checked."""
     radius = math.sqrt(float(mu_sq)) + float(r) + 1.0
     bound_sq = Fraction(radius * radius).limit_denominator(10**9)
-    pts = _enumerate_gram(proj.gram(), list(deep_hole), bound_sq)
+    pts = _enumerate_gram(proj, list(deep_hole), bound_sq)
     for y, q in pts:
         if q < mu_sq:
             raise CertificateValidationError(

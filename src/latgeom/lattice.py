@@ -7,9 +7,8 @@ Gram matrix is rational, so squared lengths and squared determinants stay
 exact. Entries are read through ``_linalg._rational``, so float input is
 rationalized once, on construction. A ``Lattice`` is an immutable value, so
 its Gram matrix, that Gram's integer form ``(G_int, d)`` with
-``G = G_int / d``, and its squared determinant are computed once per value and
-cached; quadratic forms and determinants are evaluated in ``int`` against
-``G_int``.
+``G = G_int / d``, and one fraction-free elimination of ``G_int`` are computed
+once per value and cached; quadratic forms are evaluated in ``int``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .errors import (
 
 # Derived invariants that depend only on the basis and Gram; ``with_meta``
 # hands them to the new value.
-_CACHED = ("_gram", "int_gram", "_det_sq", "_memo")
+_CACHED = ("_gram", "int_gram", "_elimination", "_det_sq", "_memo")
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class Lattice:
             raise InvalidInputError("ragged basis")
         lat = Lattice(basis=tuple(rows), ambient_dim=n,
                       scale_sq=la._rational(scale_sq), meta=dict(meta or {}))
-        if lat.det_sq() <= 0:
+        if lat._elimination is None:
             raise InvalidLatticeError("basis vectors are linearly dependent")
         return lat
 
@@ -67,9 +66,13 @@ class Lattice:
     def from_gram(gram: Sequence[Sequence],
                   meta: Mapping[str, Any] | None = None) -> "Lattice":
         g = tuple(tuple(la._rational(x) for x in r) for r in gram)
+        if not g or any(len(r) != len(g) for r in g):
+            raise InvalidInputError("Gram matrix must be square and nonempty")
+        if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)):
+            raise InvalidLatticeError("Gram matrix is not symmetric")
         lat = Lattice(basis=None, ambient_dim=len(g), gram_override=g,
                       meta=dict(meta or {}))
-        if lat.det_sq() <= 0:
+        if lat._elimination is None:
             raise InvalidLatticeError("Gram matrix is not positive definite")
         return lat
 
@@ -99,9 +102,21 @@ class Lattice:
         return la.integer_form(self._gram)
 
     @functools.cached_property
+    def _elimination(self):
+        """Rows a_i of ``G_int`` after forward fraction-free elimination,
+        a_i[i] = D_{i+1} the leading minors (D_0 = 1), or None when the Gram
+        is not positive definite (Sylvester: some D_i <= 0; a zero one forces
+        a row exchange, after which the diagonal holds no minors)."""
+        e = [list(row) for row in self.int_gram[0]]
+        _, swaps, _ = la._bareiss(e, len(e))
+        if swaps or any(e[i][i] <= 0 for i in range(len(e))):
+            return None
+        return tuple(map(tuple, e))
+
+    @functools.cached_property
     def _det_sq(self):
-        g, d = self.int_gram
-        return Fraction(la.det_int(g), d ** self.rank)
+        return Fraction(self._elimination[-1][-1],
+                        self.int_gram[1] ** self.rank)
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -168,8 +183,10 @@ class Lattice:
         return meta
 
     def scaled(self, factor_sq) -> "Lattice":
-        """Lattice scaled by sqrt(factor_sq), factor_sq rational."""
+        """Lattice scaled by sqrt(factor_sq), factor_sq positive rational."""
         f = la._rational(factor_sq)
+        if f <= 0:
+            raise InvalidLatticeError("the scale factor must be positive")
         if self.gram_override is not None:
             g = tuple(tuple(f * x for x in row) for row in self.gram_override)
             return Lattice(None, self.ambient_dim, Fraction(1), g,
@@ -178,17 +195,16 @@ class Lattice:
                        self._scaled_meta(f))
 
     def transformed(self, u) -> "Lattice":
-        """Apply an integer change of basis (rows of u give new generators)."""
+        """Apply an integer change of basis (rows of u give new generators);
+        generators that are linearly dependent raise InvalidLatticeError."""
         meta = dict(self.meta)
         meta.pop("min_norm_sq", None)  # u need not be unimodular
         u = [list(r) for r in u]
         if self.gram_override is not None:
-            new_g = la.mat_mul(la.mat_mul(u, self.gram()), la.transpose(u))
-            return Lattice(None, self.ambient_dim, self.scale_sq,
-                           tuple(tuple(r) for r in new_g), meta)
-        rows = la.mat_mul(u, [list(r) for r in self.basis])
-        return Lattice(tuple(tuple(r) for r in rows), self.ambient_dim,
-                       self.scale_sq, None, meta)
+            return Lattice.from_gram(
+                la.mat_mul(la.mat_mul(u, self.gram()), la.transpose(u)), meta)
+        return Lattice.from_rows(la.mat_mul(u, [list(r) for r in self.basis]),
+                                 self.scale_sq, meta)
 
     # -- serialization -------------------------------------------------------
 

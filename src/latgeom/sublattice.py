@@ -266,14 +266,12 @@ def project_along(lat: Lattice, w: SublatticeWitness):
         w = saturate(lat, w)
     t = _completion(w)
     k = w.k
-    # re-base G_int = d G in ints; with its blocks G_ij, the projected Gram
-    # is the Schur complement (G22 - G21 G11^{-1} G12) / d
+    # re-base G_int = d G in ints; k fraction-free elimination steps leave
+    # D_k (G22 - G21 G11^{-1} G12) in the trailing block, D_k = det G11
     g, d = lat.int_gram
     gp = la.mat_mul(la.mat_mul(t, g), la.transpose(t))
-    x = la.mat_mul(la.inverse([row[:k] for row in gp[:k]]),
-                   [row[k:] for row in gp[:k]])
-    schur = [[(gij - la.dot(row[:k], col)) / d
-              for gij, col in zip(row[k:], zip(*x))] for row in gp[k:]]
+    _, _, dk = la._bareiss(gp, k)
+    schur = [[Fraction(x, dk * d) for x in row[k:]] for row in gp[k:]]
     out = Lattice.from_gram(schur)
     emb = _orthonormal_embedding(schur)
     return out.with_meta(projection_of=lat, witness=w,

@@ -154,7 +154,42 @@ def test_config_keeps_zero_flag(tmp_path, capsys):
                     "--k", "0")
     assert with_cfg == _run(capsys, "bounds", "--n", "4", "--k", "0")
     assert with_cfg != _run(capsys, "bounds", "--n", "4", "--k", "2")
-    assert json.loads(with_cfg[1])["cnk_upper"]["k"] == 0
+    # k = 0 is out of range, so the error names the k that was kept
+    assert "k=0" in json.loads(with_cfg[2])["message"]
+
+
+@pytest.mark.parametrize("k", ["-1", "0", "4"])
+def test_bounds_k_out_of_range_exit_2(capsys, k):
+    code, out, err = _run(capsys, "bounds", "--n", "4", "--k", k)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("k", ["-1", "0", "3"])
+def test_cylinder_k_out_of_range_exit_2(capsys, k):
+    code, out, err = _run(capsys, "cylinder", "--catalog", "D3", "--r", "1/4",
+                          "--k", k)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("verb", ["lattice-info", "svp", "cover"])
+@pytest.mark.parametrize("gram", [
+    [[-1, 0], [0, -1]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+])
+def test_indefinite_gram_exit_2(tmp_path, capsys, verb, gram):
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps({"gram": gram}))
+    code, out, err = _run(capsys, verb, "--basis", str(f))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidLatticeError"
+
+
+def test_zero_scale_exit_2(capsys):
+    code, out, err = _run(capsys, "svp", "--catalog", "Z2", "--scale", "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidLatticeError"
 
 
 def test_cylinder_error_exit_codes(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import latgeom._linalg as la
@@ -201,10 +201,46 @@ def _brute_force(g, center, bound):
        st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 3, 4, 10])))
 def test_enumerate_gram_matches_fraction_evaluation(gc, bound):
     g, center = gc
-    found = _enumerate_gram(g, center, bound)
+    found = _enumerate_gram(Lattice.from_gram(g), center, bound)
     assert len(found) == len({x for x, _ in found})
     assert dict(found) == _brute_force(g, center, bound)
     assert all(isinstance(q, Fraction) for _, q in found)
+
+
+@st.composite
+def _skewed_gram_and_center(draw):
+    """(G0, T, center) for G = T G0 T^T: G0 and the center as above, T
+    lower unitriangular with multipliers up to 10^8. G is unreduced, with
+    huge entries and a condition number up to about 10^32, but it has the
+    leading minors of G0, so the enumeration tree stays as small as G0's."""
+    g0, center = draw(_rational_gram_and_center())
+    n = len(g0)
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        j, i = sorted(draw(st.permutations(range(n)))[:2])
+        f = draw(st.integers(-10**8, 10**8))
+        t[i] = [a + f * b for a, b in zip(t[i], t[j])]
+    return g0, t, center
+
+
+@settings(max_examples=60, deadline=None)
+@given(_skewed_gram_and_center(),
+       st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 3, 4, 10])))
+# in floats 10^16 + 1 - (10^8)^2 is 0, a zero Cholesky pivot
+@example(([[1, 0], [0, 1]], [[1, 0], [10**8, 1]],
+          [Fraction(1, 2), Fraction(-1, 3)]), Fraction(3))
+def test_enumerate_gram_exact_on_ill_conditioned_grams(inputs, bound):
+    g0, t, center = inputs
+    g = la.mat_mul(la.mat_mul(t, g0), la.transpose(t))
+    found = _enumerate_gram(Lattice.from_gram(g), center, bound)
+    # brute force over y = x T, in the box of the well-conditioned G0
+    tinv = la.inverse(t)
+    want = {}
+    for y in _brute_force(g0, la.vec_mat(center, t), bound):
+        x = tuple(int(v) for v in la.vec_mat(list(y), tinv))
+        want[x] = _form(g, [a - b for a, b in zip(x, center)])
+    assert dict(found) == want
+    assert [x for x, _ in found] == sorted(want, key=lambda x: x[::-1])
 
 
 @settings(max_examples=60, deadline=None)

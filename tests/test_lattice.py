@@ -32,6 +32,36 @@ def test_from_gram_positive_definite_required():
         Lattice.from_gram([[1, 2], [2, 1]])
 
 
+# det > 0 but not positive definite: -I_2, and diag(H, H) with
+# H = [[0, 1], [1, 0]], whose zero leading minor forces a row exchange after
+# which every pivot is positive
+@pytest.mark.parametrize("gram", [
+    [[-1, 0], [0, -1]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    [[1, 0, 0], [0, -2, 0], [0, 0, -3]],
+])
+def test_from_gram_rejects_indefinite_with_positive_det(gram):
+    assert la.det(gram) > 0
+    with pytest.raises(InvalidLatticeError):
+        Lattice.from_gram(gram)
+
+
+@pytest.mark.parametrize("gram", [[], [[1, 2]], [[1], [0, 1]]])
+def test_from_gram_rejects_non_square(gram):
+    with pytest.raises(InvalidInputError):
+        Lattice.from_gram(gram)
+
+
+def test_from_gram_rejects_asymmetric():
+    with pytest.raises(InvalidLatticeError):
+        Lattice.from_gram([[1, 2], [0, 1]])
+
+
+def test_scaled_rejects_zero_factor():
+    with pytest.raises(InvalidLatticeError):
+        catalog("Z", 2).scaled(0)
+
+
 def test_determinant_exact_symbolic():
     lat = Lattice.from_rows([[1, 0], [0, 1]], scale_sq=2)
     # each basis vector scaled by sqrt(2), so D = 2
@@ -166,6 +196,9 @@ def test_transformed_sublattice():
     sub = lat.transformed([[2, 0], [0, 1]])
     assert sub.det_sq() == 4
     assert "min_norm_sq" not in sub.meta
+    for base in (lat, Lattice.from_gram(lat.gram())):
+        with pytest.raises(InvalidLatticeError):
+            base.transformed([[1, 1], [2, 2]])
 
 
 def test_float_rows_are_rationalized():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import latgeom._linalg as la
@@ -101,3 +101,17 @@ def test_rational_reads_numbers(x, want):
 def test_rational_rejects_non_numbers(x):
     with pytest.raises(InvalidInputError):
         la._rational(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=1,
+    max_size=m)))
+def test_integer_right_inverse(rows):
+    assume(la.rank(rows) == len(rows))
+    sat = la.saturation(rows)
+    k = len(sat)
+    assert la.mat_mul(sat, la.integer_right_inverse(sat)) == \
+        [[int(i == j) for j in range(k)] for i in range(k)]
+    if not la._saturated(rows):
+        assert la.integer_right_inverse(rows) is None

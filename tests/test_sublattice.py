@@ -133,7 +133,8 @@ def test_project_along_keeps_cached_invariants():
     lat = catalog("D", 4)
     _, w = dk_min(lat, 1)
     proj = project_along(lat, w)
-    assert {"_gram", "int_gram", "_det_sq"} <= set(vars(proj))
+    # the squared determinant is read off the cached elimination
+    assert {"_gram", "int_gram", "_elimination"} <= set(vars(proj))
 
 
 def _saturate_every_subset(lat, k, det_bound):
@@ -208,6 +209,30 @@ def test_enumerate_matches_saturating_every_subset(inputs):
     assert all(w.saturated and w.k == k for w in got)
     assert [(w.det_sq, w.coeffs) for w in got] == \
         _saturate_every_subset(lat, k, det_bound)
+
+
+def _fraction_schur(lat, t, k):
+    """Reference projected Gram: the Schur complement of the sublattice
+    block of T G T^T, through its inverse, in Fractions."""
+    gp = la.mat_mul(la.mat_mul(t, lat.gram()), la.transpose(t))
+    x = la.mat_mul(la.inverse([row[:k] for row in gp[:k]]),
+                   [row[k:] for row in gp[:k]])
+    return [[gij - la.dot(row[:k], col) for gij, col in zip(row[k:], zip(*x))]
+            for row in gp[k:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_search_inputs(), st.builds(Fraction, st.integers(1, 9),
+                                   st.sampled_from([1, 2, 3, 7])))
+def test_project_along_matches_fraction_schur_complement(inputs, scale):
+    # witnesses as the sublattice search hands them to project_along, on a
+    # Gram with denominators
+    lat, k, det_bound = inputs
+    lat = lat.scaled(scale ** 2)
+    for w in enumerate_sublattices(lat, k, det_bound * scale ** k)[:4]:
+        proj = project_along(lat, w)
+        t = [list(r) for r in proj.meta["completion"]]
+        assert proj.gram() == _fraction_schur(lat, t, k)
 
 
 def test_search_saturates_each_span_once(monkeypatch):
