@@ -186,6 +186,26 @@ def inverse(a):
     return _gauss_jordan(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def add_independent(echelon, row):
+    """Append the int ``row`` to ``echelon`` unless it lies in the span of
+    the rows already there; returns whether it was appended.
+
+    ``echelon`` holds the (pivot column, primitive row) pairs this function
+    appends, each reduced fraction-free against the earlier ones; a row that
+    reduces to zero is dependent. Pop the last pair to undo an append."""
+    for c, e in echelon:
+        f = row[c]
+        if f:
+            p = e[c]
+            row = [p * x - f * y for x, y in zip(row, e)]
+    if not any(row):
+        return False
+    g = math.gcd(*row)
+    echelon.append((next(c for c, x in enumerate(row) if x),
+                    [x // g for x in row]))
+    return True
+
+
 def affine_rank(points):
     """Dimension of the affine hull of a list of points."""
     if len(points) <= 1:

@@ -237,11 +237,18 @@ def cmd_project(args):
     else:
         raise InvalidInputError("project requires --witness or --k")
     proj = sub.project_along(lat, w)
+    g = proj.gram()
+    # row i of the transposed Cholesky factor: basis vector i in floats
+    try:
+        r = la.float_cholesky([[float(x) for x in row] for row in g])
+    except ValueError:
+        raise CapabilityError("the float embedding of the projection lost "
+                              "positive definiteness to rounding") from None
     return {
         "witness": w.to_dict(),
-        "gram": [[str(x) for x in row] for row in proj.gram()],
+        "gram": [[str(x) for x in row] for row in g],
         "determinant": _num(proj.determinant()),
-        "embedding": [list(r) for r in proj.meta["embedding"]],
+        "embedding": la.transpose(r),
     }
 
 

@@ -2,10 +2,10 @@
 minima, Voronoi-relevant vectors, Dirichlet-Voronoi cells, covering radii,
 and packing/covering densities.
 
-All enumeration happens in coefficient space against the rational Gram
-matrix, in integers: the branch bounds come from the fraction-free
-elimination of the integer Gram that each lattice value caches, so every
-pruning decision and every reported norm is exact.
+All enumeration runs in integers on the LLL-reduced basis, computed once
+per lattice value: the branch bounds come from the fraction-free
+elimination of its integer Gram, and norms are ints over one denominator,
+so every pruning decision and every reported norm is exact.
 """
 
 from __future__ import annotations
@@ -36,9 +36,27 @@ def _check_rank(lat: Lattice, cap: int, what: str):
             f"(raise the cap explicitly to override)")
 
 
+def _once(lat: Lattice, key, compute):
+    """Result of ``compute()`` for this lattice value, computed on the first
+    request and kept on the value; results must not be edited."""
+    memo = lat._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _reduced(lat: Lattice):
+    """(red, U): the LLL reduction of lat, computed once per lattice value,
+    and its transform U, which maps red's coordinates to lat's."""
+    red = _once(lat, "reduced", lambda: lll_reduce(lat))
+    return red, red.meta["reduction_transform"]
+
+
 def _enumerate_gram(lat: Lattice, center, bound_sq):
     """All integer x with (x - center)^T G (x - center) <= bound_sq, G the
-    Gram of lat, as (x, norm_sq) pairs, in ints throughout.
+    Gram of lat, as (x, q, den) triples, in ints throughout: the squared
+    distance of x is q / den, with one den for the whole list, so distances
+    compare as ints.
 
     With G = G_int / d, c the lcm of the center's denominators and
     z = c x - c center, the form is sum_i (a_i . z)^2 / (d c^2 D_i D_{i+1})
@@ -56,14 +74,15 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     pairs = [a * b for a, b in zip(minors, minors[1:])]
     scale = math.lcm(*pairs)
     w = [scale // p for p in pairs]
-    limit = math.floor(Fraction(bound_sq) * d * c * c * scale)
+    den = d * c * c * scale
+    limit = math.floor(Fraction(bound_sq) * den)
     x = [0] * m
     z = [0] * m
     results = []
 
     def rec(i, left):
         if i < 0:
-            results.append((tuple(x), limit - left))
+            results.append((tuple(x), limit - left, den))
             return
         a, wi, cti = e[i], w[i], ct[i]
         s = sum(a[j] * z[j] for j in range(i + 1, m))
@@ -78,72 +97,73 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
 
     if limit >= 0:
         rec(m - 1, limit)
-    den = d * c * c * scale
-    return [(xs, Fraction(q, den)) for xs, q in results]
+    return results
 
 
-def vectors_within(lat: Lattice, bound_sq, include_zero=False,
-                   max_rank=MAX_ENUM_RANK):
-    """All lattice vectors with squared norm <= bound_sq, as (coeffs, norm_sq)
-    pairs in the original basis, sorted by (norm_sq, coeffs)."""
+def _nearest(red: Lattice, t):
+    """The points of red nearest to the rational target t (Fractions, in
+    red's coordinates), in enumeration order, and their squared distance
+    q / den, as (points, q, den).
+
+    Babai's rounding of t is a lattice point, so its squared distance,
+    formed in ints against G_int over d c^2 with c the lcm of t's
+    denominators, bounds the search.
+    """
+    g, d = red.int_gram
+    c = math.lcm(*(v.denominator for v in t))
+    dz = [round(v) * c - v.numerator * (c // v.denominator) for v in t]
+    bound = Fraction(sum(a * la.dot(row, dz) for a, row in zip(dz, g)),
+                     d * c * c)
+    found = _enumerate_gram(red, t, bound)
+    best = min(q for _, q, _ in found)
+    return [x for x, q, _ in found if q == best], best, found[0][2]
+
+
+def vectors_within(lat: Lattice, bound_sq, max_rank=MAX_ENUM_RANK):
+    """All nonzero lattice vectors with squared norm <= bound_sq, as
+    (coeffs, norm_sq) pairs in the original basis, sorted by
+    (norm_sq, coeffs)."""
     _check_rank(lat, max_rank, "enumeration")
-    red = lll_reduce(lat)
-    u = red.meta["reduction_transform"]
-    found = _enumerate_gram(red, [0] * lat.rank, bound_sq)
-    out = []
-    for x, q in found:
-        if not include_zero and all(v == 0 for v in x):
-            continue
-        orig = tuple(la.vec_mat(list(x), [list(row) for row in u]))
-        out.append((orig, q))
-    out.sort(key=lambda p: (p[1], p[0]))
-    return out
+    red, u = _reduced(lat)
+    found = sorted((q, tuple(la.vec_mat(x, u)), den) for x, q, den
+                   in _enumerate_gram(red, [0] * lat.rank, bound_sq) if any(x))
+    return [(v, Fraction(q, den)) for q, v, den in found]
+
+
+def _nonzero_within(red: Lattice, bound_sq):
+    """The nonzero points of red up to bound_sq, as (q, x, den) sorted by
+    (q, x): the norm q / den first, ties on reduced coordinates."""
+    return sorted((q, x, den) for x, q, den
+                  in _enumerate_gram(red, [0] * red.rank, bound_sq) if any(x))
 
 
 def shortest_vectors(lat: Lattice, max_rank=MAX_ENUM_RANK):
     """(lambda_1 squared, canonical coefficient vectors of all minimal
     vectors, one per +- pair, sorted lexicographically)."""
     _check_rank(lat, max_rank, "enumeration")
-    red = lll_reduce(lat)
-    u = red.meta["reduction_transform"]
-    g = red.gram()
-    m = lat.rank
-    bound = min(g[i][i] for i in range(m))
-    best = bound
-    found = _enumerate_gram(red, [0] * m, bound)
-    for x, q in found:
-        if any(x) and q < best:
-            best = q
-    mins = set()
-    for x, q in found:
-        if any(x) and q == best:
-            orig = tuple(la.vec_mat(list(x), [list(row) for row in u]))
-            mins.add(la._canonical_sign(orig))
-    return best, sorted(mins)
+    red, u = _reduced(lat)
+    found = _nonzero_within(red, min(red._gram[i][i] for i in range(lat.rank)))
+    best, _, den = found[0]
+    mins = {la._canonical_sign(la.vec_mat(x, u))
+            for q, x, _ in found if q == best}
+    return Fraction(best, den), sorted(mins)
 
 
 def successive_minima(lat: Lattice, max_rank=MAX_ENUM_RANK):
     """Squared successive minima lambda_k^2 with achieving linearly
-    independent coefficient vectors: (list of norm_sq, list of coeffs)."""
+    independent coefficient vectors: (list of norm_sq, list of coeffs).
+    Ties go to the least vector in reduced coordinates."""
     _check_rank(lat, max_rank, "enumeration")
-    red = lll_reduce(lat)
-    u = red.meta["reduction_transform"]
-    g = red.gram()
-    m = lat.rank
-    bound = max(g[i][i] for i in range(m))
-    vecs = _enumerate_gram(red, [0] * m, bound)
-    vecs = [(x, q) for x, q in vecs if any(x)]
-    vecs.sort(key=lambda p: (p[1], p[0]))
-    chosen, norms, rows = [], [], []
-    for x, q in vecs:
-        if la.rank(rows + [x]) > len(rows):
-            rows.append(x)
-            orig = tuple(la.vec_mat(list(x), [list(row) for row in u]))
-            chosen.append(la._canonical_sign(orig))
-            norms.append(q)
-        if len(chosen) == m:
-            break
-    assert len(chosen) == m  # LLL diagonal bounds guarantee this
+    red, u = _reduced(lat)
+    chosen, norms, echelon = [], [], []
+    for q, x, den in _nonzero_within(
+            red, max(red._gram[i][i] for i in range(lat.rank))):
+        if la.add_independent(echelon, x):
+            chosen.append(la._canonical_sign(la.vec_mat(x, u)))
+            norms.append(Fraction(q, den))
+            if len(chosen) == lat.rank:
+                break
+    assert len(chosen) == lat.rank  # LLL diagonal bounds guarantee this
     return norms, chosen
 
 
@@ -151,21 +171,11 @@ def closest_vectors(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
     """Closest lattice vectors to a target given by (rational) coefficients
     in the lattice basis: (dist_sq, sorted list of coefficient vectors)."""
     _check_rank(lat, max_rank, "enumeration")
-    red = lll_reduce(lat)
-    u = [list(row) for row in red.meta["reduction_transform"]]
-    g = red.gram()
+    red, u = _reduced(lat)
     # target in reduced coordinates: t_red = t . u^{-1}
-    uinv = la.inverse(u)
-    t = la.vec_mat([la._rational(c) for c in target_coeffs], uinv)
-    # Babai rounding gives an initial radius
-    x0 = [round(c) for c in t]
-    dx = [a - b for a, b in zip(x0, t)]
-    bound = sum(di * sum(gij * dj for gij, dj in zip(gi, dx))
-                for di, gi in zip(dx, g))
-    found = _enumerate_gram(red, t, bound)
-    best = min(q for _, q in found)
-    out = sorted(tuple(la.vec_mat(list(x), u)) for x, q in found if q == best)
-    return best, out
+    t = la.vec_mat([la._rational(c) for c in target_coeffs], la.inverse(u))
+    mins, best, den = _nearest(red, t)
+    return Fraction(best, den), sorted(tuple(la.vec_mat(x, u)) for x in mins)
 
 
 def closest_vector(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
@@ -173,15 +183,6 @@ def closest_vector(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
     coefficient vector."""
     d, vs = closest_vectors(lat, target_coeffs, max_rank=max_rank)
     return d, vs[0]
-
-
-def _once(lat: Lattice, key, compute):
-    """Result of ``compute()`` for this lattice value, computed on the first
-    request and kept on the value; results must be immutable."""
-    memo = lat._memo
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
 
 
 def relevant_vectors(lat: Lattice, max_rank=MAX_VORONOI_RANK):
@@ -197,36 +198,30 @@ def relevant_vectors(lat: Lattice, max_rank=MAX_VORONOI_RANK):
 
 
 def _coset_scan(lat: Lattice):
-    red = lll_reduce(lat)
-    u = [list(row) for row in red.meta["reduction_transform"]]
-    g = red.gram()
-    m = lat.rank
-    half = Fraction(1, 2)
+    # ||b + 2y||^2 = 4 ||y + b/2||^2: the minimizers of the coset b + 2L are
+    # b + 2y for the points y nearest to -b/2
+    red, u = _reduced(lat)
     out = []
-    for bits in itertools.product((0, 1), repeat=m):
+    for bits in itertools.product((0, 1), repeat=lat.rank):
         if not any(bits):
             continue
-        t = [half * b for b in bits]
-        x0 = [round(c) for c in t]
-        dx = [a - b for a, b in zip(x0, t)]
-        bound = 4 * sum(di * sum(gij * dj for gij, dj in zip(gi, dx))
-                        for di, gi in zip(dx, g))
-        # minimize ||c + 2y||^2 = 4 ||y + c/2||^2 over y
-        found = _enumerate_gram(red, [-v for v in t], Fraction(bound, 4))
-        best = min(q for _, q in found)
-        mins = [x for x, q in found if q == best]
-        if len(mins) != 2:
-            continue
-        v = [b + 2 * y for b, y in zip(bits, mins[0])]
-        out.append(la._canonical_sign(tuple(la.vec_mat(v, u))))
+        mins, _, _ = _nearest(red, [Fraction(-b, 2) for b in bits])
+        if len(mins) == 2:
+            v = [b + 2 * y for b, y in zip(bits, mins[0])]
+            out.append(la._canonical_sign(la.vec_mat(v, u)))
     return tuple(sorted(out))
 
 
 def voronoi_cell(lat: Lattice, max_rank=MAX_VORONOI_RANK):
     """Dirichlet-Voronoi cell in coefficient coordinates, carrying the Gram
-    matrix as its metric so volumes and norms come out right."""
-    from .polytope import Polytope
+    matrix as its metric so volumes and norms come out right; built once
+    per lattice value, so its vertices are found once."""
     rel = relevant_vectors(lat, max_rank=max_rank)
+    return _once(lat, "voronoi_cell", lambda: _cell(lat, rel))
+
+
+def _cell(lat: Lattice, rel):
+    from .polytope import Polytope
     g = lat.gram()
     rows, b = [], []
     for v in rel:
@@ -255,7 +250,7 @@ def _covering_radius_bound(lat: Lattice):
     G_int = d G that the reduced lattice caches holds the minors of G_int on
     its diagonal, so the sum is taken over d once.
     """
-    red = lll_reduce(lat)
+    red, _ = _reduced(lat)
     e = red._elimination
     minors = [1] + [e[i][i] for i in range(len(e))]
     return (sum(Fraction(b, a) for a, b in zip(minors, minors[1:]))

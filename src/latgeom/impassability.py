@@ -117,11 +117,11 @@ def _validate_certificate(proj: Lattice, deep_hole, mu_sq, r) -> int:
     radius = math.sqrt(float(mu_sq)) + float(r) + 1.0
     bound_sq = Fraction(radius * radius).limit_denominator(10**9)
     pts = _enumerate_gram(proj, list(deep_hole), bound_sq)
-    for y, q in pts:
-        if q < mu_sq:
+    for y, q, den in pts:
+        if q < mu_sq * den:
             raise CertificateValidationError(
-                f"lattice point {y} is at squared distance {q} < mu^2 = "
-                f"{mu_sq} from the deep hole")
+                f"lattice point {y} is at squared distance {Fraction(q, den)}"
+                f" < mu^2 = {mu_sq} from the deep hole")
     return len(pts)
 
 

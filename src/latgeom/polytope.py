@@ -139,19 +139,17 @@ def _cone_extreme_rays(normals):
     norm_int = [_primitive_int(nv) for nv in normals]
     # start with d linearly independent normals forming a simplicial cone,
     # then add the rest one at a time.
-    idx = []
-    mat = []
+    idx, echelon = [], []
     for i, nv in enumerate(norm_int):
-        if la.rank(mat + [list(nv)]) > len(mat):
-            mat.append(list(nv))
+        if la.add_independent(echelon, nv):
             idx.append(i)
-        if len(mat) == d:
-            break
-    if len(mat) < d:
+            if len(idx) == d:
+                break
+    if len(idx) < d:
         raise UnboundedBodyError("cone has a lineality space (not pointed)")
-    inv = la.inverse(mat)
-    # rays of the simplicial cone {x : mat x <= 0}: the columns of -mat^{-1};
-    # column c is tight at every row of mat but row c
+    inv = la.inverse([norm_int[i] for i in idx])
+    # rays of the simplicial cone {x : M x <= 0}, M the chosen normals: the
+    # columns of -M^{-1}; column c is tight at every row of M but row c
     rays = [_primitive_int([-row[c] for row in inv]) for c in range(d)]
     masks = [((1 << d) - 1) ^ (1 << c) for c in range(d)]
     chosen = set(idx)
@@ -263,8 +261,8 @@ class Polytope:
     _a: list | None = None
     _b: list | None = None
     _verts: list | None = None
-    metric: list | None = None  # rational SPD Gram of the coordinate basis
-    _canonical: bool = False  # _verts known to be exactly the extreme points
+    metric: tuple | None = None  # rational SPD Gram of the coordinate basis
+    _canonical: bool = False  # _verts known to be the sorted extreme points
     # face lattice: facet masks over the sorted vertices, and face -> facets
     _facets: list | None = field(default=None, repr=False)
     _below: dict = field(default_factory=dict, repr=False)
@@ -278,7 +276,7 @@ class Polytope:
         b = [la._rational(x) for x in b_vals]
         if any(len(r) != len(a[0]) for r in a) or len(b) != len(a):
             raise DimensionMismatchError("inconsistent H-description shapes")
-        m = [[la._rational(x) for x in row] for row in metric] if metric else None
+        m = tuple(tuple(map(la._rational, r)) for r in metric) if metric else None
         return Polytope(_a=a, _b=b, metric=m)
 
     @staticmethod
@@ -286,7 +284,7 @@ class Polytope:
         v = [tuple(la._rational(x) for x in p) for p in verts]
         if any(len(p) != len(v[0]) for p in v):
             raise DimensionMismatchError("inconsistent vertex shapes")
-        m = [[la._rational(x) for x in row] for row in metric] if metric else None
+        m = tuple(tuple(map(la._rational, r)) for r in metric) if metric else None
         return Polytope(_verts=list(dict.fromkeys(v)), metric=m)
 
     @property
@@ -301,20 +299,24 @@ class Polytope:
     # -- conversions ---------------------------------------------------------
 
     def vertices(self):
-        if self._verts is None:
-            self._verts = _vertices_from_halfspaces(self._a, self._b)
-            self._canonical = True
+        """The vertices, sorted; a fresh list on every call."""
         if not self._canonical:
-            # constructor points may include non-extreme ones; a point is a
-            # vertex iff the rows tight at it are tight at no other point
-            masks = _tight_masks(self._verts, *self.halfspaces())
-            meets = [functools.reduce(operator.and_,
-                                      [m for m in masks if m >> j & 1], -1)
-                     for j in range(len(self._verts))]
-            self._verts = [v for j, v in enumerate(self._verts)
-                           if meets[j] == 1 << j]
+            if self._verts is None:
+                verts = _vertices_from_halfspaces(self._a, self._b)
+            else:
+                # constructor points may include non-extreme ones; a point is
+                # a vertex iff the rows tight at it are tight at no other one
+                masks = _tight_masks(self._verts, *self.halfspaces())
+                meets = [functools.reduce(operator.and_,
+                                          [m for m in masks if m >> j & 1], -1)
+                         for j in range(len(self._verts))]
+                verts = [v for j, v in enumerate(self._verts)
+                         if meets[j] == 1 << j]
+            # over one common denominator, ints sort as the Fractions do
+            ints, _ = la.integer_form(verts)
+            self._verts = [v for _, v in sorted(zip(ints, verts))]
             self._canonical = True
-        return sorted(self._verts)
+        return list(self._verts)
 
     def halfspaces(self):
         if self._a is None:

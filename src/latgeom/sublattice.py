@@ -175,23 +175,14 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
             if nodes > node_budget:
                 raise CapabilityError(
                     f"sublattice search exceeded the node budget {node_budget}")
-            row = coeff_rows[i]
-            for c, e in echelon:
-                f = row[c]
-                if f:
-                    p = e[c]
-                    row = [p * x - f * y for x, y in zip(row, e)]
-            if not any(row):
+            if not la.add_independent(echelon, coeff_rows[i]):
                 continue  # dependent on the chosen vectors
             chosen.append(i)
             if remaining == 1:
                 leaf()
             else:
-                g = math.gcd(*row)
-                row = [x // g for x in row]
-                echelon.append((next(c for c, x in enumerate(row) if x), row))
                 dfs(i + 1, prod * norms[i])
-                echelon.pop()
+            echelon.pop()
             chosen.pop()
 
     dfs(0, 1)
@@ -248,23 +239,18 @@ def dk_min(lat: Lattice, k: int, det_bound=None, max_rank=12,
     return best.det_sq, best
 
 
-def _completion(w: SublatticeWitness):
-    return la.complete_to_unimodular([list(r) for r in w.coeffs])
-
-
 def project_along(lat: Lattice, w: SublatticeWitness):
     """Projection of L onto the orthocomplement of lin(W).
 
     Returns a rank (n-k) Lattice carrying the exact Gram of the projected
     basis (the Schur complement of the sublattice block in the re-based
     Gram), so D(projection) * det(W) = D(L) holds exactly. The coefficient
-    basis is the image of a unimodular completion of W's rows; its float
-    coordinates in an orthonormal basis of the orthocomplement are attached
-    as meta["embedding"] for serialization.
+    basis is the image of a unimodular completion of W's rows, attached as
+    meta["completion"].
     """
     if not w.saturated:
         w = saturate(lat, w)
-    t = _completion(w)
+    t = la.complete_to_unimodular([list(r) for r in w.coeffs])
     k = w.k
     # re-base G_int = d G in ints; k fraction-free elimination steps leave
     # D_k (G22 - G21 G11^{-1} G12) in the trailing block, D_k = det G11
@@ -272,18 +258,5 @@ def project_along(lat: Lattice, w: SublatticeWitness):
     gp = la.mat_mul(la.mat_mul(t, g), la.transpose(t))
     _, _, dk = la._bareiss(gp, k)
     schur = [[Fraction(x, dk * d) for x in row[k:]] for row in gp[k:]]
-    out = Lattice.from_gram(schur)
-    emb = _orthonormal_embedding(schur)
-    return out.with_meta(projection_of=lat, witness=w,
-                         completion=tuple(tuple(r) for r in t),
-                         embedding=tuple(tuple(r) for r in emb))
-
-
-def _orthonormal_embedding(g):
-    """Float coordinates of the Gram's basis in an orthonormal frame.
-
-    Cholesky with positive diagonal fixes the frame deterministically: row i
-    (basis vector i) is lower triangular with positive i-th entry.
-    """
-    r = la.float_cholesky([[float(x) for x in row] for row in g])
-    return la.transpose(r)  # row i = coordinates of basis vector i
+    return Lattice.from_gram(schur).with_meta(
+        projection_of=lat, witness=w, completion=tuple(tuple(r) for r in t))

@@ -115,6 +115,15 @@ def test_project_witness(capsys):
     assert d["gram"] == [["3", "1"], ["1", "3"]]
 
 
+def test_project_embedding_failure_exit_1(capsys):
+    # the exact projected Gram is positive definite, but its entries near
+    # 2.8 * 10^20 defeat the float Cholesky factor of the printed embedding
+    code, out, err = _run(capsys, "project", "--catalog", "Z5", "--witness",
+                          "[[0, 2, -3, 1, 1], [2, 2, 0, 1, 0], [2, 0, -1, 2, 2]]")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "CapabilityError"
+
+
 def test_invalid_input_exit_2(capsys):
     code, out, err = _run(capsys, "dk", "--catalog", "Z", "--n", "4")
     assert code == 2

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import latgeom._linalg as la
-from latgeom import enumeration
+from latgeom import enumeration, polytope
 from latgeom.cli import run
 from latgeom.enumeration import (_enumerate_gram, closest_vector,
                                  closest_vectors, covering_density,
@@ -202,9 +202,11 @@ def _brute_force(g, center, bound):
 def test_enumerate_gram_matches_fraction_evaluation(gc, bound):
     g, center = gc
     found = _enumerate_gram(Lattice.from_gram(g), center, bound)
-    assert len(found) == len({x for x, _ in found})
-    assert dict(found) == _brute_force(g, center, bound)
-    assert all(isinstance(q, Fraction) for _, q in found)
+    assert len(found) == len({x for x, _, _ in found})
+    assert len({den for _, _, den in found}) <= 1
+    assert all(isinstance(q, int) for _, q, _ in found)
+    assert {x: Fraction(q, den) for x, q, den in found} == \
+        _brute_force(g, center, bound)
 
 
 @st.composite
@@ -239,8 +241,8 @@ def test_enumerate_gram_exact_on_ill_conditioned_grams(inputs, bound):
     for y in _brute_force(g0, la.vec_mat(center, t), bound):
         x = tuple(int(v) for v in la.vec_mat(list(y), tinv))
         want[x] = _form(g, [a - b for a, b in zip(x, center)])
-    assert dict(found) == want
-    assert [x for x, _ in found] == sorted(want, key=lambda x: x[::-1])
+    assert {x: Fraction(q, den) for x, q, den in found} == want
+    assert [x for x, _, _ in found] == sorted(want, key=lambda x: x[::-1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,6 +270,36 @@ def test_cached_invariants_are_not_aliased():
     assert relevant_vectors(lat) == rel and len(rel) == 12
     mu_sq, hole = covering_radius(lat)
     assert isinstance(hole, tuple) and covering_radius(lat) == (mu_sq, hole)
+
+
+def test_voronoi_cell_is_built_once(monkeypatch):
+    calls = []
+    dd = polytope._vertices_from_halfspaces
+    monkeypatch.setattr(polytope, "_vertices_from_halfspaces",
+                        lambda a, b: calls.append(a) or dd(a, b))
+    lat = catalog("D", 4)
+    verts = voronoi_cell(lat).vertices()
+    _, hole = covering_radius(lat)
+    assert voronoi_cell(lat) is voronoi_cell(lat.with_meta(tag=1))
+    assert len(calls) == 1 and hole in verts and len(verts) == 24
+
+
+def test_cached_cell_lists_are_not_aliased():
+    lat = catalog("A", 3)
+    cell = voronoi_cell(lat)
+    verts, (a, b) = cell.vertices(), cell.halfspaces()
+    want = (list(verts), [list(r) for r in a], list(b))
+    verts.reverse()
+    verts.append((Fraction(9),) * 3)
+    a[0][0] = Fraction(99)
+    a.pop()
+    b[0] = Fraction(-1)
+    with pytest.raises(TypeError):
+        cell.metric[0][0] = Fraction(99)
+    cell = voronoi_cell(lat)
+    assert (cell.vertices(), *cell.halfspaces()) == want
+    assert cell.volume() == 2  # det(A3) = 2
+    assert want[0] == sorted(want[0]) and len(want[0]) == 14
 
 
 @pytest.mark.parametrize("verb", ["cover", "voronoi"])

@@ -115,3 +115,24 @@ def test_integer_right_inverse(rows):
         [[int(i == j) for j in range(k)] for i in range(k)]
     if not la._saturated(rows):
         assert la.integer_right_inverse(rows) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1,
+    max_size=8)), st.integers(0, 7))
+def test_add_independent_matches_rank(rows, dup):
+    # the echelon keeps exactly the rows that raise the rank of those kept
+    rows.insert(dup % len(rows), rows[-1])  # a repeated row is dependent
+    echelon, kept = [], []
+    for row in rows:
+        grew = la.rank(kept + [row]) > len(kept)
+        assert la.add_independent(echelon, row) == grew
+        if grew:
+            kept.append(row)
+    assert len(echelon) == len(kept) == la.rank(rows)
+    for c, e in echelon:
+        assert e[c] and not any(e[:c]) and np.gcd.reduce(e) == 1
+    if kept:  # popping the last pair undoes its append
+        echelon.pop()
+        assert la.add_independent(echelon, kept[-1])

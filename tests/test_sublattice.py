@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import latgeom._linalg as la
 import latgeom.sublattice as sub
+from latgeom.cli import run
 from latgeom.enumeration import kappa, shortest_vectors, vectors_within
 from latgeom.errors import CapabilityError, InvalidInputError
 from latgeom.lattice import Lattice, catalog
@@ -117,12 +119,12 @@ def test_project_auto_saturates():
     assert proj.det_sq() == 1
 
 
-def test_project_embedding_matches_gram():
-    lat = catalog("A", 3)
-    w = witness(lat, [[1, 0, 0]])
-    proj = project_along(lat, w)
-    emb = proj.meta["embedding"]
-    g = proj.gram()
+def test_project_embedding_matches_gram(capsys):
+    # the float embedding is formed only where it is printed, by the CLI
+    assert run(["project", "--catalog", "A3", "--witness", "[[1, 0, 0]]"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    emb = d["embedding"]
+    g = [[Fraction(x) for x in row] for row in d["gram"]]
     for i, ri in enumerate(emb):
         for j, rj in enumerate(emb):
             dot = sum(a * b for a, b in zip(ri, rj))

@@ -1,0 +1,36 @@
+"""The benchmark tracer must still install: it rebinds every latgeom alias
+it requires (``cli.lll_reduce``, ``impassability.vectors_within``, ...), so
+an import that looks unused in the library may be one the tracer needs."""
+
+import importlib.util
+from pathlib import Path
+
+from latgeom import cli, enumeration, lattice
+from latgeom.lattice import catalog
+
+_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("bench_tracer", _PATH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_installs_and_counts():
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        assert cli.lll_reduce._bench_traced
+        tracer.active = True
+        enumeration.shortest_vectors(catalog("D", 4))
+        tracer.active = False
+        summary = tracer.summary()
+        assert summary["calls"]["enumeration.shortest_vectors"] == 1
+        assert summary["calls"]["lattice.reduce"] == 1
+        assert summary["counts"]["enumeration.points"] > 24
+    finally:
+        tracer.uninstall()
+    assert cli.lll_reduce is lattice.reduce is enumeration.lll_reduce
+    assert not hasattr(lattice.reduce, "_bench_traced")
