@@ -340,7 +340,8 @@ def complete_to_unimodular(a):
     wt = [list(col) for col in zip(*w)]  # k x m
     complement = integer_kernel(wt)  # {z : z w = 0}, rank m - k
     full = [list(map(int, row)) for row in a] + complement
-    assert abs(det(full)) == 1
+    if abs(det_int(full)) != 1:
+        raise ValueError("completion is not unimodular")
     return full
 
 

@@ -35,7 +35,7 @@ from .enumeration import (MAX_VORONOI_RANK, _covering_radius_bound,
 from .errors import (CapabilityError, CertificateValidationError,
                      InvalidInputError, NotAPackingError, UnsupportedRankError)
 from .lattice import Lattice, dual_in_span
-from .sublattice import (SublatticeWitness, enumerate_sublattices,
+from .sublattice import (SublatticeWitness, _shells, enumerate_sublattices,
                          project_along, successive_minima)
 
 
@@ -186,7 +186,7 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     r_sq, _ = _exact_radius(r)
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
-    for w in enumerate_sublattices(lat, k, det_bound):
+    for w in _shells(lat, k, det_bound):
         proj = _projection(lat, w)
         if _covering_radius_bound(proj) <= r_sq:
             continue

@@ -172,8 +172,12 @@ class Lattice:
         meta.update(kv)
         out = Lattice(self.basis, self.ambient_dim, self.scale_sq,
                       self.gram_override, meta)
-        # same basis and Gram, so the cached invariants still hold
-        out.__dict__.update({k: v for k, v in self.__dict__.items() if k in _CACHED})
+        # same basis and Gram, so the cached invariants still hold; the memo
+        # is created here if need be, so that all values made from this one
+        # fill the same memo
+        cached = {k: v for k, v in self.__dict__.items() if k in _CACHED}
+        cached["_memo"] = self._memo
+        out.__dict__.update(cached)
         return out
 
     def _scaled_meta(self, f):

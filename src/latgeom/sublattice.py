@@ -91,6 +91,60 @@ def _minkowski_sq(k):
     return 4 ** k * gamma_sq / _PI_BELOW ** pi_pow
 
 
+# gamma_k^k for k = 1..8, Hermite's constants to the k-th power (Conway &
+# Sloane, Sphere Packings, Lattices and Groups, Table 1.2)
+_HERMITE_POW = (None, Fraction(1), Fraction(4, 3), Fraction(2), Fraction(4),
+                Fraction(8), Fraction(64, 3), Fraction(64), Fraction(256))
+
+
+def _bound_sq(det_bound):
+    """det_bound^2 as a Fraction, or None when det_bound <= 0. A float is
+    read exactly; a sympy value must have a rational square."""
+    if isinstance(det_bound, sp.Expr):
+        det_bound_sq = det_bound ** 2
+        if not det_bound_sq.is_Rational:
+            raise InvalidInputError(f"det_bound {det_bound} has an irrational "
+                                    "square")
+        det_bound_sq = Fraction(det_bound_sq.p, det_bound_sq.q)
+    else:
+        det_bound = Fraction(det_bound)
+        det_bound_sq = det_bound * det_bound
+    return det_bound_sq if det_bound > 0 else None
+
+
+def _check_k(lat: Lattice, k: int):
+    if not 1 <= k <= lat.rank - 1:
+        raise InvalidInputError("need 1 <= k <= rank - 1")
+
+
+def _min_norm_sq(lat: Lattice, max_rank):
+    if "min_norm_sq" in lat.meta:
+        return lat.meta["min_norm_sq"]
+    return successive_minima(lat, max_rank)[0][0]
+
+
+def _span_key(echelon):
+    """Reduced row echelon form of the rational span of the rows that
+    ``la.add_independent`` put in ``echelon``, each row made primitive with
+    a positive pivot: a key that depends on the span only.
+
+    The pivots of those rows are distinct, so sorted by pivot they are a row
+    echelon form; back-substitution clears the entries above each pivot."""
+    pivots, rows = zip(*sorted(echelon))
+    rows = list(rows)
+    for j in range(len(rows) - 1, 0, -1):
+        c, rj = pivots[j], rows[j]
+        for i in range(j):
+            f = rows[i][c]
+            if f:
+                rows[i] = [rj[c] * x - f * y for x, y in zip(rows[i], rj)]
+    key = []
+    for c, row in zip(pivots, rows):
+        g = math.gcd(*row) if row[c] > 0 else -math.gcd(*row)
+        key.append(tuple(x // g for x in row))
+    return tuple(key)
+
+
 def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
                           node_budget=NODE_BUDGET):
     """All saturated k-sublattices with determinant <= det_bound, ascending.
@@ -106,35 +160,26 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
     search over the vectors up to that length, in ascending norm, compares
     the integer norm products against G_int exactly. Each chosen vector
     carries its fraction-free echelon row, reduced against the earlier
-    pivots, so a dependent candidate is one whose row reduces to zero. At a
-    leaf the span is keyed by its row HNF. A key whose maximal minors have
-    gcd 1 is already saturated; any other is saturated once. Each saturated
-    HNF, the canonical form, has its determinant computed once, also when
-    it exceeds the bound.
+    pivots, so a dependent candidate is one whose row reduces to zero. A
+    leaf is keyed by the reduced echelon form of its rational span
+    (``_span_key``), which fixes the saturated sublattice, so each span is
+    saturated and has its determinant computed once, also when that
+    exceeds the bound. For k = 1 the witness is v / gcd(v), of squared norm
+    ||v||^2 / gcd(v)^2. A key whose pivots are all 1 is already the HNF of
+    its saturation; any other is put in HNF, saturated first when the gcd
+    of its maximal minors exceeds 1.
     """
     m = lat.rank
-    if not 1 <= k <= m - 1:
-        raise InvalidInputError("need 1 <= k <= rank - 1")
-    if isinstance(det_bound, sp.Expr):
-        det_bound_sq = det_bound ** 2
-        if not det_bound_sq.is_Rational:
-            raise InvalidInputError(f"det_bound {det_bound} has an irrational "
-                                    "square")
-        det_bound_sq = Fraction(det_bound_sq.p, det_bound_sq.q)
-    else:
-        det_bound = Fraction(det_bound)
-        det_bound_sq = det_bound * det_bound
-    if det_bound <= 0:
+    _check_k(lat, k)
+    det_bound_sq = _bound_sq(det_bound)
+    if det_bound_sq is None:
         return []
     if k > m - k:
         # saturated k-sublattices correspond to saturated (m-k)-sublattices
         # of the dual via orthogonal complement, with
         # det(M)^2 = det_sq(L) * det(M_perp)^2; search the smaller side
         return _enumerate_via_dual(lat, k, det_bound_sq, max_rank, node_budget)
-    if "min_norm_sq" in lat.meta:
-        l1_sq = lat.meta["min_norm_sq"]
-    else:
-        l1_sq = successive_minima(lat, max_rank)[0][0]
+    l1_sq = _min_norm_sq(lat, max_rank)
     prod_sq_bound = _minkowski_sq(k) * det_bound_sq
     vecs = vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq),
                           max_rank=max_rank)
@@ -148,22 +193,28 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
     d = lat.int_gram[1]
     norms = [q.numerator * (d // q.denominator) for _, q in vecs]
     cap = math.floor(prod_sq_bound * d ** k)
-    seen = {}  # saturated HNF -> witness, or None when det_sq > det_bound^2
-    spans = {}  # row HNF of a leaf's span -> the HNF of its saturation
+    found = {}  # span key -> witness, or None when det_sq > det_bound^2
     nodes = 0
     chosen = []
     echelon = []  # (pivot column, primitive reduced row) per chosen vector
 
     def leaf():
-        span = tuple(map(tuple, la.hnf_basis([coeff_rows[i] for i in chosen])))
-        sat = spans.get(span)
-        if sat is None:
-            sat = spans[span] = span if la._saturated(span) else \
-                tuple(map(tuple, la.saturation(list(span))))
-        if sat not in seen:
+        key = _span_key(echelon)
+        if key in found:
+            return
+        if k == 1:
+            g = math.gcd(*coeff_rows[chosen[0]])
+            sat, d2 = key, Fraction(norms[chosen[0]], d * g * g)
+        else:
+            pivots = sorted(c for c, _ in echelon)
+            if all(row[c] == 1 for c, row in zip(pivots, key)):
+                sat = key
+            else:
+                sat = tuple(map(tuple, la.hnf_basis(key) if la._saturated(key)
+                                else la.saturation(key)))
             d2 = _sub_det_sq(lat, sat)
-            seen[sat] = SublatticeWitness(lat, sat, d2, True) \
-                if d2 <= det_bound_sq else None
+        found[key] = SublatticeWitness(lat, sat, d2, True) \
+            if d2 <= det_bound_sq else None
 
     def dfs(start, prod):
         nonlocal nodes
@@ -186,8 +237,40 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
             chosen.pop()
 
     dfs(0, 1)
-    return sorted((w for w in seen.values() if w is not None),
+    return sorted((w for w in found.values() if w is not None),
                   key=lambda w: (w.det_sq, w.coeffs))
+
+
+def _shells(lat: Lattice, k: int, det_bound, max_rank=12,
+            node_budget=NODE_BUDGET):
+    """The elements of ``enumerate_sublattices(lat, k, det_bound)``, in its
+    order, from searches at growing bounds on det^2, so that a caller who
+    needs only the first few stops after a small search.
+
+    A k-sublattice M of L has lambda_1(M) >= lambda_1(L), so Hermite's
+    inequality lambda_1(M)^2 <= gamma_k det(M)^{2/k} puts det(M)^2 at or
+    above lambda_1(L)^{2k} / gamma_k^k, the first bound (gamma_k^k is
+    tabulated up to k = 8 and bounded above by Minkowski's constant
+    beyond). Each next bound is 4 times the last, capped at det_bound^2,
+    and each search yields only the witnesses above the previous bound.
+    """
+    _check_k(lat, k)
+    cap = _bound_sq(det_bound)
+    if cap is None:
+        return
+    gamma_pow = _HERMITE_POW[k] if k < len(_HERMITE_POW) else _minkowski_sq(k)
+    prev, bound = 0, _min_norm_sq(lat, max_rank) ** k / gamma_pow
+    while True:
+        bound = min(bound, cap)
+        shell = det_bound if bound == cap else \
+            sp.sqrt(sp.Rational(bound.numerator, bound.denominator))
+        for w in enumerate_sublattices(lat, k, shell, max_rank=max_rank,
+                                       node_budget=node_budget):
+            if w.det_sq > prev:
+                yield w
+        if bound == cap:
+            return
+        prev, bound = bound, 4 * bound
 
 
 def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, max_rank,
@@ -225,17 +308,14 @@ def dk_min(lat: Lattice, k: int, det_bound=None, max_rank=12,
            node_budget=NODE_BUDGET):
     """(D_k(L) squared, witness) minimizing the determinant over saturated
     k-dimensional sublattices."""
-    m = lat.rank
-    if not 1 <= k <= m - 1:
-        raise InvalidInputError("need 1 <= k <= rank - 1")
+    _check_k(lat, k)
     if det_bound is None:
         det_bound = cnk_search_bound(lat, k) * (1 + 1e-9)
-    subs = enumerate_sublattices(lat, k, det_bound, max_rank=max_rank,
-                                 node_budget=node_budget)
-    if not subs:
+    best = next(_shells(lat, k, det_bound, max_rank=max_rank,
+                        node_budget=node_budget), None)
+    if best is None:
         raise InvalidInputError("no sublattice within the determinant bound; "
                                 "the bound is below D_k(L)")
-    best = subs[0]
     return best.det_sq, best
 
 

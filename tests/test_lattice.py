@@ -179,6 +179,13 @@ def test_catalog_nonsep_lattice():
     assert Fraction(l1_sq) == Fraction(1, 4)
 
 
+def test_catalog_e8_values_share_one_memo():
+    # every E8 value comes from one cached base, so a Voronoi cell or a
+    # covering radius found on one is found on all
+    a, b = catalog("E", 8), catalog("E", 8)
+    assert a is not b and a._memo is b._memo
+
+
 def test_catalog_miss():
     with pytest.raises(CatalogMissError):
         catalog("E", 9)

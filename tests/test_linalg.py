@@ -136,3 +136,13 @@ def test_add_independent_matches_rank(rows, dup):
     if kept:  # popping the last pair undoes its append
         echelon.pop()
         assert la.add_independent(echelon, kept[-1])
+
+
+def test_complete_to_unimodular_checks_the_completion(monkeypatch):
+    # a complement that doubles the volume fails the unimodularity check,
+    # which is a raise, not an assert, so it holds under python -O too
+    real = la.integer_kernel
+    monkeypatch.setattr(la, "integer_kernel",
+                        lambda a: [[2 * x for x in r] for r in real(a)])
+    with pytest.raises(ValueError, match="not unimodular"):
+        la.complete_to_unimodular([[1, 0, 0]])

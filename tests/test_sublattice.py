@@ -257,3 +257,94 @@ def test_search_saturates_each_span_once(monkeypatch):
     assert len(saturated) == len(set(saturated))
     assert len(det_keys) == len(set(det_keys))
     assert {w.coeffs for w in got} <= set(det_keys)
+
+
+@st.composite
+def _shell_inputs(draw):
+    # every k of a rank-3 to rank-5 lattice, k > rank - k through the dual,
+    # with det_bound a Fraction, a float or an irrational sympy square root
+    lat = draw(_search_inputs())[0]
+    k = draw(st.integers(1, lat.rank - 1))
+    l1_k = math.isqrt(int(shortest_vectors(lat)[0] ** k))
+    bound = Fraction(l1_k * draw(st.integers(6, 24)), 8)
+    kind = draw(st.sampled_from(["fraction", "float", "sqrt"]))
+    if kind == "float":
+        bound = float(bound)
+    elif kind == "sqrt":
+        bound = sp.sqrt(sp.Rational(bound.numerator ** 2 * 3,
+                                    bound.denominator ** 2 * 4))
+    return lat, k, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shell_inputs())
+# (1, 1, 1, 1) has det^2 4, exactly the second bound 4 * lambda_1^2
+@example((catalog("Z", 4), 1, 3))
+def test_shells_yield_the_full_search_in_order(inputs):
+    lat, k, det_bound = inputs
+    full = enumerate_sublattices(lat, k, det_bound)
+    assert list(sub._shells(lat, k, det_bound)) == full
+    if full:
+        assert dk_min(lat, k, det_bound) == (full[0].det_sq, full[0])
+    else:
+        with pytest.raises(InvalidInputError):
+            dk_min(lat, k, det_bound)
+
+
+def test_shells_yield_a_witness_on_a_bound_once(monkeypatch):
+    bounds_sq = []
+    real = sub.enumerate_sublattices
+
+    def spy(lat, k, det_bound, **kw):
+        bounds_sq.append(sp.Rational(det_bound) ** 2)
+        return real(lat, k, det_bound, **kw)
+
+    monkeypatch.setattr(sub, "enumerate_sublattices", spy)
+    got = list(sub._shells(catalog("Z", 4), 1, 3))
+    # Hermite's start lambda_1^2 / gamma_1 = 1, then 4, then det_bound^2
+    assert bounds_sq == [1, 4, 9]
+    assert [w.coeffs for w in got].count(((1, 1, 1, 1),)) == 1
+    # the primitive vectors of Z^4 of norm 1 to 4, one per +- pair
+    assert [w.det_sq for w in got][:40] == [1] * 4 + [2] * 12 + [3] * 16 + [4] * 8
+
+
+def _key_of(rows):
+    echelon = []
+    for r in rows:
+        assert la.add_independent(echelon, list(r))
+    return sub._span_key(echelon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.integers(k + 1, 6).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+        min_size=k, max_size=k)),
+    st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+             min_size=k, max_size=k))))
+def test_span_key_depends_on_the_rational_span_only(rows_and_t):
+    rows, t = rows_and_t
+    assume(la.rank(rows) == len(rows) and la.det_int(t) != 0)
+    key = _key_of(rows)
+    assert _key_of(la.mat_mul(t, rows)) == key
+    assert _key_of(la.saturation(rows)) == key
+    # the reduced row echelon form, each row scaled to a primitive integer
+    # row with a positive pivot
+    rref, pivots = sp.Matrix(rows).rref()
+    want = []
+    for i, c in enumerate(pivots):
+        row = rref.row(i)
+        den = math.lcm(*(int(sp.denom(x)) for x in row))
+        ints = [int(x * den) for x in row]
+        g = math.gcd(*ints)
+        want.append(tuple(x // g for x in ints))
+    assert key == tuple(want)
+
+
+def test_dk_min_d6_planes_of_rank_three():
+    # D_3(D6) = 2: the sublattice D3 on three coordinates. Too slow for the
+    # suite while the search ran to the full bound before reading the head
+    d2, w = dk_min(catalog("D", 6), 3)
+    assert d2 == 4 and w.det_sq == 4 and w.k == 3
+    assert w.saturated and la._saturated([list(r) for r in w.coeffs])
+    assert sub._sub_det_sq(catalog("D", 6), w.coeffs) == 4
