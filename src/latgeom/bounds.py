@@ -356,7 +356,9 @@ def max_d21_upper() -> tuple:
 def mahler_floors(n: int) -> tuple:
     """Volume-product floors: V(K)V(K*) > kappa_n^2/2^n for 0-symmetric K;
     the induced d_{n,n-1} floors kappa_n^2/8^n (symmetric) and
-    kappa_n^2 / (C(2n,n) 4^n) (general)."""
+    kappa_n^2 / (C(2n,n) 4^n) (general). Needs n >= 1."""
+    if n < 1:
+        raise InvalidInputError(f"need n >= 1; got n={n}")
     kuperberg = _report("volume-product-floor", n, None,
                         kappa(n) ** 2 / 2 ** n, (), "strict-lower-bound",
                         "0-symmetric volume product floor")

@@ -9,6 +9,7 @@ tie-breaking inherited from the library.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -230,7 +231,11 @@ def cmd_cover(args):
 def cmd_project(args):
     lat = load_lattice(args)
     if args.witness:
-        rows = json.loads(args.witness)
+        try:
+            rows = json.loads(args.witness)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(
+                f"--witness is not valid JSON: {exc}") from None
         w = sub.witness(lat, rows)
     elif args.k is not None:
         _, w = sub.dk_min(lat, args.k, det_bound=args.det_bound)
@@ -380,8 +385,19 @@ _HANDLERS = {
 # driver
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidInputError, so
+    they exit 2 with a JSON error like every other invalid input."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser for every verb, built once per process: parsing leaves it
+    unchanged."""
+    parser = _Parser(
         prog="latgeom",
         description="lattice geometry toolkit: enumeration, sublattices, "
                     "Voronoi cells, passage certificates, density bounds")
@@ -444,8 +460,8 @@ def _apply_config(args):
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         for key in _NUMBERS:
             if getattr(args, key) is not None:
                 setattr(args, key, _number(key, getattr(args, key)))

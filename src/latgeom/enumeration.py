@@ -52,6 +52,16 @@ def _reduced(lat: Lattice):
     return red, red.meta["reduction_transform"]
 
 
+def _reduced_inverse(lat: Lattice):
+    """U^{-1} for the transform U of ``_reduced``, as int rows: it maps
+    lat's coordinates to red's. Computed on the first request only, as most
+    reduced lattices never need it."""
+    def compute():
+        _, u = _reduced(lat)
+        return tuple(tuple(int(x) for x in row) for row in la.inverse(u))
+    return _once(lat, "reduced_inverse", compute)
+
+
 def _enumerate_gram(lat: Lattice, center, bound_sq):
     """All integer x with (x - center)^T G (x - center) <= bound_sq, G the
     Gram of lat, as (x, q, den) triples, in ints throughout: the squared
@@ -173,7 +183,8 @@ def closest_vectors(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
     _check_rank(lat, max_rank, "enumeration")
     red, u = _reduced(lat)
     # target in reduced coordinates: t_red = t . u^{-1}
-    t = la.vec_mat([la._rational(c) for c in target_coeffs], la.inverse(u))
+    t = la.vec_mat([la._rational(c) for c in target_coeffs],
+                   _reduced_inverse(lat))
     mins, best, den = _nearest(red, t)
     return Fraction(best, den), sorted(tuple(la.vec_mat(x, u)) for x in mins)
 

@@ -18,6 +18,11 @@ and one whose (-bound, coeffs) sorts after the best (-mu^2, coeffs) so far
 cannot win ``max_clearance``; both are skipped, compared exactly, so every
 certificate and clearance is the one an exhaustive search returns.
 Acceptance and validation compare exact rationals too.
+
+An automorphism of L maps witnesses to witnesses of the same determinant,
+and the projection along one isometrically onto the projection along the
+other, so ``max_clearance`` projects, bounds and covers one witness per
+orbit of ``symmetry.automorphisms``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .errors import (CapabilityError, CertificateValidationError,
 from .lattice import Lattice, dual_in_span
 from .sublattice import (SublatticeWitness, _shells, enumerate_sublattices,
                          project_along, successive_minima)
+from .symmetry import automorphisms
 
 
 def _sqrt_exact(q):
@@ -196,17 +202,56 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     return None
 
 
+def _orbit_representatives(lat: Lattice, witnesses):
+    """The witnesses that are least in their orbit under Aut(L), in list
+    order. The list is sorted by (det_sq, coeffs) and an automorphism keeps
+    det_sq, so the least member of an orbit is its least coeffs.
+
+    Union-find over the generators: the image of a witness is the HNF of its
+    rows times the generator, looked up by coeffs, and each class keeps its
+    least index as root. An isometry keeps det_sq, so an image missing from
+    a complete search is a fault of that search, and it raises."""
+    gens, _ = automorphisms(lat)
+    index = {w.coeffs: i for i, w in enumerate(witnesses)}
+    root = list(range(len(witnesses)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a in gens:
+        for i, w in enumerate(witnesses):
+            image = tuple(map(tuple, la.hnf_basis(la.mat_mul(w.coeffs, a))))
+            j = index.get(image)
+            if j is None:
+                raise RuntimeError(f"the image {image} of witness {w.coeffs} "
+                                   "under an automorphism is not in the search")
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                root[max(ri, rj)] = min(ri, rj)
+    return [w for i, w in enumerate(witnesses) if find(i) == i]
+
+
 def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     """(best clearance, best certificate) over all searched directions;
     certificate is None when no direction clears radius r. Deterministic:
-    ties broken by the HNF-lexicographic order of the witness. A direction
-    whose key (-bound, coeffs) already sorts after the best key cannot win
-    and is skipped without building a Voronoi cell."""
+    ties broken by the HNF-lexicographic order of the witness.
+
+    An automorphism of L maps the projection along a witness isometrically
+    onto the projection along its image, so mu^2 is constant on an orbit of
+    witnesses, and only the least member of each orbit is projected and
+    bounded. A representative whose key (-bound, coeffs) already sorts after
+    the best key cannot win and is skipped without building a Voronoi
+    cell."""
+    _exact_radius(r)
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
     best = None
     best_key = None
-    for w in enumerate_sublattices(lat, k, det_bound):
+    witnesses = enumerate_sublattices(lat, k, det_bound)
+    for w in _orbit_representatives(lat, witnesses):
         proj = _projection(lat, w)
         if best_key is not None and \
                 (-_covering_radius_bound(proj), w.coeffs) > best_key:
@@ -226,15 +271,27 @@ def _exact_radius(r):
     """(r^2 as a Fraction, r as a float) for an exact comparison that needs
     only r^2. Floats are rationalized to denominators up to 1e12; a sympy
     value such as sqrt(2) is squared symbolically. Raises InvalidInputError
-    when r^2 is not rational (pi, for one)."""
+    when r^2 is not rational (pi, for one), or when r is not positive or its
+    float is not a positive finite number."""
     if isinstance(r, (int, float, Fraction)):
         r_ex = la._rational(r)
-        return r_ex * r_ex, float(r_ex)
-    r_sq = sp.sympify(r) ** 2
-    if not r_sq.is_rational:
-        raise InvalidInputError(f"r = {r} has an irrational square; the exact "
-                                "criterion needs r^2 rational")
-    return Fraction(int(sp.numer(r_sq)), int(sp.denom(r_sq))), float(r)
+        r_sq, positive, to_float = r_ex * r_ex, r_ex > 0, r_ex
+    else:
+        r = sp.sympify(r)
+        r_sq = r ** 2
+        if not r_sq.is_rational:
+            raise InvalidInputError(f"r = {r} has an irrational square; the "
+                                    "exact criterion needs r^2 rational")
+        r_sq = Fraction(int(sp.numer(r_sq)), int(sp.denom(r_sq)))
+        positive, to_float = bool(r.is_positive), r
+    try:
+        r_f = float(to_float)
+    except OverflowError:
+        r_f = math.inf
+    if not (positive and 0 < r_f < math.inf):
+        raise InvalidInputError(f"the radius r = {r} must be positive and "
+                                "within the range of a float")
+    return r_sq, r_f
 
 
 def is_nonseparable_ball_lattice(lat: Lattice, r):
@@ -246,9 +303,9 @@ def is_nonseparable_ball_lattice(lat: Lattice, r):
     Returns (flag, margin) with margin = lambda_1(dual) - 1/(2r); the
     comparison is exact and needs r^2 rational.
     """
+    r_sq, r_f = _exact_radius(r)
     d = dual_in_span(lat)
     l1_sq, _ = shortest_vectors(d)
-    r_sq, r_f = _exact_radius(r)
     flag = Fraction(l1_sq) * 4 * r_sq >= 1
     margin = float(_sqrt_exact(l1_sq)) - 1.0 / (2 * r_f)
     return flag, margin

@@ -9,6 +9,7 @@ span; equivalently its coefficient rows extend to a unimodular matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,10 +57,31 @@ def _sub_det_sq(lat: Lattice, rows):
                     d ** len(rows))
 
 
+def _integral(x) -> int:
+    """``x`` as an int when it is an integer (a float only when integral),
+    else InvalidInputError; a bool is not a number here."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise InvalidInputError(f"witness entry {x!r} is not an integer")
+
+
 def witness(lat: Lattice, rows) -> SublatticeWitness:
     """Wrap integer coefficient rows as a witness, computing det and checking
-    saturation via the Hermite normal form."""
-    rows = [list(map(int, r)) for r in rows]
+    saturation via the Hermite normal form.
+
+    ``rows`` must be a list of rows, each of length lat.rank, with integer
+    entries, and their number k must satisfy 1 <= k <= rank - 1; each check
+    raises InvalidInputError, in that order."""
+    if not isinstance(rows, (list, tuple)) or \
+            not all(isinstance(r, (list, tuple)) for r in rows):
+        raise InvalidInputError("a witness is a list of coefficient rows")
+    if any(len(r) != lat.rank for r in rows):
+        raise InvalidInputError(f"witness rows need {lat.rank} entries, one "
+                                "per basis vector")
+    rows = [[_integral(x) for x in r] for r in rows]
+    _check_k(lat, len(rows))
     if la.rank(rows) != len(rows):
         raise InvalidInputError("witness rows are linearly dependent")
     d2 = _sub_det_sq(lat, rows)
@@ -289,28 +311,20 @@ def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, max_rank,
     return sorted(out, key=lambda w: (w.det_sq, w.coeffs))
 
 
-def cnk_search_bound(lat: Lattice, k: int):
-    """Proven upper bound on D_k(L) to prune the minimal-determinant search:
-    the density-based bound c * D(L)^{k/n} when the optimal ball packing
-    density for n = rank is cataloged, else the successive-minima product."""
-    from .bounds import cnk_upper, has_delta
-    n = lat.rank
-    norms, _ = successive_minima(lat)
-    minima_prod = math.prod(math.sqrt(float(q)) for q in norms[:k])
-    if has_delta(n):
-        c = cnk_upper(n, k).value_float
-        density_bound = c * float(lat.det_sq()) ** (k / (2 * n))
-        return min(minima_prod, density_bound)
-    return minima_prod
-
-
 def dk_min(lat: Lattice, k: int, det_bound=None, max_rank=12,
            node_budget=NODE_BUDGET):
     """(D_k(L) squared, witness) minimizing the determinant over saturated
-    k-dimensional sublattices."""
+    k-dimensional sublattices.
+
+    The default bound is lambda_1 ... lambda_k, exact: the saturation of the
+    span of k vectors attaining the successive minima has a determinant no
+    larger than their Gram determinant, which Hadamard's inequality puts at
+    or below the product of their squared norms."""
     _check_k(lat, k)
     if det_bound is None:
-        det_bound = cnk_search_bound(lat, k) * (1 + 1e-9)
+        bound_sq = math.prod(successive_minima(lat, max_rank)[0][:k])
+        det_bound = sp.sqrt(sp.Rational(bound_sq.numerator,
+                                        bound_sq.denominator))
     best = next(_shells(lat, k, det_bound, max_rank=max_rank,
                         node_budget=node_budget), None)
     if best is None:

@@ -1,0 +1,111 @@
+"""Lattice automorphisms: the isometries that map a lattice onto itself.
+
+An automorphism sends the basis b_1, ..., b_n to lattice vectors with the
+same Gram matrix, and any such images define one. The Plesken-Souvignier
+backtrack (Plesken & Souvignier, "Computing isometries of lattices",
+J. Symbolic Comput. 24, 1997) finds the group on the LLL-reduced basis, in
+integers against G_int:
+
+- the candidate images of b_i are the vectors whose norm is G_ii;
+- an image is kept only when its inner products with the images already
+  chosen are the Gram entries, so each choice filters the later lists;
+- a stabilizer chain, level i fixing b_1, ..., b_{i-1}, is filled from the
+  last level up: each candidate image of b_i not yet in the orbit of b_i is
+  either reached by one new isometry, which joins the generators, or shown
+  outside the orbit together with its orbit under the generators so far.
+
+The order of the group is the product of the orbit sizes along the chain.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import _linalg as la
+from .enumeration import _enumerate_gram, _once, _reduced, _reduced_inverse
+from .lattice import Lattice
+
+
+def automorphisms(lat: Lattice):
+    """(generators, order) of Aut(L), computed once per lattice value.
+
+    Each generator is an int matrix A in lat's coefficient space whose rows
+    are the images of the basis vectors, so A G A^T = G; a coefficient row
+    x maps to x A."""
+    return _once(lat, "automorphisms", lambda: _automorphisms(lat))
+
+
+def _orbit(point, gens):
+    """Orbit of the int row ``point`` under the int matrices ``gens``."""
+    orbit, todo = {point}, [point]
+    while todo:
+        v = todo.pop()
+        for a in gens:
+            w = tuple(la.vec_mat(v, a))
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    return orbit
+
+
+def _extend(g, images, options):
+    """Images of the remaining basis vectors, given the ``images`` chosen so
+    far and, for each remaining vector, its ``options``: the (x, x G_int)
+    pairs consistent with every chosen image. None when there are none."""
+    t = len(images)
+    if not options:
+        return tuple(images)
+    for x, _ in options[0]:
+        rest = [[(y, gy) for y, gy in opts if la.dot(gy, x) == g[j][t]]
+                for j, opts in enumerate(options[1:], t + 1)]
+        if all(rest):
+            images.append(x)
+            found = _extend(g, images, rest)
+            images.pop()
+            if found is not None:
+                return found
+    return None
+
+
+def _automorphisms(lat: Lattice):
+    red, u = _reduced(lat)
+    g, d = red.int_gram
+    n = red.rank
+    diag = {g[i][i] for i in range(n)}
+    cands = {q: [] for q in diag}  # norm in G_int -> [(x, x G_int)]
+    for x, _, _ in _enumerate_gram(red, [0] * n, Fraction(max(diag), d)):
+        gx = tuple(la.vec_mat(x, g))
+        q = la.dot(gx, x)
+        if q in cands:
+            cands[q].append((x, gx))
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    gens, order = [], 1
+    for i in reversed(range(n)):
+        # the inner product of x with b_l is (x G_int)_l, so the images that
+        # fix b_1..b_{i-1} are read off the first i entries of x G_int
+        level = [[(x, gx) for x, gx in cands[g[j][j]] if gx[:i] == g[j][:i]]
+                 for j in range(i, n)]
+        orbit, outside = _orbit(unit[i], gens), set()
+        for x, _ in level[0]:
+            if x in orbit or x in outside:
+                continue
+            options = [[(y, gy) for y, gy in opts if la.dot(gy, x) == g[j][i]]
+                       for j, opts in enumerate(level[1:], i + 1)]
+            found = _extend(g, unit[:i] + [x], options) \
+                if all(options) else None
+            if found is None:
+                outside |= _orbit(x, gens)
+            else:
+                gens.append(found)
+                orbit = _orbit(unit[i], gens)
+        order *= len(orbit)
+    # conjugate back: lat's basis is U^{-1} times red's
+    u_inv = _reduced_inverse(lat)
+    g_lat = [list(row) for row in lat.int_gram[0]]
+    out = []
+    for a in gens:
+        m = tuple(map(tuple, la.mat_mul(la.mat_mul(u_inv, a), u)))
+        if la.mat_mul(la.mat_mul(m, g_lat), la.transpose(m)) != g_lat:
+            raise RuntimeError(f"automorphism {m} does not preserve the Gram")
+        out.append(m)
+    return tuple(out), order

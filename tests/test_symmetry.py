@@ -1,0 +1,239 @@
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import latgeom._linalg as la
+from latgeom.enumeration import _reduced, _reduced_inverse, closest_vectors
+from latgeom.enumeration import covering_radius
+from latgeom.impassability import (_certificate, _default_det_bound,
+                                   _orbit_representatives, max_clearance)
+from latgeom.lattice import Lattice, catalog
+from latgeom.sublattice import enumerate_sublattices, project_along
+from latgeom.symmetry import automorphisms
+
+ORDERS = [("Z", n, 2 ** n * math.factorial(n)) for n in range(2, 7)] + [
+    ("D", 3, 48), ("A", 4, 240), ("D", 4, 1152), ("D", 5, 3840),
+    ("E", 6, 103680), ("E", 7, 2903040), ("E", 8, 696729600)]
+
+
+def _preserves_gram(a, gram):
+    a = [[Fraction(x) for x in row] for row in a]
+    at = [list(col) for col in zip(*a)]
+    prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*gram)]
+            for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*at)]
+            for row in prod] == [list(r) for r in gram]
+
+
+@pytest.mark.parametrize("name,n,order", ORDERS, ids=lambda v: str(v))
+def test_automorphism_group_orders(name, n, order):
+    lat = catalog(name, n)
+    gens, got = automorphisms(lat)
+    assert got == order
+    for a in gens:
+        assert all(isinstance(x, int) for row in a for x in row)
+        assert _preserves_gram(a, lat.gram())
+    assert automorphisms(lat) is automorphisms(lat)  # kept on the value
+
+
+def _brute_force_order(gram):
+    """Number of isometries of the lattice with this Gram: all choices of
+    basis images among the vectors of the same norm, found by a box search
+    (|x_i| <= sqrt(B (G^-1)_ii) for norm B), whose Gram is the given one."""
+    n = len(gram)
+    inv = sp.Matrix(gram).inv()
+    top = max(gram[i][i] for i in range(n))
+    box = [math.isqrt(math.floor(top * Fraction(str(inv[i, i])))) + 1
+           for i in range(n)]
+    norms = {gram[i][i] for i in range(n)}
+    by_norm = {q: [] for q in norms}
+    for x in itertools.product(*(range(-b, b + 1) for b in box)):
+        gx = [sum(x[i] * gram[i][j] for i in range(n)) for j in range(n)]
+        q = sum(a * b for a, b in zip(gx, x))
+        if q in by_norm:
+            by_norm[q].append((x, gx))
+
+    def count(images):
+        i = len(images)
+        if i == n:
+            return 1
+        return sum(count(images + [y]) for y, gy in by_norm[gram[i][i]]
+                   if all(sum(a * b for a, b in zip(gy, images[j]))
+                          == gram[i][j] for j in range(i)))
+
+    return count([])
+
+
+@st.composite
+def _random_lattices(draw):
+    """A random integer basis of rank 3 or 4; entries in -2..2."""
+    m = draw(st.sampled_from([3, 4]))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    assume(la.det_int(rows) != 0)
+    return Lattice.from_rows(rows)
+
+
+@st.composite
+def _small_lattices(draw):
+    """A random lattice of rank 3 or 4, or a catalog lattice on a basis
+    changed by a few elementary moves (so the group is large and the basis
+    is not reduced)."""
+    if draw(st.booleans()):
+        return draw(_random_lattices())
+    m = draw(st.sampled_from([3, 4]))
+    lat = catalog(draw(st.sampled_from(["Z", "D", "A"])), m)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(m)))[:2]
+        c = draw(st.sampled_from([-1, 1]))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return lat.transformed(u)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_small_lattices())
+def test_automorphism_order_matches_brute_force(lat):
+    gens, order = automorphisms(lat)
+    assert order == _brute_force_order(lat.gram())
+    for a in gens:
+        assert _preserves_gram(a, lat.gram())
+
+
+def test_reduced_inverse_is_lazy_and_inverts_the_transform():
+    lat = catalog("D", 4).transformed([[1, 1, 0, 0], [0, 1, 0, 0],
+                                       [0, 0, 1, 2], [0, 0, 0, 1]])
+    _, u = _reduced(lat)
+    assert "reduced_inverse" not in lat._memo
+    d2, vs = closest_vectors(lat, [Fraction(1, 3)] * 4)
+    inv = _reduced_inverse(lat)
+    assert la.mat_mul(inv, u) == [[int(i == j) for j in range(4)]
+                                  for i in range(4)]
+    assert _reduced_inverse(lat) is inv
+    # the nearest points by brute force over a small box
+    t = [Fraction(1, 3)] * 4
+    best = min((lat.norm_sq([a - b for a, b in zip(x, t)]), x)
+               for x in itertools.product(range(-3, 4), repeat=4))
+    assert d2 == best[0] and best[1] in vs
+
+
+# ---------------------------------------------------------------------------
+# max_clearance up to symmetry
+# ---------------------------------------------------------------------------
+
+def _per_witness(lat, r, k):
+    """max_clearance by projecting and covering every witness: the argmin of
+    (-mu^2, coeffs) over the whole search."""
+    best = None
+    for w in enumerate_sublattices(lat, k, _default_det_bound(lat, k)):
+        proj = project_along(lat, w)
+        key = (-covering_radius(proj)[0], w.coeffs)
+        if best is None or key < best[0]:
+            best = (key, w, proj)
+    if best is None:
+        return float("-inf"), None
+    _, w, proj = best
+    clearance = math.sqrt(float(covering_radius(proj)[0])) - float(r)
+    return clearance, _certificate(lat, w, r, proj, True)
+
+
+def _same_result(got, want):
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1].to_dict() == want[1].to_dict()
+
+
+CATALOG_CASES = [("Z", 4, 1, 1, Fraction(1, 2)), ("Z", 4, 1, 2, Fraction(1, 2)),
+                 ("A", 4, 1, 1, Fraction(1, 2)), ("D", 4, 1, 2, Fraction(1, 2)),
+                 ("D", 3, 2, 1, 1), ("D", 4, 2, 1, 1)]
+
+
+@pytest.mark.parametrize("name,n,scale,k,r", CATALOG_CASES,
+                         ids=lambda v: str(v))
+def test_max_clearance_matches_per_witness_loop(name, n, scale, k, r):
+    lat = catalog(name, n).scaled(scale)
+    _same_result(max_clearance(lat, r, k),
+                 _per_witness(catalog(name, n).scaled(scale), r, k))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_random_lattices(), st.data())
+def test_max_clearance_matches_per_witness_loop_random(lat, data):
+    k = data.draw(st.integers(1, lat.rank - 1))
+    r = data.draw(st.fractions(Fraction(1, 10), Fraction(3, 2),
+                               max_denominator=12))
+    _same_result(max_clearance(lat, r, k), _per_witness(lat, r, k))
+
+
+def _orbit_classes(lat, witnesses, gens):
+    """Classes of the witnesses under the group the generators make, found
+    by closing each witness's coeffs under every generator."""
+    def image(coeffs, a):
+        return tuple(map(tuple, la.hnf_basis(la.mat_mul(coeffs, a))))
+
+    left = {w.coeffs for w in witnesses}
+    classes = []
+    while left:
+        start = min(left)
+        orbit, todo = {start}, [start]
+        while todo:
+            c = todo.pop()
+            for a in gens:
+                d = image(c, a)
+                if d not in orbit:
+                    orbit.add(d)
+                    todo.append(d)
+        assert orbit <= left  # the search is closed under the group
+        left -= orbit
+        classes.append(orbit)
+    return classes
+
+
+# witnesses and orbits of the max_clearance searches of the passage workload
+ORBIT_COUNTS = [("Z", 4, 1, 1, 192, 8), ("Z", 4, 1, 2, 458, 13),
+                ("A", 4, 1, 1, 365, 10), ("D", 3, 2, 1, 73, 7),
+                ("D", 4, 2, 1, 432, 7)]
+
+
+@pytest.mark.parametrize("name,n,scale,k,count,orbits", ORBIT_COUNTS,
+                         ids=lambda v: str(v))
+def test_orbit_representatives_are_least_members(name, n, scale, k, count,
+                                                 orbits):
+    lat = catalog(name, n).scaled(scale)
+    ws = enumerate_sublattices(lat, k, _default_det_bound(lat, k))
+    reps = _orbit_representatives(lat, ws)
+    assert (len(ws), len(reps)) == (count, orbits)
+    # each generator on its own, and the group they make: the classes
+    # under the group must be the ones the representatives stand for
+    gens, _ = automorphisms(lat)
+    classes = _orbit_classes(lat, ws, gens)
+    assert sorted(min(c) for c in classes) == sorted(w.coeffs for w in reps)
+    # representatives come in search order, each the least of its class
+    assert [w.coeffs for w in reps] == [w.coeffs for w in ws
+                                        if any(w.coeffs == min(c)
+                                               for c in classes)]
+
+
+def test_missing_orbit_image_raises():
+    lat = catalog("Z", 3)
+    ws = enumerate_sublattices(lat, 1, _default_det_bound(lat, 1))
+    with pytest.raises(RuntimeError, match="not in the search"):
+        _orbit_representatives(lat, ws[:-1])
+
+
+@pytest.mark.parametrize("name,n,k", [("Z", 4, 1), ("Z", 4, 3), ("D", 4, 2),
+                                      ("A", 4, 3), ("D", 4, 3)])
+def test_every_search_path_emits_hnf_coeffs(name, n, k):
+    # the orbit lookup keys images by their HNF; k > n/2 takes the dual side
+    lat = catalog(name, n)
+    ws = enumerate_sublattices(lat, k, _default_det_bound(lat, k))
+    assert ws
+    for w in ws:
+        assert [list(r) for r in w.coeffs] == la.hnf_basis(w.coeffs)
