@@ -3,6 +3,9 @@
 Matrices are lists of lists (rows) of ints and ``fractions.Fraction``s. One
 fraction-free elimination kernel serves ``det``, ``rank``, ``solve`` and
 ``inverse``: rational rows are scaled to ints and eliminated in ints.
+Numbers from outside the program enter here (``_rational`` and, for values
+that only their square decides, ``_rational_square``), and exact square
+roots leave here as sympy numbers (``_sqrt_rational``).
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+
+import sympy as sp
 
 from .errors import InvalidInputError
 
@@ -37,6 +42,34 @@ def _rational(x) -> Fraction:
     elif isinstance(x, numbers.Real) and math.isfinite(x):
         return Fraction(float(x)).limit_denominator(MAX_DENOMINATOR)
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _rational_square(x):
+    """(x^2 as a Fraction, whether x > 0) for a real x whose square is
+    rational; every radius, scale and bound that only its square decides
+    is read here.
+
+    Real numbers and strings are read by ``_rational`` and squared; any
+    other value must be a sympy number, such as sqrt(3)/2, whose square
+    ``_rational`` reads (3/4), and its sign is sympy's ``is_positive``,
+    which unlike ``x > 0`` needs no numeric evaluation. Anything else (pi,
+    inf, "abc") raises InvalidInputError.
+    """
+    if isinstance(x, (numbers.Real, str)):
+        q = _rational(x)
+        return q * q, q > 0
+    try:
+        return _rational(x ** 2), bool(x.is_positive)
+    except (InvalidInputError, TypeError, AttributeError):
+        raise InvalidInputError(f"{x} is not a real number with a rational "
+                                "square") from None
+
+
+def _sqrt_rational(q):
+    """sqrt(q) for a rational q >= 0 as an exact sympy number: the one
+    place where an exact square leaves as a sympy root."""
+    q = Fraction(q)
+    return sp.sqrt(sp.Rational(q.numerator, q.denominator))
 
 
 def _canonical_sign(v):

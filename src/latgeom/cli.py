@@ -59,12 +59,7 @@ def _scale_factor_sq(tok):
         v = parse_scalar(tok)
     except ValueError:
         raise InvalidInputError(f"--scale {tok!r} is not a number") from None
-    if isinstance(v, Fraction):
-        return v * v
-    sq = sp.simplify(sp.sympify(v) ** 2)
-    if not sq.is_rational:
-        raise InvalidInputError(f"--scale {tok} has an irrational square")
-    return Fraction(int(sp.numer(sq)), int(sp.denom(sq)))
+    return la._rational_square(v)[0]
 
 
 def load_lattice(args) -> Lattice:
@@ -170,7 +165,7 @@ def cmd_svp(args):
     l1_sq, vecs = enu.shortest_vectors(lat)
     return {
         "min_norm_sq": str(l1_sq),
-        "lambda1": _num(sp.sqrt(sp.nsimplify(Fraction(l1_sq)))),
+        "lambda1": _num(la._sqrt_rational(l1_sq)),
         "count": 2 * len(vecs),
         "vectors_up_to_sign": [list(v) for v in vecs],
     }
@@ -217,7 +212,7 @@ def cmd_cover(args):
     mu_sq, hole = enu.covering_radius(lat)
     out = {
         "covering_radius_sq": str(mu_sq),
-        "covering_radius": _num(sp.sqrt(sp.nsimplify(Fraction(mu_sq)))),
+        "covering_radius": _num(la._sqrt_rational(mu_sq)),
         "deep_hole_coeffs": [str(c) for c in hole],
         "covering_density": _num(enu.covering_density(lat)),
     }

@@ -282,11 +282,11 @@ def _deep_hole(lat: Lattice, max_rank):
     return Fraction(q, d * den * den), verts[i]
 
 
-def _lambda1_sq(lat: Lattice):
+def _lambda1_sq(lat: Lattice, max_rank=MAX_ENUM_RANK):
+    """lambda_1^2 of lat, read from the catalog's meta when it is there."""
     if "min_norm_sq" in lat.meta:
         return lat.meta["min_norm_sq"]
-    l1, _ = shortest_vectors(lat)
-    return l1
+    return shortest_vectors(lat, max_rank)[0]
 
 
 def packing_density(lat: Lattice):

@@ -35,19 +35,15 @@ import sympy as sp
 
 from . import _linalg as la
 from .enumeration import (MAX_VORONOI_RANK, _covering_radius_bound,
-                          _enumerate_gram, closest_vectors, covering_radius,
-                          kappa, shortest_vectors, vectors_within)
+                          _enumerate_gram, _lambda1_sq, closest_vectors,
+                          covering_radius, kappa, shortest_vectors,
+                          vectors_within)
 from .errors import (CapabilityError, CertificateValidationError,
                      InvalidInputError, NotAPackingError, UnsupportedRankError)
 from .lattice import Lattice, dual_in_span
 from .sublattice import (SublatticeWitness, _shells, enumerate_sublattices,
                          project_along, successive_minima)
 from .symmetry import automorphisms
-
-
-def _sqrt_exact(q):
-    q = Fraction(q)
-    return sp.sqrt(sp.Rational(q.numerator, q.denominator))
 
 
 @dataclass(frozen=True)
@@ -67,11 +63,11 @@ class PassageCertificate:
 
     @property
     def mu(self):
-        return _sqrt_exact(self.mu_sq)
+        return la._sqrt_rational(self.mu_sq)
 
     @property
     def clearance(self):
-        return self.mu - sp.nsimplify(self.r)
+        return self.mu - la._sqrt_rational(_exact_radius(self.r)[0])
 
     @property
     def clearance_float(self) -> float:
@@ -111,17 +107,30 @@ class CylinderWitness:
                 "guaranteed": self.guaranteed}
 
 
-def _default_det_bound(lat: Lattice, k: int) -> float:
+def _default_det_bound(lat: Lattice, k: int):
+    """3 lambda_1 ... lambda_k, exact: the square root of 9 times the
+    product of the first k squared minima."""
     norms, _ = successive_minima(lat)
-    return 3.0 * math.prod(math.sqrt(float(q)) for q in norms[:k])
+    return la._sqrt_rational(9 * math.prod(norms[:k]))
+
+
+def _sqrt_above(q):
+    """A rational upper bound on sqrt(q) within 10^-9, by ``math.isqrt``."""
+    t = -(-q.numerator * 10**18 // q.denominator)
+    s = math.isqrt(t)
+    return Fraction(s + (s * s < t), 10**9)
+
+
+def _validation_radius_sq(mu_sq, r_sq):
+    """A rational upper bound on (mu + r + 1)^2, each root rounded up."""
+    return (_sqrt_above(mu_sq) + _sqrt_above(r_sq) + 1) ** 2
 
 
 def _validate_certificate(proj: Lattice, deep_hole, mu_sq, r) -> int:
     """Check that no projected lattice point within mu + r + 1 of the deep
     hole is closer to it than mu, comparing squared distances exactly;
     returns the number of points checked."""
-    radius = math.sqrt(float(mu_sq)) + float(r) + 1.0
-    bound_sq = Fraction(radius * radius).limit_denominator(10**9)
+    bound_sq = _validation_radius_sq(mu_sq, _exact_radius(r)[0])
     pts = _enumerate_gram(proj, list(deep_hole), bound_sq)
     for y, q, den in pts:
         if q < mu_sq * den:
@@ -269,23 +278,12 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
 
 def _exact_radius(r):
     """(r^2 as a Fraction, r as a float) for an exact comparison that needs
-    only r^2. Floats are rationalized to denominators up to 1e12; a sympy
-    value such as sqrt(2) is squared symbolically. Raises InvalidInputError
+    only r^2, read by ``_linalg._rational_square``. Raises InvalidInputError
     when r^2 is not rational (pi, for one), or when r is not positive or its
     float is not a positive finite number."""
-    if isinstance(r, (int, float, Fraction)):
-        r_ex = la._rational(r)
-        r_sq, positive, to_float = r_ex * r_ex, r_ex > 0, r_ex
-    else:
-        r = sp.sympify(r)
-        r_sq = r ** 2
-        if not r_sq.is_rational:
-            raise InvalidInputError(f"r = {r} has an irrational square; the "
-                                    "exact criterion needs r^2 rational")
-        r_sq = Fraction(int(sp.numer(r_sq)), int(sp.denom(r_sq)))
-        positive, to_float = bool(r.is_positive), r
+    r_sq, positive = la._rational_square(r)
     try:
-        r_f = float(to_float)
+        r_f = float(r if isinstance(r, sp.Basic) else la._rational(r))
     except OverflowError:
         r_f = math.inf
     if not (positive and 0 < r_f < math.inf):
@@ -307,14 +305,15 @@ def is_nonseparable_ball_lattice(lat: Lattice, r):
     d = dual_in_span(lat)
     l1_sq, _ = shortest_vectors(d)
     flag = Fraction(l1_sq) * 4 * r_sq >= 1
-    margin = float(_sqrt_exact(l1_sq)) - 1.0 / (2 * r_f)
+    margin = float(la._sqrt_rational(l1_sq)) - 1.0 / (2 * r_f)
     return flag, margin
 
 
 def ball_lattice_density(lat: Lattice, r):
     """Density of the ball packing/arrangement {rB^n + x : x in L}."""
     n = lat.rank
-    return kappa(n) * sp.nsimplify(r) ** n / lat.determinant()
+    return kappa(n) * la._sqrt_rational(_exact_radius(r)[0]) ** n \
+        / lat.determinant()
 
 
 def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitness:
@@ -329,9 +328,7 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
     the balls.
     """
     n = lat.rank
-    l1_sq, _ = shortest_vectors(lat) if "min_norm_sq" not in lat.meta \
-        else (lat.meta["min_norm_sq"], None)
-    if l1_sq < 4 * _exact_radius(r)[0]:
+    if _lambda1_sq(lat) < 4 * _exact_radius(r)[0]:
         raise NotAPackingError("balls of this radius overlap (lambda_1 < 2r)")
     d_value = getattr(d_nk, "value_exact", None)
     if d_value is None:

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-import sympy as sp
-
 from . import _linalg as la
 from .errors import (
     CatalogMissError,
@@ -136,8 +134,7 @@ class Lattice:
 
     def determinant(self):
         """D(L): volume of a basic parallelotope, exact (sympy)."""
-        d2 = self.det_sq()
-        return sp.sqrt(sp.Rational(d2.numerator, d2.denominator))
+        return la._sqrt_rational(self.det_sq())
 
     def norm_sq(self, coeffs):
         """Squared length of the lattice vector with the given coefficients."""

@@ -34,10 +34,6 @@ from .errors import (
 RAY_BUDGET = 200_000
 
 
-def _sqrt_rat(q: Fraction):
-    return sp.sqrt(sp.Rational(q.numerator, q.denominator))
-
-
 # ---------------------------------------------------------------------------
 # Exact double description on the homogenization cone
 # ---------------------------------------------------------------------------
@@ -172,14 +168,6 @@ def _cone_extreme_rays(normals):
                 f"double description exceeded the ray budget {RAY_BUDGET} "
                 f"at constraint {step} of {len(normals)}: {len(rays)} rays")
     return rays
-
-
-def _normalize_ray(r):
-    for x in r:
-        if x != 0:
-            s = abs(x)
-            return tuple(Fraction(y) / s for y in r)
-    return tuple(Fraction(0) for _ in r)
 
 
 def _tight_masks(points, a_rows, b_vals):
@@ -413,7 +401,8 @@ class Polytope:
         """Metric volume, exact sympy expression."""
         cv = self.coordinate_volume()
         g = self._metric()
-        return _sqrt_rat(la.det(g)) * sp.Rational(cv.numerator, cv.denominator)
+        return la._sqrt_rational(la.det(g)) * sp.Rational(cv.numerator,
+                                                          cv.denominator)
 
     # -- operations -----------------------------------------------------------
 
@@ -539,6 +528,12 @@ def cross_polytope(n) -> Polytope:
     return Polytope.from_vertices(verts)
 
 
+def _chart_gram(n):
+    """Gram <f_i, f_j> = 1 + [i == j] of the chart basis f_i = e_i - e_{n+1}
+    of the hyperplane sum x = 0 in R^{n+1}."""
+    return [[Fraction(1 + (i == j)) for j in range(n)] for i in range(n)]
+
+
 def simplex(n) -> Polytope:
     """Regular n-simplex with edge length sqrt(2), realized exactly.
 
@@ -553,8 +548,7 @@ def simplex(n) -> Polytope:
         e = [Fraction(0)] * n
         e[i] = Fraction(1)
         verts.append(e)
-    g = [[Fraction(1 + (i == j)) for j in range(n)] for i in range(n)]
-    return Polytope.from_vertices(verts, metric=g)
+    return Polytope.from_vertices(verts, metric=_chart_gram(n))
 
 
 def equilateral_triangle() -> Polytope:
@@ -566,15 +560,12 @@ def equilateral_triangle() -> Polytope:
 def simplex_dv_cell(n) -> Polytope:
     """Dirichlet-Voronoi cell of the lattice {j in Z^{n+1} : sum j = 0} in the
     chart coordinates of ``simplex(n)``: {x : max_i x_i - min_i x_i <= 1}
-    written on the ambient coordinates (x_1, ..., x_n, x_{n+1} = chart form).
+    written on the ambient coordinates of R^{n+1}.
 
-    In chart coordinates y (ambient x = (y_1, ..., y_n, 0) - mean adjustment),
-    the inequalities x_i - x_j <= 1 over all i != j in R^{n+1} become linear
-    inequalities on y with x = sum y_i f_i.
+    A chart point y is x = sum y_i f_i, so x_i = y_i for i <= n and
+    x_{n+1} = -sum(y), and each x_i - x_j <= 1 (i != j) is a linear
+    inequality on y.
     """
-    # ambient coordinates of a chart point y: x_i = y_i for i < n+1,
-    # x_{n+1} = -sum? No: x = sum y_i (e_i - e_{n+1}), so x_i = y_i (i <= n),
-    # x_{n+1} = -sum(y).
     rows, b = [], []
     for i in range(n + 1):
         for j in range(n + 1):
@@ -591,8 +582,7 @@ def simplex_dv_cell(n) -> Polytope:
                 row = [x + 1 for x in row]
             rows.append(row)
             b.append(Fraction(1))
-    g = [[Fraction(1 + (i == j)) for j in range(n)] for i in range(n)]
-    return Polytope.from_halfspaces(rows, b, metric=g)
+    return Polytope.from_halfspaces(rows, b, metric=_chart_gram(n))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +646,7 @@ def is_zonotope(p: Polytope):
     gens = {}
     for i, j in sorted(_bits(e) for e in p._faces(1)):
         dvec = la._canonical_sign([x - y for x, y in zip(verts[i], verts[j])])
-        gens.setdefault(_normalize_ray(dvec), dvec)
+        gens.setdefault(_primitive_int(dvec), dvec)
     return True, list(gens.values())
 
 

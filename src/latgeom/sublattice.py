@@ -13,10 +13,8 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
 from . import _linalg as la
-from .enumeration import successive_minima, vectors_within
+from .enumeration import _lambda1_sq, successive_minima, vectors_within
 from .errors import CapabilityError, InvalidInputError
 from .lattice import Lattice
 
@@ -39,8 +37,7 @@ class SublatticeWitness:
         return len(self.coeffs)
 
     def det_value(self):
-        d = Fraction(self.det_sq)
-        return sp.sqrt(sp.Rational(d.numerator, d.denominator))
+        return la._sqrt_rational(self.det_sq)
 
     def to_dict(self) -> dict:
         return {"coeffs": [list(map(int, r)) for r in self.coeffs],
@@ -120,29 +117,14 @@ _HERMITE_POW = (None, Fraction(1), Fraction(4, 3), Fraction(2), Fraction(4),
 
 
 def _bound_sq(det_bound):
-    """det_bound^2 as a Fraction, or None when det_bound <= 0. A float is
-    read exactly; a sympy value must have a rational square."""
-    if isinstance(det_bound, sp.Expr):
-        det_bound_sq = det_bound ** 2
-        if not det_bound_sq.is_Rational:
-            raise InvalidInputError(f"det_bound {det_bound} has an irrational "
-                                    "square")
-        det_bound_sq = Fraction(det_bound_sq.p, det_bound_sq.q)
-    else:
-        det_bound = Fraction(det_bound)
-        det_bound_sq = det_bound * det_bound
-    return det_bound_sq if det_bound > 0 else None
+    """det_bound^2 as a Fraction, or None when det_bound <= 0."""
+    det_bound_sq, positive = la._rational_square(det_bound)
+    return det_bound_sq if positive else None
 
 
 def _check_k(lat: Lattice, k: int):
     if not 1 <= k <= lat.rank - 1:
         raise InvalidInputError("need 1 <= k <= rank - 1")
-
-
-def _min_norm_sq(lat: Lattice, max_rank):
-    if "min_norm_sq" in lat.meta:
-        return lat.meta["min_norm_sq"]
-    return successive_minima(lat, max_rank)[0][0]
 
 
 def _span_key(echelon):
@@ -171,8 +153,10 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
                           node_budget=NODE_BUDGET):
     """All saturated k-sublattices with determinant <= det_bound, ascending.
 
-    ``det_bound`` is a real number (a float is read exactly) or a sympy
-    square root of a rational; only its square enters the search.
+    ``det_bound`` is a real number, read like every outside number (a
+    float as the nearest fraction with denominator at most 10^12), or a
+    sympy number with a rational square, such as a square root of a
+    rational; only its square enters the search.
 
     Every saturated sublattice with small determinant contains k independent
     vectors no longer than its own successive minima; the Minkowski bound
@@ -201,7 +185,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
         # of the dual via orthogonal complement, with
         # det(M)^2 = det_sq(L) * det(M_perp)^2; search the smaller side
         return _enumerate_via_dual(lat, k, det_bound_sq, max_rank, node_budget)
-    l1_sq = _min_norm_sq(lat, max_rank)
+    l1_sq = _lambda1_sq(lat, max_rank)
     prod_sq_bound = _minkowski_sq(k) * det_bound_sq
     vecs = vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq),
                           max_rank=max_rank)
@@ -281,11 +265,10 @@ def _shells(lat: Lattice, k: int, det_bound, max_rank=12,
     if cap is None:
         return
     gamma_pow = _HERMITE_POW[k] if k < len(_HERMITE_POW) else _minkowski_sq(k)
-    prev, bound = 0, _min_norm_sq(lat, max_rank) ** k / gamma_pow
+    prev, bound = 0, _lambda1_sq(lat, max_rank) ** k / gamma_pow
     while True:
         bound = min(bound, cap)
-        shell = det_bound if bound == cap else \
-            sp.sqrt(sp.Rational(bound.numerator, bound.denominator))
+        shell = det_bound if bound == cap else la._sqrt_rational(bound)
         for w in enumerate_sublattices(lat, k, shell, max_rank=max_rank,
                                        node_budget=node_budget):
             if w.det_sq > prev:
@@ -299,8 +282,7 @@ def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, max_rank,
                         node_budget):
     m = lat.rank
     dlat = Lattice.from_gram(la.inverse(lat.gram()))
-    q = det_bound_sq / lat.det_sq()
-    dual_bound = sp.sqrt(sp.Rational(q.numerator, q.denominator))
+    dual_bound = la._sqrt_rational(det_bound_sq / lat.det_sq())
     out = []
     for wd in enumerate_sublattices(dlat, m - k, dual_bound,
                                     max_rank=max_rank, node_budget=node_budget):
@@ -322,9 +304,8 @@ def dk_min(lat: Lattice, k: int, det_bound=None, max_rank=12,
     or below the product of their squared norms."""
     _check_k(lat, k)
     if det_bound is None:
-        bound_sq = math.prod(successive_minima(lat, max_rank)[0][:k])
-        det_bound = sp.sqrt(sp.Rational(bound_sq.numerator,
-                                        bound_sq.denominator))
+        det_bound = la._sqrt_rational(
+            math.prod(successive_minima(lat, max_rank)[0][:k]))
     best = next(_shells(lat, k, det_bound, max_rank=max_rank,
                         node_budget=node_budget), None)
     if best is None:

@@ -1,10 +1,18 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latgeom._linalg as la
+from latgeom import cli
 from latgeom.cli import VERBS, run
-from latgeom.lattice import Lattice
+from latgeom.impassability import _exact_radius, passage_certificate
+from latgeom.lattice import Lattice, catalog
+from latgeom.sublattice import _bound_sq, dk_min
 
 
 def _run(capsys, *argv):
@@ -310,6 +318,43 @@ def test_det_bound_is_exact(tmp_path, capsys):
     code, _, err = _run(capsys, "dk", "--catalog", "Z2", "--k", "1",
                         "--det-bound", "abc")
     assert code == 2 and json.loads(err)["error"] == "InvalidInputError"
+
+
+# (token, the value a library caller passes for it). A float below 10 lies
+# within 10^-15 of its two-place decimal and at least 9 * 10^-15 from any
+# other fraction with denominator up to 10^12, so the library reads the
+# decimal back
+_TOKENS = st.one_of(
+    st.decimals("0.01", "9.99", places=2).map(lambda d: (str(d), float(d))),
+    st.fractions(Fraction(1, 1000), 100, max_denominator=1000).map(
+        lambda q: (str(q), q)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TOKENS)
+def test_numeric_tokens_read_like_the_library(pair):
+    # --r, --scale and --det-bound read the square the library reads
+    tok, value = pair
+    want, _ = la._rational_square(value)
+    assert _exact_radius(cli._number("r", tok))[0] == want
+    assert cli._scale_factor_sq(tok) == want
+    assert _bound_sq(cli._number("det_bound", tok)) == want
+
+
+def test_root_tokens_read_like_the_library():
+    want, _ = la._rational_square(sp.sqrt(2))
+    assert _exact_radius(cli._number("r", "sqrt2"))[0] == want == 2
+    assert cli._scale_factor_sq("sqrt2") == want
+
+
+def test_cli_and_library_agree_on_float_values(capsys):
+    d = _json(capsys, "dk", "--catalog", "Z3", "--scale", "0.7", "--k", "2",
+              "--det-bound", "0.49")
+    lat = catalog("Z", 3).scaled(Fraction(49, 100))
+    assert d["dk_sq"] == str(dk_min(lat, 2, 0.49)[0]) == "2401/10000"
+    d = _json(capsys, "impass", "--catalog", "Z3", "--k", "1", "--r", "0.3")
+    assert d["certificate"] == passage_certificate(
+        catalog("Z", 3), 0.3, 1, validate=False).to_dict()
 
 
 def test_polytope_facets_ignore_repeated_rows(tmp_path, capsys):

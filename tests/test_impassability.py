@@ -12,7 +12,7 @@ from latgeom.enumeration import _covering_radius_bound, covering_radius
 from latgeom.errors import (CapabilityError, CertificateValidationError,
                             NotAPackingError)
 from latgeom.impassability import (_default_det_bound, _validate_certificate,
-                                   ball_lattice_density, free_cylinder,
+                                   _validation_radius_sq, ball_lattice_density, free_cylinder,
                                    is_nonseparable_ball_lattice,
                                    max_clearance, passage_certificate)
 from latgeom.lattice import Lattice, catalog
@@ -174,6 +174,26 @@ def test_validation_failure_is_typed():
     # a claimed mu^2 above the true one
     with pytest.raises(CertificateValidationError):
         _validate_certificate(proj, hole, mu_sq + Fraction(1, 10**6), cert.r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(0, 50, max_denominator=10**6),
+       st.fractions(0, 50, max_denominator=10**6))
+def test_validation_radius_bounds_the_exact_radius(mu_sq, r_sq):
+    bound = _validation_radius_sq(mu_sq, r_sq)
+    exact = (sp.sqrt(sp.Rational(mu_sq)) + sp.sqrt(sp.Rational(r_sq)) + 1) ** 2
+    assert sp.Rational(bound) >= exact
+    # each root is rounded up by less than 10^-9
+    assert sp.Rational(bound) < (sp.sqrt(exact) + sp.Rational(2, 10**9)) ** 2
+
+
+def test_default_search_bound_is_exact():
+    # 3 lambda_1 on 6 Z^3 has square 54, the norm of (2, 2, 1); the float
+    # 3.0 * sqrt(6.0) squares to less and stopped the search at det^2 36
+    lat = catalog("Z", 3).scaled(6)
+    ws = enumerate_sublattices(lat, 1, _default_det_bound(lat, 1))
+    assert max(w.det_sq for w in ws) == 54
+    assert ((2, 2, 1),) in {w.coeffs for w in ws}
 
 
 def _exhaustive(lat, r, k, det_bound):

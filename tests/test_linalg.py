@@ -146,3 +146,31 @@ def test_complete_to_unimodular_checks_the_completion(monkeypatch):
                         lambda a: [[2 * x for x in r] for r in real(a)])
     with pytest.raises(ValueError, match="not unimodular"):
         la.complete_to_unimodular([[1, 0, 0]])
+
+
+_REALS = st.one_of(
+    st.fractions(-100, 100, max_denominator=1000), st.integers(-10**6, 10**6),
+    st.decimals(-100, 100, places=3, allow_nan=False).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REALS)
+def test_rational_square_of_a_rational_reader_value(x):
+    q = la._rational(x)
+    assert la._rational_square(x) == (q * q, q > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(-20, 20, max_denominator=50).filter(bool),
+       st.fractions(0, 20, max_denominator=50).filter(bool))
+def test_rational_square_of_a_root(c, q):
+    x = sp.Rational(c) * sp.sqrt(sp.Rational(q))
+    assert la._rational_square(x) == (c * c * q, c > 0)
+
+
+@pytest.mark.parametrize("x", [sp.pi, sp.sqrt(2) + 1, sp.E ** 2,
+                               float("inf"), float("nan"), "abc", None])
+def test_rational_square_rejects_other_values(x):
+    with pytest.raises(InvalidInputError):
+        la._rational_square(x)

@@ -348,3 +348,13 @@ def test_dk_min_d6_planes_of_rank_three():
     assert d2 == 4 and w.det_sq == 4 and w.k == 3
     assert w.saturated and la._saturated([list(r) for r in w.coeffs])
     assert sub._sub_det_sq(catalog("D", 6), w.coeffs) == 4
+
+
+def test_float_det_bound_is_read_like_every_outside_number():
+    # the float 0.49 reads as 49/100, as it does on the command line, so
+    # the three coordinate planes of det 49/100 are in
+    lat = catalog("Z", 3).scaled(Fraction(49, 100))
+    want = enumerate_sublattices(lat, 2, Fraction(49, 100))
+    assert len(want) == 3
+    assert enumerate_sublattices(lat, 2, 0.49) == want
+    assert dk_min(lat, 2, 0.49)[0] == Fraction(2401, 10000)
