@@ -326,17 +326,23 @@ def integer_kernel(a):
 
 
 def saturation(a):
-    """Basis of the saturation of the integer row span of a within Z^m.
+    """HNF basis of the saturation of the row span of the independent
+    integer rows ``a`` (k x m) within Z^m, rowspace_Q(a) intersected with Z^m.
 
-    The saturation is rowspace_Q(a) intersected with Z^m; computed as the
-    integer kernel of the integer kernel.
+    One row HNF of a^T gives U a^T = [H; 0] with U unimodular, so a = H^T S
+    for S the first k rows of U^{-T}: rows that extend to a unimodular
+    matrix, hence a basis of the saturation. H^T is lower triangular, so
+    forward substitution reads S off ``a``, and every division is exact.
     """
-    m = len(a[0])
-    ker = integer_kernel(a)
-    if not ker:
-        return [[int(i == j) for j in range(m)] for i in range(m)]
-    sat = integer_kernel(ker)
-    return hnf_basis(sat)
+    h, _ = _hnf(transpose(a), [[] for _ in a[0]])
+    s = []
+    for i, row in enumerate(a):
+        for j in range(i):
+            f = h[j][i]
+            if f:
+                row = [x - f * y for x, y in zip(row, s[j])]
+        s.append([x // h[i][i] for x in row])
+    return hnf_basis(s)
 
 
 def _saturated(a):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import sympy as sp
 
@@ -184,12 +184,10 @@ def dnk_lower(n: int, k: int) -> BoundReport:
     else:
         floor = dnn1_ball(n) if has_delta(n) else None
     if floor is not None and floor.value_float > chain.value_float:
-        return BoundReport("dnk-lower", n, k, floor.value_exact,
-                           floor.value_float, floor.inputs,
-                           "equality" if k == n - 1 else "lower-bound",
-                           "hyperplane threshold dominates the covering chain")
-    return BoundReport("dnk-lower", n, k, chain.value_exact, chain.value_float,
-                       chain.inputs, chain.strictness, chain.notes)
+        return replace(floor, formula_id="dnk-lower", k=k,
+                       strictness="equality" if k == n - 1 else "lower-bound",
+                       notes="hyperplane threshold dominates the covering chain")
+    return replace(chain, formula_id="dnk-lower")
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,9 +196,7 @@ def dnk_known(n: int, k: int) -> BoundReport:
     case k = n-1 (for cataloged packing densities) and the proved line case
     d_{3,1} = 9 pi / 32."""
     if k == n - 1 and has_delta(n):
-        rep = dnn1_ball(n)
-        return BoundReport("dnk-known", n, k, rep.value_exact, rep.value_float,
-                           rep.inputs, "equality", rep.notes)
+        return replace(dnn1_ball(n), formula_id="dnk-known")
     if (n, k) == (3, 1):
         entry = ConstantEntry("d_3_1", 3, sp.Rational(9, 32) * sp.pi,
                               "external-catalog",
@@ -268,9 +264,7 @@ def min_dnk_over_bodies(n: int, k: int, symmetric: bool) -> BoundReport:
     report = body_min_chain(n, k, symmetric)
     floor = body_min_floor(n)
     if floor.value_float > report.value_float:
-        return BoundReport(report.formula_id, n, k, floor.value_exact,
-                           floor.value_float, floor.inputs,
-                           "strict-lower-bound", floor.notes)
+        return replace(floor, formula_id=report.formula_id, k=k)
     return report
 
 

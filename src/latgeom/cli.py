@@ -419,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # How a numeric flag, given on the command line or in --config, is read.
 _NUMBERS = {"n": int, "k": int, "tol": float, "r": parse_scalar,
-            "det_bound": la._rational}
+            "det_bound": parse_scalar}
 
 
 def _number(key, value):

@@ -22,6 +22,7 @@ from .lattice import Lattice, reduce as lll_reduce
 
 MAX_ENUM_RANK = 12
 MAX_VORONOI_RANK = 8
+POINT_BUDGET = 10**6
 
 
 def kappa(n: int):
@@ -72,7 +73,9 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     z = c x - c center, the form is sum_i (a_i . z)^2 / (d c^2 D_i D_{i+1})
     over the rows a_i of lat's cached elimination. Times L = lcm(D_i D_{i+1})
     each term and the budget floor(bound_sq d c^2 L) are ints, so isqrt gives
-    the exact range of x_i, fixed last first and in ascending order.
+    the exact range of x_i, fixed last first and in ascending order. A list
+    longer than ``POINT_BUDGET`` raises CapabilityError, as soon as the
+    range of x_0 shows it, before those points are built.
     """
     e = lat._elimination
     m = len(e)
@@ -99,7 +102,12 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
         t = math.isqrt(left // wi)
         # |D_{i+1} (c x_i - ct_i) + s| <= t
         p, base = a[i] * c, a[i] * cti - s
-        for xi in range(-((t - base) // p), (base + t) // p + 1):
+        lo, hi = -((t - base) // p), (base + t) // p
+        if i == 0 and len(results) + hi - lo >= POINT_BUDGET:
+            raise CapabilityError(
+                f"enumeration exceeded the point budget {POINT_BUDGET} "
+                f"({len(results)} points collected)")
+        for xi in range(lo, hi + 1):
             x[i] = xi
             z[i] = zi = c * xi - cti
             v = a[i] * zi + s

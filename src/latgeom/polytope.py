@@ -20,6 +20,7 @@ from typing import Sequence
 import sympy as sp
 
 from . import _linalg as la
+from .enumeration import kappa
 from .errors import (
     CapabilityError,
     DimensionMismatchError,
@@ -667,8 +668,7 @@ class Ellipsoid:
 
     def volume(self) -> float:
         import numpy as np
-        n = len(self.center)
-        kap = float(sp.pi ** sp.Rational(n, 2) / sp.gamma(sp.Rational(n, 2) + 1))
+        kap = float(kappa(len(self.center)))
         gdet = np.linalg.det(np.array(self.metric)) if self.metric else 1.0
         return kap * math.sqrt(gdet / np.linalg.det(np.array(self.shape)))
 

@@ -94,26 +94,20 @@ def saturate(lat: Lattice, w: SublatticeWitness) -> SublatticeWitness:
     return SublatticeWitness(lat, tuple(tuple(r) for r in rows), d2, True)
 
 
-# pi exceeds this, so dividing by its powers keeps an upper bound an upper bound
-_PI_BELOW = Fraction(3141592653, 10**9)
-
-
-def _minkowski_sq(k):
-    """Rational upper bound on (2^k / kappa_k)^2 = 4^k Gamma(k/2 + 1)^2 / pi^k,
-    the squared constant of Minkowski's prod lambda_i <= (2^k / kappa_k) det."""
-    if k % 2 == 0:
-        gamma_sq, pi_pow = Fraction(math.factorial(k // 2) ** 2), k
-    else:
-        # Gamma(k/2 + 1) = k!! sqrt(pi) / 2^((k + 1)/2)
-        gamma_sq = Fraction(math.prod(range(k, 0, -2)) ** 2, 2 ** (k + 1))
-        pi_pow = k - 1
-    return 4 ** k * gamma_sq / _PI_BELOW ** pi_pow
-
-
 # gamma_k^k for k = 1..8, Hermite's constants to the k-th power (Conway &
 # Sloane, Sphere Packings, Lattices and Groups, Table 1.2)
 _HERMITE_POW = (None, Fraction(1), Fraction(4, 3), Fraction(2), Fraction(4),
                 Fraction(8), Fraction(64, 3), Fraction(64), Fraction(256))
+
+
+def _hermite_pow(k):
+    """gamma_k^k, or above k = 8 Hermite's bound (4/3)^(k(k-1)/2) on it: the
+    one constant of the search, as Minkowski's second theorem in Hermite
+    form, prod lambda_i(M)^2 <= gamma_k^k det(M)^2, caps the minima of a
+    k-sublattice M and Hermite's inequality bounds det(M) below."""
+    if k < len(_HERMITE_POW):
+        return _HERMITE_POW[k]
+    return Fraction(4, 3) ** (k * (k - 1) // 2)
 
 
 def _bound_sq(det_bound):
@@ -159,10 +153,10 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
     rational; only its square enters the search.
 
     Every saturated sublattice with small determinant contains k independent
-    vectors no longer than its own successive minima; the Minkowski bound
-    prod lambda_i <= (2^k / kappa_k) det caps their squared-norm product by
-    (2^k / kappa_k)^2 det_bound^2, with pi bounded below by a rational, and
-    each of them by that product over lambda_1^{2(k-1)}. A depth-first
+    vectors no longer than its own successive minima; Minkowski's second
+    theorem in Hermite form, prod lambda_i^2 <= gamma_k^k det^2, caps their
+    squared-norm product by ``_hermite_pow(k)`` det_bound^2, and each of
+    them by that product over lambda_1^{2(k-1)}. A depth-first
     search over the vectors up to that length, in ascending norm, compares
     the integer norm products against G_int exactly. Each chosen vector
     carries its fraction-free echelon row, reduced against the earlier
@@ -172,8 +166,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
     saturated and has its determinant computed once, also when that
     exceeds the bound. For k = 1 the witness is v / gcd(v), of squared norm
     ||v||^2 / gcd(v)^2. A key whose pivots are all 1 is already the HNF of
-    its saturation; any other is put in HNF, saturated first when the gcd
-    of its maximal minors exceeds 1.
+    its saturation; any other goes through ``la.saturation``.
     """
     m = lat.rank
     _check_k(lat, k)
@@ -186,7 +179,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
         # det(M)^2 = det_sq(L) * det(M_perp)^2; search the smaller side
         return _enumerate_via_dual(lat, k, det_bound_sq, max_rank, node_budget)
     l1_sq = _lambda1_sq(lat, max_rank)
-    prod_sq_bound = _minkowski_sq(k) * det_bound_sq
+    prod_sq_bound = _hermite_pow(k) * det_bound_sq
     vecs = vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq),
                           max_rank=max_rank)
     # keep one representative per +- pair
@@ -195,7 +188,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
         pairs[la._canonical_sign(v)] = q
     vecs = sorted(pairs.items(), key=lambda p: (p[1], p[0]))
     coeff_rows = [list(v) for v, _ in vecs]
-    # squared norms over G_int's d are ints, and so is the Minkowski cap
+    # squared norms over G_int's d are ints, and so is the cap
     d = lat.int_gram[1]
     norms = [q.numerator * (d // q.denominator) for _, q in vecs]
     cap = math.floor(prod_sq_bound * d ** k)
@@ -213,11 +206,8 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
             sat, d2 = key, Fraction(norms[chosen[0]], d * g * g)
         else:
             pivots = sorted(c for c, _ in echelon)
-            if all(row[c] == 1 for c, row in zip(pivots, key)):
-                sat = key
-            else:
-                sat = tuple(map(tuple, la.hnf_basis(key) if la._saturated(key)
-                                else la.saturation(key)))
+            sat = key if all(row[c] == 1 for c, row in zip(pivots, key)) \
+                else tuple(map(tuple, la.saturation(key)))
             d2 = _sub_det_sq(lat, sat)
         found[key] = SublatticeWitness(lat, sat, d2, True) \
             if d2 <= det_bound_sq else None
@@ -255,17 +245,15 @@ def _shells(lat: Lattice, k: int, det_bound, max_rank=12,
 
     A k-sublattice M of L has lambda_1(M) >= lambda_1(L), so Hermite's
     inequality lambda_1(M)^2 <= gamma_k det(M)^{2/k} puts det(M)^2 at or
-    above lambda_1(L)^{2k} / gamma_k^k, the first bound (gamma_k^k is
-    tabulated up to k = 8 and bounded above by Minkowski's constant
-    beyond). Each next bound is 4 times the last, capped at det_bound^2,
+    above lambda_1(L)^{2k} / gamma_k^k, the first bound (``_hermite_pow``).
+    Each next bound is 4 times the last, capped at det_bound^2,
     and each search yields only the witnesses above the previous bound.
     """
     _check_k(lat, k)
     cap = _bound_sq(det_bound)
     if cap is None:
         return
-    gamma_pow = _HERMITE_POW[k] if k < len(_HERMITE_POW) else _minkowski_sq(k)
-    prev, bound = 0, _lambda1_sq(lat, max_rank) ** k / gamma_pow
+    prev, bound = 0, _lambda1_sq(lat, max_rank) ** k / _hermite_pow(k)
     while True:
         bound = min(bound, cap)
         shell = det_bound if bound == cap else la._sqrt_rational(bound)

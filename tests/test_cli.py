@@ -320,6 +320,26 @@ def test_det_bound_is_exact(tmp_path, capsys):
     assert code == 2 and json.loads(err)["error"] == "InvalidInputError"
 
 
+def test_det_bound_reads_root_tokens(capsys):
+    # --det-bound takes the tokens --r takes, as the library takes sqrt(2);
+    # pi has no rational square
+    d = _json(capsys, "dk", "--catalog", "Z3", "--k", "1", "--det-bound",
+              "sqrt2")
+    assert d["dk_sq"] == "1" == str(dk_min(catalog("Z", 3), 1, sp.sqrt(2))[0])
+    code, out, err = _run(capsys, "dk", "--catalog", "Z3", "--k", "1",
+                          "--det-bound", "pi")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+def test_huge_det_bound_hits_the_point_budget(capsys):
+    # the candidate enumeration of the search stops at its point budget
+    code, out, err = _run(capsys, "cylinder", "--catalog", "Z3", "--r", "1/4",
+                          "--k", "1", "--det-bound", "1e400")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "CapabilityError"
+
+
 # (token, the value a library caller passes for it). A float below 10 lies
 # within 10^-15 of its two-place decimal and at least 9 * 10^-15 from any
 # other fraction with denominator up to 10^12, so the library reads the
@@ -345,6 +365,7 @@ def test_root_tokens_read_like_the_library():
     want, _ = la._rational_square(sp.sqrt(2))
     assert _exact_radius(cli._number("r", "sqrt2"))[0] == want == 2
     assert cli._scale_factor_sq("sqrt2") == want
+    assert _bound_sq(cli._number("det_bound", "sqrt2")) == want
 
 
 def test_cli_and_library_agree_on_float_values(capsys):

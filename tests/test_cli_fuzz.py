@@ -25,8 +25,8 @@ VALUES = {
              ""]),
     "--scale": (["2", "1/2", "sqrt2"],
                 ["0", "-1", "pi", "nan", "inf", "1e-400", "x", ""]),
-    "--det-bound": (["1", "3/2", "2", "0.5"],
-                    ["-1", "0", "nan", "inf", "x", ""]),
+    "--det-bound": (["1", "3/2", "2", "0.5", "sqrt2"],
+                    ["-1", "0", "pi", "nan", "inf", "x", ""]),
     "--witness": (["[[1,0,0]]", "[[0,1,1]]", "[[1,0]]", "[[1,0,0],[0,1,0]]"],
                   ["[[1.5,0,0]]", "notjson", "5", "[]", "{}", "[1,0,0]",
                    "[[0,0,0]]", "[[true,0,0]]", '[["a",0,0]]',

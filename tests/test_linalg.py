@@ -117,6 +117,25 @@ def test_integer_right_inverse(rows):
         assert la.integer_right_inverse(rows) is None
 
 
+def _kernel_of_kernel(rows):
+    """Reference saturation: the HNF of the integer kernel of the integer
+    kernel of ``rows``, Z^m itself when the first kernel is zero."""
+    m = len(rows[0])
+    ker = la.integer_kernel(rows)
+    if not ker:
+        return [[int(i == j) for j in range(m)] for i in range(m)]
+    return la.hnf_basis(la.integer_kernel(ker))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=1,
+    max_size=m)))
+def test_saturation_matches_kernel_of_kernel(rows):
+    assume(la.rank(rows) == len(rows))
+    assert la.saturation(rows) == _kernel_of_kernel(rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1,

@@ -74,6 +74,23 @@ def test_dk_z_is_one():
             assert w.saturated
 
 
+@pytest.mark.parametrize("k, name, n", [
+    (1, "Z", 1), (2, "A", 2), (3, "D", 3), (4, "D", 4), (5, "D", 5),
+    (6, "E", 6), (7, "E", 7), (8, "E", 8)])
+def test_hermite_pow_is_attained_by_the_critical_lattice(k, name, n):
+    # gamma_k^k = lambda_1^{2k} / det^2 of the densest lattice packing
+    lat = catalog(name, n)
+    assert sub._hermite_pow(k) == shortest_vectors(lat)[0] ** k / lat.det_sq()
+
+
+def test_hermite_pow_beyond_the_table_is_hermites_bound():
+    assert [sub._hermite_pow(k) for k in (9, 10, 12)] == \
+        [Fraction(4, 3) ** 36, Fraction(4, 3) ** 45, Fraction(4, 3) ** 66]
+    # the shells start below det^2 = 1 on Z^10 and reach it
+    d2, w = dk_min(catalog("Z", 10), 9)
+    assert d2 == 1 and w.k == 9 and w.saturated
+
+
 def test_dk_fcc():
     fcc = catalog("D", 3)
     d1, _ = dk_min(fcc, 1)
@@ -142,8 +159,9 @@ def test_project_along_keeps_cached_invariants():
 def _saturate_every_subset(lat, k, det_bound):
     """Reference search: saturate the span of every independent k-subset of
     the vectors the Minkowski bound allows, with float bounds and slack (a
-    larger searched set finds the same sublattices), through the dual when
-    k > rank - k; sorted (det_sq, HNF) pairs."""
+    larger searched set finds the same sublattices; for k <= 8 it is wider
+    than the search's Hermite cap, so a sublattice the cap drops shows),
+    through the dual when k > rank - k; sorted (det_sq, HNF) pairs."""
     m = lat.rank
     det_sq = Fraction(det_bound) ** 2
 
@@ -205,6 +223,9 @@ def _search_inputs(draw):
 # the search visits the dependent pair (v, 2v) with v a shortest vector
 @example((Lattice.from_gram(la.gram_matrix(
     [[3, 1, 0, 0], [0, 3, 1, 0], [1, 0, 3, -1], [0, 0, 1, 3]])), 2, 20))
+# root lattices whose planes up to det 3 include spans with non-unit pivots
+@example((catalog("D", 4), 2, 3))
+@example((catalog("A", 4), 2, 3))
 def test_enumerate_matches_saturating_every_subset(inputs):
     lat, k, det_bound = inputs
     got = enumerate_sublattices(lat, k, det_bound)
