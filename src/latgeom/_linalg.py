@@ -353,32 +353,20 @@ def _saturated(a):
     return all(h[i][i] == 1 for i in range(len(a)))
 
 
-def integer_right_inverse(a):
-    """Integer right inverse W (m x k) with a @ W = I_k.
-
-    Exists exactly when the row span of a is a saturated rank-k sublattice of
-    Z^m (all Smith invariant factors 1). Returns None otherwise.
-    """
-    k = len(a)
-    at = [list(col) for col in zip(*a)]  # m x k
-    h, u = hnf_row(at)  # u @ a^T = h, h = [h1; 0] with h1 k x k
-    if any(h[i][i] != 1 for i in range(k)):
-        return None
-    # unit pivots leave nothing above them, so h1 = I and u[:k] a^T = I
-    return transpose(u[:k])
-
-
 def complete_to_unimodular(a):
     """Extend saturated integer rows a (k x m) to a unimodular m x m matrix
-    whose first k rows are exactly a."""
+    whose first k rows are exactly a; ValueError when they are not saturated.
+
+    The row HNF of a^T, U a^T = H, has unit pivots exactly when the rows are
+    saturated; unit pivots leave nothing above them, so then U[:k] a^T = I,
+    and Z^m splits as the row span of a plus the kernel {z : U[:k] z = 0},
+    which completes a.
+    """
     k = len(a)
-    m = len(a[0])
-    w = integer_right_inverse(a)
-    if w is None:
+    h, u = hnf_row(transpose(a))
+    if any(h[i][i] != 1 for i in range(k)):
         raise ValueError("rows do not span a saturated sublattice")
-    wt = [list(col) for col in zip(*w)]  # k x m
-    complement = integer_kernel(wt)  # {z : z w = 0}, rank m - k
-    full = [list(map(int, row)) for row in a] + complement
+    full = [list(map(int, row)) for row in a] + integer_kernel(u[:k])
     if abs(det_int(full)) != 1:
         raise ValueError("completion is not unimodular")
     return full

@@ -33,8 +33,7 @@ def kappa(n: int):
 def _check_rank(lat: Lattice, cap: int, what: str):
     if lat.rank > cap:
         raise CapabilityError(
-            f"{what} capped at rank {cap}; got rank {lat.rank} "
-            f"(raise the cap explicitly to override)")
+            f"{what} capped at rank {cap}; got rank {lat.rank}")
 
 
 def _once(lat: Lattice, key, compute):
@@ -137,11 +136,11 @@ def _nearest(red: Lattice, t):
     return [x for x, q, _ in found if q == best], best, found[0][2]
 
 
-def vectors_within(lat: Lattice, bound_sq, max_rank=MAX_ENUM_RANK):
+def vectors_within(lat: Lattice, bound_sq):
     """All nonzero lattice vectors with squared norm <= bound_sq, as
     (coeffs, norm_sq) pairs in the original basis, sorted by
     (norm_sq, coeffs)."""
-    _check_rank(lat, max_rank, "enumeration")
+    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
     red, u = _reduced(lat)
     found = sorted((q, tuple(la.vec_mat(x, u)), den) for x, q, den
                    in _enumerate_gram(red, [0] * lat.rank, bound_sq) if any(x))
@@ -155,10 +154,10 @@ def _nonzero_within(red: Lattice, bound_sq):
                   in _enumerate_gram(red, [0] * red.rank, bound_sq) if any(x))
 
 
-def shortest_vectors(lat: Lattice, max_rank=MAX_ENUM_RANK):
+def shortest_vectors(lat: Lattice):
     """(lambda_1 squared, canonical coefficient vectors of all minimal
     vectors, one per +- pair, sorted lexicographically)."""
-    _check_rank(lat, max_rank, "enumeration")
+    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
     red, u = _reduced(lat)
     found = _nonzero_within(red, min(red._gram[i][i] for i in range(lat.rank)))
     best, _, den = found[0]
@@ -167,11 +166,11 @@ def shortest_vectors(lat: Lattice, max_rank=MAX_ENUM_RANK):
     return Fraction(best, den), sorted(mins)
 
 
-def successive_minima(lat: Lattice, max_rank=MAX_ENUM_RANK):
+def successive_minima(lat: Lattice):
     """Squared successive minima lambda_k^2 with achieving linearly
     independent coefficient vectors: (list of norm_sq, list of coeffs).
     Ties go to the least vector in reduced coordinates."""
-    _check_rank(lat, max_rank, "enumeration")
+    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
     red, u = _reduced(lat)
     chosen, norms, echelon = [], [], []
     for q, x, den in _nonzero_within(
@@ -185,10 +184,10 @@ def successive_minima(lat: Lattice, max_rank=MAX_ENUM_RANK):
     return norms, chosen
 
 
-def closest_vectors(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
+def closest_vectors(lat: Lattice, target_coeffs):
     """Closest lattice vectors to a target given by (rational) coefficients
     in the lattice basis: (dist_sq, sorted list of coefficient vectors)."""
-    _check_rank(lat, max_rank, "enumeration")
+    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
     red, u = _reduced(lat)
     # target in reduced coordinates: t_red = t . u^{-1}
     t = la.vec_mat([la._rational(c) for c in target_coeffs],
@@ -197,14 +196,14 @@ def closest_vectors(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
     return Fraction(best, den), sorted(tuple(la.vec_mat(x, u)) for x in mins)
 
 
-def closest_vector(lat: Lattice, target_coeffs, max_rank=MAX_ENUM_RANK):
+def closest_vector(lat: Lattice, target_coeffs):
     """Single closest vector; ties broken by lexicographically least
     coefficient vector."""
-    d, vs = closest_vectors(lat, target_coeffs, max_rank=max_rank)
+    d, vs = closest_vectors(lat, target_coeffs)
     return d, vs[0]
 
 
-def relevant_vectors(lat: Lattice, max_rank=MAX_VORONOI_RANK):
+def relevant_vectors(lat: Lattice):
     """Voronoi-relevant vectors, one per +- pair, as a sorted tuple of
     coefficient vectors; computed once per lattice value.
 
@@ -212,7 +211,7 @@ def relevant_vectors(lat: Lattice, max_rank=MAX_VORONOI_RANK):
     the coset v + 2L; scanning the 2^m - 1 nonzero cosets of L/2L finds all
     of them.
     """
-    _check_rank(lat, max_rank, "Voronoi computation")
+    _check_rank(lat, MAX_VORONOI_RANK, "Voronoi computation")
     return _once(lat, "relevant_vectors", lambda: _coset_scan(lat))
 
 
@@ -231,11 +230,11 @@ def _coset_scan(lat: Lattice):
     return tuple(sorted(out))
 
 
-def voronoi_cell(lat: Lattice, max_rank=MAX_VORONOI_RANK):
+def voronoi_cell(lat: Lattice):
     """Dirichlet-Voronoi cell in coefficient coordinates, carrying the Gram
     matrix as its metric so volumes and norms come out right; built once
     per lattice value, so its vertices are found once."""
-    rel = relevant_vectors(lat, max_rank=max_rank)
+    rel = relevant_vectors(lat)
     return _once(lat, "voronoi_cell", lambda: _cell(lat, rel))
 
 
@@ -252,12 +251,12 @@ def _cell(lat: Lattice, rel):
     return Polytope.from_halfspaces(rows, b, metric=g)
 
 
-def covering_radius(lat: Lattice, max_rank=MAX_VORONOI_RANK):
+def covering_radius(lat: Lattice):
     """(mu squared, deep hole) where mu is the covering radius and the deep
     hole is the lexicographically greatest Voronoi-cell vertex attaining it,
     in coefficient coordinates; computed once per lattice value."""
-    _check_rank(lat, max_rank, "Voronoi computation")
-    return _once(lat, "covering_radius", lambda: _deep_hole(lat, max_rank))
+    _check_rank(lat, MAX_VORONOI_RANK, "Voronoi computation")
+    return _once(lat, "covering_radius", lambda: _deep_hole(lat))
 
 
 def _covering_radius_bound(lat: Lattice):
@@ -276,12 +275,12 @@ def _covering_radius_bound(lat: Lattice):
             / (4 * red.int_gram[1]))
 
 
-def _deep_hole(lat: Lattice, max_rank):
+def _deep_hole(lat: Lattice):
     """(mu^2, deep hole) scored in ints: with G = G_int / d and the sorted
     cell vertices v = w / D over their common denominator D, the norm of v
     is w^T G_int w / (d D^2). Ties go to the higher index, which is the
     lexicographically greater vertex."""
-    verts = voronoi_cell(lat, max_rank=max_rank).vertices()
+    verts = voronoi_cell(lat).vertices()
     ints, den = la.integer_form(verts)
     g, d = lat.int_gram
     q, i = max((sum(x * sum(gij * y for gij, y in zip(row, w))
@@ -290,11 +289,11 @@ def _deep_hole(lat: Lattice, max_rank):
     return Fraction(q, d * den * den), verts[i]
 
 
-def _lambda1_sq(lat: Lattice, max_rank=MAX_ENUM_RANK):
+def _lambda1_sq(lat: Lattice):
     """lambda_1^2 of lat, read from the catalog's meta when it is there."""
     if "min_norm_sq" in lat.meta:
         return lat.meta["min_norm_sq"]
-    return shortest_vectors(lat, max_rank)[0]
+    return shortest_vectors(lat)[0]
 
 
 def packing_density(lat: Lattice):
@@ -305,9 +304,9 @@ def packing_density(lat: Lattice):
                        / lat.determinant())
 
 
-def covering_density(lat: Lattice, max_rank=MAX_VORONOI_RANK):
+def covering_density(lat: Lattice):
     """theta_L = kappa_n mu^n / D(L), exact sympy."""
     n = lat.rank
-    mu_sq, _ = covering_radius(lat, max_rank=max_rank)
+    mu_sq, _ = covering_radius(lat)
     return sp.simplify(kappa(n) * sp.Rational(mu_sq) ** sp.Rational(n, 2)
                        / lat.determinant())

@@ -1,8 +1,8 @@
 """Exception hierarchy for the toolkit.
 
-Capability errors signal that an input is valid but exceeds a configured
-resource cap (dimension limit, node budget); invalid-input errors signal
-malformed or degenerate data.
+Capability errors signal that an input is valid but exceeds a resource cap
+(a rank cap or a search budget, each a module constant); invalid-input errors
+signal malformed or degenerate data.
 """
 
 
@@ -20,7 +20,8 @@ class InvalidInputError(LatgeomError):
 
 
 class CapabilityError(LatgeomError):
-    """Valid input beyond a configured resource cap (CLI exit code 1)."""
+    """Valid input beyond a rank cap or search budget, each a module
+    constant (CLI exit code 1)."""
 
 
 class InvalidLatticeError(InvalidInputError):
@@ -28,7 +29,8 @@ class InvalidLatticeError(InvalidInputError):
 
 
 class UnsupportedRankError(InvalidInputError):
-    """Operation requires a full-rank lattice."""
+    """An operation that needs a basis (an ambient embedding) or a
+    full-rank lattice got a lattice without it."""
 
 
 class CatalogMissError(InvalidInputError):

@@ -34,12 +34,11 @@ from fractions import Fraction
 import sympy as sp
 
 from . import _linalg as la
-from .enumeration import (MAX_VORONOI_RANK, _covering_radius_bound,
-                          _enumerate_gram, _lambda1_sq, closest_vectors,
-                          covering_radius, kappa, shortest_vectors,
-                          vectors_within)
+from .enumeration import (_covering_radius_bound, _enumerate_gram,
+                          _lambda1_sq, closest_vectors, covering_radius,
+                          kappa, shortest_vectors, vectors_within)
 from .errors import (CapabilityError, CertificateValidationError,
-                     InvalidInputError, NotAPackingError, UnsupportedRankError)
+                     InvalidInputError, NotAPackingError)
 from .lattice import Lattice, dual_in_span
 from .sublattice import (SublatticeWitness, _shells, enumerate_sublattices,
                          project_along, successive_minima)
@@ -169,15 +168,6 @@ def _ambient_plane(lat: Lattice, w: SublatticeWitness, proj: Lattice, deep_hole)
     return (tuple(lift0), tuple(tuple(x) for x in ortho))
 
 
-def _projection(lat: Lattice, w: SublatticeWitness) -> Lattice:
-    """Projection of lat along w, within the Voronoi rank cap."""
-    proj = project_along(lat, w)
-    if proj.rank > MAX_VORONOI_RANK:
-        raise UnsupportedRankError(
-            "projected lattice rank exceeds the Voronoi cap")
-    return proj
-
-
 def _certificate(lat: Lattice, w: SublatticeWitness, r, proj: Lattice,
                  validate):
     """Certificate for the projection ``proj`` of lat along w, or None when
@@ -202,7 +192,7 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
     for w in _shells(lat, k, det_bound):
-        proj = _projection(lat, w)
+        proj = project_along(lat, w)
         if _covering_radius_bound(proj) <= r_sq:
             continue
         cert = _certificate(lat, w, r, proj, validate)
@@ -261,7 +251,7 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     best_key = None
     witnesses = enumerate_sublattices(lat, k, det_bound)
     for w in _orbit_representatives(lat, witnesses):
-        proj = _projection(lat, w)
+        proj = project_along(lat, w)
         if best_key is not None and \
                 (-_covering_radius_bound(proj), w.coeffs) > best_key:
             continue

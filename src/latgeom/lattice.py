@@ -32,6 +32,9 @@ from .errors import (
 # hands them to the new value.
 _CACHED = ("_gram", "int_gram", "_elimination", "_det_sq", "_memo")
 
+# The Lovasz constant of ``reduce``.
+LLL_DELTA = Fraction(99, 100)
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -248,11 +251,11 @@ def determinant(lat: Lattice):
 
 
 def dual(lat: Lattice) -> Lattice:
-    """Polar lattice L*: inverse-transpose basis; requires full rank."""
+    """Polar lattice L*: inverse-transpose basis; requires full rank. For a
+    square basis B, (B B^T)^{-1} B = B^{-T}, so this is ``dual_in_span``."""
     if lat.basis is None or lat.rank != lat.ambient_dim:
         raise UnsupportedRankError("dual requires a full-rank lattice with a basis")
-    rows = la.transpose(la.inverse([list(r) for r in lat.basis]))
-    return Lattice.from_rows(rows, scale_sq=1 / lat.scale_sq)
+    return dual_in_span(lat)
 
 
 def dual_in_span(lat: Lattice) -> Lattice:
@@ -343,12 +346,12 @@ def _lll_transform(gram, delta):
     return u, [[Fraction(la.dot(a, b), den) for b in u] for a in ug]
 
 
-def reduce(lat: Lattice, delta=Fraction(99, 100)) -> Lattice:
+def reduce(lat: Lattice) -> Lattice:
     """LLL-reduced basis of the same lattice (unimodular change of basis).
 
     The result keeps the reduced Gram that LLL computed and the input's
     squared determinant, which a unimodular change of basis preserves."""
-    u, g = _lll_transform(lat.gram(), delta)
+    u, g = _lll_transform(lat.gram(), LLL_DELTA)
     g = tuple(tuple(r) for r in g)
     meta = {k: v for k, v in lat.meta.items() if k != "min_norm_sq"}
     meta["reduction_transform"] = tuple(tuple(r) for r in u)

@@ -33,6 +33,8 @@ from .errors import (
 # Rays the double description may hold at once; the largest cell known to
 # latgeom, E8's, peaks at 19,440.
 RAY_BUDGET = 200_000
+# Coordinate ascent steps ``mvee`` may take to meet its tolerance.
+MVEE_ITERATIONS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +685,10 @@ class Ellipsoid:
                 "shape": [list(r) for r in self.shape]}
 
 
-def mvee(p: Polytope, tol=1e-8, max_iter=100000) -> Ellipsoid:
+def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
     """Minimum volume enclosing ellipsoid of the vertices, Khachiyan's
-    barycentric coordinate ascent.
+    barycentric coordinate ascent; CapabilityError when the duality gap is
+    still above ``tol`` after ``MVEE_ITERATIONS`` steps.
 
     Minimizes volume in the polytope's metric: coordinates are whitened by a
     Cholesky factor of the metric Gram, so the returned shape matrix is in the
@@ -698,7 +701,7 @@ def mvee(p: Polytope, tol=1e-8, max_iter=100000) -> Ellipsoid:
     n, d = pts.shape
     q = np.vstack([pts.T, np.ones(n)])
     u = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(MVEE_ITERATIONS):
         x = q @ (u[:, None] * q.T)
         m = np.einsum("ij,jk,ki->i", q.T, np.linalg.inv(x), q)
         jp = int(np.argmax(m))
@@ -722,6 +725,10 @@ def mvee(p: Polytope, tol=1e-8, max_iter=100000) -> Ellipsoid:
                 (d + 1.0 - kappa) / ((d + 1) * (kappa - 1.0)))
             u = (1 + lam) * u
             u[jm] -= lam
+    else:
+        raise CapabilityError(
+            f"minimum volume ellipsoid not within tolerance {tol} after "
+            f"{MVEE_ITERATIONS} iterations")
     center_y = pts.T @ u
     cov = pts.T @ np.diag(u) @ pts - np.outer(center_y, center_y)
     shape_y = np.linalg.inv(cov) / d

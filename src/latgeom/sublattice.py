@@ -143,8 +143,7 @@ def _span_key(echelon):
     return tuple(key)
 
 
-def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
-                          node_budget=NODE_BUDGET):
+def enumerate_sublattices(lat: Lattice, k: int, det_bound):
     """All saturated k-sublattices with determinant <= det_bound, ascending.
 
     ``det_bound`` is a real number, read like every outside number (a
@@ -177,11 +176,10 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
         # saturated k-sublattices correspond to saturated (m-k)-sublattices
         # of the dual via orthogonal complement, with
         # det(M)^2 = det_sq(L) * det(M_perp)^2; search the smaller side
-        return _enumerate_via_dual(lat, k, det_bound_sq, max_rank, node_budget)
-    l1_sq = _lambda1_sq(lat, max_rank)
+        return _enumerate_via_dual(lat, k, det_bound_sq)
+    l1_sq = _lambda1_sq(lat)
     prod_sq_bound = _hermite_pow(k) * det_bound_sq
-    vecs = vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq),
-                          max_rank=max_rank)
+    vecs = vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq))
     # keep one representative per +- pair
     pairs = {}
     for v, q in vecs:
@@ -219,9 +217,9 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
             if prod * norms[i] ** remaining > cap:
                 break  # norms ascend, so all later candidates fail too
             nodes += 1
-            if nodes > node_budget:
+            if nodes > NODE_BUDGET:
                 raise CapabilityError(
-                    f"sublattice search exceeded the node budget {node_budget}")
+                    f"sublattice search exceeded the node budget {NODE_BUDGET}")
             if not la.add_independent(echelon, coeff_rows[i]):
                 continue  # dependent on the chosen vectors
             chosen.append(i)
@@ -237,8 +235,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound, max_rank=12,
                   key=lambda w: (w.det_sq, w.coeffs))
 
 
-def _shells(lat: Lattice, k: int, det_bound, max_rank=12,
-            node_budget=NODE_BUDGET):
+def _shells(lat: Lattice, k: int, det_bound):
     """The elements of ``enumerate_sublattices(lat, k, det_bound)``, in its
     order, from searches at growing bounds on det^2, so that a caller who
     needs only the first few stops after a small search.
@@ -253,12 +250,11 @@ def _shells(lat: Lattice, k: int, det_bound, max_rank=12,
     cap = _bound_sq(det_bound)
     if cap is None:
         return
-    prev, bound = 0, _lambda1_sq(lat, max_rank) ** k / _hermite_pow(k)
+    prev, bound = 0, _lambda1_sq(lat) ** k / _hermite_pow(k)
     while True:
         bound = min(bound, cap)
         shell = det_bound if bound == cap else la._sqrt_rational(bound)
-        for w in enumerate_sublattices(lat, k, shell, max_rank=max_rank,
-                                       node_budget=node_budget):
+        for w in enumerate_sublattices(lat, k, shell):
             if w.det_sq > prev:
                 yield w
         if bound == cap:
@@ -266,14 +262,12 @@ def _shells(lat: Lattice, k: int, det_bound, max_rank=12,
         prev, bound = bound, 4 * bound
 
 
-def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, max_rank,
-                        node_budget):
+def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq):
     m = lat.rank
     dlat = Lattice.from_gram(la.inverse(lat.gram()))
     dual_bound = la._sqrt_rational(det_bound_sq / lat.det_sq())
     out = []
-    for wd in enumerate_sublattices(dlat, m - k, dual_bound,
-                                    max_rank=max_rank, node_budget=node_budget):
+    for wd in enumerate_sublattices(dlat, m - k, dual_bound):
         # det(M)^2 = det_sq(L) * det(M_perp)^2 <= det_bound^2
         key = tuple(map(tuple, la.hnf_basis(
             la.integer_kernel([list(r) for r in wd.coeffs]))))
@@ -281,8 +275,7 @@ def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, max_rank,
     return sorted(out, key=lambda w: (w.det_sq, w.coeffs))
 
 
-def dk_min(lat: Lattice, k: int, det_bound=None, max_rank=12,
-           node_budget=NODE_BUDGET):
+def dk_min(lat: Lattice, k: int, det_bound=None):
     """(D_k(L) squared, witness) minimizing the determinant over saturated
     k-dimensional sublattices.
 
@@ -293,9 +286,8 @@ def dk_min(lat: Lattice, k: int, det_bound=None, max_rank=12,
     _check_k(lat, k)
     if det_bound is None:
         det_bound = la._sqrt_rational(
-            math.prod(successive_minima(lat, max_rank)[0][:k]))
-    best = next(_shells(lat, k, det_bound, max_rank=max_rank,
-                        node_budget=node_budget), None)
+            math.prod(successive_minima(lat)[0][:k]))
+    best = next(_shells(lat, k, det_bound), None)
     if best is None:
         raise InvalidInputError("no sublattice within the determinant bound; "
                                 "the bound is below D_k(L)")
@@ -322,4 +314,4 @@ def project_along(lat: Lattice, w: SublatticeWitness):
     _, _, dk = la._bareiss(gp, k)
     schur = [[Fraction(x, dk * d) for x in row[k:]] for row in gp[k:]]
     return Lattice.from_gram(schur).with_meta(
-        projection_of=lat, witness=w, completion=tuple(tuple(r) for r in t))
+        completion=tuple(tuple(r) for r in t))

@@ -144,6 +144,14 @@ def test_capability_exit_1(capsys):
     assert json.loads(err)["error"] == "CapabilityError"
 
 
+def test_projection_over_the_voronoi_cap_exit_1(capsys):
+    # the lines of Z^10 project to rank 9, one above the Voronoi cap
+    code, _, err = _run(capsys, "impass", "--catalog", "Z10", "--r", "1/4",
+                        "--k", "1")
+    assert code == 1
+    assert json.loads(err)["error"] == "CapabilityError"
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = _run(capsys, "lattice-info", "--basis", "/no/such/file.json")
     assert code == 2

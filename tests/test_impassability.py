@@ -27,6 +27,11 @@ def test_certificate_cubic_lattice():
     assert cert.clearance_float == pytest.approx(math.sqrt(2) / 2 - 0.6, abs=1e-12)
 
 
+def test_projection_over_the_voronoi_cap_is_capability_error():
+    with pytest.raises(CapabilityError, match="capped at rank 8; got rank 9"):
+        passage_certificate(catalog("Z", 10), Fraction(1, 4), 1)
+
+
 def test_certificate_none_when_balls_too_big():
     # Z^2 with r = 0.8 > mu of every line projection within the bound
     assert passage_certificate(catalog("Z", 2), Fraction(8, 10), 1) is None

@@ -107,14 +107,14 @@ def test_rational_rejects_non_numbers(x):
 @given(st.integers(1, 5).flatmap(lambda m: st.lists(
     st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=1,
     max_size=m)))
-def test_integer_right_inverse(rows):
+def test_complete_to_unimodular(rows):
     assume(la.rank(rows) == len(rows))
     sat = la.saturation(rows)
-    k = len(sat)
-    assert la.mat_mul(sat, la.integer_right_inverse(sat)) == \
-        [[int(i == j) for j in range(k)] for i in range(k)]
+    full = la.complete_to_unimodular(sat)
+    assert full[:len(sat)] == sat and abs(la.det_int(full)) == 1
     if not la._saturated(rows):
-        assert la.integer_right_inverse(rows) is None
+        with pytest.raises(ValueError, match="saturated"):
+            la.complete_to_unimodular(rows)
 
 
 def _kernel_of_kernel(rows):

@@ -233,6 +233,14 @@ def test_mvee_respects_metric():
     assert ell.volume() == pytest.approx(math.pi / 3, abs=1e-6)
 
 
+def test_mvee_iteration_budget_raises(monkeypatch):
+    monkeypatch.setattr("latgeom.polytope.MVEE_ITERATIONS", 1)
+    # uniform weights are optimal on the square, so one step meets tol
+    assert mvee(cube(2)).contains([Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(CapabilityError, match="after 1 iterations"):
+        mvee(Polytope.from_vertices([[0, 0], [3, 0], [0, 1], [1, 1]]))
+
+
 # ---------------------------------------------------------------------------
 # Triangulation from the vertex-facet incidence, on random integer bodies
 # ---------------------------------------------------------------------------

@@ -109,9 +109,10 @@ def test_dk_at_most_minima_product():
         assert float(d2) <= prod * (1 + 1e-9)
 
 
-def test_node_budget_capability_error():
+def test_node_budget_capability_error(monkeypatch):
+    monkeypatch.setattr("latgeom.sublattice.NODE_BUDGET", 3)
     with pytest.raises(CapabilityError):
-        enumerate_sublattices(catalog("Z", 4), 2, 2, node_budget=3)
+        enumerate_sublattices(catalog("Z", 4), 2, 2)
 
 
 def test_project_along_determinant_identity():
