@@ -28,9 +28,11 @@ def _rational(x) -> Fraction:
     passes through here once.
 
     Rationals (ints, Fractions, numpy and sympy integers) and strings such as
-    ``"3"``, ``"-1/2"`` or ``"0.5"`` are read exactly; any other finite real,
-    a float for one, becomes the nearest fraction with denominator at most
-    ``MAX_DENOMINATOR``. Anything else raises InvalidInputError.
+    ``"3"``, ``"-1/2"`` or ``"0.5"`` are read exactly. Any other finite real,
+    a float for one, is read by its shortest repr (17.229 is 17229/1000)
+    when that has a denominator at most ``MAX_DENOMINATOR``, and otherwise
+    becomes the nearest fraction with such a denominator (1/3 stays 1/3).
+    Anything else raises InvalidInputError.
     """
     if isinstance(x, Fraction):
         return x
@@ -40,7 +42,10 @@ def _rational(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     elif isinstance(x, numbers.Real) and math.isfinite(x):
-        return Fraction(float(x)).limit_denominator(MAX_DENOMINATOR)
+        q = Fraction(repr(float(x)))
+        if q.denominator <= MAX_DENOMINATOR:
+            return q
+        return q.limit_denominator(MAX_DENOMINATOR)
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 

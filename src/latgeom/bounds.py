@@ -61,7 +61,7 @@ class BoundReport:
 
 
 def _report(formula_id, n, k, exact, inputs=(), strictness="lower-bound", notes=""):
-    exact = sp.nsimplify(exact) if not isinstance(exact, sp.Basic) else sp.simplify(exact)
+    exact = sp.simplify(exact)
     return BoundReport(formula_id, n, k, exact, float(exact), tuple(inputs),
                        strictness, notes)
 

@@ -27,11 +27,6 @@ from . import sublattice as sub
 from .errors import CapabilityError, InvalidInputError, LatgeomError
 from .lattice import Lattice, catalog, reduce as lll_reduce
 
-VERBS = ("lattice-info", "svp", "minima", "dk", "voronoi", "cover", "project",
-         "impass", "nonsep", "cylinder", "bounds", "table-321", "polytope",
-         "mahler", "mvee")
-
-
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 # ---------------------------------------------------------------------------
@@ -156,7 +151,7 @@ def cmd_lattice_info(args):
         "determinant": _num(lat.determinant()),
         "det_sq": str(lat.det_sq()),
         "gram": [[str(x) for x in row] for row in g],
-        "name": lat.meta.get("name"),
+        "name": lat.name,
     }
 
 
@@ -374,6 +369,7 @@ _HANDLERS = {
     "mahler": cmd_mahler,
     "mvee": cmd_mvee,
 }
+VERBS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------

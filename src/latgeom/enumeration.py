@@ -18,7 +18,7 @@ import sympy as sp
 
 from . import _linalg as la
 from .errors import CapabilityError
-from .lattice import Lattice, reduce as lll_reduce
+from .lattice import Lattice, _once, reduce as lll_reduce
 
 MAX_ENUM_RANK = 12
 MAX_VORONOI_RANK = 8
@@ -36,20 +36,11 @@ def _check_rank(lat: Lattice, cap: int, what: str):
             f"{what} capped at rank {cap}; got rank {lat.rank}")
 
 
-def _once(lat: Lattice, key, compute):
-    """Result of ``compute()`` for this lattice value, computed on the first
-    request and kept on the value; results must not be edited."""
-    memo = lat._memo
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def _reduced(lat: Lattice):
     """(red, U): the LLL reduction of lat, computed once per lattice value,
     and its transform U, which maps red's coordinates to lat's."""
     red = _once(lat, "reduced", lambda: lll_reduce(lat))
-    return red, red.meta["reduction_transform"]
+    return red, lat._memo["reduction_transform"]
 
 
 def _reduced_inverse(lat: Lattice):
@@ -290,10 +281,9 @@ def _deep_hole(lat: Lattice):
 
 
 def _lambda1_sq(lat: Lattice):
-    """lambda_1^2 of lat, read from the catalog's meta when it is there."""
-    if "min_norm_sq" in lat.meta:
-        return lat.meta["min_norm_sq"]
-    return shortest_vectors(lat)[0]
+    """lambda_1^2 of lat, once per value; the catalog seeds the ones it
+    knows."""
+    return _once(lat, "lambda1_sq", lambda: shortest_vectors(lat)[0])
 
 
 def packing_density(lat: Lattice):

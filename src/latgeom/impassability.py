@@ -70,12 +70,12 @@ class PassageCertificate:
 
     @property
     def clearance_float(self) -> float:
-        return float(self.mu) - float(self.r)
+        return float(self.mu) - _exact_radius(self.r)[1]
 
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "r": float(self.r),
+            "r": _exact_radius(self.r)[1],
             "witness": self.witness.to_dict(),
             "deep_hole": [str(x) for x in self.deep_hole],
             "mu": str(self.mu),
@@ -155,7 +155,7 @@ def _ambient_plane(lat: Lattice, w: SublatticeWitness, proj: Lattice, deep_hole)
         nrm = math.sqrt(sum(x * x for x in v))
         ortho.append([x / nrm for x in v])
     # lift of the deep hole: project the corresponding lattice combination
-    t = proj.meta["completion"]
+    t = la.complete_to_unimodular([list(r) for r in w.coeffs])
     k = w.k
     lift0 = [0.0] * lat.ambient_dim
     for c, row in zip(deep_hole, t[k:]):
@@ -244,7 +244,7 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     bounded. A representative whose key (-bound, coeffs) already sorts after
     the best key cannot win and is skipped without building a Voronoi
     cell."""
-    _exact_radius(r)
+    _, r_f = _exact_radius(r)
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
     best = None
@@ -262,7 +262,7 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     if best is None:
         return float("-inf"), None
     w, proj = best
-    clearance = math.sqrt(float(covering_radius(proj)[0])) - float(r)
+    clearance = math.sqrt(float(covering_radius(proj)[0])) - r_f
     return clearance, _certificate(lat, w, r, proj, validate)
 
 

@@ -8,7 +8,10 @@ exact. Entries are read through ``_linalg._rational``, so float input is
 rationalized once, on construction. A ``Lattice`` is an immutable value, so
 its Gram matrix, that Gram's integer form ``(G_int, d)`` with
 ``G = G_int / d``, and one fraction-free elimination of ``G_int`` are computed
-once per value and cached; quadratic forms are evaluated in ``int``.
+once per value and cached; quadratic forms are evaluated in ``int``. Every
+other invariant derived from a value (its reduction, lambda_1, its Voronoi
+cell) goes in that value's memo through ``_once``. The ``name`` a value
+carries is provenance only: equality and hashing ignore it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from . import _linalg as la
 from .errors import (
@@ -27,10 +30,6 @@ from .errors import (
     InvalidLatticeError,
     UnsupportedRankError,
 )
-
-# Derived invariants that depend only on the basis and Gram; ``with_meta``
-# hands them to the new value.
-_CACHED = ("_gram", "int_gram", "_elimination", "_det_sq", "_memo")
 
 # The Lovasz constant of ``reduce``.
 LLL_DELTA = Fraction(99, 100)
@@ -44,13 +43,13 @@ class Lattice:
     ambient_dim: int
     scale_sq: Fraction = Fraction(1)  # lattice = sqrt(scale_sq) * rows
     gram_override: tuple | None = None  # for gram-only lattices
-    meta: Mapping[str, Any] = field(default_factory=dict)
+    name: str | None = field(default=None, compare=False)  # provenance
 
     # -- construction -------------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], scale_sq=1,
-                  meta: Mapping[str, Any] | None = None) -> "Lattice":
+                  name: str | None = None) -> "Lattice":
         rows = [tuple(la._rational(x) for x in r) for r in rows]
         if not rows:
             raise InvalidInputError("empty basis")
@@ -58,21 +57,21 @@ class Lattice:
         if any(len(r) != n for r in rows):
             raise InvalidInputError("ragged basis")
         lat = Lattice(basis=tuple(rows), ambient_dim=n,
-                      scale_sq=la._rational(scale_sq), meta=dict(meta or {}))
+                      scale_sq=la._rational(scale_sq), name=name)
         if lat._elimination is None:
             raise InvalidLatticeError("basis vectors are linearly dependent")
         return lat
 
     @staticmethod
     def from_gram(gram: Sequence[Sequence],
-                  meta: Mapping[str, Any] | None = None) -> "Lattice":
+                  name: str | None = None) -> "Lattice":
         g = tuple(tuple(la._rational(x) for x in r) for r in gram)
         if not g or any(len(r) != len(g) for r in g):
             raise InvalidInputError("Gram matrix must be square and nonempty")
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)):
             raise InvalidLatticeError("Gram matrix is not symmetric")
         lat = Lattice(basis=None, ambient_dim=len(g), gram_override=g,
-                      meta=dict(meta or {}))
+                      name=name)
         if lat._elimination is None:
             raise InvalidLatticeError("Gram matrix is not positive definite")
         return lat
@@ -121,8 +120,9 @@ class Lattice:
 
     @functools.cached_property
     def _memo(self) -> dict:
-        """Invariants other modules derive from this value (relevant vectors,
-        covering radius), keyed by name; every entry is immutable."""
+        """Invariants derived from this value (its reduction, lambda_1^2,
+        relevant vectors, covering radius), keyed by name, filled by
+        ``_once``; every entry is immutable."""
         return {}
 
     def gram(self):
@@ -167,48 +167,26 @@ class Lattice:
         point = [la._rational(x) for x in point]
         return la.solve(la.gram_matrix(b), [la.dot(point, row) for row in b])
 
-    def with_meta(self, **kv) -> "Lattice":
-        meta = dict(self.meta)
-        meta.update(kv)
-        out = Lattice(self.basis, self.ambient_dim, self.scale_sq,
-                      self.gram_override, meta)
-        # same basis and Gram, so the cached invariants still hold; the memo
-        # is created here if need be, so that all values made from this one
-        # fill the same memo
-        cached = {k: v for k, v in self.__dict__.items() if k in _CACHED}
-        cached["_memo"] = self._memo
-        out.__dict__.update(cached)
-        return out
-
-    def _scaled_meta(self, f):
-        meta = dict(self.meta)
-        if "min_norm_sq" in meta:
-            meta["min_norm_sq"] = meta["min_norm_sq"] * f
-        return meta
-
     def scaled(self, factor_sq) -> "Lattice":
         """Lattice scaled by sqrt(factor_sq), factor_sq positive rational."""
         f = la._rational(factor_sq)
         if f <= 0:
             raise InvalidLatticeError("the scale factor must be positive")
         if self.gram_override is not None:
-            g = tuple(tuple(f * x for x in row) for row in self.gram_override)
-            return Lattice(None, self.ambient_dim, Fraction(1), g,
-                           self._scaled_meta(f))
-        return Lattice(self.basis, self.ambient_dim, self.scale_sq * f, None,
-                       self._scaled_meta(f))
+            return replace(self, gram_override=tuple(
+                tuple(f * x for x in row) for row in self.gram_override))
+        return replace(self, scale_sq=self.scale_sq * f)
 
     def transformed(self, u) -> "Lattice":
         """Apply an integer change of basis (rows of u give new generators);
         generators that are linearly dependent raise InvalidLatticeError."""
-        meta = dict(self.meta)
-        meta.pop("min_norm_sq", None)  # u need not be unimodular
         u = [list(r) for r in u]
         if self.gram_override is not None:
             return Lattice.from_gram(
-                la.mat_mul(la.mat_mul(u, self.gram()), la.transpose(u)), meta)
+                la.mat_mul(la.mat_mul(u, self.gram()), la.transpose(u)),
+                self.name)
         return Lattice.from_rows(la.mat_mul(u, [list(r) for r in self.basis]),
-                                 self.scale_sq, meta)
+                                 self.scale_sq, self.name)
 
     # -- serialization -------------------------------------------------------
 
@@ -240,6 +218,15 @@ class Lattice:
         if "gram" in obj:
             return Lattice.from_gram(obj["gram"])
         return Lattice.from_rows(obj["basis"], scale_sq=obj.get("scale_sq", 1))
+
+
+def _once(lat: Lattice, key, compute):
+    """Result of ``compute()`` for this lattice value, computed on the first
+    request and kept in its memo; results must not be edited."""
+    memo = lat._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +337,17 @@ def reduce(lat: Lattice) -> Lattice:
     """LLL-reduced basis of the same lattice (unimodular change of basis).
 
     The result keeps the reduced Gram that LLL computed and the input's
-    squared determinant, which a unimodular change of basis preserves."""
+    squared determinant, which a unimodular change of basis preserves. The
+    transform U, which maps the result's coordinates to lat's, goes in
+    lat's memo as ``"reduction_transform"``."""
     u, g = _lll_transform(lat.gram(), LLL_DELTA)
     g = tuple(tuple(r) for r in g)
-    meta = {k: v for k, v in lat.meta.items() if k != "min_norm_sq"}
-    meta["reduction_transform"] = tuple(tuple(r) for r in u)
+    lat._memo["reduction_transform"] = tuple(tuple(r) for r in u)
     if lat.basis is None:
-        out = replace(lat, gram_override=g, meta=meta)
+        out = replace(lat, gram_override=g)
     else:
         rows = la.mat_mul(u, [list(r) for r in lat.basis])
-        out = replace(lat, basis=tuple(tuple(r) for r in rows), meta=meta)
+        out = replace(lat, basis=tuple(tuple(r) for r in rows))
     out.__dict__.update(_gram=g, _det_sq=lat.det_sq())
     return out
 
@@ -400,16 +388,22 @@ def _e8_rows():
     return rows
 
 
-@functools.lru_cache(maxsize=None)
-def _e8_lattice():
-    lat = Lattice.from_rows(_e8_rows())
-    assert lat.det_sq() == 1
+def _with_minimum(lat: Lattice, l1_sq) -> Lattice:
+    """lat, with its known lambda_1^2 seeded in its memo."""
+    lat._memo["lambda1_sq"] = Fraction(l1_sq)
     return lat
 
 
-def _orthogonal_sublattice(lat: Lattice, normals):
+@functools.lru_cache(maxsize=None)
+def _e8_lattice():
+    lat = Lattice.from_rows(_e8_rows(), name="E8")
+    assert lat.det_sq() == 1
+    return _with_minimum(lat, 2)
+
+
+def _orthogonal_sublattice(lat: Lattice, normals, name):
     """Sublattice of lat orthogonal (in ambient metric) to the given lattice
-    vectors; returned with an exact basis."""
+    vectors; returned with an exact basis and the given name."""
     b = [list(r) for r in lat.basis]
     rows = []
     for nv in normals:
@@ -419,7 +413,7 @@ def _orthogonal_sublattice(lat: Lattice, normals):
     # integer coefficient vectors c with rows . c = 0
     ker = la.integer_kernel(rows)
     new_rows = la.mat_mul(ker, b)
-    return Lattice.from_rows(new_rows, scale_sq=lat.scale_sq)
+    return Lattice.from_rows(new_rows, scale_sq=lat.scale_sq, name=name)
 
 
 _GOLAY_B = [
@@ -469,9 +463,9 @@ def _leech_lattice():
     spanning.append(r)
     spanning.append([-3] + [1] * 23)
     basis = la.hnf_basis(spanning)
-    lat = Lattice.from_rows(basis, scale_sq=Fraction(1, 8))
+    lat = Lattice.from_rows(basis, scale_sq=Fraction(1, 8), name="Leech")
     assert lat.det_sq() == 1, lat.det_sq()
-    return lat
+    return _with_minimum(lat, 4)
 
 
 _CATALOG_ALIASES = {
@@ -487,7 +481,9 @@ _CATALOG_ALIASES = {
 
 
 def catalog(name: str, n: int | None = None) -> Lattice:
-    """Named lattice with exact entries and provenance metadata.
+    """Named lattice with exact entries; its known lambda_1^2, where the
+    catalog has one, is seeded in its memo. E8 and Leech are built once, and
+    every call returns that value.
 
     Supported: Z(n), A(n) and Astar(n) for n <= 5, D(n) for 3 <= n <= 8,
     E(6|7|8), Leech, BambahWoods (n=3), NonSep (n=3, the thinnest
@@ -500,62 +496,48 @@ def catalog(name: str, n: int | None = None) -> Lattice:
         if not n or n < 1:
             raise CatalogMissError("Z requires a dimension n >= 1")
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        return Lattice.from_rows(rows, meta={"name": f"Z{n}", "min_norm_sq": Fraction(1),
-                                             "source": "external-catalog"})
+        return _with_minimum(Lattice.from_rows(rows, name=f"Z{n}"), 1)
     if key == "A":
         if not n or not 1 <= n <= 5:
             raise CatalogMissError("A_n supported for 1 <= n <= 5")
-        return Lattice.from_rows(_an_rows(n), meta={"name": f"A{n}",
-                                                    "min_norm_sq": Fraction(2),
-                                                    "source": "external-catalog"})
+        return _with_minimum(Lattice.from_rows(_an_rows(n), name=f"A{n}"), 2)
     if key == "Astar":
         if not n or not 1 <= n <= 5:
             raise CatalogMissError("A_n* supported for 1 <= n <= 5")
-        base = Lattice.from_rows(_an_rows(n))
-        out = dual_in_span(base)
-        return out.with_meta(name=f"A{n}star", min_norm_sq=Fraction(n, n + 1),
-                             source="external-catalog")
+        out = dual_in_span(Lattice.from_rows(_an_rows(n)))
+        return _with_minimum(replace(out, name=f"A{n}star"),
+                             Fraction(n, n + 1))
     if key == "D":
         if not n or not 3 <= n <= 8:
             raise CatalogMissError("D_n supported for 3 <= n <= 8")
-        return Lattice.from_rows(_fcc_rows(n), meta={"name": f"D{n}",
-                                                     "min_norm_sq": Fraction(2),
-                                                     "source": "external-catalog"})
+        return _with_minimum(Lattice.from_rows(_fcc_rows(n), name=f"D{n}"), 2)
     if key == "E":
         if n == 8:
-            return _e8_lattice().with_meta(name="E8", min_norm_sq=Fraction(2),
-                                           source="external-catalog")
+            return _e8_lattice()
         if n == 7:
-            e8 = _e8_lattice()
-            v = [0, 0, 0, 0, 0, 0, 1, 1]
-            out = _orthogonal_sublattice(e8, [v])
+            out = _orthogonal_sublattice(_e8_lattice(),
+                                         [[0, 0, 0, 0, 0, 0, 1, 1]], "E7")
             assert out.det_sq() == 2
-            return out.with_meta(name="E7", min_norm_sq=Fraction(2),
-                                 source="external-catalog")
+            return _with_minimum(out, 2)
         if n == 6:
-            e8 = _e8_lattice()
-            out = _orthogonal_sublattice(e8, [[0, 0, 0, 0, 0, 0, 1, 1],
-                                              [0, 0, 0, 0, 0, 1, 1, 0]])
+            out = _orthogonal_sublattice(_e8_lattice(),
+                                         [[0, 0, 0, 0, 0, 0, 1, 1],
+                                          [0, 0, 0, 0, 0, 1, 1, 0]], "E6")
             assert out.det_sq() == 3
-            return out.with_meta(name="E6", min_norm_sq=Fraction(2),
-                                 source="external-catalog")
+            return _with_minimum(out, 2)
         raise CatalogMissError("E_n supported for n in {6, 7, 8}")
     if key == "Leech":
-        return _leech_lattice().with_meta(name="Leech", min_norm_sq=Fraction(4),
-                                          source="external-catalog")
+        return _leech_lattice()
     if key == "BambahWoods":
         if n not in (None, 3):
             raise CatalogMissError("BambahWoods lattice lives in dimension 3")
         rows = [[0, Fraction(4, 3), Fraction(4, 3)],
                 [Fraction(4, 3), 0, Fraction(4, 3)],
                 [Fraction(4, 3), Fraction(4, 3), 0]]
-        return Lattice.from_rows(rows, meta={"name": "BambahWoods",
-                                             "source": "external-catalog"})
+        return Lattice.from_rows(rows, name="BambahWoods")
     if key == "NonSep":
         if n not in (None, 3):
             raise CatalogMissError("NonSep lattice lives in dimension 3")
         rows = [[-1, 1, 1], [1, -1, 1], [1, 1, -1]]
-        return Lattice.from_rows(rows, scale_sq=2,
-                                 meta={"name": "NonSep3",
-                                       "source": "external-catalog"})
+        return Lattice.from_rows(rows, scale_sq=2, name="NonSep3")
     raise CatalogMissError(f"unknown catalog name {name!r}")

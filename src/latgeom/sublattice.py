@@ -219,7 +219,9 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
             nodes += 1
             if nodes > NODE_BUDGET:
                 raise CapabilityError(
-                    f"sublattice search exceeded the node budget {NODE_BUDGET}")
+                    f"sublattice search exceeded the node budget {NODE_BUDGET}"
+                    f" after reaching {len(found)} distinct spans and finding"
+                    f" {sum(w is not None for w in found.values())} witnesses")
             if not la.add_independent(echelon, coeff_rows[i]):
                 continue  # dependent on the chosen vectors
             chosen.append(i)
@@ -300,8 +302,7 @@ def project_along(lat: Lattice, w: SublatticeWitness):
     Returns a rank (n-k) Lattice carrying the exact Gram of the projected
     basis (the Schur complement of the sublattice block in the re-based
     Gram), so D(projection) * det(W) = D(L) holds exactly. The coefficient
-    basis is the image of a unimodular completion of W's rows, attached as
-    meta["completion"].
+    basis is the image of ``la.complete_to_unimodular`` of W's rows.
     """
     if not w.saturated:
         w = saturate(lat, w)
@@ -313,5 +314,4 @@ def project_along(lat: Lattice, w: SublatticeWitness):
     gp = la.mat_mul(la.mat_mul(t, g), la.transpose(t))
     _, _, dk = la._bareiss(gp, k)
     schur = [[Fraction(x, dk * d) for x in row[k:]] for row in gp[k:]]
-    return Lattice.from_gram(schur).with_meta(
-        completion=tuple(tuple(r) for r in t))
+    return Lattice.from_gram(schur)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _linalg as la
-from .enumeration import _enumerate_gram, _once, _reduced, _reduced_inverse
-from .lattice import Lattice
+from .enumeration import _enumerate_gram, _reduced, _reduced_inverse
+from .lattice import Lattice, _once
 
 
 def automorphisms(lat: Lattice):

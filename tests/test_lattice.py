@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import latgeom._linalg as la
 from latgeom.errors import (CatalogMissError, InvalidInputError,
                             InvalidLatticeError, UnsupportedRankError)
+from latgeom.enumeration import _lambda1_sq
 from latgeom.lattice import Lattice, _lll_transform, catalog, dual, reduce
 
 
@@ -127,7 +128,7 @@ def test_reduce_preserves_lattice():
     lat = Lattice.from_rows([[1, 0], [1000, 1]])
     red = reduce(lat)
     assert red.det_sq() == lat.det_sq()
-    u = red.meta["reduction_transform"]
+    u = lat._memo["reduction_transform"]
     import latgeom._linalg as la
     assert abs(la.det([[Fraction(x) for x in r] for r in u])) == 1
     g = red.gram()
@@ -165,8 +166,10 @@ def test_catalog_determinants(name, n, det_sq):
     ("A", 2, 2), ("D", 4, 2), ("E", 8, 2), ("Leech", 24, 4),
 ])
 def test_catalog_min_norms(name, n, min_sq):
+    # seeded in the memo, so that lambda_1 is never enumerated
     lat = catalog(name, n)
-    assert lat.meta["min_norm_sq"] == min_sq
+    assert lat._memo["lambda1_sq"] == min_sq
+    assert _lambda1_sq(lat) == min_sq
 
 
 def test_catalog_nonsep_lattice():
@@ -180,10 +183,24 @@ def test_catalog_nonsep_lattice():
 
 
 def test_catalog_e8_values_share_one_memo():
-    # every E8 value comes from one cached base, so a Voronoi cell or a
-    # covering radius found on one is found on all
+    # E8 is built once, so a Voronoi cell or a covering radius found on it
+    # is found on every later request
     a, b = catalog("E", 8), catalog("E", 8)
-    assert a is not b and a._memo is b._memo
+    assert a is b and a.name == "E8"
+    assert catalog("Leech", 24) is catalog("Leech", 24)
+
+
+def test_name_is_provenance_only():
+    # the same geometry under different names is one value: equal, with
+    # equal hashes, so lattices can key dicts and sets
+    d4 = catalog("D", 4)
+    other = Lattice.from_rows([list(r) for r in d4.basis], name="other")
+    assert d4 == other and hash(d4) == hash(other)
+    assert len({d4, other, Lattice.from_rows(d4.basis)}) == 1
+    assert d4.name == "D4" and other.name == "other"
+    assert d4 != d4.scaled(2) and d4.scaled(2).name == "D4"
+    g = Lattice.from_gram(d4.gram(), name="g")
+    assert g == Lattice.from_gram(d4.gram()) and g != d4
 
 
 def test_catalog_miss():
@@ -194,15 +211,18 @@ def test_catalog_miss():
 
 
 def test_scaled_updates_min_norm():
+    # the catalog seeds D3's minimum; the scaled value finds its own
     fcc = catalog("D", 3).scaled(2)
-    assert fcc.meta["min_norm_sq"] == 4
+    assert "lambda1_sq" not in fcc._memo
+    assert _lambda1_sq(fcc) == 4
 
 
 def test_transformed_sublattice():
     lat = catalog("Z", 2)
     sub = lat.transformed([[2, 0], [0, 1]])
     assert sub.det_sq() == 4
-    assert "min_norm_sq" not in sub.meta
+    assert sub.name == "Z2" and "lambda1_sq" not in sub._memo
+    assert _lambda1_sq(sub) == 1
     for base in (lat, Lattice.from_gram(lat.gram())):
         with pytest.raises(InvalidLatticeError):
             base.transformed([[1, 1], [2, 2]])

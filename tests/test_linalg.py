@@ -92,9 +92,21 @@ def test_elimination_leaves_input_unchanged():
     (0.1, Fraction(1, 10)), (Fraction(2, 3), Fraction(2, 3)),
     (np.int64(-4), Fraction(-4)), (np.float32(0.25), Fraction(1, 4)),
     (sp.Rational(3, 7), Fraction(3, 7)),
+    # floats by their shortest repr, else the nearest fraction
+    (17.229, Fraction(17229, 1000)), (0.1 + 0.2, Fraction(3, 10)),
+    (1 / 3, Fraction(1, 3)), (1e-13, Fraction(0)),
 ])
 def test_rational_reads_numbers(x, want):
     assert la._rational(x) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**15 + 1, 10**15 - 1), st.integers(0, 12))
+def test_rational_reads_a_short_decimal_float_exactly(digits, places):
+    # a decimal of at most 15 significant digits survives the float, and
+    # its shortest repr gives it back
+    want = Fraction(digits, 10**places)
+    assert la._rational(float(f"{digits}e-{places}")) == want
 
 
 @pytest.mark.parametrize("x", ["x", "1/0", "", float("nan"), float("inf"), None, [1]])

@@ -110,8 +110,10 @@ def test_dk_at_most_minima_product():
 
 
 def test_node_budget_capability_error(monkeypatch):
+    # the message says how far the search got
     monkeypatch.setattr("latgeom.sublattice.NODE_BUDGET", 3)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="node budget 3 after reaching 2 "
+                       "distinct spans and finding 2 witnesses"):
         enumerate_sublattices(catalog("Z", 4), 2, 2)
 
 
@@ -255,7 +257,7 @@ def test_project_along_matches_fraction_schur_complement(inputs, scale):
     lat = lat.scaled(scale ** 2)
     for w in enumerate_sublattices(lat, k, det_bound * scale ** k)[:4]:
         proj = project_along(lat, w)
-        t = [list(r) for r in proj.meta["completion"]]
+        t = la.complete_to_unimodular([list(r) for r in w.coeffs])
         assert proj.gram() == _fraction_schur(lat, t, k)
 
 

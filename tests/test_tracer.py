@@ -34,3 +34,19 @@ def test_tracer_installs_and_counts():
         tracer.uninstall()
     assert cli.lll_reduce is lattice.reduce is enumeration.lll_reduce
     assert not hasattr(lattice.reduce, "_bench_traced")
+
+
+def test_one_reduce_span_per_value():
+    # the reduction and its transform live in the value's memo, so a second
+    # enumeration of the same value runs no LLL
+    tracer = _tracer_module().Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        lat = catalog("D", 5)
+        enumeration.shortest_vectors(lat)
+        enumeration.vectors_within(lat, 4)
+        tracer.active = False
+        assert tracer.summary()["calls"]["lattice.reduce"] == 1
+    finally:
+        tracer.uninstall()
