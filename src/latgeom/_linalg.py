@@ -3,9 +3,9 @@
 Matrices are lists of lists (rows) of ints and ``fractions.Fraction``s. One
 fraction-free elimination kernel serves ``det``, ``rank``, ``solve`` and
 ``inverse``: rational rows are scaled to ints and eliminated in ints.
-Numbers from outside the program enter here (``_rational`` and, for values
-that only their square decides, ``_rational_square``), and exact square
-roots leave here as sympy numbers (``_sqrt_rational``).
+Numbers from outside the program enter here (``_rational``, ``_exact`` and,
+for values that only their square decides, ``_rational_square``), and exact
+square roots leave here as sympy numbers (``_sqrt_rational``).
 """
 
 from __future__ import annotations
@@ -70,11 +70,20 @@ def _rational_square(x):
                                 "square") from None
 
 
+def _exact(x):
+    """``x`` as an exact sympy number: a sympy value passes unchanged, any
+    other number is read by ``_rational`` (a float is never guessed to be
+    a closed form in pi or radicals)."""
+    if isinstance(x, sp.Basic):
+        return x
+    q = _rational(x)
+    return sp.Rational(q.numerator, q.denominator)
+
+
 def _sqrt_rational(q):
     """sqrt(q) for a rational q >= 0 as an exact sympy number: the one
     place where an exact square leaves as a sympy root."""
-    q = Fraction(q)
-    return sp.sqrt(sp.Rational(q.numerator, q.denominator))
+    return sp.sqrt(_exact(Fraction(q)))
 
 
 def _canonical_sign(v):

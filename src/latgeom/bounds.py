@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import sympy as sp
 
+from . import _linalg as la
 from .enumeration import covering_density, kappa, packing_density
 from .errors import InvalidInputError, MissingConstantError, PolarUndefinedError
 from .lattice import catalog
@@ -61,7 +62,6 @@ class BoundReport:
 
 
 def _report(formula_id, n, k, exact, inputs=(), strictness="lower-bound", notes=""):
-    exact = sp.simplify(exact)
     return BoundReport(formula_id, n, k, exact, float(exact), tuple(inputs),
                        strictness, notes)
 
@@ -83,13 +83,12 @@ def delta_ball(n: int) -> ConstantEntry:
     if n in _DELTA_LATTICES:
         name, dim = _DELTA_LATTICES[n]
         value = packing_density(catalog(name, dim))
-        return ConstantEntry(f"delta_ball_{n}", n, sp.simplify(value),
+        return ConstantEntry(f"delta_ball_{n}", n, value,
                              "derived-by-oracle",
                              f"packing density of the {name}{dim} lattice")
     if n == 24:
         # Leech: minimum norm 2, determinant 1, so density = kappa_24
-        value = sp.simplify(kappa(24))
-        return ConstantEntry("delta_ball_24", 24, value, "external-catalog",
+        return ConstantEntry("delta_ball_24", 24, kappa(24), "external-catalog",
                              "Leech lattice, optimality from the literature")
     raise MissingConstantError(f"optimal ball packing density unknown for n={n}")
 
@@ -101,7 +100,7 @@ def theta_ball(n: int) -> ConstantEntry:
     if not 1 <= n <= 5:
         raise MissingConstantError(f"optimal ball covering density unknown for n={n}")
     value = covering_density(catalog("Astar", n))
-    return ConstantEntry(f"theta_ball_{n}", n, sp.simplify(value),
+    return ConstantEntry(f"theta_ball_{n}", n, value,
                          "derived-by-oracle",
                          f"covering density of the A{n}* lattice")
 
@@ -217,7 +216,7 @@ def dnn1_body(body, delta_polar) -> BoundReport:
     if not diff.contains([0] * n, strict=True):
         raise PolarUndefinedError("difference body must have 0 interior")
     value = body.volume() * diff.polar().volume() / \
-        (4 ** n * sp.nsimplify(delta_polar, [sp.pi]))
+        (4 ** n * la._exact(delta_polar))
     return _report("dnn1-body", n, n - 1, value, (), "equality",
                    "exact when delta_polar is the true packing density")
 
@@ -249,8 +248,7 @@ def body_min_chain(n: int, k: int, symmetric: bool) -> BoundReport:
     enclosing ellipsoid (simplex for general bodies, cross-polytope for
     centrally symmetric ones)."""
     ball = dnn1_ball(n) if k == n - 1 else dnk_lower(n, k)
-    denom = _body_min_denominator(n, symmetric)
-    value = sp.simplify(ball.value_exact / denom)
+    value = ball.value_exact / _body_min_denominator(n, symmetric)
     fid = "body-min-symmetric" if symmetric else "body-min-general"
     return _report(fid, n, k, value, ball.inputs, "lower-bound",
                    "ball bound divided by the extremal volume ratio")
@@ -340,7 +338,7 @@ def max_d21_upper() -> tuple:
                          math.pi ** 2 / (16 * TAMMELA_D21_FLOOR), (tammela,),
                          "upper-bound", "via the planar packing floor")
     legacy = _report("max-d21-legacy", 2, 1,
-                     sp.pi ** 2 / (4 * (3 * sp.sqrt(2) + sp.sqrt(3) - sp.sqrt(6))),
+                     sp.pi ** 2 / (3 * sp.sqrt(2) + sp.sqrt(3) - sp.sqrt(6)) / 4,
                      (), "upper-bound", "older proved upper bound")
     conjecture = _report("max-d21-conjecture", 2, 1, sp.sqrt(3) * sp.pi / 8,
                          (), "equality", "conjectured maximum, attained by a disk")

@@ -35,13 +35,11 @@ _SQRT_RE = re.compile(r"^sqrt(\d+)$")
 
 
 def parse_scalar(tok):
-    """Rational, float, or sqrtN/pi token; rationals stay exact."""
+    """Rational, float, or sqrtN token; rationals stay exact."""
     tok = str(tok).strip()
     m = _SQRT_RE.match(tok)
     if m:
         return sp.sqrt(int(m.group(1)))
-    if tok == "pi":
-        return sp.pi
     try:
         return Fraction(tok)
     except ValueError:
@@ -66,9 +64,6 @@ def load_lattice(args) -> Lattice:
         if m and m.group(2):
             name = m.group(1) + (m.group(3) or "")
             n = int(m.group(2))
-        if n is None:
-            raise InvalidInputError("catalog lattice needs a dimension "
-                                    "(suffix digits or --n)")
         lat = catalog(name, n)
     elif getattr(args, "basis", None):
         with open(args.basis) as fh:

@@ -290,13 +290,12 @@ def packing_density(lat: Lattice):
     """delta_L(B^n) = kappa_n (lambda_1 / 2)^n / D(L), exact sympy."""
     n = lat.rank
     l1sq = sp.Rational(_lambda1_sq(lat))
-    return sp.simplify(kappa(n) * (l1sq / 4) ** sp.Rational(n, 2)
-                       / lat.determinant())
+    return kappa(n) * (l1sq / 4) ** sp.Rational(n, 2) / lat.determinant()
 
 
 def covering_density(lat: Lattice):
     """theta_L = kappa_n mu^n / D(L), exact sympy."""
     n = lat.rank
     mu_sq, _ = covering_radius(lat)
-    return sp.simplify(kappa(n) * sp.Rational(mu_sq) ** sp.Rational(n, 2)
-                       / lat.determinant())
+    return kappa(n) * sp.Rational(mu_sq) ** sp.Rational(n, 2) \
+        / lat.determinant()

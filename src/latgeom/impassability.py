@@ -272,10 +272,7 @@ def _exact_radius(r):
     when r^2 is not rational (pi, for one), or when r is not positive or its
     float is not a positive finite number."""
     r_sq, positive = la._rational_square(r)
-    try:
-        r_f = float(r if isinstance(r, sp.Basic) else la._rational(r))
-    except OverflowError:
-        r_f = math.inf
+    r_f = float(la._exact(r))  # too large a number gives inf, not an error
     if not (positive and 0 < r_f < math.inf):
         raise InvalidInputError(f"the radius r = {r} must be positive and "
                                 "within the range of a float")
@@ -322,9 +319,10 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
         raise NotAPackingError("balls of this radius overlap (lambda_1 < 2r)")
     d_value = getattr(d_nk, "value_exact", None)
     if d_value is None:
-        d_value = sp.nsimplify(getattr(d_nk, "value_float", d_nk))
+        d_value = la._exact(getattr(d_nk, "value_float", d_nk))
     density = ball_lattice_density(lat, r)
-    floor = sp.simplify((d_value / density) ** sp.Rational(1, n) - 1)
+    # the n-th root leaves products of radicals that only powsimp merges
+    floor = sp.powsimp((d_value / density) ** sp.Rational(1, n) - 1)
     floor_f = float(floor)
     clearance, cert = max_clearance(lat, r, k, det_bound=det_bound)
     if cert is None:

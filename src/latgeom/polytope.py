@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import sympy as sp
-
 from . import _linalg as la
 from .enumeration import kappa
 from .errors import (
@@ -404,8 +402,7 @@ class Polytope:
         """Metric volume, exact sympy expression."""
         cv = self.coordinate_volume()
         g = self._metric()
-        return la._sqrt_rational(la.det(g)) * sp.Rational(cv.numerator,
-                                                          cv.denominator)
+        return la._sqrt_rational(la.det(g)) * la._exact(cv)
 
     # -- operations -----------------------------------------------------------
 
@@ -624,7 +621,7 @@ def hanner(tree) -> Polytope:
 
 def volume_product(p: Polytope):
     """vol(K) * vol(K polar), exact sympy."""
-    return sp.simplify(p.volume() * p.polar().volume())
+    return p.volume() * p.polar().volume()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+import latgeom._linalg as la
 from latgeom.bounds import (body_min_chain, body_min_floor, cnk_upper,
                             conjectured_min_dnn1, constants, delta_ball,
                             dnk_chain, dnk_known, dnk_lower, dnn1_ball,
@@ -11,7 +12,7 @@ from latgeom.bounds import (body_min_chain, body_min_floor, cnk_upper,
                             max_d21_upper, min_dnk_over_bodies,
                             remark321_table, theta_ball)
 from latgeom.errors import MissingConstantError
-from latgeom.polytope import cross_polytope, simplex
+from latgeom.polytope import cross_polytope, cube, simplex
 
 
 def test_delta_catalog():
@@ -171,3 +172,46 @@ def test_report_serialization():
     assert d["formula_id"] == "dnk-lower"
     assert d["value_float"] == pytest.approx(float(25 * math.pi ** 2 / 256))
     assert isinstance(d["inputs"], list)
+
+
+def _all_reports():
+    """Every BoundReport for n <= 8 and n = 24 that the catalog supports."""
+    reports = list(max_d21_upper()[1:])
+    for n in list(range(1, 9)) + [24]:
+        reports += mahler_floors(n)
+        if has_delta(n):
+            reports.append(dnn1_ball(n))
+        for k in range(1, n):
+            calls = [(dnk_lower, k), (dnk_chain, k), (cnk_upper, k)]
+            calls += [(min_dnk_over_bodies, k, sym) for sym in (False, True)]
+            for f, *args in calls:
+                try:
+                    reports.append(f(n, *args))
+                except MissingConstantError:
+                    pass
+    for rows in remark321_table().values():
+        reports += [e["report"] for e in rows]
+    return reports
+
+
+def test_reports_leave_in_canonical_form():
+    # sympy's automatic evaluation already writes these products of rational
+    # powers of integers and pi as sp.simplify would: no simplifier is needed
+    reports = _all_reports()
+    values = {r.value_exact for r in reports}
+    values |= {c.value_exact for r in reports for c in r.inputs}
+    assert len(values) > 150
+    for v in values:
+        assert str(v) == str(sp.simplify(v))
+
+
+def test_dnn1_body_reads_a_float_density_exactly():
+    # a float delta_polar is read as the rational it is, not guessed to be
+    # the closed form sqrt(2)*pi/6 that it approximates
+    delta = 0.7404804896930609
+    rep = dnn1_body(cube(2), delta)
+    assert rep.value_exact == sp.Rational(1, 2) / sp.Rational(la._rational(delta))
+    assert rep.value_exact.is_Rational
+    assert dnn1_body(cube(2), sp.sqrt(2) * sp.pi / 6).value_exact \
+        == 3 * sp.sqrt(2) / (2 * sp.pi)
+    assert dnn1_body(cube(2), Fraction(1, 2)).value_exact == 1

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -37,6 +41,40 @@ def test_catalog_dimension_suffix_and_flag(capsys):
     a = _json(capsys, "lattice-info", "--catalog", "D4")
     b = _json(capsys, "lattice-info", "--catalog", "D", "--n", "4")
     assert a == b
+
+
+def test_catalog_names_without_a_dimension(capsys):
+    # Leech, NonSep and BambahWoods have one dimension each; the families
+    # need one, and the catalog says so
+    assert _json(capsys, "lattice-info", "--catalog", "Leech")["rank"] == 24
+    assert _json(capsys, "lattice-info", "--catalog", "NonSep")["rank"] == 3
+    assert _json(capsys, "lattice-info", "--catalog", "BambahWoods")["rank"] == 3
+    for name in ("Z", "A", "Astar", "D", "E"):
+        code, out, err = _run(capsys, "lattice-info", "--catalog", name)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "CatalogMissError"
+
+
+def test_verbs_load_no_sympy_physics():
+    # no simplifier runs in the engine, so sympy.physics (which the first
+    # sp.simplify imports) stays unloaded in a fresh process
+    script = """
+import contextlib, io, sys
+from latgeom.cli import run
+for argv in (["cover", "--catalog", "Z2"], ["polytope", "--body", "cube:2"],
+             ["cylinder", "--catalog", "Z2", "--r", "1/4", "--k", "1"],
+             ["bounds", "--n", "2", "--k", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("sympy.physics")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_svp(capsys):

@@ -335,3 +335,17 @@ def test_covering_radius_is_the_farthest_cell_vertex(lat):
     # the cell is symmetric about 0, so the farthest vertices tie in pairs
     assert covering_radius(lat) == (
         mu_sq, max(v for v, q in norms.items() if q == mu_sq))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n,
+    max_size=n)),
+    st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)))
+def test_densities_leave_in_canonical_form(rows, scale_sq):
+    # kappa_n times a rational power over sqrt(det^2): sympy's automatic
+    # evaluation writes it as sp.simplify would, so no simplifier is needed
+    assume(la.det(rows) != 0)
+    lat = Lattice.from_rows(rows, scale_sq=scale_sq)
+    for v in (packing_density(lat), covering_density(lat)):
+        assert str(v) == str(sp.simplify(v))

@@ -10,7 +10,7 @@ import latgeom._linalg as la
 from latgeom.bounds import dnk_known, dnk_lower
 from latgeom.enumeration import _covering_radius_bound, covering_radius
 from latgeom.errors import (CapabilityError, CertificateValidationError,
-                            NotAPackingError)
+                            MissingConstantError, NotAPackingError)
 from latgeom.impassability import (_default_det_bound, _validate_certificate,
                                    _validation_radius_sq, ball_lattice_density, free_cylinder,
                                    is_nonseparable_ball_lattice,
@@ -123,6 +123,43 @@ def test_free_cylinder_d4_floor_exact():
     cw = free_cylinder(d4, 1, 1, dnk_lower(4, 1))
     assert sp.simplify(cw.guaranteed_floor - (sp.sqrt(5) / 2 - 1)) == 0
     assert cw.base_radius > cw.floor_float
+
+
+def _threshold(n, k):
+    """The d_{n,k} the cylinder command uses: known, else the lower bound."""
+    try:
+        return dnk_known(n, k)
+    except MissingConstantError:
+        return dnk_lower(n, k)
+
+
+@pytest.mark.parametrize("name,n,scale_sq,r,k,floor", [
+    ("D", 3, 2, 1, 1, "-1 + 3*sqrt(2)/4"),
+    ("Z", 2, 5, 1, 1, "-1 + sqrt(10)*3**(1/4)/4"),
+    ("Z", 3, 1, Fraction(1, 3), 2, "-1 + 3*2**(5/6)/4"),
+    ("A", 4, 1, Fraction(1, 4), 2, "-1 + 4*5**(1/8)*6**(1/4)/3"),
+])
+def test_free_cylinder_floor_strings(name, n, scale_sq, r, k, floor):
+    # the n-th root leaves products of radicals such as 2**(2/3)*2**(5/6);
+    # the floor merges them into one canonical string
+    lat = catalog(name, n).scaled(scale_sq)
+    cw = free_cylinder(lat, r, k, _threshold(n, k))
+    assert str(cw.guaranteed_floor) == floor
+    assert str(sp.simplify(cw.guaranteed_floor)) == floor
+
+
+def test_free_cylinder_reads_a_float_threshold_exactly():
+    # a float threshold is read as the rational it is, not guessed to be
+    # the closed form 9*pi/32 that it approximates
+    fcc = catalog("D", 3).scaled(2)
+    d = float(9 * sp.pi / 32)
+    cw = free_cylinder(fcc, 1, 1, d)
+    exact = free_cylinder(fcc, 1, 1, dnk_known(3, 1))
+    density = ball_lattice_density(fcc, 1)
+    read = sp.simplify((cw.guaranteed_floor + 1) ** 3 * density)
+    assert read == sp.Rational(la._rational(d)) and read.is_Rational
+    assert cw.guaranteed_floor != exact.guaranteed_floor
+    assert cw.floor_float == pytest.approx(exact.floor_float, rel=1e-12)
 
 
 def test_free_cylinder_rejects_overlapping_balls():

@@ -115,6 +115,20 @@ def test_rational_rejects_non_numbers(x):
         la._rational(x)
 
 
+def test_exact_passes_sympy_and_reads_the_rest():
+    # a sympy value passes unchanged; any other number is read, never
+    # guessed: the float of sqrt(2)*pi/6 stays a rational
+    for v in (sp.pi, sp.sqrt(2) / 3, sp.Rational(5, 7), sp.Float(0.5)):
+        assert la._exact(v) is v
+    assert la._exact(Fraction(-1, 2)) == sp.Rational(-1, 2)
+    assert la._exact("0.25") == sp.Rational(1, 4)
+    x = float(sp.sqrt(2) * sp.pi / 6)
+    assert la._exact(x) == sp.Rational(la._rational(x))
+    assert la._exact(x).is_Rational
+    with pytest.raises(InvalidInputError):
+        la._exact("pi")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda m: st.lists(
     st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=1,

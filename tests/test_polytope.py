@@ -190,6 +190,16 @@ def test_hanner_volume_products(n):
         assert volume_product(p) == Fraction(4 ** n, math.factorial(n)), tree
 
 
+def test_volume_products_leave_in_canonical_form():
+    bodies = [cube(n) for n in (1, 2, 3, 4)]
+    bodies += [cross_polytope(n) for n in (2, 3, 4)]
+    bodies += [hanner(t) for n in (2, 3, 4) for t in _trees(n)]
+    bodies += [cube(2).scaled(Fraction(7, 3)), simplex_dv_cell(3)]
+    for p in bodies:
+        v = volume_product(p)
+        assert str(v) == str(sp.simplify(v))
+
+
 def test_is_zonotope_cube_and_octahedron():
     flag, gens = is_zonotope(cube(3))
     assert flag and len(gens) == 3
