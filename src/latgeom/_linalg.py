@@ -5,16 +5,15 @@ fraction-free elimination kernel serves ``det``, ``rank``, ``solve`` and
 ``inverse``: rational rows are scaled to ints and eliminated in ints.
 Numbers from outside the program enter here (``_rational``, ``_exact`` and,
 for values that only their square decides, ``_rational_square``), and exact
-square roots leave here as sympy numbers (``_sqrt_rational``).
+square roots leave here as ``ClosedForm`` values (``_sqrt_rational``).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
-
-import sympy as sp
 
 from .errors import InvalidInputError
 
@@ -54,15 +53,18 @@ def _rational_square(x):
     rational; every radius, scale and bound that only its square decides
     is read here.
 
-    Real numbers and strings are read by ``_rational`` and squared; any
-    other value must be a sympy number, such as sqrt(3)/2, whose square
-    ``_rational`` reads (3/4), and its sign is sympy's ``is_positive``,
-    which unlike ``x > 0`` needs no numeric evaluation. Anything else (pi,
-    inf, "abc") raises InvalidInputError.
+    Real numbers and strings are read by ``_rational`` and squared, and a
+    ClosedForm without pi gives q^2 r. Any other value must be a sympy
+    number, such as sqrt(3)/2, whose square ``_rational`` reads (3/4), and
+    its sign is sympy's ``is_positive``, which unlike ``x > 0`` needs no
+    numeric evaluation. Anything else (pi, inf, "abc") raises
+    InvalidInputError.
     """
     if isinstance(x, (numbers.Real, str)):
         q = _rational(x)
         return q * q, q > 0
+    if isinstance(x, ClosedForm) and not x.j:
+        return x.q * x.q * x.r, x.q > 0
     try:
         return _rational(x ** 2), bool(x.is_positive)
     except (InvalidInputError, TypeError, AttributeError):
@@ -71,19 +73,22 @@ def _rational_square(x):
 
 
 def _exact(x):
-    """``x`` as an exact sympy number: a sympy value passes unchanged, any
-    other number is read by ``_rational`` (a float is never guessed to be
-    a closed form in pi or radicals)."""
-    if isinstance(x, sp.Basic):
+    """``x`` as an exact value: a ClosedForm or a sympy value passes
+    unchanged, any other number is read by ``_rational`` (a float is never
+    guessed to be a closed form in pi or radicals)."""
+    sp = sys.modules.get("sympy")  # a sympy value implies a loaded sympy
+    if isinstance(x, ClosedForm) or (sp is not None and isinstance(x, sp.Basic)):
         return x
-    q = _rational(x)
-    return sp.Rational(q.numerator, q.denominator)
+    return ClosedForm(_rational(x))
 
 
 def _sqrt_rational(q):
-    """sqrt(q) for a rational q >= 0 as an exact sympy number: the one
-    place where an exact square leaves as a sympy root."""
-    return sp.sqrt(_exact(Fraction(q)))
+    """sqrt(q) for a rational q >= 0 as a ClosedForm: the one place where
+    an exact square leaves as a root."""
+    q = Fraction(q)
+    a, s = _square_part(q.numerator)
+    b, t = _square_part(q.denominator)
+    return ClosedForm(Fraction(a, b * t), s * t)
 
 
 def _canonical_sign(v):
@@ -386,6 +391,188 @@ def complete_to_unimodular(a):
     return full
 
 
+# ---------------------------------------------------------------------------
+# Closed forms q sqrt(r) pi^j
+# ---------------------------------------------------------------------------
+
+def _square_part(n):
+    """(a, s) with n = a^2 s for an int n >= 0, s squarefree as far as
+    trial division below 2^15 and a perfect-square test of the cofactor
+    tell (exactly, for every n below 2^45)."""
+    a, s, p = 1, 1, 2
+    while p * p <= n and p < 1 << 15:
+        while n % (p * p) == 0:
+            n, a = n // (p * p), a * p
+        if n % p == 0:
+            n, s = n // p, s * p
+        p += 1 + (p > 2)
+    t = math.isqrt(n)
+    return (a * t, s) if t * t == n else (a, s * n)
+
+
+class ClosedForm:
+    """The exact real q sqrt(r) pi^j (q a Fraction, r a squarefree int, j an
+    int) of every determinant, minimum, volume and density the engine
+    reports. Products, quotients, integer powers and the half-integer powers
+    of q pi^(2i), q >= 0, stay in the form; ``str`` and ``float`` are
+    sympy's for the same value (``3*sqrt(2)/4``, ``sqrt(2)*pi/6``), and
+    ``_sympy_`` hands it to sympy in mixed arithmetic and for a sum, which
+    is not a closed form."""
+
+    __slots__ = ("q", "r", "j")
+
+    def __init__(self, q, r=1, j=0):
+        q = Fraction(q)
+        self.q, self.r, self.j = (q, r, j) if q else (q, 1, 0)
+
+    def _key(self):
+        return self.j, self.q > 0, self.q * self.q * self.r
+
+    def __eq__(self, other):
+        other = _closed(other)
+        return NotImplemented if other is None else self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self.q if self.r == 1 and not self.j else self._key())
+
+    def __mul__(self, other):
+        other = _closed(other)
+        if other is None:
+            return NotImplemented
+        g = math.gcd(self.r, other.r)
+        return ClosedForm(self.q * other.q * g, self.r // g * (other.r // g),
+                          self.j + other.j)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _closed(other)
+        return NotImplemented if other is None else self * other ** -1
+
+    def __rtruediv__(self, other):
+        other = _closed(other)
+        return NotImplemented if other is None else other * self ** -1
+
+    def __pow__(self, e):
+        q, r, j = self.q, self.r, self.j
+        if isinstance(e, int) or isinstance(e, Fraction) and e.denominator == 1:
+            e = int(e)
+            if e < 0:  # 1 / (q sqrt(r)) = sqrt(r) / (q r)
+                q, j, e = 1 / (q * r), -j, -e
+            return ClosedForm(q ** e * r ** (e // 2), r ** (e % 2), j * e)
+        if isinstance(e, Fraction) and e.denominator == 2 and r == 1 \
+                and j % 2 == 0 and q >= 0:
+            return (_sqrt_rational(q) * ClosedForm(1, 1, j // 2)) ** e.numerator
+        return NotImplemented
+
+    def __add__(self, other):  # a sum is sympy's
+        return self._sympy_() + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sympy_() - other
+
+    def __rsub__(self, other):
+        return other - self._sympy_()
+
+    def _sympy_(self):
+        import sympy as sp
+        return (sp.Rational(self.q.numerator, self.q.denominator)
+                * sp.sqrt(self.r) * sp.pi ** self.j)
+
+    def __str__(self):
+        q, r, j = self.q, self.r, self.j
+        if r == 1 and not j:
+            return str(q)
+        if q == 1 and r == 1 and j < -1:
+            return f"pi**({j})"
+        pi = "pi" if abs(j) == 1 else f"pi**{abs(j)}"
+        num = [str(abs(q.numerator))] * (abs(q.numerator) != 1)
+        num += [f"sqrt({r})"] * (r != 1) + [pi] * (j > 0)
+        den = [str(q.denominator)] * (q.denominator != 1) + [pi] * (j < 0)
+        out = "-" * (q < 0) + ("*".join(num) or "1")
+        if len(den) > 1:
+            return f"{out}/({'*'.join(den)})"
+        return f"{out}/{den[0]}" if den else out
+
+    __repr__ = __str__
+
+    def __float__(self):
+        if not self.q:
+            return 0.0
+        if abs(self.j) > 13:  # sympy powers pi in steps not followed here
+            return float(self._sympy_())
+        try:
+            f = math.ldexp(*_float_bits(self.q, self.r, self.j))
+        except OverflowError:
+            f = math.inf
+        return -f if self.q < 0 else f
+
+
+def _closed(x):
+    """x as a ClosedForm, or None for an operand such as a sympy value."""
+    return ClosedForm(x) if isinstance(x, (int, Fraction)) else \
+        x if isinstance(x, ClosedForm) else None
+
+
+# The float of a closed form is sympy's, bit for bit, so no output depends
+# on the type that holds a value. As in mpmath, a float is man 2^exp with
+# man odd, rounded toward zero ("d"), away from zero ("u") or to nearest,
+# ties to even ("n"). sympy truncates the factors of q sqrt(r) pi^j to 62 +
+# (their number) bits, rounds the product to 57 bits and then to 53, and
+# truncates a lone factor to 57 bits.
+
+_PI = 0xc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74  # floor(pi 2^190)
+
+
+def _bits(num, den, exp, prec, mode="d"):
+    """(num / den) 2^exp for ints num, den > 0 rounded to prec bits, as
+    (man, exp) with man odd; a sticky bit below the quotient keeps every
+    mode exact."""
+    k = prec + 3 + den.bit_length() - num.bit_length()
+    man, rem = divmod(num << max(k, 0), den << max(-k, 0))
+    man, k = 2 * man + bool(rem), k + 1
+    n = man.bit_length() - prec
+    low, man, half = man & ((1 << n) - 1), man >> n, 1 << (n - 1)
+    if low and (mode == "u" or mode == "n" and (low > half or
+                                                 low == half and man & 1)):
+        man += 1
+    z = (man & -man).bit_length() - 1
+    return man >> z, exp + n + z - k
+
+
+def _float_bits(q, r, j):
+    """|q sqrt(r) pi^j| for q != 0 and |j| <= 13 rounded to 53 bits, as
+    sympy's float() rounds it."""
+    if r == 1 and not j:
+        return _bits(abs(q.numerator), q.denominator, 0, 53, "n")
+    nargs = (q != 1) + (r != 1) + (j != 0)
+    prec = 57 if nargs == 1 else 62 + nargs
+    out = [_bits(abs(q.numerator), q.denominator, 0, prec)] * (q != 1)
+    if r != 1:
+        m, e = _bits(r, 1, 0, prec + 5)
+        m, e = (m << 1, e - 1) if e & 1 else (m, e)
+        out.append(_bits(math.isqrt(m << 2 * prec + 4), 1,
+                         e // 2 - prec - 2, prec))
+    if j == 1:
+        out.append(_bits(_PI, 1, -190, prec))
+    elif j:
+        m, e = _bits(_PI, 1, -190, prec + abs(j).bit_length() + 4)
+        if j > 0:
+            out.append(_bits(m ** j, 1, e * j, prec))
+        else:
+            if j < -1:  # the power below 1 / pi^|j| is rounded up
+                m, e = _bits(m ** -j, 1, -e * j, prec + 5, "u")
+            out.append(_bits(1, m, -e, prec))
+    man, exp = math.prod(m for m, _ in out), sum(e for _, e in out)
+    if nargs > 1:
+        if 1 + sum(m.bit_length() for m, _ in out) > 3 * prec:
+            man, exp = man >> prec, exp + prec  # sympy cuts a long product
+        man, exp = _bits(man, 1, exp, 57, "n")
+    return _bits(man, 1, exp, 53, "n")
+
+
 def float_cholesky(g):
     """Cholesky factor R (upper triangular, G = R^T R) of an SPD matrix, floats."""
     n = len(g)
@@ -398,3 +585,4 @@ def float_cholesky(g):
         for j in range(i + 1, n):
             r[i][j] = (float(g[i][j]) - sum(r[k][i] * r[k][j] for k in range(i))) / r[i][i]
     return r
+

@@ -4,9 +4,11 @@ impassability lower bounds, body-minima chains, the comparison tables, and
 volume-product floors.
 
 All values live in the algebra of rational multiples of powers of pi and
-square roots; they are kept as exact sympy expressions with floats derived
-from them. The one genuinely algebraic constant (the planar packing bound of
-0.8926) is stored as a float literal lower bound.
+square roots. Those of the form q sqrt(r) pi^j are ``ClosedForm`` values;
+rational powers and sums make them exact sympy expressions, so sympy is
+imported by the functions that need it, not with the module. Floats are
+derived from the exact values. The one genuinely algebraic constant (the
+planar packing bound of 0.8926) is stored as a float literal lower bound.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-
-import sympy as sp
+from fractions import Fraction
 
 from . import _linalg as la
 from .enumeration import covering_density, kappa, packing_density
@@ -27,7 +28,7 @@ from .lattice import catalog
 class ConstantEntry:
     name: str
     n: int
-    value_exact: object  # sympy expression
+    value_exact: object  # ClosedForm or sympy expression
     source: str  # "derived-by-oracle" | "external-catalog"
     notes: str = ""
 
@@ -41,7 +42,7 @@ class BoundReport:
     formula_id: str
     n: int
     k: int | None
-    value_exact: object  # sympy expression or None
+    value_exact: object  # ClosedForm, sympy expression or None
     value_float: float
     inputs: tuple = ()
     strictness: str = "lower-bound"  # equality | lower-bound | upper-bound | strict-lower-bound
@@ -132,6 +133,7 @@ def constants(n: int) -> dict:
 def cnk_upper(n: int, k: int) -> BoundReport:
     """Upper bound 2^k (delta / kappa_n)^{k/n} on the minimal-sublattice
     determinant constant; exact equality when k = 1."""
+    import sympy as sp
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"need 1 <= k <= n - 1; got n={n}, k={k}")
     delta = delta_ball(n)
@@ -159,6 +161,7 @@ def dnn1_ball(n: int) -> BoundReport:
 def dnk_chain(n: int, k: int) -> BoundReport:
     """Covering-based lower bound on d_{n,k} for balls:
     kappa_n * (theta_{n-k} / (kappa_{n-k} c_{n,k}))^{n/(n-k)}."""
+    import sympy as sp
     c = cnk_upper(n, k)  # first, as it checks 1 <= k <= n - 1
     theta = theta_ball(n - k)
     e = sp.Rational(n, n - k)
@@ -197,7 +200,7 @@ def dnk_known(n: int, k: int) -> BoundReport:
     if k == n - 1 and has_delta(n):
         return replace(dnn1_ball(n), formula_id="dnk-known")
     if (n, k) == (3, 1):
-        entry = ConstantEntry("d_3_1", 3, sp.Rational(9, 32) * sp.pi,
+        entry = ConstantEntry("d_3_1", 3, la.ClosedForm(Fraction(9, 32), 1, 1),
                               "external-catalog",
                               "proved sharp line-impassability threshold")
         return BoundReport("dnk-known", 3, 1, entry.value_exact,
@@ -227,16 +230,16 @@ def dnn1_body(body, delta_polar) -> BoundReport:
 
 def _body_min_denominator(n: int, symmetric: bool):
     if symmetric:
-        return kappa(n) * sp.factorial(n) / 2 ** n
-    return kappa(n) * sp.factorial(n) * n ** sp.Rational(n, 2) \
-        / (n + 1) ** sp.Rational(n + 1, 2)
+        return kappa(n) * math.factorial(n) / 2 ** n
+    return kappa(n) * math.factorial(n) \
+        * la._sqrt_rational(Fraction(n ** n, (n + 1) ** (n + 1)))
 
 
 @functools.lru_cache(maxsize=None)
 def body_min_floor(n: int) -> BoundReport:
     """Universal floor kappa_n^2 / (C(2n, n) 4^n) on min_K d_{n,k}(K),
     via d_{n,k}(K) >= d_{n,n-1}(K) and the volume-product floor."""
-    value = kappa(n) ** 2 / (sp.binomial(2 * n, n) * 4 ** n)
+    value = kappa(n) ** 2 / (math.comb(2 * n, n) * 4 ** n)
     return _report("body-min-floor", n, None, value, (), "strict-lower-bound",
                    "volume-product floor, any k")
 
@@ -293,8 +296,8 @@ def conjectured_min_dnn1(n: int, symmetric: bool):
     """Conjectured exact minima of d_{n,n-1}(K) over bodies: (n+1)/(2^n n!)
     in general (simplex), 1/n! centrally symmetric (cross-polytope)."""
     if symmetric:
-        return sp.Rational(1, sp.factorial(n))
-    return sp.Rational(n + 1, 2 ** n * sp.factorial(n))
+        return la.ClosedForm(Fraction(1, math.factorial(n)))
+    return la.ClosedForm(Fraction(n + 1, 2 ** n * math.factorial(n)))
 
 
 def remark321_table() -> dict:
@@ -331,6 +334,7 @@ def max_d21_upper() -> tuple:
     upper bound pi^2/(16 * 0.8926), the older upper bound
     pi^2/[4(3 sqrt2 + sqrt3 - sqrt6)], and the conjectured maximum
     sqrt3 pi / 8 (disk)."""
+    import sympy as sp
     tammela = ConstantEntry("planar_packing_floor", 2, sp.Float(TAMMELA_D21_FLOOR),
                             "external-catalog",
                             "algebraic constant kept as a 4-digit literal")
@@ -357,6 +361,6 @@ def mahler_floors(n: int) -> tuple:
     sym = _report("dfloor-symmetric", n, n - 1, kappa(n) ** 2 / 8 ** n, (),
                   "strict-lower-bound", "hyperplane floor, 0-symmetric bodies")
     gen = _report("dfloor-general", n, n - 1,
-                  kappa(n) ** 2 / (sp.binomial(2 * n, n) * 4 ** n), (),
+                  kappa(n) ** 2 / (math.comb(2 * n, n) * 4 ** n), (),
                   "lower-bound", "hyperplane floor, general bodies")
     return kuperberg, sym, gen

@@ -16,8 +16,6 @@ import re
 import sys
 from fractions import Fraction
 
-import sympy as sp
-
 from . import _linalg as la
 from . import bounds as bnd
 from . import enumeration as enu
@@ -39,7 +37,7 @@ def parse_scalar(tok):
     tok = str(tok).strip()
     m = _SQRT_RE.match(tok)
     if m:
-        return sp.sqrt(int(m.group(1)))
+        return la._sqrt_rational(int(m.group(1)))
     try:
         return Fraction(tok)
     except ValueError:
@@ -125,12 +123,8 @@ def emit(payload: dict, fmt: str) -> None:
 
 
 def _num(x):
-    """JSON-friendly pair (exact string, float) for a possibly exact value."""
-    try:
-        f = float(x)
-    except TypeError:
-        f = None
-    return {"exact": str(x), "float": f}
+    """JSON-friendly pair (exact string, float) for an exact value."""
+    return {"exact": str(x), "float": float(x)}
 
 
 # ---------------------------------------------------------------------------

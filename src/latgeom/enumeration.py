@@ -14,8 +14,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import sympy as sp
-
 from . import _linalg as la
 from .errors import CapabilityError
 from .lattice import Lattice, _once, reduce as lll_reduce
@@ -26,8 +24,11 @@ POINT_BUDGET = 10**6
 
 
 def kappa(n: int):
-    """Volume of the n-dimensional unit ball, exact sympy."""
-    return sp.pi ** sp.Rational(n, 2) / sp.gamma(sp.Rational(n, 2) + 1)
+    """Volume of the n-dimensional unit ball, exact: pi^m / m! for n = 2m,
+    and 2^n m! pi^m / n! for n = 2m + 1."""
+    m, f = n // 2, math.factorial
+    c = Fraction(2 ** n * f(m), f(n)) if n % 2 else Fraction(1, f(m))
+    return la.ClosedForm(c, 1, m)
 
 
 def _check_rank(lat: Lattice, cap: int, what: str):
@@ -287,15 +288,12 @@ def _lambda1_sq(lat: Lattice):
 
 
 def packing_density(lat: Lattice):
-    """delta_L(B^n) = kappa_n (lambda_1 / 2)^n / D(L), exact sympy."""
-    n = lat.rank
-    l1sq = sp.Rational(_lambda1_sq(lat))
-    return kappa(n) * (l1sq / 4) ** sp.Rational(n, 2) / lat.determinant()
+    """delta_L(B^n) = kappa_n (lambda_1 / 2)^n / D(L), exact."""
+    l1 = la._sqrt_rational(_lambda1_sq(lat) / 4)
+    return kappa(lat.rank) * l1 ** lat.rank / lat.determinant()
 
 
 def covering_density(lat: Lattice):
-    """theta_L = kappa_n mu^n / D(L), exact sympy."""
-    n = lat.rank
-    mu_sq, _ = covering_radius(lat)
-    return kappa(n) * sp.Rational(mu_sq) ** sp.Rational(n, 2) \
-        / lat.determinant()
+    """theta_L = kappa_n mu^n / D(L), exact."""
+    mu = la._sqrt_rational(covering_radius(lat)[0])
+    return kappa(lat.rank) * mu ** lat.rank / lat.determinant()

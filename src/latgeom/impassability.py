@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
 from . import _linalg as la
 from .enumeration import (_covering_radius_bound, _enumerate_gram,
                           _lambda1_sq, closest_vectors, covering_radius,
@@ -65,10 +63,6 @@ class PassageCertificate:
         return la._sqrt_rational(self.mu_sq)
 
     @property
-    def clearance(self):
-        return self.mu - la._sqrt_rational(_exact_radius(self.r)[0])
-
-    @property
     def clearance_float(self) -> float:
         return float(self.mu) - _exact_radius(self.r)[1]
 
@@ -94,7 +88,7 @@ class CylinderWitness:
 
     certificate: PassageCertificate
     base_radius: float
-    guaranteed_floor: object  # exact expression; may be <= 0 (no guarantee)
+    guaranteed_floor: object  # exact sympy value; may be <= 0 (no guarantee)
     floor_float: float
     guaranteed: bool
 
@@ -272,8 +266,8 @@ def _exact_radius(r):
     when r^2 is not rational (pi, for one), or when r is not positive or its
     float is not a positive finite number."""
     r_sq, positive = la._rational_square(r)
-    r_f = float(la._exact(r))  # too large a number gives inf, not an error
-    if not (positive and 0 < r_f < math.inf):
+    r_f = float(la._exact(r)) if positive else 0.0  # sqrt(-1) has no float
+    if not 0 < r_f < math.inf:
         raise InvalidInputError(f"the radius r = {r} must be positive and "
                                 "within the range of a float")
     return r_sq, r_f
@@ -314,6 +308,7 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
     CapabilityError when no direction within the determinant bound clears
     the balls.
     """
+    import sympy as sp  # for the n-th root, which no ClosedForm holds
     n = lat.rank
     if _lambda1_sq(lat) < 4 * _exact_radius(r)[0]:
         raise NotAPackingError("balls of this radius overlap (lambda_1 < 2r)")

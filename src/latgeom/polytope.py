@@ -399,10 +399,9 @@ class Polytope:
                 for s in pull((1 << len(verts)) - 1)]
 
     def volume(self):
-        """Metric volume, exact sympy expression."""
-        cv = self.coordinate_volume()
-        g = self._metric()
-        return la._sqrt_rational(la.det(g)) * la._exact(cv)
+        """Metric volume, exact (a ClosedForm)."""
+        return la._sqrt_rational(la.det(self._metric())) \
+            * self.coordinate_volume()
 
     # -- operations -----------------------------------------------------------
 
@@ -506,26 +505,13 @@ class Polytope:
 # ---------------------------------------------------------------------------
 
 def cube(n, half_side=Fraction(1, 2)) -> Polytope:
-    h = la._rational(half_side)
-    rows, b = [], []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        rows.append(list(e))
-        b.append(h)
-        rows.append([-x for x in e])
-        b.append(h)
-    return Polytope.from_halfspaces(rows, b)
+    rows = [[s * x for x in e] for e in la.identity(n) for s in (1, -1)]
+    return Polytope.from_halfspaces(rows, [half_side] * len(rows))
 
 
 def cross_polytope(n) -> Polytope:
-    verts = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        verts.append(list(e))
-        verts.append([-x for x in e])
-    return Polytope.from_vertices(verts)
+    return Polytope.from_vertices([[s * x for x in e] for e in la.identity(n)
+                                   for s in (1, -1)])
 
 
 def _chart_gram(n):
@@ -543,12 +529,8 @@ def simplex(n) -> Polytope:
     0, f_1, ..., f_n up to translation, so conv{0, e_1, ..., e_n} in chart
     coordinates with metric Gram <f_i, f_j> = 1 + [i == j].
     """
-    verts = [[Fraction(0)] * n]
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        verts.append(e)
-    return Polytope.from_vertices(verts, metric=_chart_gram(n))
+    return Polytope.from_vertices([[0] * n] + la.identity(n),
+                                  metric=_chart_gram(n))
 
 
 def equilateral_triangle() -> Polytope:
@@ -566,23 +548,11 @@ def simplex_dv_cell(n) -> Polytope:
     x_{n+1} = -sum(y), and each x_i - x_j <= 1 (i != j) is a linear
     inequality on y.
     """
-    rows, b = [], []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i == j:
-                continue
-            row = [Fraction(0)] * n
-            if i < n:
-                row[i] += 1
-            else:
-                row = [x - 1 for x in row]
-            if j < n:
-                row[j] -= 1
-            else:
-                row = [x + 1 for x in row]
-            rows.append(row)
-            b.append(Fraction(1))
-    return Polytope.from_halfspaces(rows, b, metric=_chart_gram(n))
+    x = la.identity(n) + [[-1] * n]  # x_i as a linear form in y
+    rows = [[a - b for a, b in zip(x[i], x[j])]
+            for i in range(n + 1) for j in range(n + 1) if i != j]
+    return Polytope.from_halfspaces(rows, [1] * len(rows),
+                                    metric=_chart_gram(n))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +590,7 @@ def hanner(tree) -> Polytope:
 
 
 def volume_product(p: Polytope):
-    """vol(K) * vol(K polar), exact sympy."""
+    """vol(K) * vol(K polar), exact (a ClosedForm)."""
     return p.volume() * p.polar().volume()
 
 
@@ -666,10 +636,9 @@ class Ellipsoid:
     metric: list | None = None
 
     def volume(self) -> float:
-        import numpy as np
-        kap = float(kappa(len(self.center)))
-        gdet = np.linalg.det(np.array(self.metric)) if self.metric else 1.0
-        return kap * math.sqrt(gdet / np.linalg.det(np.array(self.shape)))
+        gdet = la.det(_fractions(self.metric)) if self.metric else 1
+        return float(kappa(len(self.center))) \
+            * math.sqrt(gdet / la.det(_fractions(self.shape)))
 
     def contains(self, point, tol=1e-9) -> bool:
         d = [float(x) - c for x, c in zip(point, self.center)]
@@ -682,29 +651,44 @@ class Ellipsoid:
                 "shape": [list(r) for r in self.shape]}
 
 
+def _fractions(a):
+    """The float matrix ``a`` as the Fractions its entries are, exactly."""
+    return [[Fraction(x) for x in row] for row in a]
+
+
+def _float_inverse(a):
+    """Inverse of a nonsingular float matrix: the exact inverse of the
+    rationals its entries are, rounded to floats."""
+    return [[float(x) for x in row] for row in la.inverse(_fractions(a))]
+
+
+def _weighted_gram(u, pts):
+    """sum_i u_i p_i p_i^T over the points p_i, floats."""
+    k = len(pts[0])
+    return [[sum(w * p[a] * p[b] for w, p in zip(u, pts)) for b in range(k)]
+            for a in range(k)]
+
+
 def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
     """Minimum volume enclosing ellipsoid of the vertices, Khachiyan's
-    barycentric coordinate ascent; CapabilityError when the duality gap is
-    still above ``tol`` after ``MVEE_ITERATIONS`` steps.
+    barycentric coordinate ascent with away steps (Todd & Yildirim), in
+    plain floats; CapabilityError when the duality gap is still above
+    ``tol`` after ``MVEE_ITERATIONS`` steps.
 
-    Minimizes volume in the polytope's metric: coordinates are whitened by a
-    Cholesky factor of the metric Gram, so the returned shape matrix is in the
-    original coordinates and {x : (x-c)^T shape (x-c) <= 1} is the metric
-    MVEE."""
-    import numpy as np
-    raw = np.array([[float(x) for x in v] for v in p.vertices()], dtype=float)
-    r_factor = np.array(la.float_cholesky(p._metric()))  # upper, G = R^T R
-    pts = raw @ r_factor.T  # y = R x
-    n, d = pts.shape
-    q = np.vstack([pts.T, np.ones(n)])
-    u = np.full(n, 1.0 / n)
+    The ascent and the minimum volume ellipsoid are affine invariant, so
+    the ascent runs on the coordinates themselves and the metric enters
+    only the volume: {x : (x-c)^T shape (x-c) <= 1} is the MVEE in the
+    polytope's metric as well."""
+    pts = [[float(x) for x in v] for v in p.vertices()]
+    lifted = [y + [1.0] for y in pts]
+    d, n = p.dim, len(pts)
+    u = [1.0 / n] * n
     for _ in range(MVEE_ITERATIONS):
-        x = q @ (u[:, None] * q.T)
-        m = np.einsum("ij,jk,ki->i", q.T, np.linalg.inv(x), q)
-        jp = int(np.argmax(m))
-        active = u > 1e-14
-        jm_candidates = np.where(active)[0]
-        jm = int(jm_candidates[np.argmin(m[jm_candidates])])
+        xi = _float_inverse(_weighted_gram(u, lifted))
+        m = [sum(a * sum(x * b for x, b in zip(row, q))
+                 for a, row in zip(q, xi)) for q in lifted]
+        jp = max(range(n), key=m.__getitem__)
+        jm = min((i for i in range(n) if u[i] > 1e-14), key=m.__getitem__)
         eps_plus = m[jp] / (d + 1) - 1.0
         eps_minus = 1.0 - m[jm] / (d + 1)
         # duality gap: optimum has m_i = d + 1 on the support
@@ -712,28 +696,25 @@ def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
             break
         if eps_plus >= eps_minus:
             step = (m[jp] - d - 1.0) / ((d + 1) * (m[jp] - 1.0))
-            u = (1 - step) * u
+            u = [(1 - step) * w for w in u]
             u[jp] += step
         else:
             # away step: shrink the weight of the worst support point
-            kappa = m[jm]
-            lam = u[jm] / (1.0 - u[jm]) if kappa <= 1.0 else min(
-                u[jm] / (1.0 - u[jm]),
-                (d + 1.0 - kappa) / ((d + 1) * (kappa - 1.0)))
-            u = (1 + lam) * u
+            lam = u[jm] / (1.0 - u[jm])
+            if m[jm] > 1.0:
+                lam = min(lam, (d + 1.0 - m[jm]) / ((d + 1) * (m[jm] - 1.0)))
+            u = [(1 + lam) * w for w in u]
             u[jm] -= lam
     else:
         raise CapabilityError(
             f"minimum volume ellipsoid not within tolerance {tol} after "
             f"{MVEE_ITERATIONS} iterations")
-    center_y = pts.T @ u
-    cov = pts.T @ np.diag(u) @ pts - np.outer(center_y, center_y)
-    shape_y = np.linalg.inv(cov) / d
-    shape_x = r_factor.T @ shape_y @ r_factor
-    center_x = np.linalg.solve(r_factor, center_y)
-    g = np.array([[float(x) for x in row] for row in p._metric()])
-    return Ellipsoid(center=center_x.tolist(), shape=shape_x.tolist(),
-                     metric=g.tolist())
+    center = [sum(w * y[a] for w, y in zip(u, pts)) for a in range(d)]
+    cov = [[x - ca * cb for x, cb in zip(row, center)]
+           for row, ca in zip(_weighted_gram(u, pts), center)]
+    shape = [[x / d for x in row] for row in _float_inverse(cov)]
+    metric = [[float(x) for x in row] for row in p._metric()]
+    return Ellipsoid(center=center, shape=shape, metric=metric)
 
 
 def mvee_ratio(p: Polytope, tol=1e-8) -> float:

@@ -148,7 +148,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
 
     ``det_bound`` is a real number, read like every outside number (a
     float as the nearest fraction with denominator at most 10^12), or a
-    sympy number with a rational square, such as a square root of a
+    ClosedForm or sympy number with a rational square, such as a root of a
     rational; only its square enters the search.
 
     Every saturated sublattice with small determinant contains k independent

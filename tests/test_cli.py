@@ -55,26 +55,50 @@ def test_catalog_names_without_a_dimension(capsys):
         assert json.loads(err)["error"] == "CatalogMissError"
 
 
-def test_verbs_load_no_sympy_physics():
-    # no simplifier runs in the engine, so sympy.physics (which the first
-    # sp.simplify imports) stays unloaded in a fresh process
-    script = """
-import contextlib, io, sys
-from latgeom.cli import run
-for argv in (["cover", "--catalog", "Z2"], ["polytope", "--body", "cube:2"],
-             ["cylinder", "--catalog", "Z2", "--r", "1/4", "--k", "1"],
-             ["bounds", "--n", "2", "--k", "1"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert run(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.startswith("sympy.physics")))
-"""
+def _fresh(script):
+    """stdout of ``script`` run by a fresh interpreter on this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+_RUN_ALL = """
+import contextlib, io, sys
+from latgeom.cli import run
+def run_all(*argvs):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv.split()) == 0, argv
+"""
+
+
+def test_verbs_load_no_sympy_physics():
+    # no simplifier runs in the engine, so sympy.physics (which the first
+    # sp.simplify imports) stays unloaded in a fresh process
+    script = _RUN_ALL + """
+run_all("cover --catalog Z2", "polytope --body cube:2",
+        "cylinder --catalog Z2 --r 1/4 --k 1", "bounds --n 2 --k 1")
+print(sorted(m for m in sys.modules if m.startswith("sympy.physics")))
+"""
+    assert _fresh(script) == "[]"
+
+
+def test_engine_verbs_load_neither_numpy_nor_sympy():
+    # exact values are ClosedForms and mvee runs on floats: only the bounds
+    # and the cylinder floor import sympy, when they run
+    script = _RUN_ALL + """
+run_all("svp --catalog E8", "minima --catalog E6", "lattice-info --catalog D4",
+        "voronoi --catalog D4", "dk --catalog D4 --k 1",
+        "impass --catalog D3 --scale sqrt2 --r 1 --k 1 --verify",
+        "polytope --body cube:2", "mvee --body cube:2")
+print(sorted(m for m in ("numpy", "sympy") if m in sys.modules))
+run_all("bounds --n 2 --k 1", "cylinder --catalog Z2 --r 1/4 --k 1")
+"""
+    assert _fresh(script) == "[]"
 
 
 def test_svp(capsys):

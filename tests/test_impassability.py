@@ -10,7 +10,8 @@ import latgeom._linalg as la
 from latgeom.bounds import dnk_known, dnk_lower
 from latgeom.enumeration import _covering_radius_bound, covering_radius
 from latgeom.errors import (CapabilityError, CertificateValidationError,
-                            MissingConstantError, NotAPackingError)
+                            InvalidInputError, MissingConstantError,
+                            NotAPackingError)
 from latgeom.impassability import (_default_det_bound, _validate_certificate,
                                    _validation_radius_sq, ball_lattice_density, free_cylinder,
                                    is_nonseparable_ball_lattice,
@@ -96,6 +97,14 @@ def test_nonseparable_lower_rank_lattices():
     flag, margin = is_nonseparable_ball_lattice(catalog("A", 5), Fraction(1, 2))
     assert not flag
     assert margin == pytest.approx(math.sqrt(5 / 6) - 1, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [sp.I, -sp.sqrt(2), sp.sqrt(2) * sp.I])
+def test_radius_without_a_positive_float_is_invalid_input(r):
+    # the square of sqrt(-1) is rational, but it is not positive: the sign
+    # is read before the float, which sqrt(-1) does not have
+    with pytest.raises(InvalidInputError, match="must be positive"):
+        is_nonseparable_ball_lattice(catalog("Z", 2), r)
 
 
 def test_separable_when_balls_small():

@@ -3,6 +3,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import latgeom._linalg as la
 
-from latgeom.enumeration import voronoi_cell
+from latgeom.enumeration import kappa, voronoi_cell
 from latgeom.errors import (CapabilityError, InvalidInputError,
                             PolarUndefinedError, UnboundedBodyError)
 from latgeom.lattice import catalog
@@ -241,6 +242,55 @@ def test_mvee_respects_metric():
     for v in verts:
         assert ell.contains(v, tol=1e-6)
     assert ell.volume() == pytest.approx(math.pi / 3, abs=1e-6)
+
+
+def _numpy_mvee(p, tol):
+    """Reference: Khachiyan's ascent with away steps in numpy, recomputing
+    X^-1 with LAPACK at every step; (center, shape, volume)."""
+    r = np.array(la.float_cholesky(p._metric()))  # G = R^T R
+    pts = np.array([[float(x) for x in v] for v in p.vertices()]) @ r.T
+    n, d = pts.shape
+    q = np.vstack([pts.T, np.ones(n)])
+    u = np.full(n, 1.0 / n)
+    while True:
+        m = np.einsum("ij,jk,ki->i", q.T,
+                      np.linalg.inv(q @ (u[:, None] * q.T)), q)
+        jp = int(np.argmax(m))
+        active = np.where(u > 1e-14)[0]
+        jm = int(active[np.argmin(m[active])])
+        up, down = m[jp] / (d + 1) - 1, 1 - m[jm] / (d + 1)
+        if max(up, down) <= tol:
+            break
+        if up >= down:
+            step = (m[jp] - d - 1) / ((d + 1) * (m[jp] - 1))
+            u = (1 - step) * u
+            u[jp] += step
+        else:
+            lam = u[jm] / (1 - u[jm])
+            if m[jm] > 1:
+                lam = min(lam, (d + 1 - m[jm]) / ((d + 1) * (m[jm] - 1)))
+            u = (1 + lam) * u
+            u[jm] -= lam
+    c = pts.T @ u
+    shape = r.T @ np.linalg.inv(pts.T @ np.diag(u) @ pts - np.outer(c, c)) \
+        @ r / d
+    g = np.array([[float(x) for x in row] for row in p._metric()])
+    vol = float(kappa(d)) * math.sqrt(np.linalg.det(g) / np.linalg.det(shape))
+    return np.linalg.solve(r, c), shape, vol
+
+
+@pytest.mark.parametrize("body", [
+    cube(3), cross_polytope(3), simplex(3), simplex(4), equilateral_triangle(),
+    simplex_dv_cell(3), Polytope.from_vertices([[0, 0], [3, 0], [0, 1], [1, 1]]),
+], ids=["cube3", "cross3", "simplex3", "simplex4", "triangle", "dv_cell3",
+        "quadrilateral"])
+def test_mvee_matches_numpy_reference(body):
+    ell = mvee(body, tol=1e-9)
+    center, shape, vol = _numpy_mvee(body, 1e-9)
+    assert max(abs(a - b) for a, b in zip(ell.center, center)) <= 1e-8
+    assert max(abs(a - b) for row, ref in zip(ell.shape, shape)
+               for a, b in zip(row, ref)) <= 1e-8
+    assert ell.volume() == pytest.approx(vol, rel=1e-12)
 
 
 def test_mvee_iteration_budget_raises(monkeypatch):
