@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,8 @@ def _rational(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, ClosedForm) and x.r == 1 and not x.j:
+        return x.q
     if isinstance(x, (numbers.Rational, str)):
         try:
             return Fraction(x)
@@ -105,7 +108,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def vec_mat(v, a):
@@ -121,7 +124,7 @@ def identity(n):
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def gram_matrix(rows):
@@ -410,48 +413,66 @@ def _square_part(n):
     return (a * t, s) if t * t == n else (a, s * n)
 
 
+def _via_sympy(op):
+    """The ClosedForm method self op other, evaluated on sympy's value."""
+    return lambda self, other: op(self._sympy_(), other)
+
+
 class ClosedForm:
     """The exact real q sqrt(r) pi^j (q a Fraction, r a squarefree int, j an
     int) of every determinant, minimum, volume and density the engine
-    reports. Products, quotients, integer powers and the half-integer powers
-    of q pi^(2i), q >= 0, stay in the form; ``str`` and ``float`` are
-    sympy's for the same value (``3*sqrt(2)/4``, ``sqrt(2)*pi/6``), and
-    ``_sympy_`` hands it to sympy in mixed arithmetic and for a sum, which
-    is not a closed form."""
+    reports. Products, quotients, negation, integer powers and the
+    half-integer powers of q pi^(2i), q >= 0, stay in the form; ``str`` and
+    ``float`` are sympy's for the same value (``3*sqrt(2)/4``,
+    ``sqrt(2)*pi/6``). ``_sympy_`` hands it to sympy for the rest: a sum,
+    an order comparison, other powers and an operand outside the form,
+    such as a float or a sympy value."""
 
     __slots__ = ("q", "r", "j")
 
     def __init__(self, q, r=1, j=0):
         q = Fraction(q)
+        if r > 1:
+            t = math.isqrt(r)
+            if t * t == r:  # a square that _square_part could not split
+                q, r = q * t, 1
         self.q, self.r, self.j = (q, r, j) if q else (q, 1, 0)
 
     def _key(self):
         return self.j, self.q > 0, self.q * self.q * self.r
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # a float is never equal, as in sympy
         other = _closed(other)
         return NotImplemented if other is None else self._key() == other._key()
 
     def __hash__(self):
         return hash(self.q if self.r == 1 and not self.j else self._key())
 
+    def __bool__(self):
+        return bool(self.q)
+
+    def __neg__(self):
+        return ClosedForm(-self.q, self.r, self.j)
+
+    def __abs__(self):
+        return ClosedForm(abs(self.q), self.r, self.j)
+
     def __mul__(self, other):
-        other = _closed(other)
-        if other is None:
-            return NotImplemented
-        g = math.gcd(self.r, other.r)
-        return ClosedForm(self.q * other.q * g, self.r // g * (other.r // g),
-                          self.j + other.j)
+        o = _closed(other)
+        if o is None:
+            return self._sympy_() * other
+        g = math.gcd(self.r, o.r)
+        return ClosedForm(self.q * o.q * g, self.r // g * (o.r // g),
+                          self.j + o.j)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _closed(other)
-        return NotImplemented if other is None else self * other ** -1
+        o = _closed(other)
+        return self._sympy_() / other if o is None else self * o ** -1
 
     def __rtruediv__(self, other):
-        other = _closed(other)
-        return NotImplemented if other is None else other * self ** -1
+        return self ** -1 * other
 
     def __pow__(self, e):
         q, r, j = self.q, self.r, self.j
@@ -463,18 +484,15 @@ class ClosedForm:
         if isinstance(e, Fraction) and e.denominator == 2 and r == 1 \
                 and j % 2 == 0 and q >= 0:
             return (_sqrt_rational(q) * ClosedForm(1, 1, j // 2)) ** e.numerator
-        return NotImplemented
+        return self._sympy_() ** e
 
-    def __add__(self, other):  # a sum is sympy's
-        return self._sympy_() + other
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._sympy_() - other
-
-    def __rsub__(self, other):
-        return other - self._sympy_()
+    # a sum, an order comparison and a ClosedForm exponent are sympy's
+    __add__ = __radd__ = _via_sympy(operator.add)
+    __sub__ = _via_sympy(operator.sub)
+    __rsub__ = _via_sympy(lambda a, b: b - a)
+    __rpow__ = _via_sympy(lambda a, b: b ** a)
+    __lt__, __le__ = _via_sympy(operator.lt), _via_sympy(operator.le)
+    __gt__, __ge__ = _via_sympy(operator.gt), _via_sympy(operator.ge)
 
     def _sympy_(self):
         import sympy as sp

@@ -336,8 +336,8 @@ def cmd_mvee(args):
     return {
         "center": list(ell.center),
         "shape": [list(r) for r in ell.shape],
-        "volume": float(ell.volume()),
-        "ratio": float(pt.mvee_ratio(body, tol=args.tol or 1e-9)),
+        "volume": ell.volume(),
+        "ratio": ell.volume() / float(body.volume()),
     }
 
 

@@ -356,19 +356,36 @@ def reduce(lat: Lattice) -> Lattice:
 # Catalog
 # ---------------------------------------------------------------------------
 
-def _an_rows(n):
-    return [[(j == i) - (j == i + 1) for j in range(n + 1)] for i in range(n)]
-
-
 def _fcc_rows(n):
     if n == 3:
         return [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    return [[1, 1] + [0] * (n - 2)] + _an_rows(n - 1)
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = rows[0][1] = 1
+    for i in range(1, n):
+        rows[i][i - 1] = 1
+        rows[i][i] = -1
+    return rows
+
+
+def _an_rows(n):
+    rows = []
+    for i in range(n):
+        r = [0] * (n + 1)
+        r[i] = 1
+        r[i + 1] = -1
+        rows.append(r)
+    return rows
 
 
 def _e8_rows():
-    return [[2] + [0] * 7] + [[-x for x in r] for r in _an_rows(7)[:6]] \
-        + [[Fraction(1, 2)] * 8]
+    rows = [[2, 0, 0, 0, 0, 0, 0, 0]]
+    for i in range(6):
+        r = [0] * 8
+        r[i] = -1
+        r[i + 1] = 1
+        rows.append(r)
+    rows.append([Fraction(1, 2)] * 8)
+    return rows
 
 
 def _with_minimum(lat: Lattice, l1_sq) -> Lattice:

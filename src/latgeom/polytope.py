@@ -505,13 +505,26 @@ class Polytope:
 # ---------------------------------------------------------------------------
 
 def cube(n, half_side=Fraction(1, 2)) -> Polytope:
-    rows = [[s * x for x in e] for e in la.identity(n) for s in (1, -1)]
-    return Polytope.from_halfspaces(rows, [half_side] * len(rows))
+    h = la._rational(half_side)
+    rows, b = [], []
+    for i in range(n):
+        e = [Fraction(0)] * n
+        e[i] = Fraction(1)
+        rows.append(list(e))
+        b.append(h)
+        rows.append([-x for x in e])
+        b.append(h)
+    return Polytope.from_halfspaces(rows, b)
 
 
 def cross_polytope(n) -> Polytope:
-    return Polytope.from_vertices([[s * x for x in e] for e in la.identity(n)
-                                   for s in (1, -1)])
+    verts = []
+    for i in range(n):
+        e = [Fraction(0)] * n
+        e[i] = Fraction(1)
+        verts.append(list(e))
+        verts.append([-x for x in e])
+    return Polytope.from_vertices(verts)
 
 
 def _chart_gram(n):
@@ -529,8 +542,12 @@ def simplex(n) -> Polytope:
     0, f_1, ..., f_n up to translation, so conv{0, e_1, ..., e_n} in chart
     coordinates with metric Gram <f_i, f_j> = 1 + [i == j].
     """
-    return Polytope.from_vertices([[0] * n] + la.identity(n),
-                                  metric=_chart_gram(n))
+    verts = [[Fraction(0)] * n]
+    for i in range(n):
+        e = [Fraction(0)] * n
+        e[i] = Fraction(1)
+        verts.append(e)
+    return Polytope.from_vertices(verts, metric=_chart_gram(n))
 
 
 def equilateral_triangle() -> Polytope:
@@ -548,11 +565,23 @@ def simplex_dv_cell(n) -> Polytope:
     x_{n+1} = -sum(y), and each x_i - x_j <= 1 (i != j) is a linear
     inequality on y.
     """
-    x = la.identity(n) + [[-1] * n]  # x_i as a linear form in y
-    rows = [[a - b for a, b in zip(x[i], x[j])]
-            for i in range(n + 1) for j in range(n + 1) if i != j]
-    return Polytope.from_halfspaces(rows, [1] * len(rows),
-                                    metric=_chart_gram(n))
+    rows, b = [], []
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i == j:
+                continue
+            row = [Fraction(0)] * n
+            if i < n:
+                row[i] += 1
+            else:
+                row = [x - 1 for x in row]
+            if j < n:
+                row[j] -= 1
+            else:
+                row = [x + 1 for x in row]
+            rows.append(row)
+            b.append(Fraction(1))
+    return Polytope.from_halfspaces(rows, b, metric=_chart_gram(n))
 
 
 # ---------------------------------------------------------------------------
@@ -657,16 +686,33 @@ def _fractions(a):
 
 
 def _float_inverse(a):
-    """Inverse of a nonsingular float matrix: the exact inverse of the
-    rationals its entries are, rounded to floats."""
-    return [[float(x) for x in row] for row in la.inverse(_fractions(a))]
+    """Inverse of a nonsingular float matrix, Gauss-Jordan elimination
+    with partial pivoting."""
+    n = len(a)
+    m = [[float(x) for x in row] + [float(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda i: abs(m[i][c]))
+        m[c], m[p] = m[p], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[n:] for row in m]
 
 
 def _weighted_gram(u, pts):
     """sum_i u_i p_i p_i^T over the points p_i, floats."""
-    k = len(pts[0])
-    return [[sum(w * p[a] * p[b] for w, p in zip(u, pts)) for b in range(k)]
-            for a in range(k)]
+    cols = list(zip(*pts))
+    return [[sum(map(operator.mul, wa, b)) for b in cols]
+            for wa in ([w * x for w, x in zip(u, a)] for a in cols)]
+
+
+def _moments(u, lifted):
+    """(X^-1, [q^T X^-1 q for the points q]) for X = sum_i u_i q_i q_i^T."""
+    xi = _float_inverse(_weighted_gram(u, lifted))
+    return xi, [la.dot(q, la.mat_vec(xi, q)) for q in lifted]
 
 
 def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
@@ -675,41 +721,56 @@ def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
     plain floats; CapabilityError when the duality gap is still above
     ``tol`` after ``MVEE_ITERATIONS`` steps.
 
+    A step moves weight to or from one point j, so X^-1 and the m_i take
+    a rank-one (Sherman-Morrison) update, O(n d) per step; they are
+    computed afresh every n updates and before the gap is accepted.
     The ascent and the minimum volume ellipsoid are affine invariant, so
     the ascent runs on the coordinates themselves and the metric enters
     only the volume: {x : (x-c)^T shape (x-c) <= 1} is the MVEE in the
     polytope's metric as well."""
     pts = [[float(x) for x in v] for v in p.vertices()]
-    lifted = [y + [1.0] for y in pts]
+    lifted, cols = [y + [1.0] for y in pts], list(zip(*pts))
     d, n = p.dim, len(pts)
     u = [1.0 / n] * n
+    updates = n  # rank-one updates since the moments were fresh
     for _ in range(MVEE_ITERATIONS):
-        xi = _float_inverse(_weighted_gram(u, lifted))
-        m = [sum(a * sum(x * b for x, b in zip(row, q))
-                 for a, row in zip(q, xi)) for q in lifted]
+        if updates >= n:
+            (xi, m), updates = _moments(u, lifted), 0
         jp = max(range(n), key=m.__getitem__)
         jm = min((i for i in range(n) if u[i] > 1e-14), key=m.__getitem__)
         eps_plus = m[jp] / (d + 1) - 1.0
         eps_minus = 1.0 - m[jm] / (d + 1)
         # duality gap: optimum has m_i = d + 1 on the support
         if max(eps_plus, eps_minus) <= tol:
-            break
+            if not updates:
+                break
+            updates = n  # confirm the gap on fresh moments
+            continue
         if eps_plus >= eps_minus:
-            step = (m[jp] - d - 1.0) / ((d + 1) * (m[jp] - 1.0))
-            u = [(1 - step) * w for w in u]
-            u[jp] += step
+            j, tau = jp, (m[jp] - d - 1.0) / ((d + 1) * (m[jp] - 1.0))
         else:
             # away step: shrink the weight of the worst support point
             lam = u[jm] / (1.0 - u[jm])
             if m[jm] > 1.0:
                 lam = min(lam, (d + 1.0 - m[jm]) / ((d + 1) * (m[jm] - 1.0)))
-            u = [(1 + lam) * w for w in u]
-            u[jm] -= lam
+            j, tau = jm, -lam
+        u = [(1 - tau) * w for w in u]
+        u[j] += tau
+        # X <- (1 - tau) X + tau q_j q_j^T
+        v = la.mat_vec(xi, lifted[j])
+        c, s = tau / (1 - tau + tau * m[j]), 1 / (1 - tau)
+        g = [v[-1]] * n  # q_i . v, column by column
+        for va, col in zip(v, cols):
+            g = [x + va * y for x, y in zip(g, col)]
+        m = [(mi - c * gi * gi) * s for mi, gi in zip(m, g)]
+        xi = [[(x - c * vi * vk) * s for x, vk in zip(row, v)]
+              for row, vi in zip(xi, v)]
+        updates += 1
     else:
         raise CapabilityError(
             f"minimum volume ellipsoid not within tolerance {tol} after "
             f"{MVEE_ITERATIONS} iterations")
-    center = [sum(w * y[a] for w, y in zip(u, pts)) for a in range(d)]
+    center = [sum(map(operator.mul, u, col)) for col in cols]
     cov = [[x - ca * cb for x, cb in zip(row, center)]
            for row, ca in zip(_weighted_gram(u, pts), center)]
     shape = [[x / d for x in row] for row in _float_inverse(cov)]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latgeom._linalg as la
+from latgeom.errors import InvalidInputError
 from latgeom.enumeration import covering_density, kappa, packing_density
 from latgeom.impassability import ball_lattice_density
 from latgeom.lattice import catalog
@@ -75,8 +76,46 @@ def test_sums_and_other_powers_go_to_sympy():
     v = la._sqrt_rational(2)
     assert v - 1 == sp.sqrt(2) - 1 and 1 + v == sp.sqrt(2) + 1
     assert v ** sp.Rational(1, 3) == sp.root(2, 6)
-    with pytest.raises(TypeError):
-        v ** Fraction(1, 2)  # 2^(1/4) has no closed form q sqrt(r) pi^j
+    # 2^(1/4) has no closed form q sqrt(r) pi^j
+    assert v ** Fraction(1, 2) == sp.root(2, 4)
+    assert 2 ** v == 2 ** sp.sqrt(2)
+
+
+def test_sign_order_and_float_operands_are_sympys():
+    v, w = la._sqrt_rational(2), la.ClosedForm(Fraction(3, 2))
+    s, t = v._sympy_(), w._sympy_()
+    _same(-v, -s)
+    _same(abs(-v), s)
+    assert not la.ClosedForm(0) and v and -v
+    assert (v < w) and (v <= w) and not (v > w) and not (v >= w)
+    assert (0.5 < v) and (w > 1) and not (-v > 0)
+    for x in (0.5, 3.0):
+        assert v * x == s * x and x * v == x * s
+        assert v / x == s / x and x / v == x / s
+        assert v ** x == s ** x
+    assert (la.ClosedForm(Fraction(1, 2)) == 0.5) == (sp.Rational(1, 2) == 0.5)
+
+
+_BIG_PRIMES = [p for p in range(2**15, 2**15 + 300)
+               if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(_BIG_PRIMES), st.sampled_from(_BIG_PRIMES))
+def test_a_square_above_trial_division_folds_into_q(p, m):
+    # sqrt(p^2 m) keeps p^2 under the root: both primes are above the
+    # trial division of _square_part
+    v = la._sqrt_rational(p * p * m) * la._sqrt_rational(m)
+    assert (v.q, v.r) == (m * p, 1)
+    _same(v, sp.Integer(m * p))
+    assert hash(v) == hash(Fraction(m * p))
+
+
+def test_a_rational_closed_form_reads_as_a_rational():
+    assert la._rational(la._exact(Fraction(1, 4))) == Fraction(1, 4)
+    assert catalog("Z", 2).scaled(la._exact(4)).det_sq() == 16
+    with pytest.raises(InvalidInputError):
+        la._rational(la._sqrt_rational(2))
 
 
 def _catalog_values():

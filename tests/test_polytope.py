@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from latgeom.enumeration import kappa, voronoi_cell
 from latgeom.errors import (CapabilityError, InvalidInputError,
                             PolarUndefinedError, UnboundedBodyError)
 from latgeom.lattice import catalog
-from latgeom.polytope import (Polytope, _at_least,
+from latgeom.polytope import (Polytope, _at_least, _float_inverse,
                               _vertices_from_halfspaces, cross_polytope, cube,
                               equilateral_triangle, hanner, is_zonotope, mvee,
                               mvee_ratio, simplex, simplex_dv_cell,
@@ -279,11 +280,18 @@ def _numpy_mvee(p, tol):
     return np.linalg.solve(r, c), shape, vol
 
 
+def _random_body(d, count, seed):
+    rng = random.Random(seed)
+    return Polytope.from_vertices(
+        [[rng.randint(-10, 10) for _ in range(d)] for _ in range(count)])
+
+
 @pytest.mark.parametrize("body", [
     cube(3), cross_polytope(3), simplex(3), simplex(4), equilateral_triangle(),
     simplex_dv_cell(3), Polytope.from_vertices([[0, 0], [3, 0], [0, 1], [1, 1]]),
+    _random_body(4, 40, 0),
 ], ids=["cube3", "cross3", "simplex3", "simplex4", "triangle", "dv_cell3",
-        "quadrilateral"])
+        "quadrilateral", "random4"])
 def test_mvee_matches_numpy_reference(body):
     ell = mvee(body, tol=1e-9)
     center, shape, vol = _numpy_mvee(body, 1e-9)
@@ -291,6 +299,18 @@ def test_mvee_matches_numpy_reference(body):
     assert max(abs(a - b) for row, ref in zip(ell.shape, shape)
                for a, b in zip(row, ref)) <= 1e-8
     assert ell.volume() == pytest.approx(vol, rel=1e-12)
+
+
+def test_float_inverse_pivots():
+    assert _float_inverse([[0.0, 1.0], [1.0, 0.0]]) == [[0.0, 1.0], [1.0, 0.0]]
+    rng = random.Random(0)
+    for n in range(2, 7):
+        a = [[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+        a[0][0] = 0.0  # the first column needs a row swap
+        exact = la.inverse([[Fraction(x) for x in row] for row in a])
+        for row, ref in zip(_float_inverse(a), exact):
+            assert row == pytest.approx([float(x) for x in ref],
+                                        rel=1e-9, abs=1e-9)
 
 
 def test_mvee_iteration_budget_raises(monkeypatch):
