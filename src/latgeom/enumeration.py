@@ -68,6 +68,13 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     longer than ``POINT_BUDGET`` raises CapabilityError, as soon as the
     range of x_0 shows it, before those points are built.
     """
+    return _scan(lat, center, bound_sq, False)
+
+
+def _scan(lat: Lattice, center, bound_sq, nearest):
+    """The search of ``_enumerate_gram``; with ``nearest`` the bound drops to
+    the best distance found so far, a branch that cannot reach it is cut,
+    and only the points at the final best distance are kept."""
     e = lat._elimination
     m = len(e)
     _, d = lat.int_gram
@@ -84,13 +91,17 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     z = [0] * m
     results = []
 
-    def rec(i, left):
+    def rec(i, used):
+        nonlocal limit
         if i < 0:
-            results.append((tuple(x), limit - left, den))
+            if nearest and used < limit:
+                limit = used
+                results.clear()
+            results.append((tuple(x), used, den))
             return
         a, wi, cti = e[i], w[i], ct[i]
         s = sum(a[j] * z[j] for j in range(i + 1, m))
-        t = math.isqrt(left // wi)
+        t = math.isqrt((limit - used) // wi)
         # |D_{i+1} (c x_i - ct_i) + s| <= t
         p, base = a[i] * c, a[i] * cti - s
         lo, hi = -((t - base) // p), (base + t) // p
@@ -102,10 +113,14 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
             x[i] = xi
             z[i] = zi = c * xi - cti
             v = a[i] * zi + s
-            rec(i - 1, left - v * v * wi)
+            q = used + v * v * wi
+            if q <= limit:
+                rec(i - 1, q)
+            elif v > 0:  # v grows with x_i: the rest of the range is out
+                break
 
     if limit >= 0:
-        rec(m - 1, limit)
+        rec(m - 1, 0)
     return results
 
 
@@ -116,16 +131,19 @@ def _nearest(red: Lattice, t):
 
     Babai's rounding of t is a lattice point, so its squared distance,
     formed in ints against G_int over d c^2 with c the lcm of t's
-    denominators, bounds the search.
+    denominators, is the first bound of the search. The bound then drops
+    to the best distance found so far (Schnorr & Euchner), so a branch
+    that cannot reach it is cut; a point at that distance is a tie and is
+    kept, so the ties come in the order of the full ``_enumerate_gram``
+    listing.
     """
     g, d = red.int_gram
     c = math.lcm(*(v.denominator for v in t))
     dz = [round(v) * c - v.numerator * (c // v.denominator) for v in t]
     bound = Fraction(sum(a * la.dot(row, dz) for a, row in zip(dz, g)),
                      d * c * c)
-    found = _enumerate_gram(red, t, bound)
-    best = min(q for _, q, _ in found)
-    return [x for x, q, _ in found if q == best], best, found[0][2]
+    found = _scan(red, t, bound, True)
+    return [x for x, _, _ in found], found[0][1], found[0][2]
 
 
 def vectors_within(lat: Lattice, bound_sq):

@@ -87,33 +87,22 @@ def _at_least(cols, t, universe):
     return above | equal
 
 
-def _adjacent_pairs(masks, vals, d):
-    """The adjacent pairs (p, n) of rays in a pointed cone of dimension d
-    with vals[p] > 0 > vals[n], in order of p, then n.
+def _adjacent_pairs(masks, tight, pos, negs, live, d):
+    """The adjacent pairs (p, n) of live rays in a pointed cone of dimension
+    d, p in ``pos`` and n in the bitmask ``negs``, in order of p, then n.
 
-    ``masks[i]`` is the bitmask of constraints tight at ray i. By the
+    ``masks[i]`` is the bitmask of constraints tight at the ray in slot i,
+    and ``tight[j]`` the bitmask of slots tight at constraint j; ``live``
+    masks out the dead slots that ``tight`` still holds. By the
     combinatorial test of Fukuda & Prodon, p and n are adjacent iff they
     share at least d - 2 constraints and no third ray is tight on all of
-    them. With one bitmask per constraint over the ray indices, that is:
-    the AND of those bitmasks over the shared constraints is the pair alone.
+    them: the AND of ``tight`` over the shared constraints is the pair alone.
     """
-    pos = [i for i, v in enumerate(vals) if v > 0]
-    if not pos:
-        return
-    negs = sum(1 << i for i, v in enumerate(vals) if v < 0)
-    # rays tight at each constraint, as bitmasks over the ray indices; only
-    # the constraints tight at some positive ray are ever read
-    need = functools.reduce(operator.or_, [masks[p] for p in pos])
-    tight = [0] * need.bit_length()
-    for i, m in enumerate(masks):
-        for j in _bits(m & need):
-            tight[j] |= 1 << i
-    everyone = (1 << len(masks)) - 1
     for p in pos:
         mp = masks[p]
         for n in _bits(_at_least([tight[j] for j in _bits(mp)], d - 2, negs)):
             pair = 1 << p | 1 << n
-            common = everyone
+            common = live
             for j in _bits(mp & masks[n]):
                 if common == pair:
                     break
@@ -126,11 +115,16 @@ def _cone_extreme_rays(normals):
     """Extreme rays of {x : n . x <= 0 for all n}, as primitive integer
     tuples, by incremental double description.
 
-    Each ray carries a bitmask of the processed constraints tight at it. A
-    new ray is a positive combination of an adjacent (positive, negative)
-    pair, so it is tight exactly where both are, and on the new constraint.
-    The cone stays pointed throughout, so the combinatorial adjacency test
-    of ``_adjacent_pairs`` holds.
+    Each ray keeps the slot it was made in, so the incidence is updated, not
+    rebuilt: ``masks`` holds, per slot, the bitmask of processed constraints
+    tight at its ray, and ``tight``, per constraint, the bitmask of slots
+    tight at it. A new ray is a positive combination of an adjacent
+    (positive, negative) pair, so it is tight exactly where both are, and on
+    the new constraint: it sets its own bits, and the new constraint's mask
+    is its zero rays and the new ones. A ray cut off leaves its slot dead.
+    The live slots, in ascending order, are the survivors in their old order
+    and then the new rays. The cone stays pointed throughout, so the
+    combinatorial adjacency test of ``_adjacent_pairs`` holds.
     """
     d = len(normals[0])
     norm_int = [_primitive_int(nv) for nv in normals]
@@ -149,26 +143,37 @@ def _cone_extreme_rays(normals):
     # columns of -M^{-1}; column c is tight at every row of M but row c
     rays = [_primitive_int([-row[c] for row in inv]) for c in range(d)]
     masks = [((1 << d) - 1) ^ (1 << c) for c in range(d)]
+    tight = list(masks)  # the initial incidence is symmetric
+    live = list(range(d))
     chosen = set(idx)
     rest = [nv for i, nv in enumerate(norm_int) if i not in chosen]
     for step, nv in enumerate(rest, d + 1):
-        vals = [sum(map(operator.mul, nv, r)) for r in rays]
-        bit = 1 << (step - 1)
-        new_r, new_m = [], []
-        for p, n in _adjacent_pairs(masks, vals, d):
+        vals = {i: sum(map(operator.mul, nv, rays[i])) for i in live}
+        pos = [i for i in live if vals[i] > 0]
+        zero = sum(1 << i for i in live if not vals[i])
+        negs = sum(1 << i for i in live if vals[i] < 0)
+        everyone = negs | zero | sum(1 << i for i in pos)
+        bit, first = 1 << (step - 1), len(rays)
+        for p, n in list(_adjacent_pairs(masks, tight, pos, negs, everyone,
+                                         d)):
             vp, vn = vals[p], vals[n]
-            new_r.append(_primitive([vp * xn - vn * xp
-                                     for xp, xn in zip(rays[p], rays[n])]))
-            new_m.append(masks[p] & masks[n] | bit)
-        keep = [i for i, v in enumerate(vals) if v <= 0]
-        rays = [rays[i] for i in keep] + new_r
-        masks = [masks[i] | bit if vals[i] == 0 else masks[i]
-                 for i in keep] + new_m
-        if len(rays) > RAY_BUDGET:
+            rays.append(_primitive([vp * xn - vn * xp
+                                    for xp, xn in zip(rays[p], rays[n])]))
+            both = masks[p] & masks[n]
+            masks.append(both | bit)
+            for j in _bits(both):
+                tight[j] |= 1 << len(masks) - 1
+        for i in pos:
+            rays[i] = None
+        for i in _bits(zero):
+            masks[i] |= bit
+        tight.append(zero | (1 << len(rays)) - (1 << first))
+        live = [i for i in live if vals[i] <= 0] + list(range(first, len(rays)))
+        if len(live) > RAY_BUDGET:
             raise CapabilityError(
                 f"double description exceeded the ray budget {RAY_BUDGET} "
-                f"at constraint {step} of {len(normals)}: {len(rays)} rays")
-    return rays
+                f"at constraint {step} of {len(normals)}: {len(live)} rays")
+    return [rays[i] for i in live]
 
 
 def _tight_masks(points, a_rows, b_vals):
@@ -358,17 +363,16 @@ class Polytope:
     def coordinate_volume(self) -> Fraction:
         """Lebesgue volume in coordinate space, exact rational.
 
-        The simplex determinants are taken in ints, on the vertices scaled
-        to their common denominator D, and divided once by d! D^d. A body
-        that is not full-dimensional triangulates into smaller simplices and
-        has volume 0.
+        The simplices of the pulling triangulation come as vertex indices,
+        and the determinants are taken in ints, on the vertices scaled to
+        their common denominator D and read by index, then divided once by
+        d! D^d. A body that is not full-dimensional triangulates into
+        smaller simplices and has volume 0.
         """
         d = self.dim
-        verts = self.vertices()
-        ints, den = la.integer_form(verts)
-        ints = dict(zip(verts, ints))
+        ints, den = la.integer_form(self.vertices())
         total = 0
-        for s in self.triangulation():
+        for s in self._pulling():
             if len(s) <= d:
                 return Fraction(0)
             p0 = ints[s[0]]
@@ -377,14 +381,17 @@ class Polytope:
         return Fraction(total, math.factorial(d) * den ** d)
 
     def triangulation(self):
-        """List of d-simplices (tuples of d+1 vertices) tiling the polytope.
-
-        Pulling triangulation: each face is coned from its lowest vertex over
-        the triangulations of its facets that do not contain that vertex.
-        The simplices have disjoint interiors and exactly tile the polytope.
-        """
+        """List of d-simplices (tuples of d+1 vertices) tiling the polytope:
+        the simplices of ``_pulling`` with their indices read as vertices."""
         verts = self.vertices()
+        return [tuple(verts[i] for i in s) for s in self._pulling()]
 
+    def _pulling(self):
+        """The pulling triangulation, as tuples of indices into the sorted
+        vertices: each face is coned from its lowest vertex over the
+        triangulations of its facets that do not contain that vertex. The
+        simplices have disjoint interiors and exactly tile the polytope.
+        """
         def pull(face):
             if face & (face - 1) == 0:
                 yield (face.bit_length() - 1,)
@@ -395,8 +402,7 @@ class Polytope:
                     for s in pull(g):
                         yield (apex,) + s
 
-        return [tuple(verts[i] for i in s)
-                for s in pull((1 << len(verts)) - 1)]
+        return list(pull((1 << len(self.vertices())) - 1))
 
     def volume(self):
         """Metric volume, exact (a ClosedForm)."""
@@ -719,7 +725,8 @@ def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
     """Minimum volume enclosing ellipsoid of the vertices, Khachiyan's
     barycentric coordinate ascent with away steps (Todd & Yildirim), in
     plain floats; CapabilityError when the duality gap is still above
-    ``tol`` after ``MVEE_ITERATIONS`` steps.
+    ``tol`` after ``MVEE_ITERATIONS`` steps, saying the gap it reached and
+    the number of support points (weights above the 1e-14 cut-off).
 
     A step moves weight to or from one point j, so X^-1 and the m_i take
     a rank-one (Sherman-Morrison) update, O(n d) per step; they are
@@ -769,7 +776,9 @@ def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
     else:
         raise CapabilityError(
             f"minimum volume ellipsoid not within tolerance {tol} after "
-            f"{MVEE_ITERATIONS} iterations")
+            f"{MVEE_ITERATIONS} iterations: duality gap "
+            f"{max(eps_plus, eps_minus):.3g} on "
+            f"{sum(w > 1e-14 for w in u)} support points")
     center = [sum(map(operator.mul, u, col)) for col in cols]
     cov = [[x - ca * cb for x, cb in zip(row, center)]
            for row, ca in zip(_weighted_gram(u, pts), center)]

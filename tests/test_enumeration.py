@@ -109,6 +109,15 @@ def test_voronoi_cell_d4_24cell():
     assert len(cell.vertices()) == 24
 
 
+# 2n facets for Z^n, the roots for A_n, D_n and E_n, and 2(2^n - 1) facets
+# for A_n*: one relevant vector per +- pair
+@pytest.mark.parametrize("name,n,pairs", [
+    ("Z", 6, 6), ("A", 5, 15), ("D", 5, 20), ("Astar", 5, 31), ("D", 6, 30),
+    ("E", 6, 36), ("E", 7, 63), ("E", 8, 120)])
+def test_relevant_vector_counts(name, n, pairs):
+    assert len(relevant_vectors(catalog(name, n))) == pairs
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_covering_radius_cubic(n):
     mu_sq, hole = covering_radius(catalog("Z", n))
@@ -256,6 +265,42 @@ def test_closest_vectors_matches_fraction_evaluation(gc):
     dist, vecs = closest_vectors(Lattice.from_gram(g), target)
     assert dist == best
     assert vecs == sorted(x for x, q in points.items() if q == best)
+
+
+@st.composite
+def _rank4_gram_and_half_target(draw):
+    """A rank-4 Gram, from a catalog lattice or an integer basis with
+    diagonal 1..2 and off-diagonal entries in {-1, 0, 1}, and a target with
+    half-integer coordinates, where closest vectors tie in numbers."""
+    g = draw(st.sampled_from([None] + [catalog(name, 4).gram() for name
+                                       in ("Z", "A", "D", "Astar")]))
+    if g is None:
+        rows = [[draw(st.integers(1, 2)) if i == j else
+                 draw(st.integers(-1, 1)) for j in range(4)] for i in range(4)]
+        assume(la.det(rows) != 0)
+        g = la.gram_matrix([[Fraction(x) for x in r] for r in rows])
+    target = [Fraction(draw(st.integers(-3, 3)), 2) for _ in range(4)]
+    return g, target
+
+
+@settings(max_examples=25, deadline=None)
+@given(_rank4_gram_and_half_target())
+def test_shrinking_bound_keeps_every_tie_in_order(gt):
+    g, target = gt
+    lat = Lattice.from_gram(g)
+    best, vecs = closest_vectors(lat, target)
+    # a box for best itself: a closer point, or none at best, fails below
+    points = _brute_force(g, target, best)
+    assert min(points.values()) == best
+    assert vecs == sorted(x for x, q in points.items() if q == best)
+    # in reduced coordinates, the ties are those of the full listing, in
+    # its order
+    red, _ = enumeration._reduced(lat)
+    t = la.vec_mat(target, enumeration._reduced_inverse(lat))
+    ties, q, den = enumeration._nearest(red, t)
+    assert Fraction(q, den) == best
+    assert ties == [x for x, p, e in _enumerate_gram(red, t, best)
+                    if Fraction(p, e) == best]
 
 
 def test_cached_invariants_are_not_aliased():

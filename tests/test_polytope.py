@@ -16,8 +16,9 @@ from latgeom.enumeration import kappa, voronoi_cell
 from latgeom.errors import (CapabilityError, InvalidInputError,
                             PolarUndefinedError, UnboundedBodyError)
 from latgeom.lattice import catalog
-from latgeom.polytope import (Polytope, _at_least, _float_inverse,
-                              _vertices_from_halfspaces, cross_polytope, cube,
+from latgeom.polytope import (Polytope, _at_least, _cone_extreme_rays,
+                              _float_inverse, _vertices_from_halfspaces,
+                              cross_polytope, cube,
                               equilateral_triangle, hanner, is_zonotope, mvee,
                               mvee_ratio, simplex, simplex_dv_cell,
                               volume_product)
@@ -313,6 +314,20 @@ def test_float_inverse_pivots():
                                         rel=1e-9, abs=1e-9)
 
 
+def test_mvee_budget_error_reports_gap_and_support(monkeypatch):
+    monkeypatch.setattr("latgeom.polytope.MVEE_ITERATIONS", 1000)
+    # 60 integer points near an ellipse, nearly all on the boundary
+    turns = [2 * math.pi * i / 60 for i in range(60)]
+    body = Polytope.from_vertices(
+        [[round(1000 * math.cos(t)), round(500 * math.sin(t) + 300 * math.cos(t))]
+         for t in turns])
+    with pytest.raises(CapabilityError) as err:
+        mvee(body, tol=1e-9)
+    gap, support = re.search(r"after 1000 iterations: duality gap (\S+) on "
+                             r"(\d+) support points$", str(err.value)).groups()
+    assert 1e-9 < float(gap) < 1 and 3 <= int(support) <= 60
+
+
 def test_mvee_iteration_budget_raises(monkeypatch):
     monkeypatch.setattr("latgeom.polytope.MVEE_ITERATIONS", 1)
     # uniform weights are optimal on the square, so one step meets tol
@@ -491,6 +506,42 @@ def test_double_description_matches_brute_force(hp):
                                       [Fraction(x) for x in b])
     assert len(verts) == len(set(verts))
     assert sorted(verts) == _brute_force_vertices(rows, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bounded_h_polytope())
+def test_cone_rays_are_feasible_distinct_and_extreme(hp):
+    rows, b = hp
+    normals = [[Fraction(x) for x in r] + [Fraction(-bv)]
+               for r, bv in zip(rows, b)] + [[0] * len(rows[0]) + [-1]]
+    rays = _cone_extreme_rays(normals)
+    d = len(normals[0])
+    assert len(rays) == len(set(rays))
+    for r in rays:
+        vals = [sum(a * x for a, x in zip(nv, r)) for nv in normals]
+        assert max(vals) <= 0 and any(r)
+        # an extreme ray of a pointed d-cone is tight on rank d - 1 normals
+        assert la.rank([nv for nv, v in zip(normals, vals) if v == 0]) \
+            == d - 1
+
+
+@pytest.mark.parametrize("name,n,count", [
+    ("D", 4, 24), ("A", 4, 30), ("Z", 5, 32), ("Astar", 4, 120), ("D", 5, 42),
+    ("A", 5, 62), ("E", 6, 54), ("E", 7, 632), ("Astar", 5, 720)])
+def test_voronoi_vertex_counts(name, n, count):
+    assert len(voronoi_cell(catalog(name, n)).vertices()) == count
+
+
+@pytest.mark.parametrize("name,n,count", [
+    ("D", 4, 72), ("A", 4, 96), ("Z", 5, 120), ("Astar", 4, 488), ("D", 5, 360),
+    ("A", 5, 600), ("E", 6, 1680), ("cube", 7, 5040)])
+def test_triangulation_sums_to_coordinate_volume(name, n, count):
+    body = cube(n) if name == "cube" else voronoi_cell(catalog(name, n))
+    simplices = body.triangulation()
+    assert len(simplices) == count
+    total = sum(abs(la.det([[x - y for x, y in zip(v, s[0])] for v in s[1:]]))
+                for s in simplices)
+    assert total / math.factorial(n) == body.coordinate_volume()
 
 
 @settings(max_examples=100, deadline=None)
