@@ -168,7 +168,8 @@ def _cone_extreme_rays(normals):
         for i in _bits(zero):
             masks[i] |= bit
         tight.append(zero | (1 << len(rays)) - (1 << first))
-        live = [i for i in live if vals[i] <= 0] + list(range(first, len(rays)))
+        live = [i for i in live if vals[i] <= 0]
+        live += range(first, len(rays))
         if len(live) > RAY_BUDGET:
             raise CapabilityError(
                 f"double description exceeded the ray budget {RAY_BUDGET} "

@@ -319,8 +319,8 @@ def test_mvee_budget_error_reports_gap_and_support(monkeypatch):
     # 60 integer points near an ellipse, nearly all on the boundary
     turns = [2 * math.pi * i / 60 for i in range(60)]
     body = Polytope.from_vertices(
-        [[round(1000 * math.cos(t)), round(500 * math.sin(t) + 300 * math.cos(t))]
-         for t in turns])
+        [[round(1000 * math.cos(t)),
+          round(500 * math.sin(t) + 300 * math.cos(t))] for t in turns])
     with pytest.raises(CapabilityError) as err:
         mvee(body, tol=1e-9)
     gap, support = re.search(r"after 1000 iterations: duality gap (\S+) on "
@@ -533,8 +533,8 @@ def test_voronoi_vertex_counts(name, n, count):
 
 
 @pytest.mark.parametrize("name,n,count", [
-    ("D", 4, 72), ("A", 4, 96), ("Z", 5, 120), ("Astar", 4, 488), ("D", 5, 360),
-    ("A", 5, 600), ("E", 6, 1680), ("cube", 7, 5040)])
+    ("D", 4, 72), ("A", 4, 96), ("Z", 5, 120), ("Astar", 4, 488),
+    ("D", 5, 360), ("A", 5, 600), ("E", 6, 1680), ("cube", 7, 5040)])
 def test_triangulation_sums_to_coordinate_volume(name, n, count):
     body = cube(n) if name == "cube" else voronoi_cell(catalog(name, n))
     simplices = body.triangulation()
