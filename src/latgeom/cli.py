@@ -186,7 +186,7 @@ def cmd_voronoi(args):
     return {
         "relevant_vectors_up_to_sign": [list(v) for v in rel],
         "facets": len(a),
-        "vertices": len(cell.vertices()),
+        "vertices": len(cell.integer_vertices()[0]),
         "volume": _num(cell.volume()),
     }
 

@@ -249,16 +249,18 @@ def voronoi_cell(lat: Lattice):
 
 
 def _cell(lat: Lattice, rel):
+    """The cell {x : <x, v> <= <v, v> / 2 for the relevant +-v}, each row
+    v G = (v G_int) / d formed in ints and divided by d once per entry."""
     from .polytope import Polytope
-    g = lat.gram()
+    g, d = lat.int_gram
     rows, b = [], []
     for v in rel:
-        gv = la.vec_mat(list(v), g)
-        nn = la.dot(list(v), gv)
+        gv = la.vec_mat(v, g)
+        half = Fraction(la.dot(v, gv), 2 * d)
         for s in (1, -1):
-            rows.append([s * x for x in gv])
-            b.append(Fraction(nn, 2))
-    return Polytope.from_halfspaces(rows, b, metric=g)
+            rows.append([Fraction(s * x, d) for x in gv])
+            b.append(half)
+    return Polytope.from_halfspaces(rows, b, metric=lat.gram())
 
 
 def covering_radius(lat: Lattice):
@@ -286,17 +288,16 @@ def _covering_radius_bound(lat: Lattice):
 
 
 def _deep_hole(lat: Lattice):
-    """(mu^2, deep hole) scored in ints: with G = G_int / d and the sorted
-    cell vertices v = w / D over their common denominator D, the norm of v
-    is w^T G_int w / (d D^2). Ties go to the higher index, which is the
-    lexicographically greater vertex."""
-    verts = voronoi_cell(lat).vertices()
-    ints, den = la.integer_form(verts)
+    """(mu^2, deep hole) scored in ints: with G = G_int / d and the cell's
+    sorted vertices v = w / D in its integer form, the norm of v is
+    w^T G_int w / (d D^2). Ties go to the higher index, which is the
+    lexicographically greater vertex; only that vertex becomes Fractions."""
+    ints, den = voronoi_cell(lat).integer_vertices()
     g, d = lat.int_gram
     q, i = max((sum(x * sum(gij * y for gij, y in zip(row, w))
                     for x, row in zip(w, g)), i)
                for i, w in enumerate(ints))
-    return Fraction(q, d * den * den), verts[i]
+    return Fraction(q, d * den * den), tuple(Fraction(x, den) for x in ints[i])
 
 
 def _lambda1_sq(lat: Lattice):

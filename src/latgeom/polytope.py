@@ -177,11 +177,10 @@ def _cone_extreme_rays(normals):
     return [rays[i] for i in live]
 
 
-def _tight_masks(points, a_rows, b_vals):
-    """One bitmask per row of ``a x <= b``: bit j is set when points[j] lies
-    on the row's hyperplane. Exact in ints: each row (a, b) is scaled to a
-    primitive int vector and the points to their common denominator."""
-    pts, den = la.integer_form(points)
+def _tight_masks(pts, den, a_rows, b_vals):
+    """One bitmask per row of ``a x <= b``: bit j is set when the point
+    pts[j] / den lies on the row's hyperplane. Exact in ints: each row
+    (a, b) is scaled to a primitive int vector."""
     masks = []
     for row, bv in zip(a_rows, b_vals):
         *normal, rhs = _primitive_int(list(row) + [bv])
@@ -202,25 +201,24 @@ def _maximal(masks, whole):
     return sorted(out)
 
 
-def _vertices_from_halfspaces(a_rows, b_vals):
-    """Vertices of {x : A x <= b} via DD on the homogenization
-    {(x, t) : A x - b t <= 0, -t <= 0}. Raises if unbounded or empty."""
+def _vertex_rays(a_rows, b_vals):
+    """Vertices of {x : A x <= b} as the primitive integer rays (r, t) with
+    t > 0 of the DD on the homogenization {(x, t) : A x - b t <= 0,
+    -t <= 0}, in the order the DD leaves them; the vertex is r / t, and t is
+    the lcm of its denominators. Raises if unbounded or empty."""
     d = len(a_rows[0]) if a_rows else 0
     normals = [list(row) + [-b] for row, b in zip(a_rows, b_vals)]
     normals.append([Fraction(0)] * d + [Fraction(-1)])
-    verts = []
-    for *r, t in _cone_extreme_rays(normals):
-        if t == 0:
-            if any(r):
-                raise UnboundedBodyError("polytope is unbounded")
-            continue
-        if t < 0:
-            continue
-        verts.append(tuple(Fraction(x, t) for x in r))
-    if not verts:
+    rays = []
+    for ray in _cone_extreme_rays(normals):
+        if ray[-1] > 0:
+            rays.append(ray)
+        elif ray[-1] == 0 and any(ray):
+            raise UnboundedBodyError("polytope is unbounded")
+    if not rays:
         raise InvalidInputError("empty polytope")
     # distinct primitive rays with t > 0 give distinct vertices
-    return verts
+    return rays
 
 
 def _halfspaces_from_vertices(verts):
@@ -236,11 +234,11 @@ def _halfspaces_from_vertices(verts):
     c = [sum(v[j] for v in verts) / n for j in range(d)]
     shifted = [[x - cx for x, cx in zip(v, c)] for v in verts]
     # polar body {y : y . v <= 1 for all shifted vertices v}
-    polar_verts = _vertices_from_halfspaces(shifted, [Fraction(1)] * len(shifted))
     a_rows, b_vals = [], []
-    for y in polar_verts:
-        # facet y . (x - c) <= 1
-        a_rows.append(list(y))
+    for *r, t in _vertex_rays(shifted, [Fraction(1)] * len(shifted)):
+        # facet y . (x - c) <= 1 for the polar vertex y = r / t
+        y = [Fraction(x, t) for x in r]
+        a_rows.append(y)
         b_vals.append(Fraction(1) + la.dot(y, c))
     return a_rows, b_vals
 
@@ -258,6 +256,8 @@ class Polytope:
     _verts: list | None = None
     metric: tuple | None = None  # rational SPD Gram of the coordinate basis
     _canonical: bool = False  # _verts known to be the sorted extreme points
+    # the sorted vertices as int rows over their common denominator
+    _form: tuple | None = field(default=None, repr=False)
     # face lattice: facet masks over the sorted vertices, and face -> facets
     _facets: list | None = field(default=None, repr=False)
     _below: dict = field(default_factory=dict, repr=False)
@@ -293,23 +293,38 @@ class Polytope:
 
     # -- conversions ---------------------------------------------------------
 
-    def vertices(self):
-        """The vertices, sorted; a fresh list on every call."""
-        if not self._canonical:
+    def integer_vertices(self):
+        """(W, D): the sorted vertices as int rows over their common
+        denominator D, so ``vertices()[i] == W[i] / D``; computed once.
+
+        An H-built body reads W off the rays (r, t) of the double
+        description: D is the lcm of the t, and W holds r (D / t). Rows over
+        one positive denominator sort as the vertices do.
+        """
+        if self._form is None:
             if self._verts is None:
-                verts = _vertices_from_halfspaces(self._a, self._b)
+                rays = _vertex_rays(self._a, self._b)
+                den = math.lcm(*(ray[-1] for ray in rays))
+                ints = [tuple(x * (den // t) for x in r) for *r, t in rays]
             else:
                 # constructor points may include non-extreme ones; a point is
                 # a vertex iff the rows tight at it are tight at no other one
-                masks = _tight_masks(self._verts, *self.halfspaces())
+                masks = _tight_masks(*la.integer_form(self._verts),
+                                     *self.halfspaces())
                 meets = [functools.reduce(operator.and_,
                                           [m for m in masks if m >> j & 1], -1)
                          for j in range(len(self._verts))]
-                verts = [v for j, v in enumerate(self._verts)
-                         if meets[j] == 1 << j]
-            # over one common denominator, ints sort as the Fractions do
-            ints, _ = la.integer_form(verts)
-            self._verts = [v for _, v in sorted(zip(ints, verts))]
+                ints, den = la.integer_form(
+                    [v for j, v in enumerate(self._verts) if meets[j] == 1 << j])
+            self._form = tuple(sorted(ints)), den
+        return self._form
+
+    def vertices(self):
+        """The vertices, sorted, as Fraction tuples read off
+        ``integer_vertices`` on the first call; a fresh list on every call."""
+        if not self._canonical:
+            ints, den = self.integer_vertices()
+            self._verts = [tuple(Fraction(x, den) for x in w) for w in ints]
             self._canonical = True
         return list(self._verts)
 
@@ -330,7 +345,7 @@ class Polytope:
             return NotImplemented
         if self.dim != other.dim:
             return False
-        return sorted(self.vertices()) == sorted(other.vertices())
+        return self.integer_vertices() == other.integer_vertices()
 
     # -- face lattice ---------------------------------------------------------
 
@@ -344,9 +359,10 @@ class Polytope:
         bit operations alone.
         """
         if self._facets is None:
-            verts = self.vertices()
-            self._facets = _maximal(_tight_masks(verts, *self.halfspaces()),
-                                    (1 << len(verts)) - 1)
+            ints, den = self.integer_vertices()
+            self._facets = _maximal(
+                _tight_masks(ints, den, *self.halfspaces()),
+                (1 << len(ints)) - 1)
         if face not in self._below:
             self._below[face] = _maximal([face & g for g in self._facets],
                                          face)
@@ -354,7 +370,7 @@ class Polytope:
 
     def _faces(self, k):
         """Vertex masks of the k-dimensional faces, in ascending order."""
-        level = {(1 << len(self.vertices())) - 1}
+        level = {(1 << len(self.integer_vertices()[0])) - 1}
         for _ in range(self.dim - k):
             level = {g for f in level for g in self._facets_of(f)}
         return sorted(level)
@@ -371,7 +387,7 @@ class Polytope:
         smaller simplices and has volume 0.
         """
         d = self.dim
-        ints, den = la.integer_form(self.vertices())
+        ints, den = self.integer_vertices()
         total = 0
         for s in self._pulling():
             if len(s) <= d:
@@ -403,7 +419,7 @@ class Polytope:
                     for s in pull(g):
                         yield (apex,) + s
 
-        return list(pull((1 << len(self.vertices())) - 1))
+        return list(pull((1 << len(self.integer_vertices()[0])) - 1))
 
     def volume(self):
         """Metric volume, exact (a ClosedForm)."""

@@ -319,8 +319,8 @@ def test_cached_invariants_are_not_aliased():
 
 def test_voronoi_cell_is_built_once(monkeypatch):
     calls = []
-    dd = polytope._vertices_from_halfspaces
-    monkeypatch.setattr(polytope, "_vertices_from_halfspaces",
+    dd = polytope._vertex_rays
+    monkeypatch.setattr(polytope, "_vertex_rays",
                         lambda a, b: calls.append(a) or dd(a, b))
     lat = catalog("D", 4)
     verts = voronoi_cell(lat).vertices()
@@ -360,9 +360,9 @@ def test_cli_scans_cosets_once(verb, monkeypatch, capsys):
 
 @st.composite
 def _integer_lattice(draw):
-    """A rank-3 or rank-4 lattice from an integer basis with diagonal 2..4
-    and off-diagonal entries in {-1, 0, 1}, scaled by a rational square."""
-    n = draw(st.integers(3, 4))
+    """A lattice of rank 2 to 5 from an integer basis with diagonal 2..4 and
+    off-diagonal entries in {-1, 0, 1}, scaled by a rational square."""
+    n = draw(st.integers(2, 5))
     rows = [[draw(st.integers(2, 4)) if i == j else draw(st.integers(-1, 1))
              for j in range(n)] for i in range(n)]
     assume(la.det(rows) != 0)
@@ -371,15 +371,46 @@ def _integer_lattice(draw):
     return Lattice.from_rows(rows).scaled(scale_sq)
 
 
+def _check_integer_vertices(lat):
+    """The cell's integer form is la.integer_form of its vertices; the
+    covering radius is a Fraction reference over those vertices, the largest
+    norm with ties (the cell is symmetric about 0, so the farthest vertices
+    tie in pairs) going to the lexicographically greatest vertex; and the
+    cell, a fundamental domain of Z^n in coefficient coordinates, has
+    volume 1."""
+    cell = voronoi_cell(lat)
+    verts = cell.vertices()
+    assert cell.integer_vertices() == la.integer_form(verts)
+    g = lat.gram()
+    assert covering_radius(lat) == max((_form(g, v), v) for v in verts)
+    assert cell.coordinate_volume() == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(_integer_lattice())
 def test_covering_radius_is_the_farthest_cell_vertex(lat):
-    g = lat.gram()
-    norms = {v: _form(g, v) for v in voronoi_cell(lat).vertices()}
-    mu_sq = max(norms.values())
-    # the cell is symmetric about 0, so the farthest vertices tie in pairs
-    assert covering_radius(lat) == (
-        mu_sq, max(v for v, q in norms.items() if q == mu_sq))
+    _check_integer_vertices(lat)
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(1, 8)]
+                         + [(k, n) for k in ("A", "Astar") for n in range(1, 6)]
+                         + [("D", n) for n in range(3, 8)]
+                         + [("E", 6), ("E", 7)])
+def test_catalog_cells_carry_integer_vertices(name, n):
+    _check_integer_vertices(catalog(name, n))
+
+
+def test_covering_radius_builds_no_fraction_vertices(monkeypatch):
+    calls = []
+    verts = polytope.Polytope.vertices
+    monkeypatch.setattr(polytope.Polytope, "vertices",
+                        lambda self: calls.append(self) or verts(self))
+    lat = Lattice.from_rows([[2, 1, 0, 0], [1, 3, 1, 0], [0, 0, 2, -1],
+                             [1, 0, 0, 3]])
+    mu_sq, hole = covering_radius(lat)
+    assert calls == []
+    assert (mu_sq, hole) == max((_form(lat.gram(), v), v)
+                                for v in voronoi_cell(lat).vertices())
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from latgeom.errors import (CapabilityError, InvalidInputError,
                             PolarUndefinedError, UnboundedBodyError)
 from latgeom.lattice import catalog
 from latgeom.polytope import (Polytope, _at_least, _cone_extreme_rays,
-                              _float_inverse, _vertices_from_halfspaces,
+                              _float_inverse, _vertex_rays,
                               cross_polytope, cube,
                               equilateral_triangle, hanner, is_zonotope, mvee,
                               mvee_ratio, simplex, simplex_dv_cell,
@@ -502,8 +502,9 @@ def _bounded_h_polytope(draw):
 @given(_bounded_h_polytope())
 def test_double_description_matches_brute_force(hp):
     rows, b = hp
-    verts = _vertices_from_halfspaces([[Fraction(x) for x in r] for r in rows],
-                                      [Fraction(x) for x in b])
+    rays = _vertex_rays([[Fraction(x) for x in r] for r in rows],
+                        [Fraction(x) for x in b])
+    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]
     assert len(verts) == len(set(verts))
     assert sorted(verts) == _brute_force_vertices(rows, b)
 
