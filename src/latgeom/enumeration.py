@@ -290,13 +290,17 @@ def _covering_radius_bound(lat: Lattice):
 def _deep_hole(lat: Lattice):
     """(mu^2, deep hole) scored in ints: with G = G_int / d and the cell's
     sorted vertices v = w / D in its integer form, the norm of v is
-    w^T G_int w / (d D^2). Ties go to the higher index, which is the
-    lexicographically greater vertex; only that vertex becomes Fractions."""
+    w^T G_int w / (d D^2). The cell is symmetric about 0 and negation
+    reverses the sorted order, so ints[N-1-i] = -ints[i] and only the upper
+    half, the vertices whose first nonzero entry is positive, is scored.
+    Ties go to the higher index, which is the lexicographically greater
+    vertex, always in that half; only that vertex becomes Fractions."""
     ints, den = voronoi_cell(lat).integer_vertices()
     g, d = lat.int_gram
+    half = len(ints) // 2
     q, i = max((sum(x * sum(gij * y for gij, y in zip(row, w))
                     for x, row in zip(w, g)), i)
-               for i, w in enumerate(ints))
+               for i, w in enumerate(ints[half:], half))
     return Fraction(q, d * den * den), tuple(Fraction(x, den) for x in ints[i])
 
 

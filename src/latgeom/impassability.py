@@ -14,15 +14,19 @@ mu^2 <= (1/4) sum ||b*_i||^2 over the Gram-Schmidt vectors; on the
 LLL-reduced basis of a projection that bound costs one reduction and one
 elimination (``enumeration._covering_radius_bound``). As mu^2 never exceeds
 the bound, a direction whose bound is at most r^2 cannot clear the balls,
-and one whose (-bound, coeffs) sorts after the best (-mu^2, coeffs) so far
-cannot win ``max_clearance``; both are skipped, compared exactly, so every
-certificate and clearance is the one an exhaustive search returns.
-Acceptance and validation compare exact rationals too.
+and one whose bound is below the best mu^2 so far cannot win
+``max_clearance``; both are skipped, compared exactly, so every certificate
+and clearance is the one an exhaustive search returns. Acceptance and
+validation compare exact rationals too.
 
 An automorphism of L maps witnesses to witnesses of the same determinant,
 and the projection along one isometrically onto the projection along the
-other, so ``max_clearance`` projects, bounds and covers one witness per
-orbit of ``symmetry.automorphisms``.
+other. So ``max_clearance`` searches up to symmetry
+(``sublattice.orbit_witnesses``), which reaches at least one witness per
+orbit of ``symmetry.automorphisms`` without building the others, and
+projects, bounds and covers only those. It keeps every witness tied at the
+best mu^2, and at the end expands their orbits to find the least coeffs,
+the tie-break of an exhaustive search.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from .enumeration import (_covering_radius_bound, _enumerate_gram,
 from .errors import (CapabilityError, CertificateValidationError,
                      InvalidInputError, NotAPackingError)
 from .lattice import Lattice, dual_in_span
-from .sublattice import (SublatticeWitness, _shells, enumerate_sublattices,
+from .sublattice import (SublatticeWitness, _shells, orbit_witnesses,
                          project_along, successive_minima)
-from .symmetry import automorphisms
+from .symmetry import _orbit, automorphisms
 
 
 @dataclass(frozen=True)
@@ -195,38 +199,6 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     return None
 
 
-def _orbit_representatives(lat: Lattice, witnesses):
-    """The witnesses that are least in their orbit under Aut(L), in list
-    order. The list is sorted by (det_sq, coeffs) and an automorphism keeps
-    det_sq, so the least member of an orbit is its least coeffs.
-
-    Union-find over the generators: the image of a witness is the HNF of its
-    rows times the generator, looked up by coeffs, and each class keeps its
-    least index as root. An isometry keeps det_sq, so an image missing from
-    a complete search is a fault of that search, and it raises."""
-    gens, _ = automorphisms(lat)
-    index = {w.coeffs: i for i, w in enumerate(witnesses)}
-    root = list(range(len(witnesses)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for a in gens:
-        for i, w in enumerate(witnesses):
-            image = tuple(map(tuple, la.hnf_basis(la.mat_mul(w.coeffs, a))))
-            j = index.get(image)
-            if j is None:
-                raise RuntimeError(f"the image {image} of witness {w.coeffs} "
-                                   "under an automorphism is not in the search")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                root[max(ri, rj)] = min(ri, rj)
-    return [w for i, w in enumerate(witnesses) if find(i) == i]
-
-
 def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     """(best clearance, best certificate) over all searched directions;
     certificate is None when no direction clears radius r. Deterministic:
@@ -234,30 +206,50 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
 
     An automorphism of L maps the projection along a witness isometrically
     onto the projection along its image, so mu^2 is constant on an orbit of
-    witnesses, and only the least member of each orbit is projected and
-    bounded. A representative whose key (-bound, coeffs) already sorts after
-    the best key cannot win and is skipped without building a Voronoi
-    cell."""
+    witnesses, and only the witnesses of ``orbit_witnesses``, at least one
+    per orbit, are projected and bounded. A witness whose bound is below
+    the best mu^2 so far cannot win and is skipped without building a
+    Voronoi cell. Those witnesses need not be the least of their orbits, so
+    every witness tied at the best mu^2 is kept, and at the end their orbits
+    are expanded to find the least coeffs among them: the direction an
+    exhaustive search ranks first by (-mu^2, coeffs)."""
     _, r_f = _exact_radius(r)
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
-    best = None
-    best_key = None
-    witnesses = enumerate_sublattices(lat, k, det_bound)
-    for w in _orbit_representatives(lat, witnesses):
+    gens, _ = automorphisms(lat)
+    best_sq, tied = None, {}  # coeffs -> (witness, projection) at best mu^2
+    for w in orbit_witnesses(lat, k, det_bound, gens):
         proj = project_along(lat, w)
-        if best_key is not None and \
-                (-_covering_radius_bound(proj), w.coeffs) > best_key:
+        if best_sq is not None and _covering_radius_bound(proj) < best_sq:
             continue
-        key = (-covering_radius(proj)[0], w.coeffs)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (w, proj)
-    if best is None:
+        mu_sq = covering_radius(proj)[0]
+        if best_sq is None or mu_sq > best_sq:
+            best_sq, tied = mu_sq, {}
+        if mu_sq == best_sq:
+            tied[w.coeffs] = w, proj
+    if best_sq is None:
         return float("-inf"), None
-    w, proj = best
-    clearance = math.sqrt(float(covering_radius(proj)[0])) - r_f
+    w = _least_in_orbits([w for w, _ in tied.values()], gens)
+    proj = tied[w.coeffs][1] if w.coeffs in tied else project_along(lat, w)
+    clearance = math.sqrt(float(best_sq)) - r_f
     return clearance, _certificate(lat, w, r, proj, validate)
+
+
+def _least_in_orbits(witnesses, gens):
+    """The witness with the least coeffs over the orbits of ``witnesses``
+    under the group the generators make: the image of coeffs C under A is
+    the HNF of C A, and an automorphism keeps the determinant."""
+    def image(coeffs, a):
+        return tuple(map(tuple, la.hnf_basis(la.mat_mul(coeffs, a))))
+
+    reached, best = set(), None
+    for w in witnesses:
+        if w.coeffs not in reached:
+            orbit = _orbit(w.coeffs, gens, image)
+            reached |= orbit
+            if best is None or min(orbit) < best.coeffs:
+                best = SublatticeWitness(w.parent, min(orbit), w.det_sq, True)
+    return best
 
 
 def _exact_radius(r):

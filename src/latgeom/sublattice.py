@@ -8,6 +8,7 @@ span; equivalently its coefficient rows extend to a unimodular matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from . import _linalg as la
 from .enumeration import _lambda1_sq, successive_minima, vectors_within
 from .errors import CapabilityError, InvalidInputError
 from .lattice import Lattice
+from .symmetry import _orbit
 
 NODE_BUDGET = 10**7
 
@@ -167,6 +169,57 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
     ||v||^2 / gcd(v)^2. A key whose pivots are all 1 is already the HNF of
     its saturation; any other goes through ``la.saturation``.
     """
+    return _search(lat, k, det_bound, ())
+
+
+def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
+    """Saturated k-sublattices with determinant <= det_bound, ascending,
+    with at least one member of every orbit of
+    ``enumerate_sublattices(lat, k, det_bound)`` under the group of
+    isometries that the int matrices ``gens`` make (x -> x A, as
+    ``symmetry.automorphisms`` gives them), and usually few others.
+
+    The search is ``enumerate_sublattices``'s, up to symmetry. Its first,
+    shortest vector runs over the least member of each orbit of candidates
+    (``_candidate_representatives``); a later vector runs over the
+    candidates no shorter than the first, except the first itself and the
+    representatives before it. Any orbit of spans M holds an image whose
+    shortest vectors include a representative; take the least such i. Each
+    other minimum of that image is no shorter than i, and one that sorts
+    before i is of i's norm, so it is a shortest vector and not a
+    representative: the image's minima tuple is in the search."""
+    return _search(lat, k, det_bound, gens)
+
+
+def _candidate_representatives(rows, gens):
+    """For each candidate row (one per +- pair), whether it is the least
+    index of its orbit under the generators. A generator A maps a row v to
+    the pair of +- v A; an isometry keeps norms, so the image of a candidate
+    is a candidate whenever ``rows`` holds every vector up to some norm, and
+    a missing image raises."""
+    index = {}
+    for i, v in enumerate(rows):
+        index[tuple(v)] = index[tuple(-x for x in v)] = i
+
+    def image(i, a):
+        v = tuple(la.vec_mat(rows[i], a))
+        if v not in index:
+            raise RuntimeError(f"the image {v} of candidate {rows[i]} under "
+                               "an automorphism is not a candidate")
+        return index[v]
+
+    rep, reached = [], set()
+    for i in range(len(rows)):
+        rep.append(i not in reached)
+        if rep[i]:
+            reached |= _orbit(i, gens, image)
+    return rep
+
+
+def _search(lat: Lattice, k: int, det_bound, gens):
+    """The search of ``orbit_witnesses``; with no generators every
+    candidate is a representative, later vectors follow the earlier ones,
+    and the search is ``enumerate_sublattices``."""
     m = lat.rank
     _check_k(lat, k)
     det_bound_sq = _bound_sq(det_bound)
@@ -176,7 +229,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
         # saturated k-sublattices correspond to saturated (m-k)-sublattices
         # of the dual via orthogonal complement, with
         # det(M)^2 = det_sq(L) * det(M_perp)^2; search the smaller side
-        return _enumerate_via_dual(lat, k, det_bound_sq)
+        return _enumerate_via_dual(lat, k, det_bound_sq, gens)
     l1_sq = _lambda1_sq(lat)
     prod_sq_bound = _hermite_pow(k) * det_bound_sq
     vecs = vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq))
@@ -190,6 +243,18 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
     d = lat.int_gram[1]
     norms = [q.numerator * (d // q.denominator) for _, q in vecs]
     cap = math.floor(prod_sq_bound * d ** k)
+    # the candidates that can come first, a set closed under isometries
+    first = [i for i, q in enumerate(norms) if q ** k <= cap]
+    below = {}  # first vector -> the non-representatives of its norm before it
+    if gens:
+        rep = _candidate_representatives([v for v, _ in vecs[:len(first)]],
+                                         gens)
+        first = [i for i in first if rep[i]]
+        block = 0
+        for i in first:
+            while norms[block] < norms[i]:
+                block += 1
+            below[i] = tuple(j for j in range(block, i) if not rep[j])
     found = {}  # span key -> witness, or None when det_sq > det_bound^2
     nodes = 0
     chosen = []
@@ -210,10 +275,12 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
         found[key] = SublatticeWitness(lat, sat, d2, True) \
             if d2 <= det_bound_sq else None
 
-    def dfs(start, prod):
+    def dfs(low, start, prod):
+        # the next vector runs over ``low``, then start, start + 1, ...; the
+        # first level passes the representatives as ``low``
         nonlocal nodes
         remaining = k - len(chosen)
-        for i in range(start, len(coeff_rows)):
+        for p, i in enumerate(itertools.chain(low, range(start, len(norms)))):
             if prod * norms[i] ** remaining > cap:
                 break  # norms ascend, so all later candidates fail too
             nodes += 1
@@ -227,12 +294,14 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
             chosen.append(i)
             if remaining == 1:
                 leaf()
+            elif len(chosen) == 1:
+                dfs(below.get(i, ()), i + 1, norms[i])
             else:
-                dfs(i + 1, prod * norms[i])
+                dfs(low[p + 1:], max(start, i + 1), prod * norms[i])
             echelon.pop()
             chosen.pop()
 
-    dfs(0, 1)
+    dfs(first, len(norms), 1)
     return sorted((w for w in found.values() if w is not None),
                   key=lambda w: (w.det_sq, w.coeffs))
 
@@ -264,12 +333,17 @@ def _shells(lat: Lattice, k: int, det_bound):
         prev, bound = bound, 4 * bound
 
 
-def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq):
+def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, gens):
+    """The search on the dual side. An automorphism x -> x A of L acts on
+    dual coefficients as y -> y A^{-T}, which keeps the pairing x y^T, so
+    orbits of complements are the complements of orbits."""
     m = lat.rank
     dlat = Lattice.from_gram(la.inverse(lat.gram()))
     dual_bound = la._sqrt_rational(det_bound_sq / lat.det_sq())
+    dual_gens = [[[int(x) for x in row] for row in la.transpose(la.inverse(a))]
+                 for a in gens]
     out = []
-    for wd in enumerate_sublattices(dlat, m - k, dual_bound):
+    for wd in _search(dlat, m - k, dual_bound, dual_gens):
         # det(M)^2 = det_sq(L) * det(M_perp)^2 <= det_bound^2
         key = tuple(map(tuple, la.hnf_basis(
             la.integer_kernel([list(r) for r in wd.coeffs]))))

@@ -35,13 +35,18 @@ def automorphisms(lat: Lattice):
     return _once(lat, "automorphisms", lambda: _automorphisms(lat))
 
 
-def _orbit(point, gens):
-    """Orbit of the int row ``point`` under the int matrices ``gens``."""
+def _row_image(v, a):
+    return tuple(la.vec_mat(v, a))
+
+
+def _orbit(point, gens, act=_row_image):
+    """Orbit of ``point`` under the int matrices ``gens``, each acting by
+    ``act``: by default on int rows, x -> x A."""
     orbit, todo = {point}, [point]
     while todo:
         v = todo.pop()
         for a in gens:
-            w = tuple(la.vec_mat(v, a))
+            w = act(v, a)
             if w not in orbit:
                 orbit.add(w)
                 todo.append(w)

@@ -400,6 +400,36 @@ def test_catalog_cells_carry_integer_vertices(name, n):
     _check_integer_vertices(catalog(name, n))
 
 
+def _check_half_scoring(lat):
+    """The sorted integer vertices pair up as ints[N-1-i] = -ints[i], the
+    upper half is the vertices whose first nonzero entry is positive, and
+    (mu^2, hole) is a Fraction reference over every vertex."""
+    ints, den = voronoi_cell(lat).integer_vertices()
+    n = len(ints)
+    assert n % 2 == 0
+    assert all(ints[n - 1 - i] == tuple(-x for x in w)
+               for i, w in enumerate(ints))
+    assert all(next(x for x in w if x) > 0 for w in ints[n // 2:])
+    g = lat.gram()
+    assert covering_radius(lat) == max(
+        (_form(g, v), v) for v in (tuple(Fraction(x, den) for x in w)
+                                   for w in ints))
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(1, 8)]
+                         + [(k, n) for k in ("A", "Astar") for n in range(1, 6)]
+                         + [("D", n) for n in range(3, 8)]
+                         + [("E", 6), ("E", 7)])
+def test_deep_hole_scores_half_of_a_catalog_cell(name, n):
+    _check_half_scoring(catalog(name, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_integer_lattice())
+def test_deep_hole_scores_half_of_a_random_cell(lat):
+    _check_half_scoring(lat)
+
+
 def test_covering_radius_builds_no_fraction_vertices(monkeypatch):
     calls = []
     verts = polytope.Polytope.vertices

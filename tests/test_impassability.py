@@ -248,6 +248,16 @@ def test_validation_radius_bounds_the_exact_radius(mu_sq, r_sq):
     assert sp.Rational(bound) < (sp.sqrt(exact) + sp.Rational(2, 10**9)) ** 2
 
 
+@pytest.mark.parametrize("k,spans", [(2, 11), (3, 15)])
+def test_max_clearance_node_budget_reports_progress(monkeypatch, k, spans):
+    # the search up to symmetry keeps the budget, on both sides (k = 3
+    # searches the dual), and says how far it got
+    monkeypatch.setattr("latgeom.sublattice.NODE_BUDGET", 20)
+    with pytest.raises(CapabilityError, match=f"node budget 20 after reaching "
+                       f"{spans} distinct spans and finding {spans} witnesses"):
+        max_clearance(catalog("D", 4), Fraction(2, 5), k)
+
+
 def test_default_search_bound_is_exact():
     # 3 lambda_1 on 6 Z^3 has square 54, the norm of (2, 2, 1); the float
     # 3.0 * sqrt(6.0) squares to less and stopped the search at det^2 36

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 import latgeom._linalg as la
 from latgeom.enumeration import _reduced, _reduced_inverse, closest_vectors
-from latgeom.enumeration import covering_radius
+from latgeom.enumeration import _covering_radius_bound, covering_radius
 from latgeom.impassability import (_certificate, _default_det_bound,
-                                   _orbit_representatives, max_clearance)
+                                   _least_in_orbits, max_clearance)
 from latgeom.lattice import Lattice, catalog
-from latgeom.sublattice import enumerate_sublattices, project_along
+from latgeom.sublattice import (_candidate_representatives,
+                                enumerate_sublattices, orbit_witnesses,
+                                project_along)
 from latgeom.symmetry import automorphisms
 
 ORDERS = [("Z", n, 2 ** n * math.factorial(n)) for n in range(2, 7)] + [
@@ -146,12 +148,23 @@ def test_reduced_inverse_is_lazy_and_inverts_the_transform():
 # ---------------------------------------------------------------------------
 
 def _per_witness(lat, r, k):
-    """max_clearance by projecting and covering every witness: the argmin of
-    (-mu^2, coeffs) over the whole search."""
-    best = None
+    """max_clearance by projecting every witness: the argmin of
+    (-mu^2, coeffs) over the whole search. The witnesses are taken in
+    descending order of Babai's bound on mu^2, so that a witness whose bound
+    is below the best mu^2 so far, and every one after it, cannot win; each
+    one covered checks that its bound is at least its mu^2."""
+    projected = []
     for w in enumerate_sublattices(lat, k, _default_det_bound(lat, k)):
         proj = project_along(lat, w)
-        key = (-covering_radius(proj)[0], w.coeffs)
+        projected.append((_covering_radius_bound(proj), w, proj))
+    projected.sort(key=lambda t: t[0], reverse=True)
+    best = None
+    for bound, w, proj in projected:
+        if best is not None and bound < -best[0][0]:
+            break
+        mu_sq = covering_radius(proj)[0]
+        assert bound >= mu_sq
+        key = (-mu_sq, w.coeffs)
         if best is None or key < best[0]:
             best = (key, w, proj)
     if best is None:
@@ -169,9 +182,14 @@ def _same_result(got, want):
         assert got[1].to_dict() == want[1].to_dict()
 
 
+# the last three search the dual side (2k > n); on A4 at k = 3 the least
+# coeffs of the winning orbit are not among the witnesses the search reaches
 CATALOG_CASES = [("Z", 4, 1, 1, Fraction(1, 2)), ("Z", 4, 1, 2, Fraction(1, 2)),
                  ("A", 4, 1, 1, Fraction(1, 2)), ("D", 4, 1, 2, Fraction(1, 2)),
-                 ("D", 3, 2, 1, 1), ("D", 4, 2, 1, 1)]
+                 ("D", 3, 2, 1, 1), ("D", 4, 2, 1, 1),
+                 ("D", 5, 1, 1, Fraction(1, 2)),
+                 ("Z", 4, 1, 3, Fraction(2, 5)), ("A", 4, 1, 3, Fraction(2, 5)),
+                 ("D", 4, 1, 3, Fraction(2, 5))]
 
 
 @pytest.mark.parametrize("name,n,scale,k,r", CATALOG_CASES,
@@ -189,6 +207,53 @@ def test_max_clearance_matches_per_witness_loop_random(lat, data):
     r = data.draw(st.fractions(Fraction(1, 10), Fraction(3, 2),
                                max_denominator=12))
     _same_result(max_clearance(lat, r, k), _per_witness(lat, r, k))
+
+
+def test_max_clearance_matches_per_class_loop_e6():
+    # E6 at k = 1 has 10,350 witnesses, and the per-witness loop covers
+    # over a thousand distinct projections; here each class of the full
+    # search, closed under the generators, is covered at its least member
+    # and at one other, which must agree
+    lat, r = catalog("E", 6), Fraction(1, 2)
+    ws = enumerate_sublattices(lat, 1, _default_det_bound(lat, 1))
+    by_coeffs = {w.coeffs: w for w in ws}
+    best = None
+    for c in _orbit_classes(lat, ws, automorphisms(lat)[0]):
+        least, other = sorted(c)[:2]
+        proj = project_along(lat, by_coeffs[least])
+        mu_sq = covering_radius(proj)[0]
+        assert covering_radius(project_along(lat, by_coeffs[other]))[0] \
+            == mu_sq
+        key = (-mu_sq, least)
+        if best is None or key < best[0]:
+            best = (key, by_coeffs[least], proj)
+    (neg_mu_sq, _), w, proj = best
+    want = (math.sqrt(float(-neg_mu_sq)) - float(r),
+            _certificate(lat, w, r, proj, True))
+    _same_result(max_clearance(lat, r, 1), want)
+
+
+def test_tie_goes_to_an_orbit_member_the_search_does_not_reach():
+    # on A3 at k = 2 the first witness the orbit search reaches at the best
+    # mu^2 is not the least coeffs of its orbit; the expansion finds them
+    lat = catalog("A", 3)
+    reached = orbit_witnesses(lat, 2, _default_det_bound(lat, 2),
+                              automorphisms(lat)[0])
+    mu_sq = [covering_radius(project_along(lat, w))[0] for w in reached]
+    first = reached[mu_sq.index(max(mu_sq))]
+    got = max_clearance(lat, Fraction(1, 2), 2)
+    assert first.coeffs == ((1, 0, 0), (0, 1, 0))
+    assert got[1].witness.coeffs == ((0, 1, 0), (0, 0, 1))
+    assert got[1].witness.coeffs not in {w.coeffs for w in reached}
+    _same_result(got, _per_witness(lat, Fraction(1, 2), 2))
+
+
+def test_d5_plane_certificate():
+    # the D5 cliff of the cliff table: planes through D5 sqrt(2), r = 1
+    clearance, cert = max_clearance(catalog("D", 5).scaled(2), 1, 2)
+    assert cert.witness.coeffs == ((1, -1, -2, -2, 0), (0, 0, 0, 0, 1))
+    assert cert.mu_sq == Fraction(3, 2) and cert.validated
+    assert clearance == math.sqrt(1.5) - 1
 
 
 def _orbit_classes(lat, witnesses, gens):
@@ -227,24 +292,33 @@ def test_orbit_representatives_are_least_members(name, n, scale, k, count,
                                                  orbits):
     lat = catalog(name, n).scaled(scale)
     ws = enumerate_sublattices(lat, k, _default_det_bound(lat, k))
-    reps = _orbit_representatives(lat, ws)
-    assert (len(ws), len(reps)) == (count, orbits)
-    # each generator on its own, and the group they make: the classes
-    # under the group must be the ones the representatives stand for
+    # each generator on its own, and the group they make
     gens, _ = automorphisms(lat)
     classes = _orbit_classes(lat, ws, gens)
-    assert sorted(min(c) for c in classes) == sorted(w.coeffs for w in reps)
-    # representatives come in search order, each the least of its class
-    assert [w.coeffs for w in reps] == [w.coeffs for w in ws
-                                        if any(w.coeffs == min(c)
-                                               for c in classes)]
+    assert (len(ws), len(classes)) == (count, orbits)
+    # the orbit search reaches every class, and only witnesses of the full
+    # search, in its order
+    reached = orbit_witnesses(lat, k, _default_det_bound(lat, k), gens)
+    coeffs = {w.coeffs for w in reached}
+    assert all(c & coeffs for c in classes)
+    assert [w.coeffs for w in reached] == \
+        [w.coeffs for w in ws if w.coeffs in coeffs]
+    # the orbit expansion of the reached members of a class finds its least
+    # member, and carries the determinant of the class
+    det_sq = {w.coeffs: w.det_sq for w in ws}
+    for c in classes:
+        least = _least_in_orbits([w for w in reached if w.coeffs in c], gens)
+        assert (least.coeffs, least.det_sq) == (min(c), det_sq[min(c)])
 
 
 def test_missing_orbit_image_raises():
-    lat = catalog("Z", 3)
-    ws = enumerate_sublattices(lat, 1, _default_det_bound(lat, 1))
-    with pytest.raises(RuntimeError, match="not in the search"):
-        _orbit_representatives(lat, ws[:-1])
+    # the candidates of norm 1 in Z^3, and a shear that is no isometry
+    rows = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert _candidate_representatives(rows, automorphisms(catalog("Z", 3))[0]) \
+        == [True, False, False]
+    shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(RuntimeError, match="not a candidate"):
+        _candidate_representatives(rows, [shear])
 
 
 @pytest.mark.parametrize("name,n,k", [("Z", 4, 1), ("Z", 4, 3), ("D", 4, 2),
