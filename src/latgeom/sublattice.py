@@ -169,26 +169,7 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
     ||v||^2 / gcd(v)^2. A key whose pivots are all 1 is already the HNF of
     its saturation; any other goes through ``la.saturation``.
     """
-    return _search(lat, k, det_bound, ())
-
-
-def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
-    """Saturated k-sublattices with determinant <= det_bound, ascending,
-    with at least one member of every orbit of
-    ``enumerate_sublattices(lat, k, det_bound)`` under the group of
-    isometries that the int matrices ``gens`` make (x -> x A, as
-    ``symmetry.automorphisms`` gives them), and usually few others.
-
-    The search is ``enumerate_sublattices``'s, up to symmetry. Its first,
-    shortest vector runs over the least member of each orbit of candidates
-    (``_candidate_representatives``); a later vector runs over the
-    candidates no shorter than the first, except the first itself and the
-    representatives before it. Any orbit of spans M holds an image whose
-    shortest vectors include a representative; take the least such i. Each
-    other minimum of that image is no shorter than i, and one that sorts
-    before i is of i's norm, so it is a shortest vector and not a
-    representative: the image's minima tuple is in the search."""
-    return _search(lat, k, det_bound, gens)
+    return orbit_witnesses(lat, k, det_bound, ())
 
 
 def _candidate_representatives(rows, gens):
@@ -216,10 +197,24 @@ def _candidate_representatives(rows, gens):
     return rep
 
 
-def _search(lat: Lattice, k: int, det_bound, gens):
-    """The search of ``orbit_witnesses``; with no generators every
-    candidate is a representative, later vectors follow the earlier ones,
-    and the search is ``enumerate_sublattices``."""
+def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
+    """Saturated k-sublattices with determinant <= det_bound, ascending,
+    with at least one member of every orbit of
+    ``enumerate_sublattices(lat, k, det_bound)`` under the group of
+    isometries that the int matrices ``gens`` make (x -> x A, as
+    ``symmetry.automorphisms`` gives them), and usually few others.
+
+    The search is ``enumerate_sublattices``'s, up to symmetry. Its first,
+    shortest vector runs over the least member of each orbit of candidates
+    (``_candidate_representatives``); a later vector runs over the
+    candidates no shorter than the first, except the first itself and the
+    representatives before it. Any orbit of spans M holds an image whose
+    shortest vectors include a representative; take the least such i. Each
+    other minimum of that image is no shorter than i, and one that sorts
+    before i is of i's norm, so it is a shortest vector and not a
+    representative: the image's minima tuple is in the search. With no
+    generators every candidate is a representative, a later vector follows
+    the earlier ones, and the output is all of ``enumerate_sublattices``."""
     m = lat.rank
     _check_k(lat, k)
     det_bound_sq = _bound_sq(det_bound)
@@ -244,11 +239,11 @@ def _search(lat: Lattice, k: int, det_bound, gens):
     norms = [q.numerator * (d // q.denominator) for _, q in vecs]
     cap = math.floor(prod_sq_bound * d ** k)
     # the candidates that can come first, a set closed under isometries
-    first = [i for i, q in enumerate(norms) if q ** k <= cap]
+    first = range(next((i for i, q in enumerate(norms) if q ** k > cap),
+                       len(norms)))
     below = {}  # first vector -> the non-representatives of its norm before it
     if gens:
-        rep = _candidate_representatives([v for v, _ in vecs[:len(first)]],
-                                         gens)
+        rep = _candidate_representatives(coeff_rows[:len(first)], gens)
         first = [i for i in first if rep[i]]
         block = 0
         for i in first:
@@ -276,11 +271,13 @@ def _search(lat: Lattice, k: int, det_bound, gens):
             if d2 <= det_bound_sq else None
 
     def dfs(low, start, prod):
-        # the next vector runs over ``low``, then start, start + 1, ...; the
-        # first level passes the representatives as ``low``
+        # the next vector runs over ``low`` (ascending, below ``start``), then
+        # start, start + 1, ...; the first level passes the representatives
+        # as ``low``, the second the first vector's entry of ``below``
         nonlocal nodes
         remaining = k - len(chosen)
-        for p, i in enumerate(itertools.chain(low, range(start, len(norms)))):
+        for i in itertools.chain(low, range(start, len(norms))) if low \
+                else range(start, len(norms)):
             if prod * norms[i] ** remaining > cap:
                 break  # norms ascend, so all later candidates fail too
             nodes += 1
@@ -296,8 +293,10 @@ def _search(lat: Lattice, k: int, det_bound, gens):
                 leaf()
             elif len(chosen) == 1:
                 dfs(below.get(i, ()), i + 1, norms[i])
+            elif i < start:
+                dfs([j for j in low if j > i], start, prod * norms[i])
             else:
-                dfs(low[p + 1:], max(start, i + 1), prod * norms[i])
+                dfs((), i + 1, prod * norms[i])
             echelon.pop()
             chosen.pop()
 
@@ -343,7 +342,7 @@ def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, gens):
     dual_gens = [[[int(x) for x in row] for row in la.transpose(la.inverse(a))]
                  for a in gens]
     out = []
-    for wd in _search(dlat, m - k, dual_bound, dual_gens):
+    for wd in orbit_witnesses(dlat, m - k, dual_bound, dual_gens):
         # det(M)^2 = det_sq(L) * det(M_perp)^2 <= det_bound^2
         key = tuple(map(tuple, la.hnf_basis(
             la.integer_kernel([list(r) for r in wd.coeffs]))))

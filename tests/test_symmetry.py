@@ -148,22 +148,15 @@ def test_reduced_inverse_is_lazy_and_inverts_the_transform():
 # ---------------------------------------------------------------------------
 
 def _per_witness(lat, r, k):
-    """max_clearance by projecting every witness: the argmin of
-    (-mu^2, coeffs) over the whole search. The witnesses are taken in
-    descending order of Babai's bound on mu^2, so that a witness whose bound
-    is below the best mu^2 so far, and every one after it, cannot win; each
-    one covered checks that its bound is at least its mu^2."""
-    projected = []
+    """max_clearance by projecting and covering every witness: the argmin of
+    (-mu^2, coeffs) over the whole search. Each witness also checks that
+    Babai's bound, by which max_clearance skips a witness, is at least its
+    mu^2."""
+    best = None
     for w in enumerate_sublattices(lat, k, _default_det_bound(lat, k)):
         proj = project_along(lat, w)
-        projected.append((_covering_radius_bound(proj), w, proj))
-    projected.sort(key=lambda t: t[0], reverse=True)
-    best = None
-    for bound, w, proj in projected:
-        if best is not None and bound < -best[0][0]:
-            break
         mu_sq = covering_radius(proj)[0]
-        assert bound >= mu_sq
+        assert _covering_radius_bound(proj) >= mu_sq
         key = (-mu_sq, w.coeffs)
         if best is None or key < best[0]:
             best = (key, w, proj)
@@ -187,7 +180,6 @@ def _same_result(got, want):
 CATALOG_CASES = [("Z", 4, 1, 1, Fraction(1, 2)), ("Z", 4, 1, 2, Fraction(1, 2)),
                  ("A", 4, 1, 1, Fraction(1, 2)), ("D", 4, 1, 2, Fraction(1, 2)),
                  ("D", 3, 2, 1, 1), ("D", 4, 2, 1, 1),
-                 ("D", 5, 1, 1, Fraction(1, 2)),
                  ("Z", 4, 1, 3, Fraction(2, 5)), ("A", 4, 1, 3, Fraction(2, 5)),
                  ("D", 4, 1, 3, Fraction(2, 5))]
 
@@ -209,28 +201,39 @@ def test_max_clearance_matches_per_witness_loop_random(lat, data):
     _same_result(max_clearance(lat, r, k), _per_witness(lat, r, k))
 
 
-def test_max_clearance_matches_per_class_loop_e6():
-    # E6 at k = 1 has 10,350 witnesses, and the per-witness loop covers
-    # over a thousand distinct projections; here each class of the full
-    # search, closed under the generators, is covered at its least member
-    # and at one other, which must agree
-    lat, r = catalog("E", 6), Fraction(1, 2)
-    ws = enumerate_sublattices(lat, 1, _default_det_bound(lat, 1))
+def _per_class(lat, r, k):
+    """max_clearance by covering each class of the full search, closed under
+    the generators, at its least member and at one other, which must agree:
+    the argmin of (-mu^2, coeffs) over the whole search when mu^2 is the
+    same on a class, for searches too large to cover every witness."""
+    ws = enumerate_sublattices(lat, k, _default_det_bound(lat, k))
     by_coeffs = {w.coeffs: w for w in ws}
     best = None
     for c in _orbit_classes(lat, ws, automorphisms(lat)[0]):
-        least, other = sorted(c)[:2]
+        least, *others = sorted(c)
         proj = project_along(lat, by_coeffs[least])
         mu_sq = covering_radius(proj)[0]
-        assert covering_radius(project_along(lat, by_coeffs[other]))[0] \
-            == mu_sq
+        assert _covering_radius_bound(proj) >= mu_sq
+        for other in others[:1]:
+            assert covering_radius(project_along(lat, by_coeffs[other]))[0] \
+                == mu_sq
         key = (-mu_sq, least)
         if best is None or key < best[0]:
             best = (key, by_coeffs[least], proj)
     (neg_mu_sq, _), w, proj = best
-    want = (math.sqrt(float(-neg_mu_sq)) - float(r),
+    return (math.sqrt(float(-neg_mu_sq)) - float(r),
             _certificate(lat, w, r, proj, True))
-    _same_result(max_clearance(lat, r, 1), want)
+
+
+# D5 at k = 1 has 2,065 witnesses and E6 10,350, nearly all with distinct
+# projections: the per-witness loop would build about 10 s of Voronoi cells
+# on D5 alone
+@pytest.mark.parametrize("name,n,k,r", [("D", 5, 1, Fraction(1, 2)),
+                                        ("E", 6, 1, Fraction(1, 2))],
+                         ids=lambda v: str(v))
+def test_max_clearance_matches_per_class_loop(name, n, k, r):
+    lat = catalog(name, n)
+    _same_result(max_clearance(lat, r, k), _per_class(lat, r, k))
 
 
 def test_tie_goes_to_an_orbit_member_the_search_does_not_reach():
