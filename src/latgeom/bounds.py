@@ -180,12 +180,9 @@ def dnk_chain(n: int, k: int) -> BoundReport:
 def dnk_lower(n: int, k: int) -> BoundReport:
     """Best available lower bound on d_{n,k} for balls: the larger of the
     covering chain and the hyperplane threshold (monotonicity in k)."""
-    chain = dnk_chain(n, k)
-    if k == n - 1:
-        floor = dnn1_ball(n)
-    else:
-        floor = dnn1_ball(n) if has_delta(n) else None
-    if floor is not None and floor.value_float > chain.value_float:
+    chain = dnk_chain(n, k)  # needs delta_n, so dnn1_ball(n) exists
+    floor = dnn1_ball(n)
+    if floor.value_float > chain.value_float:
         return replace(floor, formula_id="dnk-lower", k=k,
                        strictness="equality" if k == n - 1 else "lower-bound",
                        notes="hyperplane threshold dominates the covering chain")

@@ -23,7 +23,9 @@ from . import impassability as imp
 from . import polytope as pt
 from . import sublattice as sub
 from .errors import CapabilityError, InvalidInputError, LatgeomError
-from .lattice import Lattice, catalog, reduce as lll_reduce
+from .lattice import Lattice, catalog
+# unused here; kept so that bench/tracer.py's REQUIRED_ALIASES resolve
+from .lattice import reduce as lll_reduce
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
@@ -332,7 +334,7 @@ def cmd_mahler(args):
 
 def cmd_mvee(args):
     body = load_body(args)
-    ell = pt.mvee(body, tol=args.tol or 1e-9)
+    ell = pt.mvee(body, tol=1e-9 if args.tol is None else args.tol)
     return {
         "center": list(ell.center),
         "shape": [list(r) for r in ell.shape],
@@ -447,21 +449,12 @@ def run(argv=None) -> int:
                 setattr(args, key, _number(key, getattr(args, key)))
         args = _apply_config(args)
         payload = _HANDLERS[args.verb](args)
-    except InvalidInputError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, sort_keys=True)
+    except (LatgeomError, OSError) as exc:
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stderr,
+                  sort_keys=True)
         sys.stderr.write("\n")
-        return 2
-    except (CapabilityError, LatgeomError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 1
-    except OSError as exc:
-        json.dump({"error": "OSError", "message": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
+        return 2 if isinstance(exc, (InvalidInputError, OSError)) else 1
     emit(payload, args.format)
     return 0
 

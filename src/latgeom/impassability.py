@@ -37,14 +37,16 @@ from fractions import Fraction
 
 from . import _linalg as la
 from .enumeration import (_covering_radius_bound, _enumerate_gram,
-                          _lambda1_sq, closest_vectors, covering_radius,
-                          kappa, shortest_vectors, vectors_within)
+                          _lambda1_sq, covering_radius, kappa,
+                          shortest_vectors)
+# unused here; kept so that bench/tracer.py's REQUIRED_ALIASES resolve
+from .enumeration import vectors_within
 from .errors import (CapabilityError, CertificateValidationError,
                      InvalidInputError, NotAPackingError)
 from .lattice import Lattice, dual_in_span
-from .sublattice import (SublatticeWitness, _shells, orbit_witnesses,
-                         project_along, successive_minima)
-from .symmetry import _orbit, automorphisms
+from .sublattice import (SublatticeWitness, _least_in_orbits, _shells,
+                         orbit_witnesses, project_along, successive_minima)
+from .symmetry import automorphisms
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     return None
 
 
-def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
+def max_clearance(lat: Lattice, r, k: int, det_bound=None):
     """(best clearance, best certificate) over all searched directions;
     certificate is None when no direction clears radius r. Deterministic:
     ties broken by the HNF-lexicographic order of the witness.
@@ -212,7 +214,8 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     Voronoi cell. Those witnesses need not be the least of their orbits, so
     every witness tied at the best mu^2 is kept, and at the end their orbits
     are expanded to find the least coeffs among them: the direction an
-    exhaustive search ranks first by (-mu^2, coeffs)."""
+    exhaustive search ranks first by (-mu^2, coeffs). The certificate is
+    always validated."""
     _, r_f = _exact_radius(r)
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
@@ -232,24 +235,7 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None, validate=True):
     w = _least_in_orbits([w for w, _ in tied.values()], gens)
     proj = tied[w.coeffs][1] if w.coeffs in tied else project_along(lat, w)
     clearance = math.sqrt(float(best_sq)) - r_f
-    return clearance, _certificate(lat, w, r, proj, validate)
-
-
-def _least_in_orbits(witnesses, gens):
-    """The witness with the least coeffs over the orbits of ``witnesses``
-    under the group the generators make: the image of coeffs C under A is
-    the HNF of C A, and an automorphism keeps the determinant."""
-    def image(coeffs, a):
-        return tuple(map(tuple, la.hnf_basis(la.mat_mul(coeffs, a))))
-
-    reached, best = set(), None
-    for w in witnesses:
-        if w.coeffs not in reached:
-            orbit = _orbit(w.coeffs, gens, image)
-            reached |= orbit
-            if best is None or min(orbit) < best.coeffs:
-                best = SublatticeWitness(w.parent, min(orbit), w.det_sq, True)
-    return best
+    return clearance, _certificate(lat, w, r, proj, validate=True)
 
 
 def _exact_radius(r):

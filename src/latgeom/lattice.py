@@ -246,12 +246,16 @@ def dual(lat: Lattice) -> Lattice:
 
 
 def dual_in_span(lat: Lattice) -> Lattice:
-    """Dual taken inside the span of a (possibly lower-rank) lattice."""
-    if lat.basis is None:
-        return Lattice.from_gram(la.inverse(lat.gram()))
-    b = [list(r) for r in lat.basis]
-    rows = la.mat_mul(la.inverse(la.gram_matrix(b)), b)
-    return Lattice.from_rows(rows, scale_sq=1 / lat.scale_sq)
+    """Dual taken inside the span of a (possibly lower-rank) lattice, kept
+    once per lattice value; its coefficients pair with lat's by x y^T."""
+    def compute():
+        if lat.basis is None:
+            return Lattice.from_gram(la.inverse(lat.gram()))
+        b = [list(r) for r in lat.basis]
+        rows = la.mat_mul(la.inverse(la.gram_matrix(b)), b)
+        return Lattice.from_rows(rows, scale_sq=1 / lat.scale_sq)
+
+    return _once(lat, "dual_in_span", compute)
 
 
 def _lll_transform(gram, delta):

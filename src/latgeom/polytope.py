@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -253,9 +254,8 @@ class Polytope:
 
     _a: list | None = None
     _b: list | None = None
-    _verts: list | None = None
+    _verts: list | None = None  # the constructor's points, when V-built
     metric: tuple | None = None  # rational SPD Gram of the coordinate basis
-    _canonical: bool = False  # _verts known to be the sorted extreme points
     # the sorted vertices as int rows over their common denominator
     _form: tuple | None = field(default=None, repr=False)
     # face lattice: facet masks over the sorted vertices, and face -> facets
@@ -321,12 +321,9 @@ class Polytope:
 
     def vertices(self):
         """The vertices, sorted, as Fraction tuples read off
-        ``integer_vertices`` on the first call; a fresh list on every call."""
-        if not self._canonical:
-            ints, den = self.integer_vertices()
-            self._verts = [tuple(Fraction(x, den) for x in w) for w in ints]
-            self._canonical = True
-        return list(self._verts)
+        ``integer_vertices``; a fresh list, built on every call."""
+        ints, den = self.integer_vertices()
+        return [tuple(Fraction(x, den) for x in w) for w in ints]
 
     def halfspaces(self):
         if self._a is None:
@@ -751,7 +748,11 @@ def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
     The ascent and the minimum volume ellipsoid are affine invariant, so
     the ascent runs on the coordinates themselves and the metric enters
     only the volume: {x : (x-c)^T shape (x-c) <= 1} is the MVEE in the
-    polytope's metric as well."""
+    polytope's metric as well. A ``tol`` that is not a positive finite
+    number raises InvalidInputError."""
+    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+        raise InvalidInputError(f"the tolerance {tol!r} must be a positive "
+                                "finite number")
     pts = [[float(x) for x in v] for v in p.vertices()]
     lifted, cols = [y + [1.0] for y in pts], list(zip(*pts))
     d, n = p.dim, len(pts)

@@ -8,6 +8,7 @@ span; equivalently its coefficient rows extend to a unimodular matrix.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import _linalg as la
 from .enumeration import _lambda1_sq, successive_minima, vectors_within
 from .errors import CapabilityError, InvalidInputError
-from .lattice import Lattice
+from .lattice import Lattice, dual_in_span
 from .symmetry import _orbit
 
 NODE_BUDGET = 10**7
@@ -151,23 +152,8 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
     ``det_bound`` is a real number, read like every outside number (a
     float as the nearest fraction with denominator at most 10^12), or a
     ClosedForm or sympy number with a rational square, such as a root of a
-    rational; only its square enters the search.
-
-    Every saturated sublattice with small determinant contains k independent
-    vectors no longer than its own successive minima; Minkowski's second
-    theorem in Hermite form, prod lambda_i^2 <= gamma_k^k det^2, caps their
-    squared-norm product by ``_hermite_pow(k)`` det_bound^2, and each of
-    them by that product over lambda_1^{2(k-1)}. A depth-first
-    search over the vectors up to that length, in ascending norm, compares
-    the integer norm products against G_int exactly. Each chosen vector
-    carries its fraction-free echelon row, reduced against the earlier
-    pivots, so a dependent candidate is one whose row reduces to zero. A
-    leaf is keyed by the reduced echelon form of its rational span
-    (``_span_key``), which fixes the saturated sublattice, so each span is
-    saturated and has its determinant computed once, also when that
-    exceeds the bound. For k = 1 the witness is v / gcd(v), of squared norm
-    ||v||^2 / gcd(v)^2. A key whose pivots are all 1 is already the HNF of
-    its saturation; any other goes through ``la.saturation``.
+    rational; only its square enters the search. This is the search of
+    ``orbit_witnesses`` with no generators.
     """
     return orbit_witnesses(lat, k, det_bound, ())
 
@@ -197,24 +183,58 @@ def _candidate_representatives(rows, gens):
     return rep
 
 
+def _least_in_orbits(witnesses, gens):
+    """The witness with the least coeffs over the orbits of ``witnesses``
+    under the group the generators make: the image of coeffs C under A is
+    the HNF of C A, and an automorphism keeps the determinant."""
+    def image(coeffs, a):
+        return tuple(map(tuple, la.hnf_basis(la.mat_mul(coeffs, a))))
+
+    reached, best = set(), None
+    for w in witnesses:
+        if w.coeffs not in reached:
+            orbit = _orbit(w.coeffs, gens, image)
+            reached |= orbit
+            if best is None or min(orbit) < best.coeffs:
+                best = SublatticeWitness(w.parent, min(orbit), w.det_sq, True)
+    return best
+
+
 def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
     """Saturated k-sublattices with determinant <= det_bound, ascending,
     with at least one member of every orbit of
     ``enumerate_sublattices(lat, k, det_bound)`` under the group of
     isometries that the int matrices ``gens`` make (x -> x A, as
-    ``symmetry.automorphisms`` gives them), and usually few others.
+    ``symmetry.automorphisms`` gives them), and usually few others; with no
+    generators, all of them.
 
-    The search is ``enumerate_sublattices``'s, up to symmetry. Its first,
-    shortest vector runs over the least member of each orbit of candidates
-    (``_candidate_representatives``); a later vector runs over the
-    candidates no shorter than the first, except the first itself and the
-    representatives before it. Any orbit of spans M holds an image whose
-    shortest vectors include a representative; take the least such i. Each
-    other minimum of that image is no shorter than i, and one that sorts
-    before i is of i's norm, so it is a shortest vector and not a
-    representative: the image's minima tuple is in the search. With no
-    generators every candidate is a representative, a later vector follows
-    the earlier ones, and the output is all of ``enumerate_sublattices``."""
+    Every saturated sublattice with small determinant contains k independent
+    vectors no longer than its own successive minima; Minkowski's second
+    theorem in Hermite form, prod lambda_i^2 <= gamma_k^k det^2, caps their
+    squared-norm product by ``_hermite_pow(k)`` det_bound^2, and each of
+    them by that product over lambda_1^{2(k-1)}. A depth-first search over
+    the vectors up to that length, one per +- pair in ascending norm,
+    compares the integer norm products against G_int exactly. Each chosen
+    vector carries its fraction-free echelon row, reduced against the
+    earlier pivots, so a dependent candidate is one whose row reduces to
+    zero. A leaf is keyed by the reduced echelon form of its rational span
+    (``_span_key``), which fixes the saturated sublattice, so each span is
+    saturated and has its determinant computed once, also when that
+    exceeds the bound. For k = 1 the witness is v / gcd(v), of squared norm
+    ||v||^2 / gcd(v)^2. A key whose pivots are all 1 is already the HNF of
+    its saturation; any other goes through ``la.saturation``.
+
+    The first, shortest vector i runs over the least member of each orbit
+    of candidates (``_candidate_representatives``). The second runs over
+    the non-representatives of i's norm before i, then every candidate
+    after i, and each later vector over the rest of that sequence after the
+    one before it. Any orbit of spans M holds an image whose shortest
+    vectors include a representative; take the least such i. Each other
+    minimum of that image is no shorter than i, and one that sorts before
+    i is of i's norm, so it is a shortest vector and not a representative:
+    the image's minima tuple is in the search. With no generators every
+    candidate is a representative and a later vector follows the earlier
+    ones."""
     m = lat.rank
     _check_k(lat, k)
     det_bound_sq = _bound_sq(det_bound)
@@ -222,8 +242,7 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
         return []
     if k > m - k:
         # saturated k-sublattices correspond to saturated (m-k)-sublattices
-        # of the dual via orthogonal complement, with
-        # det(M)^2 = det_sq(L) * det(M_perp)^2; search the smaller side
+        # of the dual via orthogonal complement; search the smaller side
         return _enumerate_via_dual(lat, k, det_bound_sq, gens)
     l1_sq = _lambda1_sq(lat)
     prod_sq_bound = _hermite_pow(k) * det_bound_sq
@@ -239,17 +258,9 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
     norms = [q.numerator * (d // q.denominator) for _, q in vecs]
     cap = math.floor(prod_sq_bound * d ** k)
     # the candidates that can come first, a set closed under isometries
-    first = range(next((i for i, q in enumerate(norms) if q ** k > cap),
-                       len(norms)))
-    below = {}  # first vector -> the non-representatives of its norm before it
-    if gens:
-        rep = _candidate_representatives(coeff_rows[:len(first)], gens)
-        first = [i for i in first if rep[i]]
-        block = 0
-        for i in first:
-            while norms[block] < norms[i]:
-                block += 1
-            below[i] = tuple(j for j in range(block, i) if not rep[j])
+    n_first = next((i for i, q in enumerate(norms) if q ** k > cap),
+                   len(norms))
+    rep = _candidate_representatives(coeff_rows[:n_first], gens)
     found = {}  # span key -> witness, or None when det_sq > det_bound^2
     nodes = 0
     chosen = []
@@ -272,8 +283,8 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
 
     def dfs(low, start, prod):
         # the next vector runs over ``low`` (ascending, below ``start``), then
-        # start, start + 1, ...; the first level passes the representatives
-        # as ``low``, the second the first vector's entry of ``below``
+        # start, start + 1, ...; the level after it, over the rest of that
+        # sequence
         nonlocal nodes
         remaining = k - len(chosen)
         for i in itertools.chain(low, range(start, len(norms))) if low \
@@ -292,15 +303,17 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
             if remaining == 1:
                 leaf()
             elif len(chosen) == 1:
-                dfs(below.get(i, ()), i + 1, norms[i])
-            elif i < start:
-                dfs([j for j in low if j > i], start, prod * norms[i])
+                # the non-representatives of i's norm that sort before i
+                block = bisect.bisect_left(norms, norms[i])
+                dfs([j for j in range(block, i) if not rep[j]], i + 1,
+                    norms[i])
             else:
-                dfs((), i + 1, prod * norms[i])
+                dfs([j for j in low if j > i], max(start, i + 1),
+                    prod * norms[i])
             echelon.pop()
             chosen.pop()
 
-    dfs(first, len(norms), 1)
+    dfs([i for i in range(n_first) if rep[i]], len(norms), 1)
     return sorted((w for w in found.values() if w is not None),
                   key=lambda w: (w.det_sq, w.coeffs))
 
@@ -333,20 +346,20 @@ def _shells(lat: Lattice, k: int, det_bound):
 
 
 def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, gens):
-    """The search on the dual side. An automorphism x -> x A of L acts on
-    dual coefficients as y -> y A^{-T}, which keeps the pairing x y^T, so
-    orbits of complements are the complements of orbits."""
-    m = lat.rank
-    dlat = Lattice.from_gram(la.inverse(lat.gram()))
+    """The search on the dual side, ``dual_in_span(lat)``, for the
+    orthogonal complements M_perp, with det(M)^2 = det_sq(L) det(M_perp)^2.
+    An automorphism x -> x A of L acts on dual coefficients as
+    y -> y A^{-T}, which keeps the pairing x y^T, so orbits of complements
+    are the complements of orbits."""
     dual_bound = la._sqrt_rational(det_bound_sq / lat.det_sq())
     dual_gens = [[[int(x) for x in row] for row in la.transpose(la.inverse(a))]
                  for a in gens]
     out = []
-    for wd in orbit_witnesses(dlat, m - k, dual_bound, dual_gens):
-        # det(M)^2 = det_sq(L) * det(M_perp)^2 <= det_bound^2
+    for wd in orbit_witnesses(dual_in_span(lat), lat.rank - k, dual_bound,
+                              dual_gens):
         key = tuple(map(tuple, la.hnf_basis(
             la.integer_kernel([list(r) for r in wd.coeffs]))))
-        out.append(SublatticeWitness(lat, key, _sub_det_sq(lat, key), True))
+        out.append(SublatticeWitness(lat, key, lat.det_sq() * wd.det_sq, True))
     return sorted(out, key=lambda w: (w.det_sq, w.coeffs))
 
 

@@ -167,6 +167,12 @@ def test_body_dimension_below_one_exit_2(capsys):
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
+def test_mvee_default_tolerance_is_1e_9(capsys):
+    d = _json(capsys, "mvee", "--body", "cross:2")
+    assert d == _json(capsys, "mvee", "--body", "cross:2", "--tol", "1e-9")
+    assert _json(capsys, "mvee", "--body", "cross:2", "--tol", "1e-6")
+
+
 def test_mahler(capsys):
     d = _json(capsys, "mahler", "--n", "3")
     assert "volume_product_floor" in d

@@ -32,6 +32,7 @@ VALUES = {
                    "[[0,0,0]]", "[[true,0,0]]", '[["a",0,0]]',
                    "[[1,0,0],[2,0,0]]", "[[1,0,0],[0,1,0],[0,0,1]]",
                    "[[1e400,0,0]]"]),
+    "--tol": (["1e-9", "1e-6"], ["0", "-1", "nan", "inf", "x"]),
     "--body": (["cube:2", "cross:3", "simplex:2"],
                ["cube:0", "cube:-1", "cube:x", "ball:3", "no-such-file.json",
                 ""]),
@@ -47,7 +48,8 @@ FLAGS = {  # the flags each verb reads
     "impass": LATTICE + ("--r", "--k", "--det-bound"),
     "cylinder": LATTICE + ("--r", "--k", "--det-bound"),
     "nonsep": LATTICE + ("--r",), "bounds": ("--n", "--k"), "table-321": (),
-    "polytope": ("--body",), "mvee": ("--body",), "mahler": ("--n", "--body"),
+    "polytope": ("--body",), "mvee": ("--body", "--tol"),
+    "mahler": ("--n", "--body"),
 }
 
 
@@ -104,6 +106,10 @@ INVALID = [
     ["nonsep", "--catalog", "Z3", "--r", "0"],
     ["impass", "--catalog", "Z3", "--r", "1e400", "--k", "1"],
     ["cylinder", "--catalog", "Z3", "--r", "1e-400", "--k", "1"],
+    ["mvee", "--body", "cube:2", "--tol", "0"],
+    ["mvee", "--body", "cube:2", "--tol", "-1"],
+    ["mvee", "--body", "cube:2", "--tol", "nan"],
+    ["mvee", "--body", "cube:2", "--tol", "inf"],
     ["svp", "--catalog", "Z3", "--format", "xml"],
     ["no-such-verb"],
 ]

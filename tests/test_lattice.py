@@ -124,6 +124,12 @@ def test_dual_requires_full_rank():
     assert d.det_sq() * lat.det_sq() == 1
 
 
+def test_dual_in_span_is_kept_per_value():
+    from latgeom.lattice import dual_in_span
+    for lat in (catalog("D", 5), Lattice.from_gram([[2, 1], [1, 2]])):
+        assert dual_in_span(lat) is dual_in_span(lat)
+
+
 def test_reduce_preserves_lattice():
     lat = Lattice.from_rows([[1, 0], [1000, 1]])
     red = reduce(lat)

@@ -336,6 +336,22 @@ def test_mvee_iteration_budget_raises(monkeypatch):
         mvee(Polytope.from_vertices([[0, 0], [3, 0], [0, 1], [1, 1]]))
 
 
+@pytest.mark.parametrize("tol", [0, -1, 0.0, float("nan"), float("inf"),
+                                 "1e-9", None])
+def test_mvee_rejects_a_tolerance_that_is_not_positive_finite(
+        monkeypatch, tol):
+    # raised before the ascent: one step would end in CapabilityError
+    monkeypatch.setattr("latgeom.polytope.MVEE_ITERATIONS", 1)
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        mvee(Polytope.from_vertices([[0, 0], [3, 0], [0, 1], [1, 1]]),
+             tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-6, Fraction(1, 10**9), 1])
+def test_mvee_accepts_a_positive_finite_tolerance(tol):
+    assert mvee(cube(2), tol=tol).contains([Fraction(1, 2), Fraction(1, 2)])
+
+
 # ---------------------------------------------------------------------------
 # Triangulation from the vertex-facet incidence, on random integer bodies
 # ---------------------------------------------------------------------------

@@ -332,6 +332,32 @@ def test_shells_yield_a_witness_on_a_bound_once(monkeypatch):
     assert [w.det_sq for w in got][:40] == [1] * 4 + [2] * 12 + [3] * 16 + [4] * 8
 
 
+def test_shells_reduce_the_dual_once(monkeypatch):
+    import latgeom.lattice as lattice_mod
+    from latgeom.impassability import _default_det_bound
+    # k = 3 > 4 - 3 searches the dual, at 4 growing bounds; D5 takes the
+    # same 4 shells, but its last one is a 20 s search
+    lat = catalog("D", 4)
+    bound = _default_det_bound(lat, 3)
+    grams, shells = [], []
+    real_lll = lattice_mod._lll_transform
+    real_search = sub.enumerate_sublattices
+
+    def lll(gram, delta):
+        grams.append(gram)
+        return real_lll(gram, delta)
+
+    def search(lat, k, det_bound):
+        shells.append(det_bound)
+        return real_search(lat, k, det_bound)
+
+    monkeypatch.setattr(lattice_mod, "_lll_transform", lll)
+    monkeypatch.setattr(sub, "enumerate_sublattices", search)
+    assert sum(1 for _ in sub._shells(lat, 3, bound)) == 1560
+    assert len(shells) == 4
+    assert grams.count(la.inverse(lat.gram())) == 1
+
+
 def _key_of(rows):
     echelon = []
     for r in rows:

@@ -11,9 +11,9 @@ import latgeom._linalg as la
 from latgeom.enumeration import _reduced, _reduced_inverse, closest_vectors
 from latgeom.enumeration import _covering_radius_bound, covering_radius
 from latgeom.impassability import (_certificate, _default_det_bound,
-                                   _least_in_orbits, max_clearance)
+                                   max_clearance)
 from latgeom.lattice import Lattice, catalog
-from latgeom.sublattice import (_candidate_representatives,
+from latgeom.sublattice import (_candidate_representatives, _least_in_orbits,
                                 enumerate_sublattices, orbit_witnesses,
                                 project_along)
 from latgeom.symmetry import automorphisms
