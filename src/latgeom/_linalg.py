@@ -104,7 +104,7 @@ def _canonical_sign(v):
 
 def mat_mul(a, b):
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
@@ -112,7 +112,7 @@ def mat_vec(a, v):
 
 
 def vec_mat(v, a):
-    return [sum(x * row[j] for x, row in zip(v, a)) for j in range(len(a[0]))]
+    return [sum(map(operator.mul, v, col)) for col in zip(*a)]
 
 
 def transpose(a):

@@ -56,8 +56,11 @@ class Lattice:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise InvalidInputError("ragged basis")
-        lat = Lattice(basis=tuple(rows), ambient_dim=n,
-                      scale_sq=la._rational(scale_sq), name=name)
+        scale_sq = la._rational(scale_sq)
+        if scale_sq <= 0:
+            raise InvalidLatticeError("the scale factor must be positive")
+        lat = Lattice(basis=tuple(rows), ambient_dim=n, scale_sq=scale_sq,
+                      name=name)
         if lat._elimination is None:
             raise InvalidLatticeError("basis vectors are linearly dependent")
         return lat

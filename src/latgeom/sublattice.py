@@ -217,9 +217,23 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
     compares the integer norm products against G_int exactly. Each chosen
     vector carries its fraction-free echelon row, reduced against the
     earlier pivots, so a dependent candidate is one whose row reduces to
-    zero. A leaf is keyed by the reduced echelon form of its rational span
-    (``_span_key``), which fixes the saturated sublattice, so each span is
-    saturated and has its determinant computed once, also when that
+    zero, and its inner products with the vectors chosen before it, each one
+    ``la.dot`` against the row x G_int of the earlier vector, formed once per
+    candidate.
+
+    Norms never decrease along a tuple, so the search may skip every tuple
+    that cannot be the successive minima of its span M in that order. Such a
+    tuple has |v_j +- v_i| >= |v_j| for i < j, since v_j +- v_i lies outside
+    the span of v_1, ..., v_{j-1}; so 2 |<v_i, v_j>| <= |v_i|^2, and a
+    candidate that fails this pair test against a chosen vector is skipped
+    with its subtree. For k <= 3 the minima are a basis of M, so their Gram
+    determinant is det(M)^2, and a leaf whose tuple Gram determinant exceeds
+    det_bound^2 is skipped too; above k = 3 they may span a sublattice of
+    index above 1, and only the pair test runs.
+
+    A leaf that passes is keyed by the reduced echelon form of its rational
+    span (``_span_key``), which fixes the saturated sublattice, so each span
+    is saturated and has its determinant computed once, also when that
     exceeds the bound. For k = 1 the witness is v / gcd(v), of squared norm
     ||v||^2 / gcd(v)^2. A key whose pivots are all 1 is already the HNF of
     its saturation; any other goes through ``la.saturation``.
@@ -232,9 +246,11 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
     vectors include a representative; take the least such i. Each other
     minimum of that image is no shorter than i, and one that sorts before
     i is of i's norm, so it is a shortest vector and not a representative:
-    the image's minima tuple is in the search. With no generators every
-    candidate is a representative and a later vector follows the earlier
-    ones."""
+    the image's minima tuple is in the search. Its vectors come in ascending
+    norm, so in the order of the search they are successive minima of the
+    image, pass the pair and Gram tests and reach a leaf. With no generators
+    every candidate is a representative and a later vector follows the
+    earlier ones, so each span is reached through its own minima tuple."""
     m = lat.rank
     _check_k(lat, k)
     det_bound_sq = _bound_sq(det_bound)
@@ -253,20 +269,29 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
         pairs[la._canonical_sign(v)] = q
     vecs = sorted(pairs.items(), key=lambda p: (p[1], p[0]))
     coeff_rows = [list(v) for v, _ in vecs]
-    # squared norms over G_int's d are ints, and so is the cap
-    d = lat.int_gram[1]
+    # squared norms and inner products over G_int's d are ints, and so are
+    # the caps
+    g_int, d = lat.int_gram
     norms = [q.numerator * (d // q.denominator) for _, q in vecs]
     cap = math.floor(prod_sq_bound * d ** k)
     # the candidates that can come first, a set closed under isometries
     n_first = next((i for i, q in enumerate(norms) if q ** k > cap),
                    len(norms))
     rep = _candidate_representatives(coeff_rows[:n_first], gens)
+    gram_cap = math.floor(det_bound_sq * d ** k)
+    rows_g = {}  # candidate index -> its row x G_int, formed on first use
     found = {}  # span key -> witness, or None when det_sq > det_bound^2
     nodes = 0
     chosen = []
+    products = []  # per chosen vector, its products with the ones before it
     echelon = []  # (pivot column, primitive reduced row) per chosen vector
 
     def leaf():
+        if 2 <= k <= 3:
+            gram = [p + [norms[j]] + [q[t] for q in products[t + 1:]]
+                    for t, (j, p) in enumerate(zip(chosen, products))]
+            if la.det_int(gram) > gram_cap:
+                return  # no basis of a span within the bound
         key = _span_key(echelon)
         if key in found:
             return
@@ -297,9 +322,21 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
                     f"sublattice search exceeded the node budget {NODE_BUDGET}"
                     f" after reaching {len(found)} distinct spans and finding"
                     f" {sum(w is not None for w in found.values())} witnesses")
-            if not la.add_independent(echelon, coeff_rows[i]):
+            x = coeff_rows[i]
+            p = []
+            for j in chosen:
+                y = la.dot(rows_g[j], x)
+                if 2 * abs(y) > norms[j]:
+                    break
+                p.append(y)
+            if len(p) < len(chosen):
+                continue  # no successive-minima tuple holds this pair
+            if not la.add_independent(echelon, x):
                 continue  # dependent on the chosen vectors
             chosen.append(i)
+            products.append(p)
+            if remaining > 1 and i not in rows_g:
+                rows_g[i] = la.vec_mat(x, g_int)
             if remaining == 1:
                 leaf()
             elif len(chosen) == 1:
@@ -310,6 +347,7 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
             else:
                 dfs([j for j in low if j > i], max(start, i + 1),
                     prod * norms[i])
+            products.pop()
             echelon.pop()
             chosen.pop()
 

@@ -185,6 +185,16 @@ def test_basis_file(tmp_path, capsys):
     assert d["determinant"]["float"] == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("scale_sq", [0, -1, "-1/2"])
+def test_basis_file_scale_not_positive_exit_2(tmp_path, capsys, scale_sq):
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps({"basis": [[1, 0], [0, 1]], "scale_sq": scale_sq}))
+    code, out, err = _run(capsys, "lattice-info", "--basis", str(f))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "InvalidLatticeError", "message":
+                               "the scale factor must be positive"}
+
+
 def test_project_witness(capsys):
     d = _json(capsys, "project", "--catalog", "D3", "--scale", "sqrt2",
               "--witness", "[[0,0,1]]")

@@ -63,6 +63,14 @@ def test_scaled_rejects_zero_factor():
         catalog("Z", 2).scaled(0)
 
 
+@pytest.mark.parametrize("scale_sq", [0, -1, "-1/2"])
+def test_from_rows_rejects_a_scale_that_is_not_positive(scale_sq):
+    # the fault is the scale, not the rows, which are independent
+    with pytest.raises(InvalidLatticeError, match="scale factor must be "
+                       "positive"):
+        Lattice.from_rows([[1, 0], [0, 1]], scale_sq=scale_sq)
+
+
 def test_determinant_exact_symbolic():
     lat = Lattice.from_rows([[1, 0], [0, 1]], scale_sq=2)
     # each basis vector scaled by sqrt(2), so D = 2

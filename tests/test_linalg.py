@@ -183,6 +183,39 @@ def test_add_independent_matches_rank(rows, dup):
         assert la.add_independent(echelon, kept[-1])
 
 
+def _mat_mul_ref(a, b):
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            s = 0
+            for t in range(len(b)):
+                s += row[t] * b[t][j]
+            out[-1].append(s)
+    return out
+
+
+# p x q times q x r; the fixed shapes are 1 x m, m x 1 and non-square
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([(1, 5, 3), (5, 1, 3), (3, 5, 1), (2, 3, 4)]),
+                 st.tuples(*[st.integers(1, 6)] * 3)),
+       st.booleans(), st.data())
+def test_products_match_a_triple_loop(shape, ints, data):
+    p, q, r = shape
+    entry = st.integers(-10**6, 10**6) if ints else _entries
+    a = data.draw(st.lists(st.lists(entry, min_size=q, max_size=q),
+                           min_size=p, max_size=p))
+    b = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                           min_size=q, max_size=q))
+    want = _mat_mul_ref(a, b)
+    for got in (la.mat_mul(a, b), [la.vec_mat(row, b) for row in a]):
+        assert got == want
+        assert [list(map(type, row)) for row in got] == \
+            [list(map(type, row)) for row in want]
+        if ints:
+            assert all(type(x) is int for row in got for x in row)
+
+
 def test_complete_to_unimodular_checks_the_completion(monkeypatch):
     # a complement that doubles the volume fails the unimodularity check,
     # which is a raise, not an assert, so it holds under python -O too

@@ -13,6 +13,7 @@ import latgeom.sublattice as sub
 from latgeom.cli import run
 from latgeom.enumeration import kappa, shortest_vectors, vectors_within
 from latgeom.errors import CapabilityError, InvalidInputError
+from latgeom.impassability import _default_det_bound
 from latgeom.lattice import Lattice, catalog
 from latgeom.sublattice import (dk_min, enumerate_sublattices, project_along,
                                 saturate, witness)
@@ -115,6 +116,18 @@ def test_node_budget_capability_error(monkeypatch):
     with pytest.raises(CapabilityError, match="node budget 3 after reaching 2 "
                        "distinct spans and finding 2 witnesses"):
         enumerate_sublattices(catalog("Z", 4), 2, 2)
+
+
+def test_leaves_are_pruned_to_possible_minima(monkeypatch):
+    # only tuples that pass the pair and Gram tests reach a leaf, and they
+    # still reach every witness: 12,612 leaves without the tests
+    lat = catalog("D", 4)
+    leaves = []
+    real = sub._span_key
+    monkeypatch.setattr(sub, "_span_key",
+                        lambda echelon: leaves.append(1) or real(echelon))
+    ws = enumerate_sublattices(lat, 2, _default_det_bound(lat, 2))
+    assert (len(ws), len(leaves)) == (2234, 4068)
 
 
 def test_project_along_determinant_identity():
@@ -334,7 +347,6 @@ def test_shells_yield_a_witness_on_a_bound_once(monkeypatch):
 
 def test_shells_reduce_the_dual_once(monkeypatch):
     import latgeom.lattice as lattice_mod
-    from latgeom.impassability import _default_det_bound
     # k = 3 > 4 - 3 searches the dual, at 4 growing bounds; D5 takes the
     # same 4 shells, but its last one is a 20 s search
     lat = catalog("D", 4)

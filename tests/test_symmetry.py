@@ -283,10 +283,14 @@ def _orbit_classes(lat, witnesses, gens):
     return classes
 
 
-# witnesses and orbits of the max_clearance searches of the passage workload
+# witnesses and orbits of the max_clearance searches of the passage workload,
+# then larger searches whose pruned leaves must still meet every orbit; D5 at
+# k = 3 runs on the dual side
 ORBIT_COUNTS = [("Z", 4, 1, 1, 192, 8), ("Z", 4, 1, 2, 458, 13),
                 ("A", 4, 1, 1, 365, 10), ("D", 3, 2, 1, 73, 7),
-                ("D", 4, 2, 1, 432, 7)]
+                ("D", 4, 2, 1, 432, 7), ("D", 5, 1, 2, 22690, 60),
+                ("A", 5, 1, 2, 13640, 62), ("Z", 5, 1, 2, 2490, 18),
+                ("Astar", 4, 1, 2, 890, 21), ("D", 5, 1, 3, 58170, 134)]
 
 
 @pytest.mark.parametrize("name,n,scale,k,count,orbits", ORBIT_COUNTS,
