@@ -5,8 +5,10 @@ k-plane misses every ball. Certificates come from saturated k-sublattices:
 project L along the sublattice; if the projected lattice has covering radius
 mu > r, the plane through a lift of a deep hole parallel to the sublattice
 clears every ball by mu - r. The search is one-sided: absence of a
-certificate up to a determinant bound is evidence, never a proof, except for
-hyperplanes (k = n-1) where the exact dual-packing criterion decides.
+certificate up to a determinant bound is evidence, never a proof, except
+where Banaszczyk's transference bound rules out every direction
+(``passage_certificate``); for hyperplanes (k = n-1) it is the exact
+dual-packing criterion.
 
 The covering radius needs a full Voronoi cell, but most searched directions
 cannot matter. Babai's nearest-plane argument bounds it on any basis,
@@ -187,17 +189,22 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     """First passability certificate over saturated k-sublattices in
     ascending determinant order, or None if no searched direction works.
     A direction whose covering-radius bound is at most r^2 is skipped
-    without building a Voronoi cell."""
+    without building a Voronoi cell. After a direction that does not
+    certify, the search ends with None when (n - k)^2 <= 4 r^2
+    lambda_1(L*)^2: the projection P along a k-sublattice has rank n - k
+    and its dual lies in L*, so Banaszczyk's bound mu(P) lambda_1(P*) <=
+    (n - k) / 2 (Math. Ann. 296, 1993) gives mu(P) <= r for every P."""
     r_sq, _ = _exact_radius(r)
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
     for w in _shells(lat, k, det_bound):
         proj = project_along(lat, w)
-        if _covering_radius_bound(proj) <= r_sq:
-            continue
-        cert = _certificate(lat, w, r, proj, validate)
-        if cert is not None:
-            return cert
+        if _covering_radius_bound(proj) > r_sq:
+            cert = _certificate(lat, w, r, proj, validate)
+            if cert is not None:
+                return cert
+        if (lat.rank - k) ** 2 <= 4 * r_sq * _lambda1_sq(dual_in_span(lat)):
+            return None
     return None
 
 

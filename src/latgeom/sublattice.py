@@ -8,8 +8,6 @@ span; equivalently its coefficient rows extend to a unimodular matrix.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -82,9 +80,9 @@ def witness(lat: Lattice, rows) -> SublatticeWitness:
                                 "per basis vector")
     rows = [[_integral(x) for x in r] for r in rows]
     _check_k(lat, len(rows))
-    if la.rank(rows) != len(rows):
-        raise InvalidInputError("witness rows are linearly dependent")
     d2 = _sub_det_sq(lat, rows)
+    if d2 == 0:  # G is positive definite, so only dependent rows give 0
+        raise InvalidInputError("witness rows are linearly dependent")
     return SublatticeWitness(lat, tuple(tuple(r) for r in rows), d2,
                              la._saturated(rows))
 
@@ -238,19 +236,19 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
     ||v||^2 / gcd(v)^2. A key whose pivots are all 1 is already the HNF of
     its saturation; any other goes through ``la.saturation``.
 
-    The first, shortest vector i runs over the least member of each orbit
-    of candidates (``_candidate_representatives``). The second runs over
-    the non-representatives of i's norm before i, then every candidate
-    after i, and each later vector over the rest of that sequence after the
+    Within each norm the least members of the orbits of candidates under
+    the generators (``_candidate_representatives``) come first, each part in
+    the order of the coeffs. The first, shortest vector runs over those
+    representatives, and each later vector over the candidates after the
     one before it. Any orbit of spans M holds an image whose shortest
-    vectors include a representative; take the least such i. Each other
-    minimum of that image is no shorter than i, and one that sorts before
-    i is of i's norm, so it is a shortest vector and not a representative:
-    the image's minima tuple is in the search. Its vectors come in ascending
-    norm, so in the order of the search they are successive minima of the
-    image, pass the pair and Gram tests and reach a leaf. With no generators
-    every candidate is a representative and a later vector follows the
-    earlier ones, so each span is reached through its own minima tuple."""
+    vectors include a representative; take the least such i. A vector of
+    that image that sorts before i is no longer than i, so it is a shortest
+    vector, of i's norm, and a representative, against the choice of i. So
+    the image's minima, taken in the order of the search from i on, are in
+    the search; they come in ascending norm, so they are successive minima
+    of the image, pass the pair and Gram tests and reach a leaf. With no
+    generators every candidate is a representative, the order is that of
+    (norm, coeffs), and each span is reached through its own minima tuple."""
     m = lat.rank
     _check_k(lat, k)
     det_bound_sq = _bound_sq(det_bound)
@@ -262,22 +260,25 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
         return _enumerate_via_dual(lat, k, det_bound_sq, gens)
     l1_sq = _lambda1_sq(lat)
     prod_sq_bound = _hermite_pow(k) * det_bound_sq
-    vecs = vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq))
-    # keep one representative per +- pair
-    pairs = {}
-    for v, q in vecs:
-        pairs[la._canonical_sign(v)] = q
-    vecs = sorted(pairs.items(), key=lambda p: (p[1], p[0]))
+    # one vector per +- pair, sorted by (norm, coeffs)
+    vecs = [(v, q) for v, q in
+            vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq))
+            if v == la._canonical_sign(v)]
     coeff_rows = [list(v) for v, _ in vecs]
     # squared norms and inner products over G_int's d are ints, and so are
     # the caps
     g_int, d = lat.int_gram
     norms = [q.numerator * (d // q.denominator) for _, q in vecs]
     cap = math.floor(prod_sq_bound * d ** k)
-    # the candidates that can come first, a set closed under isometries
+    # the candidates that can come first, a set closed under isometries and
+    # a whole number of norms
     n_first = next((i for i, q in enumerate(norms) if q ** k > cap),
                    len(norms))
-    rep = _candidate_representatives(coeff_rows[:n_first], gens)
+    rep = _candidate_representatives(coeff_rows[:n_first], gens) + \
+        [False] * (len(vecs) - n_first)
+    order = sorted(range(len(vecs)), key=lambda i: (norms[i], not rep[i]))
+    coeff_rows = [coeff_rows[i] for i in order]
+    norms = [norms[i] for i in order]
     gram_cap = math.floor(det_bound_sq * d ** k)
     rows_g = {}  # candidate index -> its row x G_int, formed on first use
     found = {}  # span key -> witness, or None when det_sq > det_bound^2
@@ -306,14 +307,10 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
         found[key] = SublatticeWitness(lat, sat, d2, True) \
             if d2 <= det_bound_sq else None
 
-    def dfs(low, start, prod):
-        # the next vector runs over ``low`` (ascending, below ``start``), then
-        # start, start + 1, ...; the level after it, over the rest of that
-        # sequence
+    def dfs(candidates, prod):
         nonlocal nodes
         remaining = k - len(chosen)
-        for i in itertools.chain(low, range(start, len(norms))) if low \
-                else range(start, len(norms)):
+        for i in candidates:
             if prod * norms[i] ** remaining > cap:
                 break  # norms ascend, so all later candidates fail too
             nodes += 1
@@ -339,19 +336,13 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
                 rows_g[i] = la.vec_mat(x, g_int)
             if remaining == 1:
                 leaf()
-            elif len(chosen) == 1:
-                # the non-representatives of i's norm that sort before i
-                block = bisect.bisect_left(norms, norms[i])
-                dfs([j for j in range(block, i) if not rep[j]], i + 1,
-                    norms[i])
             else:
-                dfs([j for j in low if j > i], max(start, i + 1),
-                    prod * norms[i])
+                dfs(range(i + 1, len(norms)), prod * norms[i])
             products.pop()
             echelon.pop()
             chosen.pop()
 
-    dfs([i for i in range(n_first) if rep[i]], len(norms), 1)
+    dfs([t for t, i in enumerate(order) if rep[i]], 1)
     return sorted((w for w in found.values() if w is not None),
                   key=lambda w: (w.det_sq, w.coeffs))
 
@@ -364,8 +355,9 @@ def _shells(lat: Lattice, k: int, det_bound):
     A k-sublattice M of L has lambda_1(M) >= lambda_1(L), so Hermite's
     inequality lambda_1(M)^2 <= gamma_k det(M)^{2/k} puts det(M)^2 at or
     above lambda_1(L)^{2k} / gamma_k^k, the first bound (``_hermite_pow``).
-    Each next bound is 4 times the last, capped at det_bound^2,
-    and each search yields only the witnesses above the previous bound.
+    Each next bound is 4 times the last, capped at det_bound^2; each is
+    searched at its exact root, which squares back to it, and each search
+    yields only the witnesses above the previous bound.
     """
     _check_k(lat, k)
     cap = _bound_sq(det_bound)
@@ -374,8 +366,7 @@ def _shells(lat: Lattice, k: int, det_bound):
     prev, bound = 0, _lambda1_sq(lat) ** k / _hermite_pow(k)
     while True:
         bound = min(bound, cap)
-        shell = det_bound if bound == cap else la._sqrt_rational(bound)
-        for w in enumerate_sublattices(lat, k, shell):
+        for w in enumerate_sublattices(lat, k, la._sqrt_rational(bound)):
             if w.det_sq > prev:
                 yield w
         if bound == cap:

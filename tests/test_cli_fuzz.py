@@ -125,6 +125,10 @@ INVALID = [
 @example(argv=INVALID[5])
 @example(argv=INVALID[6])
 @example(argv=INVALID[7])
+# no 3-plane can clear these balls, by the transference bound; the search
+# for one once ran a minute
+@example(argv=["impass", "--catalog", "Z", "--n", "4", "--scale", "1/2",
+               "--r", "1/4", "--k", "3", "--det-bound", "2"])
 def test_cli_exits_0_1_or_2_with_a_json_error(argv):
     _check_exit(argv)
 

@@ -326,3 +326,31 @@ def test_pruned_search_matches_exhaustive(inputs):
         assert cert is None
     else:
         assert (cert.witness.coeffs, cert.deep_hole, cert.mu_sq) == first
+
+
+def test_transference_ends_a_search_no_direction_can_win(monkeypatch):
+    # on (1/2) Z^4, 4 r^2 lambda_1(L*)^2 = 4 (1/16) 4 = 1 = (4 - 3)^2, so no
+    # projection along a 3-sublattice clears r = 1/4; the search stops after
+    # its first witness instead of projecting all 149,584 within the bound
+    real, calls = project_along, []
+
+    def spy(lat, w):
+        calls.append(w)
+        assert len(calls) <= 10, "the search ran past the transference bound"
+        return real(lat, w)
+
+    monkeypatch.setattr("latgeom.impassability.project_along", spy)
+    lat = catalog("Z", 4).scaled(Fraction(1, 4))
+    assert passage_certificate(lat, Fraction(1, 4), 3, det_bound=2) is None
+    assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_passage_inputs())
+def test_hyperplane_certificate_exactly_when_separable(inputs):
+    # at k = n - 1 the transference exit is the dual-packing criterion, and
+    # the default bound reaches a certificate whenever one exists
+    gram, _, r = inputs
+    lat = Lattice.from_gram(gram)
+    cert = passage_certificate(lat, r, lat.rank - 1)
+    assert (cert is None) == is_nonseparable_ball_lattice(lat, r)[0]

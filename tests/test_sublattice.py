@@ -17,6 +17,7 @@ from latgeom.impassability import _default_det_bound
 from latgeom.lattice import Lattice, catalog
 from latgeom.sublattice import (dk_min, enumerate_sublattices, project_along,
                                 saturate, witness)
+from latgeom.symmetry import automorphisms
 
 
 def test_witness_det_and_saturation():
@@ -120,14 +121,19 @@ def test_node_budget_capability_error(monkeypatch):
 
 def test_leaves_are_pruned_to_possible_minima(monkeypatch):
     # only tuples that pass the pair and Gram tests reach a leaf, and they
-    # still reach every witness: 12,612 leaves without the tests
+    # still reach every witness: 12,612 leaves without the tests; under the
+    # automorphism group the first vector runs over orbit representatives
     lat = catalog("D", 4)
+    bound = _default_det_bound(lat, 2)
     leaves = []
     real = sub._span_key
     monkeypatch.setattr(sub, "_span_key",
                         lambda echelon: leaves.append(1) or real(echelon))
-    ws = enumerate_sublattices(lat, 2, _default_det_bound(lat, 2))
+    ws = enumerate_sublattices(lat, 2, bound)
     assert (len(ws), len(leaves)) == (2234, 4068)
+    leaves.clear()
+    ws = sub.orbit_witnesses(lat, 2, bound, automorphisms(lat)[0])
+    assert (len(ws), len(leaves)) == (184, 315)
 
 
 def test_project_along_determinant_identity():
