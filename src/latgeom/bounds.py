@@ -32,10 +32,6 @@ class ConstantEntry:
     source: str  # "derived-by-oracle" | "external-catalog"
     notes: str = ""
 
-    @property
-    def value_float(self) -> float:
-        return float(self.value_exact)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -200,9 +196,9 @@ def dnk_known(n: int, k: int) -> BoundReport:
         entry = ConstantEntry("d_3_1", 3, la.ClosedForm(Fraction(9, 32), 1, 1),
                               "external-catalog",
                               "proved sharp line-impassability threshold")
-        return BoundReport("dnk-known", 3, 1, entry.value_exact,
-                           entry.value_float, (entry,), "equality",
-                           "attained by the densest 3-dimensional packing")
+        return _report("dnk-known", 3, 1, entry.value_exact, (entry,),
+                       "equality",
+                       "attained by the densest 3-dimensional packing")
     raise MissingConstantError(f"d_({n},{k}) for balls is not known exactly")
 
 

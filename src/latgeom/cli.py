@@ -335,12 +335,10 @@ def cmd_mahler(args):
 def cmd_mvee(args):
     body = load_body(args)
     ell = pt.mvee(body, tol=1e-9 if args.tol is None else args.tol)
-    return {
-        "center": list(ell.center),
-        "shape": [list(r) for r in ell.shape],
-        "volume": ell.volume(),
-        "ratio": ell.volume() / float(body.volume()),
-    }
+    out = ell.to_dict()
+    out["volume"] = ell.volume()
+    out["ratio"] = out["volume"] / float(body.volume())
+    return out
 
 
 _HANDLERS = {

@@ -55,8 +55,6 @@ from .symmetry import automorphisms
 class PassageCertificate:
     """Witness that the ball lattice is k-passable."""
 
-    lattice: Lattice
-    k: int
     r: object
     witness: SublatticeWitness  # direction subspace
     deep_hole: tuple  # rational coefficients in the projected lattice basis
@@ -76,7 +74,7 @@ class PassageCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "k": self.k,
+            "k": self.witness.k,
             "r": _exact_radius(self.r)[1],
             "witness": self.witness.to_dict(),
             "deep_hole": [str(x) for x in self.deep_hole],
@@ -141,9 +139,10 @@ def _validate_certificate(proj: Lattice, deep_hole, mu_sq, r) -> int:
     return len(pts)
 
 
-def _ambient_plane(lat: Lattice, w: SublatticeWitness, proj: Lattice, deep_hole):
+def _ambient_plane(w: SublatticeWitness, deep_hole):
     """Float (base point, orthonormal direction vectors) of the passage
     plane, when the parent lattice has an ambient embedding."""
+    lat = w.parent
     if lat.basis is None:
         return None
     dirs = [lat.to_ambient(row) for row in w.coeffs]
@@ -157,10 +156,8 @@ def _ambient_plane(lat: Lattice, w: SublatticeWitness, proj: Lattice, deep_hole)
         nrm = math.sqrt(sum(x * x for x in v))
         ortho.append([x / nrm for x in v])
     # lift of the deep hole: project the corresponding lattice combination
-    t = la.complete_to_unimodular([list(r) for r in w.coeffs])
-    k = w.k
     lift0 = [0.0] * lat.ambient_dim
-    for c, row in zip(deep_hole, t[k:]):
+    for c, row in zip(deep_hole, w.completion()[w.k:]):
         amb = lat.to_ambient(row)
         lift0 = [a + float(c) * b for a, b in zip(lift0, amb)]
     # remove the component inside the direction subspace
@@ -170,18 +167,17 @@ def _ambient_plane(lat: Lattice, w: SublatticeWitness, proj: Lattice, deep_hole)
     return (tuple(lift0), tuple(tuple(x) for x in ortho))
 
 
-def _certificate(lat: Lattice, w: SublatticeWitness, r, proj: Lattice,
-                 validate):
-    """Certificate for the projection ``proj`` of lat along w, or None when
-    its covering radius does not exceed r (mu^2 <= r^2, compared exactly)."""
+def _certificate(w: SublatticeWitness, r, proj: Lattice, validate):
+    """Certificate for the projection ``proj`` of w's parent along w, or
+    None when its covering radius does not exceed r (mu^2 <= r^2, compared
+    exactly)."""
     mu_sq, hole = covering_radius(proj)
     if mu_sq <= _exact_radius(r)[0]:
         return None
     n_pts = _validate_certificate(proj, hole, mu_sq, r) if validate else 0
-    plane = _ambient_plane(lat, w, proj, hole)
-    return PassageCertificate(lat, w.k, r, w, tuple(hole), mu_sq, proj,
+    return PassageCertificate(r, w, tuple(hole), mu_sq, proj,
                               validated=validate, validation_points=n_pts,
-                              plane=plane)
+                              plane=_ambient_plane(w, hole))
 
 
 def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
@@ -200,7 +196,7 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     for w in _shells(lat, k, det_bound):
         proj = project_along(lat, w)
         if _covering_radius_bound(proj) > r_sq:
-            cert = _certificate(lat, w, r, proj, validate)
+            cert = _certificate(w, r, proj, validate)
             if cert is not None:
                 return cert
         if (lat.rank - k) ** 2 <= 4 * r_sq * _lambda1_sq(dual_in_span(lat)):
@@ -242,7 +238,7 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None):
     w = _least_in_orbits([w for w, _ in tied.values()], gens)
     proj = tied[w.coeffs][1] if w.coeffs in tied else project_along(lat, w)
     clearance = math.sqrt(float(best_sq)) - r_f
-    return clearance, _certificate(lat, w, r, proj, validate=True)
+    return clearance, _certificate(w, r, proj, validate=True)
 
 
 def _exact_radius(r):

@@ -144,9 +144,7 @@ class Lattice:
 
     def norm_sq(self, coeffs):
         """Squared length of the lattice vector with the given coefficients."""
-        g = self._gram
-        return sum(ci * sum(gij * cj for gij, cj in zip(gi, coeffs))
-                   for ci, gi in zip(coeffs, g))
+        return self.inner(coeffs, coeffs)
 
     def inner(self, coeffs_a, coeffs_b):
         g = self._gram

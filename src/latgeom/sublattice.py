@@ -40,6 +40,11 @@ class SublatticeWitness:
     def det_value(self):
         return la._sqrt_rational(self.det_sq)
 
+    def completion(self):
+        """``la.complete_to_unimodular`` of the coeffs; ``project_along``
+        projects its rows k and up. Not cached, as searches keep witnesses."""
+        return la.complete_to_unimodular([list(r) for r in self.coeffs])
+
     def to_dict(self) -> dict:
         return {"coeffs": [list(map(int, r)) for r in self.coeffs],
                 "det": str(self.det_value()),
@@ -417,11 +422,11 @@ def project_along(lat: Lattice, w: SublatticeWitness):
     Returns a rank (n-k) Lattice carrying the exact Gram of the projected
     basis (the Schur complement of the sublattice block in the re-based
     Gram), so D(projection) * det(W) = D(L) holds exactly. The coefficient
-    basis is the image of ``la.complete_to_unimodular`` of W's rows.
+    basis is the image of rows k and up of ``w.completion()``.
     """
     if not w.saturated:
         w = saturate(lat, w)
-    t = la.complete_to_unimodular([list(r) for r in w.coeffs])
+    t = w.completion()
     k = w.k
     # re-base G_int = d G in ints; k fraction-free elimination steps leave
     # D_k (G22 - G21 G11^{-1} G12) in the trailing block, D_k = det G11

@@ -91,13 +91,10 @@ def _automorphisms(lat: Lattice):
         level = [[(x, gx) for x, gx in cands[g[j][j]] if gx[:i] == g[j][:i]]
                  for j in range(i, n)]
         orbit, outside = _orbit(unit[i], gens), set()
-        for x, _ in level[0]:
+        for x, gx in level[0]:
             if x in orbit or x in outside:
                 continue
-            options = [[(y, gy) for y, gy in opts if la.dot(gy, x) == g[j][i]]
-                       for j, opts in enumerate(level[1:], i + 1)]
-            found = _extend(g, unit[:i] + [x], options) \
-                if all(options) else None
+            found = _extend(g, unit[:i], [[(x, gx)]] + level[1:])
             if found is None:
                 outside |= _orbit(x, gens)
             else:

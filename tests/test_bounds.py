@@ -34,6 +34,8 @@ def test_constants_bundle():
     c = constants(3)
     assert set(c) == {"delta", "theta"}
     assert constants(8).keys() == {"delta"}
+    with pytest.raises(MissingConstantError):
+        constants(9)
 
 
 def test_cnk_equality_at_k1():

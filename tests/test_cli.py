@@ -107,6 +107,12 @@ def test_svp(capsys):
     assert d["min_norm_sq"] == "2"
 
 
+def test_minima(capsys):
+    d = _json(capsys, "minima", "--catalog", "D4")
+    assert d["minima_sq"] == ["2"] * 4
+    assert len(d["vectors"]) == 4
+
+
 def test_dk_cubic(capsys):
     d = _json(capsys, "dk", "--catalog", "Z", "--n", "4", "--k", "2")
     assert d["dk"]["float"] == pytest.approx(1.0)
@@ -120,6 +126,12 @@ def test_impass_example(capsys):
     assert cert["validated"] is True
 
 
+def test_impass_without_a_certificate(capsys):
+    # balls of radius 4/5 about Z^2 leave no free line
+    d = _json(capsys, "impass", "--catalog", "Z2", "--r", "4/5", "--k", "1")
+    assert d["certificate"] is None and "note" in d
+
+
 def test_table_321(capsys):
     d = _json(capsys, "table-321")
     assert set(d) == {"chain-general", "chain-symmetric",
@@ -130,6 +142,12 @@ def test_table_321(capsys):
 def test_bounds(capsys):
     d = _json(capsys, "bounds", "--n", "4", "--k", "1")
     assert d["dnk_lower"]["value_exact"] == "25*pi**2/256"
+
+
+def test_bounds_hyperplane_case(capsys):
+    d = _json(capsys, "bounds", "--n", "3", "--k", "2")
+    assert d["dnn1_ball"]["value_exact"] == d["dnk_known"]["value_exact"]
+    assert d["dnn1_ball"]["strictness"] == "equality"
 
 
 def test_nonsep(capsys):
@@ -178,6 +196,12 @@ def test_mahler(capsys):
     assert "volume_product_floor" in d
 
 
+def test_mahler_of_a_body(capsys):
+    # the unit square and its polar, the cross-polytope of radius 2
+    d = _json(capsys, "mahler", "--body", "cube:2")
+    assert d["volume_product"]["exact"] == "8"
+
+
 def test_basis_file(tmp_path, capsys):
     f = tmp_path / "lat.json"
     f.write_text(Lattice.from_rows([[2, 0], [1, 3]]).to_json())
@@ -201,6 +225,11 @@ def test_project_witness(capsys):
     assert d["gram"] == [["3", "1"], ["1", "3"]]
 
 
+def test_project_along_the_least_sublattice(capsys):
+    d = _json(capsys, "project", "--catalog", "D4", "--k", "2")
+    assert d["witness"] == dk_min(catalog("D", 4), 2)[1].to_dict()
+
+
 def test_project_embedding_failure_exit_1(capsys):
     # the exact projected Gram is positive definite, but its entries near
     # 2.8 * 10^20 defeat the float Cholesky factor of the printed embedding
@@ -213,6 +242,17 @@ def test_project_embedding_failure_exit_1(capsys):
 def test_invalid_input_exit_2(capsys):
     code, out, err = _run(capsys, "dk", "--catalog", "Z", "--n", "4")
     assert code == 2
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["svp"], ["project", "--catalog", "Z2"], ["bounds", "--n", "4"],
+    ["impass", "--catalog", "Z2", "--k", "1"], ["nonsep", "--catalog", "Z2"],
+    ["cylinder", "--catalog", "Z2", "--k", "1"], ["mahler"], ["polytope"],
+    ["polytope", "--body", "ball:3"]], ids=" ".join)
+def test_missing_or_unknown_input_exit_2(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
@@ -247,6 +287,14 @@ def test_config_file(tmp_path, capsys):
     d = _json(capsys, "--config", str(cfg), "impass", "--catalog", "D3",
               "--scale", "sqrt2")
     assert d["certificate"]["clearance"] == pytest.approx(0.0607, abs=1e-4)
+
+
+def test_config_skips_comments_blank_and_bare_lines(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("# passage plane\n\nr=1\nnot a setting\nk=1\nverify=true\n")
+    d = _json(capsys, "--config", str(cfg), "impass", "--catalog", "D3",
+              "--scale", "sqrt2")
+    assert d["certificate"]["validated"] is True
 
 
 def test_config_keeps_zero_flag(tmp_path, capsys):

@@ -96,6 +96,12 @@ def test_sign_order_and_float_operands_are_sympys():
     assert (la.ClosedForm(Fraction(1, 2)) == 0.5) == (sp.Rational(1, 2) == 0.5)
 
 
+def test_a_float_beyond_range_is_sympys_infinity():
+    for q, want in ((10**400, math.inf), (-10**400, -math.inf)):
+        v = la.ClosedForm(Fraction(q), 2, 1)
+        assert float(v) == float(v._sympy_()) == want
+
+
 _BIG_PRIMES = [p for p in range(2**15, 2**15 + 300)
                if all(p % d for d in range(2, math.isqrt(p) + 1))]
 

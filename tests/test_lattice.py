@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import latgeom
 import latgeom._linalg as la
 from latgeom.errors import (CatalogMissError, InvalidInputError,
                             InvalidLatticeError, UnsupportedRankError)
@@ -26,6 +27,12 @@ def test_from_rows_gram_is_rational():
 def test_dependent_rows_rejected():
     with pytest.raises(InvalidLatticeError):
         Lattice.from_rows([[1, 0], [2, 0]])
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 0], [1]]], ids=["empty", "ragged"])
+def test_from_rows_rejects_an_empty_or_ragged_basis(rows):
+    with pytest.raises(InvalidInputError):
+        Lattice.from_rows(rows)
 
 
 def test_from_gram_positive_definite_required():
@@ -97,6 +104,19 @@ def test_json_fraction_strings():
     payload = json.dumps({"basis": [["1/2", "0"], ["0", "1/2"]], "scale_sq": "2"})
     lat = Lattice.from_json(payload)
     assert lat.det_sq() == Fraction(1, 4)
+
+
+def test_gram_only_lattice_has_no_ambient_coordinates():
+    lat = Lattice.from_gram([[2, 1], [1, 2]])
+    with pytest.raises(UnsupportedRankError):
+        lat.to_ambient([1, 0])
+    with pytest.raises(UnsupportedRankError):
+        lat.coords_of([1, 0])
+
+
+def test_package_determinant_is_the_lattice_determinant():
+    lat = catalog("D", 4)
+    assert latgeom.determinant(lat) == lat.determinant() == 2
 
 
 def test_dual_inverse_transpose():
@@ -222,6 +242,10 @@ def test_catalog_miss():
         catalog("E", 9)
     with pytest.raises(CatalogMissError):
         catalog("Unknown", 3)
+    with pytest.raises(CatalogMissError):
+        catalog("BambahWoods", 4)
+    with pytest.raises(CatalogMissError):
+        catalog("NonSep", 4)
 
 
 def test_scaled_updates_min_norm():

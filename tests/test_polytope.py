@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import latgeom._linalg as la
 
 from latgeom.enumeration import kappa, voronoi_cell
-from latgeom.errors import (CapabilityError, InvalidInputError,
-                            PolarUndefinedError, UnboundedBodyError)
+from latgeom.errors import (CapabilityError, DimensionMismatchError,
+                            InvalidInputError, PolarUndefinedError,
+                            UnboundedBodyError)
 from latgeom.lattice import catalog
 from latgeom.polytope import (Polytope, _at_least, _cone_extreme_rays,
                               _float_inverse, _vertex_rays,
@@ -52,12 +53,41 @@ def test_h_v_round_trip():
 def test_unbounded_rejected():
     with pytest.raises(UnboundedBodyError):
         Polytope.from_halfspaces([[1, 0], [0, 1]], [1, 1]).vertices()
+    # one row: its normals do not span the plane
+    with pytest.raises(UnboundedBodyError):
+        Polytope.from_halfspaces([[1, 0]], [1]).vertices()
 
 
 def test_empty_rejected():
     with pytest.raises(InvalidInputError):
         Polytope.from_halfspaces([[1, 0], [-1, 0], [0, 1], [0, -1]],
                                  [-1, -1, 1, 1]).vertices()
+
+
+@pytest.mark.parametrize("verts", [[(0, 0), (1, 1), (2, 2)], [(1, 1)]],
+                         ids=["collinear", "point"])
+def test_vertices_not_full_dimensional_rejected(verts):
+    with pytest.raises(InvalidInputError):
+        Polytope.from_vertices(verts).halfspaces()
+
+
+def test_ragged_descriptions_rejected():
+    with pytest.raises(DimensionMismatchError):
+        Polytope.from_halfspaces([[1, 0], [1]], [1, 1])
+    with pytest.raises(DimensionMismatchError):
+        Polytope.from_vertices([(0, 0), (1,)])
+
+
+def test_equality_needs_a_polytope_of_the_same_dimension():
+    assert cube(2) != "x" and not cube(2) == "x"
+    assert cube(2) != cube(3)
+
+
+def test_segment_in_the_plane_has_volume_zero():
+    seg = Polytope.from_halfspaces([[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                   [1, 1, 0, 0])
+    assert len(seg.vertices()) == 2
+    assert seg.volume() == 0
 
 
 def test_redundant_rows_do_not_change_volume():
@@ -102,6 +132,11 @@ def test_minkowski_sum_square_plus_diamond():
     assert octo.coordinate_volume() == Fraction(7, 2)
 
 
+def test_minkowski_sum_needs_equal_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        cube(2).minkowski_sum(cube(3))
+
+
 def test_difference_body_of_simplex_is_hexagon():
     t = Polytope.from_vertices([(0, 0), (1, 0), (0, 1)])
     h = t.difference_body()
@@ -138,6 +173,16 @@ def test_project_cube_onto_diagonal_plane():
     hexa = c.project([d1, d2])
     assert len(hexa.vertices()) == 6
     assert sp.simplify(hexa.volume() - sp.sqrt(3)) == 0
+
+
+def test_project_rejects_dependent_directions():
+    with pytest.raises(InvalidInputError):
+        cube(2).project([[1, 0], [2, 0]])
+
+
+def test_hanner_rejects_an_unknown_node():
+    with pytest.raises(InvalidInputError):
+        hanner(("xor", "seg", "seg"))
 
 
 def test_support_function():

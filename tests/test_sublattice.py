@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import assume, example, given, settings
@@ -13,7 +14,7 @@ import latgeom.sublattice as sub
 from latgeom.cli import run
 from latgeom.enumeration import kappa, shortest_vectors, vectors_within
 from latgeom.errors import CapabilityError, InvalidInputError
-from latgeom.impassability import _default_det_bound
+from latgeom.impassability import _default_det_bound, passage_certificate
 from latgeom.lattice import Lattice, catalog
 from latgeom.sublattice import (dk_min, enumerate_sublattices, project_along,
                                 saturate, witness)
@@ -28,6 +29,22 @@ def test_witness_det_and_saturation():
     w2 = witness(lat, [[2, 0, 0]])
     assert not w2.saturated
     assert saturate(lat, w2).det_sq == 1
+
+
+def test_witness_reads_integral_numpy_and_float_entries():
+    lat = catalog("Z", 3)
+    for x in (np.int64(1), 1.0):
+        w = witness(lat, [[x, 0, 0]])
+        assert w.coeffs == ((1, 0, 0),) and type(w.coeffs[0][0]) is int
+
+
+def test_a_bound_that_is_not_positive_finds_nothing():
+    lat = catalog("Z", 3)
+    assert enumerate_sublattices(lat, 1, 0) == []
+    assert enumerate_sublattices(lat, 1, -1) == []
+    with pytest.raises(InvalidInputError):
+        dk_min(lat, 1, 0)
+    assert passage_certificate(lat, Fraction(1, 2), 1, det_bound=0) is None
 
 
 def test_witness_rejects_dependent_rows():

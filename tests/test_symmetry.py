@@ -164,7 +164,7 @@ def _per_witness(lat, r, k):
         return float("-inf"), None
     _, w, proj = best
     clearance = math.sqrt(float(covering_radius(proj)[0])) - float(r)
-    return clearance, _certificate(lat, w, r, proj, True)
+    return clearance, _certificate(w, r, proj, True)
 
 
 def _same_result(got, want):
@@ -222,7 +222,7 @@ def _per_class(lat, r, k):
             best = (key, by_coeffs[least], proj)
     (neg_mu_sq, _), w, proj = best
     return (math.sqrt(float(-neg_mu_sq)) - float(r),
-            _certificate(lat, w, r, proj, True))
+            _certificate(w, r, proj, True))
 
 
 # D5 at k = 1 has 2,065 witnesses and E6 10,350, nearly all with distinct
