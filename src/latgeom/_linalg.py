@@ -201,6 +201,12 @@ def _det(m):
     return (-1) ** swaps * p if r == len(m) else 0
 
 
+def _round_div(a, b):
+    """round(Fraction(a, b)) for ints a and b > 0, ties to even, in ints."""
+    q, r = divmod(a, b)
+    return q + (2 * r > b or 2 * r == b and q & 1)
+
+
 def integer_form(a):
     """(A_int, d) with ``a == A_int / d``: integer rows over d, the lcm of
     the denominators of the rational (int or Fraction) entries of ``a``."""

@@ -68,19 +68,19 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     longer than ``POINT_BUDGET`` raises CapabilityError, as soon as the
     range of x_0 shows it, before those points are built.
     """
-    return _scan(lat, center, bound_sq, False)
+    c = math.lcm(*(t.denominator for t in center))
+    return _scan(lat, [t.numerator * (c // t.denominator) for t in center], c,
+                 bound_sq, False)
 
 
-def _scan(lat: Lattice, center, bound_sq, nearest):
-    """The search of ``_enumerate_gram``; with ``nearest`` the bound drops to
-    the best distance found so far, a branch that cannot reach it is cut,
-    and only the points at the final best distance are kept."""
+def _scan(lat: Lattice, ct, c, bound_sq, nearest):
+    """The search of ``_enumerate_gram`` around the center ct / c, for ints
+    ct and c > 0; with ``nearest`` the bound drops to the best distance
+    found so far, a branch that cannot reach it is cut, and only the points
+    at the final best distance are kept."""
     e = lat._elimination
     m = len(e)
     _, d = lat.int_gram
-    center = [Fraction(t) for t in center]
-    c = math.lcm(*(t.denominator for t in center))
-    ct = [t.numerator * (c // t.denominator) for t in center]
     minors = [1] + [e[i][i] for i in range(m)]
     pairs = [a * b for a, b in zip(minors, minors[1:])]
     scale = math.lcm(*pairs)
@@ -124,25 +124,23 @@ def _scan(lat: Lattice, center, bound_sq, nearest):
     return results
 
 
-def _nearest(red: Lattice, t):
-    """The points of red nearest to the rational target t (Fractions, in
-    red's coordinates), in enumeration order, and their squared distance
-    q / den, as (points, q, den).
+def _nearest(red: Lattice, tt, c):
+    """The points of red nearest to the rational target tt / c (ints tt in
+    red's coordinates over one c > 0), in enumeration order, and their
+    squared distance q / den, as (points, q, den).
 
-    Babai's rounding of t is a lattice point, so its squared distance,
-    formed in ints against G_int over d c^2 with c the lcm of t's
-    denominators, is the first bound of the search. The bound then drops
-    to the best distance found so far (Schnorr & Euchner), so a branch
-    that cannot reach it is cut; a point at that distance is a tie and is
-    kept, so the ties come in the order of the full ``_enumerate_gram``
-    listing.
+    Babai's rounding of the target, in ints, is a lattice point, so its
+    squared distance, formed in ints against G_int over d c^2, is the first
+    bound of the search. The bound then drops to the best distance found so
+    far (Schnorr & Euchner), so a branch that cannot reach it is cut; a
+    point at that distance is a tie and is kept, so the ties come in the
+    order of the full ``_enumerate_gram`` listing.
     """
     g, d = red.int_gram
-    c = math.lcm(*(v.denominator for v in t))
-    dz = [round(v) * c - v.numerator * (c // v.denominator) for v in t]
+    dz = [la._round_div(x, c) * c - x for x in tt]
     bound = Fraction(sum(a * la.dot(row, dz) for a, row in zip(dz, g)),
                      d * c * c)
-    found = _scan(red, t, bound, True)
+    found = _scan(red, tt, c, bound, True)
     return [x for x, _, _ in found], found[0][1], found[0][2]
 
 
@@ -199,10 +197,9 @@ def closest_vectors(lat: Lattice, target_coeffs):
     in the lattice basis: (dist_sq, sorted list of coefficient vectors)."""
     _check_rank(lat, MAX_ENUM_RANK, "enumeration")
     red, u = _reduced(lat)
-    # target in reduced coordinates: t_red = t . u^{-1}
-    t = la.vec_mat([la._rational(c) for c in target_coeffs],
-                   _reduced_inverse(lat))
-    mins, best, den = _nearest(red, t)
+    # target in reduced coordinates: t_red = t . u^{-1}, over t's lcm c
+    (t,), c = la.integer_form([[la._rational(x) for x in target_coeffs]])
+    mins, best, den = _nearest(red, la.vec_mat(t, _reduced_inverse(lat)), c)
     return Fraction(best, den), sorted(tuple(la.vec_mat(x, u)) for x in mins)
 
 
@@ -233,7 +230,7 @@ def _coset_scan(lat: Lattice):
     for bits in itertools.product((0, 1), repeat=lat.rank):
         if not any(bits):
             continue
-        mins, _, _ = _nearest(red, [Fraction(-b, 2) for b in bits])
+        mins, _, _ = _nearest(red, [-b for b in bits], 2)
         if len(mins) == 2:
             v = [b + 2 * y for b, y in zip(bits, mins[0])]
             out.append(la._canonical_sign(la.vec_mat(v, u)))

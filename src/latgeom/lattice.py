@@ -6,9 +6,11 @@ A lattice is ``sqrt(scale_sq)`` times the integer row span of a rational
 Gram matrix is rational, so squared lengths and squared determinants stay
 exact. Entries are read through ``_linalg._rational``, so float input is
 rationalized once, on construction. A ``Lattice`` is an immutable value, so
-its Gram matrix, that Gram's integer form ``(G_int, d)`` with
-``G = G_int / d``, and one fraction-free elimination of ``G_int`` are computed
-once per value and cached; quadratic forms are evaluated in ``int``. Every
+its basis as integer rows over one denominator, ``(W, D)`` with
+``basis = W / D``, its Gram matrix, that Gram's integer form ``(G_int, d)``
+with ``G = G_int / d``, and one fraction-free elimination of ``G_int`` are
+computed once per value and cached; products of the basis (the Gram, the
+LLL basis, the dual) and quadratic forms are evaluated in ``int``. Every
 other invariant derived from a value (its reduction, lambda_1, its Voronoi
 cell) goes in that value's memo through ``_once``. The ``name`` a value
 carries is provenance only: equality and hashing ignore it.
@@ -91,12 +93,21 @@ class Lattice:
     # to the instance ``__dict__`` directly, which a frozen dataclass allows.
 
     @functools.cached_property
+    def int_basis(self) -> tuple:
+        """(W, D): the basis as integer rows over one positive denominator
+        D, so ``basis == W / D``; every product of the basis is formed in
+        ints from it, and only its result becomes Fractions."""
+        return la.integer_form(self.basis)
+
+    @functools.cached_property
     def _gram(self) -> tuple:
         if self.gram_override is not None:
             return self.gram_override
+        w, d = self.int_basis
         s = self.scale_sq
-        return tuple(tuple(s * x for x in row)
-                     for row in la.gram_matrix([list(r) for r in self.basis]))
+        den = s.denominator * d * d
+        return tuple(tuple(Fraction(s.numerator * x, den) for x in row)
+                     for row in la.gram_matrix(w))
 
     @functools.cached_property
     def int_gram(self) -> tuple:
@@ -164,9 +175,11 @@ class Lattice:
         divided by sqrt(scale_sq), exact."""
         if self.basis is None:
             raise UnsupportedRankError("gram-only lattice has no ambient embedding")
-        b = [list(r) for r in self.basis]
-        point = [la._rational(x) for x in point]
-        return la.solve(la.gram_matrix(b), [la.dot(point, row) for row in b])
+        # with basis = W / D and point = P / e: (e W W^T) x = D W P
+        w, d = self.int_basis
+        (p,), e = la.integer_form([[la._rational(x) for x in point]])
+        return la.solve([[e * x for x in row] for row in la.gram_matrix(w)],
+                        [d * x for x in la.mat_vec(w, p)])
 
     def scaled(self, factor_sq) -> "Lattice":
         """Lattice scaled by sqrt(factor_sq), factor_sq positive rational."""
@@ -186,8 +199,9 @@ class Lattice:
             return Lattice.from_gram(
                 la.mat_mul(la.mat_mul(u, self.gram()), la.transpose(u)),
                 self.name)
-        return Lattice.from_rows(la.mat_mul(u, [list(r) for r in self.basis]),
-                                 self.scale_sq, self.name)
+        w, d = self.int_basis
+        return Lattice.from_rows(_over(la.mat_mul(u, w), d), self.scale_sq,
+                                 self.name)
 
     # -- serialization -------------------------------------------------------
 
@@ -230,6 +244,11 @@ def _once(lat: Lattice, key, compute):
     return memo[key]
 
 
+def _over(rows, d):
+    """The int rows over the denominator d, one Fraction per entry."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -252,8 +271,10 @@ def dual_in_span(lat: Lattice) -> Lattice:
     def compute():
         if lat.basis is None:
             return Lattice.from_gram(la.inverse(lat.gram()))
-        b = [list(r) for r in lat.basis]
-        rows = la.mat_mul(la.inverse(la.gram_matrix(b)), b)
+        # (B B^T)^{-1} B for B = W / D is (W W^T)^{-1} (D W), solved in ints
+        w, d = lat.int_basis
+        rows = la._gauss_jordan(la.gram_matrix(w),
+                                [[d * x for x in row] for row in w])
         return Lattice.from_rows(rows, scale_sq=1 / lat.scale_sq)
 
     return _once(lat, "dual_in_span", compute)
@@ -297,7 +318,7 @@ def _lll_transform(gram, delta):
         # row_k -= c row_j on the transform and lam, c = round(mu_kj) half
         # to even
         lk, lj = lam[k], lam[j]
-        c = round(Fraction(lk[j], dm[j + 1]))
+        c = la._round_div(lk[j], dm[j + 1])
         u[k] = [x - c * y for x, y in zip(u[k], u[j])]
         lk[j] -= c * dm[j + 1]
         for i in range(j):
@@ -351,8 +372,11 @@ def reduce(lat: Lattice) -> Lattice:
     if lat.basis is None:
         out = replace(lat, gram_override=g)
     else:
-        rows = la.mat_mul(u, [list(r) for r in lat.basis])
-        out = replace(lat, basis=tuple(tuple(r) for r in rows))
+        # U is unimodular, so U W over D is already the reduced integer form
+        w, d = lat.int_basis
+        uw = tuple(map(tuple, la.mat_mul(u, w)))
+        out = replace(lat, basis=_over(uw, d))
+        out.__dict__["int_basis"] = (uw, d)
     out.__dict__.update(_gram=g, _det_sq=lat.det_sq())
     return out
 
@@ -409,16 +433,11 @@ def _e8_lattice():
 def _orthogonal_sublattice(lat: Lattice, normals, name):
     """Sublattice of lat orthogonal (in ambient metric) to the given lattice
     vectors; returned with an exact basis and the given name."""
-    b = [list(r) for r in lat.basis]
-    rows = []
-    for nv in normals:
-        vals = [Fraction(la.dot(bi, nv)) for bi in b]
-        lcm = math.lcm(*(v.denominator for v in vals))
-        rows.append([int(v * lcm) for v in vals])
-    # integer coefficient vectors c with rows . c = 0
-    ker = la.integer_kernel(rows)
-    new_rows = la.mat_mul(ker, b)
-    return Lattice.from_rows(new_rows, scale_sq=lat.scale_sq, name=name)
+    w, d = lat.int_basis
+    # integer coefficient vectors c with (W n) . c = 0 for every normal n
+    ker = la.integer_kernel([la.mat_vec(w, nv) for nv in normals])
+    return Lattice.from_rows(_over(la.mat_mul(ker, w), d),
+                             scale_sq=lat.scale_sq, name=name)
 
 
 _GOLAY_B = [

@@ -294,9 +294,17 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
 
     def leaf():
         if 2 <= k <= 3:
-            gram = [p + [norms[j]] + [q[t] for q in products[t + 1:]]
-                    for t, (j, p) in enumerate(zip(chosen, products))]
-            if la.det_int(gram) > gram_cap:
+            # the tuple's Gram determinant, in closed form from the carried
+            # norms and products
+            a, c = norms[chosen[0]], norms[chosen[1]]
+            b = products[1][0]
+            if k == 2:
+                det = a * c - b * b
+            else:
+                e, (f, h) = norms[chosen[2]], products[2]
+                det = a * (c * e - h * h) - b * (b * e - h * f) \
+                    + f * (b * h - c * f)
+            if det > gram_cap:
                 return  # no basis of a span within the bound
         key = _span_key(echelon)
         if key in found:

@@ -297,7 +297,8 @@ def test_shrinking_bound_keeps_every_tie_in_order(gt):
     # its order
     red, _ = enumeration._reduced(lat)
     t = la.vec_mat(target, enumeration._reduced_inverse(lat))
-    ties, q, den = enumeration._nearest(red, t)
+    (tt,), c = la.integer_form([t])
+    ties, q, den = enumeration._nearest(red, tt, c)
     assert Fraction(q, den) == best
     assert ties == [x for x, p, e in _enumerate_gram(red, t, best)
                     if Fraction(p, e) == best]
@@ -455,3 +456,36 @@ def test_densities_leave_in_canonical_form(rows, scale_sq):
     lat = Lattice.from_rows(rows, scale_sq=scale_sq)
     for v in (packing_density(lat), covering_density(lat)):
         assert str(v) == str(sp.simplify(v))
+
+
+# Closest points to the target (1/2, ..., 1/2), pinned from the Fraction
+# rounding that Babai's first bound used before it ran in ints: the
+# closest_vectors answer, and the ties of _nearest on the reduced basis in
+# enumeration order, with their distance q / den.
+_HALF_TARGET_GOLDENS = {
+    ("Z", 3): ((Fraction(3, 4), [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                                 (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]),
+               ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1),
+                 (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3, 4)),
+    ("A", 3): ((Fraction(1, 2), [(0, 0, 0), (1, 1, 1)]),
+               ([(0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1),
+                 (1, 1, 1)], 48, 48)),
+    ("D", 4): ((Fraction(1, 2), [(0, 1, 1, 1), (1, 0, 0, 0)]),
+               ([(1, 1, 0, 0), (0, 0, 1, 1)], 96, 192)),
+    ("E", 6): ((Fraction(1, 2), [(0, 0, 0, 0, 0, 1), (1, 1, 1, 1, 1, 0)]),
+               ([(0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (-1, 0, 0, 1, 0, 0),
+                 (0, 0, 1, 1, 0, 0), (1, 1, 0, 0, 1, 0), (0, 0, 1, 1, 0, 1),
+                 (1, 1, 0, 0, 1, 1), (2, 1, 1, 0, 1, 1), (1, 0, 1, 1, 1, 1),
+                 (1, 1, 1, 1, 1, 1)], 192, 192)),
+    ("Astar", 4): ((Fraction(3, 10), [(0, 1, 0, 1), (1, 0, 1, 0)]),
+                   ([(1, 1, 1, 0), (0, 0, 0, 1)], 150000, 750000)),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(_HALF_TARGET_GOLDENS))
+def test_half_integer_targets_keep_their_closest_points(name, n):
+    lat = catalog(name, n)
+    closest, nearest = _HALF_TARGET_GOLDENS[name, n]
+    assert closest_vectors(lat, [Fraction(1, 2)] * n) == closest
+    red, _ = enumeration._reduced(lat)
+    assert enumeration._nearest(red, [1] * n, 2) == nearest

@@ -12,7 +12,8 @@ import latgeom._linalg as la
 from latgeom.errors import (CatalogMissError, InvalidInputError,
                             InvalidLatticeError, UnsupportedRankError)
 from latgeom.enumeration import _lambda1_sq
-from latgeom.lattice import Lattice, _lll_transform, catalog, dual, reduce
+from latgeom.lattice import (LLL_DELTA, Lattice, _lll_transform, catalog,
+                             dual, dual_in_span, reduce)
 
 
 def test_from_rows_gram_is_rational():
@@ -354,3 +355,79 @@ def test_integral_lll_matches_fraction_gso(gram, delta):
 def test_integral_lll_rounds_half_to_even():
     u, g = _lll_transform([[2, 5], [5, 20]], Fraction(3, 4))
     assert u == [[1, 0], [-2, 1]] and g == [[2, 1], [1, 8]]
+
+
+# The basis products as Fraction matrix products, the reference for the
+# products that ``Lattice`` forms in ints over one denominator.
+
+def _typed(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+def _fraction_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _check_products_against_fractions(lat):
+    b = [list(r) for r in lat.basis]
+    bbt = _fraction_product(b, la.transpose(b))
+    gram = [[lat.scale_sq * x for x in row] for row in bbt]
+    assert _typed(lat._gram) == _typed(gram)
+    d = math.lcm(*(x.denominator for row in gram for x in row))
+    assert lat.int_gram == (tuple(tuple(int(x * d) for x in row)
+                                  for row in gram), d)
+    u, _ = _lll_transform(gram, LLL_DELTA)
+    assert _typed(reduce(lat).basis) == _typed(_fraction_product(u, b))
+    dual_rows = _fraction_product(la.inverse(bbt), b)
+    assert _typed(dual_in_span(lat).basis) == _typed(dual_rows)
+
+
+_CATALOG_UP_TO_8 = (
+    [("Z", n) for n in range(1, 9)] + [("A", n) for n in range(1, 6)]
+    + [("Astar", n) for n in range(1, 6)] + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("BambahWoods", None), ("NonSep", None)])
+
+
+@pytest.mark.parametrize("name,n", _CATALOG_UP_TO_8)
+def test_basis_products_match_fraction_products_on_the_catalog(name, n):
+    lat = catalog(name, n)
+    for value in (lat, lat.scaled(2), lat.scaled(Fraction(1, 3))):
+        _check_products_against_fractions(value)
+
+
+@st.composite
+def _scaled_rational_bases(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+    rows = [[Fraction(draw(st.integers(-9, 9)),
+                      draw(st.sampled_from([1, 2, 3, 6, 35])))
+             for _ in range(n)] for _ in range(m)]
+    assume(la.rank(rows) == m)
+    scale_sq = Fraction(draw(st.integers(1, 50)), draw(st.integers(1, 50)))
+    assume(scale_sq != 1)
+    return Lattice.from_rows(rows, scale_sq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scaled_rational_bases())
+def test_basis_products_match_fraction_products(lat):
+    _check_products_against_fractions(lat)
+
+
+def test_build_reduce_and_dual_make_no_fraction_products(monkeypatch):
+    """Building a value, reducing it and taking its dual form every basis
+    product in ints: no Fraction is multiplied or added. A fresh value from
+    E7's Fraction basis has no memo that could hide the work."""
+    basis = catalog("E", 7).basis
+    calls = []
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(*args, _f=getattr(Fraction, op), _op=op):
+            calls.append(_op)
+            return _f(*args)
+        monkeypatch.setattr(Fraction, op, counted)
+    lat = Lattice.from_rows(basis)
+    reduce(lat)
+    dual_in_span(lat)
+    monkeypatch.undo()
+    assert calls == []

@@ -252,3 +252,16 @@ def test_rational_square_of_a_root(c, q):
 def test_rational_square_rejects_other_values(x):
     with pytest.raises(InvalidInputError):
         la._rational_square(x)
+
+
+_half_ties = st.builds(lambda q, h: ((2 * q + 1) * h, 2 * h),
+                       st.integers(-2**70, 2**70), st.integers(1, 2**70))
+_quotients = st.tuples(st.integers(-2**90, 2**90), st.integers(1, 2**80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_half_ties, _quotients))
+def test_round_div_is_round_of_the_fraction(ab):
+    a, b = ab
+    got = la._round_div(a, b)
+    assert type(got) is int and got == round(Fraction(a, b))
