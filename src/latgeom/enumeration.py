@@ -247,13 +247,17 @@ def voronoi_cell(lat: Lattice):
 
 def _cell(lat: Lattice, rel):
     """The cell {x : <x, v> <= <v, v> / 2 for the relevant +-v}, each row
-    v G = (v G_int) / d formed in ints and divided by d once per entry."""
+    v G = (v G_int) / d formed in ints and divided by d once per entry.
+
+    The halfspaces are added in ascending norm of v, ties in the order of
+    the coeffs: the short vectors bound the cell most tightly, so the double
+    description meets fewer rays that a later row cuts off."""
     from .polytope import Polytope
     g, d = lat.int_gram
     rows, b = [], []
-    for v in rel:
-        gv = la.vec_mat(v, g)
-        half = Fraction(la.dot(v, gv), 2 * d)
+    products = [(la.dot(v, gv), gv) for v in rel for gv in [la.vec_mat(v, g)]]
+    for q, gv in sorted(products, key=lambda p: p[0]):
+        half = Fraction(q, 2 * d)
         for s in (1, -1):
             rows.append([Fraction(s * x, d) for x in gv])
             b.append(half)

@@ -280,12 +280,13 @@ def dual_in_span(lat: Lattice) -> Lattice:
     return _once(lat, "dual_in_span", compute)
 
 
-def _lll_transform(gram, delta):
-    """LLL on a rational Gram matrix; returns the unimodular transform U and
-    the reduced Gram U G U^T (both lists of rows).
+def _lll_transform(int_gram, delta):
+    """LLL on the Gram G = G_int / d, given as its integer form
+    ``(G_int, d)``; returns the unimodular transform U and U G_int U^T, the
+    reduced Gram over the same d (both lists of int rows).
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) on ``G_int = d G``: it keeps the leading principal minors
+    Alg. 2.6.7) on ``G_int``: it keeps the leading principal minors
     D_i of the current Gram and the integers lam_kj = D_{j+1} mu_kj, so every
     quantity is an int and every division exact. Row k is size-reduced
     against j = k-1 down to 0, by mu_kj rounded half to even, and then the
@@ -294,8 +295,8 @@ def _lll_transform(gram, delta):
     textbook loop on the Fraction Gram-Schmidt data, so U and U G U^T are
     the ones it returns.
     """
-    m = len(gram)
-    g, den = la.integer_form(gram)
+    g, _ = int_gram
+    m = len(g)
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     delta = la._rational(delta)
     p, q = delta.numerator, delta.denominator
@@ -356,28 +357,34 @@ def _lll_transform(gram, delta):
             swap(k, kmax)
             k = max(k - 1, 1)
     ug = la.mat_mul(u, g)
-    return u, [[Fraction(la.dot(a, b), den) for b in u] for a in ug]
+    return u, [[la.dot(a, b) for b in u] for a in ug]
 
 
 def reduce(lat: Lattice) -> Lattice:
     """LLL-reduced basis of the same lattice (unimodular change of basis).
 
-    The result keeps the reduced Gram that LLL computed and the input's
-    squared determinant, which a unimodular change of basis preserves. The
+    The result keeps the reduced Gram that LLL computed, in its integer
+    form U G_int U^T over lat's d, and the input's squared determinant,
+    which a unimodular change of basis preserves. That form is the one
+    ``int_gram`` would derive: the entries of U G_int U^T and of G_int are
+    integer combinations of each other, so they have one gcd, and as d is
+    the lcm of the denominators of G, that gcd shares no prime with d. The
     transform U, which maps the result's coordinates to lat's, goes in
     lat's memo as ``"reduction_transform"``."""
-    u, g = _lll_transform(lat.gram(), LLL_DELTA)
-    g = tuple(tuple(r) for r in g)
+    _, d = lat.int_gram
+    u, g_int = _lll_transform(lat.int_gram, LLL_DELTA)
+    g_int = tuple(map(tuple, g_int))
+    g = _over(g_int, d)
     lat._memo["reduction_transform"] = tuple(tuple(r) for r in u)
     if lat.basis is None:
         out = replace(lat, gram_override=g)
     else:
         # U is unimodular, so U W over D is already the reduced integer form
-        w, d = lat.int_basis
+        w, w_den = lat.int_basis
         uw = tuple(map(tuple, la.mat_mul(u, w)))
-        out = replace(lat, basis=_over(uw, d))
-        out.__dict__["int_basis"] = (uw, d)
-    out.__dict__.update(_gram=g, _det_sq=lat.det_sq())
+        out = replace(lat, basis=_over(uw, w_den))
+        out.__dict__["int_basis"] = (uw, w_den)
+    out.__dict__.update(_gram=g, int_gram=(g_int, d), _det_sq=lat.det_sq())
     return out
 
 

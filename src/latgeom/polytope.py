@@ -18,7 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import _double_description as dd
 from . import _linalg as la
+# _at_least, the kernel's column counter, is read here by the polytope tests
+from ._double_description import _at_least, _bits, _primitive_int  # noqa: F401
 from .enumeration import kappa
 from .errors import (
     CapabilityError,
@@ -30,7 +33,7 @@ from .errors import (
 
 
 # Rays the double description may hold at once; the largest cell known to
-# latgeom, E8's, peaks at 19,440.
+# latgeom, E8's, peaks at 19,440 under the paired driver, its vertex count.
 RAY_BUDGET = 200_000
 # Coordinate ascent steps ``mvee`` may take to meet its tolerance.
 MVEE_ITERATIONS = 100_000
@@ -40,142 +43,10 @@ MVEE_ITERATIONS = 100_000
 # Exact double description on the homogenization cone
 # ---------------------------------------------------------------------------
 
-def _primitive(ints):
-    """An integer vector divided by the gcd of its entries, as a tuple."""
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
-
-
-def _primitive_int(vec):
-    """Scale a rational vector to a primitive integer tuple (gcd 1)."""
-    den = math.lcm(*(x.denominator for x in vec))
-    return _primitive([x.numerator * (den // x.denominator) for x in vec])
-
-
-def _bits(mask):
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _at_least(cols, t, universe):
-    """Bitmask of the indices in ``universe`` set in at least t of the
-    bitmasks ``cols``, by adding the columns in a bit-sliced binary counter:
-    plane i holds bit i of every index's count."""
-    planes = []
-    for x in cols:
-        i = 0
-        while x:
-            if i == len(planes):
-                planes.append(x)
-                break
-            planes[i], x = planes[i] ^ x, planes[i] & x
-            i += 1
-    if t >> len(planes):
-        return 0
-    # count >= t, comparing the planes with t from the top bit down
-    above, equal = 0, universe
-    for i in reversed(range(len(planes))):
-        if t >> i & 1:
-            equal &= planes[i]
-        else:
-            above |= equal & planes[i]
-            equal &= ~planes[i]
-    return above | equal
-
-
-def _adjacent_pairs(masks, tight, pos, negs, live, d):
-    """The adjacent pairs (p, n) of live rays in a pointed cone of dimension
-    d, p in ``pos`` and n in the bitmask ``negs``, in order of p, then n.
-
-    ``masks[i]`` is the bitmask of constraints tight at the ray in slot i,
-    and ``tight[j]`` the bitmask of slots tight at constraint j; ``live``
-    masks out the dead slots that ``tight`` still holds. By the
-    combinatorial test of Fukuda & Prodon, p and n are adjacent iff they
-    share at least d - 2 constraints and no third ray is tight on all of
-    them: the AND of ``tight`` over the shared constraints is the pair alone.
-    """
-    for p in pos:
-        mp = masks[p]
-        for n in _bits(_at_least([tight[j] for j in _bits(mp)], d - 2, negs)):
-            pair = 1 << p | 1 << n
-            common = live
-            for j in _bits(mp & masks[n]):
-                if common == pair:
-                    break
-                common &= tight[j]
-            if common == pair:
-                yield p, n
-
-
 def _cone_extreme_rays(normals):
     """Extreme rays of {x : n . x <= 0 for all n}, as primitive integer
-    tuples, by incremental double description.
-
-    Each ray keeps the slot it was made in, so the incidence is updated, not
-    rebuilt: ``masks`` holds, per slot, the bitmask of processed constraints
-    tight at its ray, and ``tight``, per constraint, the bitmask of slots
-    tight at it. A new ray is a positive combination of an adjacent
-    (positive, negative) pair, so it is tight exactly where both are, and on
-    the new constraint: it sets its own bits, and the new constraint's mask
-    is its zero rays and the new ones. A ray cut off leaves its slot dead.
-    The live slots, in ascending order, are the survivors in their old order
-    and then the new rays. The cone stays pointed throughout, so the
-    combinatorial adjacency test of ``_adjacent_pairs`` holds.
-    """
-    d = len(normals[0])
-    norm_int = [_primitive_int(nv) for nv in normals]
-    # start with d linearly independent normals forming a simplicial cone,
-    # then add the rest one at a time.
-    idx, echelon = [], []
-    for i, nv in enumerate(norm_int):
-        if la.add_independent(echelon, nv):
-            idx.append(i)
-            if len(idx) == d:
-                break
-    if len(idx) < d:
-        raise UnboundedBodyError("cone has a lineality space (not pointed)")
-    inv = la.inverse([norm_int[i] for i in idx])
-    # rays of the simplicial cone {x : M x <= 0}, M the chosen normals: the
-    # columns of -M^{-1}; column c is tight at every row of M but row c
-    rays = [_primitive_int([-row[c] for row in inv]) for c in range(d)]
-    masks = [((1 << d) - 1) ^ (1 << c) for c in range(d)]
-    tight = list(masks)  # the initial incidence is symmetric
-    live = list(range(d))
-    chosen = set(idx)
-    rest = [nv for i, nv in enumerate(norm_int) if i not in chosen]
-    for step, nv in enumerate(rest, d + 1):
-        vals = {i: sum(map(operator.mul, nv, rays[i])) for i in live}
-        pos = [i for i in live if vals[i] > 0]
-        zero = sum(1 << i for i in live if not vals[i])
-        negs = sum(1 << i for i in live if vals[i] < 0)
-        everyone = negs | zero | sum(1 << i for i in pos)
-        bit, first = 1 << (step - 1), len(rays)
-        for p, n in list(_adjacent_pairs(masks, tight, pos, negs, everyone,
-                                         d)):
-            vp, vn = vals[p], vals[n]
-            rays.append(_primitive([vp * xn - vn * xp
-                                    for xp, xn in zip(rays[p], rays[n])]))
-            both = masks[p] & masks[n]
-            masks.append(both | bit)
-            for j in _bits(both):
-                tight[j] |= 1 << len(masks) - 1
-        for i in pos:
-            rays[i] = None
-        for i in _bits(zero):
-            masks[i] |= bit
-        tight.append(zero | (1 << len(rays)) - (1 << first))
-        live = [i for i in live if vals[i] <= 0]
-        live += range(first, len(rays))
-        if len(live) > RAY_BUDGET:
-            raise CapabilityError(
-                f"double description exceeded the ray budget {RAY_BUDGET} "
-                f"at constraint {step} of {len(normals)}: {len(live)} rays")
-    return [rays[i] for i in live]
+    tuples, by the sequential double description, within ``RAY_BUDGET``."""
+    return dd.cone_rays(normals, RAY_BUDGET)
 
 
 def _tight_masks(pts, den, a_rows, b_vals):
@@ -206,10 +77,15 @@ def _vertex_rays(a_rows, b_vals):
     """Vertices of {x : A x <= b} as the primitive integer rays (r, t) with
     t > 0 of the DD on the homogenization {(x, t) : A x - b t <= 0,
     -t <= 0}, in the order the DD leaves them; the vertex is r / t, and t is
-    the lcm of its denominators. Raises if unbounded or empty."""
+    the lcm of its denominators. A body given by mirror pairs of rows
+    (``dd.mirror_pairs``) takes the paired driver, any other the sequential
+    one. Raises if unbounded or empty."""
     d = len(a_rows[0]) if a_rows else 0
     normals = [list(row) + [-b] for row, b in zip(a_rows, b_vals)]
     normals.append([Fraction(0)] * d + [Fraction(-1)])
+    pairs = dd.mirror_pairs(normals[:-1], d)
+    if pairs:
+        return dd.paired_rays(pairs, len(normals), RAY_BUDGET)
     rays = []
     for ray in _cone_extreme_rays(normals):
         if ray[-1] > 0:

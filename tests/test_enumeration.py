@@ -489,3 +489,19 @@ def test_half_integer_targets_keep_their_closest_points(name, n):
     assert closest_vectors(lat, [Fraction(1, 2)] * n) == closest
     red, _ = enumeration._reduced(lat)
     assert enumeration._nearest(red, [1] * n, 2) == nearest
+
+
+def test_e8_cell_has_the_deep_and_shallow_holes():
+    """The largest cell latgeom knows, E8's (Conway & Sloane, SPLAG
+    ch. 21): 19,440 vertices, the 2,160 deep holes at norm 1 and the
+    17,280 shallow holes at norm 8/9, so mu^2 = 1."""
+    lat = catalog("E", 8)
+    ints, den = voronoi_cell(lat).integer_vertices()
+    g, d = lat.int_gram
+    norms = {}
+    for w in ints:
+        q = Fraction(la.dot(w, la.vec_mat(w, g)), d * den * den)
+        norms[q] = norms.get(q, 0) + 1
+    assert len(ints) == 19440
+    assert norms == {Fraction(1): 2160, Fraction(8, 9): 17280}
+    assert covering_radius(lat)[0] == 1

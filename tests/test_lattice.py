@@ -349,11 +349,13 @@ def _rational_grams(draw):
 def test_integral_lll_matches_fraction_gso(gram, delta):
     gram = [[Fraction(x) for x in r] for r in gram]
     want = _fraction_gso_lll([r[:] for r in gram], delta)
-    assert _lll_transform(gram, delta) == want
+    g_int, d = la.integer_form(gram)
+    u, g = _lll_transform((g_int, d), delta)
+    assert (u, [[Fraction(x, d) for x in row] for row in g]) == want
 
 
 def test_integral_lll_rounds_half_to_even():
-    u, g = _lll_transform([[2, 5], [5, 20]], Fraction(3, 4))
+    u, g = _lll_transform(([[2, 5], [5, 20]], 1), Fraction(3, 4))
     assert u == [[1, 0], [-2, 1]] and g == [[2, 1], [1, 8]]
 
 
@@ -377,7 +379,7 @@ def _check_products_against_fractions(lat):
     d = math.lcm(*(x.denominator for row in gram for x in row))
     assert lat.int_gram == (tuple(tuple(int(x * d) for x in row)
                                   for row in gram), d)
-    u, _ = _lll_transform(gram, LLL_DELTA)
+    u, _ = _lll_transform(la.integer_form(gram), LLL_DELTA)
     assert _typed(reduce(lat).basis) == _typed(_fraction_product(u, b))
     dual_rows = _fraction_product(la.inverse(bbt), b)
     assert _typed(dual_in_span(lat).basis) == _typed(dual_rows)
@@ -431,3 +433,26 @@ def test_build_reduce_and_dual_make_no_fraction_products(monkeypatch):
     dual_in_span(lat)
     monkeypatch.undo()
     assert calls == []
+
+
+def _check_seeded_int_gram(lat):
+    """``reduce`` keeps U G_int U^T over lat's d as the reduced value's
+    ``int_gram``: the very form that the reduced Gram derives."""
+    red = reduce(lat)
+    assert red.int_gram == la.integer_form(red.gram())
+    assert red.int_gram[1] == lat.int_gram[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_scaled_rational_bases(),
+                 _rational_grams().map(Lattice.from_gram)))
+def test_reduce_seeds_the_derived_int_gram(lat):
+    _check_seeded_int_gram(lat)
+
+
+@pytest.mark.parametrize("name,n", _CATALOG_UP_TO_8)
+def test_reduce_seeds_the_derived_int_gram_on_the_catalog(name, n):
+    lat = catalog(name, n)
+    for value in (lat, lat.scaled(2), lat.scaled(Fraction(1, 3)),
+                  Lattice.from_gram(lat.gram())):
+        _check_seeded_int_gram(value)

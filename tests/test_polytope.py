@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import latgeom._double_description as dd
 import latgeom._linalg as la
 
 from latgeom.enumeration import kappa, voronoi_cell
@@ -624,3 +626,118 @@ def test_ray_budget_reports_progress(monkeypatch):
         r"double description exceeded the ray budget 10 at constraint "
         r"(\d+) of (\d+): (\d+) rays", str(err.value)).groups())
     assert step <= total == 25 and rays > 10
+
+
+def test_ray_budget_stops_a_paired_run_partway(monkeypatch):
+    # E6's cell has 72 facets in 36 pairs; the paired run starts from the
+    # parallelotope of 6 pairs, 2^6 = 64 vertices, and peaks at 168 rays
+    monkeypatch.setattr("latgeom.polytope.RAY_BUDGET", 100)
+    with pytest.raises(CapabilityError) as err:
+        voronoi_cell(catalog("E", 6)).vertices()
+    step, total, rays = map(int, re.fullmatch(
+        r"double description exceeded the ray budget 100 at constraint "
+        r"(\d+) of (\d+): (\d+) rays", str(err.value)).groups())
+    assert 12 < step < total == 73 and rays > 100
+
+
+# The paired double description of centrally symmetric bodies.
+
+@st.composite
+def _symmetric_h_rows(draw):
+    """Rows (a, b) of a centrally symmetric body in D = 1..5 dimensions: a
+    box +-e_i . x <= b_i and mirror pairs with a in {-1, 0, 1}^D (a = 0
+    included), each direction with one or two b, every b in 1..3; then some
+    rows repeated, every row rescaled by a positive rational, and the rows
+    shuffled. The number of directions keeps the brute force small."""
+    d = draw(st.integers(1, 5))
+    pairs = [([int(i == j) for j in range(d)], draw(st.integers(1, 3)))
+             for i in range(d)]
+    for _ in range(draw(st.integers(0, (3, 4, 3, 2, 1)[d - 1]))):
+        a = list(draw(st.tuples(*[st.integers(-1, 1)] * d)))
+        pairs += [(a, bv) for bv in draw(st.sets(st.integers(1, 3),
+                                                 min_size=1, max_size=2))]
+    rows = [([s * x for x in a], bv) for a, bv in pairs for s in (1, -1)]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    scales = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3),
+                              Fraction(5, 2)])
+    rows = [([c * x for x in a], c * bv)
+            for (a, bv), c in zip(rows, draw(st.lists(
+                scales, min_size=len(rows), max_size=len(rows))))]
+    return draw(st.permutations(rows))
+
+
+def _split(rows):
+    return ([[Fraction(x) for x in a] for a, _ in rows],
+            [Fraction(bv) for _, bv in rows])
+
+
+def _distinct(rows):
+    """One int row (a, b) per class of positive multiples."""
+    out = {}
+    for a, bv in rows:
+        v = [Fraction(x) for x in a] + [Fraction(bv)]
+        den = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = math.gcd(*ints) or 1
+        out[tuple(x // g for x in ints)] = None
+    return [list(r[:-1]) for r in out], [r[-1] for r in out]
+
+
+def _outcome(rows):
+    """The sorted vertices of ``_vertex_rays``, or the type of its error."""
+    try:
+        rays = _vertex_rays(*_split(rows))
+    except (UnboundedBodyError, InvalidInputError) as exc:
+        return type(exc)
+    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]
+    assert len(verts) == len(set(verts))
+    return sorted(verts)
+
+
+def _is_paired(rows):
+    a, b = _split(rows)
+    normals = [r + [-bv] for r, bv in zip(a, b)]
+    return dd.mirror_pairs(normals, len(a[0])) is not None
+
+
+@settings(max_examples=120, deadline=None)
+@given(_symmetric_h_rows())
+def test_paired_double_description_matches_brute_force(rows):
+    assert _is_paired(rows)
+    assert _outcome(rows) == _brute_force_vertices(*_distinct(rows))
+
+
+def _flawed(rows, flaw, data):
+    """The symmetric ``rows`` with one flaw: every copy of one row's mirror
+    dropped, every copy of one row given another b, one pair put at b = 0,
+    or the last coordinate of every a cleared, so that the a do not span."""
+    if flaw == "no span":
+        return [(a[:-1] + [0], bv) for a, bv in rows]
+
+    def key(row):
+        return tuple(map(tuple, _distinct([row])))
+
+    a, bv = data.draw(st.sampled_from([row for row in rows if any(row[0])]))
+    mine, mirror = key((a, bv)), key(([-x for x in a], bv))
+    if flaw == "mirror missing":
+        return [row for row in rows if key(row) != mirror]
+    if flaw == "b differs":  # each copy m (a, bv) becomes m (a, bv + 1)
+        return [(ra, rb + rb / bv if key((ra, rb)) == mine else rb)
+                for ra, rb in rows]
+    return [(ra, 0 if key((ra, rb)) in (mine, mirror) else rb)
+            for ra, rb in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_h_rows(),
+       st.sampled_from(["mirror missing", "b differs", "b = 0", "no span"]),
+       st.data())
+def test_near_symmetric_rows_take_the_sequential_path(rows, flaw, data):
+    rows = _flawed(rows, flaw, data)
+    assert not _is_paired(rows)
+    with mock.patch.object(dd, "paired_rays", side_effect=AssertionError):
+        got = _outcome(rows)
+    if flaw == "no span":
+        assert got is UnboundedBodyError
+    elif got is not UnboundedBodyError or flaw != "mirror missing":
+        assert got == _brute_force_vertices(*_distinct(rows))

@@ -378,9 +378,9 @@ def test_shells_reduce_the_dual_once(monkeypatch):
     real_lll = lattice_mod._lll_transform
     real_search = sub.enumerate_sublattices
 
-    def lll(gram, delta):
-        grams.append(gram)
-        return real_lll(gram, delta)
+    def lll(int_gram, delta):
+        grams.append(int_gram)
+        return real_lll(int_gram, delta)
 
     def search(lat, k, det_bound):
         shells.append(det_bound)
@@ -390,7 +390,7 @@ def test_shells_reduce_the_dual_once(monkeypatch):
     monkeypatch.setattr(sub, "enumerate_sublattices", search)
     assert sum(1 for _ in sub._shells(lat, 3, bound)) == 1560
     assert len(shells) == 4
-    assert grams.count(la.inverse(lat.gram())) == 1
+    assert grams.count(la.integer_form(la.inverse(lat.gram()))) == 1
 
 
 def _key_of(rows):
