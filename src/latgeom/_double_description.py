@@ -15,7 +15,8 @@ of ``_adjacent_pairs`` holds.
 Two drivers share that kernel: ``cone_rays`` adds the constraints one at a
 time to a simplicial cone, and ``paired_rays`` cuts a centrally symmetric
 body by both rows of a mirror pair at once. A driver that holds more than
-``budget`` rays raises CapabilityError.
+``RAY_BUDGET`` rays raises CapabilityError. ``vertex_rays`` is the entry for
+bodies {x : A x <= b}: it homogenizes them and picks the driver.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ import math
 import operator
 
 from . import _linalg as la
-from .errors import CapabilityError, UnboundedBodyError
+from .errors import CapabilityError, InvalidInputError, UnboundedBodyError
+
+# Rays the double description may hold at once; the largest cell known to
+# latgeom, E8's, peaks at 19,440 under the paired driver, its vertex count.
+RAY_BUDGET = 200_000
 
 
 def _primitive(ints):
@@ -118,16 +123,16 @@ def _crossings(rays, masks, tight, vals, negs, alive, nv):
                masks[p] & masks[n])
 
 
-def _over_budget(budget, step, m, n):
+def _over_budget(step, m, n):
     """CapabilityError when n rays, held after constraint ``step`` of m,
-    exceed the budget."""
-    if n > budget:
+    exceed ``RAY_BUDGET``."""
+    if n > RAY_BUDGET:
         raise CapabilityError(
-            f"double description exceeded the ray budget {budget} "
+            f"double description exceeded the ray budget {RAY_BUDGET} "
             f"at constraint {step} of {m}: {n} rays")
 
 
-def cone_rays(normals, budget):
+def cone_rays(normals):
     """Extreme rays of {x : n . x <= 0 for all n}, as primitive integer
     tuples: a simplicial cone on d independent normals, cut by the others
     one at a time. Normals that do not span raise UnboundedBodyError: the
@@ -176,7 +181,7 @@ def cone_rays(normals, budget):
         tight.append(zero | new)
         alive = alive & ~cut | new
         live = [i for i in live if rays[i]] + list(range(first, len(rays)))
-        _over_budget(budget, step, len(normals), len(live))
+        _over_budget(step, len(normals), len(live))
     return [rays[i] for i in live]
 
 
@@ -203,7 +208,7 @@ def mirror_pairs(normals, d):
     return basis + rest if basis and len(basis) == d else None
 
 
-def paired_rays(pairs, m, budget):
+def paired_rays(pairs, m):
     """The rays (r, t), t > 0, of the homogenization cone
     {(x, t) : a . x <= b t} of a centrally symmetric body, given by its
     ``mirror_pairs``; m is the row count of that cone, for the budget's
@@ -222,7 +227,7 @@ def paired_rays(pairs, m, budget):
     once per mirror pair.
     """
     d = len(pairs[0]) - 1
-    _over_budget(budget, 2 * d, m, 1 << d)
+    _over_budget(2 * d, m, 1 << d)
     inv = la.inverse([r[:-1] for r in pairs[:d]])
     cols, den = la.integer_form([[-row[i] * pairs[i][-1] for row in inv]
                                  for i in range(d)])
@@ -275,5 +280,30 @@ def paired_rays(pairs, m, budget):
         alive = alive & ~(cut | sum(1 << (i ^ 1) for i in beyond)) \
             | new | new << 1
         live = [i for i in live if rays[i]] + list(range(first, len(rays)))
-        _over_budget(budget, 2 * j + 2, m, len(live))
+        _over_budget(2 * j + 2, m, len(live))
     return [rays[i] for i in live]
+
+
+def vertex_rays(a_rows, b_vals):
+    """Vertices of {x : A x <= b} as the primitive integer rays (r, t) with
+    t > 0 of the DD on the homogenization {(x, t) : A x - b t <= 0,
+    -t <= 0}, in the order the DD leaves them; the vertex is r / t, and t is
+    the lcm of its denominators. A body given by mirror pairs of rows
+    (``mirror_pairs``) takes the paired driver, any other the sequential
+    one. Raises if unbounded or empty."""
+    d = len(a_rows[0]) if a_rows else 0
+    normals = [list(row) + [-b] for row, b in zip(a_rows, b_vals)]
+    normals.append([0] * d + [-1])
+    pairs = mirror_pairs(normals[:-1], d)
+    if pairs:
+        return paired_rays(pairs, len(normals))
+    rays = []
+    for ray in cone_rays(normals):
+        if ray[-1] > 0:
+            rays.append(ray)
+        elif ray[-1] == 0 and any(ray):
+            raise UnboundedBodyError("polytope is unbounded")
+    if not rays:
+        raise InvalidInputError("empty polytope")
+    # distinct primitive rays with t > 0 give distinct vertices
+    return rays

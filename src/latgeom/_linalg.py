@@ -51,6 +51,16 @@ def _rational(x) -> Fraction:
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _rational_rows(rows):
+    """The list of lists ``rows`` as tuples of ``_rational`` entries; rows
+    that are not a list or tuple of lists or tuples raise
+    InvalidInputError."""
+    if not isinstance(rows, (list, tuple)) or \
+            not all(isinstance(r, (list, tuple)) for r in rows):
+        raise InvalidInputError("a matrix is a list of rows, each a list")
+    return tuple(tuple(_rational(x) for x in r) for r in rows)
+
+
 def _rational_square(x):
     """(x^2 as a Fraction, whether x > 0) for a real x whose square is
     rational; every radius, scale and bound that only its square decides
@@ -199,6 +209,19 @@ def _det(m):
     """Determinant of the square int rows ``m``, which it overwrites."""
     r, swaps, p = _bareiss(m, len(m))
     return (-1) ** swaps * p if r == len(m) else 0
+
+
+def _sylvester(g):
+    """The rows of the symmetric int matrix ``g`` after forward
+    fraction-free elimination, with its leading minors D_1, ..., D_n on the
+    diagonal, or None when ``g`` is not positive definite (Sylvester: some
+    D_i <= 0; a zero one forces a row exchange, after which the diagonal
+    holds no minors)."""
+    e = [list(row) for row in g]
+    _, swaps, _ = _bareiss(e, len(e))
+    if swaps or any(e[i][i] <= 0 for i in range(len(e))):
+        return None
+    return tuple(map(tuple, e))
 
 
 def _round_div(a, b):
@@ -538,6 +561,14 @@ def _closed(x):
     """x as a ClosedForm, or None for an operand such as a sympy value."""
     return ClosedForm(x) if isinstance(x, (int, Fraction)) else \
         x if isinstance(x, ClosedForm) else None
+
+
+def kappa(n: int):
+    """Volume of the n-dimensional unit ball, exact: pi^m / m! for n = 2m,
+    and 2^n m! pi^m / n! for n = 2m + 1."""
+    m, f = n // 2, math.factorial
+    c = Fraction(2 ** n * f(m), f(n)) if n % 2 else Fraction(1, f(m))
+    return ClosedForm(c, 1, m)
 
 
 # The float of a closed form is sympy's, bit for bit, so no output depends

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _linalg as la
-from .enumeration import covering_density, kappa, packing_density
+from ._linalg import kappa
+from .enumeration import covering_density, packing_density
 from .errors import InvalidInputError, MissingConstantError, PolarUndefinedError
 from .lattice import catalog
 

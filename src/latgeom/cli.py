@@ -222,7 +222,7 @@ def cmd_project(args):
         _, w = sub.dk_min(lat, args.k, det_bound=args.det_bound)
     else:
         raise InvalidInputError("project requires --witness or --k")
-    proj = sub.project_along(lat, w)
+    proj = sub.project_along(w)
     g = proj.gram()
     # row i of the transposed Cholesky factor: basis vector i in floats
     try:

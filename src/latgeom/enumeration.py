@@ -15,20 +15,14 @@ import math
 from fractions import Fraction
 
 from . import _linalg as la
+from ._linalg import kappa
 from .errors import CapabilityError
 from .lattice import Lattice, _once, reduce as lll_reduce
+from .polytope import Polytope
 
 MAX_ENUM_RANK = 12
 MAX_VORONOI_RANK = 8
 POINT_BUDGET = 10**6
-
-
-def kappa(n: int):
-    """Volume of the n-dimensional unit ball, exact: pi^m / m! for n = 2m,
-    and 2^n m! pi^m / n! for n = 2m + 1."""
-    m, f = n // 2, math.factorial
-    c = Fraction(2 ** n * f(m), f(n)) if n % 2 else Fraction(1, f(m))
-    return la.ClosedForm(c, 1, m)
 
 
 def _check_rank(lat: Lattice, cap: int, what: str):
@@ -252,7 +246,6 @@ def _cell(lat: Lattice, rel):
     The halfspaces are added in ascending norm of v, ties in the order of
     the coeffs: the short vectors bound the cell most tightly, so the double
     description meets fewer rays that a later row cuts off."""
-    from .polytope import Polytope
     g, d = lat.int_gram
     rows, b = [], []
     products = [(la.dot(v, gv), gv) for v in rel for gv in [la.vec_mat(v, g)]]

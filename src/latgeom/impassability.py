@@ -38,9 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
+from ._linalg import kappa
 from .enumeration import (_covering_radius_bound, _enumerate_gram,
-                          _lambda1_sq, covering_radius, kappa,
-                          shortest_vectors)
+                          _lambda1_sq, covering_radius, shortest_vectors)
 # unused here; kept so that bench/tracer.py's REQUIRED_ALIASES resolve
 from .enumeration import vectors_within
 from .errors import (CapabilityError, CertificateValidationError,
@@ -194,7 +194,7 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
     for w in _shells(lat, k, det_bound):
-        proj = project_along(lat, w)
+        proj = project_along(w)
         if _covering_radius_bound(proj) > r_sq:
             cert = _certificate(w, r, proj, validate)
             if cert is not None:
@@ -225,7 +225,7 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None):
     gens, _ = automorphisms(lat)
     best_sq, tied = None, {}  # coeffs -> (witness, projection) at best mu^2
     for w in orbit_witnesses(lat, k, det_bound, gens):
-        proj = project_along(lat, w)
+        proj = project_along(w)
         if best_sq is not None and _covering_radius_bound(proj) < best_sq:
             continue
         mu_sq = covering_radius(proj)[0]
@@ -236,7 +236,7 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None):
     if best_sq is None:
         return float("-inf"), None
     w = _least_in_orbits([w for w, _ in tied.values()], gens)
-    proj = tied[w.coeffs][1] if w.coeffs in tied else project_along(lat, w)
+    proj = tied[w.coeffs][1] if w.coeffs in tied else project_along(w)
     clearance = math.sqrt(float(best_sq)) - r_f
     return clearance, _certificate(w, r, proj, validate=True)
 

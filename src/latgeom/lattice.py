@@ -52,7 +52,7 @@ class Lattice:
     @staticmethod
     def from_rows(rows: Sequence[Sequence], scale_sq=1,
                   name: str | None = None) -> "Lattice":
-        rows = [tuple(la._rational(x) for x in r) for r in rows]
+        rows = la._rational_rows(rows)
         if not rows:
             raise InvalidInputError("empty basis")
         n = len(rows[0])
@@ -61,7 +61,7 @@ class Lattice:
         scale_sq = la._rational(scale_sq)
         if scale_sq <= 0:
             raise InvalidLatticeError("the scale factor must be positive")
-        lat = Lattice(basis=tuple(rows), ambient_dim=n, scale_sq=scale_sq,
+        lat = Lattice(basis=rows, ambient_dim=n, scale_sq=scale_sq,
                       name=name)
         if lat._elimination is None:
             raise InvalidLatticeError("basis vectors are linearly dependent")
@@ -70,7 +70,7 @@ class Lattice:
     @staticmethod
     def from_gram(gram: Sequence[Sequence],
                   name: str | None = None) -> "Lattice":
-        g = tuple(tuple(la._rational(x) for x in r) for r in gram)
+        g = la._rational_rows(gram)
         if not g or any(len(r) != len(g) for r in g):
             raise InvalidInputError("Gram matrix must be square and nonempty")
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(i)):
@@ -119,13 +119,8 @@ class Lattice:
     def _elimination(self):
         """Rows a_i of ``G_int`` after forward fraction-free elimination,
         a_i[i] = D_{i+1} the leading minors (D_0 = 1), or None when the Gram
-        is not positive definite (Sylvester: some D_i <= 0; a zero one forces
-        a row exchange, after which the diagonal holds no minors)."""
-        e = [list(row) for row in self.int_gram[0]]
-        _, swaps, _ = la._bareiss(e, len(e))
-        if swaps or any(e[i][i] <= 0 for i in range(len(e))):
-            return None
-        return tuple(map(tuple, e))
+        is not positive definite: ``la._sylvester``."""
+        return la._sylvester(self.int_gram[0])
 
     @functools.cached_property
     def _det_sq(self):

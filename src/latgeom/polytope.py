@@ -20,33 +20,18 @@ from typing import Sequence
 
 from . import _double_description as dd
 from . import _linalg as la
-# _at_least, the kernel's column counter, is read here by the polytope tests
-from ._double_description import _at_least, _bits, _primitive_int  # noqa: F401
-from .enumeration import kappa
+from ._double_description import _bits, _primitive_int
+from ._linalg import kappa
 from .errors import (
     CapabilityError,
     DimensionMismatchError,
     InvalidInputError,
     PolarUndefinedError,
-    UnboundedBodyError,
 )
 
 
-# Rays the double description may hold at once; the largest cell known to
-# latgeom, E8's, peaks at 19,440 under the paired driver, its vertex count.
-RAY_BUDGET = 200_000
 # Coordinate ascent steps ``mvee`` may take to meet its tolerance.
 MVEE_ITERATIONS = 100_000
-
-
-# ---------------------------------------------------------------------------
-# Exact double description on the homogenization cone
-# ---------------------------------------------------------------------------
-
-def _cone_extreme_rays(normals):
-    """Extreme rays of {x : n . x <= 0 for all n}, as primitive integer
-    tuples, by the sequential double description, within ``RAY_BUDGET``."""
-    return dd.cone_rays(normals, RAY_BUDGET)
 
 
 def _tight_masks(pts, den, a_rows, b_vals):
@@ -73,51 +58,58 @@ def _maximal(masks, whole):
     return sorted(out)
 
 
-def _vertex_rays(a_rows, b_vals):
-    """Vertices of {x : A x <= b} as the primitive integer rays (r, t) with
-    t > 0 of the DD on the homogenization {(x, t) : A x - b t <= 0,
-    -t <= 0}, in the order the DD leaves them; the vertex is r / t, and t is
-    the lcm of its denominators. A body given by mirror pairs of rows
-    (``dd.mirror_pairs``) takes the paired driver, any other the sequential
-    one. Raises if unbounded or empty."""
-    d = len(a_rows[0]) if a_rows else 0
-    normals = [list(row) + [-b] for row, b in zip(a_rows, b_vals)]
-    normals.append([Fraction(0)] * d + [Fraction(-1)])
-    pairs = dd.mirror_pairs(normals[:-1], d)
-    if pairs:
-        return dd.paired_rays(pairs, len(normals), RAY_BUDGET)
-    rays = []
-    for ray in _cone_extreme_rays(normals):
-        if ray[-1] > 0:
-            rays.append(ray)
-        elif ray[-1] == 0 and any(ray):
-            raise UnboundedBodyError("polytope is unbounded")
-    if not rays:
-        raise InvalidInputError("empty polytope")
-    # distinct primitive rays with t > 0 give distinct vertices
-    return rays
-
-
 def _halfspaces_from_vertices(verts):
     """Minimal H-description of conv(verts), full-dimensional in its space.
 
     Works by polarity through the vertex centroid: the polar of a polytope
     with 0 interior swaps vertices and facet normals.
     """
-    d = len(verts[0])
-    if la.affine_rank(list(map(list, verts))) != d:
-        raise InvalidInputError("vertex set is not full-dimensional")
-    n = len(verts)
+    _full_dimensional(verts)
+    d, n = len(verts[0]), len(verts)
     c = [sum(v[j] for v in verts) / n for j in range(d)]
     shifted = [[x - cx for x, cx in zip(v, c)] for v in verts]
     # polar body {y : y . v <= 1 for all shifted vertices v}
     a_rows, b_vals = [], []
-    for *r, t in _vertex_rays(shifted, [Fraction(1)] * len(shifted)):
+    for *r, t in dd.vertex_rays(shifted, [Fraction(1)] * len(shifted)):
         # facet y . (x - c) <= 1 for the polar vertex y = r / t
         y = [Fraction(x, t) for x in r]
         a_rows.append(y)
         b_vals.append(Fraction(1) + la.dot(y, c))
     return a_rows, b_vals
+
+
+def _full_dimensional(verts):
+    """InvalidInputError unless the points ``verts`` span their space
+    affinely."""
+    if la.affine_rank([list(v) for v in verts]) != len(verts[0]):
+        raise InvalidInputError("vertex set is not full-dimensional")
+
+
+def _nonempty(rows, what):
+    """``rows`` read by ``la._rational_rows``; InvalidInputError, naming
+    ``what`` they describe, when there are none or the first is empty."""
+    rows = la._rational_rows(rows)
+    if not rows or not rows[0]:
+        raise InvalidInputError(f"empty {what}")
+    return rows
+
+
+def _read_metric(metric, d):
+    """``metric`` as the Gram of the coordinate basis of a d-dimensional
+    body, rows of Fractions, or None when there is none. A metric that is
+    not d x d raises DimensionMismatchError, and one that is not symmetric
+    positive definite InvalidInputError."""
+    if metric is None:
+        return None
+    m = la._rational_rows(metric)
+    if len(m) != d or any(len(r) != d for r in m):
+        raise DimensionMismatchError(f"the metric of a {d}-dimensional body "
+                                     f"must be {d} x {d}")
+    if any(m[i][j] != m[j][i] for i in range(d) for j in range(i)) or \
+            la._sylvester(la.integer_form(m)[0]) is None:
+        raise InvalidInputError("the metric must be symmetric positive "
+                                "definite")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +135,19 @@ class Polytope:
     @staticmethod
     def from_halfspaces(a_rows: Sequence[Sequence], b_vals: Sequence,
                         metric=None) -> "Polytope":
-        a = [[la._rational(x) for x in row] for row in a_rows]
+        a = list(_nonempty(a_rows, "H-description"))
         b = [la._rational(x) for x in b_vals]
         if any(len(r) != len(a[0]) for r in a) or len(b) != len(a):
             raise DimensionMismatchError("inconsistent H-description shapes")
-        m = tuple(tuple(map(la._rational, r)) for r in metric) if metric else None
-        return Polytope(_a=a, _b=b, metric=m)
+        return Polytope(_a=a, _b=b, metric=_read_metric(metric, len(a[0])))
 
     @staticmethod
     def from_vertices(verts: Sequence[Sequence], metric=None) -> "Polytope":
-        v = [tuple(la._rational(x) for x in p) for p in verts]
+        v = _nonempty(verts, "V-description")
         if any(len(p) != len(v[0]) for p in v):
             raise DimensionMismatchError("inconsistent vertex shapes")
-        m = tuple(tuple(map(la._rational, r)) for r in metric) if metric else None
-        return Polytope(_verts=list(dict.fromkeys(v)), metric=m)
+        return Polytope(_verts=list(dict.fromkeys(v)),
+                        metric=_read_metric(metric, len(v[0])))
 
     @property
     def dim(self) -> int:
@@ -179,7 +170,7 @@ class Polytope:
         """
         if self._form is None:
             if self._verts is None:
-                rays = _vertex_rays(self._a, self._b)
+                rays = dd.vertex_rays(self._a, self._b)
                 den = math.lcm(*(ray[-1] for ray in rays))
                 ints = [tuple(x * (den // t) for x in r) for *r, t in rays]
             else:
@@ -533,8 +524,10 @@ def _symmetric(points) -> bool:
 def is_zonotope(p: Polytope):
     """Zonotope test: the body and every 2-face centrally symmetric. Returns
     (flag, generators) where generators are the distinct primitive edge
-    directions scaled to full edge length, or (False, None)."""
+    directions scaled to full edge length, or (False, None). A body that is
+    not full-dimensional raises InvalidInputError."""
     verts = p.vertices()
+    _full_dimensional(verts)
     if not _symmetric(verts) or not all(
             _symmetric([verts[j] for j in _bits(f)]) for f in p._faces(2)):
         return False, None
@@ -625,11 +618,14 @@ def mvee(p: Polytope, tol=1e-8) -> Ellipsoid:
     the ascent runs on the coordinates themselves and the metric enters
     only the volume: {x : (x-c)^T shape (x-c) <= 1} is the MVEE in the
     polytope's metric as well. A ``tol`` that is not a positive finite
-    number raises InvalidInputError."""
+    number, or a body that is not full-dimensional, raises
+    InvalidInputError."""
     if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
         raise InvalidInputError(f"the tolerance {tol!r} must be a positive "
                                 "finite number")
-    pts = [[float(x) for x in v] for v in p.vertices()]
+    verts = p.vertices()
+    _full_dimensional(verts)
+    pts = [[float(x) for x in v] for v in verts]
     lifted, cols = [y + [1.0] for y in pts], list(zip(*pts))
     d, n = p.dim, len(pts)
     u = [1.0 / n] * n

@@ -92,12 +92,13 @@ def witness(lat: Lattice, rows) -> SublatticeWitness:
                              la._saturated(rows))
 
 
-def saturate(lat: Lattice, w: SublatticeWitness) -> SublatticeWitness:
-    """Saturated sublattice spanning the same subspace; the determinant of
-    the result divides the input determinant."""
+def saturate(w: SublatticeWitness) -> SublatticeWitness:
+    """Saturated sublattice of ``w.parent`` spanning the same subspace; the
+    determinant of the result divides the input determinant."""
     rows = la.saturation([list(r) for r in w.coeffs])
-    d2 = _sub_det_sq(lat, rows)
-    return SublatticeWitness(lat, tuple(tuple(r) for r in rows), d2, True)
+    d2 = _sub_det_sq(w.parent, rows)
+    return SublatticeWitness(w.parent, tuple(tuple(r) for r in rows), d2,
+                             True)
 
 
 # gamma_k^k for k = 1..8, Hermite's constants to the k-th power (Conway &
@@ -424,8 +425,8 @@ def dk_min(lat: Lattice, k: int, det_bound=None):
     return best.det_sq, best
 
 
-def project_along(lat: Lattice, w: SublatticeWitness):
-    """Projection of L onto the orthocomplement of lin(W).
+def project_along(w: SublatticeWitness):
+    """Projection of L = ``w.parent`` onto the orthocomplement of lin(W).
 
     Returns a rank (n-k) Lattice carrying the exact Gram of the projected
     basis (the Schur complement of the sublattice block in the re-based
@@ -433,12 +434,12 @@ def project_along(lat: Lattice, w: SublatticeWitness):
     basis is the image of rows k and up of ``w.completion()``.
     """
     if not w.saturated:
-        w = saturate(lat, w)
+        w = saturate(w)
     t = w.completion()
     k = w.k
     # re-base G_int = d G in ints; k fraction-free elimination steps leave
     # D_k (G22 - G21 G11^{-1} G12) in the trailing block, D_k = det G11
-    g, d = lat.int_gram
+    g, d = w.parent.int_gram
     gp = la.mat_mul(la.mat_mul(t, g), la.transpose(t))
     _, _, dk = la._bareiss(gp, k)
     schur = [[Fraction(x, dk * d) for x in row[k:]] for row in gp[k:]]

@@ -171,7 +171,7 @@ def test_criterion_06_sublattice_determinants():
             m = [[Fraction(x) for x in row] for row in combo]
             if la.rank(m) < k:
                 continue
-            w = saturate(lat, witness(lat, [list(r) for r in combo]))
+            w = saturate(witness(lat, [list(r) for r in combo]))
             if float(w.det_sq) <= bound * bound * (1 + 1e-12):
                 oracle.add(w.coeffs)
         assert got == oracle, (n, k)

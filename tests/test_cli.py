@@ -337,6 +337,17 @@ def test_indefinite_gram_exit_2(tmp_path, capsys, verb, gram):
     assert json.loads(err)["error"] == "InvalidLatticeError"
 
 
+@pytest.mark.parametrize("verb", ["lattice-info", "svp", "nonsep"])
+@pytest.mark.parametrize("obj", [{"gram": 5}, {"basis": 5}, {"basis": [5, 6]}],
+                         ids=json.dumps)
+def test_lattice_file_without_rows_exit_2(tmp_path, capsys, verb, obj):
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = _run(capsys, verb, "--basis", str(f), "--r", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidInputError"
+
+
 def test_zero_scale_exit_2(capsys):
     code, out, err = _run(capsys, "svp", "--catalog", "Z2", "--scale", "0")
     assert code == 2 and out == ""

@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import latgeom._double_description as dd
 import latgeom._linalg as la
 from latgeom import enumeration, polytope
 from latgeom.cli import run
@@ -320,9 +321,9 @@ def test_cached_invariants_are_not_aliased():
 
 def test_voronoi_cell_is_built_once(monkeypatch):
     calls = []
-    dd = polytope._vertex_rays
-    monkeypatch.setattr(polytope, "_vertex_rays",
-                        lambda a, b: calls.append(a) or dd(a, b))
+    real = dd.vertex_rays
+    monkeypatch.setattr(dd, "vertex_rays",
+                        lambda a, b: calls.append(a) or real(a, b))
     lat = catalog("D", 4)
     verts = voronoi_cell(lat).vertices()
     _, hole = covering_radius(lat)

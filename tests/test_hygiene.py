@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import latgeom
@@ -47,3 +50,89 @@ def test_an_unread_parameter_is_found():
                      "    @staticmethod\n    def s(y):\n        pass\n")
     assert sorted(_unread_parameters(tree)) == [(1, "f", "b"), (4, "m", "x"),
                                                 (7, "s", "y")]
+
+
+# Imported but not read, on purpose: ``__init__`` re-exports its imports, and
+# bench/tracer.py's REQUIRED_ALIASES checks that the tracer rebinds these two
+# aliases, so they must exist in the modules that import them.
+UNREAD_IMPORTS = {"__init__.py": None, "cli.py": {"lll_reduce"},
+                  "impassability.py": {"vectors_within"}}
+
+
+def _unread_imports(tree):
+    """(line, name) for each name an import binds that the module never
+    reads; ``from __future__`` imports are exempt."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        exempt = UNREAD_IMPORTS.get(path.name, set())
+        if exempt is None:
+            continue
+        bad = [(line, name)
+               for line, name in _unread_imports(ast.parse(path.read_text()))
+               if name not in exempt]
+        if bad:
+            found[path.name] = bad
+    assert found == {}
+
+
+def test_an_unread_import_is_found():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "import sys as system\nfrom . import a, b as c\n"
+                     "def f():\n    import json\n    return b, os, c\n")
+    assert sorted(_unread_imports(tree)) == [(3, "system"), (4, "a"),
+                                             (6, "json")]
+
+
+def _function_imports(tree):
+    """(line, function) for each import of a latgeom module inside a
+    function: a relative import, or one of ``latgeom`` by name."""
+    out = []
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(f):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else ["."]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n == "." or n.split(".")[0] == "latgeom" for n in names):
+                out.append((node.lineno, f.name))
+    return out
+
+
+def test_no_module_imports_latgeom_inside_a_function():
+    # a lazy import of sympy is fine; one of a latgeom module hides a cycle
+    found = {path.name: _function_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_a_function_import_is_found():
+    tree = ast.parse("def f():\n    import sympy\n    from . import a\n"
+                     "def g():\n    import latgeom.cli\n"
+                     "    from .lattice import b\n")
+    assert _function_imports(tree) == [(3, "f"), (5, "g"), (6, "g")]
+
+
+def test_polytope_does_not_load_enumeration():
+    code = ("import sys, latgeom.polytope; "
+            "print(sorted(m for m in sys.modules if m.startswith('latgeom')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "'latgeom.enumeration'" not in out, out

@@ -272,7 +272,7 @@ def _exhaustive(lat, r, k, det_bound):
     radius for every witness, checking the pruning bound on each."""
     best = first = None
     for w in enumerate_sublattices(lat, k, det_bound):
-        proj = project_along(lat, w)
+        proj = project_along(w)
         mu_sq, hole = covering_radius(proj)
         assert _covering_radius_bound(proj) >= mu_sq
         key = (-mu_sq, w.coeffs)
@@ -334,10 +334,10 @@ def test_transference_ends_a_search_no_direction_can_win(monkeypatch):
     # its first witness instead of projecting all 149,584 within the bound
     real, calls = project_along, []
 
-    def spy(lat, w):
+    def spy(w):
         calls.append(w)
         assert len(calls) <= 10, "the search ran past the transference bound"
-        return real(lat, w)
+        return real(w)
 
     monkeypatch.setattr("latgeom.impassability.project_along", spy)
     lat = catalog("Z", 4).scaled(Fraction(1, 4))

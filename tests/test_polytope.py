@@ -19,9 +19,7 @@ from latgeom.errors import (CapabilityError, DimensionMismatchError,
                             InvalidInputError, PolarUndefinedError,
                             UnboundedBodyError)
 from latgeom.lattice import catalog
-from latgeom.polytope import (Polytope, _at_least, _cone_extreme_rays,
-                              _float_inverse, _vertex_rays,
-                              cross_polytope, cube,
+from latgeom.polytope import (Polytope, _float_inverse, cross_polytope, cube,
                               equilateral_triangle, hanner, is_zonotope, mvee,
                               mvee_ratio, simplex, simplex_dv_cell,
                               volume_product)
@@ -78,6 +76,45 @@ def test_ragged_descriptions_rejected():
         Polytope.from_halfspaces([[1, 0], [1]], [1, 1])
     with pytest.raises(DimensionMismatchError):
         Polytope.from_vertices([(0, 0), (1,)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Polytope.from_halfspaces([], []),
+    lambda: Polytope.from_halfspaces([[]], [1]),
+    lambda: Polytope.from_vertices([]),
+    lambda: Polytope.from_vertices([[]]),
+    lambda: Polytope.from_halfspaces(5, [1]),
+], ids=["no-rows", "no-columns", "no-vertices", "no-coordinates", "not-rows"])
+def test_empty_descriptions_rejected(make):
+    with pytest.raises(InvalidInputError):
+        make()
+
+
+_SQUARE = ([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("metric,error", [
+    ([[1, 0]], DimensionMismatchError),
+    ([[1, 0], [0]], DimensionMismatchError),
+    ([[1, 0], [0, -1]], InvalidInputError),
+    ([[1, 2], [3, 4]], InvalidInputError),
+    ([[1, 1], [0, 1]], InvalidInputError),
+    ([[1, 0], [0, 0]], InvalidInputError),
+    ("x", InvalidInputError),
+])
+def test_metric_must_be_square_symmetric_positive_definite(metric, error):
+    with pytest.raises(error):
+        Polytope.from_halfspaces(*_SQUARE, metric=metric)
+    with pytest.raises(error):
+        Polytope.from_vertices([[0, 0], [1, 0], [0, 1]], metric=metric)
+
+
+def test_flat_body_has_no_zonotope_test_or_mvee():
+    seg = Polytope.from_halfspaces(_SQUARE[0], [0, 0, 1, 1])
+    with pytest.raises(InvalidInputError, match="full-dimensional"):
+        is_zonotope(seg)
+    with pytest.raises(InvalidInputError, match="full-dimensional"):
+        mvee(seg)
 
 
 def test_equality_needs_a_polytope_of_the_same_dimension():
@@ -565,7 +602,7 @@ def _bounded_h_polytope(draw):
 @given(_bounded_h_polytope())
 def test_double_description_matches_brute_force(hp):
     rows, b = hp
-    rays = _vertex_rays([[Fraction(x) for x in r] for r in rows],
+    rays = dd.vertex_rays([[Fraction(x) for x in r] for r in rows],
                         [Fraction(x) for x in b])
     verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]
     assert len(verts) == len(set(verts))
@@ -578,7 +615,7 @@ def test_cone_rays_are_feasible_distinct_and_extreme(hp):
     rows, b = hp
     normals = [[Fraction(x) for x in r] + [Fraction(-bv)]
                for r, bv in zip(rows, b)] + [[0] * len(rows[0]) + [-1]]
-    rays = _cone_extreme_rays(normals)
+    rays = dd.cone_rays(normals)
     d = len(normals[0])
     assert len(rays) == len(set(rays))
     for r in rays:
@@ -614,11 +651,11 @@ def test_triangulation_sums_to_coordinate_volume(name, n, count):
 def test_at_least_counts_columns(cols, t, universe):
     want = sum(1 << i for i in range(12) if universe >> i & 1
                and sum(c >> i & 1 for c in cols) >= t)
-    assert _at_least(cols, t, universe) == want
+    assert dd._at_least(cols, t, universe) == want
 
 
 def test_ray_budget_reports_progress(monkeypatch):
-    monkeypatch.setattr("latgeom.polytope.RAY_BUDGET", 10)
+    monkeypatch.setattr("latgeom._double_description.RAY_BUDGET", 10)
     with pytest.raises(CapabilityError) as err:
         voronoi_cell(catalog("D", 4)).vertices()
     # the D4 cell has 24 facets, so its cone has 25 constraints
@@ -631,7 +668,7 @@ def test_ray_budget_reports_progress(monkeypatch):
 def test_ray_budget_stops_a_paired_run_partway(monkeypatch):
     # E6's cell has 72 facets in 36 pairs; the paired run starts from the
     # parallelotope of 6 pairs, 2^6 = 64 vertices, and peaks at 168 rays
-    monkeypatch.setattr("latgeom.polytope.RAY_BUDGET", 100)
+    monkeypatch.setattr("latgeom._double_description.RAY_BUDGET", 100)
     with pytest.raises(CapabilityError) as err:
         voronoi_cell(catalog("E", 6)).vertices()
     step, total, rays = map(int, re.fullmatch(
@@ -684,9 +721,9 @@ def _distinct(rows):
 
 
 def _outcome(rows):
-    """The sorted vertices of ``_vertex_rays``, or the type of its error."""
+    """The sorted vertices of ``dd.vertex_rays``, or the type of its error."""
     try:
-        rays = _vertex_rays(*_split(rows))
+        rays = dd.vertex_rays(*_split(rows))
     except (UnboundedBodyError, InvalidInputError) as exc:
         return type(exc)
     verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]

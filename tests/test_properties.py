@@ -77,8 +77,8 @@ def test_projection_determinant_identity_1000():
             rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
             if la.rank([[Fraction(x) for x in r] for r in rows]) == k:
                 break
-        w = saturate(lat, witness(lat, rows))
-        proj = project_along(lat, w)
+        w = saturate(witness(lat, rows))
+        proj = project_along(w)
         assert proj.det_sq() * w.det_sq == lat.det_sq()
 
 

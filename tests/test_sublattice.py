@@ -28,7 +28,7 @@ def test_witness_det_and_saturation():
     assert w.saturated
     w2 = witness(lat, [[2, 0, 0]])
     assert not w2.saturated
-    assert saturate(lat, w2).det_sq == 1
+    assert saturate(w2).det_sq == 1
 
 
 def test_witness_reads_integral_numpy_and_float_entries():
@@ -156,21 +156,21 @@ def test_leaves_are_pruned_to_possible_minima(monkeypatch):
 def test_project_along_determinant_identity():
     lat = catalog("D", 4)
     for w in enumerate_sublattices(lat, 2, 3)[:5]:
-        proj = project_along(lat, w)
+        proj = project_along(w)
         assert proj.det_sq() * w.det_sq == lat.det_sq()
 
 
 def test_project_fcc_minimal_vector():
     fcc = catalog("D", 3).scaled(2)
     w = witness(fcc, [[0, 0, 1]])
-    proj = project_along(fcc, w)
+    proj = project_along(w)
     assert proj.gram() == [[Fraction(3), Fraction(1)], [Fraction(1), Fraction(3)]]
 
 
 def test_project_auto_saturates():
     lat = catalog("Z", 3)
     w = witness(lat, [[2, 0, 0]])
-    proj = project_along(lat, w)
+    proj = project_along(w)
     # projection of Z^3 along the x-axis is Z^2 regardless of the multiplier
     assert proj.det_sq() == 1
 
@@ -190,7 +190,7 @@ def test_project_embedding_matches_gram(capsys):
 def test_project_along_keeps_cached_invariants():
     lat = catalog("D", 4)
     _, w = dk_min(lat, 1)
-    proj = project_along(lat, w)
+    proj = project_along(w)
     # the squared determinant is read off the cached elimination
     assert {"_gram", "int_gram", "_elimination"} <= set(vars(proj))
 
@@ -292,7 +292,7 @@ def test_project_along_matches_fraction_schur_complement(inputs, scale):
     lat, k, det_bound = inputs
     lat = lat.scaled(scale ** 2)
     for w in enumerate_sublattices(lat, k, det_bound * scale ** k)[:4]:
-        proj = project_along(lat, w)
+        proj = project_along(w)
         t = la.complete_to_unimodular([list(r) for r in w.coeffs])
         assert proj.gram() == _fraction_schur(lat, t, k)
 

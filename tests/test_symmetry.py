@@ -154,7 +154,7 @@ def _per_witness(lat, r, k):
     mu^2."""
     best = None
     for w in enumerate_sublattices(lat, k, _default_det_bound(lat, k)):
-        proj = project_along(lat, w)
+        proj = project_along(w)
         mu_sq = covering_radius(proj)[0]
         assert _covering_radius_bound(proj) >= mu_sq
         key = (-mu_sq, w.coeffs)
@@ -211,11 +211,11 @@ def _per_class(lat, r, k):
     best = None
     for c in _orbit_classes(lat, ws, automorphisms(lat)[0]):
         least, *others = sorted(c)
-        proj = project_along(lat, by_coeffs[least])
+        proj = project_along(by_coeffs[least])
         mu_sq = covering_radius(proj)[0]
         assert _covering_radius_bound(proj) >= mu_sq
         for other in others[:1]:
-            assert covering_radius(project_along(lat, by_coeffs[other]))[0] \
+            assert covering_radius(project_along(by_coeffs[other]))[0] \
                 == mu_sq
         key = (-mu_sq, least)
         if best is None or key < best[0]:
@@ -242,7 +242,7 @@ def test_tie_goes_to_an_orbit_member_the_search_does_not_reach():
     lat = catalog("A", 3)
     reached = orbit_witnesses(lat, 2, _default_det_bound(lat, 2),
                               automorphisms(lat)[0])
-    mu_sq = [covering_radius(project_along(lat, w))[0] for w in reached]
+    mu_sq = [covering_radius(project_along(w))[0] for w in reached]
     first = reached[mu_sq.index(max(mu_sq))]
     got = max_clearance(lat, Fraction(1, 2), 2)
     assert first.coeffs == ((1, 0, 0), (0, 1, 0))
