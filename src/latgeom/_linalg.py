@@ -51,14 +51,20 @@ def _rational(x) -> Fraction:
     raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _rational_rows(rows):
-    """The list of lists ``rows`` as tuples of ``_rational`` entries; rows
-    that are not a list or tuple of lists or tuples raise
-    InvalidInputError."""
+def _list_of_rows(rows, what="a matrix"):
+    """``rows`` itself when it is a list or tuple of lists or tuples, the
+    shape of every matrix read from outside; otherwise InvalidInputError,
+    naming ``what`` the rows describe."""
     if not isinstance(rows, (list, tuple)) or \
             not all(isinstance(r, (list, tuple)) for r in rows):
-        raise InvalidInputError("a matrix is a list of rows, each a list")
-    return tuple(tuple(_rational(x) for x in r) for r in rows)
+        raise InvalidInputError(f"{what} is a list of rows, each a list")
+    return rows
+
+
+def _rational_rows(rows):
+    """The list of lists ``rows`` as tuples of ``_rational`` entries; rows
+    of another shape raise InvalidInputError (``_list_of_rows``)."""
+    return tuple(tuple(_rational(x) for x in r) for r in _list_of_rows(rows))
 
 
 def _rational_square(x):

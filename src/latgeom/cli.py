@@ -22,6 +22,7 @@ from . import enumeration as enu
 from . import impassability as imp
 from . import polytope as pt
 from . import sublattice as sub
+from . import symmetry as sym
 from .errors import CapabilityError, InvalidInputError, LatgeomError
 from .lattice import Lattice, catalog
 # unused here; kept so that bench/tracer.py's REQUIRED_ALIASES resolve
@@ -183,13 +184,11 @@ def cmd_dk(args):
 def cmd_voronoi(args):
     lat = load_lattice(args)
     rel = enu.relevant_vectors(lat)
-    cell = enu.voronoi_cell(lat)
-    a, _ = cell.halfspaces()
     return {
         "relevant_vectors_up_to_sign": [list(v) for v in rel],
-        "facets": len(a),
-        "vertices": len(cell.integer_vertices()[0]),
-        "volume": _num(cell.volume()),
+        "facets": 2 * len(rel),
+        "vertices": len(enu.voronoi_cell(lat).integer_vertices()[0]),
+        "volume": _num(sym.cell_volume(lat)),
     }
 
 

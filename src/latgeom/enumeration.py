@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import _linalg as la
@@ -67,20 +68,35 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
                  bound_sq, False)
 
 
+def _search_constants(lat: Lattice):
+    """(w, L, tails) for the search of ``_scan``, once per lattice value:
+    the weights w_i = L / (D_i D_{i+1}), their lcm L = lcm(D_i D_{i+1}), and
+    the tail a_i[i+1:] of each row of lat's elimination."""
+    def compute():
+        e = lat._elimination
+        minors = [1] + [e[i][i] for i in range(len(e))]
+        pairs = [a * b for a, b in zip(minors, minors[1:])]
+        scale = math.lcm(*pairs)
+        return (tuple(scale // p for p in pairs), scale,
+                tuple(row[i + 1:] for i, row in enumerate(e)))
+    return _once(lat, "search_constants", compute)
+
+
 def _scan(lat: Lattice, ct, c, bound_sq, nearest):
     """The search of ``_enumerate_gram`` around the center ct / c, for ints
-    ct and c > 0; with ``nearest`` the bound drops to the best distance
-    found so far, a branch that cannot reach it is cut, and only the points
-    at the final best distance are kept."""
+    ct and c > 0.
+
+    With ``nearest`` the bound drops to the best distance found so far and
+    only the points at the final best distance are kept (Schnorr & Euchner):
+    each x_i runs from the rounded center outward, up and then down, and a
+    direction stops at its first point over the bound, as |a_i . z| only
+    grows away from the center. The ties are then sorted back into the
+    order of the full listing, last coordinate first."""
     e = lat._elimination
-    m = len(e)
-    _, d = lat.int_gram
-    minors = [1] + [e[i][i] for i in range(m)]
-    pairs = [a * b for a, b in zip(minors, minors[1:])]
-    scale = math.lcm(*pairs)
-    w = [scale // p for p in pairs]
-    den = d * c * c * scale
+    w, scale, tails = _search_constants(lat)
+    den = lat.int_gram[1] * c * c * scale
     limit = math.floor(Fraction(bound_sq) * den)
+    m = len(e)
     x = [0] * m
     z = [0] * m
     results = []
@@ -93,28 +109,36 @@ def _scan(lat: Lattice, ct, c, bound_sq, nearest):
                 results.clear()
             results.append((tuple(x), used, den))
             return
-        a, wi, cti = e[i], w[i], ct[i]
-        s = sum(a[j] * z[j] for j in range(i + 1, m))
+        wi, cti = w[i], ct[i]
+        s = sum(map(operator.mul, tails[i], z[i + 1:]))
         t = math.isqrt((limit - used) // wi)
-        # |D_{i+1} (c x_i - ct_i) + s| <= t
-        p, base = a[i] * c, a[i] * cti - s
+        # |D_{i+1} (c x_i - ct_i) + s| <= t, with v = p x_i - base
+        p, base = e[i][i] * c, e[i][i] * cti - s
         lo, hi = -((t - base) // p), (base + t) // p
         if i == 0 and len(results) + hi - lo >= POINT_BUDGET:
             raise CapabilityError(
                 f"enumeration exceeded the point budget {POINT_BUDGET} "
                 f"({len(results)} points collected)")
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            z[i] = zi = c * xi - cti
-            v = a[i] * zi + s
-            q = used + v * v * wi
-            if q <= limit:
-                rec(i - 1, q)
-            elif v > 0:  # v grows with x_i: the rest of the range is out
-                break
+        if nearest:
+            mid = la._round_div(base, p)
+            runs = (range(mid, hi + 1), range(mid - 1, lo - 1, -1))
+        else:
+            runs = (range(lo, hi + 1),)
+        for run in runs:
+            for xi in run:
+                x[i] = xi
+                z[i] = c * xi - cti
+                v = p * xi - base
+                q = used + v * v * wi
+                if q <= limit:
+                    rec(i - 1, q)
+                elif nearest or v > 0:  # the rest of the run is out
+                    break
 
     if limit >= 0:
         rec(m - 1, 0)
+    if nearest:
+        results.sort(key=lambda r: r[0][::-1])
     return results
 
 
@@ -126,9 +150,10 @@ def _nearest(red: Lattice, tt, c):
     Babai's rounding of the target, in ints, is a lattice point, so its
     squared distance, formed in ints against G_int over d c^2, is the first
     bound of the search. The bound then drops to the best distance found so
-    far (Schnorr & Euchner), so a branch that cannot reach it is cut; a
-    point at that distance is a tie and is kept, so the ties come in the
-    order of the full ``_enumerate_gram`` listing.
+    far (Schnorr & Euchner), visiting each coordinate from the center
+    outward, so a branch that cannot reach it is cut; a point at that
+    distance is a tie and is kept, and the ties come sorted into the order
+    of the full ``_enumerate_gram`` listing.
     """
     g, d = red.int_gram
     dz = [la._round_div(x, c) * c - x for x in tt]
@@ -245,7 +270,9 @@ def _cell(lat: Lattice, rel):
 
     The halfspaces are added in ascending norm of v, ties in the order of
     the coeffs: the short vectors bound the cell most tightly, so the double
-    description meets fewer rays that a later row cuts off."""
+    description meets fewer rays that a later row cuts off. The metric is
+    lat's Gram, which its elimination has already proved positive definite,
+    so it is passed on without a second check."""
     g, d = lat.int_gram
     rows, b = [], []
     products = [(la.dot(v, gv), gv) for v in rel for gv in [la.vec_mat(v, g)]]
@@ -254,7 +281,7 @@ def _cell(lat: Lattice, rel):
         for s in (1, -1):
             rows.append([Fraction(s * x, d) for x in gv])
             b.append(half)
-    return Polytope.from_halfspaces(rows, b, metric=lat.gram())
+    return Polytope(_a=rows, _b=b, metric=lat._gram)
 
 
 def covering_radius(lat: Lattice):

@@ -146,8 +146,15 @@ class Polytope:
         v = _nonempty(verts, "V-description")
         if any(len(p) != len(v[0]) for p in v):
             raise DimensionMismatchError("inconsistent vertex shapes")
-        return Polytope(_verts=list(dict.fromkeys(v)),
-                        metric=_read_metric(metric, len(v[0])))
+        return Polytope._hull(v, _read_metric(metric, len(v[0])))
+
+    @staticmethod
+    def _hull(points, metric) -> "Polytope":
+        """conv(points) for rows of Fractions, carrying a ``metric`` that
+        ``_read_metric`` has already checked, as a body made from another
+        body has; duplicate points are dropped."""
+        return Polytope(_verts=list(dict.fromkeys(map(tuple, points))),
+                        metric=metric)
 
     @property
     def dim(self) -> int:
@@ -267,11 +274,12 @@ class Polytope:
         verts = self.vertices()
         return [tuple(verts[i] for i in s) for s in self._pulling()]
 
-    def _pulling(self):
-        """The pulling triangulation, as tuples of indices into the sorted
+    def _pulling(self, face=None):
+        """The pulling triangulation of a face, given as a vertex mask (the
+        whole body by default), as tuples of indices into the sorted
         vertices: each face is coned from its lowest vertex over the
         triangulations of its facets that do not contain that vertex. The
-        simplices have disjoint interiors and exactly tile the polytope.
+        simplices have disjoint interiors and exactly tile the face.
         """
         def pull(face):
             if face & (face - 1) == 0:
@@ -283,7 +291,9 @@ class Polytope:
                     for s in pull(g):
                         yield (apex,) + s
 
-        return list(pull((1 << len(self.integer_vertices()[0])) - 1))
+        if face is None:
+            face = (1 << len(self.integer_vertices()[0])) - 1
+        return list(pull(face))
 
     def volume(self):
         """Metric volume, exact (a ClosedForm)."""
@@ -298,29 +308,29 @@ class Polytope:
             raise PolarUndefinedError("polar requires 0 in the interior")
         g = self._metric()
         rows = [la.vec_mat(list(v), g) for v in self.vertices()]
-        return Polytope.from_halfspaces(rows, [Fraction(1)] * len(rows),
-                                        metric=self.metric)
+        return Polytope(_a=rows, _b=[Fraction(1)] * len(rows),
+                        metric=self.metric)
 
     def minkowski_sum(self, other: "Polytope") -> "Polytope":
         if self.dim != other.dim:
             raise DimensionMismatchError("Minkowski sum needs equal dimensions")
         pts = [[x + y for x, y in zip(u, v)]
                for u in self.vertices() for v in other.vertices()]
-        return Polytope.from_vertices(pts, metric=self.metric)
+        return Polytope._hull(pts, self.metric)
 
     def negated(self) -> "Polytope":
-        return Polytope.from_vertices([[-x for x in v] for v in self.vertices()],
-                                      metric=self.metric)
+        return Polytope._hull([[-x for x in v] for v in self.vertices()],
+                              self.metric)
 
     def scaled(self, c) -> "Polytope":
         c = la._rational(c)
-        return Polytope.from_vertices([[c * x for x in v] for v in self.vertices()],
-                                      metric=self.metric)
+        return Polytope._hull([[c * x for x in v] for v in self.vertices()],
+                              self.metric)
 
     def translated(self, t) -> "Polytope":
         t = [la._rational(x) for x in t]
-        return Polytope.from_vertices([[x + dx for x, dx in zip(v, t)]
-                                       for v in self.vertices()], metric=self.metric)
+        return Polytope._hull([[x + dx for x, dx in zip(v, t)]
+                               for v in self.vertices()], self.metric)
 
     def difference_body(self) -> "Polytope":
         """(K - K) / 2: the central symmetrization."""

@@ -77,10 +77,7 @@ def witness(lat: Lattice, rows) -> SublatticeWitness:
     ``rows`` must be a list of rows, each of length lat.rank, with integer
     entries, and their number k must satisfy 1 <= k <= rank - 1; each check
     raises InvalidInputError, in that order."""
-    if not isinstance(rows, (list, tuple)) or \
-            not all(isinstance(r, (list, tuple)) for r in rows):
-        raise InvalidInputError("a witness is a list of coefficient rows")
-    if any(len(r) != lat.rank for r in rows):
+    if any(len(r) != lat.rank for r in la._list_of_rows(rows, "a witness")):
         raise InvalidInputError(f"witness rows need {lat.rank} entries, one "
                                 "per basis vector")
     rows = [[_integral(x) for x in r] for r in rows]

@@ -15,14 +15,24 @@ integers against G_int:
   outside the orbit together with its orbit under the generators so far.
 
 The order of the group is the product of the orbit sizes along the chain.
+
+The group also gives the volume of the Voronoi cell from one pyramid per
+orbit of facets (``cell_volume``).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import _linalg as la
-from .enumeration import _enumerate_gram, _reduced, _reduced_inverse
+from .enumeration import (
+    _enumerate_gram,
+    _reduced,
+    _reduced_inverse,
+    relevant_vectors,
+    voronoi_cell,
+)
 from .lattice import Lattice, _once
 
 
@@ -111,3 +121,43 @@ def _automorphisms(lat: Lattice):
             raise RuntimeError(f"automorphism {m} does not preserve the Gram")
         out.append(m)
     return tuple(out), order
+
+
+def cell_volume(lat: Lattice):
+    """The volume of ``voronoi_cell(lat)``, exact (a ClosedForm), computed
+    once per lattice value from one pyramid per orbit of facets.
+
+    The cell is the union of the pyramids from 0 over its facets; the facet
+    F_v of a relevant vector v lies on <x, v> = <v, v> / 2. An automorphism
+    A maps x to xA and F_v onto F_{vA}, and |det A| = 1, so the facets of
+    one orbit give pyramids of one coordinate volume: the sum takes one
+    facet per orbit, the least v, times the orbit size. With the group +-1
+    the orbits are the +- pairs. On the cell's vertices W / D, the pyramid
+    over F_v is the sum of |det W[s]| / (n! D^n) over the simplices s of
+    the facet's pulling triangulation.
+    """
+    return _once(lat, "cell_volume", lambda: _cell_volume(lat))
+
+
+def _cell_volume(lat: Lattice):
+    cell = voronoi_cell(lat)
+    ints, den = cell.integer_vertices()
+    g, _ = lat.int_gram
+    gens, _ = automorphisms(lat)
+    todo = {s for v in relevant_vectors(lat)
+            for s in (v, tuple(-x for x in v))}
+    total = 0
+    while todo:
+        v = min(todo)
+        orbit = _orbit(v, gens)
+        todo -= orbit
+        gv = la.vec_mat(v, g)
+        q = la.dot(v, gv)
+        # W[j] / D lies on F_v when 2 W[j] G_int v^T = D v G_int v^T
+        face = sum(1 << j for j, w in enumerate(ints)
+                   if 2 * la.dot(w, gv) == den * q)
+        total += len(orbit) * sum(abs(la.det_int([ints[k] for k in s]))
+                                  for s in cell._pulling(face))
+    n = lat.rank
+    return la._sqrt_rational(lat.det_sq()) \
+        * Fraction(total, math.factorial(n) * den ** n)

@@ -506,3 +506,72 @@ def test_e8_cell_has_the_deep_and_shallow_holes():
     assert len(ints) == 19440
     assert norms == {Fraction(1): 2160, Fraction(8, 9): 17280}
     assert covering_radius(lat)[0] == 1
+
+
+@st.composite
+def _reduced_lattice_and_target(draw):
+    """An LLL-reduced lattice of rank 2 to 6, from an integer basis with
+    diagonal 1..3 and off-diagonal entries in {-1, 0, 1}, and a target
+    tt / c in its coordinates over c = 1..4; c = 2 gives the half-integer
+    targets of the coset scan, where the nearest points tie."""
+    n = draw(st.integers(2, 6))
+    rows = [[draw(st.integers(1, 3)) if i == j else draw(st.integers(-1, 1))
+             for j in range(n)] for i in range(n)]
+    assume(la.det(rows) != 0)
+    red, _ = enumeration._reduced(Lattice.from_rows(rows))
+    c = draw(st.integers(1, 4))
+    tt = [draw(st.integers(-3 * c, 3 * c)) for _ in range(n)]
+    return red, tt, c
+
+
+@settings(max_examples=80, deadline=None)
+@given(_reduced_lattice_and_target())
+@example((enumeration._reduced(catalog("D", 5))[0], [1, 1, 1, 1, 1], 2))
+@example((enumeration._reduced(catalog("Z", 6))[0], [1, -1, 1, 3, 1, 1], 2))
+def test_nearest_is_the_least_of_the_full_listing_in_its_order(inputs):
+    red, tt, c = inputs
+    t = [Fraction(x, c) for x in tt]
+    # Babai's rounding of the target is a lattice point, so the nearest
+    # points all lie within its distance
+    babai = red.norm_sq([round(x) - x for x in t])
+    full = [(x, Fraction(q, den))
+            for x, q, den in _enumerate_gram(red, t, babai)]
+    best = min(q for _, q in full)
+    ties, q, den = enumeration._nearest(red, tt, c)
+    assert Fraction(q, den) == best
+    assert ties == [x for x, p in full if p == best]
+
+
+def test_nearest_keeps_the_point_budget(monkeypatch):
+    # the 2^6 corners of the unit cube tie for the center of Z^6
+    red, _ = enumeration._reduced(catalog("Z", 6))
+    assert len(enumeration._nearest(red, [1] * 6, 2)[0]) == 64
+    monkeypatch.setattr(enumeration, "POINT_BUDGET", 40)
+    with pytest.raises(CapabilityError, match="point budget 40"):
+        enumeration._nearest(red, [1] * 6, 2)
+
+
+def test_the_coset_scan_builds_its_search_constants_once(monkeypatch):
+    built, once = [], enumeration._once
+    monkeypatch.setattr(enumeration, "_once", lambda lat, key, compute: once(
+        lat, key, lambda: built.append(key) or compute()))
+    # 2^5 - 1 nearest searches on the one reduced basis of D5
+    assert len(relevant_vectors(catalog("D", 5))) == 20
+    assert built.count("search_constants") == 1
+
+
+def test_a_cell_takes_its_lattice_metric_unchecked(monkeypatch):
+    # the lattice's elimination proved its Gram positive definite, and a
+    # body made from a checked body keeps its metric: no Sylvester test
+    lat = catalog("D", 4)
+    relevant_vectors(lat)
+    calls = []
+    monkeypatch.setattr(la, "_sylvester", lambda g: calls.append(g))
+    cell = voronoi_cell(lat)
+    assert len(cell.integer_vertices()[0]) == 24
+    assert cell.metric == tuple(map(tuple, lat.gram()))
+    for body in (cell.polar(), cell.scaled(2), cell.translated([1, 0, 0, 0]),
+                 cell.negated(), cell.minkowski_sum(cell)):
+        assert body.metric is cell.metric
+    assert cell.minkowski_sum(cell) == cell.scaled(2)
+    assert calls == []

@@ -136,3 +136,58 @@ def test_polytope_does_not_load_enumeration():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert "'latgeom.enumeration'" not in out, out
+
+
+def _relative_imports(tree):
+    """The latgeom modules a module imports relatively: ``from .x import y``
+    names x, and ``from . import x`` names x."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out |= {a.name for a in node.names}
+    return out
+
+
+def _cycle(graph):
+    """One cycle of the directed graph {node: successors}, as a list of
+    nodes that starts and ends at the same one, or None."""
+    state, path = {}, []
+
+    def visit(u):
+        state[u] = "open"
+        path.append(u)
+        for v in sorted(graph.get(u, ())):
+            if state.get(v) == "open":
+                return path[path.index(v):] + [v]
+            if v not in state:
+                found = visit(v)
+                if found:
+                    return found
+        state[u] = "done"
+        path.pop()
+        return None
+
+    for u in sorted(graph):
+        if u not in state:
+            found = visit(u)
+            if found:
+                return found
+    return None
+
+
+def test_latgeom_imports_have_no_cycle():
+    graph = {path.stem: _relative_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert graph["symmetry"] >= {"enumeration"}
+    assert _cycle(graph) is None
+
+
+def test_an_import_cycle_is_found():
+    tree = ast.parse("from . import b\nfrom .c.d import e\n")
+    assert _relative_imports(tree) == {"b", "c"}
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == [
+        "a", "b", "c", "a"]
+    assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 import latgeom._linalg as la
 from latgeom.enumeration import _reduced, _reduced_inverse, closest_vectors
 from latgeom.enumeration import _covering_radius_bound, covering_radius
+from latgeom.enumeration import voronoi_cell
 from latgeom.impassability import (_certificate, _default_det_bound,
                                    max_clearance)
 from latgeom.lattice import Lattice, catalog
 from latgeom.sublattice import (_candidate_representatives, _least_in_orbits,
                                 enumerate_sublattices, orbit_witnesses,
                                 project_along)
-from latgeom.symmetry import automorphisms
+from latgeom.symmetry import automorphisms, cell_volume
 
 ORDERS = [("Z", n, 2 ** n * math.factorial(n)) for n in range(2, 7)] + [
     ("D", 3, 48), ("A", 4, 240), ("D", 4, 1152), ("D", 5, 3840),
@@ -337,3 +338,46 @@ def test_every_search_path_emits_hnf_coeffs(name, n, k):
     assert ws
     for w in ws:
         assert [list(r) for r in w.coeffs] == la.hnf_basis(w.coeffs)
+
+
+CELLS = ([("Z", n) for n in (3, 4, 5)] + [("A", n) for n in (2, 3, 4, 5)]
+         + [("Astar", 3), ("Astar", 4)] + [("D", n) for n in (3, 4, 5, 6)]
+         + [("E", 6)])
+
+
+@pytest.mark.parametrize("name,n", CELLS, ids=lambda v: str(v))
+def test_cell_volume_is_the_triangulated_volume(name, n):
+    lat = catalog(name, n)
+    assert cell_volume(lat) == voronoi_cell(lat).volume() == lat.determinant()
+
+
+@st.composite
+def _asymmetric_lattice(draw):
+    """A lattice of rank 3 or 4, from an integer basis with diagonal 2..5
+    and off-diagonal entries in -2..2, whose automorphisms are +-1 only."""
+    n = draw(st.integers(3, 4))
+    rows = [[draw(st.integers(2, 5)) if i == j else draw(st.integers(-2, 2))
+             for j in range(n)] for i in range(n)]
+    assume(la.det(rows) != 0)
+    lat = Lattice.from_rows(rows)
+    assume(automorphisms(lat)[1] == 2)
+    return lat
+
+
+@settings(max_examples=20, deadline=None)
+@given(_asymmetric_lattice())
+def test_cell_volume_from_the_pm_pairs_alone(lat):
+    # the orbits are the +- pairs, so half the facets carry the sum
+    assert cell_volume(lat) == voronoi_cell(lat).volume() == lat.determinant()
+
+
+def test_e7_cell_volume_from_one_facet(monkeypatch):
+    # E7's 126 facets form one orbit: the 280 simplices of one facet's
+    # pulling triangulation replace the 22,360 of the whole cell
+    lat = Lattice.from_gram(catalog("E", 7).gram())
+    calls, det_int = [], la.det_int
+    monkeypatch.setattr(la, "det_int", lambda a: calls.append(a) or det_int(a))
+    vol = cell_volume(lat)
+    assert vol ** 2 == 2
+    assert len(calls) == 280
+    assert cell_volume(lat) is vol and len(calls) == 280
