@@ -69,15 +69,16 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
 
 
 def _search_constants(lat: Lattice):
-    """(w, L, tails) for the search of ``_scan``, once per lattice value:
-    the weights w_i = L / (D_i D_{i+1}), their lcm L = lcm(D_i D_{i+1}), and
-    the tail a_i[i+1:] of each row of lat's elimination."""
+    """(w, L, diag, tails) for the search of ``_scan``, once per lattice
+    value: the weights w_i = L / (D_i D_{i+1}), their lcm
+    L = lcm(D_i D_{i+1}), the pivots D_{i+1} and the tail a_i[i+1:] of each
+    row of lat's elimination."""
     def compute():
         e = lat._elimination
         minors = [1] + [e[i][i] for i in range(len(e))]
         pairs = [a * b for a, b in zip(minors, minors[1:])]
         scale = math.lcm(*pairs)
-        return (tuple(scale // p for p in pairs), scale,
+        return (tuple(scale // p for p in pairs), scale, tuple(minors[1:]),
                 tuple(row[i + 1:] for i, row in enumerate(e)))
     return _once(lat, "search_constants", compute)
 
@@ -92,11 +93,10 @@ def _scan(lat: Lattice, ct, c, bound_sq, nearest):
     direction stops at its first point over the bound, as |a_i . z| only
     grows away from the center. The ties are then sorted back into the
     order of the full listing, last coordinate first."""
-    e = lat._elimination
-    w, scale, tails = _search_constants(lat)
+    w, scale, diag, tails = _search_constants(lat)
     den = lat.int_gram[1] * c * c * scale
     limit = math.floor(Fraction(bound_sq) * den)
-    m = len(e)
+    m = len(diag)
     x = [0] * m
     z = [0] * m
     results = []
@@ -113,7 +113,7 @@ def _scan(lat: Lattice, ct, c, bound_sq, nearest):
         s = sum(map(operator.mul, tails[i], z[i + 1:]))
         t = math.isqrt((limit - used) // wi)
         # |D_{i+1} (c x_i - ct_i) + s| <= t, with v = p x_i - base
-        p, base = e[i][i] * c, e[i][i] * cti - s
+        p, base = diag[i] * c, diag[i] * cti - s
         lo, hi = -((t - base) // p), (base + t) // p
         if i == 0 and len(results) + hi - lo >= POINT_BUDGET:
             raise CapabilityError(

@@ -33,6 +33,7 @@ from .enumeration import (
     relevant_vectors,
     voronoi_cell,
 )
+from .errors import CapabilityError
 from .lattice import Lattice, _once
 
 
@@ -132,7 +133,10 @@ def cell_volume(lat: Lattice):
     A maps x to xA and F_v onto F_{vA}, and |det A| = 1, so the facets of
     one orbit give pyramids of one coordinate volume: the sum takes one
     facet per orbit, the least v, times the orbit size. With the group +-1
-    the orbits are the +- pairs. On the cell's vertices W / D, the pyramid
+    the orbits are the +- pairs. The sum holds for any subgroup of Aut(L),
+    so a lattice whose group search is over the point budget (successive
+    minima far apart) takes the subgroup +-1. On the cell's vertices W / D,
+    the pyramid
     over F_v is the sum of |det W[s]| / (n! D^n) over the simplices s of
     the facet's pulling triangulation.
     """
@@ -143,7 +147,11 @@ def _cell_volume(lat: Lattice):
     cell = voronoi_cell(lat)
     ints, den = cell.integer_vertices()
     g, _ = lat.int_gram
-    gens, _ = automorphisms(lat)
+    try:
+        gens, _ = automorphisms(lat)
+    except CapabilityError:
+        gens = (tuple(tuple(-int(i == j) for j in range(lat.rank))
+                      for i in range(lat.rank)),)
     todo = {s for v in relevant_vectors(lat)
             for s in (v, tuple(-x for x in v))}
     total = 0

@@ -256,6 +256,17 @@ def test_missing_or_unknown_input_exit_2(capsys, argv):
     assert json.loads(err)["error"] == "InvalidInputError"
 
 
+def test_voronoi_of_a_box_with_minima_far_apart(tmp_path, capsys):
+    # the automorphism search is over its point budget on this basis, and
+    # the volume still comes out
+    f = tmp_path / "lat.json"
+    f.write_text(Lattice.from_rows([[1, 0, 0], [0, 1, 0],
+                                    [0, 0, 1000]]).to_json())
+    d = _json(capsys, "voronoi", "--basis", str(f))
+    assert (d["facets"], d["vertices"]) == (6, 8)
+    assert d["volume"]["exact"] == "1000"
+
+
 def test_capability_exit_1(capsys):
     code, out, err = _run(capsys, "voronoi", "--catalog", "Leech24")
     assert code == 1

@@ -11,6 +11,7 @@ import latgeom._linalg as la
 from latgeom.enumeration import _reduced, _reduced_inverse, closest_vectors
 from latgeom.enumeration import _covering_radius_bound, covering_radius
 from latgeom.enumeration import voronoi_cell
+from latgeom.errors import CapabilityError
 from latgeom.impassability import (_certificate, _default_det_bound,
                                    max_clearance)
 from latgeom.lattice import Lattice, catalog
@@ -369,6 +370,16 @@ def _asymmetric_lattice(draw):
 def test_cell_volume_from_the_pm_pairs_alone(lat):
     # the orbits are the +- pairs, so half the facets carry the sum
     assert cell_volume(lat) == voronoi_cell(lat).volume() == lat.determinant()
+
+
+def test_cell_volume_past_the_group_search_budget():
+    # the group search lists ~3.1M points up to the norm 10^6 of the long
+    # basis vector, over the point budget, so the orbits fall back to the
+    # +- pairs of the subgroup +-1
+    lat = Lattice.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1000]])
+    with pytest.raises(CapabilityError):
+        automorphisms(lat)
+    assert cell_volume(lat) == voronoi_cell(lat).volume() == 1000
 
 
 def test_e7_cell_volume_from_one_facet(monkeypatch):
