@@ -5,7 +5,9 @@ fraction-free elimination kernel serves ``det``, ``rank``, ``solve`` and
 ``inverse``: rational rows are scaled to ints and eliminated in ints.
 Numbers from outside the program enter here (``_rational``, ``_exact`` and,
 for values that only their square decides, ``_rational_square``), and exact
-square roots leave here as ``ClosedForm`` values (``_sqrt_rational``).
+square roots leave here as ``ClosedForm`` values (``_sqrt_rational``). The
+density bounds compute in the wider ``Monomial``, which also decides every
+order comparison of closed forms exactly.
 """
 
 from __future__ import annotations
@@ -453,15 +455,29 @@ def _via_sympy(op):
     return lambda self, other: op(self._sympy_(), other)
 
 
+def _order(op):
+    """The comparison self op other: exact in the monomial kernel when
+    other is a rational, a ClosedForm or a Monomial, and sympy's for a
+    ClosedForm against anything else (a float, a sympy value)."""
+    def compare(self, other):
+        if isinstance(other, (int, Fraction, ClosedForm, Monomial)):
+            return op(_cmp(Monomial.of(self), Monomial.of(other)), 0)
+        if isinstance(self, ClosedForm):
+            return op(self._sympy_(), other)
+        return NotImplemented
+    return compare
+
+
 class ClosedForm:
     """The exact real q sqrt(r) pi^j (q a Fraction, r a squarefree int, j an
     int) of every determinant, minimum, volume and density the engine
     reports. Products, quotients, negation, integer powers and the
     half-integer powers of q pi^(2i), q >= 0, stay in the form; ``str`` and
     ``float`` are sympy's for the same value (``3*sqrt(2)/4``,
-    ``sqrt(2)*pi/6``). ``_sympy_`` hands it to sympy for the rest: a sum,
-    an order comparison, other powers and an operand outside the form,
-    such as a float or a sympy value."""
+    ``sqrt(2)*pi/6``). Order comparisons with rationals, ClosedForms and
+    Monomials are exact, in the monomial kernel. ``_sympy_`` hands it to
+    sympy for the rest: a sum, other powers and an operand outside the
+    form, such as a float or a sympy value."""
 
     __slots__ = ("q", "r", "j")
 
@@ -494,8 +510,9 @@ class ClosedForm:
 
     def __mul__(self, other):
         o = _closed(other)
-        if o is None:
-            return self._sympy_() * other
+        if o is None:  # a Monomial multiplies in the kernel
+            return NotImplemented if isinstance(other, Monomial) \
+                else self._sympy_() * other
         g = math.gcd(self.r, o.r)
         return ClosedForm(self.q * o.q * g, self.r // g * (o.r // g),
                           self.j + o.j)
@@ -504,7 +521,10 @@ class ClosedForm:
 
     def __truediv__(self, other):
         o = _closed(other)
-        return self._sympy_() / other if o is None else self * o ** -1
+        if o is None:
+            return NotImplemented if isinstance(other, Monomial) \
+                else self._sympy_() / other
+        return self * o ** -1
 
     def __rtruediv__(self, other):
         return self ** -1 * other
@@ -521,13 +541,13 @@ class ClosedForm:
             return (_sqrt_rational(q) * ClosedForm(1, 1, j // 2)) ** e.numerator
         return self._sympy_() ** e
 
-    # a sum, an order comparison and a ClosedForm exponent are sympy's
+    # a sum and a ClosedForm exponent are sympy's
     __add__ = __radd__ = _via_sympy(operator.add)
     __sub__ = _via_sympy(operator.sub)
     __rsub__ = _via_sympy(lambda a, b: b - a)
     __rpow__ = _via_sympy(lambda a, b: b ** a)
-    __lt__, __le__ = _via_sympy(operator.lt), _via_sympy(operator.le)
-    __gt__, __ge__ = _via_sympy(operator.gt), _via_sympy(operator.ge)
+    __lt__, __le__ = _order(operator.lt), _order(operator.le)
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
 
     def _sympy_(self):
         import sympy as sp
@@ -603,35 +623,242 @@ def _bits(num, den, exp, prec, mode="d"):
     return man >> z, exp + n + z - k
 
 
-def _float_bits(q, r, j):
-    """|q sqrt(r) pi^j| for q != 0 and |j| <= 13 rounded to 53 bits, as
-    sympy's float() rounds it."""
-    if r == 1 and not j:
-        return _bits(abs(q.numerator), q.denominator, 0, 53, "n")
+def _product_bits(q, r, j, prec):
+    """|q sqrt(r) pi^j| for q != 0 and |j| <= 13 as sympy evaluates it at
+    working precision prec, as (man, exp): the factors truncated to
+    prec + 5 + (their number) bits and the product rounded to prec, or a
+    lone factor truncated to prec."""
     nargs = (q != 1) + (r != 1) + (j != 0)
-    prec = 57 if nargs == 1 else 62 + nargs
-    out = [_bits(abs(q.numerator), q.denominator, 0, prec)] * (q != 1)
+    wp = prec if nargs == 1 else prec + 5 + nargs
+    out = [_bits(abs(q.numerator), q.denominator, 0, wp)] * (q != 1)
     if r != 1:
-        m, e = _bits(r, 1, 0, prec + 5)
+        m, e = _bits(r, 1, 0, wp + 5)
         m, e = (m << 1, e - 1) if e & 1 else (m, e)
-        out.append(_bits(math.isqrt(m << 2 * prec + 4), 1,
-                         e // 2 - prec - 2, prec))
+        out.append(_bits(math.isqrt(m << 2 * wp + 4), 1, e // 2 - wp - 2, wp))
     if j == 1:
-        out.append(_bits(_PI, 1, -190, prec))
+        out.append(_bits(_PI, 1, -190, wp))
     elif j:
-        m, e = _bits(_PI, 1, -190, prec + abs(j).bit_length() + 4)
+        m, e = _bits(_PI, 1, -190, wp + abs(j).bit_length() + 4)
         if j > 0:
-            out.append(_bits(m ** j, 1, e * j, prec))
+            out.append(_bits(m ** j, 1, e * j, wp))
         else:
             if j < -1:  # the power below 1 / pi^|j| is rounded up
-                m, e = _bits(m ** -j, 1, -e * j, prec + 5, "u")
-            out.append(_bits(1, m, -e, prec))
+                m, e = _bits(m ** -j, 1, -e * j, wp + 5, "u")
+            out.append(_bits(1, m, -e, wp))
     man, exp = math.prod(m for m, _ in out), sum(e for _, e in out)
     if nargs > 1:
-        if 1 + sum(m.bit_length() for m, _ in out) > 3 * prec:
-            man, exp = man >> prec, exp + prec  # sympy cuts a long product
-        man, exp = _bits(man, 1, exp, 57, "n")
+        if 1 + sum(m.bit_length() for m, _ in out) > 3 * wp:
+            man, exp = man >> wp, exp + wp  # sympy cuts a long product
+        man, exp = _bits(man, 1, exp, prec, "n")
+    return man, exp
+
+
+def _float_bits(q, r, j):
+    """|q sqrt(r) pi^j| for q != 0 and |j| <= 13 rounded to 53 bits, as
+    sympy's float() rounds it: evaluated at 57 bits, then rounded."""
+    if r == 1 and not j:
+        return _bits(abs(q.numerator), q.denominator, 0, 53, "n")
+    man, exp = _product_bits(q, r, j, 57)
     return _bits(man, 1, exp, 53, "n")
+
+
+class MinusOne:
+    """The exact real x - 1 for a ClosedForm x > 0 that is not rational,
+    with sympy's text (``-1 + 3*sqrt(2)/4``) and float; ``minus_one``
+    makes it."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self.x = x
+
+    def __str__(self):
+        return f"-1 + {self.x}"
+
+    __repr__ = __str__
+
+    def _sympy_(self):
+        return self.x._sympy_() - 1
+
+    def __float__(self):
+        # sympy's sum evaluates its terms at 67 bits, adds them exactly and
+        # rounds the sum to 57 bits, which float() rounds to 53
+        x = self.x
+        man, exp = _product_bits(x.q, x.r, x.j, 67)
+        num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+        num -= den
+        man, exp = _bits(abs(num), den, 0, 57, "n")
+        try:
+            f = math.ldexp(*_bits(man, 1, exp, 53, "n"))
+        except OverflowError:
+            f = math.inf
+        return -f if num < 0 else f
+
+
+def minus_one(x):
+    """x - 1 for a Monomial x > 0, with sympy's text and float: a
+    ClosedForm when x is rational, a MinusOne when x is another ClosedForm.
+    None where sympy's evaluation is not followed: x not a ClosedForm, a
+    power of pi beyond 13, or x within 2^-9 of 1, where sympy's sum
+    cancels bits and restarts at a higher precision."""
+    c = x.closed()
+    if c is None or abs(c.j) > 13:
+        return None
+    if c.r == 1 and not c.j:
+        return ClosedForm(c.q - 1)
+    near = Fraction(1, 512)
+    return None if 1 - near < x < 1 + near else MinusOne(c)
+
+
+# ---------------------------------------------------------------------------
+# Monomials q prod p^(e_p) pi^b
+# ---------------------------------------------------------------------------
+
+def _factor(n):
+    """{p: a} with n = prod p^a for an int n >= 1, by trial division below
+    2^15; a cofactor c left above that counts as a prime, or as the power
+    r^k of one when c = r^k (its factors exceed 2^15, so k <= log c / 15)."""
+    out, p = {}, 2
+    while p * p <= n and p < 1 << 15:
+        while n % p == 0:
+            n, out[p] = n // p, out.get(p, 0) + 1
+        p += 1 + (p > 2)
+    if n > 1:
+        k = next(k for k in range(n.bit_length() // 15, 0, -1)
+                 if _iroot(n, k) ** k == n) if n >> 30 else 1
+        out[_iroot(n, k)] = k
+    return out
+
+
+def _iroot(n, k):
+    """floor(n^(1/k)) for ints n >= 1 and k >= 1, by Newton's method."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+class Monomial:
+    """The exact real q prod p^(e_p) pi^b (q a Fraction, each p a prime with
+    0 < e_p < 1, e_p and b Fractions) that the density bounds compute in.
+    Products, quotients and rational powers of a value >= 0 stay in the
+    form, and two values compare exactly (``_cmp``). A value whose prime
+    exponents are all 1/2 and whose power of pi is an integer is a
+    ClosedForm (``closed``)."""
+
+    __slots__ = ("q", "e", "b")
+
+    def __init__(self, q, e=None, b=0):
+        q, exps = Fraction(q), {}
+        for p, a in (e or {}).items():
+            whole = math.floor(a)
+            q, a = q * Fraction(p) ** whole, a - whole
+            if a:
+                exps[p] = a
+        self.q, self.e = q, tuple(sorted(exps.items())) if q else ()
+        self.b = Fraction(b) if q else Fraction(0)
+
+    @staticmethod
+    def of(x):
+        """x, an int, a Fraction, a ClosedForm or a Monomial, as a Monomial."""
+        if isinstance(x, Monomial):
+            return x
+        c = _closed(x)
+        if c is None:
+            raise TypeError(f"{x!r} is not in the monomial kernel")
+        return Monomial(c.q, {p: Fraction(a, 2)
+                              for p, a in _factor(c.r).items()}, c.j)
+
+    def closed(self):
+        """The value as a ClosedForm, or None when it is not one."""
+        if self.b.denominator != 1 or any(a != Fraction(1, 2)
+                                          for _, a in self.e):
+            return None
+        return ClosedForm(self.q, 1, int(self.b)) \
+            * _sqrt_rational(math.prod(p for p, _ in self.e))
+
+    def __mul__(self, other):
+        o, e = Monomial.of(other), dict(self.e)
+        for p, a in o.e:
+            e[p] = e.get(p, 0) + a
+        return Monomial(self.q * o.q, e, self.b + o.b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * Monomial.of(other) ** -1
+
+    def __pow__(self, t):
+        t = Fraction(t)
+        e = {p: a * t for p, a in self.e}
+        if t.denominator == 1 or not self.q:
+            return Monomial(self.q ** t, e, self.b * t)
+        if self.q < 0:
+            raise ValueError("a rational power of a negative value")
+        for sign, n in ((1, self.q.numerator), (-1, self.q.denominator)):
+            for p, a in _factor(n).items():
+                e[p] = e.get(p, 0) + sign * a * t
+        return Monomial(1, e, self.b * t)
+
+    __eq__, __lt__, __le__ = (_order(operator.eq), _order(operator.lt),
+                              _order(operator.le))
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
+
+    def __repr__(self):
+        return f"Monomial({self.q}, {dict(self.e)}, {self.b})"
+
+
+def _cmp(x, y):
+    """The sign of x - y for Monomials x and y, exact."""
+    sx, sy = (x.q > 0) - (x.q < 0), (y.q > 0) - (y.q < 0)
+    if sx != sy or not sx:
+        return (sx > sy) - (sx < sy)
+    return sx * _cmp_one(x / y)
+
+
+def _cmp_one(z):
+    """The sign of z - 1 for a Monomial z > 0."""
+    if z.b < 0:
+        return -_cmp_one(z ** -1)
+    if not z.b:  # z^d is rational for d the common denominator of the e_p
+        d = math.lcm(*(a.denominator for _, a in z.e))
+        w = z.q ** d * math.prod(Fraction(p) ** (a * d) for p, a in z.e)
+        return (w > 1) - (w < 1)
+    # z = c pi^(s/t) > 1 exactly when pi^s > c^-t, an algebraic number that
+    # no power of pi equals, so a close enough enclosure of pi decides
+    s, c = z.b.numerator, Monomial(z.q, dict(z.e)) ** -z.b.denominator
+    for lo, hi in _pi_enclosures():
+        if _cmp_one(c / lo ** s) <= 0:
+            return 1
+        if _cmp_one(c / hi ** s) >= 0:
+            return -1
+
+
+def _pi_enclosures():
+    """Rationals lo < pi < hi, each pair much closer than the last: the 190
+    bits of ``_PI``, then Machin's formula at 380, 760, ... bits."""
+    yield Fraction(_PI, 1 << 190), Fraction(_PI + 1, 1 << 190)
+    bits = 380
+    while True:
+        lo, hi = _machin(bits)
+        yield Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+        bits *= 2
+
+
+def _machin(bits):
+    """Ints lo < pi 2^bits < hi, from pi = 16 atan(1/5) - 4 atan(1/239)
+    summed in fixed point with 16 guard bits: each of the k terms of a
+    series is off by less than 3 and its tail by less than 2."""
+    total = err = 0
+    for x, w in ((5, 16), (239, -4)):
+        power, k = (1 << bits + 16) // x, 0
+        while power:
+            total += w * (-1) ** k * (power // (2 * k + 1))
+            power, k = power // (x * x), k + 1
+        err += abs(w) * (3 * k + 2)
+    return (total - err) >> 16, ((total + err) >> 16) + 1
 
 
 def float_cholesky(g):

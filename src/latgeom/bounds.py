@@ -3,10 +3,15 @@ closed-form density bound evaluators: sublattice-determinant constants,
 impassability lower bounds, body-minima chains, the comparison tables, and
 volume-product floors.
 
-All values live in the algebra of rational multiples of powers of pi and
-square roots. Those of the form q sqrt(r) pi^j are ``ClosedForm`` values;
-rational powers and sums make them exact sympy expressions, so sympy is
-imported by the functions that need it, not with the module. Floats are
+The bounds are computed in the monomial kernel (``_linalg.Monomial``): the
+values q prod p^(e_p) pi^b with rational q, e_p and b, closed under
+products, quotients and rational powers, and compared exactly. So
+``dnk_lower`` and ``min_dnk_over_bodies`` choose their formula by an exact
+comparison, and a report keeps its kernel value (``monomial``) for the next
+choice. A value leaves as a ``ClosedForm`` when it is one (q sqrt(r) pi^j),
+with no sympy. Any other value leaves as the sympy expression that its
+formula's own sympy steps build, which fix how sympy prints it; sympy is
+imported for those only, and for the sums of ``max_d21_upper``. Floats are
 derived from the exact values. The one genuinely algebraic constant (the
 planar packing bound of 0.8926) is stored as a float literal lower bound.
 """
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import _linalg as la
@@ -44,6 +49,9 @@ class BoundReport:
     inputs: tuple = ()
     strictness: str = "lower-bound"  # equality | lower-bound | upper-bound | strict-lower-bound
     notes: str = ""
+    # the value in the monomial kernel, which decides every choice between
+    # bounds; None for a value outside it
+    monomial: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -59,9 +67,26 @@ class BoundReport:
         }
 
 
-def _report(formula_id, n, k, exact, inputs=(), strictness="lower-bound", notes=""):
+def _report(formula_id, n, k, exact, inputs=(), strictness="lower-bound",
+            notes="", build=None):
+    """The report of an exact value: a ClosedForm, a sympy value or a
+    Monomial. A Monomial leaves as its ClosedForm, or else as the sympy
+    expression ``build()``, by the formula's own sympy steps."""
+    monomial = None
+    if isinstance(exact, la.Monomial):
+        monomial, exact = exact, exact.closed()
+        if exact is None:
+            exact = build()
+    elif isinstance(exact, la.ClosedForm):
+        monomial = la.Monomial.of(exact)
     return BoundReport(formula_id, n, k, exact, float(exact), tuple(inputs),
-                       strictness, notes)
+                       strictness, notes, monomial)
+
+
+def _sympy_power(x, k, n):
+    """x ** (k/n) in sympy, for a value that is not a closed form."""
+    import sympy
+    return x ** sympy.Rational(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +152,24 @@ def constants(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
+def _cnk(n: int, k: int):
+    """2^k (delta / kappa_n)^{k/n} as a Monomial."""
+    if not 1 <= k <= n - 1:
+        raise InvalidInputError(f"need 1 <= k <= n - 1; got n={n}, k={k}")
+    return 2 ** k * (la.Monomial.of(delta_ball(n).value_exact) / kappa(n)) \
+        ** Fraction(k, n)
+
+
+@functools.lru_cache(maxsize=None)
 def cnk_upper(n: int, k: int) -> BoundReport:
     """Upper bound 2^k (delta / kappa_n)^{k/n} on the minimal-sublattice
     determinant constant; exact equality when k = 1."""
-    import sympy as sp
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"need 1 <= k <= n - 1; got n={n}, k={k}")
-    delta = delta_ball(n)
-    value = 2 ** k * (delta.value_exact / kappa(n)) ** sp.Rational(k, n)
+    value, delta = _cnk(n, k), delta_ball(n)
     strict = "equality" if k == 1 else "upper-bound"
     return _report("cnk-upper", n, k, value, (delta,), strict,
-                   "density bound on D_k(L)/D(L)^{k/n}; tight for k=1")
+                   "density bound on D_k(L)/D(L)^{k/n}; tight for k=1",
+                   lambda: 2 ** k * _sympy_power(delta.value_exact / kappa(n),
+                                                 k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +190,20 @@ def dnn1_ball(n: int) -> BoundReport:
 def dnk_chain(n: int, k: int) -> BoundReport:
     """Covering-based lower bound on d_{n,k} for balls:
     kappa_n * (theta_{n-k} / (kappa_{n-k} c_{n,k}))^{n/(n-k)}."""
-    import sympy as sp
-    c = cnk_upper(n, k)  # first, as it checks 1 <= k <= n - 1
-    theta = theta_ball(n - k)
-    e = sp.Rational(n, n - k)
-    value = kappa(n) * (theta.value_exact / (kappa(n - k) * c.value_exact)) ** e
+    c = _cnk(n, k)  # first, as it checks 1 <= k <= n - 1
+    theta, delta = theta_ball(n - k), delta_ball(n)
+    value = kappa(n) * (la.Monomial.of(theta.value_exact)
+                        / (kappa(n - k) * c)) ** Fraction(n, n - k)
     if n == 2 and k == 1:
         strict = "equality"
     elif k >= 2 or (k == 1 and 3 <= n <= 6):
         strict = "strict-lower-bound"
     else:
         strict = "lower-bound"
-    return _report("dnk-chain", n, k, value, (theta,) + c.inputs, strict,
-                   "projected lattice must fail to cover the orthocomplement")
+    return _report("dnk-chain", n, k, value, (theta, delta), strict,
+                   "projected lattice must fail to cover the orthocomplement",
+                   lambda: kappa(n) * _sympy_power(theta.value_exact / (
+                       kappa(n - k) * cnk_upper(n, k).value_exact), n, n - k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,7 +212,7 @@ def dnk_lower(n: int, k: int) -> BoundReport:
     covering chain and the hyperplane threshold (monotonicity in k)."""
     chain = dnk_chain(n, k)  # needs delta_n, so dnn1_ball(n) exists
     floor = dnn1_ball(n)
-    if floor.value_float > chain.value_float:
+    if floor.monomial > chain.monomial:
         return replace(floor, formula_id="dnk-lower", k=k,
                        strictness="equality" if k == n - 1 else "lower-bound",
                        notes="hyperplane threshold dominates the covering chain")
@@ -245,10 +278,12 @@ def body_min_chain(n: int, k: int, symmetric: bool) -> BoundReport:
     enclosing ellipsoid (simplex for general bodies, cross-polytope for
     centrally symmetric ones)."""
     ball = dnn1_ball(n) if k == n - 1 else dnk_lower(n, k)
-    value = ball.value_exact / _body_min_denominator(n, symmetric)
+    denominator = _body_min_denominator(n, symmetric)
     fid = "body-min-symmetric" if symmetric else "body-min-general"
-    return _report(fid, n, k, value, ball.inputs, "lower-bound",
-                   "ball bound divided by the extremal volume ratio")
+    return _report(fid, n, k, ball.monomial / denominator, ball.inputs,
+                   "lower-bound",
+                   "ball bound divided by the extremal volume ratio",
+                   lambda: ball.value_exact / denominator)
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,7 +293,7 @@ def min_dnk_over_bodies(n: int, k: int, symmetric: bool) -> BoundReport:
     (the floor wins for large n, e.g. n = 24)."""
     report = body_min_chain(n, k, symmetric)
     floor = body_min_floor(n)
-    if floor.value_float > report.value_float:
+    if floor.monomial > report.monomial:
         return replace(floor, formula_id=report.formula_id, k=k)
     return report
 

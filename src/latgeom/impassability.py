@@ -94,7 +94,7 @@ class CylinderWitness:
 
     certificate: PassageCertificate
     base_radius: float
-    guaranteed_floor: object  # exact sympy value; may be <= 0 (no guarantee)
+    guaranteed_floor: object  # exact value; may be <= 0 (no guarantee)
     floor_float: float
     guaranteed: bool
 
@@ -283,13 +283,15 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
 
     ``d_nk`` is a lower bound on the impassability threshold (a BoundReport
     or exact value); the floor (d_nk / density)^{1/n} - 1 is positive exactly
-    when the packing is less dense than the threshold. The returned
-    base_radius is the best validated clearance found by the search.
+    when the packing is less dense than the threshold, and ``guaranteed``
+    is that exact comparison, made in the monomial kernel. A floor whose
+    n-th root is a ClosedForm is built without sympy (``la.minus_one``);
+    any other is sympy's. The returned base_radius is the best validated
+    clearance found by the search.
     Raises NotAPackingError when lambda_1^2 < 4 r^2 (compared exactly) and
     CapabilityError when no direction within the determinant bound clears
     the balls.
     """
-    import sympy as sp  # for the n-th root, which no ClosedForm holds
     n = lat.rank
     if _lambda1_sq(lat) < 4 * _exact_radius(r)[0]:
         raise NotAPackingError("balls of this radius overlap (lambda_1 < 2r)")
@@ -297,13 +299,21 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
     if d_value is None:
         d_value = la._exact(getattr(d_nk, "value_float", d_nk))
     density = ball_lattice_density(lat, r)
-    # the n-th root leaves products of radicals that only powsimp merges
-    floor = sp.powsimp((d_value / density) ** sp.Rational(1, n) - 1)
+    # a report's kernel value decides even where its value is sympy's
+    d = getattr(d_nk, "monomial", None) or d_value
+    guaranteed = bool(d > density)
+    floor = None
+    if isinstance(d_value, la.ClosedForm) and d_value > 0:
+        floor = la.minus_one((la.Monomial.of(d_value) / density)
+                             ** Fraction(1, n))
+    if floor is None:
+        import sympy as sp  # for the n-th roots that no ClosedForm holds
+        # the n-th root leaves products of radicals that only powsimp merges
+        floor = sp.powsimp((d_value / density) ** sp.Rational(1, n) - 1)
     floor_f = float(floor)
     clearance, cert = max_clearance(lat, r, k, det_bound=det_bound)
     if cert is None:
         raise CapabilityError(
             "no passage direction found within the determinant bound")
     base = max(clearance, 0.0)
-    return CylinderWitness(cert, base, floor, floor_f,
-                           guaranteed=floor_f > 0)
+    return CylinderWitness(cert, base, floor, floor_f, guaranteed)

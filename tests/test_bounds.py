@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from latgeom.bounds import (body_min_chain, body_min_floor, cnk_upper,
                             max_d21_upper, min_dnk_over_bodies,
                             remark321_table, theta_ball)
 from latgeom.errors import MissingConstantError
+from latgeom.impassability import ball_lattice_density, free_cylinder
+from latgeom.lattice import catalog
 from latgeom.polytope import cross_polytope, cube, simplex
 
 
@@ -217,3 +220,62 @@ def test_dnn1_body_reads_a_float_density_exactly():
     assert dnn1_body(cube(2), sp.sqrt(2) * sp.pi / 6).value_exact \
         == 3 * sp.sqrt(2) / (2 * sp.pi)
     assert dnn1_body(cube(2), Fraction(1, 2)).value_exact == 1
+
+
+def _covered():
+    """(n, k) for every dnk_lower that ``_all_reports`` covers."""
+    out = []
+    for n in list(range(1, 9)) + [24]:
+        for k in range(1, n):
+            try:
+                dnk_lower(n, k)
+            except MissingConstantError:
+                continue
+            out.append((n, k))
+    return out
+
+
+def test_choices_are_sympys_exact_comparisons():
+    covered = _covered()
+    assert len(covered) == 30
+    for n, k in covered:
+        chain, floor = dnk_chain(n, k), dnn1_ball(n)
+        takes_floor = bool(sp.sympify(floor.value_exact)
+                           > sp.sympify(chain.value_exact))
+        assert (dnk_lower(n, k).notes == chain.notes) is not takes_floor
+        for symmetric in (False, True):
+            body, volume = body_min_chain(n, k, symmetric), body_min_floor(n)
+            takes_floor = bool(sp.sympify(volume.value_exact)
+                               > sp.sympify(body.value_exact))
+            got = min_dnk_over_bodies(n, k, symmetric)
+            assert got.notes == (volume if takes_floor else body).notes
+            assert got.value_exact == (volume if takes_floor else body).value_exact
+
+
+def test_the_21_tie_keeps_the_chain():
+    # the chain and the hyperplane threshold are both sqrt(3) pi / 8: a tie
+    # that no float comparison may break
+    chain, floor = dnk_chain(2, 1), dnn1_ball(2)
+    assert chain.value_float == floor.value_float == 0.6801747615878317
+    assert chain.monomial == floor.monomial
+    assert dnk_lower(2, 1) == replace(chain, formula_id="dnk-lower")
+
+
+@pytest.mark.parametrize("name,n,scale_sq,r,threshold", [
+    ("D", 3, 2, 1, lambda: dnk_known(3, 1)),
+    ("D", 4, 2, 1, lambda: dnk_lower(4, 1)),
+    ("Z", 2, 1, Fraction(1, 4), lambda: dnk_known(2, 1)),
+])
+def test_guaranteed_is_the_exact_density_test(name, n, scale_sq, r, threshold):
+    lat = catalog(name, n).scaled(scale_sq)
+    d = threshold()
+    density = ball_lattice_density(lat, r)
+    cw = free_cylinder(lat, r, 1, d)
+    assert cw.guaranteed is bool(sp.sympify(d.value_exact)
+                                 > sp.sympify(density))
+    # at d = density the floor is 0 and nothing is guaranteed; a hair above
+    # it, something is, although the floor rounds to a float near 0
+    at = free_cylinder(lat, r, 1, density)
+    assert not at.guaranteed and str(at.guaranteed_floor) == "0"
+    above = free_cylinder(lat, r, 1, density * Fraction(10**30 + 1, 10**30))
+    assert above.guaranteed and above.floor_float < 1e-29

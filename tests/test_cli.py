@@ -88,13 +88,17 @@ print(sorted(m for m in sys.modules if m.startswith("sympy.physics")))
 
 
 def test_engine_verbs_load_neither_numpy_nor_sympy():
-    # exact values are ClosedForms and mvee runs on floats: only the bounds
-    # and the cylinder floor import sympy, when they run
+    # exact values are ClosedForms and mvee runs on floats; the bounds and
+    # the cylinder floors that are closed forms come from the monomial
+    # kernel, so only the values that are not import sympy, when they run
     script = _RUN_ALL + """
 run_all("svp --catalog E8", "minima --catalog E6", "lattice-info --catalog D4",
         "voronoi --catalog D4", "dk --catalog D4 --k 1",
         "impass --catalog D3 --scale sqrt2 --r 1 --k 1 --verify",
-        "polytope --body cube:2", "mvee --body cube:2")
+        "polytope --body cube:2", "mvee --body cube:2",
+        "cylinder --catalog D3 --scale sqrt2 --r 1 --k 1",
+        "cylinder --catalog D4 --scale sqrt2 --r 1 --k 1",
+        "bounds --n 4 --k 2")
 print(sorted(m for m in ("numpy", "sympy") if m in sys.modules))
 run_all("bounds --n 2 --k 1", "cylinder --catalog Z2 --r 1/4 --k 1")
 """

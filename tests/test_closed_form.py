@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latgeom._linalg as la
@@ -150,3 +150,157 @@ def test_catalog_values_are_sympys():
     for v, w in zip(values, values[1:]):
         _same(v * w, v._sympy_() * w._sympy_())
         _same(v / w, v._sympy_() / w._sympy_())
+
+
+# ---------------------------------------------------------------------------
+# The monomial kernel q prod p^(e_p) pi^b (``_linalg.Monomial``)
+# ---------------------------------------------------------------------------
+
+_EXPONENTS = st.fractions(-3, 3, max_denominator=12)
+_MONOMIALS = st.builds(
+    la.Monomial,
+    st.fractions(Fraction(1, 10**6), 10**6, max_denominator=10**6),
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]), _EXPONENTS,
+                    max_size=3),
+    _EXPONENTS)
+
+
+def _sym(m):
+    """The sympy value of a Monomial, factor by factor."""
+    def r(x):
+        return sp.Rational(x.numerator, x.denominator)
+    return r(m.q) * sp.Mul(*[sp.Integer(p) ** r(a) for p, a in m.e]) \
+        * sp.pi ** r(m.b)
+
+
+def _agree(m, want):
+    """m has the value of the sympy number want to 100 digits. sympy keeps
+    no unique form for these products (6**(1/3) or 2**(1/3)*3**(1/3)), so
+    its values, not its trees, are compared."""
+    got, want = sp.N(_sym(m), 110), sp.N(want, 110)
+    assert abs(got - want) <= abs(want) * sp.Float(10) ** -100, (m, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MONOMIALS, _MONOMIALS, st.fractions(-4, 4, max_denominator=7))
+def test_monomial_arithmetic_is_sympys(x, y, t):
+    _agree(x * y, _sym(x) * _sym(y))
+    _agree(x / y, _sym(x) / _sym(y))
+    _agree(x ** t, _sym(x) ** sp.Rational(t.numerator, t.denominator))
+    _agree(x * 3 / Fraction(2, 5), _sym(x) * sp.Rational(15, 2))
+    # the form is normal: every exponent of a prime is in (0, 1)
+    assert all(0 < a < 1 for _, a in (x * y).e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MONOMIALS, _MONOMIALS)
+def test_monomial_order_is_sympys(x, y):
+    for a, b in ((x, y), (x, x * Fraction(10**12 + 1, 10**12)), (x, y * -1)):
+        want = _sym(a) > _sym(b)
+        assert (a > b) == bool(want) and (b < a) == bool(want)
+        assert (a <= b) == (not want)
+    assert x == x * la.Monomial(2) ** Fraction(1, 3) / la.Monomial(16) ** Fraction(1, 12)
+    assert not x < x and x >= x
+
+
+@pytest.mark.parametrize("digits", [20, 70, 130])
+def test_monomial_order_refines_pi(digits):
+    # rationals within 10^-digits of sqrt(pi) and pi^(3/2) / 2^(1/3): at 70
+    # and 130 digits the 190 bits of _PI do not decide, Machin's series
+    # does. sympy's relational gives up this close, so the oracle is the
+    # sign of the difference at digits + 40 digits.
+    scale = 10 ** digits
+    for m in (la.Monomial(1, None, Fraction(1, 2)),
+              la.Monomial(1, {2: Fraction(-1, 3)}, Fraction(3, 2))):
+        s = sp.N(_sym(m), digits + 40)
+        lo = Fraction(int(s * scale), scale)
+        for q in (lo, lo + Fraction(1, scale)):
+            want = sp.N(_sym(m) - sp.Rational(q.numerator, q.denominator),
+                        digits + 40) > 0
+            assert (m > q) == bool(want) and (q < m) == bool(want)
+
+
+def test_machin_encloses_pi():
+    pi = sp.N(sp.pi, 600)
+    for bits in (190, 380, 1520):
+        lo, hi = la._machin(bits)
+        assert sp.Rational(lo, 2 ** bits) < pi < sp.Rational(hi, 2 ** bits)
+        assert hi - lo < 2 ** 12
+    lo, hi = la._machin(190)
+    assert lo <= la._PI < la._PI + 1 <= hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MONOMIALS)
+def test_a_closed_monomial_is_a_closed_form(m):
+    c = m.closed()
+    if c is not None:
+        _same(c, _sym(m))
+    half = la.Monomial(m.q, {p: Fraction(1, 2) for p, _ in m.e}, round(m.b))
+    _same(half.closed(), _sym(half))
+    assert la.Monomial.of(half.closed()) == half
+
+
+def test_closed_form_order_is_exact_in_the_kernel():
+    # q is pi^2 cut after 19 decimals, far closer than a float can tell
+    v = la.ClosedForm(1, 1, 2)
+    q = Fraction(98696044010893586188, 10**19)
+    assert v > q and not v < q and v < q + Fraction(1, 10**19)
+    assert la.ClosedForm(0) < la._sqrt_rational(2) and -v < 0
+
+
+_POSITIVE = st.builds(la.ClosedForm,
+                      st.fractions(Fraction(1, 10**6), 10**6,
+                                   max_denominator=10**6),
+                      st.one_of(st.just(1), _SQUAREFREE), st.integers(-3, 4))
+
+
+def _today_floor(ratio, n):
+    """The cylinder floor (ratio)^(1/n) - 1 as sympy builds it."""
+    return sp.powsimp(ratio._sympy_() ** sp.Rational(1, n) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POSITIVE, st.integers(1, 8))
+def test_floor_text_and_float_are_sympys(x, n):
+    root = la.Monomial.of(x ** n) ** Fraction(1, n)
+    floor = la.minus_one(root)
+    if floor is None:  # within 2^-9 of 1
+        assert abs(float(x) - 1) < 2 ** -8
+        return
+    want = _today_floor(x ** n, n)
+    assert str(floor) == str(want) == str(x._sympy_() - 1)
+    assert float(floor) == float(want)
+
+
+def _near_one(r, bits, up):
+    """q sqrt(r) with q the dyadic rational next to 1/sqrt(r) at bits."""
+    s = math.isqrt((1 << 2 * bits) // r) + up
+    return la.ClosedForm(Fraction(s, 1 << bits), r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SQUAREFREE.filter(lambda r: r > 1), st.integers(4, 40),
+       st.booleans())
+@example(2, 8, False)
+@example(3, 10, True)
+def test_floor_near_one_goes_to_sympy(r, bits, up):
+    # sympy's sum restarts at a higher precision when -1 + x cancels more
+    # than 10 bits; minus_one hands every x within 2^-9 of 1 back to sympy
+    x = _near_one(r, bits, up)
+    floor = la.minus_one(la.Monomial.of(x))
+    want = x._sympy_() - 1
+    near = abs(x - 1) < Fraction(1, 512)
+    assert bool(abs(want) < sp.Rational(1, 512)) == near
+    if near:
+        assert floor is None
+    else:
+        assert str(floor) == str(want) and float(floor) == float(want)
+
+
+def test_floor_of_a_rational_root_is_a_rational():
+    for x in (Fraction(5, 4), Fraction(1), Fraction(1, 3)):
+        floor = la.minus_one(la.Monomial(x))
+        _same(floor, sp.Rational(x.numerator, x.denominator) - 1)
+    assert la.minus_one(la.Monomial(2) ** Fraction(1, 3)) is None
+    assert la.minus_one(la.Monomial(1, None, 14)) is None

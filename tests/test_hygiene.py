@@ -191,3 +191,51 @@ def test_an_import_cycle_is_found():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == [
         "a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+# The only functions that may import sympy: the hand-off of a ClosedForm to
+# sympy, the bounds that are not closed forms (their rational powers and the
+# sums of the planar bounds), and the cylinder floors whose n-th root is not
+# a closed form. A new importer fails the test, so the list can only shrink.
+SYMPY_IMPORTERS = {"_linalg.ClosedForm._sympy_", "bounds._sympy_power",
+                   "bounds.max_d21_upper", "impassability.free_cylinder"}
+
+
+def _sympy_importers(tree, module):
+    """The dotted names (module, classes, functions) of the scopes in which
+    an import of sympy stands; the module's own name for a top-level one."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                visit(child, scope)
+                continue
+            if any(n.split(".")[0] == "sympy" for n in names):
+                out.add(".".join([module] + scope))
+
+    visit(tree, [])
+    return out
+
+
+def test_only_the_listed_functions_import_sympy():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _sympy_importers(ast.parse(path.read_text()), path.stem)
+    assert found == SYMPY_IMPORTERS
+
+
+def test_a_sympy_import_is_found():
+    tree = ast.parse("import sympy\nclass C:\n    def m(self):\n"
+                     "        if self:\n            from sympy.core import S\n"
+                     "def f():\n    import json\n"
+                     "def g():\n    def h():\n        import sympy as sp\n")
+    assert _sympy_importers(tree, "mod") == {"mod", "mod.C.m", "mod.g.h"}
