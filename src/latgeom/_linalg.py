@@ -5,9 +5,9 @@ fraction-free elimination kernel serves ``det``, ``rank``, ``solve`` and
 ``inverse``: rational rows are scaled to ints and eliminated in ints.
 Numbers from outside the program enter here (``_rational``, ``_exact`` and,
 for values that only their square decides, ``_rational_square``), and exact
-square roots leave here as ``ClosedForm`` values (``_sqrt_rational``). The
-density bounds compute in the wider ``Monomial``, which also decides every
-order comparison of closed forms exactly.
+square roots leave here (``_sqrt_rational``). Every exact value is one
+``ClosedForm``, q prod p^(e_p) pi^b, closed under products, quotients and
+rational powers and ordered exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _rational(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, ClosedForm) and x.r == 1 and not x.j:
+    if isinstance(x, ClosedForm) and not x.e and not x.b:
         return x.q
     if isinstance(x, (numbers.Rational, str)):
         try:
@@ -74,20 +74,18 @@ def _rational_square(x):
     rational; every radius, scale and bound that only its square decides
     is read here.
 
-    Real numbers and strings are read by ``_rational`` and squared, and a
-    ClosedForm without pi gives q^2 r. Any other value must be a sympy
-    number, such as sqrt(3)/2, whose square ``_rational`` reads (3/4), and
-    its sign is sympy's ``is_positive``, which unlike ``x > 0`` needs no
-    numeric evaluation. Anything else (pi, inf, "abc") raises
-    InvalidInputError.
+    Real numbers and strings are read by ``_rational`` and squared. Any
+    other value must be a ClosedForm or a sympy number, such as sqrt(3)/2,
+    whose square ``_rational`` reads (3/4); the sign of a sympy number is
+    its ``is_positive``, which unlike ``x > 0`` needs no numeric
+    evaluation. Anything else (pi, inf, "abc") raises InvalidInputError.
     """
     if isinstance(x, (numbers.Real, str)):
         q = _rational(x)
         return q * q, q > 0
-    if isinstance(x, ClosedForm) and not x.j:
-        return x.q * x.q * x.r, x.q > 0
     try:
-        return _rational(x ** 2), bool(x.is_positive)
+        positive = x.q > 0 if isinstance(x, ClosedForm) else x.is_positive
+        return _rational(x ** 2), bool(positive)
     except (InvalidInputError, TypeError, AttributeError):
         raise InvalidInputError(f"{x} is not a real number with a rational "
                                 "square") from None
@@ -106,10 +104,7 @@ def _exact(x):
 def _sqrt_rational(q):
     """sqrt(q) for a rational q >= 0 as a ClosedForm: the one place where
     an exact square leaves as a root."""
-    q = Fraction(q)
-    a, s = _square_part(q.numerator)
-    b, t = _square_part(q.denominator)
-    return ClosedForm(Fraction(a, b * t), s * t)
+    return ClosedForm(q) ** _HALF
 
 
 def _canonical_sign(v):
@@ -432,23 +427,8 @@ def complete_to_unimodular(a):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms q sqrt(r) pi^j
+# Closed forms q prod p^(e_p) pi^b
 # ---------------------------------------------------------------------------
-
-def _square_part(n):
-    """(a, s) with n = a^2 s for an int n >= 0, s squarefree as far as
-    trial division below 2^15 and a perfect-square test of the cofactor
-    tell (exactly, for every n below 2^45)."""
-    a, s, p = 1, 1, 2
-    while p * p <= n and p < 1 << 15:
-        while n % (p * p) == 0:
-            n, a = n // (p * p), a * p
-        if n % p == 0:
-            n, s = n // p, s * p
-        p += 1 + (p > 2)
-    t = math.isqrt(n)
-    return (a * t, s) if t * t == n else (a, s * n)
-
 
 def _via_sympy(op):
     """The ClosedForm method self op other, evaluated on sympy's value."""
@@ -456,92 +436,116 @@ def _via_sympy(op):
 
 
 def _order(op):
-    """The comparison self op other: exact in the monomial kernel when
-    other is a rational, a ClosedForm or a Monomial, and sympy's for a
-    ClosedForm against anything else (a float, a sympy value)."""
+    """The comparison self op other: exact (``_cmp``) when other is a
+    rational or a ClosedForm, and sympy's for anything else (a float, a
+    sympy value)."""
     def compare(self, other):
-        if isinstance(other, (int, Fraction, ClosedForm, Monomial)):
-            return op(_cmp(Monomial.of(self), Monomial.of(other)), 0)
-        if isinstance(self, ClosedForm):
-            return op(self._sympy_(), other)
-        return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            other = ClosedForm(other)
+        if isinstance(other, ClosedForm):
+            return op(_cmp(self, other), 0)
+        return op(self._sympy_(), other)
     return compare
 
 
+_HALF = Fraction(1, 2)
+
+
 class ClosedForm:
-    """The exact real q sqrt(r) pi^j (q a Fraction, r a squarefree int, j an
-    int) of every determinant, minimum, volume and density the engine
-    reports. Products, quotients, negation, integer powers and the
-    half-integer powers of q pi^(2i), q >= 0, stay in the form; ``str`` and
-    ``float`` are sympy's for the same value (``3*sqrt(2)/4``,
-    ``sqrt(2)*pi/6``). Order comparisons with rationals, ClosedForms and
-    Monomials are exact, in the monomial kernel. ``_sympy_`` hands it to
-    sympy for the rest: a sum, other powers and an operand outside the
-    form, such as a float or a sympy value."""
+    """The exact real q prod p^(e_p) pi^b (q, e_p and b Fractions, 0 < e_p
+    < 1; ``ClosedForm(q, e, b)`` with e a dict {p: e_p}, whose whole parts
+    move into q) of every determinant, minimum, volume, density and bound
+    the engine reports. A base p is a prime below 2^15 or a factor that trial
+    division leaves (``_factor``); the bases are pairwise coprime and none
+    is a perfect power, so equal values have equal ``_key``s. Products,
+    quotients, negation and rational powers of a value >= 0 stay in the
+    form, and order comparisons with rationals and ClosedForms are exact
+    (``_cmp``). In the square-root case q sqrt(r) pi^j (``root``) ``str``
+    and ``float`` are sympy's for the same value (``3*sqrt(2)/4``,
+    ``sqrt(2)*pi/6``), computed here; any other value prints and evaluates
+    as its sympy value. ``_sympy_`` hands it to sympy for the rest: a sum,
+    another exponent and an operand outside the form, such as a float or a
+    sympy value."""
 
-    __slots__ = ("q", "r", "j")
+    __slots__ = ("q", "e", "b")
 
-    def __init__(self, q, r=1, j=0):
-        q = Fraction(q)
-        if r > 1:
-            t = math.isqrt(r)
-            if t * t == r:  # a square that _square_part could not split
-                q, r = q * t, 1
-        self.q, self.r, self.j = (q, r, j) if q else (q, 1, 0)
+    def __init__(self, q, e=(), b=0):
+        q, e, exps = Fraction(q), dict(e or ()), {}
+        _coprime(e)
+        for p, a in e.items():
+            whole = math.floor(a)
+            if whole:
+                q, a = q * Fraction(p) ** whole, a - whole
+            if a:
+                exps[p] = a
+        self.q, self.e = q, tuple(sorted(exps.items())) if q else ()
+        self.b = Fraction(b) if q else Fraction(0)
+
+    def root(self):
+        """(r, j) when the value is q sqrt(r) pi^j with j an int, r the
+        product of the bases; None for any other value."""
+        if self.b.denominator != 1 or any(a != _HALF for _, a in self.e):
+            return None
+        return math.prod(p for p, _ in self.e), int(self.b)
 
     def _key(self):
-        return self.j, self.q > 0, self.q * self.q * self.r
+        return (self.b, self.q > 0) + _lift(self)
 
     def __eq__(self, other):  # a float is never equal, as in sympy
-        other = _closed(other)
-        return NotImplemented if other is None else self._key() == other._key()
+        if isinstance(other, (int, Fraction)):
+            other = ClosedForm(other)
+        if isinstance(other, ClosedForm):
+            return self._key() == other._key()
+        return NotImplemented
 
     def __hash__(self):
-        return hash(self.q if self.r == 1 and not self.j else self._key())
+        return hash(self._key() if self.e or self.b else self.q)
 
     def __bool__(self):
         return bool(self.q)
 
     def __neg__(self):
-        return ClosedForm(-self.q, self.r, self.j)
+        return ClosedForm(-self.q, self.e, self.b)
 
     def __abs__(self):
-        return ClosedForm(abs(self.q), self.r, self.j)
+        return ClosedForm(abs(self.q), self.e, self.b)
 
     def __mul__(self, other):
-        o = _closed(other)
-        if o is None:  # a Monomial multiplies in the kernel
-            return NotImplemented if isinstance(other, Monomial) \
-                else self._sympy_() * other
-        g = math.gcd(self.r, o.r)
-        return ClosedForm(self.q * o.q * g, self.r // g * (o.r // g),
-                          self.j + o.j)
+        if isinstance(other, (int, Fraction)):
+            return ClosedForm(self.q * other, self.e, self.b)
+        if not isinstance(other, ClosedForm):
+            return self._sympy_() * other
+        e = dict(self.e)
+        for p, a in other.e:
+            e[p] = e.get(p, 0) + a
+        return ClosedForm(self.q * other.q, e, self.b + other.b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _closed(other)
-        if o is None:
-            return NotImplemented if isinstance(other, Monomial) \
-                else self._sympy_() / other
-        return self * o ** -1
+        if isinstance(other, (int, Fraction)):
+            return ClosedForm(self.q / other, self.e, self.b)
+        if not isinstance(other, ClosedForm):
+            return self._sympy_() / other
+        return self * other ** -1
 
     def __rtruediv__(self, other):
         return self ** -1 * other
 
-    def __pow__(self, e):
-        q, r, j = self.q, self.r, self.j
-        if isinstance(e, int) or isinstance(e, Fraction) and e.denominator == 1:
-            e = int(e)
-            if e < 0:  # 1 / (q sqrt(r)) = sqrt(r) / (q r)
-                q, j, e = 1 / (q * r), -j, -e
-            return ClosedForm(q ** e * r ** (e // 2), r ** (e % 2), j * e)
-        if isinstance(e, Fraction) and e.denominator == 2 and r == 1 \
-                and j % 2 == 0 and q >= 0:
-            return (_sqrt_rational(q) * ClosedForm(1, 1, j // 2)) ** e.numerator
-        return self._sympy_() ** e
+    def __pow__(self, t):
+        if not isinstance(t, (int, Fraction)) or \
+                self.q < 0 and Fraction(t).denominator != 1:
+            return self._sympy_() ** t
+        t = Fraction(t)
+        e = {p: a * t for p, a in self.e}
+        if t.denominator == 1 or not self.q:
+            return ClosedForm(self.q ** t, e, self.b * t)
+        for n, s in ((self.q.numerator, t), (self.q.denominator, -t)):
+            for p, a in _factor(n).items():
+                e[p] = e.get(p, 0) + a * s
+        return ClosedForm(1, e, self.b * t)
 
-    # a sum and a ClosedForm exponent are sympy's
+    # a sum and an exponent outside the rationals are sympy's
     __add__ = __radd__ = _via_sympy(operator.add)
     __sub__ = _via_sympy(operator.sub)
     __rsub__ = _via_sympy(lambda a, b: b - a)
@@ -551,11 +555,17 @@ class ClosedForm:
 
     def _sympy_(self):
         import sympy as sp
-        return (sp.Rational(self.q.numerator, self.q.denominator)
-                * sp.sqrt(self.r) * sp.pi ** self.j)
+
+        def rational(x):
+            return sp.Rational(x.numerator, x.denominator)
+        return rational(self.q) * sp.pi ** rational(self.b) * sp.Mul(
+            *(sp.Integer(p) ** rational(a) for p, a in self.e))
 
     def __str__(self):
-        q, r, j = self.q, self.r, self.j
+        root = self.root()
+        if root is None:
+            return str(self._sympy_())
+        q, (r, j) = self.q, root
         if r == 1 and not j:
             return str(q)
         if q == 1 and r == 1 and j < -1:
@@ -574,19 +584,46 @@ class ClosedForm:
     def __float__(self):
         if not self.q:
             return 0.0
-        if abs(self.j) > 13:  # sympy powers pi in steps not followed here
+        root = self.root()
+        if root is None or abs(root[1]) > 13:
+            # sympy powers pi in steps not followed here
             return float(self._sympy_())
         try:
-            f = math.ldexp(*_float_bits(self.q, self.r, self.j))
+            f = math.ldexp(*_float_bits(self.q, *root))
         except OverflowError:
             f = math.inf
         return -f if self.q < 0 else f
 
 
-def _closed(x):
-    """x as a ClosedForm, or None for an operand such as a sympy value."""
-    return ClosedForm(x) if isinstance(x, (int, Fraction)) else \
-        x if isinstance(x, ClosedForm) else None
+def _coprime(e):
+    """Split the bases of 2^15 and above of the product prod p^(e_p), the
+    dict ``e``, in place at their common factors until they are pairwise
+    coprime, each part that is a perfect power read as its root.
+    ``_factor`` leaves such a base for factors it does not find, and a
+    product can bring two that share one (p^2 m and m, for primes p and m
+    above 2^15)."""
+    while True:
+        big = [p for p in e if p >> 15]
+        pair = next(((u, v) for i, u in enumerate(big) for v in big[i + 1:]
+                     if math.gcd(u, v) > 1), None)
+        if pair is None:
+            return
+        u, v = pair
+        g = math.gcd(u, v)
+        a, b = e.pop(u), e.pop(v)
+        for c, x in ((g, a + b), (u // g, a), (v // g, b)):
+            if c > 1:
+                r, k = _perfect_power(c)
+                e[r] = e.get(r, 0) + k * x
+
+
+def _lift(x):
+    """(d, |q|^d prod p^(e_p d)) for the ClosedForm x and d the common
+    denominator of its e_p: with coprime bases that are no perfect powers,
+    d is the least power that makes |x| / pi^b rational, so the pair is the
+    value's own."""
+    d = math.lcm(*(a.denominator for _, a in x.e))
+    return d, abs(x.q) ** d * math.prod(p ** int(a * d) for p, a in x.e)
 
 
 def kappa(n: int):
@@ -594,7 +631,7 @@ def kappa(n: int):
     and 2^n m! pi^m / n! for n = 2m + 1."""
     m, f = n // 2, math.factorial
     c = Fraction(2 ** n * f(m), f(n)) if n % 2 else Fraction(1, f(m))
-    return ClosedForm(c, 1, m)
+    return ClosedForm(c, b=m)
 
 
 # The float of a closed form is sympy's, bit for bit, so no output depends
@@ -683,8 +720,7 @@ class MinusOne:
     def __float__(self):
         # sympy's sum evaluates its terms at 67 bits, adds them exactly and
         # rounds the sum to 57 bits, which float() rounds to 53
-        x = self.x
-        man, exp = _product_bits(x.q, x.r, x.j, 67)
+        man, exp = _product_bits(self.x.q, *self.x.root(), 67)
         num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
         num -= den
         man, exp = _bits(abs(num), den, 0, 57, "n")
@@ -696,38 +732,41 @@ class MinusOne:
 
 
 def minus_one(x):
-    """x - 1 for a Monomial x > 0, with sympy's text and float: a
-    ClosedForm when x is rational, a MinusOne when x is another ClosedForm.
-    None where sympy's evaluation is not followed: x not a ClosedForm, a
-    power of pi beyond 13, or x within 2^-9 of 1, where sympy's sum
-    cancels bits and restarts at a higher precision."""
-    c = x.closed()
-    if c is None or abs(c.j) > 13:
+    """x - 1 for a ClosedForm x > 0, with sympy's text and float: a
+    ClosedForm when x is rational, a MinusOne when x is another
+    q sqrt(r) pi^j. None where sympy's evaluation is not followed: x not
+    of that form, a power of pi beyond 13, or x within 2^-9 of 1, where
+    sympy's sum cancels bits and restarts at a higher precision."""
+    root = x.root()
+    if root is None or abs(root[1]) > 13:
         return None
-    if c.r == 1 and not c.j:
-        return ClosedForm(c.q - 1)
+    if root == (1, 0):
+        return ClosedForm(x.q - 1)
     near = Fraction(1, 512)
-    return None if 1 - near < x < 1 + near else MinusOne(c)
+    return None if 1 - near < x < 1 + near else MinusOne(x)
 
-
-# ---------------------------------------------------------------------------
-# Monomials q prod p^(e_p) pi^b
-# ---------------------------------------------------------------------------
 
 def _factor(n):
     """{p: a} with n = prod p^a for an int n >= 1, by trial division below
     2^15; a cofactor c left above that counts as a prime, or as the power
-    r^k of one when c = r^k (its factors exceed 2^15, so k <= log c / 15)."""
+    r^k of one when c = r^k (``_perfect_power``)."""
     out, p = {}, 2
     while p * p <= n and p < 1 << 15:
         while n % p == 0:
             n, out[p] = n // p, out.get(p, 0) + 1
         p += 1 + (p > 2)
     if n > 1:
-        k = next(k for k in range(n.bit_length() // 15, 0, -1)
-                 if _iroot(n, k) ** k == n) if n >> 30 else 1
-        out[_iroot(n, k)] = k
+        r, k = _perfect_power(n)
+        out[r] = k
     return out
+
+
+def _perfect_power(n):
+    """(r, k) with n = r^k and k as large as it goes, for an int n > 1 with
+    no prime factor below 2^15 (so k <= log n / 15)."""
+    k = next(k for k in range(n.bit_length() // 15, 0, -1)
+             if _iroot(n, k) ** k == n) if n >> 30 else 1
+    return _iroot(n, k), k
 
 
 def _iroot(n, k):
@@ -740,78 +779,8 @@ def _iroot(n, k):
         x = y
 
 
-class Monomial:
-    """The exact real q prod p^(e_p) pi^b (q a Fraction, each p a prime with
-    0 < e_p < 1, e_p and b Fractions) that the density bounds compute in.
-    Products, quotients and rational powers of a value >= 0 stay in the
-    form, and two values compare exactly (``_cmp``). A value whose prime
-    exponents are all 1/2 and whose power of pi is an integer is a
-    ClosedForm (``closed``)."""
-
-    __slots__ = ("q", "e", "b")
-
-    def __init__(self, q, e=None, b=0):
-        q, exps = Fraction(q), {}
-        for p, a in (e or {}).items():
-            whole = math.floor(a)
-            q, a = q * Fraction(p) ** whole, a - whole
-            if a:
-                exps[p] = a
-        self.q, self.e = q, tuple(sorted(exps.items())) if q else ()
-        self.b = Fraction(b) if q else Fraction(0)
-
-    @staticmethod
-    def of(x):
-        """x, an int, a Fraction, a ClosedForm or a Monomial, as a Monomial."""
-        if isinstance(x, Monomial):
-            return x
-        c = _closed(x)
-        if c is None:
-            raise TypeError(f"{x!r} is not in the monomial kernel")
-        return Monomial(c.q, {p: Fraction(a, 2)
-                              for p, a in _factor(c.r).items()}, c.j)
-
-    def closed(self):
-        """The value as a ClosedForm, or None when it is not one."""
-        if self.b.denominator != 1 or any(a != Fraction(1, 2)
-                                          for _, a in self.e):
-            return None
-        return ClosedForm(self.q, 1, int(self.b)) \
-            * _sqrt_rational(math.prod(p for p, _ in self.e))
-
-    def __mul__(self, other):
-        o, e = Monomial.of(other), dict(self.e)
-        for p, a in o.e:
-            e[p] = e.get(p, 0) + a
-        return Monomial(self.q * o.q, e, self.b + o.b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * Monomial.of(other) ** -1
-
-    def __pow__(self, t):
-        t = Fraction(t)
-        e = {p: a * t for p, a in self.e}
-        if t.denominator == 1 or not self.q:
-            return Monomial(self.q ** t, e, self.b * t)
-        if self.q < 0:
-            raise ValueError("a rational power of a negative value")
-        for sign, n in ((1, self.q.numerator), (-1, self.q.denominator)):
-            for p, a in _factor(n).items():
-                e[p] = e.get(p, 0) + sign * a * t
-        return Monomial(1, e, self.b * t)
-
-    __eq__, __lt__, __le__ = (_order(operator.eq), _order(operator.lt),
-                              _order(operator.le))
-    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
-
-    def __repr__(self):
-        return f"Monomial({self.q}, {dict(self.e)}, {self.b})"
-
-
 def _cmp(x, y):
-    """The sign of x - y for Monomials x and y, exact."""
+    """The sign of x - y for ClosedForms x and y, exact."""
     sx, sy = (x.q > 0) - (x.q < 0), (y.q > 0) - (y.q < 0)
     if sx != sy or not sx:
         return (sx > sy) - (sx < sy)
@@ -819,16 +788,15 @@ def _cmp(x, y):
 
 
 def _cmp_one(z):
-    """The sign of z - 1 for a Monomial z > 0."""
+    """The sign of z - 1 for a ClosedForm z > 0."""
     if z.b < 0:
         return -_cmp_one(z ** -1)
     if not z.b:  # z^d is rational for d the common denominator of the e_p
-        d = math.lcm(*(a.denominator for _, a in z.e))
-        w = z.q ** d * math.prod(Fraction(p) ** (a * d) for p, a in z.e)
+        w = _lift(z)[1]
         return (w > 1) - (w < 1)
     # z = c pi^(s/t) > 1 exactly when pi^s > c^-t, an algebraic number that
     # no power of pi equals, so a close enough enclosure of pi decides
-    s, c = z.b.numerator, Monomial(z.q, dict(z.e)) ** -z.b.denominator
+    s, c = z.b.numerator, ClosedForm(z.q, z.e) ** -z.b.denominator
     for lo, hi in _pi_enclosures():
         if _cmp_one(c / lo ** s) <= 0:
             return 1

@@ -3,17 +3,18 @@ closed-form density bound evaluators: sublattice-determinant constants,
 impassability lower bounds, body-minima chains, the comparison tables, and
 volume-product floors.
 
-The bounds are computed in the monomial kernel (``_linalg.Monomial``): the
-values q prod p^(e_p) pi^b with rational q, e_p and b, closed under
-products, quotients and rational powers, and compared exactly. So
-``dnk_lower`` and ``min_dnk_over_bodies`` choose their formula by an exact
-comparison, and a report keeps its kernel value (``monomial``) for the next
-choice. A value leaves as a ``ClosedForm`` when it is one (q sqrt(r) pi^j),
-with no sympy. Any other value leaves as the sympy expression that its
-formula's own sympy steps build, which fix how sympy prints it; sympy is
-imported for those only, and for the sums of ``max_d21_upper``. Floats are
-derived from the exact values. The one genuinely algebraic constant (the
-planar packing bound of 0.8926) is stored as a float literal lower bound.
+The bounds are computed as ``_linalg.ClosedForm`` values: q prod p^(e_p)
+pi^b with rational q, e_p and b, closed under products, quotients and
+rational powers, and compared exactly. So ``dnk_lower`` and
+``min_dnk_over_bodies`` choose their formula by an exact comparison, and a
+report keeps its exact value (``monomial``) for the next choice. A value in
+the square-root case q sqrt(r) pi^j is reported as itself, with no sympy.
+Any other value is reported as the sympy expression that its formula's own
+sympy steps build, which fix how sympy prints it; sympy is imported for
+those only, and for the legacy sum and the 0.8926 literal of
+``max_d21_upper``. Floats are derived from the exact values. The one
+genuinely algebraic constant (the planar packing bound of 0.8926) is stored
+as a float literal lower bound.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class BoundReport:
     inputs: tuple = ()
     strictness: str = "lower-bound"  # equality | lower-bound | upper-bound | strict-lower-bound
     notes: str = ""
-    # the value in the monomial kernel, which decides every choice between
-    # bounds; None for a value outside it
+    # the exact value as a ClosedForm, also where value_exact is sympy's,
+    # which decides every choice between bounds; None for a sympy value
     monomial: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -69,16 +70,12 @@ class BoundReport:
 
 def _report(formula_id, n, k, exact, inputs=(), strictness="lower-bound",
             notes="", build=None):
-    """The report of an exact value: a ClosedForm, a sympy value or a
-    Monomial. A Monomial leaves as its ClosedForm, or else as the sympy
-    expression ``build()``, by the formula's own sympy steps."""
-    monomial = None
-    if isinstance(exact, la.Monomial):
-        monomial, exact = exact, exact.closed()
-        if exact is None:
-            exact = build()
-    elif isinstance(exact, la.ClosedForm):
-        monomial = la.Monomial.of(exact)
+    """The report of an exact value, a ClosedForm or a sympy value. A
+    ClosedForm outside the square-root case leaves as the sympy expression
+    ``build()``, by the formula's own sympy steps, where there is one."""
+    monomial = exact if isinstance(exact, la.ClosedForm) else None
+    if build is not None and exact.root() is None:
+        exact = build()
     return BoundReport(formula_id, n, k, exact, float(exact), tuple(inputs),
                        strictness, notes, monomial)
 
@@ -153,11 +150,10 @@ def constants(n: int) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _cnk(n: int, k: int):
-    """2^k (delta / kappa_n)^{k/n} as a Monomial."""
+    """2^k (delta / kappa_n)^{k/n} as a ClosedForm."""
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"need 1 <= k <= n - 1; got n={n}, k={k}")
-    return 2 ** k * (la.Monomial.of(delta_ball(n).value_exact) / kappa(n)) \
-        ** Fraction(k, n)
+    return 2 ** k * (delta_ball(n).value_exact / kappa(n)) ** Fraction(k, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,8 +188,8 @@ def dnk_chain(n: int, k: int) -> BoundReport:
     kappa_n * (theta_{n-k} / (kappa_{n-k} c_{n,k}))^{n/(n-k)}."""
     c = _cnk(n, k)  # first, as it checks 1 <= k <= n - 1
     theta, delta = theta_ball(n - k), delta_ball(n)
-    value = kappa(n) * (la.Monomial.of(theta.value_exact)
-                        / (kappa(n - k) * c)) ** Fraction(n, n - k)
+    value = kappa(n) * (theta.value_exact / (kappa(n - k) * c)) \
+        ** Fraction(n, n - k)
     if n == 2 and k == 1:
         strict = "equality"
     elif k >= 2 or (k == 1 and 3 <= n <= 6):
@@ -227,7 +223,7 @@ def dnk_known(n: int, k: int) -> BoundReport:
     if k == n - 1 and has_delta(n):
         return replace(dnn1_ball(n), formula_id="dnk-known")
     if (n, k) == (3, 1):
-        entry = ConstantEntry("d_3_1", 3, la.ClosedForm(Fraction(9, 32), 1, 1),
+        entry = ConstantEntry("d_3_1", 3, la.ClosedForm(Fraction(9, 32), b=1),
                               "external-catalog",
                               "proved sharp line-impassability threshold")
         return _report("dnk-known", 3, 1, entry.value_exact, (entry,),
@@ -373,8 +369,9 @@ def max_d21_upper() -> tuple:
     legacy = _report("max-d21-legacy", 2, 1,
                      sp.pi ** 2 / (3 * sp.sqrt(2) + sp.sqrt(3) - sp.sqrt(6)) / 4,
                      (), "upper-bound", "older proved upper bound")
-    conjecture = _report("max-d21-conjecture", 2, 1, sp.sqrt(3) * sp.pi / 8,
-                         (), "equality", "conjectured maximum, attained by a disk")
+    disk = la._sqrt_rational(3) * la.ClosedForm(Fraction(1, 8), b=1)
+    conjecture = _report("max-d21-conjecture", 2, 1, disk, (), "equality",
+                         "conjectured maximum, attained by a disk")
     return proved, legacy, conjecture
 
 

@@ -46,8 +46,9 @@ from .enumeration import vectors_within
 from .errors import (CapabilityError, CertificateValidationError,
                      InvalidInputError, NotAPackingError)
 from .lattice import Lattice, dual_in_span
-from .sublattice import (SublatticeWitness, _least_in_orbits, _shells,
-                         orbit_witnesses, project_along, successive_minima)
+from .sublattice import (SublatticeWitness, _bound_sq, _least_in_orbits,
+                         _shells, orbit_witnesses, project_along,
+                         successive_minima)
 from .symmetry import automorphisms
 
 
@@ -193,7 +194,7 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     r_sq, _ = _exact_radius(r)
     if det_bound is None:
         det_bound = _default_det_bound(lat, k)
-    for w in _shells(lat, k, det_bound):
+    for w in _shells(lat, k, _bound_sq(det_bound)):
         proj = project_along(w)
         if _covering_radius_bound(proj) > r_sq:
             cert = _certificate(w, r, proj, validate)
@@ -284,10 +285,10 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
     ``d_nk`` is a lower bound on the impassability threshold (a BoundReport
     or exact value); the floor (d_nk / density)^{1/n} - 1 is positive exactly
     when the packing is less dense than the threshold, and ``guaranteed``
-    is that exact comparison, made in the monomial kernel. A floor whose
-    n-th root is a ClosedForm is built without sympy (``la.minus_one``);
-    any other is sympy's. The returned base_radius is the best validated
-    clearance found by the search.
+    is that exact comparison. A floor whose n-th root is in the
+    square-root case q sqrt(r) pi^j is built without sympy
+    (``la.minus_one``); any other is sympy's. The returned base_radius is
+    the best validated clearance found by the search.
     Raises NotAPackingError when lambda_1^2 < 4 r^2 (compared exactly) and
     CapabilityError when no direction within the determinant bound clears
     the balls.
@@ -299,13 +300,12 @@ def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitn
     if d_value is None:
         d_value = la._exact(getattr(d_nk, "value_float", d_nk))
     density = ball_lattice_density(lat, r)
-    # a report's kernel value decides even where its value is sympy's
+    # a report's ClosedForm decides even where its value is sympy's
     d = getattr(d_nk, "monomial", None) or d_value
     guaranteed = bool(d > density)
     floor = None
     if isinstance(d_value, la.ClosedForm) and d_value > 0:
-        floor = la.minus_one((la.Monomial.of(d_value) / density)
-                             ** Fraction(1, n))
+        floor = la.minus_one((d_value / density) ** Fraction(1, n))
     if floor is None:
         import sympy as sp  # for the n-th roots that no ClosedForm holds
         # the n-th root leaves products of radicals that only powsimp merges

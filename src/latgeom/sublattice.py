@@ -207,7 +207,15 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
     ``enumerate_sublattices(lat, k, det_bound)`` under the group of
     isometries that the int matrices ``gens`` make (x -> x A, as
     ``symmetry.automorphisms`` gives them), and usually few others; with no
-    generators, all of them.
+    generators, all of them. Only the square of ``det_bound`` enters the
+    search (``_orbit_search``)."""
+    _check_k(lat, k)
+    return _orbit_search(lat, k, _bound_sq(det_bound), gens)
+
+
+def _orbit_search(lat: Lattice, k: int, det_bound_sq, gens):
+    """``orbit_witnesses`` for the bound ``det_bound_sq`` on det^2, a
+    Fraction, or None for a bound <= 0, which admits no sublattice.
 
     Every saturated sublattice with small determinant contains k independent
     vectors no longer than its own successive minima; Minkowski's second
@@ -253,8 +261,6 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
     generators every candidate is a representative, the order is that of
     (norm, coeffs), and each span is reached through its own minima tuple."""
     m = lat.rank
-    _check_k(lat, k)
-    det_bound_sq = _bound_sq(det_bound)
     if det_bound_sq is None:
         return []
     if k > m - k:
@@ -358,29 +364,28 @@ def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
                   key=lambda w: (w.det_sq, w.coeffs))
 
 
-def _shells(lat: Lattice, k: int, det_bound):
+def _shells(lat: Lattice, k: int, det_bound_sq):
     """The elements of ``enumerate_sublattices(lat, k, det_bound)``, in its
-    order, from searches at growing bounds on det^2, so that a caller who
-    needs only the first few stops after a small search.
+    order, for ``det_bound_sq`` its square as ``_bound_sq`` reads it, from
+    searches at growing bounds on det^2, so that a caller who needs only
+    the first few stops after a small search.
 
     A k-sublattice M of L has lambda_1(M) >= lambda_1(L), so Hermite's
     inequality lambda_1(M)^2 <= gamma_k det(M)^{2/k} puts det(M)^2 at or
     above lambda_1(L)^{2k} / gamma_k^k, the first bound (``_hermite_pow``).
-    Each next bound is 4 times the last, capped at det_bound^2; each is
-    searched at its exact root, which squares back to it, and each search
-    yields only the witnesses above the previous bound.
+    Each next bound is 4 times the last, capped at det_bound^2, and each
+    search yields only the witnesses above the previous bound.
     """
     _check_k(lat, k)
-    cap = _bound_sq(det_bound)
-    if cap is None:
+    if det_bound_sq is None:
         return
     prev, bound = 0, _lambda1_sq(lat) ** k / _hermite_pow(k)
     while True:
-        bound = min(bound, cap)
-        for w in enumerate_sublattices(lat, k, la._sqrt_rational(bound)):
+        bound = min(bound, det_bound_sq)
+        for w in _orbit_search(lat, k, bound, ()):
             if w.det_sq > prev:
                 yield w
-        if bound == cap:
+        if bound == det_bound_sq:
             return
         prev, bound = bound, 4 * bound
 
@@ -391,12 +396,11 @@ def _enumerate_via_dual(lat: Lattice, k: int, det_bound_sq, gens):
     An automorphism x -> x A of L acts on dual coefficients as
     y -> y A^{-T}, which keeps the pairing x y^T, so orbits of complements
     are the complements of orbits."""
-    dual_bound = la._sqrt_rational(det_bound_sq / lat.det_sq())
     dual_gens = [[[int(x) for x in row] for row in la.transpose(la.inverse(a))]
                  for a in gens]
     out = []
-    for wd in orbit_witnesses(dual_in_span(lat), lat.rank - k, dual_bound,
-                              dual_gens):
+    for wd in _orbit_search(dual_in_span(lat), lat.rank - k,
+                            det_bound_sq / lat.det_sq(), dual_gens):
         key = tuple(map(tuple, la.hnf_basis(
             la.integer_kernel([list(r) for r in wd.coeffs]))))
         out.append(SublatticeWitness(lat, key, lat.det_sq() * wd.det_sq, True))
@@ -412,10 +416,9 @@ def dk_min(lat: Lattice, k: int, det_bound=None):
     larger than their Gram determinant, which Hadamard's inequality puts at
     or below the product of their squared norms."""
     _check_k(lat, k)
-    if det_bound is None:
-        det_bound = la._sqrt_rational(
-            math.prod(successive_minima(lat)[0][:k]))
-    best = next(_shells(lat, k, det_bound), None)
+    det_bound_sq = math.prod(successive_minima(lat)[0][:k]) \
+        if det_bound is None else _bound_sq(det_bound)
+    best = next(_shells(lat, k, det_bound_sq), None)
     if best is None:
         raise InvalidInputError("no sublattice within the determinant bound; "
                                 "the bound is below D_k(L)")

@@ -1,6 +1,8 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -12,7 +14,7 @@ from latgeom.bounds import (body_min_chain, body_min_floor, cnk_upper,
                             dnn1_body, has_delta, has_theta, mahler_floors,
                             max_d21_upper, min_dnk_over_bodies,
                             remark321_table, theta_ball)
-from latgeom.errors import MissingConstantError
+from latgeom.errors import LatgeomError, MissingConstantError
 from latgeom.impassability import ball_lattice_density, free_cylinder
 from latgeom.lattice import catalog
 from latgeom.polytope import cross_polytope, cube, simplex
@@ -216,7 +218,7 @@ def test_dnn1_body_reads_a_float_density_exactly():
     delta = 0.7404804896930609
     rep = dnn1_body(cube(2), delta)
     assert rep.value_exact == sp.Rational(1, 2) / sp.Rational(la._rational(delta))
-    assert (rep.value_exact.r, rep.value_exact.j) == (1, 0)  # a rational
+    assert rep.value_exact.root() == (1, 0)  # a rational
     assert dnn1_body(cube(2), sp.sqrt(2) * sp.pi / 6).value_exact \
         == 3 * sp.sqrt(2) / (2 * sp.pi)
     assert dnn1_body(cube(2), Fraction(1, 2)).value_exact == 1
@@ -279,3 +281,50 @@ def test_guaranteed_is_the_exact_density_test(name, n, scale_sq, r, threshold):
     assert not at.guaranteed and str(at.guaranteed_floor) == "0"
     above = free_cylinder(lat, r, 1, density * Fraction(10**30 + 1, 10**30))
     assert above.guaranteed and above.floor_float < 1e-29
+
+
+# (catalog name, dimension, squared scale, r) of the pinned cylinder floors:
+# D3 and D4 times sqrt2, Z2, Z3 and A2, and Z2 times sqrt3
+_CYLINDERS = [("D", 3, 2, 1), ("D", 4, 2, 1), ("Z", 2, 1, Fraction(1, 4)),
+              ("Z", 3, 1, Fraction(1, 4)), ("A", 2, 1, Fraction(1, 4)),
+              ("Z", 2, 3, Fraction(1, 3))]
+
+
+def _pinned():
+    """The text and float of every report of ``_all_reports`` and of
+    ``free_cylinder``'s floor (or its error) on ``_CYLINDERS`` at the
+    thresholds ``dnk_known`` and ``dnk_lower`` where they exist and at the
+    floats 0.3 and 0.7, as JSON records."""
+    out = [dict(r.to_dict(), float_repr=repr(r.value_float))
+           for r in _all_reports()]
+    for name, n, scale_sq, r in _CYLINDERS:
+        lat = catalog(name, n).scaled(scale_sq)
+        thresholds = []
+        for f in (dnk_known, dnk_lower):
+            try:
+                thresholds.append((f.__name__, f(n, 1)))
+            except MissingConstantError:
+                pass
+        for label, d in thresholds + [("0.3", 0.3), ("0.7", 0.7)]:
+            case = {"cylinder": f"{name}{n} scale^2 {scale_sq} r {r} k 1",
+                    "threshold": label}
+            try:
+                cw = free_cylinder(lat, r, 1, d)
+            except LatgeomError as exc:
+                out.append(dict(case, error=f"{type(exc).__name__}: {exc}"))
+                continue
+            out.append(dict(case, guaranteed_floor=str(cw.guaranteed_floor),
+                            floor_float=repr(cw.floor_float),
+                            guaranteed=cw.guaranteed))
+    return out
+
+
+def test_bound_and_floor_texts_are_pinned():
+    # tests/pinned_texts.json holds _pinned() one record a line, as computed
+    # before the bounds and floors moved to one exact value type
+    path = Path(__file__).with_name("pinned_texts.json")
+    want = json.loads(path.read_text())
+    got = json.loads(json.dumps(_pinned()))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w

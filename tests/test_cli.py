@@ -89,8 +89,8 @@ print(sorted(m for m in sys.modules if m.startswith("sympy.physics")))
 
 def test_engine_verbs_load_neither_numpy_nor_sympy():
     # exact values are ClosedForms and mvee runs on floats; the bounds and
-    # the cylinder floors that are closed forms come from the monomial
-    # kernel, so only the values that are not import sympy, when they run
+    # the cylinder floors in the square-root case q sqrt(r) pi^j need no
+    # sympy, so only the other values import it, when they run
     script = _RUN_ALL + """
 run_all("svp --catalog E8", "minima --catalog E6", "lattice-info --catalog D4",
         "voronoi --catalog D4", "dk --catalog D4 --k 1",

@@ -1,7 +1,7 @@
-"""The exact value type q sqrt(r) pi^j (``_linalg.ClosedForm``) against
-sympy as the oracle: text, float, and arithmetic on random values and on
-every determinant, density and volume the catalog and the standard bodies
-give."""
+"""The exact value type q prod p^(e_p) pi^b (``_linalg.ClosedForm``)
+against sympy as the oracle: text, float, and arithmetic on random values
+and on every determinant, density and volume the catalog and the standard
+bodies give."""
 
 import math
 from fractions import Fraction
@@ -24,7 +24,14 @@ _SQUAREFREE = st.integers(1, 10**6).filter(
 _Q = st.one_of(st.fractions(max_denominator=10**6).filter(bool),
                st.fractions(-10**20, 10**20, max_denominator=10**15).filter(bool),
                st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]))
-_VALUES = st.builds(la.ClosedForm, _Q, st.one_of(st.just(1), _SQUAREFREE),
+
+
+def _cf(q, r=1, j=0):
+    """The ClosedForm q sqrt(r) pi^j for an int j."""
+    return la.ClosedForm(q, b=j) * la._sqrt_rational(r)
+
+
+_VALUES = st.builds(_cf, _Q, st.one_of(st.just(1), _SQUAREFREE),
                     st.integers(0, 4))
 
 
@@ -55,7 +62,7 @@ def test_products_and_quotients_are_sympys(v, w):
 @given(st.fractions(0, 10**6, max_denominator=10**6), st.integers(0, 2),
        st.sampled_from([-3, -1, 1, 3, 5]))
 def test_half_integer_powers_are_sympys(q, half_j, m):
-    v = la.ClosedForm(q, 1, 2 * half_j)
+    v = _cf(q, 1, 2 * half_j)
     if q:
         _same(v ** Fraction(m, 2), v._sympy_() ** sp.Rational(m, 2))
 
@@ -98,7 +105,7 @@ def test_sign_order_and_float_operands_are_sympys():
 
 def test_a_float_beyond_range_is_sympys_infinity():
     for q, want in ((10**400, math.inf), (-10**400, -math.inf)):
-        v = la.ClosedForm(Fraction(q), 2, 1)
+        v = _cf(Fraction(q), 2, 1)
         assert float(v) == float(v._sympy_()) == want
 
 
@@ -110,11 +117,35 @@ _BIG_PRIMES = [p for p in range(2**15, 2**15 + 300)
 @given(st.sampled_from(_BIG_PRIMES), st.sampled_from(_BIG_PRIMES))
 def test_a_square_above_trial_division_folds_into_q(p, m):
     # sqrt(p^2 m) keeps p^2 under the root: both primes are above the
-    # trial division of _square_part
+    # trial division of _factor
     v = la._sqrt_rational(p * p * m) * la._sqrt_rational(m)
-    assert (v.q, v.r) == (m * p, 1)
+    assert (v.q, v.root()) == (m * p, (1, 0))
     _same(v, sp.Integer(m * p))
     assert hash(v) == hash(Fraction(m * p))
+
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_BIG_PRIMES + _SMALL_PRIMES),
+       st.sampled_from(_BIG_PRIMES + _SMALL_PRIMES), _Q, st.integers(-2, 2))
+def test_one_value_built_two_ways_is_one_value(p, m, q, j):
+    # products and powers that meet the same factor above trial division
+    # from two sides still give one form
+    c, third = la.ClosedForm(q, b=j), Fraction(1, 3)
+    pairs = [(la._sqrt_rational(p * m),
+              la._sqrt_rational(p) * la._sqrt_rational(m)),
+             (la._sqrt_rational(p * p * m) * la._sqrt_rational(m),
+              la.ClosedForm(p * m)),
+             (la.ClosedForm(p * m) ** third * la.ClosedForm(p) ** (2 * third),
+              p * la.ClosedForm(m) ** third)]
+    for x, y in pairs:
+        x, y = x * c, c * y
+        assert x == y and hash(x) == hash(y)
+        assert str(x) == str(y) and float(x) == float(y)
+    assert hash(la.ClosedForm(q)) == hash(q)
+    assert not la.ClosedForm(0) * pairs[2][0] and not c * 0
 
 
 def test_a_rational_closed_form_reads_as_a_rational():
@@ -153,12 +184,12 @@ def test_catalog_values_are_sympys():
 
 
 # ---------------------------------------------------------------------------
-# The monomial kernel q prod p^(e_p) pi^b (``_linalg.Monomial``)
+# Products of rational powers q prod p^(e_p) pi^b
 # ---------------------------------------------------------------------------
 
 _EXPONENTS = st.fractions(-3, 3, max_denominator=12)
 _MONOMIALS = st.builds(
-    la.Monomial,
+    la.ClosedForm,
     st.fractions(Fraction(1, 10**6), 10**6, max_denominator=10**6),
     st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]), _EXPONENTS,
                     max_size=3),
@@ -166,7 +197,7 @@ _MONOMIALS = st.builds(
 
 
 def _sym(m):
-    """The sympy value of a Monomial, factor by factor."""
+    """The sympy value of a ClosedForm, factor by factor."""
     def r(x):
         return sp.Rational(x.numerator, x.denominator)
     return r(m.q) * sp.Mul(*[sp.Integer(p) ** r(a) for p, a in m.e]) \
@@ -199,7 +230,8 @@ def test_monomial_order_is_sympys(x, y):
         want = _sym(a) > _sym(b)
         assert (a > b) == bool(want) and (b < a) == bool(want)
         assert (a <= b) == (not want)
-    assert x == x * la.Monomial(2) ** Fraction(1, 3) / la.Monomial(16) ** Fraction(1, 12)
+    assert x == x * la.ClosedForm(2) ** Fraction(1, 3) \
+        / la.ClosedForm(16) ** Fraction(1, 12)
     assert not x < x and x >= x
 
 
@@ -210,8 +242,8 @@ def test_monomial_order_refines_pi(digits):
     # does. sympy's relational gives up this close, so the oracle is the
     # sign of the difference at digits + 40 digits.
     scale = 10 ** digits
-    for m in (la.Monomial(1, None, Fraction(1, 2)),
-              la.Monomial(1, {2: Fraction(-1, 3)}, Fraction(3, 2))):
+    for m in (la.ClosedForm(1, None, Fraction(1, 2)),
+              la.ClosedForm(1, {2: Fraction(-1, 3)}, Fraction(3, 2))):
         s = sp.N(_sym(m), digits + 40)
         lo = Fraction(int(s * scale), scale)
         for q in (lo, lo + Fraction(1, scale)):
@@ -233,23 +265,22 @@ def test_machin_encloses_pi():
 @settings(max_examples=200, deadline=None)
 @given(_MONOMIALS)
 def test_a_closed_monomial_is_a_closed_form(m):
-    c = m.closed()
-    if c is not None:
-        _same(c, _sym(m))
-    half = la.Monomial(m.q, {p: Fraction(1, 2) for p, _ in m.e}, round(m.b))
-    _same(half.closed(), _sym(half))
-    assert la.Monomial.of(half.closed()) == half
+    if m.root() is not None:
+        _same(m, _sym(m))
+    half = la.ClosedForm(m.q, {p: Fraction(1, 2) for p, _ in m.e}, round(m.b))
+    _same(half, _sym(half))
+    assert _cf(half.q, *half.root()) == half
 
 
 def test_closed_form_order_is_exact_in_the_kernel():
     # q is pi^2 cut after 19 decimals, far closer than a float can tell
-    v = la.ClosedForm(1, 1, 2)
+    v = _cf(1, 1, 2)
     q = Fraction(98696044010893586188, 10**19)
     assert v > q and not v < q and v < q + Fraction(1, 10**19)
     assert la.ClosedForm(0) < la._sqrt_rational(2) and -v < 0
 
 
-_POSITIVE = st.builds(la.ClosedForm,
+_POSITIVE = st.builds(_cf,
                       st.fractions(Fraction(1, 10**6), 10**6,
                                    max_denominator=10**6),
                       st.one_of(st.just(1), _SQUAREFREE), st.integers(-3, 4))
@@ -263,7 +294,7 @@ def _today_floor(ratio, n):
 @settings(max_examples=300, deadline=None)
 @given(_POSITIVE, st.integers(1, 8))
 def test_floor_text_and_float_are_sympys(x, n):
-    root = la.Monomial.of(x ** n) ** Fraction(1, n)
+    root = (x ** n) ** Fraction(1, n)
     floor = la.minus_one(root)
     if floor is None:  # within 2^-9 of 1
         assert abs(float(x) - 1) < 2 ** -8
@@ -276,7 +307,7 @@ def test_floor_text_and_float_are_sympys(x, n):
 def _near_one(r, bits, up):
     """q sqrt(r) with q the dyadic rational next to 1/sqrt(r) at bits."""
     s = math.isqrt((1 << 2 * bits) // r) + up
-    return la.ClosedForm(Fraction(s, 1 << bits), r)
+    return _cf(Fraction(s, 1 << bits), r)
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,7 +319,7 @@ def test_floor_near_one_goes_to_sympy(r, bits, up):
     # sympy's sum restarts at a higher precision when -1 + x cancels more
     # than 10 bits; minus_one hands every x within 2^-9 of 1 back to sympy
     x = _near_one(r, bits, up)
-    floor = la.minus_one(la.Monomial.of(x))
+    floor = la.minus_one(x)
     want = x._sympy_() - 1
     near = abs(x - 1) < Fraction(1, 512)
     assert bool(abs(want) < sp.Rational(1, 512)) == near
@@ -300,7 +331,7 @@ def test_floor_near_one_goes_to_sympy(r, bits, up):
 
 def test_floor_of_a_rational_root_is_a_rational():
     for x in (Fraction(5, 4), Fraction(1), Fraction(1, 3)):
-        floor = la.minus_one(la.Monomial(x))
+        floor = la.minus_one(la.ClosedForm(x))
         _same(floor, sp.Rational(x.numerator, x.denominator) - 1)
-    assert la.minus_one(la.Monomial(2) ** Fraction(1, 3)) is None
-    assert la.minus_one(la.Monomial(1, None, 14)) is None
+    assert la.minus_one(la.ClosedForm(2) ** Fraction(1, 3)) is None
+    assert la.minus_one(la.ClosedForm(1, None, 14)) is None

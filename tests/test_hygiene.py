@@ -1,4 +1,5 @@
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -50,6 +51,44 @@ def test_an_unread_parameter_is_found():
                      "    @staticmethod\n    def s(y):\n        pass\n")
     assert sorted(_unread_parameters(tree)) == [(1, "f", "b"), (4, "m", "x"),
                                                 (7, "s", "y")]
+
+
+def _dead_privates(trees):
+    """(module, name) for each private top-level function or method (a name
+    with one leading underscore, not a dunder) of the modules ``trees``,
+    {module: tree}, that no code outside its own definition names, as a
+    variable or as an attribute."""
+    refs, defs = collections.Counter(), []
+
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    for module, tree in trees.items():
+        refs.update(names(tree))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defs += [(module, f) for f in members
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and f.name.startswith("_") and not f.name.endswith("__")]
+    return [(module, f.name) for module, f in defs
+            if refs[f.name] == names(f).count(f.name)]
+
+
+def test_every_private_helper_is_used():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert _dead_privates(trees) == []
+
+
+def test_a_dead_private_helper_is_found():
+    a = ast.parse("def _used():\n    return 1\n"
+                  "def _dead(n):\n    return _dead(n - 1)\n"
+                  "class C:\n    def _m(self):\n        return self\n"
+                  "    def __len__(self):\n        return 0\n")
+    b = ast.parse("from a import _used\nx = _used()\n")
+    assert _dead_privates({"a": a, "b": b}) == [("a", "_dead"), ("a", "_m")]
 
 
 # Imported but not read, on purpose: ``__init__`` re-exports its imports, and

@@ -124,7 +124,7 @@ def test_exact_passes_sympy_and_reads_the_rest():
     assert la._exact("0.25") == sp.Rational(1, 4)
     x = float(sp.sqrt(2) * sp.pi / 6)
     assert la._exact(x) == sp.Rational(la._rational(x))
-    assert (la._exact(x).r, la._exact(x).j) == (1, 0)  # a rational
+    assert la._exact(x).root() == (1, 0)  # a rational
     with pytest.raises(InvalidInputError):
         la._exact("pi")
 

@@ -343,7 +343,7 @@ def _shell_inputs(draw):
 def test_shells_yield_the_full_search_in_order(inputs):
     lat, k, det_bound = inputs
     full = enumerate_sublattices(lat, k, det_bound)
-    assert list(sub._shells(lat, k, det_bound)) == full
+    assert list(sub._shells(lat, k, sub._bound_sq(det_bound))) == full
     if full:
         assert dk_min(lat, k, det_bound) == (full[0].det_sq, full[0])
     else:
@@ -353,14 +353,14 @@ def test_shells_yield_the_full_search_in_order(inputs):
 
 def test_shells_yield_a_witness_on_a_bound_once(monkeypatch):
     bounds_sq = []
-    real = sub.enumerate_sublattices
+    real = sub._orbit_search
 
-    def spy(lat, k, det_bound, **kw):
-        bounds_sq.append(sp.Rational(det_bound) ** 2)
-        return real(lat, k, det_bound, **kw)
+    def spy(lat, k, det_bound_sq, gens):
+        bounds_sq.append(det_bound_sq)
+        return real(lat, k, det_bound_sq, gens)
 
-    monkeypatch.setattr(sub, "enumerate_sublattices", spy)
-    got = list(sub._shells(catalog("Z", 4), 1, 3))
+    monkeypatch.setattr(sub, "_orbit_search", spy)
+    got = list(sub._shells(catalog("Z", 4), 1, sub._bound_sq(3)))
     # Hermite's start lambda_1^2 / gamma_1 = 1, then 4, then det_bound^2
     assert bounds_sq == [1, 4, 9]
     assert [w.coeffs for w in got].count(((1, 1, 1, 1),)) == 1
@@ -376,19 +376,20 @@ def test_shells_reduce_the_dual_once(monkeypatch):
     bound = _default_det_bound(lat, 3)
     grams, shells = [], []
     real_lll = lattice_mod._lll_transform
-    real_search = sub.enumerate_sublattices
+    real_search = sub._orbit_search
 
     def lll(int_gram, delta):
         grams.append(int_gram)
         return real_lll(int_gram, delta)
 
-    def search(lat, k, det_bound):
-        shells.append(det_bound)
-        return real_search(lat, k, det_bound)
+    def search(lat, k, det_bound_sq, gens):
+        if k == 3:  # a shell, not its search on the dual side
+            shells.append(det_bound_sq)
+        return real_search(lat, k, det_bound_sq, gens)
 
     monkeypatch.setattr(lattice_mod, "_lll_transform", lll)
-    monkeypatch.setattr(sub, "enumerate_sublattices", search)
-    assert sum(1 for _ in sub._shells(lat, 3, bound)) == 1560
+    monkeypatch.setattr(sub, "_orbit_search", search)
+    assert sum(1 for _ in sub._shells(lat, 3, sub._bound_sq(bound))) == 1560
     assert len(shells) == 4
     assert grams.count(la.integer_form(la.inverse(lat.gram()))) == 1
 
