@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -447,17 +448,30 @@ def run(argv=None) -> int:
         args = _apply_config(args)
         payload = _HANDLERS[args.verb](args)
     except (LatgeomError, OSError) as exc:
-        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
-        json.dump({"error": name, "message": str(exc)}, sys.stderr,
-                  sort_keys=True)
-        sys.stderr.write("\n")
+        _report("OSError" if isinstance(exc, OSError) else type(exc).__name__,
+                exc)
         return 2 if isinstance(exc, (InvalidInputError, OSError)) else 1
     emit(payload, args.format)
     return 0
 
 
+def _report(name, exc):
+    """The one-line JSON error for ``exc``, under ``name``, on stderr."""
+    json.dump({"error": name, "message": str(exc)}, sys.stderr, sort_keys=True)
+    sys.stderr.write("\n")
+
+
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's last flush of what is left is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _report("BrokenPipeError", exc)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

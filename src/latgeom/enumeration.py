@@ -163,15 +163,32 @@ def _nearest(red: Lattice, tt, c):
     return [x for x, _, _ in found], found[0][1], found[0][2]
 
 
+def vector_pairs_within(lat: Lattice, bound_sq):
+    """The nonzero lattice vectors with squared norm <= bound_sq, one per
+    +- pair, as (n, coeffs) sorted: coeffs in lat's basis with its first
+    nonzero entry positive, and n = d ||v||^2 the int norm over the
+    denominator d of ``lat.int_gram``.
+
+    The listing on the reduced basis is symmetric about 0, so only its
+    points whose first nonzero reduced coordinate is positive are mapped to
+    lat's coordinates, each through the columns of the transform."""
+    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
+    red, u = _reduced(lat)
+    d, cols, zero = lat.int_gram[1], tuple(zip(*u)), (0,) * lat.rank
+    return sorted(
+        ((q * d) // den,
+         la._canonical_sign([sum(map(operator.mul, x, c)) for c in cols]))
+        for x, q, den in _enumerate_gram(red, zero, bound_sq) if x > zero)
+
+
 def vectors_within(lat: Lattice, bound_sq):
     """All nonzero lattice vectors with squared norm <= bound_sq, as
     (coeffs, norm_sq) pairs in the original basis, sorted by
-    (norm_sq, coeffs)."""
-    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
-    red, u = _reduced(lat)
-    found = sorted((q, tuple(la.vec_mat(x, u)), den) for x, q, den
-                   in _enumerate_gram(red, [0] * lat.rank, bound_sq) if any(x))
-    return [(v, Fraction(q, den)) for q, v, den in found]
+    (norm_sq, coeffs): both signs of each ``vector_pairs_within`` pair."""
+    d = lat.int_gram[1]
+    both = sorted((n, s) for n, v in vector_pairs_within(lat, bound_sq)
+                  for s in (v, tuple(-x for x in v)))
+    return [(v, Fraction(n, d)) for n, v in both]
 
 
 def _nonzero_within(red: Lattice, bound_sq):

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _linalg as la
-from .enumeration import _lambda1_sq, successive_minima, vectors_within
+from .enumeration import _lambda1_sq, successive_minima, vector_pairs_within
+# unused here; kept so that bench/tracer.py's REQUIRED_ALIASES resolve
+from .enumeration import vectors_within
 from .errors import CapabilityError, InvalidInputError
 from .lattice import Lattice, dual_in_span
-from .symmetry import _orbit
+from .symmetry import _row_image, orbit_representatives
 
 NODE_BUDGET = 10**7
 
@@ -161,44 +163,38 @@ def enumerate_sublattices(lat: Lattice, k: int, det_bound):
 
 def _candidate_representatives(rows, gens):
     """For each candidate row (one per +- pair), whether it is the least
-    index of its orbit under the generators. A generator A maps a row v to
-    the pair of +- v A; an isometry keeps norms, so the image of a candidate
-    is a candidate whenever ``rows`` holds every vector up to some norm, and
-    a missing image raises."""
-    index = {}
-    for i, v in enumerate(rows):
-        index[tuple(v)] = index[tuple(-x for x in v)] = i
+    index of its orbit under the generators: the indices that
+    ``orbit_representatives`` walks in order, where a generator A maps the
+    pair of a row v to the pair of +- v A, read through A's columns. An
+    isometry keeps norms, so the image of a candidate is a candidate
+    whenever ``rows`` holds every vector up to some norm, and a missing
+    image raises."""
+    index = {s: i for i, v in enumerate(rows)
+             for s in (tuple(v), tuple(-x for x in v))}
 
-    def image(i, a):
-        v = tuple(la.vec_mat(rows[i], a))
+    def image(i, cols):
+        v = _row_image(rows[i], cols)
         if v not in index:
             raise RuntimeError(f"the image {v} of candidate {rows[i]} under "
                                "an automorphism is not a candidate")
         return index[v]
 
-    rep, reached = [], set()
-    for i in range(len(rows)):
-        rep.append(i not in reached)
-        if rep[i]:
-            reached |= _orbit(i, gens, image)
-    return rep
+    reps = {i for i, _ in orbit_representatives(range(len(rows)), gens, image)}
+    return [i in reps for i in range(len(rows))]
 
 
 def _least_in_orbits(witnesses, gens):
-    """The witness with the least coeffs over the orbits of ``witnesses``
-    under the group the generators make: the image of coeffs C under A is
-    the HNF of C A, and an automorphism keeps the determinant."""
-    def image(coeffs, a):
-        return tuple(map(tuple, la.hnf_basis(la.mat_mul(coeffs, a))))
+    """The witness with the least coeffs over the orbits of the (nonempty)
+    ``witnesses`` under the group the generators make: the image of coeffs
+    C under A is the HNF of C A, and an automorphism keeps the determinant."""
+    def image(coeffs, cols):
+        return tuple(map(tuple, la.hnf_basis(
+            [_row_image(r, cols) for r in coeffs])))
 
-    reached, best = set(), None
-    for w in witnesses:
-        if w.coeffs not in reached:
-            orbit = _orbit(w.coeffs, gens, image)
-            reached |= orbit
-            if best is None or min(orbit) < best.coeffs:
-                best = SublatticeWitness(w.parent, min(orbit), w.det_sq, True)
-    return best
+    by_coeffs = {w.coeffs: w for w in witnesses}
+    least, c = min((min(orbit), c) for c, orbit
+                   in orbit_representatives(by_coeffs, gens, image))
+    return replace(by_coeffs[c], coeffs=least, saturated=True)
 
 
 def orbit_witnesses(lat: Lattice, k: int, det_bound, gens):
@@ -222,8 +218,9 @@ def _orbit_search(lat: Lattice, k: int, det_bound_sq, gens):
     theorem in Hermite form, prod lambda_i^2 <= gamma_k^k det^2, caps their
     squared-norm product by ``_hermite_pow(k)`` det_bound^2, and each of
     them by that product over lambda_1^{2(k-1)}. A depth-first search over
-    the vectors up to that length, one per +- pair in ascending norm,
-    compares the integer norm products against G_int exactly. Each chosen
+    the vectors up to that length, one per +- pair in ascending norm as
+    ``vector_pairs_within`` lists them with their norms as ints over G_int's
+    d, compares the integer norm products against G_int exactly. Each chosen
     vector carries its fraction-free echelon row, reduced against the
     earlier pivots, so a dependent candidate is one whose row reduces to
     zero, and its inner products with the vectors chosen before it, each one
@@ -248,7 +245,8 @@ def _orbit_search(lat: Lattice, k: int, det_bound_sq, gens):
     its saturation; any other goes through ``la.saturation``.
 
     Within each norm the least members of the orbits of candidates under
-    the generators (``_candidate_representatives``) come first, each part in
+    the generators (``_candidate_representatives``, through
+    ``symmetry.orbit_representatives``) come first, each part in
     the order of the coeffs. The first, shortest vector runs over those
     representatives, and each later vector over the candidates after the
     one before it. Any orbit of spans M holds an image whose shortest
@@ -269,23 +267,20 @@ def _orbit_search(lat: Lattice, k: int, det_bound_sq, gens):
         return _enumerate_via_dual(lat, k, det_bound_sq, gens)
     l1_sq = _lambda1_sq(lat)
     prod_sq_bound = _hermite_pow(k) * det_bound_sq
-    # one vector per +- pair, sorted by (norm, coeffs)
-    vecs = [(v, q) for v, q in
-            vectors_within(lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq))
-            if v == la._canonical_sign(v)]
-    coeff_rows = [list(v) for v, _ in vecs]
-    # squared norms and inner products over G_int's d are ints, and so are
-    # the caps
+    # one vector per +- pair, sorted by (norm, coeffs), the shortest among
+    # them; squared norms and inner products over G_int's d are ints, and so
+    # are the caps
+    norms, coeff_rows = zip(*vector_pairs_within(
+        lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq)))
     g_int, d = lat.int_gram
-    norms = [q.numerator * (d // q.denominator) for _, q in vecs]
     cap = math.floor(prod_sq_bound * d ** k)
     # the candidates that can come first, a set closed under isometries and
     # a whole number of norms
     n_first = next((i for i, q in enumerate(norms) if q ** k > cap),
                    len(norms))
     rep = _candidate_representatives(coeff_rows[:n_first], gens) + \
-        [False] * (len(vecs) - n_first)
-    order = sorted(range(len(vecs)), key=lambda i: (norms[i], not rep[i]))
+        [False] * (len(norms) - n_first)
+    order = sorted(range(len(norms)), key=lambda i: (norms[i], not rep[i]))
     coeff_rows = [coeff_rows[i] for i in order]
     norms = [norms[i] for i in order]
     gram_cap = math.floor(det_bound_sq * d ** k)

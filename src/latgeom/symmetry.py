@@ -17,12 +17,14 @@ integers against G_int:
 The order of the group is the product of the orbit sizes along the chain.
 
 The group also gives the volume of the Voronoi cell from one pyramid per
-orbit of facets (``cell_volume``).
+orbit of facets (``cell_volume``); ``orbit_representatives`` is the one
+orbit routine, for those facets and for the sublattice search.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from . import _linalg as la
@@ -46,22 +48,31 @@ def automorphisms(lat: Lattice):
     return _once(lat, "automorphisms", lambda: _automorphisms(lat))
 
 
-def _row_image(v, a):
-    return tuple(la.vec_mat(v, a))
+def _row_image(v, cols):
+    return tuple([sum(map(operator.mul, v, c)) for c in cols])
 
 
-def _orbit(point, gens, act=_row_image):
-    """Orbit of ``point`` under the int matrices ``gens``, each acting by
-    ``act``: by default on int rows, x -> x A."""
-    orbit, todo = {point}, [point]
-    while todo:
-        v = todo.pop()
-        for a in gens:
-            w = act(v, a)
-            if w not in orbit:
-                orbit.add(w)
-                todo.append(w)
-    return orbit
+def orbit_representatives(items, gens, act=_row_image):
+    """(x, orbit of x) for each x of ``items``, in order, that no orbit
+    before it reaches, under the int matrices ``gens``: act(x, cols) is the
+    image of x under the A whose columns are cols, taken once per call; by
+    default x is an int row and its image x A."""
+    cols = [tuple(zip(*a)) for a in gens]
+    reached, out = set(), []
+    for x in items:
+        if x in reached:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            v = todo.pop()
+            for a in cols:
+                w = act(v, a)
+                if w not in orbit:
+                    orbit.add(w)
+                    todo.append(w)
+        reached |= orbit
+        out.append((x, orbit))
+    return out
 
 
 def _extend(g, images, options):
@@ -101,16 +112,16 @@ def _automorphisms(lat: Lattice):
         # fix b_1..b_{i-1} are read off the first i entries of x G_int
         level = [[(x, gx) for x, gx in cands[g[j][j]] if gx[:i] == g[j][:i]]
                  for j in range(i, n)]
-        orbit, outside = _orbit(unit[i], gens), set()
+        orbit, outside = orbit_representatives([unit[i]], gens)[0][1], set()
         for x, gx in level[0]:
             if x in orbit or x in outside:
                 continue
             found = _extend(g, unit[:i], [[(x, gx)]] + level[1:])
             if found is None:
-                outside |= _orbit(x, gens)
+                outside |= orbit_representatives([x], gens)[0][1]
             else:
                 gens.append(found)
-                orbit = _orbit(unit[i], gens)
+                orbit = orbit_representatives([unit[i]], gens)[0][1]
         order *= len(orbit)
     # conjugate back: lat's basis is U^{-1} times red's
     u_inv = _reduced_inverse(lat)
@@ -152,13 +163,10 @@ def _cell_volume(lat: Lattice):
     except CapabilityError:
         gens = (tuple(tuple(-int(i == j) for j in range(lat.rank))
                       for i in range(lat.rank)),)
-    todo = {s for v in relevant_vectors(lat)
-            for s in (v, tuple(-x for x in v))}
+    facets = sorted(s for v in relevant_vectors(lat)
+                    for s in (v, tuple(-x for x in v)))
     total = 0
-    while todo:
-        v = min(todo)
-        orbit = _orbit(v, gens)
-        todo -= orbit
+    for v, orbit in orbit_representatives(facets, gens):
         gv = la.vec_mat(v, g)
         q = la.dot(v, gv)
         # W[j] / D lies on F_v when 2 W[j] G_int v^T = D v G_int v^T

@@ -55,12 +55,16 @@ def test_catalog_names_without_a_dimension(capsys):
         assert json.loads(err)["error"] == "CatalogMissError"
 
 
+def _env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _fresh(script):
     """stdout of ``script`` run by a fresh interpreter on this checkout."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
@@ -288,6 +292,21 @@ def test_projection_over_the_voronoi_cap_exit_1(capsys):
 def test_missing_file_exit_2(capsys):
     code, _, err = _run(capsys, "lattice-info", "--basis", "/no/such/file.json")
     assert code == 2
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader closes the pipe before the CLI writes (its import alone
+    # takes longer than the close); the rest of the output and the final
+    # flush go to devnull, and stderr holds one JSON line
+    with subprocess.Popen(
+            [sys.executable, "-m", "latgeom.cli", "svp", "--catalog", "E8"],
+            env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) \
+            as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "BrokenPipeError"
 
 
 def test_byte_identical_reruns(capsys):

@@ -15,8 +15,8 @@ from latgeom.enumeration import (_enumerate_gram, closest_vector,
                                  closest_vectors, covering_density,
                                  covering_radius, kappa, packing_density,
                                  relevant_vectors, shortest_vectors,
-                                 successive_minima, vectors_within,
-                                 voronoi_cell)
+                                 successive_minima, vector_pairs_within,
+                                 vectors_within, voronoi_cell)
 from latgeom.errors import CapabilityError
 from latgeom.lattice import Lattice, catalog
 
@@ -253,6 +253,45 @@ def test_enumerate_gram_exact_on_ill_conditioned_grams(inputs, bound):
         want[x] = _form(g, [a - b for a, b in zip(x, center)])
     assert {x: Fraction(q, den) for x, q, den in found} == want
     assert [x for x, _, _ in found] == sorted(want, key=lambda x: x[::-1])
+
+
+@st.composite
+def _skewed_lattice(draw):
+    """A lattice of rank 1 to 6 with the Gram T B B^T T^T: B lower
+    triangular and rational, as in ``_rational_gram_and_center``, so the
+    Gram's denominator is often above 1, and T lower unitriangular with up
+    to three multipliers up to 10^8, as in ``_skewed_gram_and_center``."""
+    n = draw(st.integers(1, 6))
+    b = [[draw(_fractions) if j < i else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        b[i][i] = draw(st.builds(Fraction, st.sampled_from([-2, -1, 1, 2]),
+                                 st.sampled_from([1, 2, 3])))
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        j, i = sorted(draw(st.permutations(range(n)))[:2])
+        f = draw(st.integers(-10**8, 10**8))
+        t[i] = [a + f * c for a, c in zip(t[i], t[j])]
+    return Lattice.from_rows(la.mat_mul(t, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_skewed_lattice(),
+       st.sampled_from([Fraction(1, 2), Fraction(99, 100), 1, 2, 3]))
+def test_vector_pairs_are_the_canonical_half_of_the_listing(lat, ratio):
+    l1_sq = shortest_vectors(lat)[0]
+    bound = ratio * l1_sq
+    pairs = vector_pairs_within(lat, bound)
+    d = lat.int_gram[1]
+    assert all(isinstance(n, int) for n, _ in pairs)
+    assert [(v, Fraction(n, d)) for n, v in pairs] == \
+        [(v, q) for v, q in vectors_within(lat, bound)
+         if v == la._canonical_sign(v)]
+    # the listing of lat's own, unreduced, Gram, with no change of basis
+    zero = (0,) * lat.rank
+    assert pairs == sorted((q * d // den, x) for x, q, den
+                           in _enumerate_gram(lat, zero, bound) if x > zero)
+    assert (pairs == []) == (ratio < 1)
 
 
 @settings(max_examples=60, deadline=None)

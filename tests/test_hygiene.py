@@ -92,10 +92,13 @@ def test_a_dead_private_helper_is_found():
 
 
 # Imported but not read, on purpose: ``__init__`` re-exports its imports, and
-# bench/tracer.py's REQUIRED_ALIASES checks that the tracer rebinds these two
-# aliases, so they must exist in the modules that import them.
+# bench/tracer.py's REQUIRED_ALIASES checks that the tracer rebinds these
+# three aliases, ``cli.lll_reduce``, ``impassability.vectors_within`` and
+# ``sublattice.vectors_within``, so they must exist in the modules that
+# import them.
 UNREAD_IMPORTS = {"__init__.py": None, "cli.py": {"lll_reduce"},
-                  "impassability.py": {"vectors_within"}}
+                  "impassability.py": {"vectors_within"},
+                  "sublattice.py": {"vectors_within"}}
 
 
 def _unread_imports(tree):

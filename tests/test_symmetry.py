@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import latgeom._linalg as la
 from latgeom.enumeration import _reduced, _reduced_inverse, closest_vectors
 from latgeom.enumeration import _covering_radius_bound, covering_radius
-from latgeom.enumeration import voronoi_cell
+from latgeom.enumeration import vector_pairs_within, voronoi_cell
 from latgeom.errors import CapabilityError
 from latgeom.impassability import (_certificate, _default_det_bound,
                                    max_clearance)
@@ -18,7 +18,7 @@ from latgeom.lattice import Lattice, catalog
 from latgeom.sublattice import (_candidate_representatives, _least_in_orbits,
                                 enumerate_sublattices, orbit_witnesses,
                                 project_along)
-from latgeom.symmetry import automorphisms, cell_volume
+from latgeom.symmetry import automorphisms, cell_volume, orbit_representatives
 
 ORDERS = [("Z", n, 2 ** n * math.factorial(n)) for n in range(2, 7)] + [
     ("D", 3, 48), ("A", 4, 240), ("D", 4, 1152), ("D", 5, 3840),
@@ -328,6 +328,46 @@ def test_missing_orbit_image_raises():
     shear = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(RuntimeError, match="not a candidate"):
         _candidate_representatives(rows, [shear])
+
+
+def _orbits_by_loop(items, gens):
+    """(item, orbit) by the loop the callers of the orbit routine ran: a
+    reached set, and the closure of each new item under x -> x A, each image
+    a product with the matrix A."""
+    reached, out = set(), []
+    for x in items:
+        if x in reached:
+            continue
+        orbit, todo = {x}, [x]
+        while todo:
+            v = todo.pop()
+            for a in gens:
+                w = tuple(la.vec_mat(v, a))
+                if w not in orbit:
+                    orbit.add(w)
+                    todo.append(w)
+        reached |= orbit
+        out.append((x, orbit))
+    return out
+
+
+@pytest.mark.parametrize("name,n", [("Z", 4), ("D", 4), ("E", 6)])
+def test_orbit_representatives_match_the_loop(name, n):
+    # the candidates of a sublattice search, up to twice the least basis
+    # norm (lambda_1^2 on these bases)
+    lat = catalog(name, n)
+    gens, _ = automorphisms(lat)
+    rows = [v for _, v in vector_pairs_within(lat, 2 * min(
+        lat.gram()[i][i] for i in range(n)))]
+    both = [s for v in rows for s in (v, tuple(-x for x in v))]
+    got = orbit_representatives(both, gens)
+    assert got == _orbits_by_loop(both, gens)
+    assert sum(len(orbit) for _, orbit in got) == len(both)
+    # a pair is a representative when no earlier pair meets its orbit
+    index = {s: i // 2 for i, s in enumerate(both)}
+    orbit_of = {x: orbit for _, orbit in got for x in orbit}
+    assert _candidate_representatives(rows, gens) == \
+        [min(index[w] for w in orbit_of[v]) == i for i, v in enumerate(rows)]
 
 
 @pytest.mark.parametrize("name,n,k", [("Z", 4, 1), ("Z", 4, 3), ("D", 4, 2),
