@@ -144,18 +144,6 @@ def gram_matrix(rows):
     return [[dot(u, v) for v in rows] for u in rows]
 
 
-def _int_rows(a):
-    """Rows of the rational matrix ``a`` as int lists, each row multiplied
-    by the lcm of its denominators (1 for a row of ints); returns the rows
-    and the product of those multipliers."""
-    rows, scale = [], 1
-    for row in a:
-        d = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
-    return rows, scale
-
-
 def _bareiss(m, ncols, jordan=False):
     """Fraction-free elimination (Bareiss 1968) of the int rows ``m`` in
     place, pivoting on the first ``ncols`` columns and updating every column.
@@ -199,17 +187,13 @@ def _bareiss(m, ncols, jordan=False):
 
 def det(a):
     """Determinant of a square rational (int or Fraction) matrix, exact."""
-    m, scale = _int_rows(a)
-    return Fraction(_det(m), scale)
+    m, d = integer_form(a)
+    return Fraction(det_int(m), d ** len(m))
 
 
 def det_int(a):
     """Determinant of an integer matrix; the elimination stays in ints."""
-    return _det([list(row) for row in a])
-
-
-def _det(m):
-    """Determinant of the square int rows ``m``, which it overwrites."""
+    m = [list(row) for row in a]
     r, swaps, p = _bareiss(m, len(m))
     return (-1) ** swaps * p if r == len(m) else 0
 
@@ -245,8 +229,7 @@ def rank(a):
     """Rank of a rational matrix (forward elimination only)."""
     if not a:
         return 0
-    m, _ = _int_rows(a)
-    return _bareiss(m, len(m[0]))[0]
+    return _bareiss([list(row) for row in integer_form(a)[0]], len(a[0]))[0]
 
 
 def _gauss_jordan(a, extra):
@@ -254,7 +237,8 @@ def _gauss_jordan(a, extra):
     [a | extra] with a square: the rows of a^{-1} extra, or None when a is
     singular."""
     n = len(a)
-    m, _ = _int_rows([list(row) + list(e) for row, e in zip(a, extra)])
+    m = [list(row) for row in integer_form(
+        [list(row) + list(e) for row, e in zip(a, extra)])[0]]
     r, _, p = _bareiss(m, n, jordan=True)
     if r < n:
         return None
@@ -735,15 +719,19 @@ def minus_one(x):
     """x - 1 for a ClosedForm x > 0, with sympy's text and float: a
     ClosedForm when x is rational, a MinusOne when x is another
     q sqrt(r) pi^j. None where sympy's evaluation is not followed: x not
-    of that form, a power of pi beyond 13, or x within 2^-9 of 1, where
-    sympy's sum cancels bits and restarts at a higher precision."""
+    of that form, a power of pi beyond 13, x within 2^-9 of 1, where
+    sympy's sum cancels bits and restarts at a higher precision, or a prime
+    of q past trial division below 2^15, which sympy keeps under the root."""
     root = x.root()
     if root is None or abs(root[1]) > 13:
         return None
     if root == (1, 0):
         return ClosedForm(x.q - 1)
     near = Fraction(1, 512)
-    return None if 1 - near < x < 1 + near else MinusOne(x)
+    if 1 - near < x < 1 + near or max(
+            _factor(x.q.numerator * x.q.denominator), default=1) >= 1 << 15:
+        return None
+    return MinusOne(x)
 
 
 def _factor(n):

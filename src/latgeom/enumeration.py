@@ -21,7 +21,6 @@ from .errors import CapabilityError
 from .lattice import Lattice, _once, reduce as lll_reduce
 from .polytope import Polytope
 
-MAX_ENUM_RANK = 12
 MAX_VORONOI_RANK = 8
 POINT_BUDGET = 10**6
 
@@ -61,7 +60,8 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     each term and the budget floor(bound_sq d c^2 L) are ints, so isqrt gives
     the exact range of x_i, fixed last first and in ascending order. A list
     longer than ``POINT_BUDGET`` raises CapabilityError, as soon as the
-    range of x_0 shows it, before those points are built.
+    range of x_0 shows it, before those points are built; so does a level
+    above whose nodes pass the budget (``_scan``), whatever the rank.
     """
     c = math.lcm(*(t.denominator for t in center))
     return _scan(lat, [t.numerator * (c // t.denominator) for t in center], c,
@@ -92,13 +92,17 @@ def _scan(lat: Lattice, ct, c, bound_sq, nearest):
     each x_i runs from the rounded center outward, up and then down, and a
     direction stops at its first point over the bound, as |a_i . z| only
     grows away from the center. The ties are then sorted back into the
-    order of the full listing, last coordinate first."""
+    order of the full listing, last coordinate first. Each level i >= 1
+    adds every range of x_i it enters to its node count, and raises
+    CapabilityError before walking a range that takes the count past
+    ``POINT_BUDGET``; level 0 counts the points kept and its range."""
     w, scale, diag, tails = _search_constants(lat)
     den = lat.int_gram[1] * c * c * scale
     limit = math.floor(Fraction(bound_sq) * den)
     m = len(diag)
     x = [0] * m
     z = [0] * m
+    nodes = [0] * m
     results = []
 
     def rec(i, used):
@@ -115,7 +119,13 @@ def _scan(lat: Lattice, ct, c, bound_sq, nearest):
         # |D_{i+1} (c x_i - ct_i) + s| <= t, with v = p x_i - base
         p, base = diag[i] * c, diag[i] * cti - s
         lo, hi = -((t - base) // p), (base + t) // p
-        if i == 0 and len(results) + hi - lo >= POINT_BUDGET:
+        if i:
+            nodes[i] += hi - lo + 1
+            if nodes[i] > POINT_BUDGET:
+                raise CapabilityError(
+                    f"enumeration exceeded the point budget {POINT_BUDGET} "
+                    f"at level {i} ({nodes[i]} nodes)")
+        elif len(results) + hi - lo >= POINT_BUDGET:
             raise CapabilityError(
                 f"enumeration exceeded the point budget {POINT_BUDGET} "
                 f"({len(results)} points collected)")
@@ -172,7 +182,6 @@ def vector_pairs_within(lat: Lattice, bound_sq):
     The listing on the reduced basis is symmetric about 0, so only its
     points whose first nonzero reduced coordinate is positive are mapped to
     lat's coordinates, each through the columns of the transform."""
-    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
     red, u = _reduced(lat)
     d, cols, zero = lat.int_gram[1], tuple(zip(*u)), (0,) * lat.rank
     return sorted(
@@ -200,21 +209,20 @@ def _nonzero_within(red: Lattice, bound_sq):
 
 def shortest_vectors(lat: Lattice):
     """(lambda_1 squared, canonical coefficient vectors of all minimal
-    vectors, one per +- pair, sorted lexicographically)."""
-    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
-    red, u = _reduced(lat)
-    found = _nonzero_within(red, min(red._gram[i][i] for i in range(lat.rank)))
-    best, _, den = found[0]
-    mins = {la._canonical_sign(la.vec_mat(x, u))
-            for q, x, _ in found if q == best}
-    return Fraction(best, den), sorted(mins)
+    vectors, one per +- pair, sorted lexicographically): the first pairs of
+    ``vector_pairs_within`` up to the least norm of the reduced basis."""
+    red, _ = _reduced(lat)
+    pairs = vector_pairs_within(
+        lat, min(red._gram[i][i] for i in range(lat.rank)))
+    least = pairs[0][0]
+    return (Fraction(least, lat.int_gram[1]),
+            [v for n, v in pairs if n == least])
 
 
 def successive_minima(lat: Lattice):
     """Squared successive minima lambda_k^2 with achieving linearly
     independent coefficient vectors: (list of norm_sq, list of coeffs).
     Ties go to the least vector in reduced coordinates."""
-    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
     red, u = _reduced(lat)
     chosen, norms, echelon = [], [], []
     for q, x, den in _nonzero_within(
@@ -231,7 +239,6 @@ def successive_minima(lat: Lattice):
 def closest_vectors(lat: Lattice, target_coeffs):
     """Closest lattice vectors to a target given by (rational) coefficients
     in the lattice basis: (dist_sq, sorted list of coefficient vectors)."""
-    _check_rank(lat, MAX_ENUM_RANK, "enumeration")
     red, u = _reduced(lat)
     # target in reduced coordinates: t_red = t . u^{-1}, over t's lcm c
     (t,), c = la.integer_form([[la._rational(x) for x in target_coeffs]])

@@ -1,8 +1,8 @@
 """Exception hierarchy for the toolkit.
 
-Capability errors signal that an input is valid but exceeds a resource cap
-(a rank cap or a search budget, each a module constant); invalid-input errors
-signal malformed or degenerate data.
+Capability errors signal that an input is valid but exceeds a resource limit
+(a search budget, or the rank cap of the Voronoi computation, each a module
+constant); invalid-input errors signal malformed or degenerate data.
 """
 
 
@@ -20,8 +20,8 @@ class InvalidInputError(LatgeomError):
 
 
 class CapabilityError(LatgeomError):
-    """Valid input beyond a rank cap or search budget, each a module
-    constant (CLI exit code 1)."""
+    """Valid input beyond a search budget or the Voronoi rank cap, each a
+    module constant (CLI exit code 1)."""
 
 
 class InvalidLatticeError(InvalidInputError):

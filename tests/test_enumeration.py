@@ -42,13 +42,25 @@ def test_vectors_within_counts_z2():
 def test_shortest_vector_kissing_numbers(name, n, l1_sq, kissing):
     lat = catalog(name, n)
     if name == "Leech":
-        # enumerating 196560 vectors in rank 24 exceeds the rank cap; the
-        # catalog seeds the known minimum in the memo instead
+        # listing the 196560 minimal vectors takes seconds, so this reads
+        # the minimum the catalog seeds in the memo; the enumeration of a
+        # rank-24 lattice is checked on Leech's dual in test_impassability
         assert enumeration._lambda1_sq(lat) == l1_sq
         return
     got_sq, vecs = shortest_vectors(lat)
     assert got_sq == l1_sq
     assert 2 * len(vecs) == kissing
+
+
+def test_e8_plus_e8_is_enumerated_above_rank_12():
+    b = [list(row) for row in catalog("E", 8).basis]
+    lat = Lattice.from_rows([row + [0] * 8 for row in b]
+                            + [[0] * 8 + row for row in b])
+    got_sq, vecs = shortest_vectors(lat)
+    assert got_sq == 2
+    assert 2 * len(vecs) == 480
+    norms, _ = successive_minima(lat)
+    assert norms == [2] * 16
 
 
 def test_successive_minima_skewed_basis():
@@ -588,6 +600,20 @@ def test_nearest_keeps_the_point_budget(monkeypatch):
     monkeypatch.setattr(enumeration, "POINT_BUDGET", 40)
     with pytest.raises(CapabilityError, match="point budget 40"):
         enumeration._nearest(red, [1] * 6, 2)
+
+
+def test_every_level_keeps_the_point_budget(monkeypatch):
+    # x_0 has weight 100 and center 1/2, so only the 2 * 57 points with
+    # x_0 in {0, 1} and x_1^2 + x_2^2 + x_3^2 <= 5 are kept, while level 1
+    # walks all 739 points of Z^3 up to norm 30
+    lat = Lattice.from_gram([[100, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                             [0, 0, 0, 1]])
+    center = [Fraction(1, 2), 0, 0, 0]
+    assert len(_enumerate_gram(lat, center, 30)) == 114
+    monkeypatch.setattr(enumeration, "POINT_BUDGET", 200)
+    with pytest.raises(CapabilityError,
+                       match="point budget 200 at level 1 "):
+        _enumerate_gram(lat, center, 30)
 
 
 def test_the_coset_scan_builds_its_search_constants_once(monkeypatch):

@@ -1,6 +1,7 @@
 import ast
 import collections
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -281,3 +282,30 @@ def test_a_sympy_import_is_found():
                      "def f():\n    import json\n"
                      "def g():\n    def h():\n        import sympy as sp\n")
     assert _sympy_importers(tree, "mod") == {"mod", "mod.C.m", "mod.g.h"}
+
+
+# a module-level limit: a search budget, a rank cap or the ellipsoid's
+# iteration cap
+_LIMIT = re.compile(r"\b(?:[A-Z_]+_BUDGET|MAX_[A-Z_]+_RANK|MVEE_ITERATIONS)\b")
+
+
+def _limits(tree):
+    """The names of the module-level limit constants that ``tree`` binds."""
+    return {t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets
+            if isinstance(t, ast.Name) and _LIMIT.fullmatch(t.id)}
+
+
+def test_the_readme_names_exactly_the_limits():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _limits(ast.parse(path.read_text()))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Guarantees and limits\n")[1].split("\n## ")[0]
+    assert set(_LIMIT.findall(section)) == found
+
+
+def test_a_limit_constant_is_found():
+    tree = ast.parse("RAY_BUDGET = 1\nMAX_CELL_RANK = 2\nMVEE_ITERATIONS = 3\n"
+                     "LLL_DELTA = 4\ndef f():\n    NODE_BUDGET = 5\n")
+    assert _limits(tree) == {"RAY_BUDGET", "MAX_CELL_RANK", "MVEE_ITERATIONS"}

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import latgeom._linalg as la
-from latgeom.bounds import dnk_known, dnk_lower
+from latgeom.bounds import dnk_known, dnk_lower, dnn1_ball
 from latgeom.enumeration import _covering_radius_bound, covering_radius
 from latgeom.errors import (CapabilityError, CertificateValidationError,
                             InvalidInputError, MissingConstantError,
@@ -31,6 +31,14 @@ def test_certificate_cubic_lattice():
 def test_projection_over_the_voronoi_cap_is_capability_error():
     with pytest.raises(CapabilityError, match="capped at rank 8; got rank 9"):
         passage_certificate(catalog("Z", 10), Fraction(1, 4), 1)
+
+
+def test_leech_meets_the_hyperplane_threshold():
+    # Leech is unimodular with minimum 4, so its dual's lambda_1 is 2 and
+    # balls of radius 1/4 sit exactly at d_{24,23} (Conway & Sloane, ch. 4)
+    leech, r = catalog("Leech", 24), Fraction(1, 4)
+    assert is_nonseparable_ball_lattice(leech, r) == (True, 0.0)
+    assert ball_lattice_density(leech, r) == dnn1_ball(24).value_exact
 
 
 def test_certificate_none_when_balls_too_big():
