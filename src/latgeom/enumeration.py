@@ -10,7 +10,6 @@ so every pruning decision and every reported norm is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -48,31 +47,11 @@ def _reduced_inverse(lat: Lattice):
     return _once(lat, "reduced_inverse", compute)
 
 
-def _enumerate_gram(lat: Lattice, center, bound_sq):
-    """All integer x with (x - center)^T G (x - center) <= bound_sq, G the
-    Gram of lat, as (x, q, den) triples, in ints throughout: the squared
-    distance of x is q / den, with one den for the whole list, so distances
-    compare as ints.
-
-    With G = G_int / d, c the lcm of the center's denominators and
-    z = c x - c center, the form is sum_i (a_i . z)^2 / (d c^2 D_i D_{i+1})
-    over the rows a_i of lat's cached elimination. Times L = lcm(D_i D_{i+1})
-    each term and the budget floor(bound_sq d c^2 L) are ints, so isqrt gives
-    the exact range of x_i, fixed last first and in ascending order. A list
-    longer than ``POINT_BUDGET`` raises CapabilityError, as soon as the
-    range of x_0 shows it, before those points are built; so does a level
-    above whose nodes pass the budget (``_scan``), whatever the rank.
-    """
-    c = math.lcm(*(t.denominator for t in center))
-    return _scan(lat, [t.numerator * (c // t.denominator) for t in center], c,
-                 bound_sq, False)
-
-
 def _search_constants(lat: Lattice):
-    """(w, L, diag, tails) for the search of ``_scan``, once per lattice
-    value: the weights w_i = L / (D_i D_{i+1}), their lcm
-    L = lcm(D_i D_{i+1}), the pivots D_{i+1} and the tail a_i[i+1:] of each
-    row of lat's elimination."""
+    """(w, L, diag, tails) for the searches of ``_enumerate_gram`` and
+    ``_minima``, once per lattice value: the weights w_i = L / (D_i D_{i+1}),
+    their lcm L = lcm(D_i D_{i+1}), the pivots D_{i+1} and the tail
+    a_i[i+1:] of each row of lat's elimination."""
     def compute():
         e = lat._elimination
         minors = [1] + [e[i][i] for i in range(len(e))]
@@ -83,34 +62,33 @@ def _search_constants(lat: Lattice):
     return _once(lat, "search_constants", compute)
 
 
-def _scan(lat: Lattice, ct, c, bound_sq, nearest):
-    """The search of ``_enumerate_gram`` around the center ct / c, for ints
-    ct and c > 0.
+def _enumerate_gram(lat: Lattice, center, bound_sq):
+    """All integer x with (x - center)^T G (x - center) <= bound_sq, G the
+    Gram of lat, as (x, q, den) triples, in ints throughout: the squared
+    distance of x is q / den, with one den for the whole list, so distances
+    compare as ints.
 
-    With ``nearest`` the bound drops to the best distance found so far and
-    only the points at the final best distance are kept (Schnorr & Euchner):
-    each x_i runs from the rounded center outward, up and then down, and a
-    direction stops at its first point over the bound, as |a_i . z| only
-    grows away from the center. The ties are then sorted back into the
-    order of the full listing, last coordinate first. Each level i >= 1
-    adds every range of x_i it enters to its node count, and raises
-    CapabilityError before walking a range that takes the count past
-    ``POINT_BUDGET``; level 0 counts the points kept and its range."""
+    With G = G_int / d, c the lcm of the center's denominators and
+    z = c x - ct for ct = c center, the form is
+    sum_i (a_i . z)^2 / (d c^2 D_i D_{i+1}) over the rows a_i of lat's
+    cached elimination. Times L = lcm(D_i D_{i+1}) each term and the budget
+    floor(bound_sq d c^2 L) are ints, so isqrt gives the exact range of x_i,
+    fixed last first and in ascending order. Each level i >= 1 adds every
+    range of x_i it enters to its node count, and raises CapabilityError
+    before walking a range that takes the count past ``POINT_BUDGET``
+    (``_count``), whatever the rank; level 0 counts the points kept and its
+    range, so a longer list raises before those points are built.
+    """
+    c = math.lcm(*(t.denominator for t in center))
+    ct = [t.numerator * (c // t.denominator) for t in center]
     w, scale, diag, tails = _search_constants(lat)
     den = lat.int_gram[1] * c * c * scale
     limit = math.floor(Fraction(bound_sq) * den)
     m = len(diag)
-    x = [0] * m
-    z = [0] * m
-    nodes = [0] * m
-    results = []
+    x, z, nodes, results = [0] * m, [0] * m, [0] * m, []
 
     def rec(i, used):
-        nonlocal limit
         if i < 0:
-            if nearest and used < limit:
-                limit = used
-                results.clear()
             results.append((tuple(x), used, den))
             return
         wi, cti = w[i], ct[i]
@@ -120,36 +98,100 @@ def _scan(lat: Lattice, ct, c, bound_sq, nearest):
         p, base = diag[i] * c, diag[i] * cti - s
         lo, hi = -((t - base) // p), (base + t) // p
         if i:
-            nodes[i] += hi - lo + 1
-            if nodes[i] > POINT_BUDGET:
-                raise CapabilityError(
-                    f"enumeration exceeded the point budget {POINT_BUDGET} "
-                    f"at level {i} ({nodes[i]} nodes)")
+            _count(nodes, i, hi - lo + 1)
         elif len(results) + hi - lo >= POINT_BUDGET:
             raise CapabilityError(
                 f"enumeration exceeded the point budget {POINT_BUDGET} "
                 f"({len(results)} points collected)")
-        if nearest:
-            mid = la._round_div(base, p)
-            runs = (range(mid, hi + 1), range(mid - 1, lo - 1, -1))
-        else:
-            runs = (range(lo, hi + 1),)
-        for run in runs:
-            for xi in run:
-                x[i] = xi
-                z[i] = c * xi - cti
-                v = p * xi - base
-                q = used + v * v * wi
-                if q <= limit:
-                    rec(i - 1, q)
-                elif nearest or v > 0:  # the rest of the run is out
-                    break
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            z[i] = c * xi - cti
+            v = p * xi - base
+            q = used + v * v * wi
+            if q <= limit:
+                rec(i - 1, q)
+            elif v > 0:  # the rest of the range is out
+                break
 
     if limit >= 0:
         rec(m - 1, 0)
-    if nearest:
-        results.sort(key=lambda r: r[0][::-1])
     return results
+
+
+def _count(nodes, i, n):
+    """Add n nodes to level i's count, raising CapabilityError once it
+    passes ``POINT_BUDGET``."""
+    nodes[i] += n
+    if nodes[i] > POINT_BUDGET:
+        raise CapabilityError(
+            f"enumeration exceeded the point budget {POINT_BUDGET} "
+            f"at level {i} ({nodes[i]} nodes)")
+
+
+def _int_norm(lat: Lattice, z):
+    """L z^T G_int z = sum_i w_i (a_i . z)^2 for an int vector z, in the
+    ints of ``_search_constants``: the squared norm of z times d L."""
+    w, _, diag, tails = _search_constants(lat)
+    return sum(wi * (p * zi + sum(map(operator.mul, t, z[i + 1:]))) ** 2
+               for i, (wi, p, t, zi) in enumerate(zip(w, diag, tails, z)))
+
+
+def _minima(lat: Lattice, ct, c, mod, limits):
+    """[(q, ties)] for each class k = sum_i (x_i mod 2) 2^i of x mod
+    ``mod`` (1 or 2): its points least distant from ct / c, the ties in the
+    order of the full listing, at q over den = d c^2 L, in one search in
+    the ints of ``_enumerate_gram``. limits[k] is the first bound of class
+    k, or -1 to skip it.
+
+    A class's bound drops to the best distance found in it (Schnorr &
+    Euchner). caps[j][s] is the greatest bound of the classes whose x_j..
+    have the residues s, so a subtree is cut at its classes' bound, and a
+    drop updates caps along one path. Each x_i runs from the rounded center
+    outward, up and then down, and a run stops at its first point over its
+    parent's cap, as |a_i . z| only grows away from the center. Every level
+    counts the ranges it enters against ``POINT_BUDGET``."""
+    w, _, diag, tails = _search_constants(lat)
+    m = len(diag)
+    caps = [list(limits)]
+    for _ in range(m):
+        caps.append([max(caps[-1][k:k + mod])
+                     for k in range(0, len(caps[-1]), mod)])
+    ties = [[] for _ in limits]
+    x, z, nodes = [0] * m, [0] * m, [0] * m
+
+    def rec(i, used, s):
+        wi, cti, below, cap = w[i], ct[i], caps[i], caps[i + 1]
+        h = sum(map(operator.mul, tails[i], z[i + 1:]))
+        t = math.isqrt((cap[s] - used) // wi)
+        p, base = diag[i] * c, diag[i] * cti - h
+        lo, hi = -((t - base) // p), (base + t) // p
+        _count(nodes, i, hi - lo + 1)
+        mid = (2 * base + p - 1) // (2 * p)  # nearest x_i, ties down
+        for run in (range(mid, hi + 1), range(mid - 1, lo - 1, -1)):
+            for xi in run:
+                v = p * xi - base
+                q = used + v * v * wi
+                if q > cap[s]:
+                    break
+                k = s * mod + xi % mod
+                if q > below[k]:
+                    continue
+                x[i] = xi
+                if i:
+                    z[i] = c * xi - cti
+                    rec(i - 1, q, k)
+                    continue
+                if q < below[k]:  # a new least point of class k
+                    below[k], ties[k], j = q, [], k
+                    for a, b in zip(caps, caps[1:]):
+                        j //= mod
+                        b[j] = max(a[j * mod:j * mod + mod])
+                ties[k].append(tuple(x))
+
+    if caps[m][0] >= 0:
+        rec(m - 1, 0, 0)
+    return [(q, sorted(tt, key=lambda r: r[::-1]))
+            for q, tt in zip(caps[0], ties)]
 
 
 def _nearest(red: Lattice, tt, c):
@@ -158,19 +200,12 @@ def _nearest(red: Lattice, tt, c):
     squared distance q / den, as (points, q, den).
 
     Babai's rounding of the target, in ints, is a lattice point, so its
-    squared distance, formed in ints against G_int over d c^2, is the first
-    bound of the search. The bound then drops to the best distance found so
-    far (Schnorr & Euchner), visiting each coordinate from the center
-    outward, so a branch that cannot reach it is cut; a point at that
-    distance is a tie and is kept, and the ties come sorted into the order
-    of the full ``_enumerate_gram`` listing.
+    squared distance is the first bound of the search of ``_minima``, with
+    every point in one class.
     """
-    g, d = red.int_gram
     dz = [la._round_div(x, c) * c - x for x in tt]
-    bound = Fraction(sum(a * la.dot(row, dz) for a, row in zip(dz, g)),
-                     d * c * c)
-    found = _scan(red, tt, c, bound, True)
-    return [x for x, _, _ in found], found[0][1], found[0][2]
+    (q, ties), = _minima(red, tt, c, 1, [_int_norm(red, dz)])
+    return ties, q, red.int_gram[1] * c * c * _search_constants(red)[1]
 
 
 def vector_pairs_within(lat: Lattice, bound_sq):
@@ -258,26 +293,26 @@ def relevant_vectors(lat: Lattice):
     coefficient vectors; computed once per lattice value.
 
     A nonzero v is relevant iff +-v are the unique minimizers of the norm in
-    the coset v + 2L; scanning the 2^m - 1 nonzero cosets of L/2L finds all
-    of them.
+    the coset v + 2L; one search over the 2^m - 1 nonzero cosets of L/2L
+    (``_coset_scan``) finds all of them.
     """
     _check_rank(lat, MAX_VORONOI_RANK, "Voronoi computation")
     return _once(lat, "relevant_vectors", lambda: _coset_scan(lat))
 
 
 def _coset_scan(lat: Lattice):
-    # ||b + 2y||^2 = 4 ||y + b/2||^2: the minimizers of the coset b + 2L are
-    # b + 2y for the points y nearest to -b/2
+    """The relevant vectors of lat from one ``_minima`` search on its
+    reduced basis around 0, a class per coset b + 2L, b in {0, 1}^m. Each
+    nonzero coset starts at the norm of b, the rounding of -b/2 ties to
+    even, and gives a relevant vector when it has exactly two minima +-v,
+    mapped through U and given its canonical sign."""
     red, u = _reduced(lat)
-    out = []
-    for bits in itertools.product((0, 1), repeat=lat.rank):
-        if not any(bits):
-            continue
-        mins, _, _ = _nearest(red, [-b for b in bits], 2)
-        if len(mins) == 2:
-            v = [b + 2 * y for b, y in zip(bits, mins[0])]
-            out.append(la._canonical_sign(la.vec_mat(v, u)))
-    return tuple(sorted(out))
+    m = lat.rank
+    found = _minima(red, [0] * m, 1, 2, [-1] + [
+        _int_norm(red, [k >> i & 1 for i in range(m)])
+        for k in range(1, 2 ** m)])
+    return tuple(sorted(la._canonical_sign(la.vec_mat(ties[0], u))
+                        for _, ties in found if len(ties) == 2))
 
 
 def voronoi_cell(lat: Lattice):
@@ -333,20 +368,21 @@ def _covering_radius_bound(lat: Lattice):
 
 
 def _deep_hole(lat: Lattice):
-    """(mu^2, deep hole) scored in ints: with G = G_int / d and the cell's
-    sorted vertices v = w / D in its integer form, the norm of v is
-    w^T G_int w / (d D^2). The cell is symmetric about 0 and negation
-    reverses the sorted order, so ints[N-1-i] = -ints[i] and only the upper
-    half, the vertices whose first nonzero entry is positive, is scored.
-    Ties go to the higher index, which is the lexicographically greater
-    vertex, always in that half; only that vertex becomes Fractions."""
+    """(mu^2, deep hole) scored in ints: with the cell's sorted vertices
+    v = w / D in its integer form, the norm of v is q / (d L D^2) for
+    q = ``_int_norm(lat, w)``, so only the best q is divided by the scale.
+    The cell is symmetric about 0 and negation reverses the sorted order,
+    so ints[N-1-i] = -ints[i] and only the upper half, the vertices whose
+    first nonzero entry is positive, is scored. Ties go to the higher
+    index, which is the lexicographically greater vertex, always in that
+    half; only that vertex becomes Fractions."""
     ints, den = voronoi_cell(lat).integer_vertices()
-    g, d = lat.int_gram
     half = len(ints) // 2
-    q, i = max((sum(x * sum(gij * y for gij, y in zip(row, w))
-                    for x, row in zip(w, g)), i)
+    q, i = max((_int_norm(lat, w), i)
                for i, w in enumerate(ints[half:], half))
-    return Fraction(q, d * den * den), tuple(Fraction(x, den) for x in ints[i])
+    scale = lat.int_gram[1] * _search_constants(lat)[1]
+    return Fraction(q, scale * den * den), tuple(
+        Fraction(x, den) for x in ints[i])
 
 
 def _lambda1_sq(lat: Lattice):

@@ -161,9 +161,12 @@ class Lattice:
         """Ambient float coordinates of a coefficient vector (basis required)."""
         if self.basis is None:
             raise UnsupportedRankError("gram-only lattice has no ambient embedding")
+        # basis = W / D and coeffs = C / e: one int sum and one true
+        # division per coordinate, which rounds the exact value as float does
         s = math.sqrt(float(self.scale_sq))
-        return [s * float(sum(c * row[j] for c, row in zip(coeffs, self.basis)))
-                for j in range(self.ambient_dim)]
+        w, d = self.int_basis
+        (cs,), e = la.integer_form([coeffs])
+        return [s * (la.dot(cs, col) / (d * e)) for col in zip(*w)]
 
     def coords_of(self, point):
         """Coefficients (in the rational part of the basis) of an ambient point

@@ -620,7 +620,7 @@ def test_the_coset_scan_builds_its_search_constants_once(monkeypatch):
     built, once = [], enumeration._once
     monkeypatch.setattr(enumeration, "_once", lambda lat, key, compute: once(
         lat, key, lambda: built.append(key) or compute()))
-    # 2^5 - 1 nearest searches on the one reduced basis of D5
+    # the 2^5 - 1 coset bounds and the one search on D5's reduced basis
     assert len(relevant_vectors(catalog("D", 5))) == 20
     assert built.count("search_constants") == 1
 
@@ -640,3 +640,115 @@ def test_a_cell_takes_its_lattice_metric_unchecked(monkeypatch):
         assert body.metric is cell.metric
     assert cell.minkowski_sum(cell) == cell.scaled(2)
     assert calls == []
+
+
+@st.composite
+def _coset_lattice(draw):
+    """A lattice of rank 1 to 6 from an integer basis with diagonal 1..3 and
+    off-diagonal entries in {-1, 0, 1}: as it is, with each diagonal entry
+    skewed by a factor 1 or 10, or over a denominator 1..3 and scaled by a
+    rational square."""
+    n = draw(st.integers(1, 6))
+    rows = [[draw(st.integers(1, 3)) if i == j else draw(st.integers(-1, 1))
+             for j in range(n)] for i in range(n)]
+    kind = draw(st.sampled_from(["integer", "skewed", "scaled"]))
+    if kind == "skewed":
+        for i, row in enumerate(rows):
+            row[i] *= draw(st.sampled_from([1, 10]))
+    assume(la.det(rows) != 0)
+    if kind != "scaled":
+        return Lattice.from_rows(rows)
+    k = draw(st.integers(1, 3))
+    return Lattice.from_rows([[Fraction(x, k) for x in row] for row in rows],
+                             draw(st.sampled_from([Fraction(1, 2),
+                                                   Fraction(2, 3),
+                                                   Fraction(5, 7)])))
+
+
+def _box_coset_minima(lat, b, bound):
+    """(least d ||v||^2, sorted minima v) over the vectors of the coset
+    b + 2Z^n of lat's coordinates up to the norm bound, from a box search
+    on lat's own Gram: |v_i| <= sqrt(bound (G^-1)_ii); None when the box
+    holds more than 20,000 points, as for the coset (0, 0, 1) of the basis
+    diag(1, 1, 1000), whose box spans |v_0|, |v_1| <= 1000."""
+    g, d = la.integer_form(lat.gram())
+    ginv = la.inverse(lat.gram())
+    ranges = []
+    for i, bi in enumerate(b):
+        r = math.isqrt(math.floor(bound * ginv[i][i]))
+        ranges.append(range(-r + (r + bi) % 2, r + 1, 2))
+    if math.prod(map(len, ranges)) > 20000:
+        return None
+    norms = [(la.dot(v, la.vec_mat(v, g)), v)
+             for v in itertools.product(*ranges)]
+    least = min(norms)[0]
+    assert Fraction(least, d) <= bound
+    return least, sorted(v for p, v in norms if p == least)
+
+
+def _check_coset_search(lat):
+    """One ``_minima`` search over the classes x mod 2 on the reduced basis
+    finds, for each nonzero coset b + 2L, the minima and ties that
+    ``_nearest`` finds at -b/2, and ``relevant_vectors`` is the coset
+    minima that come as one +- pair, element by element. On rank <= 4 the
+    minima are also a box search's, in lat's own coordinates, where its
+    box is small enough."""
+    red, u = enumeration._reduced(lat)
+    m = lat.rank
+    cosets = [[k >> i & 1 for i in range(m)] for k in range(2 ** m)]
+    found = enumeration._minima(
+        red, [0] * m, 1, 2,
+        [-1] + [enumeration._int_norm(red, b) for b in cosets[1:]])
+    assert found[0] == (-1, [])
+    den = red.int_gram[1] * enumeration._search_constants(red)[1]
+    want = []
+    for b, (q, ties) in zip(cosets[1:], found[1:]):
+        ys, p, pden = enumeration._nearest(red, [-x for x in b], 2)
+        assert Fraction(q, den) == 4 * Fraction(p, pden)
+        vs = [tuple(x + 2 * y for x, y in zip(b, yy)) for yy in ys]
+        assert ties == vs
+        if len(vs) == 2:
+            want.append(la._canonical_sign(la.vec_mat(vs[0], u)))
+    assert relevant_vectors(lat) == tuple(sorted(want))
+    if m > 4:
+        return
+    # the box holds every point of the coset up to the least norm found,
+    # so a smaller norm or a missed tie shows
+    d = lat.int_gram[1]
+    for q, ties in found[1:]:
+        lifted = sorted(tuple(la.vec_mat(v, u)) for v in ties)
+        box = _box_coset_minima(lat, [x % 2 for x in lifted[0]],
+                                Fraction(q, den))
+        if box is not None:
+            assert Fraction(q, den) == Fraction(box[0], d)
+            assert lifted == box[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coset_lattice())
+@example(Lattice.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1000]]))
+@example(Lattice.from_rows([[3, 1, -1, 0], [0, 100, 1, 1], [1, 0, 2, -1],
+                            [0, 1, 0, 100]]))
+def test_one_coset_search_matches_a_search_per_coset(lat):
+    _check_coset_search(lat)
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(1, 9)]
+                         + [(k, n) for k in ("A", "Astar") for n in range(1, 6)]
+                         + [("D", n) for n in range(3, 9)]
+                         + [("E", n) for n in range(6, 9)])
+def test_one_coset_search_matches_on_the_catalog(name, n):
+    _check_coset_search(catalog(name, n))
+
+
+def test_the_coset_search_keeps_the_point_budget(monkeypatch):
+    # each class of Z^4 starts at its least norm, so no cap falls: the tree
+    # walks 5 + 9 + 27 nodes above level 0 and 3 at level 0 under each of
+    # the 27 at level 1
+    lat = catalog("Z", 4)
+    monkeypatch.setattr(enumeration, "POINT_BUDGET", 81)
+    assert len(enumeration._coset_scan(lat)) == 4
+    monkeypatch.setattr(enumeration, "POINT_BUDGET", 80)
+    with pytest.raises(CapabilityError,
+                       match=r"point budget 80 at level 0 \(81 nodes\)"):
+        enumeration._coset_scan(lat)

@@ -107,6 +107,27 @@ def test_json_fraction_strings():
     assert lat.det_sq() == Fraction(1, 4)
 
 
+_ambient_fractions = st.builds(Fraction, st.integers(-9, 9),
+                               st.sampled_from([1, 2, 3, 7, 10]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(_ambient_fractions, min_size=m + 1, max_size=m + 1),
+             min_size=m, max_size=m),
+    st.builds(Fraction, st.integers(1, 50), st.sampled_from([1, 2, 3, 49])),
+    st.one_of(st.lists(st.integers(-10**6, 10**6), min_size=m, max_size=m),
+              st.lists(_ambient_fractions, min_size=m, max_size=m)))))
+def test_to_ambient_rounds_the_exact_coordinates(inputs):
+    rows, scale_sq, coeffs = inputs
+    assume(la.rank(rows) == len(rows))
+    lat = Lattice.from_rows(rows, scale_sq)
+    s = math.sqrt(float(scale_sq))
+    assert lat.to_ambient(coeffs) == [
+        s * float(sum(c * row[j] for c, row in zip(coeffs, lat.basis)))
+        for j in range(lat.ambient_dim)]
+
+
 def test_gram_only_lattice_has_no_ambient_coordinates():
     lat = Lattice.from_gram([[2, 1], [1, 2]])
     with pytest.raises(UnsupportedRankError):
