@@ -24,12 +24,6 @@ MAX_VORONOI_RANK = 8
 POINT_BUDGET = 10**6
 
 
-def _check_rank(lat: Lattice, cap: int, what: str):
-    if lat.rank > cap:
-        raise CapabilityError(
-            f"{what} capped at rank {cap}; got rank {lat.rank}")
-
-
 def _reduced(lat: Lattice):
     """(red, U): the LLL reduction of lat, computed once per lattice value,
     and its transform U, which maps red's coordinates to lat's."""
@@ -71,13 +65,13 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     With G = G_int / d, c the lcm of the center's denominators and
     z = c x - ct for ct = c center, the form is
     sum_i (a_i . z)^2 / (d c^2 D_i D_{i+1}) over the rows a_i of lat's
-    cached elimination. Times L = lcm(D_i D_{i+1}) each term and the budget
+    cached elimination. Times L = lcm(D_i D_{i+1}) each term and the limit
     floor(bound_sq d c^2 L) are ints, so isqrt gives the exact range of x_i,
-    fixed last first and in ascending order. Each level i >= 1 adds every
-    range of x_i it enters to its node count, and raises CapabilityError
-    before walking a range that takes the count past ``POINT_BUDGET``
-    (``_count``), whatever the rank; level 0 counts the points kept and its
-    range, so a longer list raises before those points are built.
+    fixed last first and in ascending order, every x_i within the limit.
+    Each level adds every range it enters to its node count, and raises
+    CapabilityError before walking a range that takes the count past
+    ``POINT_BUDGET`` (``_count``), whatever the rank; a node of level 0 is a
+    point of the list, so a longer list raises before it is built.
     """
     c = math.lcm(*(t.denominator for t in center))
     ct = [t.numerator * (c // t.denominator) for t in center]
@@ -97,21 +91,12 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
         # |D_{i+1} (c x_i - ct_i) + s| <= t, with v = p x_i - base
         p, base = diag[i] * c, diag[i] * cti - s
         lo, hi = -((t - base) // p), (base + t) // p
-        if i:
-            _count(nodes, i, hi - lo + 1)
-        elif len(results) + hi - lo >= POINT_BUDGET:
-            raise CapabilityError(
-                f"enumeration exceeded the point budget {POINT_BUDGET} "
-                f"({len(results)} points collected)")
+        _count(nodes, i, hi - lo + 1)
         for xi in range(lo, hi + 1):
             x[i] = xi
             z[i] = c * xi - cti
             v = p * xi - base
-            q = used + v * v * wi
-            if q <= limit:
-                rec(i - 1, q)
-            elif v > 0:  # the rest of the range is out
-                break
+            rec(i - 1, used + v * v * wi)
 
     if limit >= 0:
         rec(m - 1, 0)
@@ -296,7 +281,9 @@ def relevant_vectors(lat: Lattice):
     the coset v + 2L; one search over the 2^m - 1 nonzero cosets of L/2L
     (``_coset_scan``) finds all of them.
     """
-    _check_rank(lat, MAX_VORONOI_RANK, "Voronoi computation")
+    if lat.rank > MAX_VORONOI_RANK:
+        raise CapabilityError(f"Voronoi computation capped at rank "
+                              f"{MAX_VORONOI_RANK}; got rank {lat.rank}")
     return _once(lat, "relevant_vectors", lambda: _coset_scan(lat))
 
 
@@ -346,8 +333,8 @@ def _cell(lat: Lattice, rel):
 def covering_radius(lat: Lattice):
     """(mu squared, deep hole) where mu is the covering radius and the deep
     hole is the lexicographically greatest Voronoi-cell vertex attaining it,
-    in coefficient coordinates; computed once per lattice value."""
-    _check_rank(lat, MAX_VORONOI_RANK, "Voronoi computation")
+    in coefficient coordinates; computed once per lattice value. The rank
+    cap is checked by ``relevant_vectors``, before any work."""
     return _once(lat, "covering_radius", lambda: _deep_hole(lat))
 
 

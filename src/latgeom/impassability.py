@@ -8,7 +8,8 @@ clears every ball by mu - r. The search is one-sided: absence of a
 certificate up to a determinant bound is evidence, never a proof, except
 where Banaszczyk's transference bound rules out every direction
 (``passage_certificate``); for hyperplanes (k = n-1) it is the exact
-dual-packing criterion.
+dual-packing criterion, and the default bound there is the least hyperplane
+determinant det(L) lambda_1(L*), which reaches every best witness.
 
 The covering radius needs a full Voronoi cell, but most searched directions
 cannot matter. Babai's nearest-plane argument bounds it on any basis,
@@ -46,9 +47,8 @@ from .enumeration import vectors_within
 from .errors import (CapabilityError, CertificateValidationError,
                      InvalidInputError, NotAPackingError)
 from .lattice import Lattice, dual_in_span
-from .sublattice import (SublatticeWitness, _bound_sq, _least_in_orbits,
-                         _shells, orbit_witnesses, project_along,
-                         successive_minima)
+from .sublattice import (SublatticeWitness, _det_bound_sq, _least_in_orbits,
+                         _orbit_search, _shells, project_along)
 from .symmetry import automorphisms
 
 
@@ -105,13 +105,6 @@ class CylinderWitness:
                 "guaranteed_floor": str(self.guaranteed_floor),
                 "floor_float": self.floor_float,
                 "guaranteed": self.guaranteed}
-
-
-def _default_det_bound(lat: Lattice, k: int):
-    """3 lambda_1 ... lambda_k, exact: the square root of 9 times the
-    product of the first k squared minima."""
-    norms, _ = successive_minima(lat)
-    return la._sqrt_rational(9 * math.prod(norms[:k]))
 
 
 def _sqrt_above(q):
@@ -190,11 +183,10 @@ def passage_certificate(lat: Lattice, r, k: int, det_bound=None,
     certify, the search ends with None when (n - k)^2 <= 4 r^2
     lambda_1(L*)^2: the projection P along a k-sublattice has rank n - k
     and its dual lies in L*, so Banaszczyk's bound mu(P) lambda_1(P*) <=
-    (n - k) / 2 (Math. Ann. 296, 1993) gives mu(P) <= r for every P."""
+    (n - k) / 2 (Math. Ann. 296, 1993) gives mu(P) <= r for every P.
+    The default bound is ``sublattice._det_bound_sq``'s with slack 9."""
     r_sq, _ = _exact_radius(r)
-    if det_bound is None:
-        det_bound = _default_det_bound(lat, k)
-    for w in _shells(lat, k, _bound_sq(det_bound)):
+    for w in _shells(lat, k, _det_bound_sq(lat, k, det_bound, 9)):
         proj = project_along(w)
         if _covering_radius_bound(proj) > r_sq:
             cert = _certificate(w, r, proj, validate)
@@ -219,13 +211,12 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None):
     every witness tied at the best mu^2 is kept, and at the end their orbits
     are expanded to find the least coeffs among them: the direction an
     exhaustive search ranks first by (-mu^2, coeffs). The certificate is
-    always validated."""
+    always validated; the default bound is ``passage_certificate``'s."""
     _, r_f = _exact_radius(r)
-    if det_bound is None:
-        det_bound = _default_det_bound(lat, k)
+    det_bound_sq = _det_bound_sq(lat, k, det_bound, 9)
     gens, _ = automorphisms(lat)
     best_sq, tied = None, {}  # coeffs -> (witness, projection) at best mu^2
-    for w in orbit_witnesses(lat, k, det_bound, gens):
+    for w in _orbit_search(lat, k, det_bound_sq, gens):
         proj = project_along(w)
         if best_sq is not None and _covering_radius_bound(proj) < best_sq:
             continue

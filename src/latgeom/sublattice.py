@@ -127,6 +127,24 @@ def _check_k(lat: Lattice, k: int):
         raise InvalidInputError("need 1 <= k <= rank - 1")
 
 
+def _det_bound_sq(lat: Lattice, k: int, det_bound, slack):
+    """Check k, and give the det^2 bound of a k-sublattice search: det_bound^2
+    (``_bound_sq``), or by default slack lambda_1^2 ... lambda_k^2, at least
+    D_k(L)^2, as the saturated span of k vectors attaining the minima has no
+    larger determinant (Hadamard). At k = n - 1 the default is
+    D_{n-1}(L)^2 = det(L)^2 lambda_1(L*)^2: each saturated hyperplane
+    sublattice is W = L meet u^perp for a primitive dual vector u, with
+    det(W) = det(L) |u| and a projection of spacing 1 / |u|, so
+    mu^2 = 1 / (4 |u|^2) falls as det(W) rises, and the least det holds
+    every witness that wins, ties or certifies."""
+    _check_k(lat, k)
+    if det_bound is not None:
+        return _bound_sq(det_bound)
+    if k == lat.rank - 1:
+        return lat.det_sq() * _lambda1_sq(dual_in_span(lat))
+    return slack * math.prod(successive_minima(lat)[0][:k])
+
+
 def _span_key(echelon):
     """Reduced row echelon form of the rational span of the rows that
     ``la.add_independent`` put in ``echelon``, each row made primitive with
@@ -369,9 +387,9 @@ def _shells(lat: Lattice, k: int, det_bound_sq):
     inequality lambda_1(M)^2 <= gamma_k det(M)^{2/k} puts det(M)^2 at or
     above lambda_1(L)^{2k} / gamma_k^k, the first bound (``_hermite_pow``).
     Each next bound is 4 times the last, capped at det_bound^2, and each
-    search yields only the witnesses above the previous bound.
+    search yields only the witnesses above the previous bound; callers
+    check k.
     """
-    _check_k(lat, k)
     if det_bound_sq is None:
         return
     prev, bound = 0, _lambda1_sq(lat) ** k / _hermite_pow(k)
@@ -406,14 +424,9 @@ def dk_min(lat: Lattice, k: int, det_bound=None):
     """(D_k(L) squared, witness) minimizing the determinant over saturated
     k-dimensional sublattices.
 
-    The default bound is lambda_1 ... lambda_k, exact: the saturation of the
-    span of k vectors attaining the successive minima has a determinant no
-    larger than their Gram determinant, which Hadamard's inequality puts at
-    or below the product of their squared norms."""
-    _check_k(lat, k)
-    det_bound_sq = math.prod(successive_minima(lat)[0][:k]) \
-        if det_bound is None else _bound_sq(det_bound)
-    best = next(_shells(lat, k, det_bound_sq), None)
+    The default bound is ``_det_bound_sq``'s with slack 1: lambda_1 ...
+    lambda_k, or D_{n-1}(L) itself at k = n - 1."""
+    best = next(_shells(lat, k, _det_bound_sq(lat, k, det_bound, 1)), None)
     if best is None:
         raise InvalidInputError("no sublattice within the determinant bound; "
                                 "the bound is below D_k(L)")

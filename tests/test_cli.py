@@ -180,6 +180,15 @@ def test_cylinder(capsys):
     assert d["threshold"]["value_exact"] == "9*pi/32"
 
 
+def test_hyperplane_cylinder(capsys):
+    # at k = n - 1 the default bound is det(L) lambda_1(L*), so the search
+    # lists only the shortest dual vectors; at 3 lambda_1 ... lambda_5 it
+    # stopped at the point budget and exited 1
+    d = _json(capsys, "cylinder", "--catalog", "D6", "--r", "1/4", "--k", "5")
+    assert d["certificate"]["mu"] == "1/2"
+    assert d["certificate"]["validated"] is True
+
+
 def test_polytope_and_mvee(capsys):
     d = _json(capsys, "polytope", "--body", "cube:3")
     assert d["facets"] == 6 and d["zonotope"] is True

@@ -616,6 +616,19 @@ def test_every_level_keeps_the_point_budget(monkeypatch):
         _enumerate_gram(lat, center, 30)
 
 
+def test_the_list_keeps_the_point_budget_at_level_0(monkeypatch):
+    # the 7 points of Z^3 up to norm 1 come in level-0 ranges of 1, 1, 3, 1
+    # and 1 nodes, each a point of the list; the last range takes a budget
+    # of 6 past it
+    lat = catalog("Z", 3)
+    monkeypatch.setattr(enumeration, "POINT_BUDGET", 7)
+    assert len(_enumerate_gram(lat, [0] * 3, 1)) == 7
+    monkeypatch.setattr(enumeration, "POINT_BUDGET", 6)
+    with pytest.raises(CapabilityError,
+                       match=r"point budget 6 at level 0 \(7 nodes\)"):
+        _enumerate_gram(lat, [0] * 3, 1)
+
+
 def test_the_coset_scan_builds_its_search_constants_once(monkeypatch):
     built, once = [], enumeration._once
     monkeypatch.setattr(enumeration, "_once", lambda lat, key, compute: once(

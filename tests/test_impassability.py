@@ -8,16 +8,24 @@ from hypothesis import strategies as st
 
 import latgeom._linalg as la
 from latgeom.bounds import dnk_known, dnk_lower, dnn1_ball
-from latgeom.enumeration import _covering_radius_bound, covering_radius
+from latgeom.enumeration import (_covering_radius_bound, covering_radius,
+                                 shortest_vectors, successive_minima)
 from latgeom.errors import (CapabilityError, CertificateValidationError,
                             InvalidInputError, MissingConstantError,
                             NotAPackingError)
-from latgeom.impassability import (_default_det_bound, _validate_certificate,
+from latgeom.impassability import (_validate_certificate,
                                    _validation_radius_sq, ball_lattice_density, free_cylinder,
                                    is_nonseparable_ball_lattice,
                                    max_clearance, passage_certificate)
-from latgeom.lattice import Lattice, catalog
-from latgeom.sublattice import enumerate_sublattices, project_along
+from latgeom.lattice import Lattice, catalog, dual_in_span
+from latgeom.sublattice import (_det_bound_sq, _shells, dk_min,
+                                enumerate_sublattices, project_along)
+
+
+def _minima_bound(lat, k):
+    """3 lambda_1 ... lambda_k, exact: the default determinant bound of
+    ``max_clearance`` below k = n - 1, here passed at every k."""
+    return la._sqrt_rational(9 * math.prod(successive_minima(lat)[0][:k]))
 
 
 def test_certificate_cubic_lattice():
@@ -259,18 +267,24 @@ def test_validation_radius_bounds_the_exact_radius(mu_sq, r_sq):
 @pytest.mark.parametrize("k,spans", [(2, 11), (3, 15)])
 def test_max_clearance_node_budget_reports_progress(monkeypatch, k, spans):
     # the search up to symmetry keeps the budget, on both sides (k = 3
-    # searches the dual), and says how far it got
+    # searches the dual), and says how far it got; the bound on the minima
+    # is passed, as the default at k = n - 1 lists only the shortest dual
+    # vectors
+    lat = catalog("D", 4)
     monkeypatch.setattr("latgeom.sublattice.NODE_BUDGET", 20)
     with pytest.raises(CapabilityError, match=f"node budget 20 after reaching "
                        f"{spans} distinct spans and finding {spans} witnesses"):
-        max_clearance(catalog("D", 4), Fraction(2, 5), k)
+        max_clearance(lat, Fraction(2, 5), k, det_bound=_minima_bound(lat, k))
 
 
 def test_default_search_bound_is_exact():
-    # 3 lambda_1 on 6 Z^3 has square 54, the norm of (2, 2, 1); the float
-    # 3.0 * sqrt(6.0) squares to less and stopped the search at det^2 36
+    # 3 lambda_1 on 6 Z^3 has square 54, the norm of (2, 2, 1), which the
+    # search keeps; a float 3.0 * sqrt(6.0) squares to less and stopped the
+    # search at det^2 36
     lat = catalog("Z", 3).scaled(6)
-    ws = enumerate_sublattices(lat, 1, _default_det_bound(lat, 1))
+    bound_sq = _det_bound_sq(lat, 1, None, 9)
+    assert bound_sq == 54
+    ws = list(_shells(lat, 1, bound_sq))
     assert max(w.det_sq for w in ws) == 54
     assert ((2, 2, 1),) in {w.coeffs for w in ws}
 
@@ -313,7 +327,7 @@ def _passage_inputs(draw):
 def test_pruned_search_matches_exhaustive(inputs):
     gram, k, r = inputs
     lat = Lattice.from_gram(gram)
-    det_bound = _default_det_bound(lat, k)
+    det_bound = _minima_bound(lat, k)
     best, first = _exhaustive(lat, r, k, det_bound)
 
     clearance, cert = max_clearance(lat, r, k, det_bound=det_bound)
@@ -334,6 +348,61 @@ def test_pruned_search_matches_exhaustive(inputs):
         assert cert is None
     else:
         assert (cert.witness.coeffs, cert.deep_hole, cert.mu_sq) == first
+
+
+def _same_as_the_minima_bound(lat, r):
+    """At k = n - 1 the default bound, D_{n-1}(L), gives what a search at the
+    bound on the successive minima gives: every certificate field of
+    ``max_clearance`` and ``passage_certificate`` at 3 lambda_1 ...
+    lambda_{n-1}, and ``dk_min``'s (det^2, witness) at lambda_1 ...
+    lambda_{n-1}."""
+    k = lat.rank - 1
+    bound = _minima_bound(lat, k)
+    assert max_clearance(lat, r, k) == \
+        max_clearance(lat, r, k, det_bound=bound)
+    assert passage_certificate(lat, r, k) == \
+        passage_certificate(lat, r, k, det_bound=bound)
+    assert dk_min(lat, k) == dk_min(lat, k, det_bound=bound / 3)
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(2, 6)]
+                         + [(k, n) for k in ("A", "Astar") for n in range(2, 6)]
+                         + [("D", 3), ("D", 4), ("D", 5), ("BambahWoods", 3),
+                            ("NonSep", 3)], ids=lambda v: str(v))
+@pytest.mark.parametrize("r", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)],
+                         ids=str)
+def test_hyperplane_bound_matches_the_minima_bound(name, n, r):
+    _same_as_the_minima_bound(catalog(name, n), r)
+
+
+@st.composite
+def _hyperplane_inputs(draw):
+    m = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    assume(la.det_int(rows) != 0)
+    r = draw(st.fractions(Fraction(1, 10), Fraction(3, 2), max_denominator=12))
+    return Lattice.from_rows(rows), r
+
+
+@settings(max_examples=25, deadline=None)
+@given(_hyperplane_inputs())
+def test_hyperplane_bound_matches_the_minima_bound_random(inputs):
+    _same_as_the_minima_bound(*inputs)
+
+
+@pytest.mark.parametrize("name,n,mu_sq", [
+    ("D", 6, Fraction(1, 4)), ("E", 6, Fraction(3, 16)),
+    ("E", 7, Fraction(1, 6)), ("E", 8, Fraction(1, 8))], ids=str)
+def test_hyperplane_clearance_reads_the_shortest_dual_vector(name, n, mu_sq):
+    # the best hyperplane sublattice is orthogonal to a shortest dual
+    # vector u, and the projection along it has spacing 1 / |u|; the
+    # search at 3 lambda_1 ... lambda_{n-1} stopped at the point budget
+    lat = catalog(name, n)
+    _, cert = max_clearance(lat, Fraction(1, 4), n - 1)
+    assert cert.mu_sq == mu_sq == \
+        1 / (4 * shortest_vectors(dual_in_span(lat))[0])
+    assert cert.validated
 
 
 def test_transference_ends_a_search_no_direction_can_win(monkeypatch):

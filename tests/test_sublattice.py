@@ -12,13 +12,20 @@ from hypothesis import strategies as st
 import latgeom._linalg as la
 import latgeom.sublattice as sub
 from latgeom.cli import run
-from latgeom.enumeration import kappa, shortest_vectors, vectors_within
+from latgeom.enumeration import (kappa, shortest_vectors, successive_minima,
+                                 vectors_within)
 from latgeom.errors import CapabilityError, InvalidInputError
-from latgeom.impassability import _default_det_bound, passage_certificate
+from latgeom.impassability import passage_certificate
 from latgeom.lattice import Lattice, catalog
 from latgeom.sublattice import (dk_min, enumerate_sublattices, project_along,
                                 saturate, witness)
 from latgeom.symmetry import automorphisms
+
+
+def _minima_bound(lat, k):
+    """3 lambda_1 ... lambda_k, exact: the default determinant bound of
+    ``max_clearance`` below k = n - 1, here passed at every k."""
+    return la._sqrt_rational(9 * math.prod(successive_minima(lat)[0][:k]))
 
 
 def test_witness_det_and_saturation():
@@ -119,7 +126,6 @@ def test_dk_fcc():
 
 
 def test_dk_at_most_minima_product():
-    from latgeom.enumeration import successive_minima
     lat = Lattice.from_rows([[3, 1, 0], [1, 2, 1], [0, 1, 4]])
     norms, _ = successive_minima(lat)
     for k in (1, 2):
@@ -141,7 +147,7 @@ def test_leaves_are_pruned_to_possible_minima(monkeypatch):
     # still reach every witness: 12,612 leaves without the tests; under the
     # automorphism group the first vector runs over orbit representatives
     lat = catalog("D", 4)
-    bound = _default_det_bound(lat, 2)
+    bound = _minima_bound(lat, 2)
     leaves = []
     real = sub._span_key
     monkeypatch.setattr(sub, "_span_key",
@@ -373,7 +379,7 @@ def test_shells_reduce_the_dual_once(monkeypatch):
     # k = 3 > 4 - 3 searches the dual, at 4 growing bounds; D5 takes the
     # same 4 shells, but its last one is a 20 s search
     lat = catalog("D", 4)
-    bound = _default_det_bound(lat, 3)
+    bound = _minima_bound(lat, 3)
     grams, shells = [], []
     real_lll = lattice_mod._lll_transform
     real_search = sub._orbit_search

@@ -10,15 +10,21 @@ from hypothesis import strategies as st
 import latgeom._linalg as la
 from latgeom.enumeration import _reduced, _reduced_inverse, closest_vectors
 from latgeom.enumeration import _covering_radius_bound, covering_radius
+from latgeom.enumeration import successive_minima
 from latgeom.enumeration import vector_pairs_within, voronoi_cell
 from latgeom.errors import CapabilityError
-from latgeom.impassability import (_certificate, _default_det_bound,
-                                   max_clearance)
+from latgeom.impassability import _certificate, max_clearance
 from latgeom.lattice import Lattice, catalog
 from latgeom.sublattice import (_candidate_representatives, _least_in_orbits,
                                 enumerate_sublattices, orbit_witnesses,
                                 project_along)
 from latgeom.symmetry import automorphisms, cell_volume, orbit_representatives
+
+def _minima_bound(lat, k):
+    """3 lambda_1 ... lambda_k, exact: the default determinant bound of
+    ``max_clearance`` below k = n - 1, here passed at every k."""
+    return la._sqrt_rational(9 * math.prod(successive_minima(lat)[0][:k]))
+
 
 ORDERS = [("Z", n, 2 ** n * math.factorial(n)) for n in range(2, 7)] + [
     ("D", 3, 48), ("A", 4, 240), ("D", 4, 1152), ("D", 5, 3840),
@@ -155,7 +161,7 @@ def _per_witness(lat, r, k):
     Babai's bound, by which max_clearance skips a witness, is at least its
     mu^2."""
     best = None
-    for w in enumerate_sublattices(lat, k, _default_det_bound(lat, k)):
+    for w in enumerate_sublattices(lat, k, _minima_bound(lat, k)):
         proj = project_along(w)
         mu_sq = covering_radius(proj)[0]
         assert _covering_radius_bound(proj) >= mu_sq
@@ -208,7 +214,7 @@ def _per_class(lat, r, k):
     the generators, at its least member and at one other, which must agree:
     the argmin of (-mu^2, coeffs) over the whole search when mu^2 is the
     same on a class, for searches too large to cover every witness."""
-    ws = enumerate_sublattices(lat, k, _default_det_bound(lat, k))
+    ws = enumerate_sublattices(lat, k, _minima_bound(lat, k))
     by_coeffs = {w.coeffs: w for w in ws}
     best = None
     for c in _orbit_classes(lat, ws, automorphisms(lat)[0]):
@@ -242,7 +248,7 @@ def test_tie_goes_to_an_orbit_member_the_search_does_not_reach():
     # on A3 at k = 2 the first witness the orbit search reaches at the best
     # mu^2 is not the least coeffs of its orbit; the expansion finds them
     lat = catalog("A", 3)
-    reached = orbit_witnesses(lat, 2, _default_det_bound(lat, 2),
+    reached = orbit_witnesses(lat, 2, _minima_bound(lat, 2),
                               automorphisms(lat)[0])
     mu_sq = [covering_radius(project_along(w))[0] for w in reached]
     first = reached[mu_sq.index(max(mu_sq))]
@@ -300,14 +306,14 @@ ORBIT_COUNTS = [("Z", 4, 1, 1, 192, 8), ("Z", 4, 1, 2, 458, 13),
 def test_orbit_representatives_are_least_members(name, n, scale, k, count,
                                                  orbits):
     lat = catalog(name, n).scaled(scale)
-    ws = enumerate_sublattices(lat, k, _default_det_bound(lat, k))
+    ws = enumerate_sublattices(lat, k, _minima_bound(lat, k))
     # each generator on its own, and the group they make
     gens, _ = automorphisms(lat)
     classes = _orbit_classes(lat, ws, gens)
     assert (len(ws), len(classes)) == (count, orbits)
     # the orbit search reaches every class, and only witnesses of the full
     # search, in its order
-    reached = orbit_witnesses(lat, k, _default_det_bound(lat, k), gens)
+    reached = orbit_witnesses(lat, k, _minima_bound(lat, k), gens)
     coeffs = {w.coeffs for w in reached}
     assert all(c & coeffs for c in classes)
     assert [w.coeffs for w in reached] == \
@@ -375,7 +381,7 @@ def test_orbit_representatives_match_the_loop(name, n):
 def test_every_search_path_emits_hnf_coeffs(name, n, k):
     # the orbit lookup keys images by their HNF; k > n/2 takes the dual side
     lat = catalog(name, n)
-    ws = enumerate_sublattices(lat, k, _default_det_bound(lat, k))
+    ws = enumerate_sublattices(lat, k, _minima_bound(lat, k))
     assert ws
     for w in ws:
         assert [list(r) for r in w.coeffs] == la.hnf_basis(w.coeffs)
