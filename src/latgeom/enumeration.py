@@ -10,6 +10,7 @@ so every pruning decision and every reported norm is exact.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import _linalg as la
 from ._linalg import kappa
 from .errors import CapabilityError
-from .lattice import Lattice, _once, reduce as lll_reduce
+from .lattice import Lattice, _check_length, _once, reduce as lll_reduce
 from .polytope import Polytope
 
 MAX_VORONOI_RANK = 8
@@ -56,7 +57,7 @@ def _search_constants(lat: Lattice):
     return _once(lat, "search_constants", compute)
 
 
-def _enumerate_gram(lat: Lattice, center, bound_sq):
+def _enumerate_gram(lat: Lattice, center, bound_sq, pairs=False):
     """All integer x with (x - center)^T G (x - center) <= bound_sq, G the
     Gram of lat, as (x, q, den) triples, in ints throughout: the squared
     distance of x is q / den, with one den for the whole list, so distances
@@ -72,6 +73,11 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     CapabilityError before walking a range that takes the count past
     ``POINT_BUDGET`` (``_count``), whatever the rank; a node of level 0 is a
     point of the list, so a longer list raises before it is built.
+
+    The listing around 0 is symmetric, and ``_listing`` walks half of it:
+    with ``pairs`` (center 0 only), while x_j = 0 for every j > i the range
+    of x_i starts at 0, and the zero vector is dropped, so each +- pair
+    gives the one point whose last nonzero coordinate is positive.
     """
     c = math.lcm(*(t.denominator for t in center))
     ct = [t.numerator * (c // t.denominator) for t in center]
@@ -81,25 +87,27 @@ def _enumerate_gram(lat: Lattice, center, bound_sq):
     m = len(diag)
     x, z, nodes, results = [0] * m, [0] * m, [0] * m, []
 
-    def rec(i, used):
+    def rec(i, used, top):
+        # top: pairs mode, and x_j = 0 for every j > i
         if i < 0:
-            results.append((tuple(x), used, den))
+            if not top:
+                results.append((tuple(x), used, den))
             return
         wi, cti = w[i], ct[i]
         s = sum(map(operator.mul, tails[i], z[i + 1:]))
         t = math.isqrt((limit - used) // wi)
         # |D_{i+1} (c x_i - ct_i) + s| <= t, with v = p x_i - base
         p, base = diag[i] * c, diag[i] * cti - s
-        lo, hi = -((t - base) // p), (base + t) // p
+        lo, hi = 0 if top else -((t - base) // p), (base + t) // p
         _count(nodes, i, hi - lo + 1)
         for xi in range(lo, hi + 1):
             x[i] = xi
             z[i] = c * xi - cti
             v = p * xi - base
-            rec(i - 1, used + v * v * wi)
+            rec(i - 1, used + v * v * wi, top and not xi)
 
     if limit >= 0:
-        rec(m - 1, 0)
+        rec(m - 1, 0, pairs)
     return results
 
 
@@ -193,21 +201,40 @@ def _nearest(red: Lattice, tt, c):
     return ties, q, red.int_gram[1] * c * c * _search_constants(red)[1]
 
 
+def _listing(red: Lattice, bound_sq):
+    """The nonzero points x of the reduced value red up to bound_sq, one per
+    +- pair, as (n, x) sorted by n = x G_int x^T, the int norm over the
+    denominator d of ``red.int_gram``, ties by x: the pairs mode of
+    ``_enumerate_gram``.
+
+    The listing is kept in red's memo with its bound: a bound at or below
+    that one reads a prefix, and a larger bound walks again and replaces
+    it, so each value is listed once per growth of its bound."""
+    bound_sq = Fraction(bound_sq)
+    bound, pts = red._memo.get("listing", (None, ()))
+    if bound is None or bound_sq > bound:
+        scale = _search_constants(red)[1]
+        pts = tuple(sorted(
+            (q // scale, x) for x, q, _
+            in _enumerate_gram(red, [0] * red.rank, bound_sq, pairs=True)))
+        red._memo["listing"] = bound_sq, pts
+    top = math.floor(bound_sq * red.int_gram[1])
+    return pts[:bisect.bisect_right(pts, top, key=operator.itemgetter(0))]
+
+
 def vector_pairs_within(lat: Lattice, bound_sq):
     """The nonzero lattice vectors with squared norm <= bound_sq, one per
     +- pair, as (n, coeffs) sorted: coeffs in lat's basis with its first
     nonzero entry positive, and n = d ||v||^2 the int norm over the
     denominator d of ``lat.int_gram``.
 
-    The listing on the reduced basis is symmetric about 0, so only its
-    points whose first nonzero reduced coordinate is positive are mapped to
-    lat's coordinates, each through the columns of the transform."""
+    Each point of the reduced value's ``_listing`` is mapped to lat's
+    coordinates through the columns of the transform; U keeps the norms."""
     red, u = _reduced(lat)
-    d, cols, zero = lat.int_gram[1], tuple(zip(*u)), (0,) * lat.rank
+    cols = tuple(zip(*u))
     return sorted(
-        ((q * d) // den,
-         la._canonical_sign([sum(map(operator.mul, x, c)) for c in cols]))
-        for x, q, den in _enumerate_gram(red, zero, bound_sq) if x > zero)
+        (n, la._canonical_sign([sum(map(operator.mul, x, c)) for c in cols]))
+        for n, x in _listing(red, bound_sq))
 
 
 def vectors_within(lat: Lattice, bound_sq):
@@ -218,13 +245,6 @@ def vectors_within(lat: Lattice, bound_sq):
     both = sorted((n, s) for n, v in vector_pairs_within(lat, bound_sq)
                   for s in (v, tuple(-x for x in v)))
     return [(v, Fraction(n, d)) for n, v in both]
-
-
-def _nonzero_within(red: Lattice, bound_sq):
-    """The nonzero points of red up to bound_sq, as (q, x, den) sorted by
-    (q, x): the norm q / den first, ties on reduced coordinates."""
-    return sorted((q, x, den) for x, q, den
-                  in _enumerate_gram(red, [0] * red.rank, bound_sq) if any(x))
 
 
 def shortest_vectors(lat: Lattice):
@@ -242,14 +262,19 @@ def shortest_vectors(lat: Lattice):
 def successive_minima(lat: Lattice):
     """Squared successive minima lambda_k^2 with achieving linearly
     independent coefficient vectors: (list of norm_sq, list of coeffs).
-    Ties go to the least vector in reduced coordinates."""
+    Ties go to the least vector in reduced coordinates: the pairs of the
+    ``_listing`` up to the greatest reduced basis norm are taken in the
+    order of (n, min(x, -x)), which is the order of (n, x) over both signs,
+    and the first vector independent of the ones before it is chosen."""
     red, u = _reduced(lat)
+    d = red.int_gram[1]
     chosen, norms, echelon = [], [], []
-    for q, x, den in _nonzero_within(
-            red, max(red._gram[i][i] for i in range(lat.rank))):
+    for n, x in sorted(
+            _listing(red, max(red._gram[i][i] for i in range(lat.rank))),
+            key=lambda p: (p[0], min(p[1], tuple(-t for t in p[1])))):
         if la.add_independent(echelon, x):
             chosen.append(la._canonical_sign(la.vec_mat(x, u)))
-            norms.append(Fraction(q, den))
+            norms.append(Fraction(n, d))
             if len(chosen) == lat.rank:
                 break
     assert len(chosen) == lat.rank  # LLL diagonal bounds guarantee this
@@ -259,6 +284,7 @@ def successive_minima(lat: Lattice):
 def closest_vectors(lat: Lattice, target_coeffs):
     """Closest lattice vectors to a target given by (rational) coefficients
     in the lattice basis: (dist_sq, sorted list of coefficient vectors)."""
+    _check_length(target_coeffs, lat.rank, "the target")
     red, u = _reduced(lat)
     # target in reduced coordinates: t_red = t . u^{-1}, over t's lcm c
     (t,), c = la.integer_form([[la._rational(x) for x in target_coeffs]])
@@ -373,9 +399,14 @@ def _deep_hole(lat: Lattice):
 
 
 def _lambda1_sq(lat: Lattice):
-    """lambda_1^2 of lat, once per value; the catalog seeds the ones it
-    knows."""
-    return _once(lat, "lambda1_sq", lambda: shortest_vectors(lat)[0])
+    """lambda_1^2 of lat, once per value: the first norm of the reduced
+    value's ``_listing`` up to its least basis norm, with no point mapped
+    to lat's basis. The catalog seeds the ones it knows."""
+    def compute():
+        red, _ = _reduced(lat)
+        n, _ = _listing(red, min(red._gram[i][i] for i in range(lat.rank)))[0]
+        return Fraction(n, red.int_gram[1])
+    return _once(lat, "lambda1_sq", compute)
 
 
 def packing_density(lat: Lattice):

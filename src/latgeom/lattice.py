@@ -28,6 +28,7 @@ from typing import Sequence
 from . import _linalg as la
 from .errors import (
     CatalogMissError,
+    DimensionMismatchError,
     InvalidInputError,
     InvalidLatticeError,
     UnsupportedRankError,
@@ -131,7 +132,8 @@ class Lattice:
     def _memo(self) -> dict:
         """Invariants derived from this value (its reduction, lambda_1^2,
         relevant vectors, covering radius), keyed by name, filled by
-        ``_once``; every entry is immutable."""
+        ``_once``; every entry is immutable. The one entry that may be
+        replaced is ``enumeration._listing``'s, by a longer listing."""
         return {}
 
     def gram(self):
@@ -153,6 +155,8 @@ class Lattice:
         return self.inner(coeffs, coeffs)
 
     def inner(self, coeffs_a, coeffs_b):
+        _check_length(coeffs_a, self.rank, "a coefficient vector")
+        _check_length(coeffs_b, self.rank, "a coefficient vector")
         g = self._gram
         return sum(ai * sum(gij * bj for gij, bj in zip(gi, coeffs_b))
                    for ai, gi in zip(coeffs_a, g))
@@ -161,6 +165,7 @@ class Lattice:
         """Ambient float coordinates of a coefficient vector (basis required)."""
         if self.basis is None:
             raise UnsupportedRankError("gram-only lattice has no ambient embedding")
+        _check_length(coeffs, self.rank, "a coefficient vector")
         # basis = W / D and coeffs = C / e: one int sum and one true
         # division per coordinate, which rounds the exact value as float does
         s = math.sqrt(float(self.scale_sq))
@@ -173,6 +178,7 @@ class Lattice:
         divided by sqrt(scale_sq), exact."""
         if self.basis is None:
             raise UnsupportedRankError("gram-only lattice has no ambient embedding")
+        _check_length(point, self.ambient_dim, "an ambient point")
         # with basis = W / D and point = P / e: (e W W^T) x = D W P
         w, d = self.int_basis
         (p,), e = la.integer_form([[la._rational(x) for x in point]])
@@ -235,11 +241,19 @@ class Lattice:
 
 def _once(lat: Lattice, key, compute):
     """Result of ``compute()`` for this lattice value, computed on the first
-    request and kept in its memo; results must not be edited."""
+    request and kept in its memo; results must not be edited. Only
+    ``enumeration._listing`` keeps its entry itself, to replace it."""
     memo = lat._memo
     if key not in memo:
         memo[key] = compute()
     return memo[key]
+
+
+def _check_length(v, n, what):
+    """Raise DimensionMismatchError unless the vector v has n entries."""
+    if len(v) != n:
+        raise DimensionMismatchError(
+            f"{what} has length {len(v)}; the lattice needs {n}")
 
 
 def _over(rows, d):

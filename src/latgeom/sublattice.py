@@ -235,7 +235,9 @@ def _orbit_search(lat: Lattice, k: int, det_bound_sq, gens):
     vectors no longer than its own successive minima; Minkowski's second
     theorem in Hermite form, prod lambda_i^2 <= gamma_k^k det^2, caps their
     squared-norm product by ``_hermite_pow(k)`` det_bound^2, and each of
-    them by that product over lambda_1^{2(k-1)}. A depth-first search over
+    them by that product over lambda_1^{2(k-1)}. A cap below lambda_1^{2k}
+    admits no k vectors, so such a shell returns [] before any listing,
+    after the redirect to the dual side. A depth-first search over
     the vectors up to that length, one per +- pair in ascending norm as
     ``vector_pairs_within`` lists them with their norms as ints over G_int's
     d, compares the integer norm products against G_int exactly. Each chosen
@@ -285,11 +287,13 @@ def _orbit_search(lat: Lattice, k: int, det_bound_sq, gens):
         return _enumerate_via_dual(lat, k, det_bound_sq, gens)
     l1_sq = _lambda1_sq(lat)
     prod_sq_bound = _hermite_pow(k) * det_bound_sq
+    if prod_sq_bound < l1_sq ** k:
+        return []  # an empty shell: no k vectors are that short
     # one vector per +- pair, sorted by (norm, coeffs), the shortest among
     # them; squared norms and inner products over G_int's d are ints, and so
     # are the caps
     norms, coeff_rows = zip(*vector_pairs_within(
-        lat, max(prod_sq_bound / l1_sq ** (k - 1), l1_sq)))
+        lat, prod_sq_bound / l1_sq ** (k - 1)))
     g_int, d = lat.int_gram
     cap = math.floor(prod_sq_bound * d ** k)
     # the candidates that can come first, a set closed under isometries and

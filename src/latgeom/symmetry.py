@@ -6,7 +6,9 @@ backtrack (Plesken & Souvignier, "Computing isometries of lattices",
 J. Symbolic Comput. 24, 1997) finds the group on the LLL-reduced basis, in
 integers against G_int:
 
-- the candidate images of b_i are the vectors whose norm is G_ii;
+- the candidate images of b_i are the vectors whose norm is G_ii, both
+  signs of the reduced value's pairs (``enumeration._listing``), in the
+  order of the full walk around 0, x ascending from its last coordinate;
 - an image is kept only when its inner products with the images already
   chosen are the Gram entries, so each choice filters the later lists;
 - a stabilizer chain, level i fixing b_1, ..., b_{i-1}, is filled from the
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from . import _linalg as la
 from .enumeration import (
-    _enumerate_gram,
+    _listing,
     _reduced,
     _reduced_inverse,
     relevant_vectors,
@@ -99,12 +101,13 @@ def _automorphisms(lat: Lattice):
     g, d = red.int_gram
     n = red.rank
     diag = {g[i][i] for i in range(n)}
-    cands = {q: [] for q in diag}  # norm in G_int -> [(x, x G_int)]
-    for x, _, _ in _enumerate_gram(red, [0] * n, Fraction(max(diag), d)):
-        gx = tuple(la.vec_mat(x, g))
-        q = la.dot(gx, x)
+    cands = {q: [] for q in diag}  # norm in G_int -> both signs of its pairs
+    for q, x in _listing(red, Fraction(max(diag), d)):
         if q in cands:
-            cands[q].append((x, gx))
+            cands[q] += x, tuple(-t for t in x)
+    # each list with its rows x G_int, in the walk order of the full tree
+    cands = {q: [(x, tuple(la.vec_mat(x, g))) for x in sorted(
+        xs, key=lambda x: x[::-1])] for q, xs in cands.items()}
     unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     gens, order = [], 1
     for i in reversed(range(n)):

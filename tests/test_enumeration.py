@@ -17,7 +17,7 @@ from latgeom.enumeration import (_enumerate_gram, closest_vector,
                                  relevant_vectors, shortest_vectors,
                                  successive_minima, vector_pairs_within,
                                  vectors_within, voronoi_cell)
-from latgeom.errors import CapabilityError
+from latgeom.errors import CapabilityError, DimensionMismatchError
 from latgeom.lattice import Lattice, catalog
 
 
@@ -89,6 +89,16 @@ def test_closest_vector_babai_counterexample():
                     zip([i + 99 * j, 2 * j], target))
                 for i in range(-300, 300) for j in (-1, 0, 1, 2))
     assert float(dist_sq) == pytest.approx(float(brute))
+
+
+def test_a_target_of_the_wrong_length_is_rejected():
+    # zip would read [1/2] as (1/2, 0, 0, 0) on D4
+    lat = catalog("D", 4)
+    for target in ([Fraction(1, 2)], [0] * 5):
+        with pytest.raises(DimensionMismatchError):
+            closest_vectors(lat, target)
+        with pytest.raises(DimensionMismatchError):
+            closest_vector(lat, target)
 
 
 def test_closest_vector_deterministic_tie_break():
@@ -304,6 +314,104 @@ def test_vector_pairs_are_the_canonical_half_of_the_listing(lat, ratio):
     assert pairs == sorted((q * d // den, x) for x, q, den
                            in _enumerate_gram(lat, zero, bound) if x > zero)
     assert (pairs == []) == (ratio < 1)
+
+
+_bounds = st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 3, 4, 10]))
+
+
+def _skewed(inputs):
+    """The lattice of the Gram T G0 T^T of ``_skewed_gram_and_center``."""
+    g0, t, _ = inputs
+    return la.mat_mul(la.mat_mul(t, g0), la.transpose(t))
+
+
+def _folded_walk(lat, bound):
+    """The full walk of ``_enumerate_gram`` around 0 up to bound with 0
+    removed and the signs folded: {{x, -x}: x G_int x^T}."""
+    d = lat.int_gram[1]
+    return {frozenset((x, tuple(-v for v in x))): q * d // den
+            for x, q, den in _enumerate_gram(lat, [0] * lat.rank, bound)
+            if any(x)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_skewed_gram_and_center(), _bounds)
+@example(([[1, 0], [0, 1]], [[1, 0], [10**8, 1]], [0, 0]), Fraction(3))
+def test_the_listing_is_the_full_walk_with_its_signs_folded(inputs, bound):
+    lat = Lattice.from_gram(_skewed(inputs))
+    got = enumeration._listing(lat, bound)
+    want = _folded_walk(lat, bound)
+    assert list(got) == sorted(got)
+    assert all(isinstance(n, int) for n, _ in got)
+    # one point per pair, the one whose last nonzero coordinate is positive
+    assert all(next(v for v in reversed(x) if v) > 0 for _, x in got)
+    assert len(got) == len(want)
+    assert {frozenset((x, tuple(-v for v in x))): n for n, x in got} == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_skewed_gram_and_center(), st.lists(_bounds, min_size=2, max_size=4))
+@example(([[2, 1], [1, 3]], [[1, 0], [7, 1]], [0, 0]),
+         [Fraction(40), Fraction(3), Fraction(0), Fraction(10)])
+@example(([[2, 1], [1, 3]], [[1, 0], [7, 1]], [0, 0]),
+         [Fraction(0), Fraction(3), Fraction(10), Fraction(40)])
+def test_a_prefix_of_the_listing_is_a_fresh_listing(inputs, bounds):
+    g = _skewed(inputs)
+    kept = Lattice.from_gram(g)
+    for b in bounds:
+        assert enumeration._listing(kept, b) == \
+            enumeration._listing(Lattice.from_gram(g), b)
+    # the memo holds the listing at the largest bound asked
+    assert kept._memo["listing"][0] == max(bounds)
+
+
+def _minima_of_the_full_walk(lat):
+    """Successive minima by the rule of the full walk: both signs of every
+    nonzero point up to the greatest reduced basis norm, in the order of
+    (norm, reduced coordinates); a vector independent of those chosen
+    before it is chosen, mapped to lat's basis with its canonical sign."""
+    red, u = enumeration._reduced(lat)
+    top = max(red.gram()[i][i] for i in range(lat.rank))
+    xs, norms, chosen = [], [], []
+    for q, x, den in sorted((q, x, den) for x, q, den in _enumerate_gram(
+            red, [0] * lat.rank, top) if any(x)):
+        if la.rank(xs + [list(x)]) > len(xs):
+            xs.append(list(x))
+            norms.append(Fraction(q, den))
+            chosen.append(la._canonical_sign(la.vec_mat(x, u)))
+    return norms, chosen
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(1, 9)]
+                         + [("D", n) for n in range(3, 9)]
+                         + [("A", n) for n in range(1, 6)]
+                         + [("E", 6), ("E", 7), ("E", 8)])
+def test_successive_minima_keep_the_full_walks_ties(name, n):
+    lat = catalog(name, n)
+    assert successive_minima(lat) == _minima_of_the_full_walk(lat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_skewed_lattice())
+def test_successive_minima_keep_the_full_walks_order(lat):
+    assert successive_minima(lat) == _minima_of_the_full_walk(lat)
+
+
+def test_the_listing_walks_half_the_tree_once(monkeypatch):
+    walked, count = [], enumeration._count
+    monkeypatch.setattr(enumeration, "_count", lambda nodes, i, n: (
+        walked.append(n), count(nodes, i, n)))
+    for name, n, nodes in (("E", 8, 368), ("D", 6, 84)):
+        # a fresh value, with no listing in its memo
+        lat = Lattice.from_rows(catalog(name, n).basis)
+        walked.clear()
+        assert len(shortest_vectors(lat)[1]) == {8: 120, 6: 30}[n]
+        assert sum(walked) == nodes
+        # a smaller bound, and the same one, read the kept listing
+        walked.clear()
+        assert vector_pairs_within(lat, 1) == []
+        assert len(shortest_vectors(lat)[1]) == {8: 120, 6: 30}[n]
+        assert sum(walked) == 0
 
 
 @settings(max_examples=60, deadline=None)

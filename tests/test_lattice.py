@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import latgeom
 import latgeom._linalg as la
-from latgeom.errors import (CatalogMissError, InvalidInputError,
-                            InvalidLatticeError, UnsupportedRankError)
+from latgeom.errors import (CatalogMissError, DimensionMismatchError,
+                            InvalidInputError, InvalidLatticeError,
+                            UnsupportedRankError)
 from latgeom.enumeration import _lambda1_sq
 from latgeom.lattice import (LLL_DELTA, Lattice, _lll_transform, catalog,
                              dual, dual_in_span, reduce)
@@ -134,6 +135,27 @@ def test_gram_only_lattice_has_no_ambient_coordinates():
         lat.to_ambient([1, 0])
     with pytest.raises(UnsupportedRankError):
         lat.coords_of([1, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda lat: lat.norm_sq([1, 1, 1, 1, 1]),
+    lambda lat: lat.norm_sq([1, 1, 1]),
+    lambda lat: lat.inner([1, 0, 0, 0], [1]),
+    lambda lat: lat.inner([1, 0, 0], [1, 0, 0, 0]),
+    lambda lat: lat.to_ambient([1, 0, 0, 0, 0]),
+    lambda lat: lat.to_ambient([1]),
+    lambda lat: lat.coords_of([1, 1]),
+    lambda lat: lat.coords_of([1, 1, 0, 0, 0]),
+], ids=["norm-long", "norm-short", "inner-b", "inner-a", "ambient-long",
+        "ambient-short", "coords-short", "coords-long"])
+def test_vectors_of_the_wrong_length_are_rejected(call):
+    # zip would truncate or pad them: norm_sq([1, 1, 1, 1, 1]) read as
+    # norm_sq([1, 1, 1, 1]) = 6, and coords_of([1, 1]) as [1, 0, 0, 0]
+    lat = catalog("D", 4)
+    with pytest.raises(DimensionMismatchError):
+        call(lat)
+    assert lat.norm_sq([1, 1, 1, 1]) == 6
+    assert lat.coords_of([1, 1, 0, 0]) == [1, 0, 0, 0]
 
 
 def test_package_determinant_is_the_lattice_determinant():

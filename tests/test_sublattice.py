@@ -400,6 +400,17 @@ def test_shells_reduce_the_dual_once(monkeypatch):
     assert grams.count(la.integer_form(la.inverse(lat.gram()))) == 1
 
 
+def test_an_empty_shell_lists_nothing(monkeypatch):
+    # dk_min(Z6, 5) searches the dual side at k = 1, in shells from
+    # Hermite's bound up; the shells whose cap is below lambda_1(Z6*)^2 = 1
+    # hold no vector and return before any listing
+    listed, pairs = [], sub.vector_pairs_within
+    monkeypatch.setattr(sub, "vector_pairs_within",
+                        lambda lat, b: listed.append(b) or pairs(lat, b))
+    assert dk_min(catalog("Z", 6), 5)[0] == 1
+    assert listed == [1]
+
+
 def _key_of(rows):
     echelon = []
     for r in rows:

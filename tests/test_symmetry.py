@@ -26,9 +26,15 @@ def _minima_bound(lat, k):
     return la._sqrt_rational(9 * math.prod(successive_minima(lat)[0][:k]))
 
 
-ORDERS = [("Z", n, 2 ** n * math.factorial(n)) for n in range(2, 7)] + [
-    ("D", 3, 48), ("A", 4, 240), ("D", 4, 1152), ("D", 5, 3840),
-    ("E", 6, 103680), ("E", 7, 2903040), ("E", 8, 696729600)]
+# every catalog lattice of rank <= 8: Z_n and D_n (n != 4) have the
+# 2^n n! signed permutations, A_n and A_n* (n >= 2) the 2 (n + 1)! signed
+# permutations of n + 1 coordinates
+ORDERS = [("Z", n, 2 ** n * math.factorial(n)) for n in range(1, 9)] + [
+    ("D", n, 2 ** n * math.factorial(n)) for n in (3, 5, 6, 7, 8)] + [
+    (name, n, 2 * math.factorial(n + 1) if n > 1 else 2)
+    for name in ("A", "Astar") for n in range(1, 6)] + [
+    ("D", 4, 1152), ("E", 6, 103680), ("E", 7, 2903040), ("E", 8, 696729600),
+    ("BambahWoods", 3, 48), ("NonSep", 3, 48)]
 
 
 def _preserves_gram(a, gram):
@@ -49,6 +55,22 @@ def test_automorphism_group_orders(name, n, order):
         assert all(isinstance(x, int) for row in a for x in row)
         assert _preserves_gram(a, lat.gram())
     assert automorphisms(lat) is automorphisms(lat)  # kept on the value
+
+
+def test_the_group_search_takes_its_candidates_in_walk_order():
+    # the candidates are both signs of the listing's pairs, in the order of
+    # the full walk around 0 (x ascending from its last coordinate), so the
+    # backtrack meets them, and finds its generators, in that order
+    assert automorphisms(catalog("D", 4))[0] == (
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, -1, -2, -1)),
+        ((1, 0, 0, 0), (1, -1, -2, -1), (0, 0, 1, 0), (0, 1, 0, 0)),
+        ((1, 0, 0, 0), (0, 1, 0, 0), (1, -1, -1, -1), (0, 0, 0, 1)),
+        ((1, -1, -2, -1), (1, 0, 0, 0), (0, -1, -1, -1), (0, 1, 0, 0)),
+        ((0, -1, -1, -1), (0, 0, 1, 0), (1, -1, -2, -1), (-1, 1, 1, 0)))
+    assert automorphisms(catalog("A", 3))[0] == (
+        ((1, 0, 0), (-1, -1, -1), (0, 0, 1)),
+        ((1, 0, 0), (-1, -1, 0), (0, 0, -1)),
+        ((-1, -1, -1), (1, 0, 0), (0, 1, 0)))
 
 
 def _brute_force_order(gram):
@@ -419,7 +441,7 @@ def test_cell_volume_from_the_pm_pairs_alone(lat):
 
 
 def test_cell_volume_past_the_group_search_budget():
-    # the group search lists ~3.1M points up to the norm 10^6 of the long
+    # the group search lists ~1.6M +- pairs up to the norm 10^6 of the long
     # basis vector, over the point budget, so the orbits fall back to the
     # +- pairs of the subgroup +-1
     lat = Lattice.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1000]])
