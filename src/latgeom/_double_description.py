@@ -14,9 +14,12 @@ of ``_adjacent_pairs`` holds.
 
 Two drivers share that kernel: ``cone_rays`` adds the constraints one at a
 time to a simplicial cone, and ``paired_rays`` cuts a centrally symmetric
-body by both rows of a mirror pair at once. A driver that holds more than
-``RAY_BUDGET`` rays raises CapabilityError. ``vertex_rays`` is the entry for
-bodies {x : A x <= b}: it homogenizes them and picks the driver.
+body by both rows of a mirror pair at once. Each returns its live rays with
+their masks, so the vertex-facet incidence leaves with the rays; bit j of a
+mask is the driver's own constraint j, not an input row. A driver that
+holds more than ``RAY_BUDGET`` rays raises CapabilityError. ``vertex_rays``
+is the entry for bodies {x : A x <= b}: it homogenizes them and picks the
+driver.
 """
 
 from __future__ import annotations
@@ -133,10 +136,12 @@ def _over_budget(step, m, n):
 
 
 def cone_rays(normals):
-    """Extreme rays of {x : n . x <= 0 for all n}, as primitive integer
-    tuples: a simplicial cone on d independent normals, cut by the others
-    one at a time. Normals that do not span raise UnboundedBodyError: the
-    cone has a lineality space."""
+    """(rays, masks): the extreme rays of {x : n . x <= 0 for all n}, as
+    primitive integer tuples, and per ray the bitmask of the normals tight
+    at it. A simplicial cone on d independent normals is cut by the others
+    one at a time, and bit j of a mask is the j-th normal in that order:
+    the d chosen ones first, then the rest as given. Normals that do not
+    span raise UnboundedBodyError: the cone has a lineality space."""
     d = len(normals[0])
     norm_int = [_primitive_int(nv) for nv in normals]
     idx, echelon = [], []
@@ -182,7 +187,7 @@ def cone_rays(normals):
         alive = alive & ~cut | new
         live = [i for i in live if rays[i]] + list(range(first, len(rays)))
         _over_budget(step, len(normals), len(live))
-    return [rays[i] for i in live]
+    return [rays[i] for i in live], [masks[i] for i in live]
 
 
 def mirror_pairs(normals, d):
@@ -209,10 +214,10 @@ def mirror_pairs(normals, d):
 
 
 def paired_rays(pairs, m):
-    """The rays (r, t), t > 0, of the homogenization cone
+    """(rays, masks): the rays (r, t), t > 0, of the homogenization cone
     {(x, t) : a . x <= b t} of a centrally symmetric body, given by its
-    ``mirror_pairs``; m is the row count of that cone, for the budget's
-    message.
+    ``mirror_pairs``, and per ray the bitmask of the constraints tight at
+    it; m is the row count of that cone, for the budget's message.
 
     Constraint 2j is pair j's row (a, -b) and 2j + 1 its mirror (-a, -b).
     The ray in slot 2k + 1 is the mirror (-r, t) of the ray in slot 2k, so
@@ -281,29 +286,33 @@ def paired_rays(pairs, m):
             | new | new << 1
         live = [i for i in live if rays[i]] + list(range(first, len(rays)))
         _over_budget(2 * j + 2, m, len(live))
-    return [rays[i] for i in live]
+    return [rays[i] for i in live], [masks[i] for i in live]
 
 
 def vertex_rays(a_rows, b_vals):
-    """Vertices of {x : A x <= b} as the primitive integer rays (r, t) with
-    t > 0 of the DD on the homogenization {(x, t) : A x - b t <= 0,
-    -t <= 0}, in the order the DD leaves them; the vertex is r / t, and t is
-    the lcm of its denominators. A body given by mirror pairs of rows
-    (``mirror_pairs``) takes the paired driver, any other the sequential
-    one. Raises if unbounded or empty."""
+    """(rays, masks): the vertices of {x : A x <= b} as the primitive
+    integer rays (r, t) with t > 0 of the DD on the homogenization
+    {(x, t) : A x - b t <= 0, -t <= 0}, in the order the DD leaves them,
+    and per vertex the bitmask of the driver's constraints tight at it. The
+    vertex is r / t, and t is the lcm of its denominators. A body given by
+    mirror pairs of rows (``mirror_pairs``) takes the paired driver, any
+    other the sequential one. The constraints are tight at the same
+    nonempty sets of vertices as the rows of A x <= b. Raises if unbounded
+    or empty."""
     d = len(a_rows[0]) if a_rows else 0
     normals = [list(row) + [-b] for row, b in zip(a_rows, b_vals)]
     normals.append([0] * d + [-1])
     pairs = mirror_pairs(normals[:-1], d)
     if pairs:
         return paired_rays(pairs, len(normals))
-    rays = []
-    for ray in cone_rays(normals):
+    rays, masks = [], []
+    for ray, mask in zip(*cone_rays(normals)):
         if ray[-1] > 0:
             rays.append(ray)
+            masks.append(mask)
         elif ray[-1] == 0 and any(ray):
             raise UnboundedBodyError("polytope is unbounded")
     if not rays:
         raise InvalidInputError("empty polytope")
     # distinct primitive rays with t > 0 give distinct vertices
-    return rays
+    return rays, masks

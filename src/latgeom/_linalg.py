@@ -352,15 +352,11 @@ def integer_kernel(a):
 
     Input a: k x m integers. Computed via column HNF with transform tracking.
     """
-    k = len(a)
-    m = len(a[0]) if k else 0
-    # column operations on a == row operations on a^T
-    at = [list(map(int, col)) for col in zip(*a)] if k else [[] for _ in range(m)]
-    # row HNF of a^T with transform u: u @ a^T = h
-    h, u = hnf_row(at) if at and at[0] else ([[0] * k for _ in range(m)],
-                                             [[int(i == j) for j in range(m)] for i in range(m)])
-    kernel = [u[i] for i in range(m) if not any(h[i])]
-    return kernel
+    # column operations on a == row operations on a^T; the row HNF of a^T
+    # with transform u has u @ a^T = h, and u's rows at h's zero rows span
+    # the kernel
+    h, u = hnf_row([list(map(int, col)) for col in zip(*a)])
+    return [ui for hi, ui in zip(h, u) if not any(hi)]
 
 
 def saturation(a):

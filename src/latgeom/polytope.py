@@ -10,7 +10,6 @@ volume is the coordinate volume times sqrt(det metric).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -32,19 +31,6 @@ from .errors import (
 
 # Coordinate ascent steps ``mvee`` may take to meet its tolerance.
 MVEE_ITERATIONS = 100_000
-
-
-def _tight_masks(pts, den, a_rows, b_vals):
-    """One bitmask per row of ``a x <= b``: bit j is set when the point
-    pts[j] / den lies on the row's hyperplane. Exact in ints: each row
-    (a, b) is scaled to a primitive int vector."""
-    masks = []
-    for row, bv in zip(a_rows, b_vals):
-        *normal, rhs = _primitive_int(list(row) + [bv])
-        rhs *= den
-        masks.append(sum(1 << j for j, p in enumerate(pts)
-                         if sum(x * y for x, y in zip(normal, p)) == rhs))
-    return masks
 
 
 def _maximal(masks, whole):
@@ -70,7 +56,7 @@ def _halfspaces_from_vertices(verts):
     shifted = [[x - cx for x, cx in zip(v, c)] for v in verts]
     # polar body {y : y . v <= 1 for all shifted vertices v}
     a_rows, b_vals = [], []
-    for *r, t in dd.vertex_rays(shifted, [Fraction(1)] * len(shifted)):
+    for *r, t in dd.vertex_rays(shifted, [Fraction(1)] * len(shifted))[0]:
         # facet y . (x - c) <= 1 for the polar vertex y = r / t
         y = [Fraction(x, t) for x in r]
         a_rows.append(y)
@@ -126,6 +112,8 @@ class Polytope:
     metric: tuple | None = None  # rational SPD Gram of the coordinate basis
     # the sorted vertices as int rows over their common denominator
     _form: tuple | None = field(default=None, repr=False)
+    # per double-description row, the mask of the sorted vertices tight at it
+    _tight: list | None = field(default=None, repr=False)
     # face lattice: facet masks over the sorted vertices, and face -> facets
     _facets: list | None = field(default=None, repr=False)
     _below: dict = field(default_factory=dict, repr=False)
@@ -171,26 +159,25 @@ class Polytope:
         """(W, D): the sorted vertices as int rows over their common
         denominator D, so ``vertices()[i] == W[i] / D``; computed once.
 
-        An H-built body reads W off the rays (r, t) of the double
-        description: D is the lcm of the t, and W holds r (D / t). Rows over
-        one positive denominator sort as the vertices do.
+        Every body, a V-built one too, reads W off the rays (r, t) of the
+        double description of its halfspaces, so a constructor point that
+        is not extreme never enters: D is the lcm of the t, and W holds
+        r (D / t). Rows over one positive denominator sort as the vertices
+        do. The rays' masks, turned around, give ``_tight``: per row of the
+        double description, the mask of the sorted vertices tight at it.
         """
         if self._form is None:
-            if self._verts is None:
-                rays = dd.vertex_rays(self._a, self._b)
-                den = math.lcm(*(ray[-1] for ray in rays))
-                ints = [tuple(x * (den // t) for x in r) for *r, t in rays]
-            else:
-                # constructor points may include non-extreme ones; a point is
-                # a vertex iff the rows tight at it are tight at no other one
-                masks = _tight_masks(*la.integer_form(self._verts),
-                                     *self.halfspaces())
-                meets = [functools.reduce(operator.and_,
-                                          [m for m in masks if m >> j & 1], -1)
-                         for j in range(len(self._verts))]
-                ints, den = la.integer_form(
-                    [v for j, v in enumerate(self._verts) if meets[j] == 1 << j])
-            self._form = tuple(sorted(ints)), den
+            rays, masks = dd.vertex_rays(*self.halfspaces())
+            den = math.lcm(*(ray[-1] for ray in rays))
+            ints = [tuple(x * (den // t) for x in r) for *r, t in rays]
+            order = sorted(range(len(ints)), key=ints.__getitem__)
+            self._tight = [0] * max(map(int.bit_length, masks))
+            for i, k in enumerate(order):
+                for row in _bits(masks[k]):
+                    self._tight[row] |= 1 << i
+            same = {}  # vertices repeat few values; equal ones share one int
+            self._form = tuple(tuple(same.setdefault(x, x) for x in ints[k])
+                               for k in order), den
         return self._form
 
     def vertices(self):
@@ -223,17 +210,16 @@ class Polytope:
     def _facets_of(self, face):
         """Facets of a face, both as bitmasks over the sorted vertices.
 
-        The facets of the polytope are the maximal tight vertex sets of its
-        rows, found once; the facets of a face F are the inclusion-maximal
-        sets among the proper, nonempty F & G over the facets G of the
-        polytope. So every face follows from one vertex-facet incidence by
-        bit operations alone.
+        The facets of the polytope are the maximal sets among the rows'
+        tight vertex sets, which the double description hands to
+        ``integer_vertices``; the facets of a face F are the
+        inclusion-maximal sets among the proper, nonempty F & G over the
+        facets G of the polytope. So every face follows from one
+        vertex-facet incidence by bit operations alone.
         """
         if self._facets is None:
-            ints, den = self.integer_vertices()
-            self._facets = _maximal(
-                _tight_masks(ints, den, *self.halfspaces()),
-                (1 << len(ints)) - 1)
+            whole = (1 << len(self.integer_vertices()[0])) - 1
+            self._facets = _maximal(self._tight, whole)
         if face not in self._below:
             self._below[face] = _maximal([face & g for g in self._facets],
                                          face)
@@ -345,18 +331,16 @@ class Polytope:
         """
         g = self._metric()
         d_rows = [[la._rational(x) for x in r] for r in directions]
-        k = len(d_rows)
         # metric Gram of the direction vectors
         dg = [[la.dot(la.vec_mat(u, g), v) for v in d_rows] for u in d_rows]
-        if la.det(dg) == 0:
-            raise InvalidInputError("projection directions are dependent")
         dg_inv = la.inverse(dg)
+        if dg_inv is None:
+            raise InvalidInputError("projection directions are dependent")
         pts = []
         for v in self.vertices():
             rhs = [la.dot(la.vec_mat(list(v), g), u) for u in d_rows]
             pts.append(la.mat_vec(dg_inv, rhs))
-        proj = Polytope.from_vertices(pts, metric=dg)
-        return proj
+        return Polytope.from_vertices(pts, metric=dg)
 
     def support(self, direction):
         """max over the body of <x, direction> in plain coordinates."""

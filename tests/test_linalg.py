@@ -226,6 +226,12 @@ def test_complete_to_unimodular_checks_the_completion(monkeypatch):
         la.complete_to_unimodular([[1, 0, 0]])
 
 
+@pytest.mark.parametrize("a", [[], [[]], [[], []]])
+def test_integer_kernel_of_a_matrix_without_columns_is_empty(a):
+    # the kernel lies in Z^0, whose basis is empty
+    assert la.integer_kernel(a) == []
+
+
 _REALS = st.one_of(
     st.fractions(-100, 100, max_denominator=1000), st.integers(-10**6, 10**6),
     st.decimals(-100, 100, places=3, allow_nan=False).map(str),

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -19,10 +21,10 @@ from latgeom.errors import (CapabilityError, DimensionMismatchError,
                             InvalidInputError, PolarUndefinedError,
                             UnboundedBodyError)
 from latgeom.lattice import catalog
-from latgeom.polytope import (Polytope, _float_inverse, cross_polytope, cube,
-                              equilateral_triangle, hanner, is_zonotope, mvee,
-                              mvee_ratio, simplex, simplex_dv_cell,
-                              volume_product)
+from latgeom.polytope import (Polytope, _float_inverse, _maximal,
+                              cross_polytope, cube, equilateral_triangle,
+                              hanner, is_zonotope, mvee, mvee_ratio, simplex,
+                              simplex_dv_cell, volume_product)
 
 
 def test_cube_conversions():
@@ -602,8 +604,8 @@ def _bounded_h_polytope(draw):
 @given(_bounded_h_polytope())
 def test_double_description_matches_brute_force(hp):
     rows, b = hp
-    rays = dd.vertex_rays([[Fraction(x) for x in r] for r in rows],
-                        [Fraction(x) for x in b])
+    rays, _ = dd.vertex_rays([[Fraction(x) for x in r] for r in rows],
+                             [Fraction(x) for x in b])
     verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]
     assert len(verts) == len(set(verts))
     assert sorted(verts) == _brute_force_vertices(rows, b)
@@ -615,7 +617,7 @@ def test_cone_rays_are_feasible_distinct_and_extreme(hp):
     rows, b = hp
     normals = [[Fraction(x) for x in r] + [Fraction(-bv)]
                for r, bv in zip(rows, b)] + [[0] * len(rows[0]) + [-1]]
-    rays = dd.cone_rays(normals)
+    rays, _ = dd.cone_rays(normals)
     d = len(normals[0])
     assert len(rays) == len(set(rays))
     for r in rays:
@@ -723,7 +725,7 @@ def _distinct(rows):
 def _outcome(rows):
     """The sorted vertices of ``dd.vertex_rays``, or the type of its error."""
     try:
-        rays = dd.vertex_rays(*_split(rows))
+        rays, _ = dd.vertex_rays(*_split(rows))
     except (UnboundedBodyError, InvalidInputError) as exc:
         return type(exc)
     verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]
@@ -778,3 +780,116 @@ def test_near_symmetric_rows_take_the_sequential_path(rows, flaw, data):
         assert got is UnboundedBodyError
     elif got is not UnboundedBodyError or flaw != "mirror missing":
         assert got == _brute_force_vertices(*_distinct(rows))
+
+
+# ---------------------------------------------------------------------------
+# The vertex-facet incidence of the double description against brute force
+# ---------------------------------------------------------------------------
+
+def _brute_masks(ints, den, a_rows, b_vals):
+    """Per row of a x <= b, the mask of the points ints[k] / den on its
+    hyperplane, by one exact dot product per point and row."""
+    masks = []
+    for row, bv in zip(a_rows, b_vals):
+        *normal, rhs = dd._primitive_int(list(row) + [bv])
+        masks.append(sum(1 << k for k, w in enumerate(ints)
+                         if sum(map(operator.mul, normal, w)) == rhs * den))
+    return masks
+
+
+def _check_ray_masks(a_rows, b_vals):
+    """The rows of ``vertex_rays``'s masks, each the set of vertices tight
+    at one constraint of the double description, are the brute-force tight
+    sets of the rows of a x <= b, as sets of nonempty vertex sets."""
+    rays, masks = dd.vertex_rays(a_rows, b_vals)
+    den = math.lcm(*(r[-1] for r in rays))
+    ints = [[x * (den // r[-1]) for x in r[:-1]] for r in rays]
+    rows = {sum(1 << k for k, m in enumerate(masks) if m >> j & 1)
+            for j in range(max(map(int.bit_length, masks)))}
+    assert rows - {0} == set(_brute_masks(ints, den, a_rows, b_vals)) - {0}
+
+
+def _check_incidence(body):
+    """The body's row masks over its sorted vertices are the brute-force
+    tight sets of its halfspaces, and its facets are their maximal ones."""
+    ints, den = body.integer_vertices()
+    whole = (1 << len(ints)) - 1
+    brute = _brute_masks(ints, den, *body.halfspaces())
+    assert set(body._tight) - {0} == set(brute) - {0}
+    assert body._facets_of(whole) == _maximal(brute, whole)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bounded_h_polytope())
+def test_ray_masks_are_the_tight_sets(hp):
+    rows, b = hp
+    a_rows, b_vals = _split(list(zip(rows, b)))
+    _check_ray_masks(a_rows, b_vals)
+    _check_incidence(Polytope.from_halfspaces(a_rows, b_vals))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symmetric_h_rows())
+def test_paired_ray_masks_are_the_tight_sets(rows):
+    _check_ray_masks(*_split(rows))
+    _check_incidence(Polytope.from_halfspaces(*_split(rows)))
+
+
+@st.composite
+def _point_sets(draw):
+    """A full-dimensional set of ``_points`` in D = 1..4 dimensions,
+    sometimes with the mirror of every point; then interior points (the
+    centroid and midpoints) and repeated points are added, and the points
+    shuffled."""
+    d = draw(st.integers(1, 4))
+    pts = draw(_points(d, lo=d + 1, hi=8))
+    assume(_full_dimensional(pts, d))
+    if draw(st.booleans()):
+        pts += [tuple(-x for x in p) for p in pts]
+    pick = st.sampled_from(pts)
+    pts += [tuple(Fraction(sum(col), len(pts)) for col in zip(*pts))]
+    pts += [tuple(Fraction(x + y, 2) for x, y in zip(p, q))
+            for p, q in draw(st.lists(st.tuples(pick, pick), max_size=3))]
+    pts += draw(st.lists(pick, max_size=3))
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_point_sets())
+def test_v_built_vertices_and_incidence_match_brute_force(pts):
+    body = Polytope.from_vertices(pts)
+    a_rows, b_vals = body.halfspaces()
+    # a point is extreme iff the rows tight at it meet in no other point
+    points = list(dict.fromkeys(pts))
+    masks = _brute_masks(*la.integer_form(points), a_rows, b_vals)
+    extreme = [p for j, p in enumerate(points) if functools.reduce(
+        operator.and_, [m for m in masks if m >> j & 1], -1) == 1 << j]
+    assert body.vertices() == sorted(extreme)
+    _check_ray_masks(a_rows, b_vals)
+    _check_incidence(body)
+
+
+@pytest.mark.parametrize("name,n", [
+    ("D", 4), ("A", 4), ("Z", 5), ("Astar", 4), ("D", 5), ("A", 5),
+    ("E", 6), ("E", 7)])
+def test_catalog_cell_incidence_matches_brute_force(name, n):
+    _check_incidence(voronoi_cell(catalog(name, n)))
+
+
+@pytest.mark.parametrize("make", [cube, cross_polytope, simplex])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_standard_body_incidence_matches_brute_force(make, n):
+    _check_incidence(make(n))
+
+
+def test_e8_cell_rows_match_brute_force():
+    """E8's cell has 240 facets on 19,440 vertices; eight of its rows,
+    taken at random, have the brute-force tight sets."""
+    cell = voronoi_cell(catalog("E", 8))
+    ints, den = cell.integer_vertices()
+    facets = cell._facets_of((1 << len(ints)) - 1)
+    assert len(ints) == 19440 and len(facets) == 240
+    a, b = cell.halfspaces()
+    rows = random.Random(0).sample(range(len(a)), 8)
+    brute = _brute_masks(ints, den, [a[i] for i in rows], [b[i] for i in rows])
+    assert set(brute) <= set(facets)
