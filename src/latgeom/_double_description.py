@@ -10,9 +10,11 @@ constraint: it sets its own bits, and the new constraint's mask is its zero
 rays and the new ones. A ray cut off leaves its slot dead. The live slots,
 in ascending order, are the survivors in their old order and then the new
 rays. The cone stays pointed throughout, so the combinatorial adjacency test
-of ``_adjacent_pairs`` holds.
+holds; a pair with a ray tight at exactly d - 1 constraints is adjacent
+without it, by a rank argument (``_crossings``).
 
-Two drivers share that kernel: ``cone_rays`` adds the constraints one at a
+Two drivers share that kernel, one step of the method that returns the new
+rays of a cut as a list: ``cone_rays`` adds the constraints one at a
 time to a simplicial cone, and ``paired_rays`` cuts a centrally symmetric
 body by both rows of a mirror pair at once. Each returns its live rays with
 their masks, so the vertex-facet incidence leaves with the rays; bit j of a
@@ -85,45 +87,50 @@ def _at_least(cols, t, universe):
     return above | equal
 
 
-def _adjacent_pairs(masks, tight, pos, negs, live, d):
-    """The adjacent pairs (p, n) of live rays in a pointed cone of dimension
-    d, p in ``pos`` and n in the bitmask ``negs``, in order of p, then n.
-
-    ``masks[i]`` is the bitmask of constraints tight at the ray in slot i,
-    and ``tight[j]`` the bitmask of slots tight at constraint j; ``live``
-    masks out the dead slots that ``tight`` still holds. By the
-    combinatorial test of Fukuda & Prodon, p and n are adjacent iff they
-    share at least d - 2 constraints and no third ray is tight on all of
-    them: the AND of ``tight`` over the shared constraints is the pair alone.
-    """
-    for p in pos:
-        mp = masks[p]
-        for n in _bits(_at_least([tight[j] for j in _bits(mp)], d - 2, negs)):
-            pair = 1 << p | 1 << n
-            common = live
-            for j in _bits(mp & masks[n]):
-                if common == pair:
-                    break
-                common &= tight[j]
-            if common == pair:
-                yield p, n
-
-
 def _crossings(rays, masks, tight, vals, negs, alive, nv):
-    """The new rays of a cut by nv . x <= 0, each with the mask of the
-    constraints tight at both its parents: the positive combination on
-    nv . x = 0 of each adjacent (p, n), p a key of ``vals`` (which maps the
-    slots beyond the cut to nv . r) and n in ``negs``, below it; ``vals``
-    gains the n. New slots are not in ``alive``, so the caller may append
-    them while this runs."""
-    for p, n in _adjacent_pairs(masks, tight, list(vals), negs, alive,
-                                len(nv)):
-        if n not in vals:
-            vals[n] = sum(map(operator.mul, nv, rays[n]))
-        vp, vn = vals[p], vals[n]
-        yield (_primitive([vp * xn - vn * xp
-                           for xp, xn in zip(rays[p], rays[n])]),
-               masks[p] & masks[n])
+    """The new rays of a cut by nv . x <= 0, as a list of (ray, mask): the
+    positive combination on nv . x = 0 of each adjacent pair (p, n), p a
+    key of ``vals`` (which maps the slots beyond the cut to nv . r) and n
+    in the bitmask ``negs``, below it, in order of p, then n, with the mask
+    of the constraints tight at both.
+
+    ``masks[i]`` is the bitmask of constraints tight at slot i, ``tight[j]``
+    that of the slots tight at constraint j, and ``alive`` masks out the
+    dead slots that ``tight`` still holds. In a pointed cone of dimension
+    d, the candidates n share at least d - 2 of p's constraints, and p and
+    n are adjacent iff the AND of ``tight`` over the shared ones is the
+    pair alone (Fukuda & Prodon). A pair with a ray tight at exactly d - 1
+    constraints skips that test: an extreme ray's tight constraints have
+    rank d - 1, so these d - 1 are independent; the pair shares d - 2 of
+    them (all d - 1 would put both on one ray), which cut out a 2-face, and
+    a pointed 2-face has no third extreme ray.
+    """
+    d = len(nv)
+    below, out = {}, []
+    for p, vp in vals.items():
+        mp, rp = masks[p], rays[p]
+        cols = _bits(mp)
+        simple = len(cols) == d - 1
+        for n in _bits(_at_least([tight[j] for j in cols], d - 2, negs)):
+            mn = masks[n]
+            if not simple and mn.bit_count() != d - 1:
+                pair = 1 << p | 1 << n
+                common = alive
+                for j in cols:
+                    if mn >> j & 1:
+                        common &= tight[j]
+                        if common == pair:
+                            break
+                if common != pair:
+                    continue
+            vn = below.get(n)
+            if vn is None:
+                vn = below[n] = sum(map(operator.mul, nv, rays[n]))
+            ray = [vp * xn - vn * xp for xp, xn in zip(rp, rays[n])]
+            g = math.gcd(*ray)
+            out.append((tuple([x // g for x in ray]) if g > 1 else tuple(ray),
+                        mp & mn))
+    return out
 
 
 def _over_budget(step, m, n):
@@ -174,10 +181,11 @@ def cone_rays(normals):
         bit, first = 1 << (step - 1), len(rays)
         for ray, both in _crossings(rays, masks, tight, vals,
                                     alive & ~(zero | cut), alive, nv):
+            slot = 1 << len(rays)
             rays.append(ray)
             masks.append(both | bit)
             for j in _bits(both):
-                tight[j] |= 1 << len(masks) - 1
+                tight[j] |= slot
         for i in beyond:
             rays[i] = None
         for i in _bits(zero):
@@ -267,12 +275,13 @@ def paired_rays(pairs, m):
         bit, first = 1 << 2 * j, len(rays)
         for ray, both in _crossings(rays, masks, tight, vals,
                                     alive & ~(zero | cut), alive, nv):
+            slot = 1 << len(rays)
             rays += [ray, tuple(-x for x in ray[:-1]) + ray[-1:]]
             masks += [both | bit, (both & even) << 1 | both >> 1 & even
                       | bit << 1]
             for c in _bits(both):
-                tight[c] |= 1 << len(rays) - 2
-                tight[c ^ 1] |= 1 << len(rays) - 1
+                tight[c] |= slot
+                tight[c ^ 1] |= slot << 1
         for i in beyond:
             rays[i] = rays[i ^ 1] = None
         mirrored = 0

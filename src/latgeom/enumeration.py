@@ -121,12 +121,14 @@ def _count(nodes, i, n):
             f"at level {i} ({nodes[i]} nodes)")
 
 
-def _int_norm(lat: Lattice, z):
-    """L z^T G_int z = sum_i w_i (a_i . z)^2 for an int vector z, in the
-    ints of ``_search_constants``: the squared norm of z times d L."""
+def _int_norms(lat: Lattice, zs):
+    """[L z^T G_int z for z in zs] = [sum_i w_i (a_i . z)^2] for int
+    vectors z, in the ints of ``_search_constants``, read once for the
+    list: each squared norm of z times d L."""
     w, _, diag, tails = _search_constants(lat)
-    return sum(wi * (p * zi + sum(map(operator.mul, t, z[i + 1:]))) ** 2
-               for i, (wi, p, t, zi) in enumerate(zip(w, diag, tails, z)))
+    return [sum(wi * (p * zi + sum(map(operator.mul, t, z[i + 1:]))) ** 2
+                for i, (wi, p, t, zi) in enumerate(zip(w, diag, tails, z)))
+            for z in zs]
 
 
 def _minima(lat: Lattice, ct, c, mod, limits):
@@ -197,7 +199,7 @@ def _nearest(red: Lattice, tt, c):
     every point in one class.
     """
     dz = [la._round_div(x, c) * c - x for x in tt]
-    (q, ties), = _minima(red, tt, c, 1, [_int_norm(red, dz)])
+    (q, ties), = _minima(red, tt, c, 1, _int_norms(red, [dz]))
     return ties, q, red.int_gram[1] * c * c * _search_constants(red)[1]
 
 
@@ -321,9 +323,8 @@ def _coset_scan(lat: Lattice):
     mapped through U and given its canonical sign."""
     red, u = _reduced(lat)
     m = lat.rank
-    found = _minima(red, [0] * m, 1, 2, [-1] + [
-        _int_norm(red, [k >> i & 1 for i in range(m)])
-        for k in range(1, 2 ** m)])
+    found = _minima(red, [0] * m, 1, 2, [-1] + _int_norms(
+        red, [[k >> i & 1 for i in range(m)] for k in range(1, 2 ** m)]))
     return tuple(sorted(la._canonical_sign(la.vec_mat(ties[0], u))
                         for _, ties in found if len(ties) == 2))
 
@@ -337,22 +338,22 @@ def voronoi_cell(lat: Lattice):
 
 
 def _cell(lat: Lattice, rel):
-    """The cell {x : <x, v> <= <v, v> / 2 for the relevant +-v}, each row
-    v G = (v G_int) / d formed in ints and divided by d once per entry.
+    """The cell {x : <x, v> <= <v, v> / 2 for the relevant +-v} in int
+    rows: with G = G_int / d, each halfspace times 2 d is
+    2 v G_int . x <= v G_int v^T, so neither the rows nor the double
+    description's primitive normals need a Fraction.
 
     The halfspaces are added in ascending norm of v, ties in the order of
     the coeffs: the short vectors bound the cell most tightly, so the double
     description meets fewer rays that a later row cuts off. The metric is
     lat's Gram, which its elimination has already proved positive definite,
     so it is passed on without a second check."""
-    g, d = lat.int_gram
+    g, _ = lat.int_gram
     rows, b = [], []
     products = [(la.dot(v, gv), gv) for v in rel for gv in [la.vec_mat(v, g)]]
     for q, gv in sorted(products, key=lambda p: p[0]):
-        half = Fraction(q, 2 * d)
-        for s in (1, -1):
-            rows.append([Fraction(s * x, d) for x in gv])
-            b.append(half)
+        rows += [[2 * x for x in gv], [-2 * x for x in gv]]
+        b += [q, q]
     return Polytope(_a=rows, _b=b, metric=lat._gram)
 
 
@@ -383,16 +384,16 @@ def _covering_radius_bound(lat: Lattice):
 def _deep_hole(lat: Lattice):
     """(mu^2, deep hole) scored in ints: with the cell's sorted vertices
     v = w / D in its integer form, the norm of v is q / (d L D^2) for
-    q = ``_int_norm(lat, w)``, so only the best q is divided by the scale.
-    The cell is symmetric about 0 and negation reverses the sorted order,
-    so ints[N-1-i] = -ints[i] and only the upper half, the vertices whose
-    first nonzero entry is positive, is scored. Ties go to the higher
-    index, which is the lexicographically greater vertex, always in that
-    half; only that vertex becomes Fractions."""
+    q in ``_int_norms(lat, W)``, which reads the search constants once, so
+    only the best q is divided by the scale. The cell is symmetric about 0
+    and negation reverses the sorted order, so ints[N-1-i] = -ints[i] and
+    only the upper half, the vertices whose first nonzero entry is
+    positive, is scored. Ties go to the higher index, which is the
+    lexicographically greater vertex, always in that half; only that vertex
+    becomes Fractions."""
     ints, den = voronoi_cell(lat).integer_vertices()
     half = len(ints) // 2
-    q, i = max((_int_norm(lat, w), i)
-               for i, w in enumerate(ints[half:], half))
+    q, i = max(zip(_int_norms(lat, ints[half:]), range(half, len(ints))))
     scale = lat.int_gram[1] * _search_constants(lat)[1]
     return Fraction(q, scale * den * den), tuple(
         Fraction(x, den) for x in ints[i])

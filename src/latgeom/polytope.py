@@ -112,7 +112,9 @@ class Polytope:
     metric: tuple | None = None  # rational SPD Gram of the coordinate basis
     # the sorted vertices as int rows over their common denominator
     _form: tuple | None = field(default=None, repr=False)
-    # per double-description row, the mask of the sorted vertices tight at it
+    # per sorted vertex, the mask of the double-description rows tight at
+    # it, until ``_incidence`` turns it around into ``_tight``, per row
+    _masks: list | None = field(default=None, repr=False)
     _tight: list | None = field(default=None, repr=False)
     # face lattice: facet masks over the sorted vertices, and face -> facets
     _facets: list | None = field(default=None, repr=False)
@@ -163,21 +165,19 @@ class Polytope:
         double description of its halfspaces, so a constructor point that
         is not extreme never enters: D is the lcm of the t, and W holds
         r (D / t). Rows over one positive denominator sort as the vertices
-        do. The rays' masks, turned around, give ``_tight``: per row of the
-        double description, the mask of the sorted vertices tight at it.
+        do, and equal entries share one int. The rays' masks are kept in
+        the sorted order, for ``_incidence`` to turn around on first use:
+        a covering radius reads the vertices and never the faces.
         """
         if self._form is None:
             rays, masks = dd.vertex_rays(*self.halfspaces())
             den = math.lcm(*(ray[-1] for ray in rays))
-            ints = [tuple(x * (den // t) for x in r) for *r, t in rays]
+            share = {}.setdefault  # vertices repeat few values
+            ints = [tuple([share(x, x) for x in map((den // t).__mul__, r)])
+                    for *r, t in rays]
             order = sorted(range(len(ints)), key=ints.__getitem__)
-            self._tight = [0] * max(map(int.bit_length, masks))
-            for i, k in enumerate(order):
-                for row in _bits(masks[k]):
-                    self._tight[row] |= 1 << i
-            same = {}  # vertices repeat few values; equal ones share one int
-            self._form = tuple(tuple(same.setdefault(x, x) for x in ints[k])
-                               for k in order), den
+            self._masks = [masks[k] for k in order]
+            self._form = tuple([ints[k] for k in order]), den
         return self._form
 
     def vertices(self):
@@ -207,19 +207,32 @@ class Polytope:
 
     # -- face lattice ---------------------------------------------------------
 
+    def _incidence(self):
+        """Per double-description row, the mask of the sorted vertices tight
+        at it: the masks of ``integer_vertices`` turned around, on the
+        first call, which then drops them."""
+        if self._tight is None:
+            self.integer_vertices()
+            self._tight = [0] * max(map(int.bit_length, self._masks))
+            for i, mask in enumerate(self._masks):
+                for row in _bits(mask):
+                    self._tight[row] |= 1 << i
+            self._masks = None
+        return self._tight
+
     def _facets_of(self, face):
         """Facets of a face, both as bitmasks over the sorted vertices.
 
         The facets of the polytope are the maximal sets among the rows'
-        tight vertex sets, which the double description hands to
-        ``integer_vertices``; the facets of a face F are the
+        tight vertex sets, the ``_incidence`` that the double description
+        hands over with the rays; the facets of a face F are the
         inclusion-maximal sets among the proper, nonempty F & G over the
         facets G of the polytope. So every face follows from one
         vertex-facet incidence by bit operations alone.
         """
         if self._facets is None:
             whole = (1 << len(self.integer_vertices()[0])) - 1
-            self._facets = _maximal(self._tight, whole)
+            self._facets = _maximal(self._incidence(), whole)
         if face not in self._below:
             self._below[face] = _maximal([face & g for g in self._facets],
                                          face)

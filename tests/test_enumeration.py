@@ -819,7 +819,7 @@ def _check_coset_search(lat):
     cosets = [[k >> i & 1 for i in range(m)] for k in range(2 ** m)]
     found = enumeration._minima(
         red, [0] * m, 1, 2,
-        [-1] + [enumeration._int_norm(red, b) for b in cosets[1:]])
+        [-1] + enumeration._int_norms(red, cosets[1:]))
     assert found[0] == (-1, [])
     den = red.int_gram[1] * enumeration._search_constants(red)[1]
     want = []

@@ -815,7 +815,7 @@ def _check_incidence(body):
     ints, den = body.integer_vertices()
     whole = (1 << len(ints)) - 1
     brute = _brute_masks(ints, den, *body.halfspaces())
-    assert set(body._tight) - {0} == set(brute) - {0}
+    assert set(body._incidence()) - {0} == set(brute) - {0}
     assert body._facets_of(whole) == _maximal(brute, whole)
 
 
@@ -893,3 +893,104 @@ def test_e8_cell_rows_match_brute_force():
     rows = random.Random(0).sample(range(len(a)), 8)
     brute = _brute_masks(ints, den, [a[i] for i in rows], [b[i] for i in rows])
     assert set(brute) <= set(facets)
+
+
+# ---------------------------------------------------------------------------
+# The double-description step against a reference kernel
+# ---------------------------------------------------------------------------
+
+def _reference_adjacent_pairs(masks, tight, pos, negs, live, d):
+    """The adjacent pairs (p, n) of live rays in a pointed cone of dimension
+    d, p in ``pos`` and n in the bitmask ``negs``, in order of p, then n, by
+    the combinatorial test alone, run on every candidate pair."""
+    for p in pos:
+        mp = masks[p]
+        for n in dd._bits(dd._at_least([tight[j] for j in dd._bits(mp)],
+                                        d - 2, negs)):
+            pair = 1 << p | 1 << n
+            common = live
+            for j in dd._bits(mp & masks[n]):
+                if common == pair:
+                    break
+                common &= tight[j]
+            if common == pair:
+                yield p, n
+
+
+def _reference_crossings(rays, masks, tight, vals, negs, alive, nv):
+    """The new rays of a cut by nv . x <= 0 and their masks, a generator
+    over ``_reference_adjacent_pairs``: the reference for ``_crossings``."""
+    for p, n in _reference_adjacent_pairs(masks, tight, list(vals), negs,
+                                          alive, len(nv)):
+        if n not in vals:
+            vals[n] = sum(map(operator.mul, nv, rays[n]))
+        vp, vn = vals[p], vals[n]
+        yield (dd._primitive([vp * xn - vn * xp
+                              for xp, xn in zip(rays[p], rays[n])]),
+               masks[p] & masks[n])
+
+
+def _check_kernel(driver, *args):
+    """``driver(*args)`` returns the same (rays, masks), element by element
+    and in the same order, with ``_crossings`` as with the reference."""
+    got = driver(*args)
+    with mock.patch.object(dd, "_crossings", _reference_crossings):
+        assert got == driver(*args)
+
+
+def _cone(a_rows, b_vals):
+    """The normals of the homogenization {(x, t) : a x <= b t, t >= 0}."""
+    return [list(a) + [-bv] for a, bv in zip(a_rows, b_vals)] \
+        + [[0] * len(a_rows[0]) + [-1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bounded_h_polytope())
+def test_step_matches_the_reference_kernel(hp):
+    rows, b = hp
+    a_rows, b_vals = _split(list(zip(rows, b)))
+    _check_kernel(dd.vertex_rays, a_rows, b_vals)
+    _check_kernel(dd.cone_rays, _cone(a_rows, b_vals))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symmetric_h_rows())
+def test_paired_step_matches_the_reference_kernel(rows):
+    a_rows, b_vals = _split(rows)
+    _check_kernel(dd.vertex_rays, a_rows, b_vals)
+    _check_kernel(dd.cone_rays, _cone(a_rows, b_vals))
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(1, 9)]
+                         + [(k, n) for k in ("A", "Astar") for n in range(1, 6)]
+                         + [("D", n) for n in range(3, 9)]
+                         + [("E", 6), ("E", 7), ("E", 8)])
+def test_catalog_cell_steps_match_the_reference_kernel(name, n):
+    a_rows, b_vals = voronoi_cell(catalog(name, n)).halfspaces()
+    _check_kernel(dd.vertex_rays, a_rows, b_vals)
+    _check_kernel(dd.cone_rays, _cone(a_rows, b_vals))
+
+
+class _Reads(list):
+    """A list that counts the reads of its items."""
+
+    count = 0
+
+    def __getitem__(self, i):
+        self.count += 1
+        return super().__getitem__(i)
+
+
+def test_simple_rays_skip_the_adjacency_test():
+    """The rays e_i of the cone x >= 0 in R^4 are each tight at exactly
+    d - 1 = 3 constraints, so a cut accepts every candidate pair without
+    the combinatorial test: ``tight`` is read for p's columns alone."""
+    d = 4
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    masks = [(1 << d) - 1 ^ 1 << i for i in range(d)]
+    tight = _Reads(masks)
+    new = dd._crossings(rays, masks, tight, {0: 1, 1: 1}, 0b1100, 0b1111,
+                        [1, 1, -1, -1])
+    assert new == [((1, 0, 1, 0), 0b1010), ((1, 0, 0, 1), 0b0110),
+                   ((0, 1, 1, 0), 0b1001), ((0, 1, 0, 1), 0b0101)]
+    assert tight.count == 2 * (d - 1)
