@@ -17,11 +17,11 @@ Two drivers share that kernel, one step of the method that returns the new
 rays of a cut as a list: ``cone_rays`` adds the constraints one at a
 time to a simplicial cone, and ``paired_rays`` cuts a centrally symmetric
 body by both rows of a mirror pair at once. Each returns its live rays with
-their masks, so the vertex-facet incidence leaves with the rays; bit j of a
-mask is the driver's own constraint j, not an input row. A driver that
-holds more than ``RAY_BUDGET`` rays raises CapabilityError. ``vertex_rays``
-is the entry for bodies {x : A x <= b}: it homogenizes them and picks the
-driver.
+their masks, so the vertex-facet incidence leaves with the rays. A driver
+that holds more than ``RAY_BUDGET`` rays raises CapabilityError.
+``vertex_rays`` is the entry for bodies {x : A x <= b}: it homogenizes
+them, picks the driver, and names the constraint of each mask bit by its
+primitive int normal (a, -b), the one name a row has.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ def _primitive_int(vec):
     """Scale a rational vector to a primitive integer tuple (gcd 1)."""
     den = math.lcm(*(x.denominator for x in vec))
     return _primitive([x.numerator * (den // x.denominator) for x in vec])
+
+
+def _mirror(r):
+    """The mirror (-a, c) of a row or ray (a, c): -a in every entry but
+    the last."""
+    return tuple(-x for x in r[:-1]) + r[-1:]
 
 
 def _bits(mask):
@@ -145,10 +151,10 @@ def _over_budget(step, m, n):
 def cone_rays(normals):
     """(rays, masks): the extreme rays of {x : n . x <= 0 for all n}, as
     primitive integer tuples, and per ray the bitmask of the normals tight
-    at it. A simplicial cone on d independent normals is cut by the others
-    one at a time, and bit j of a mask is the j-th normal in that order:
-    the d chosen ones first, then the rest as given. Normals that do not
-    span raise UnboundedBodyError: the cone has a lineality space."""
+    at it, bit j for ``normals[j]``. A simplicial cone on the first d
+    independent normals is cut by the others one at a time, in their
+    order. Normals that do not span raise UnboundedBodyError: the cone has
+    a lineality space."""
     d = len(normals[0])
     norm_int = [_primitive_int(nv) for nv in normals]
     idx, echelon = [], []
@@ -161,14 +167,15 @@ def cone_rays(normals):
         raise UnboundedBodyError("cone has a lineality space (not pointed)")
     inv = la.inverse([norm_int[i] for i in idx])
     # rays of the simplicial cone {x : M x <= 0}, M the chosen normals: the
-    # columns of -M^{-1}; column c is tight at every row of M but row c
+    # columns of -M^{-1}; column c is tight at every row of M but row c,
+    # the normal idx[c]
     rays = [_primitive_int([-row[c] for row in inv]) for c in range(d)]
-    masks = [((1 << d) - 1) ^ (1 << c) for c in range(d)]
-    tight = list(masks)  # the initial incidence is symmetric
+    chosen = sum(1 << i for i in idx)
+    masks = [chosen ^ 1 << i for i in idx]
+    tight = {i: (1 << d) - 1 ^ 1 << c for c, i in enumerate(idx)}
     live, alive = list(range(d)), (1 << d) - 1
-    chosen = set(idx)
-    rest = [nv for i, nv in enumerate(norm_int) if i not in chosen]
-    for step, nv in enumerate(rest, d + 1):
+    rest = [(j, nv) for j, nv in enumerate(norm_int) if not chosen >> j & 1]
+    for step, (j, nv) in enumerate(rest, d + 1):
         vals, zero = {}, 0
         for i in live:
             u = sum(map(operator.mul, nv, rays[i]))
@@ -178,20 +185,20 @@ def cone_rays(normals):
                 zero |= 1 << i
         beyond = list(vals)
         cut = sum(1 << i for i in beyond)
-        bit, first = 1 << (step - 1), len(rays)
+        bit, first = 1 << j, len(rays)
         for ray, both in _crossings(rays, masks, tight, vals,
                                     alive & ~(zero | cut), alive, nv):
             slot = 1 << len(rays)
             rays.append(ray)
             masks.append(both | bit)
-            for j in _bits(both):
-                tight[j] |= slot
+            for c in _bits(both):
+                tight[c] |= slot
         for i in beyond:
             rays[i] = None
         for i in _bits(zero):
             masks[i] |= bit
         new = (1 << len(rays)) - (1 << first)
-        tight.append(zero | new)
+        tight[j] = zero | new
         alive = alive & ~cut | new
         live = [i for i in live if rays[i]] + list(range(first, len(rays)))
         _over_budget(step, len(normals), len(live))
@@ -209,7 +216,7 @@ def mirror_pairs(normals, d):
     rows.pop((0,) * d + (-1,), None)
     basis, rest, echelon, taken = [], [], [], set()
     for r in rows:
-        mirror = tuple(-x for x in r[:-1]) + r[-1:]
+        mirror = _mirror(r)
         if r[-1] >= 0 or mirror not in rows:
             return None
         if mirror not in taken:
@@ -252,7 +259,7 @@ def paired_rays(pairs, m):
     rays, masks, tight = [], [], [0] * (2 * len(pairs))
     for v, mask in half:
         ray = _primitive(v + [den])
-        rays += [ray, tuple(-x for x in ray[:-1]) + ray[-1:]]
+        rays += [ray, _mirror(ray)]
         masks += [mask, mask ^ (1 << 2 * d) - 1]
     for slot, mask in enumerate(masks):
         for c in _bits(mask):
@@ -276,7 +283,7 @@ def paired_rays(pairs, m):
         for ray, both in _crossings(rays, masks, tight, vals,
                                     alive & ~(zero | cut), alive, nv):
             slot = 1 << len(rays)
-            rays += [ray, tuple(-x for x in ray[:-1]) + ray[-1:]]
+            rays += [ray, _mirror(ray)]
             masks += [both | bit, (both & even) << 1 | both >> 1 & even
                       | bit << 1]
             for c in _bits(both):
@@ -299,21 +306,24 @@ def paired_rays(pairs, m):
 
 
 def vertex_rays(a_rows, b_vals):
-    """(rays, masks): the vertices of {x : A x <= b} as the primitive
-    integer rays (r, t) with t > 0 of the DD on the homogenization
-    {(x, t) : A x - b t <= 0, -t <= 0}, in the order the DD leaves them,
-    and per vertex the bitmask of the driver's constraints tight at it. The
-    vertex is r / t, and t is the lcm of its denominators. A body given by
-    mirror pairs of rows (``mirror_pairs``) takes the paired driver, any
-    other the sequential one. The constraints are tight at the same
-    nonempty sets of vertices as the rows of A x <= b. Raises if unbounded
-    or empty."""
+    """(rays, masks, names): the vertices of {x : A x <= b} as the
+    primitive integer rays (r, t) with t > 0 of the DD on the
+    homogenization {(x, t) : A x - b t <= 0, -t <= 0}, in the order the DD
+    leaves them; per vertex the bitmask of the constraints tight at it; and
+    per bit j the constraint it names, the primitive int normal (a, -b) of
+    a row a . x <= b. The vertex is r / t, and t is the lcm of its
+    denominators. A body given by mirror pairs of rows (``mirror_pairs``)
+    takes the paired driver, whose names are each pair's row and its
+    mirror; any other takes the sequential one, whose names are the rows in
+    their order and then -t <= 0. Either way every row of A x <= b with
+    a != 0 is named. Raises if unbounded or empty."""
     d = len(a_rows[0]) if a_rows else 0
     normals = [list(row) + [-b] for row, b in zip(a_rows, b_vals)]
     normals.append([0] * d + [-1])
     pairs = mirror_pairs(normals[:-1], d)
     if pairs:
-        return paired_rays(pairs, len(normals))
+        return (*paired_rays(pairs, len(normals)),
+                [r for p in pairs for r in (p, _mirror(p))])
     rays, masks = [], []
     for ray, mask in zip(*cone_rays(normals)):
         if ray[-1] > 0:
@@ -324,4 +334,4 @@ def vertex_rays(a_rows, b_vals):
     if not rays:
         raise InvalidInputError("empty polytope")
     # distinct primitive rays with t > 0 give distinct vertices
-    return rays, masks
+    return rays, masks, [_primitive_int(nv) for nv in normals]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -164,7 +163,7 @@ def cmd_minima(args):
     norms, vecs = enu.successive_minima(lat)
     return {
         "minima_sq": [str(q) for q in norms],
-        "minima": [float(math.sqrt(float(q))) for q in norms],
+        "minima": [float(la._sqrt_rational(q)) for q in norms],
         "vectors": [list(v) for v in vecs],
     }
 

@@ -229,7 +229,7 @@ def max_clearance(lat: Lattice, r, k: int, det_bound=None):
         return float("-inf"), None
     w = _least_in_orbits([w for w, _ in tied.values()], gens)
     proj = tied[w.coeffs][1] if w.coeffs in tied else project_along(w)
-    clearance = math.sqrt(float(best_sq)) - r_f
+    clearance = float(la._sqrt_rational(best_sq)) - r_f
     return clearance, _certificate(w, r, proj, validate=True)
 
 

@@ -1,11 +1,14 @@
 """Exact rational polytope arithmetic.
 
-Polytopes carry both an H-description (``a x <= b`` rows) and a V-description
-(vertex list), kept in sync lazily via exact double description. Coordinates
-live in the polytope's own coordinate space; an optional positive definite
-rational ``metric`` Gram matrix says how that space embeds isometrically, so
-lower-dimensional sections and projections keep exact volumes: the metric
-volume is the coordinate volume times sqrt(det metric).
+A polytope keeps one description, its halfspaces (``a x <= b`` rows): a body
+built from points takes the halfspaces of their hull when it is built. The
+vertices and the vertex-facet incidence are read off one exact double
+description of the halfspaces, once, and each facet is named by the row
+that bounds it. Coordinates live in the polytope's own coordinate space; an
+optional positive definite rational ``metric`` Gram matrix says how that
+space embeds isometrically, so lower-dimensional sections and projections
+keep exact volumes: the metric volume is the coordinate volume times
+sqrt(det metric).
 """
 
 from __future__ import annotations
@@ -42,26 +45,6 @@ def _maximal(masks, whole):
         if all(m & t != m for t in out):
             out.append(m)
     return sorted(out)
-
-
-def _halfspaces_from_vertices(verts):
-    """Minimal H-description of conv(verts), full-dimensional in its space.
-
-    Works by polarity through the vertex centroid: the polar of a polytope
-    with 0 interior swaps vertices and facet normals.
-    """
-    _full_dimensional(verts)
-    d, n = len(verts[0]), len(verts)
-    c = [sum(v[j] for v in verts) / n for j in range(d)]
-    shifted = [[x - cx for x, cx in zip(v, c)] for v in verts]
-    # polar body {y : y . v <= 1 for all shifted vertices v}
-    a_rows, b_vals = [], []
-    for *r, t in dd.vertex_rays(shifted, [Fraction(1)] * len(shifted))[0]:
-        # facet y . (x - c) <= 1 for the polar vertex y = r / t
-        y = [Fraction(x, t) for x in r]
-        a_rows.append(y)
-        b_vals.append(Fraction(1) + la.dot(y, c))
-    return a_rows, b_vals
 
 
 def _full_dimensional(verts):
@@ -104,18 +87,19 @@ def _read_metric(metric, d):
 
 @dataclass
 class Polytope:
-    """Bounded convex rational polytope, full-dimensional in its coordinates."""
+    """Bounded convex rational polytope, full-dimensional in its coordinates,
+    kept as its halfspaces a x <= b alone."""
 
-    _a: list | None = None
-    _b: list | None = None
-    _verts: list | None = None  # the constructor's points, when V-built
+    _a: list
+    _b: list
     metric: tuple | None = None  # rational SPD Gram of the coordinate basis
     # the sorted vertices as int rows over their common denominator
     _form: tuple | None = field(default=None, repr=False)
-    # per sorted vertex, the mask of the double-description rows tight at
-    # it, until ``_incidence`` turns it around into ``_tight``, per row
-    _masks: list | None = field(default=None, repr=False)
-    _tight: list | None = field(default=None, repr=False)
+    # the names of the double-description rows, their primitive normals
+    # (a, -b), and per sorted vertex the mask of the rows tight at it, until
+    # ``_incidence`` turns them around into ``_tight``, a mask per name
+    _masks: tuple | None = field(default=None, repr=False)
+    _tight: dict | None = field(default=None, repr=False)
     # face lattice: facet masks over the sorted vertices, and face -> facets
     _facets: list | None = field(default=None, repr=False)
     _below: dict = field(default_factory=dict, repr=False)
@@ -142,15 +126,30 @@ class Polytope:
     def _hull(points, metric) -> "Polytope":
         """conv(points) for rows of Fractions, carrying a ``metric`` that
         ``_read_metric`` has already checked, as a body made from another
-        body has; duplicate points are dropped."""
-        return Polytope(_verts=list(dict.fromkeys(map(tuple, points))),
-                        metric=metric)
+        body has; duplicate points are dropped, and the rest must span
+        their space affinely.
+
+        The body keeps the minimal H-description of the hull, found by
+        polarity through the centroid c of the points: the polar of a
+        polytope with 0 interior swaps vertices and facet normals, so each
+        vertex y of {y : y . (v - c) <= 1 for every point v} gives the
+        facet y . (x - c) <= 1.
+        """
+        verts = list(dict.fromkeys(map(tuple, points)))
+        _full_dimensional(verts)
+        d, n = len(verts[0]), len(verts)
+        c = [sum(v[j] for v in verts) / n for j in range(d)]
+        shifted = [[x - cx for x, cx in zip(v, c)] for v in verts]
+        a_rows, b_vals = [], []
+        for *r, t in dd.vertex_rays(shifted, [Fraction(1)] * n)[0]:
+            y = [Fraction(x, t) for x in r]
+            a_rows.append(y)
+            b_vals.append(Fraction(1) + la.dot(y, c))
+        return Polytope(_a=a_rows, _b=b_vals, metric=metric)
 
     @property
     def dim(self) -> int:
-        if self._a is not None:
-            return len(self._a[0])
-        return len(self._verts[0])
+        return len(self._a[0])
 
     def _metric(self):
         return self.metric or la.identity(self.dim)
@@ -161,22 +160,23 @@ class Polytope:
         """(W, D): the sorted vertices as int rows over their common
         denominator D, so ``vertices()[i] == W[i] / D``; computed once.
 
-        Every body, a V-built one too, reads W off the rays (r, t) of the
-        double description of its halfspaces, so a constructor point that
-        is not extreme never enters: D is the lcm of the t, and W holds
+        W is read off the rays (r, t) of the double description of the
+        halfspaces, so a point given to ``from_vertices`` that is not
+        extreme never enters: D is the lcm of the t, and W holds
         r (D / t). Rows over one positive denominator sort as the vertices
         do, and equal entries share one int. The rays' masks are kept in
-        the sorted order, for ``_incidence`` to turn around on first use:
-        a covering radius reads the vertices and never the faces.
+        the sorted order, with the names of their bits, for ``_incidence``
+        to turn around on first use: a covering radius reads the vertices
+        and never the faces.
         """
         if self._form is None:
-            rays, masks = dd.vertex_rays(*self.halfspaces())
+            rays, masks, names = dd.vertex_rays(*self.halfspaces())
             den = math.lcm(*(ray[-1] for ray in rays))
             share = {}.setdefault  # vertices repeat few values
             ints = [tuple([share(x, x) for x in map((den // t).__mul__, r)])
                     for *r, t in rays]
             order = sorted(range(len(ints)), key=ints.__getitem__)
-            self._masks = [masks[k] for k in order]
+            self._masks = names, [masks[k] for k in order]
             self._form = tuple([ints[k] for k in order]), den
         return self._form
 
@@ -187,8 +187,6 @@ class Polytope:
         return [tuple(Fraction(x, den) for x in w) for w in ints]
 
     def halfspaces(self):
-        if self._a is None:
-            self._a, self._b = _halfspaces_from_vertices(self._verts)
         return [list(r) for r in self._a], list(self._b)
 
     def contains(self, point, strict=False) -> bool:
@@ -208,17 +206,25 @@ class Polytope:
     # -- face lattice ---------------------------------------------------------
 
     def _incidence(self):
-        """Per double-description row, the mask of the sorted vertices tight
-        at it: the masks of ``integer_vertices`` turned around, on the
-        first call, which then drops them."""
+        """{name: mask}: per double-description row, keyed by its name, the
+        primitive int normal (a, -b) of a row a . x <= b, the mask of the
+        sorted vertices tight at it. The masks of ``integer_vertices`` are
+        turned around on the first call, which then drops them. Rows that
+        are positive multiples of one another share a name and a mask."""
         if self._tight is None:
             self.integer_vertices()
-            self._tight = [0] * max(map(int.bit_length, self._masks))
-            for i, mask in enumerate(self._masks):
+            names, masks = self._masks
+            tight = [0] * len(names)
+            for i, mask in enumerate(masks):
                 for row in _bits(mask):
-                    self._tight[row] |= 1 << i
-            self._masks = None
+                    tight[row] |= 1 << i
+            self._tight, self._masks = dict(zip(names, tight)), None
         return self._tight
+
+    def _facet(self, a, b):
+        """The mask of the sorted vertices on a . x = b, for a row
+        a . x <= b of the body's halfspaces with a != 0."""
+        return self._incidence()[_primitive_int(list(a) + [-b])]
 
     def _facets_of(self, face):
         """Facets of a face, both as bitmasks over the sorted vertices.
@@ -232,7 +238,7 @@ class Polytope:
         """
         if self._facets is None:
             whole = (1 << len(self.integer_vertices()[0])) - 1
-            self._facets = _maximal(self._incidence(), whole)
+            self._facets = _maximal(self._incidence().values(), whole)
         if face not in self._below:
             self._below[face] = _maximal([face & g for g in self._facets],
                                          face)

@@ -121,6 +121,15 @@ def test_minima(capsys):
     assert len(d["vectors"]) == 4
 
 
+def test_minima_floats_are_the_rounded_roots(tmp_path, capsys):
+    # sqrt(float(1/7)) rounds 1/7 before its root: 0.3779644730092272
+    path = tmp_path / "gram.json"
+    path.write_text('{"gram": [["1/7", "0"], ["0", "1"]]}')
+    d = _json(capsys, "minima", "--basis", str(path))
+    assert d["minima_sq"] == ["1/7", "1"]
+    assert d["minima"] == [0.37796447300922725, 1.0]
+
+
 def test_dk_cubic(capsys):
     d = _json(capsys, "dk", "--catalog", "Z", "--n", "4", "--k", "2")
     assert d["dk"]["float"] == pytest.approx(1.0)

@@ -309,3 +309,49 @@ def test_a_limit_constant_is_found():
     tree = ast.parse("RAY_BUDGET = 1\nMAX_CELL_RANK = 2\nMVEE_ITERATIONS = 3\n"
                      "LLL_DELTA = 4\ndef f():\n    NODE_BUDGET = 5\n")
     assert _limits(tree) == {"RAY_BUDGET", "MAX_CELL_RANK", "MVEE_ITERATIONS"}
+
+
+# the functions that take float roots of float geometry; an exact square
+# root leaves through ``_linalg._sqrt_rational``, whose float is correctly
+# rounded, where math.sqrt(float(q)) rounds q first
+FLOAT_ROOTS = {"_linalg.float_cholesky", "impassability._ambient_plane",
+               "lattice.Lattice.to_ambient", "polytope.Ellipsoid.volume"}
+
+
+def _float_roots(tree, module):
+    """The dotted names of the scopes (module, classes, functions) in which
+    a call of math.sqrt stands."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            f = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and isinstance(f, ast.Attribute) \
+                    and f.attr == "sqrt" and isinstance(f.value, ast.Name) \
+                    and f.value.id == "math":
+                out.add(".".join([module] + scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return out
+
+
+def test_only_the_float_geometry_takes_math_sqrt():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _float_roots(ast.parse(path.read_text()), path.stem)
+    assert found == FLOAT_ROOTS
+
+
+def test_a_float_root_is_found():
+    tree = ast.parse("import math\nx = math.sqrt(2)\nclass C:\n"
+                     "    def m(self):\n"
+                     "        return [math.sqrt(y) for y in self]\n"
+                     "def f(q):\n    return math.isqrt(q) + la.sqrt(q)\n"
+                     "def g():\n    def h():\n"
+                     "        return f(math.sqrt(3))\n")
+    assert _float_roots(tree, "mod") == {"mod", "mod.C.m", "mod.g.h"}

@@ -316,6 +316,16 @@ def _passage_inputs(draw):
     return la.gram_matrix(rows), k, r
 
 
+def test_clearance_and_certificate_share_one_float():
+    # mu^2 = 11/36 here: sqrt(float(11/36)) - r rounds mu^2 before its
+    # root and gives 0.4277707983925667, one bit above the certificate's
+    lat = Lattice.from_gram([[1, 0], [0, Fraction(11, 9)]])
+    clearance, cert = max_clearance(lat, Fraction(1, 8), 1)
+    assert clearance == cert.clearance_float == 0.4277707983925666
+    cyl = free_cylinder(lat, Fraction(1, 8), 1, 1)
+    assert cyl.base_radius == cert.clearance_float
+
+
 @settings(max_examples=25, deadline=None)
 @given(_passage_inputs())
 # max_clearance tie: e1 (det^2 7) projects to the A2 Gram times 6, the later
@@ -335,7 +345,7 @@ def test_pruned_search_matches_exhaustive(inputs):
         assert cert is None and clearance == float("-inf")
     else:
         (neg_mu_sq, coeffs), hole = best
-        assert clearance == math.sqrt(float(-neg_mu_sq)) - float(r)
+        assert clearance == float(la._sqrt_rational(-neg_mu_sq)) - float(r)
         if -neg_mu_sq > r * r:
             assert (cert.witness.coeffs, cert.deep_hole, cert.mu_sq) == \
                 (coeffs, hole, -neg_mu_sq)

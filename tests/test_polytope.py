@@ -604,8 +604,8 @@ def _bounded_h_polytope(draw):
 @given(_bounded_h_polytope())
 def test_double_description_matches_brute_force(hp):
     rows, b = hp
-    rays, _ = dd.vertex_rays([[Fraction(x) for x in r] for r in rows],
-                             [Fraction(x) for x in b])
+    rays, _, _ = dd.vertex_rays([[Fraction(x) for x in r] for r in rows],
+                                [Fraction(x) for x in b])
     verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]
     assert len(verts) == len(set(verts))
     assert sorted(verts) == _brute_force_vertices(rows, b)
@@ -626,6 +626,20 @@ def test_cone_rays_are_feasible_distinct_and_extreme(hp):
         # an extreme ray of a pointed d-cone is tight on rank d - 1 normals
         assert la.rank([nv for nv, v in zip(normals, vals) if v == 0]) \
             == d - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bounded_h_polytope())
+def test_cone_ray_bits_follow_the_normals(hp):
+    # bit j of a ray's mask is normals[j], whichever normals the simplicial
+    # start takes
+    rows, b = hp
+    normals = [[Fraction(x) for x in r] + [Fraction(-bv)]
+               for r, bv in zip(rows, b)] + [[0] * len(rows[0]) + [-1]]
+    rays, masks = dd.cone_rays(normals)
+    assert masks == [sum(1 << j for j, nv in enumerate(normals)
+                         if not sum(a * x for a, x in zip(nv, r)))
+                     for r in rays]
 
 
 @pytest.mark.parametrize("name,n,count", [
@@ -725,7 +739,7 @@ def _distinct(rows):
 def _outcome(rows):
     """The sorted vertices of ``dd.vertex_rays``, or the type of its error."""
     try:
-        rays, _ = dd.vertex_rays(*_split(rows))
+        rays, _, _ = dd.vertex_rays(*_split(rows))
     except (UnboundedBodyError, InvalidInputError) as exc:
         return type(exc)
     verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays]
@@ -801,12 +815,28 @@ def _check_ray_masks(a_rows, b_vals):
     """The rows of ``vertex_rays``'s masks, each the set of vertices tight
     at one constraint of the double description, are the brute-force tight
     sets of the rows of a x <= b, as sets of nonempty vertex sets."""
-    rays, masks = dd.vertex_rays(a_rows, b_vals)
+    rays, masks, _ = dd.vertex_rays(a_rows, b_vals)
     den = math.lcm(*(r[-1] for r in rays))
     ints = [[x * (den // r[-1]) for x in r[:-1]] for r in rays]
     rows = {sum(1 << k for k, m in enumerate(masks) if m >> j & 1)
             for j in range(max(map(int.bit_length, masks)))}
     assert rows - {0} == set(_brute_masks(ints, den, a_rows, b_vals)) - {0}
+
+
+def _check_named_masks(a_rows, b_vals):
+    """Bit j of ``vertex_rays``'s masks is set at exactly the vertices on
+    the hyperplane of its j-th name, by brute force, and every row of
+    a x <= b with a != 0 is named."""
+    rays, masks, names = dd.vertex_rays(a_rows, b_vals)
+    den = math.lcm(*(r[-1] for r in rays))
+    ints = [[x * (den // r[-1]) for x in r[:-1]] for r in rays]
+    assert max(map(int.bit_length, masks)) <= len(names)
+    bits = [sum(1 << k for k, m in enumerate(masks) if m >> j & 1)
+            for j in range(len(names))]
+    assert bits == _brute_masks(ints, den, [n[:-1] for n in names],
+                                [-n[-1] for n in names])
+    assert {dd._primitive_int(list(a) + [-bv])
+            for a, bv in zip(a_rows, b_vals) if any(a)} <= set(names)
 
 
 def _check_incidence(body):
@@ -815,7 +845,7 @@ def _check_incidence(body):
     ints, den = body.integer_vertices()
     whole = (1 << len(ints)) - 1
     brute = _brute_masks(ints, den, *body.halfspaces())
-    assert set(body._incidence()) - {0} == set(brute) - {0}
+    assert set(body._incidence().values()) - {0} == set(brute) - {0}
     assert body._facets_of(whole) == _maximal(brute, whole)
 
 
@@ -826,6 +856,20 @@ def test_ray_masks_are_the_tight_sets(hp):
     a_rows, b_vals = _split(list(zip(rows, b)))
     _check_ray_masks(a_rows, b_vals)
     _check_incidence(Polytope.from_halfspaces(a_rows, b_vals))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bounded_h_polytope())
+def test_mask_bits_name_their_rows(hp):
+    rows, b = hp
+    _check_named_masks(*_split(list(zip(rows, b))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symmetric_h_rows())
+def test_paired_mask_bits_name_their_rows(rows):
+    assert _is_paired(rows)
+    _check_named_masks(*_split(rows))
 
 
 @settings(max_examples=80, deadline=None)

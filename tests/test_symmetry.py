@@ -11,7 +11,8 @@ import latgeom._linalg as la
 from latgeom.enumeration import _reduced, _reduced_inverse, closest_vectors
 from latgeom.enumeration import _covering_radius_bound, covering_radius
 from latgeom.enumeration import successive_minima
-from latgeom.enumeration import vector_pairs_within, voronoi_cell
+from latgeom.enumeration import relevant_vectors, vector_pairs_within
+from latgeom.enumeration import voronoi_cell
 from latgeom.errors import CapabilityError
 from latgeom.impassability import _certificate, max_clearance
 from latgeom.lattice import Lattice, catalog
@@ -193,7 +194,7 @@ def _per_witness(lat, r, k):
     if best is None:
         return float("-inf"), None
     _, w, proj = best
-    clearance = math.sqrt(float(covering_radius(proj)[0])) - float(r)
+    clearance = float(la._sqrt_rational(covering_radius(proj)[0])) - float(r)
     return clearance, _certificate(w, r, proj, True)
 
 
@@ -251,7 +252,7 @@ def _per_class(lat, r, k):
         if best is None or key < best[0]:
             best = (key, by_coeffs[least], proj)
     (neg_mu_sq, _), w, proj = best
-    return (math.sqrt(float(-neg_mu_sq)) - float(r),
+    return (float(la._sqrt_rational(-neg_mu_sq)) - float(r),
             _certificate(w, r, proj, True))
 
 
@@ -448,6 +449,38 @@ def test_cell_volume_past_the_group_search_budget():
     with pytest.raises(CapabilityError):
         automorphisms(lat)
     assert cell_volume(lat) == voronoi_cell(lat).volume() == 1000
+
+
+def _check_facet_masks(lat):
+    """For every relevant +-v, the facet that ``_cell_volume`` reads off
+    the cell by v's row is the set of the vertices W[j] / D on
+    <x, v> = <v, v> / 2, found by the dot products
+    2 W[j] G_int v^T = D v G_int v^T."""
+    cell = voronoi_cell(lat)
+    ints, den = cell.integer_vertices()
+    g, _ = lat.int_gram
+    for v in relevant_vectors(lat):
+        gv = la.vec_mat(v, g)
+        q = la.dot(v, gv)
+        dots = [2 * la.dot(w, gv) for w in ints]  # -v negates each one
+        for s in (1, -1):
+            brute = sum(1 << j for j, x in enumerate(dots) if s * x == den * q)
+            assert cell._facet([2 * s * x for x in gv], q) == brute != 0
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(1, 9)]
+                         + [(k, n) for k in ("A", "Astar") for n in range(1, 6)]
+                         + [("D", n) for n in range(3, 9)]
+                         + [("E", 6), ("E", 7), ("E", 8)],
+                         ids=lambda v: str(v))
+def test_catalog_facets_match_the_tight_vertices(name, n):
+    _check_facet_masks(catalog(name, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_small_lattices())
+def test_facets_match_the_tight_vertices(lat):
+    _check_facet_masks(lat)
 
 
 def test_e7_cell_volume_from_one_facet(monkeypatch):
