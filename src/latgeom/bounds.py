@@ -96,41 +96,46 @@ _DELTA_LATTICES = {1: ("Z", 1), 2: ("A", 2), 3: ("D", 3), 4: ("D", 4),
 TAMMELA_D21_FLOOR = 0.8926  # planar lattice packing bound, literal
 
 
+def has_delta(n: int) -> bool:
+    """Whether the optimal lattice packing density of the n-ball is known:
+    the one rule ``delta_ball`` follows."""
+    return n in _DELTA_LATTICES or n == 24
+
+
+def has_theta(n: int) -> bool:
+    """Whether the optimal lattice covering density of the n-ball is known:
+    the one rule ``theta_ball`` follows."""
+    return 1 <= n <= 5
+
+
 @functools.lru_cache(maxsize=None)
 def delta_ball(n: int) -> ConstantEntry:
     """Optimal lattice packing density of the n-ball; n <= 8 computed from
     the catalog optimizers, n = 24 taken from the external catalog."""
-    if n in _DELTA_LATTICES:
-        name, dim = _DELTA_LATTICES[n]
-        value = packing_density(catalog(name, dim))
-        return ConstantEntry(f"delta_ball_{n}", n, value,
-                             "derived-by-oracle",
-                             f"packing density of the {name}{dim} lattice")
+    if not has_delta(n):
+        raise MissingConstantError(
+            f"optimal ball packing density unknown for n={n}")
     if n == 24:
         # Leech: minimum norm 2, determinant 1, so density = kappa_24
         return ConstantEntry("delta_ball_24", 24, kappa(24), "external-catalog",
                              "Leech lattice, optimality from the literature")
-    raise MissingConstantError(f"optimal ball packing density unknown for n={n}")
+    name, dim = _DELTA_LATTICES[n]
+    value = packing_density(catalog(name, dim))
+    return ConstantEntry(f"delta_ball_{n}", n, value, "derived-by-oracle",
+                         f"packing density of the {name}{dim} lattice")
 
 
 @functools.lru_cache(maxsize=None)
 def theta_ball(n: int) -> ConstantEntry:
     """Optimal lattice covering density of the n-ball, n <= 5, from the
     body-centered family of catalog lattices."""
-    if not 1 <= n <= 5:
-        raise MissingConstantError(f"optimal ball covering density unknown for n={n}")
+    if not has_theta(n):
+        raise MissingConstantError(
+            f"optimal ball covering density unknown for n={n}")
     value = covering_density(catalog("Astar", n))
     return ConstantEntry(f"theta_ball_{n}", n, value,
                          "derived-by-oracle",
                          f"covering density of the A{n}* lattice")
-
-
-def has_delta(n: int) -> bool:
-    return n in _DELTA_LATTICES or n == 24
-
-
-def has_theta(n: int) -> bool:
-    return 1 <= n <= 5
 
 
 def constants(n: int) -> dict:

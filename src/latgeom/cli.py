@@ -439,6 +439,10 @@ def _apply_config(args):
 
 
 def run(argv=None) -> int:
+    # an exact value prints in full: lift, for the process, Python's default
+    # limit of 4,300 digits on int-str conversion (before 3.10.7 there is none)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
         for key in _NUMBERS:

@@ -352,9 +352,9 @@ def _cell(lat: Lattice, rel):
     rows, b = [], []
     products = [(la.dot(v, gv), gv) for v in rel for gv in [la.vec_mat(v, g)]]
     for q, gv in sorted(products, key=lambda p: p[0]):
-        rows += [[2 * x for x in gv], [-2 * x for x in gv]]
+        rows += [tuple([2 * x for x in gv]), tuple([-2 * x for x in gv])]
         b += [q, q]
-    return Polytope(_a=rows, _b=b, metric=lat._gram)
+    return Polytope(_a=tuple(rows), _b=tuple(b), metric=lat._gram)
 
 
 def covering_radius(lat: Lattice):

@@ -131,9 +131,13 @@ class Lattice:
     @functools.cached_property
     def _memo(self) -> dict:
         """Invariants derived from this value (its reduction, lambda_1^2,
-        relevant vectors, covering radius), keyed by name, filled by
-        ``_once``; every entry is immutable. The one entry that may be
-        replaced is ``enumeration._listing``'s, by a longer listing."""
+        relevant vectors, Voronoi cell, covering radius), keyed by name,
+        filled by ``_once``. Every entry is an immutable value: a number, a
+        str, a ClosedForm, a tuple or frozenset of such, or a frozen
+        dataclass (a Lattice, a Polytope) whose fields are such, which
+        ``tests/test_hygiene.py`` checks on the invariants the CLI reports.
+        The one entry that may be replaced is ``enumeration._listing``'s,
+        by a longer listing."""
         return {}
 
     def gram(self):
@@ -241,7 +245,9 @@ class Lattice:
 
 def _once(lat: Lattice, key, compute):
     """Result of ``compute()`` for this lattice value, computed on the first
-    request and kept in its memo; results must not be edited. Only
+    request and kept in its memo, which hands the one result to every later
+    caller: it must be an immutable value, as ``Lattice._memo`` says and a
+    test in ``tests/test_hygiene.py`` checks. Only
     ``enumeration._listing`` keeps its entry itself, to replace it."""
     memo = lat._memo
     if key not in memo:

@@ -1,10 +1,11 @@
 """Exact rational polytope arithmetic.
 
-A polytope keeps one description, its halfspaces (``a x <= b`` rows): a body
-built from points takes the halfspaces of their hull when it is built. The
-vertices and the vertex-facet incidence are read off one exact double
-description of the halfspaces, once, and each facet is named by the row
-that bounds it. Coordinates live in the polytope's own coordinate space; an
+A polytope is an immutable value of one description, its halfspaces
+(``a x <= b`` rows): a body built from points takes the halfspaces of their
+hull when it is built, and an affine map acts on the rows. The vertices and
+the vertex-facet incidence are read off one exact double description of the
+halfspaces, once per value, and each facet is named by the row that bounds
+it. Coordinates live in the polytope's own coordinate space; an
 optional positive definite rational ``metric`` Gram matrix says how that
 space embeds isometrically, so lower-dimensional sections and projections
 keep exact volumes: the metric volume is the coordinate volume times
@@ -13,10 +14,11 @@ sqrt(det metric).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -85,32 +87,29 @@ def _read_metric(metric, d):
 # Polytope
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Polytope:
-    """Bounded convex rational polytope, full-dimensional in its coordinates,
-    kept as its halfspaces a x <= b alone."""
+    """Bounded convex rational polytope, full-dimensional in its coordinates:
+    an immutable value whose only fields are its halfspaces a x <= b, the
+    rows ``_a`` and the right-hand sides ``_b`` as tuples, and its metric.
+    What is derived from them (the vertices, the vertex-facet incidence,
+    the facets of each face) is computed once per value and cached, as
+    ``Lattice`` caches its invariants. So a body is an immutable value
+    wherever it is kept, as a lattice memo's entries must be (a Voronoi
+    cell is one), which a test in ``tests/test_hygiene.py`` checks.
+    Equality compares the vertices; a body is not hashable."""
 
-    _a: list
-    _b: list
+    _a: tuple
+    _b: tuple
     metric: tuple | None = None  # rational SPD Gram of the coordinate basis
-    # the sorted vertices as int rows over their common denominator
-    _form: tuple | None = field(default=None, repr=False)
-    # the names of the double-description rows, their primitive normals
-    # (a, -b), and per sorted vertex the mask of the rows tight at it, until
-    # ``_incidence`` turns them around into ``_tight``, a mask per name
-    _masks: tuple | None = field(default=None, repr=False)
-    _tight: dict | None = field(default=None, repr=False)
-    # face lattice: facet masks over the sorted vertices, and face -> facets
-    _facets: list | None = field(default=None, repr=False)
-    _below: dict = field(default_factory=dict, repr=False)
 
     # -- construction --------------------------------------------------------
 
     @staticmethod
     def from_halfspaces(a_rows: Sequence[Sequence], b_vals: Sequence,
                         metric=None) -> "Polytope":
-        a = list(_nonempty(a_rows, "H-description"))
-        b = [la._rational(x) for x in b_vals]
+        a = _nonempty(a_rows, "H-description")
+        b = tuple(la._rational(x) for x in b_vals)
         if any(len(r) != len(a[0]) for r in a) or len(b) != len(a):
             raise DimensionMismatchError("inconsistent H-description shapes")
         return Polytope(_a=a, _b=b, metric=_read_metric(metric, len(a[0])))
@@ -142,10 +141,10 @@ class Polytope:
         shifted = [[x - cx for x, cx in zip(v, c)] for v in verts]
         a_rows, b_vals = [], []
         for *r, t in dd.vertex_rays(shifted, [Fraction(1)] * n)[0]:
-            y = [Fraction(x, t) for x in r]
+            y = tuple(Fraction(x, t) for x in r)
             a_rows.append(y)
             b_vals.append(Fraction(1) + la.dot(y, c))
-        return Polytope(_a=a_rows, _b=b_vals, metric=metric)
+        return Polytope(_a=tuple(a_rows), _b=tuple(b_vals), metric=metric)
 
     @property
     def dim(self) -> int:
@@ -156,28 +155,38 @@ class Polytope:
 
     # -- conversions ---------------------------------------------------------
 
+    # Derived data, computed once per value. ``cached_property`` writes to
+    # the instance ``__dict__`` directly, which a frozen dataclass allows.
+
+    @functools.cached_property
+    def _masks(self):
+        """The one double description of the halfspaces: the names of its
+        rows (their primitive normals (a, -b)), per sorted vertex the mask
+        of the rows tight at it, and the vertex form of ``integer_vertices``.
+        ``_tight`` drops it once it has turned the masks around: a covering
+        radius reads the vertices and never the faces."""
+        rays, masks, names = dd.vertex_rays(*self.halfspaces())
+        den = math.lcm(*(ray[-1] for ray in rays))
+        share = {}.setdefault  # vertices repeat few values
+        ints = [tuple([share(x, x) for x in map((den // t).__mul__, r)])
+                for *r, t in rays]
+        ints, masks = zip(*sorted(zip(ints, masks)))  # distinct vertices
+        return names, masks, (ints, den)
+
+    @functools.cached_property
+    def _form(self):
+        return self._masks[2]
+
     def integer_vertices(self):
         """(W, D): the sorted vertices as int rows over their common
-        denominator D, so ``vertices()[i] == W[i] / D``; computed once.
+        denominator D, so ``vertices()[i] == W[i] / D``.
 
         W is read off the rays (r, t) of the double description of the
         halfspaces, so a point given to ``from_vertices`` that is not
         extreme never enters: D is the lcm of the t, and W holds
         r (D / t). Rows over one positive denominator sort as the vertices
-        do, and equal entries share one int. The rays' masks are kept in
-        the sorted order, with the names of their bits, for ``_incidence``
-        to turn around on first use: a covering radius reads the vertices
-        and never the faces.
+        do, and equal entries share one int.
         """
-        if self._form is None:
-            rays, masks, names = dd.vertex_rays(*self.halfspaces())
-            den = math.lcm(*(ray[-1] for ray in rays))
-            share = {}.setdefault  # vertices repeat few values
-            ints = [tuple([share(x, x) for x in map((den // t).__mul__, r)])
-                    for *r, t in rays]
-            order = sorted(range(len(ints)), key=ints.__getitem__)
-            self._masks = names, [masks[k] for k in order]
-            self._form = tuple([ints[k] for k in order]), den
         return self._form
 
     def vertices(self):
@@ -190,11 +199,9 @@ class Polytope:
         return [list(r) for r in self._a], list(self._b)
 
     def contains(self, point, strict=False) -> bool:
-        a, b = self.halfspaces()
         pt = [la._rational(x) for x in point]
-        if strict:
-            return all(la.dot(row, pt) < bv for row, bv in zip(a, b))
-        return all(la.dot(row, pt) <= bv for row, bv in zip(a, b))
+        below = operator.lt if strict else operator.le
+        return all(below(la.dot(r, pt), bv) for r, bv in zip(self._a, self._b))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polytope):
@@ -205,26 +212,37 @@ class Polytope:
 
     # -- face lattice ---------------------------------------------------------
 
+    @functools.cached_property
+    def _tight(self):
+        self._form  # the vertex form stays when the masks go
+        names, masks, _ = vars(self).pop("_masks")
+        tight = [0] * len(names)
+        for i, mask in enumerate(masks):
+            for row in _bits(mask):
+                tight[row] |= 1 << i
+        return dict(zip(names, tight))
+
     def _incidence(self):
         """{name: mask}: per double-description row, keyed by its name, the
         primitive int normal (a, -b) of a row a . x <= b, the mask of the
-        sorted vertices tight at it. The masks of ``integer_vertices`` are
-        turned around on the first call, which then drops them. Rows that
-        are positive multiples of one another share a name and a mask."""
-        if self._tight is None:
-            self.integer_vertices()
-            names, masks = self._masks
-            tight = [0] * len(names)
-            for i, mask in enumerate(masks):
-                for row in _bits(mask):
-                    tight[row] |= 1 << i
-            self._tight, self._masks = dict(zip(names, tight)), None
+        sorted vertices tight at it. The masks of the double description
+        are turned around on the first call, which then drops them. Rows
+        that are positive multiples of one another share a name and a
+        mask."""
         return self._tight
 
     def _facet(self, a, b):
         """The mask of the sorted vertices on a . x = b, for a row
         a . x <= b of the body's halfspaces with a != 0."""
         return self._incidence()[_primitive_int(list(a) + [-b])]
+
+    @functools.cached_property
+    def _facets(self):
+        return _maximal(self._tight.values(), (1 << len(self._form[0])) - 1)
+
+    @functools.cached_property
+    def _below(self):
+        return {}  # face mask -> the masks of its facets
 
     def _facets_of(self, face):
         """Facets of a face, both as bitmasks over the sorted vertices.
@@ -236,9 +254,6 @@ class Polytope:
         facets G of the polytope. So every face follows from one
         vertex-facet incidence by bit operations alone.
         """
-        if self._facets is None:
-            whole = (1 << len(self.integer_vertices()[0])) - 1
-            self._facets = _maximal(self._incidence().values(), whole)
         if face not in self._below:
             self._below[face] = _maximal([face & g for g in self._facets],
                                          face)
@@ -312,8 +327,8 @@ class Polytope:
         if not self.contains([0] * self.dim, strict=True):
             raise PolarUndefinedError("polar requires 0 in the interior")
         g = self._metric()
-        rows = [la.vec_mat(list(v), g) for v in self.vertices()]
-        return Polytope(_a=rows, _b=[Fraction(1)] * len(rows),
+        rows = tuple(tuple(la.vec_mat(list(v), g)) for v in self.vertices())
+        return Polytope(_a=rows, _b=(Fraction(1),) * len(rows),
                         metric=self.metric)
 
     def minkowski_sum(self, other: "Polytope") -> "Polytope":
@@ -323,19 +338,26 @@ class Polytope:
                for u in self.vertices() for v in other.vertices()]
         return Polytope._hull(pts, self.metric)
 
+    # An affine map acts on the rows: x in c K iff (sign c) a . x <= |c| b,
+    # and x in K + t iff a . x <= b + a . t.
+
     def negated(self) -> "Polytope":
-        return Polytope._hull([[-x for x in v] for v in self.vertices()],
-                              self.metric)
+        return self.scaled(-1)
 
     def scaled(self, c) -> "Polytope":
         c = la._rational(c)
-        return Polytope._hull([[c * x for x in v] for v in self.vertices()],
-                              self.metric)
+        if not c:
+            raise InvalidInputError("a body scaled by 0 is flat")
+        a = self._a if c > 0 else tuple(tuple(-x for x in r) for r in self._a)
+        return replace(self, _a=a, _b=tuple(abs(c) * bv for bv in self._b))
 
     def translated(self, t) -> "Polytope":
         t = [la._rational(x) for x in t]
-        return Polytope._hull([[x + dx for x, dx in zip(v, t)]
-                               for v in self.vertices()], self.metric)
+        if len(t) != self.dim:
+            raise DimensionMismatchError("translation needs a vector of the "
+                                         "body's dimension")
+        return replace(self, _b=tuple(bv + la.dot(r, t)
+                                      for r, bv in zip(self._a, self._b)))
 
     def difference_body(self) -> "Polytope":
         """(K - K) / 2: the central symmetrization."""
@@ -404,27 +426,18 @@ class Polytope:
 # Constructors for standard bodies
 # ---------------------------------------------------------------------------
 
+def _signed_axes(n):
+    """The rows e_1, -e_1, ..., e_n, -e_n of R^n."""
+    return [[s * (i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+
+
 def cube(n, half_side=Fraction(1, 2)) -> Polytope:
-    h = la._rational(half_side)
-    rows, b = [], []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        rows.append(list(e))
-        b.append(h)
-        rows.append([-x for x in e])
-        b.append(h)
-    return Polytope.from_halfspaces(rows, b)
+    return Polytope.from_halfspaces(_signed_axes(n),
+                                    [la._rational(half_side)] * (2 * n))
 
 
 def cross_polytope(n) -> Polytope:
-    verts = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        verts.append(list(e))
-        verts.append([-x for x in e])
-    return Polytope.from_vertices(verts)
+    return Polytope.from_vertices(_signed_axes(n))
 
 
 def _chart_gram(n):

@@ -7,6 +7,7 @@ are read from the copy the ``files`` fixture writes once per module."""
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -211,6 +212,20 @@ def test_malformed_file_exits_2(files, argv):
     if (verb, name) == ("mahler", "flat.json"):
         want = "PolarUndefinedError"
     assert json.loads(err)["error"] == want
+
+
+# exact values with more digits than Python's default limit of 4,300 for
+# converting an int to a str
+LONG = [["mahler", "--n", "1300"],
+        ["cover", "--catalog", "Z3", "--scale", "1/1" + "0" * 2200]]
+
+
+@pytest.mark.parametrize("argv", LONG, ids=lambda argv: argv[0])
+def test_long_exact_values_print_in_full(argv):
+    code, err = _check_exit(argv)
+    assert code == 0, err
+    _, out, _ = _invoke(argv)
+    assert re.search(r"[0-9]{4301}", out)
 
 
 def test_witness_checks_run_in_order():

@@ -1,12 +1,23 @@
 import ast
 import collections
+import dataclasses
+import numbers
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import latgeom
+from latgeom import enumeration as enu
+from latgeom import symmetry as sym
+from latgeom._linalg import ClosedForm
+from latgeom.errors import InvalidLatticeError
+from latgeom.lattice import Lattice, catalog, dual
 
 SRC = Path(latgeom.__file__).resolve().parent
 
@@ -355,3 +366,75 @@ def test_a_float_root_is_found():
                      "def g():\n    def h():\n"
                      "        return f(math.sqrt(3))\n")
     assert _float_roots(tree, "mod") == {"mod", "mod.C.m", "mod.g.h"}
+
+
+# ---------------------------------------------------------------------------
+# Memo entries are immutable values
+# ---------------------------------------------------------------------------
+
+def _mutable(value, where, seen):
+    """The paths, below ``where``, of the parts of ``value`` that are not
+    immutable values: None, a number, a str, a ClosedForm, a tuple or
+    frozenset of such, or a frozen dataclass whose fields are such. The
+    memo of each Lattice reached is walked too, once per value."""
+    if value is None or isinstance(value, (numbers.Number, str, ClosedForm)):
+        return []
+    if isinstance(value, (tuple, frozenset)):
+        return [w for i, x in enumerate(value)
+                for w in _mutable(x, f"{where}[{i}]", seen)]
+    if not dataclasses.is_dataclass(value) or \
+            not value.__dataclass_params__.frozen:
+        return [where]
+    out = [w for f in dataclasses.fields(value)
+           for w in _mutable(getattr(value, f.name), f"{where}.{f.name}",
+                             seen)]
+    if isinstance(value, Lattice) and id(value) not in seen:
+        seen.add(id(value))
+        out += [w for key, x in value._memo.items()
+                for w in _mutable(x, f"{where}[{key!r}]", seen)]
+    return out
+
+
+def _random_lattice(n, seed):
+    """A lattice from a random nonsingular n x n basis, entries -3..3."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        try:
+            return Lattice.from_rows(rows)
+        except InvalidLatticeError:
+            pass
+
+
+@pytest.mark.parametrize("make", [lambda: catalog("D", 4),
+                                  lambda: _random_lattice(4, 0)],
+                         ids=["D4", "random4"])
+def test_memo_entries_are_immutable_values(make):
+    # every invariant the CLI reports goes in the memo of its value, and
+    # the memo hands each out to every later caller
+    lat = make()
+    enu.shortest_vectors(lat)
+    enu.successive_minima(lat)
+    enu.closest_vectors(lat, [Fraction(1, 3), Fraction(1, 2), 0, 2])
+    assert enu.voronoi_cell(lat).volume() == sym.cell_volume(lat)
+    enu.covering_radius(lat)
+    sym.automorphisms(lat)
+    dual(lat)
+    assert {"reduced", "voronoi_cell", "covering_radius", "automorphisms",
+            "dual_in_span"} <= set(lat._memo)
+    assert _mutable(lat, "lat", set()) == []
+
+
+def test_a_mutable_memo_entry_is_found():
+    @dataclasses.dataclass
+    class Open:
+        x: int
+
+    lat = Lattice.from_rows([[1, 0], [0, 2]])
+    inner = Lattice.from_rows([[3]])
+    lat._memo.update(ok=(1, "a", frozenset({Fraction(1, 2)})), rows=[1],
+                     box=Open(1), pair=(0, {1: 2}), inner=inner)
+    inner._memo.update(back=lat, open=(Open(2),))
+    assert _mutable(lat, "lat", set()) == [
+        "lat['rows']", "lat['box']", "lat['pair'][1]",
+        "lat['inner']['open'][0]"]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -10,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import latgeom._double_description as dd
@@ -171,6 +172,12 @@ def test_minkowski_sum_square_plus_diamond():
     assert len(octo.vertices()) == 8
     # the 2x2 bounding square minus four corner triangles of area 1/8
     assert octo.coordinate_volume() == Fraction(7, 2)
+
+
+@pytest.mark.parametrize("t", [[1], [1, 2, 3]])
+def test_translation_needs_a_vector_of_the_body_dimension(t):
+    with pytest.raises(DimensionMismatchError):
+        cube(2).translated(t)
 
 
 def test_minkowski_sum_needs_equal_dimensions():
@@ -937,6 +944,97 @@ def test_e8_cell_rows_match_brute_force():
     rows = random.Random(0).sample(range(len(a)), 8)
     brute = _brute_masks(ints, den, [a[i] for i in rows], [b[i] for i in rows])
     assert set(brute) <= set(facets)
+
+
+# ---------------------------------------------------------------------------
+# A polytope is an immutable value, and affine maps act on its rows
+# ---------------------------------------------------------------------------
+
+def test_a_polytope_is_a_frozen_value_of_its_halfspaces():
+    body = cube(2)
+    assert [f.name for f in dataclasses.fields(Polytope)] == \
+        ["_a", "_b", "metric"]
+    assert isinstance(body._a, tuple) and isinstance(body._b, tuple)
+    assert all(isinstance(r, tuple) for r in body._a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        body._b = (1, 1, 1, 1)
+    with pytest.raises(TypeError):
+        hash(body)
+    # the derived data belongs to its value: a new value computes its own
+    assert body.volume() == 1
+    assert dataclasses.replace(body, _b=(1, 1, 1, 1)).volume() == 4
+
+
+# the maps as they were computed from the vertices: the images of the
+# vertices (negation is scaling by -1), whose hull was the mapped body
+
+
+def _scaled_points(body, c):
+    return [tuple(c * x for x in v) for v in body.vertices()]
+
+
+def _translated_points(body, t):
+    return [tuple(x + dx for x, dx in zip(v, t)) for v in body.vertices()]
+
+
+SCALES = [2, Fraction(1, 3), -1, Fraction(-5, 2)]
+
+
+def _check_affine_maps(body, t):
+    """The row maps against the hull of the mapped vertices: the same body
+    with the same volume and the body's metric object. A flat body, which
+    the hull rejects, maps to the flat body on the mapped vertices."""
+    flat = la.affine_rank([list(v) for v in body.vertices()]) < body.dim
+    pairs = [(body.negated(), _scaled_points(body, -1)),
+             (body.translated(t), _translated_points(body, t))]
+    pairs += [(body.scaled(c), _scaled_points(body, c)) for c in SCALES]
+    for got, points in pairs:
+        assert got.metric is body.metric
+        assert got.vertices() == sorted(points)
+        if flat:
+            assert got.volume() == 0
+            continue
+        want = Polytope._hull(points, body.metric)
+        assert got == want
+        assert got.volume() == want.volume()
+    with pytest.raises(InvalidInputError):
+        body.scaled(0)
+
+
+_SHIFTS = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=5,
+                   max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bounded_h_polytope(), _SHIFTS)
+# a flat body: the segment x = 0, -1 <= y <= 1 of the plane
+@example(([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0], [-1, 0]],
+          [1, 1, 1, 1, 0, 0]), [Fraction(1, 2), -1, 0, 0, 0])
+def test_affine_maps_of_h_built_bodies_match_the_hull(hp, t):
+    body = Polytope.from_halfspaces(*hp)
+    _check_affine_maps(body, t[:body.dim])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_h_rows(), _SHIFTS)
+def test_affine_maps_of_mirror_pair_bodies_match_the_hull(rows, t):
+    body = Polytope.from_halfspaces(*_split(rows))
+    _check_affine_maps(body, t[:body.dim])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets(), _SHIFTS)
+def test_affine_maps_of_v_built_bodies_match_the_hull(pts, t):
+    body = Polytope.from_vertices(pts)
+    _check_affine_maps(body, t[:body.dim])
+
+
+@pytest.mark.parametrize("name,n", [
+    ("D", 4), ("A", 4), ("Z", 5), ("Astar", 4), ("D", 5), ("A", 5),
+    ("E", 6)])
+def test_affine_maps_of_catalog_cells_match_the_hull(name, n):
+    cell = voronoi_cell(catalog(name, n))
+    _check_affine_maps(cell, [Fraction(1, 2), -1] + [0] * (n - 2))
 
 
 # ---------------------------------------------------------------------------
