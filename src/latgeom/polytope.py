@@ -15,6 +15,7 @@ sqrt(det metric).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -36,6 +37,11 @@ from .errors import (
 
 # Coordinate ascent steps ``mvee`` may take to meet its tolerance.
 MVEE_ITERATIONS = 100_000
+
+# Simplices one pulling triangulation may list; the largest that latgeom
+# needs, the facet of E8's cell that ``symmetry.cell_volume`` cones, has
+# 67,608, and cube:8 has 8! = 40,320.
+SIMPLEX_BUDGET = 200_000
 
 
 def _maximal(masks, whole):
@@ -299,7 +305,9 @@ class Polytope:
         whole body by default), as tuples of indices into the sorted
         vertices: each face is coned from its lowest vertex over the
         triangulations of its facets that do not contain that vertex. The
-        simplices have disjoint interiors and exactly tile the face.
+        simplices have disjoint interiors and exactly tile the face. A
+        triangulation of more than ``SIMPLEX_BUDGET`` simplices raises
+        CapabilityError as the one past the budget is listed.
         """
         def pull(face):
             if face & (face - 1) == 0:
@@ -313,7 +321,12 @@ class Polytope:
 
         if face is None:
             face = (1 << len(self.integer_vertices()[0])) - 1
-        return list(pull(face))
+        out = list(itertools.islice(pull(face), SIMPLEX_BUDGET + 1))
+        if len(out) > SIMPLEX_BUDGET:
+            raise CapabilityError(
+                f"pulling triangulation exceeded the simplex budget "
+                f"{SIMPLEX_BUDGET}: {len(out)} simplices listed")
+        return out
 
     def volume(self):
         """Metric volume, exact (a ClosedForm)."""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import latgeom._double_description as dd
 import latgeom._linalg as la
-from latgeom import enumeration, polytope
+from latgeom import enumeration, polytope, symmetry
 from latgeom.cli import run
 from latgeom.enumeration import (_enumerate_gram, closest_vector,
                                  closest_vectors, covering_density,
@@ -665,6 +666,108 @@ def test_e8_cell_has_the_deep_and_shallow_holes():
     assert len(ints) == 19440
     assert norms == {Fraction(1): 2160, Fraction(8, 9): 17280}
     assert covering_radius(lat)[0] == 1
+
+
+def _coeffs_order_cell(lat, rel):
+    """The reference builder for ``enumeration._cell``: the same
+    halfspaces, in ascending norm of v with ties in the order of the
+    coeffs."""
+    g, _ = lat.int_gram
+    rows, b = [], []
+    products = [(la.dot(v, gv), gv) for v in rel for gv in [la.vec_mat(v, g)]]
+    for q, gv in sorted(products, key=lambda p: p[0]):
+        rows += [tuple([2 * x for x in gv]), tuple([-2 * x for x in gv])]
+        b += [q, q]
+    return polytope.Polytope(_a=tuple(rows), _b=tuple(b), metric=lat._gram)
+
+
+def _cell_invariants(lat, volume=True):
+    cell = voronoi_cell(lat)
+    return (cell.integer_vertices(), cell._incidence(), covering_radius(lat),
+            symmetry.cell_volume(lat) if volume else None)
+
+
+def _check_order_independence(lat, monkeypatch, volume=True):
+    """The shell order of ``_cell`` and the coeffs order give one cell: the
+    same vertices, vertex-facet incidence, covering radius and volume. The
+    reference runs on a fresh value of lat, whose memo is empty."""
+    got = _cell_invariants(lat, volume)
+    monkeypatch.setattr(enumeration, "_cell", _coeffs_order_cell)
+    assert _cell_invariants(dataclasses.replace(lat), volume) == got
+
+
+@settings(max_examples=30, deadline=None)
+@given(_integer_lattice())
+def test_cell_does_not_depend_on_the_row_order(lat):
+    with pytest.MonkeyPatch.context() as mp:
+        _check_order_independence(lat, mp)
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(1, 9)]
+                         + [(k, n) for k in ("A", "Astar") for n in range(1, 6)]
+                         + [("D", n) for n in range(3, 9)]
+                         + [("E", n) for n in range(6, 9)])
+def test_catalog_cells_do_not_depend_on_the_row_order(name, n, monkeypatch):
+    # E8's volume cones one facet of 67,608 simplices, about 12 s a side;
+    # the vertices and incidence it is read from are compared
+    _check_order_independence(catalog(name, n), monkeypatch,
+                              volume=(name, n) != ("E", 8))
+
+
+# New ray pairs (``_double_description._crossings``) of each catalog cell
+# under the shell order of ``_cell``; the coeffs order made A5 64, D5 65,
+# D6 167, D7 414, D8 998, E6 184, E7 683 and E8 10,845. Z_n's cells are
+# their start parallelotopes.
+_RAY_PAIRS = {("A", 2): 2, ("A", 3): 6, ("A", 4): 22, ("A", 5): 34,
+              ("Astar", 2): 2, ("Astar", 3): 12, ("Astar", 4): 90,
+              ("Astar", 5): 646, ("D", 3): 6, ("D", 4): 12, ("D", 5): 27,
+              ("D", 6): 50, ("D", 7): 263, ("D", 8): 488, ("E", 6): 146,
+              ("E", 7): 430, ("E", 8): 10870}
+
+
+def _shell_order(lat):
+    """The relevant vectors of lat in the order of their rows in
+    ``_cell``: ascending norm, and within a shell the greedy rule, next
+    the v with the least sum of |v G_int u^T| over the u of its shell
+    placed before it, ties to the lesser coeffs."""
+    g, _ = lat.int_gram
+    shells = {}
+    for v in relevant_vectors(lat):
+        shells.setdefault(la.dot(v, la.vec_mat(v, g)), []).append(v)
+    out = []
+    for q in sorted(shells):
+        placed, rest = [], shells[q]
+        while rest:
+            v = min(rest, key=lambda v: (sum(abs(la.dot(la.vec_mat(v, g), u))
+                                             for u in placed), v))
+            rest.remove(v)
+            placed.append(v)
+        out += placed
+    return out
+
+
+@pytest.mark.parametrize("name,n", [("Z", n) for n in range(1, 9)]
+                         + [(k, n) for k in ("A", "Astar") for n in range(1, 6)]
+                         + [("D", n) for n in range(3, 9)]
+                         + [("E", n) for n in range(6, 9)])
+def test_catalog_cells_keep_their_ray_pairs(name, n, monkeypatch):
+    lat = catalog(name, n)
+    g, _ = lat.int_gram
+    counts, crossings = [], dd._crossings
+
+    def spy(*args):
+        out = crossings(*args)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(dd, "_crossings", spy)
+    cell = enumeration._cell(lat, relevant_vectors(lat))
+    cell.integer_vertices()
+    assert sum(counts) <= _RAY_PAIRS.get((name, n), 0)
+    a, _ = cell.halfspaces()
+    assert a[::2] == [[2 * x for x in la.vec_mat(v, g)]
+                      for v in _shell_order(lat)]
+    assert a[1::2] == [[-x for x in r] for r in a[::2]]
 
 
 @st.composite

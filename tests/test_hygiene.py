@@ -2,6 +2,7 @@ import ast
 import collections
 import dataclasses
 import numbers
+import operator
 import os
 import random
 import re
@@ -295,31 +296,65 @@ def test_a_sympy_import_is_found():
     assert _sympy_importers(tree, "mod") == {"mod", "mod.C.m", "mod.g.h"}
 
 
-# a module-level limit: a search budget, a rank cap or the ellipsoid's
-# iteration cap
-_LIMIT = re.compile(r"\b(?:[A-Z_]+_BUDGET|MAX_[A-Z_]+_RANK|MVEE_ITERATIONS)\b")
+# a module-level limit: a search budget, a cap (a rank, the denominator of
+# a float read exactly) or the ellipsoid's iteration cap
+_LIMIT = re.compile(r"\b(?:[A-Z_]+_BUDGET|MAX_[A-Z_]+|[A-Z_]+_ITERATIONS)\b")
+
+
+def _int_value(node):
+    """The int that a limit's expression of int literals, * and ** gives."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    ops = {ast.Mult: operator.mul, ast.Pow: operator.pow}
+    assert isinstance(node, ast.BinOp) and type(node.op) in ops
+    return ops[type(node.op)](_int_value(node.left), _int_value(node.right))
 
 
 def _limits(tree):
-    """The names of the module-level limit constants that ``tree`` binds."""
-    return {t.id for node in tree.body if isinstance(node, ast.Assign)
-            for t in node.targets
+    """{name: value} of the module-level limit constants that ``tree``
+    binds."""
+    return {t.id: _int_value(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) for t in node.targets
             if isinstance(t, ast.Name) and _LIMIT.fullmatch(t.id)}
 
 
+# a limit named with its value in the README: `NAME` (10^6 ...), written
+# as digits in groups of three or as a power
+_NAMED = re.compile(r"`([A-Z_]+)` \((\d{1,3}(?:,\d{3})*)(?:\^(\d+))?\b")
+
+
+def _named_values(text):
+    """{name: value} of the limits that ``text`` names with a value."""
+    return {name: int(base.replace(",", "")) ** int(exp or 1)
+            for name, base, exp in _NAMED.findall(text)
+            if _LIMIT.fullmatch(name)}
+
+
 def test_the_readme_names_exactly_the_limits():
-    found = set()
+    found = {}
     for path in sorted(SRC.glob("*.py")):
         found |= _limits(ast.parse(path.read_text()))
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Guarantees and limits\n")[1].split("\n## ")[0]
-    assert set(_LIMIT.findall(section)) == found
+    assert set(_LIMIT.findall(section)) == set(found)
+    assert _named_values(section) == found
 
 
 def test_a_limit_constant_is_found():
     tree = ast.parse("RAY_BUDGET = 1\nMAX_CELL_RANK = 2\nMVEE_ITERATIONS = 3\n"
+                     "MAX_DENOMINATOR = 10**12\nSTEP_BUDGET = 2 * 10**5\n"
                      "LLL_DELTA = 4\ndef f():\n    NODE_BUDGET = 5\n")
-    assert _limits(tree) == {"RAY_BUDGET", "MAX_CELL_RANK", "MVEE_ITERATIONS"}
+    assert _limits(tree) == {"RAY_BUDGET": 1, "MAX_CELL_RANK": 2,
+                             "MVEE_ITERATIONS": 3, "MAX_DENOMINATOR": 10**12,
+                             "STEP_BUDGET": 200_000}
+
+
+def test_a_limit_value_is_read():
+    text = ("`POINT_BUDGET` (10^6 nodes), `RAY_BUDGET` (200,000 rays), "
+            "`MAX_VORONOI_RANK` (8), `LLL_DELTA` (99/100), `NODE_BUDGET`")
+    assert _named_values(text) == {"POINT_BUDGET": 10**6,
+                                   "RAY_BUDGET": 200_000,
+                                   "MAX_VORONOI_RANK": 8}
 
 
 # the functions that take float roots of float geometry; an exact square

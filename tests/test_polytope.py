@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import operator
 import random
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import latgeom._double_description as dd
 import latgeom._linalg as la
 
+from latgeom.cli import run
 from latgeom.enumeration import kappa, voronoi_cell
 from latgeom.errors import (CapabilityError, DimensionMismatchError,
                             InvalidInputError, PolarUndefinedError,
@@ -668,6 +670,22 @@ def test_triangulation_sums_to_coordinate_volume(name, n, count):
     assert total / math.factorial(n) == body.coordinate_volume()
 
 
+def test_simplex_budget_stops_the_pulling_triangulation(monkeypatch, capsys):
+    # cube:4's pulling triangulation has 4! = 24 simplices, and its polar,
+    # cross:4, has 2^3 = 8 from its lowest vertex
+    monkeypatch.setattr("latgeom.polytope.SIMPLEX_BUDGET", 24)
+    assert cube(4).coordinate_volume() == 1
+    monkeypatch.setattr("latgeom.polytope.SIMPLEX_BUDGET", 23)
+    with pytest.raises(CapabilityError, match=r"simplex budget 23: "
+                                              r"24 simplices listed"):
+        cube(4).coordinate_volume()
+    assert cross_polytope(4).coordinate_volume() == Fraction(2, 3)
+    assert run(["mahler", "--body", "cube:4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "CapabilityError"
+    assert "simplex budget 23" in json.loads(err)["message"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 2 ** 12 - 1), max_size=9), st.integers(0, 10),
        st.integers(0, 2 ** 12 - 1))
@@ -690,7 +708,7 @@ def test_ray_budget_reports_progress(monkeypatch):
 
 def test_ray_budget_stops_a_paired_run_partway(monkeypatch):
     # E6's cell has 72 facets in 36 pairs; the paired run starts from the
-    # parallelotope of 6 pairs, 2^6 = 64 vertices, and peaks at 168 rays
+    # parallelotope of 6 pairs, 2^6 = 64 vertices, and peaks at 214 rays
     monkeypatch.setattr("latgeom._double_description.RAY_BUDGET", 100)
     with pytest.raises(CapabilityError) as err:
         voronoi_cell(catalog("E", 6)).vertices()
