@@ -165,12 +165,9 @@ def _cnk(n: int, k: int):
 def cnk_upper(n: int, k: int) -> BoundReport:
     """Upper bound 2^k (delta / kappa_n)^{k/n} on the minimal-sublattice
     determinant constant; exact equality when k = 1."""
-    value, delta = _cnk(n, k), delta_ball(n)
     strict = "equality" if k == 1 else "upper-bound"
-    return _report("cnk-upper", n, k, value, (delta,), strict,
-                   "density bound on D_k(L)/D(L)^{k/n}; tight for k=1",
-                   lambda: 2 ** k * _sympy_power(delta.value_exact / kappa(n),
-                                                 k, n))
+    return _report("cnk-upper", n, k, _cnk(n, k), (delta_ball(n),), strict,
+                   "density bound on D_k(L)/D(L)^{k/n}; tight for k=1")
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +200,8 @@ def dnk_chain(n: int, k: int) -> BoundReport:
         strict = "lower-bound"
     return _report("dnk-chain", n, k, value, (theta, delta), strict,
                    "projected lattice must fail to cover the orthocomplement",
-                   lambda: kappa(n) * _sympy_power(theta.value_exact / (
-                       kappa(n - k) * cnk_upper(n, k).value_exact), n, n - k))
+                   lambda: kappa(n) * _sympy_power(
+                       theta.value_exact / (kappa(n - k) * c), n, n - k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,7 +380,7 @@ def max_d21_upper() -> tuple:
 def mahler_floors(n: int) -> tuple:
     """Volume-product floors: V(K)V(K*) > kappa_n^2/2^n for 0-symmetric K;
     the induced d_{n,n-1} floors kappa_n^2/8^n (symmetric) and
-    kappa_n^2 / (C(2n,n) 4^n) (general). Needs n >= 1."""
+    kappa_n^2 / (C(2n,n) 4^n) (general, ``body_min_floor``). Needs n >= 1."""
     if n < 1:
         raise InvalidInputError(f"need n >= 1; got n={n}")
     kuperberg = _report("volume-product-floor", n, None,
@@ -391,7 +388,6 @@ def mahler_floors(n: int) -> tuple:
                         "0-symmetric volume product floor")
     sym = _report("dfloor-symmetric", n, n - 1, kappa(n) ** 2 / 8 ** n, (),
                   "strict-lower-bound", "hyperplane floor, 0-symmetric bodies")
-    gen = _report("dfloor-general", n, n - 1,
-                  kappa(n) ** 2 / (math.comb(2 * n, n) * 4 ** n), (),
-                  "lower-bound", "hyperplane floor, general bodies")
+    gen = _report("dfloor-general", n, n - 1, body_min_floor(n).value_exact,
+                  (), "lower-bound", "hyperplane floor, general bodies")
     return kuperberg, sym, gen

@@ -251,14 +251,10 @@ def vectors_within(lat: Lattice, bound_sq):
 
 def shortest_vectors(lat: Lattice):
     """(lambda_1 squared, canonical coefficient vectors of all minimal
-    vectors, one per +- pair, sorted lexicographically): the first pairs of
-    ``vector_pairs_within`` up to the least norm of the reduced basis."""
-    red, _ = _reduced(lat)
-    pairs = vector_pairs_within(
-        lat, min(red._gram[i][i] for i in range(lat.rank)))
-    least = pairs[0][0]
-    return (Fraction(least, lat.int_gram[1]),
-            [v for n, v in pairs if n == least])
+    vectors, one per +- pair, sorted lexicographically): the pairs of
+    ``vector_pairs_within`` up to ``_lambda1_sq``."""
+    l1_sq = _lambda1_sq(lat)
+    return l1_sq, [v for _, v in vector_pairs_within(lat, l1_sq)]
 
 
 def successive_minima(lat: Lattice):
@@ -426,13 +422,18 @@ def _lambda1_sq(lat: Lattice):
     return _once(lat, "lambda1_sq", compute)
 
 
+def _ball_density(lat: Lattice, rho_sq):
+    """kappa_n rho^n / D(L), exact: the density of the balls of radius rho
+    about the points of lat, for rho^2 a Fraction."""
+    return kappa(lat.rank) * la._sqrt_rational(rho_sq) ** lat.rank \
+        / lat.determinant()
+
+
 def packing_density(lat: Lattice):
     """delta_L(B^n) = kappa_n (lambda_1 / 2)^n / D(L), exact."""
-    l1 = la._sqrt_rational(_lambda1_sq(lat) / 4)
-    return kappa(lat.rank) * l1 ** lat.rank / lat.determinant()
+    return _ball_density(lat, _lambda1_sq(lat) / 4)
 
 
 def covering_density(lat: Lattice):
     """theta_L = kappa_n mu^n / D(L), exact."""
-    mu = la._sqrt_rational(covering_radius(lat)[0])
-    return kappa(lat.rank) * mu ** lat.rank / lat.determinant()
+    return _ball_density(lat, covering_radius(lat)[0])

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg as la
-from ._linalg import kappa
-from .enumeration import (_covering_radius_bound, _enumerate_gram,
-                          _lambda1_sq, covering_radius, shortest_vectors)
+from .enumeration import (_ball_density, _covering_radius_bound,
+                          _enumerate_gram, _lambda1_sq, covering_radius,
+                          shortest_vectors)
 # unused here; kept so that bench/tracer.py's REQUIRED_ALIASES resolve
 from .enumeration import vectors_within
 from .errors import (CapabilityError, CertificateValidationError,
@@ -265,9 +265,7 @@ def is_nonseparable_ball_lattice(lat: Lattice, r):
 
 def ball_lattice_density(lat: Lattice, r):
     """Density of the ball packing/arrangement {rB^n + x : x in L}."""
-    n = lat.rank
-    return kappa(n) * la._sqrt_rational(_exact_radius(r)[0]) ** n \
-        / lat.determinant()
+    return _ball_density(lat, _exact_radius(r)[0])
 
 
 def free_cylinder(lat: Lattice, r, k: int, d_nk, det_bound=None) -> CylinderWitness:

@@ -477,8 +477,8 @@ def simplex(n) -> Polytope:
 
 
 def equilateral_triangle() -> Polytope:
-    """Unit-edge equilateral triangle, exact via a metric chart."""
-    g = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(1)]]
+    """Unit-edge equilateral triangle: simplex(2)'s chart, Gram halved."""
+    g = [[x / 2 for x in row] for row in _chart_gram(2)]
     return Polytope.from_vertices([[0, 0], [1, 0], [0, 1]], metric=g)
 
 

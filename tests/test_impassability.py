@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,8 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import latgeom._linalg as la
+from latgeom import cli
 from latgeom.bounds import dnk_known, dnk_lower, dnn1_ball
 from latgeom.enumeration import (_covering_radius_bound, covering_radius,
+                                 covering_density, packing_density,
                                  shortest_vectors, successive_minima)
 from latgeom.errors import (CapabilityError, CertificateValidationError,
                             InvalidInputError, MissingConstantError,
@@ -251,6 +255,87 @@ def test_validation_failure_is_typed():
     # a claimed mu^2 above the true one
     with pytest.raises(CertificateValidationError):
         _validate_certificate(proj, hole, mu_sq + Fraction(1, 10**6), cert.r)
+
+
+def _box_count(gram, center, bound_sq):
+    """The points y of Z^m with (y - center) G (y - center)^T <= bound_sq,
+    counted in Fractions over the box |y_i - center_i| <= sqrt(bound_sq
+    (G^-1)_ii), which holds every such point."""
+    inv = la.inverse(gram)
+    ranges = []
+    for i, c in enumerate(center):
+        s = math.isqrt(math.ceil(bound_sq * inv[i][i])) + 1
+        ranges.append(range(math.floor(c) - s, math.floor(c) + s + 1))
+    count = 0
+    for y in itertools.product(*ranges):
+        d = [a - c for a, c in zip(y, center)]
+        count += sum(d[i] * gram[i][j] * d[j] for i in range(len(d))
+                     for j in range(len(d))) <= bound_sq
+    return count
+
+
+# the certificates of the benchmark's impass, cylinder and max_clearance
+# cases: (the CLI case's argv or the library call, lattice, scale^2, r, k,
+# the count its golden holds)
+_BENCH_CERTIFICATES = [
+    ("impass --catalog D3 --scale sqrt2 --r 1 --k 1 --verify", "D", 3, 2, 1,
+     1, 12),
+    ("cylinder --catalog D3 --scale sqrt2 --r 1 --k 1", "D", 3, 2, 1, 1, 12),
+    ("cylinder --catalog D4 --scale sqrt2 --r 1 --k 1", "D", 4, 2, 1, 1, 56),
+    ("max_clearance", "Z", 4, 1, Fraction(1, 2), 1, 56),
+    ("max_clearance", "Z", 4, 1, Fraction(1, 2), 2, 16),
+    ("max_clearance", "A", 4, 1, Fraction(1, 2), 1, 44),
+]
+
+
+@pytest.mark.parametrize("case,name,n,scale_sq,r,k,points",
+                         _BENCH_CERTIFICATES)
+def test_validation_points_count_the_points_near_the_hole(
+        capsys, case, name, n, scale_sq, r, k, points):
+    # validation_points, printed in every certificate, is the number of
+    # projected points within the validation radius of the deep hole
+    lat = catalog(name, n).scaled(scale_sq)
+    if case.startswith("impass"):
+        cert = passage_certificate(lat, r, k)
+    else:  # cylinder validates the certificate of max_clearance
+        cert = max_clearance(lat, r, k)[1]
+    bound_sq = _validation_radius_sq(cert.mu_sq, Fraction(r) ** 2)
+    assert cert.validation_points == points == _box_count(
+        cert.projection.gram(), cert.deep_hole, bound_sq)
+    if case != "max_clearance":
+        assert cli.run(case.split()) == 0
+        printed = json.loads(capsys.readouterr().out)["certificate"]
+        assert printed["deep_hole"] == [str(x) for x in cert.deep_hole]
+        assert printed["validation_points"] == points
+
+
+def _check_ball_densities(lat):
+    l1_sq, _ = shortest_vectors(lat)
+    mu_sq, _ = covering_radius(lat)
+    assert ball_lattice_density(lat, la._sqrt_rational(l1_sq / 4)) == \
+        packing_density(lat)
+    assert ball_lattice_density(lat, la._sqrt_rational(mu_sq)) == \
+        covering_density(lat)
+
+
+@pytest.mark.parametrize("name,n", (
+    [("Z", n) for n in range(1, 8)] + [("A", n) for n in range(1, 6)]
+    + [("Astar", n) for n in range(1, 6)] + [("D", n) for n in range(3, 8)]
+    + [("E", 6), ("E", 7), ("BambahWoods", None), ("NonSep", None)]))
+def test_ball_lattice_density_is_the_packing_and_covering_density(name, n):
+    # one density kappa_n rho^n / D(L): rho = lambda_1 / 2 packs, rho = mu
+    # covers
+    _check_ball_densities(catalog(name, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)),
+    st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(2, 3)]))
+def test_ball_lattice_density_matches_on_random_lattices(rows, scale_sq):
+    assume(la.det([[Fraction(x) for x in r] for r in rows]) != 0)
+    _check_ball_densities(Lattice.from_rows(rows, scale_sq=scale_sq))
 
 
 @settings(max_examples=100, deadline=None)
