@@ -52,7 +52,7 @@ def _primitive_int(vec):
 def _mirror(r):
     """The mirror (-a, c) of a row or ray (a, c): -a in every entry but
     the last."""
-    return tuple(-x for x in r[:-1]) + r[-1:]
+    return (*[-x for x in r[:-1]], r[-1])
 
 
 def _bits(mask):

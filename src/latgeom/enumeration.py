@@ -122,12 +122,11 @@ def _count(nodes, i, n):
 
 
 def _int_norms(lat: Lattice, zs):
-    """[L z^T G_int z for z in zs] = [sum_i w_i (a_i . z)^2] for int
-    vectors z, in the ints of ``_search_constants``, read once for the
-    list: each squared norm of z times d L."""
-    w, _, diag, tails = _search_constants(lat)
-    return [sum(wi * (p * zi + sum(map(operator.mul, t, z[i + 1:]))) ** 2
-                for i, (wi, p, t, zi) in enumerate(zip(w, diag, tails, z)))
+    """[L z^T G_int z for z in zs] for int vectors z, with L of
+    ``_search_constants``: each squared norm of z times d L, in the units
+    of the searches' bounds."""
+    g, scale, mul = lat.int_gram[0], _search_constants(lat)[1], operator.mul
+    return [scale * sum(map(mul, z, [sum(map(mul, z, row)) for row in g]))
             for z in zs]
 
 
@@ -144,7 +143,15 @@ def _minima(lat: Lattice, ct, c, mod, limits):
     drop updates caps along one path. Each x_i runs from the rounded center
     outward, up and then down, and a run stops at its first point over its
     parent's cap, as |a_i . z| only grows away from the center. Every level
-    counts the ranges it enters against ``POINT_BUDGET``."""
+    counts the ranges it enters against ``POINT_BUDGET``.
+
+    The classes mod 2 are searched around 0 (ct = 0), where x and -x lie
+    in one class at one distance, so that mode walks the half tree, as the
+    pairs mode of ``_enumerate_gram`` does: while x_j = 0 for every j > i,
+    x_i runs from 0 up, and a class keeps the one point of each +- pair
+    whose last nonzero coordinate is positive. The zero vector is class 0,
+    which the coset scan skips."""
+    assert mod == 1 or not any(ct)
     w, _, diag, tails = _search_constants(lat)
     m = len(diag)
     caps = [list(limits)]
@@ -154,15 +161,17 @@ def _minima(lat: Lattice, ct, c, mod, limits):
     ties = [[] for _ in limits]
     x, z, nodes = [0] * m, [0] * m, [0] * m
 
-    def rec(i, used, s):
+    def rec(i, used, s, top):
+        # top: the half tree, and x_j = 0 for every j > i
         wi, cti, below, cap = w[i], ct[i], caps[i], caps[i + 1]
         h = sum(map(operator.mul, tails[i], z[i + 1:]))
         t = math.isqrt((cap[s] - used) // wi)
         p, base = diag[i] * c, diag[i] * cti - h
-        lo, hi = -((t - base) // p), (base + t) // p
+        lo, hi = 0 if top else -((t - base) // p), (base + t) // p
         _count(nodes, i, hi - lo + 1)
         mid = (2 * base + p - 1) // (2 * p)  # nearest x_i, ties down
-        for run in (range(mid, hi + 1), range(mid - 1, lo - 1, -1)):
+        up = range(mid, hi + 1)
+        for run in (up,) if top else (up, range(mid - 1, lo - 1, -1)):
             for xi in run:
                 v = p * xi - base
                 q = used + v * v * wi
@@ -174,7 +183,7 @@ def _minima(lat: Lattice, ct, c, mod, limits):
                 x[i] = xi
                 if i:
                     z[i] = c * xi - cti
-                    rec(i - 1, q, k)
+                    rec(i - 1, q, k, top and not xi)
                     continue
                 if q < below[k]:  # a new least point of class k
                     below[k], ties[k], j = q, [], k
@@ -184,7 +193,7 @@ def _minima(lat: Lattice, ct, c, mod, limits):
                 ties[k].append(tuple(x))
 
     if caps[m][0] >= 0:
-        rec(m - 1, 0, 0)
+        rec(m - 1, 0, 0, mod == 2)
     return [(q, sorted(tt, key=lambda r: r[::-1]))
             for q, tt in zip(caps[0], ties)]
 
@@ -313,16 +322,17 @@ def relevant_vectors(lat: Lattice):
 
 def _coset_scan(lat: Lattice):
     """The relevant vectors of lat from one ``_minima`` search on its
-    reduced basis around 0, a class per coset b + 2L, b in {0, 1}^m. Each
-    nonzero coset starts at the norm of b, the rounding of -b/2 ties to
-    even, and gives a relevant vector when it has exactly two minima +-v,
-    mapped through U and given its canonical sign."""
+    reduced basis around 0, a class per coset b + 2L, b in {0, 1}^m, on
+    the half tree. Each nonzero coset starts at the norm of b, the rounding
+    of -b/2 ties to even, and gives a relevant vector when its minima are
+    one +- pair, so that the half tree keeps exactly one point v, mapped
+    through U and given its canonical sign."""
     red, u = _reduced(lat)
     m = lat.rank
     found = _minima(red, [0] * m, 1, 2, [-1] + _int_norms(
         red, [[k >> i & 1 for i in range(m)] for k in range(1, 2 ** m)]))
     return tuple(sorted(la._canonical_sign(la.vec_mat(ties[0], u))
-                        for _, ties in found if len(ties) == 2))
+                        for _, ties in found if len(ties) == 1))
 
 
 def voronoi_cell(lat: Lattice):

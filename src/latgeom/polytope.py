@@ -174,10 +174,15 @@ class Polytope:
         rays, masks, names = dd.vertex_rays(*self.halfspaces())
         den = math.lcm(*(ray[-1] for ray in rays))
         share = {}.setdefault  # vertices repeat few values
-        ints = [tuple([share(x, x) for x in map((den // t).__mul__, r)])
-                for *r, t in rays]
-        ints, masks = zip(*sorted(zip(ints, masks)))  # distinct vertices
-        return names, masks, (ints, den)
+        ints = []
+        for ray in rays:
+            r = ray[:-1]
+            if ray[-1] != den:
+                r = [*map((den // ray[-1]).__mul__, r)]
+            ints.append(tuple(map(share, r, r)))
+        order = sorted(range(len(ints)), key=ints.__getitem__)  # rows differ
+        return (names, tuple(map(masks.__getitem__, order)),
+                (tuple(map(ints.__getitem__, order)), den))
 
     @functools.cached_property
     def _form(self):

@@ -912,11 +912,12 @@ def _box_coset_minima(lat, b, bound):
 
 def _check_coset_search(lat):
     """One ``_minima`` search over the classes x mod 2 on the reduced basis
-    finds, for each nonzero coset b + 2L, the minima and ties that
-    ``_nearest`` finds at -b/2, and ``relevant_vectors`` is the coset
-    minima that come as one +- pair, element by element. On rank <= 4 the
-    minima are also a box search's, in lat's own coordinates, where its
-    box is small enough."""
+    finds, for each nonzero coset b + 2L, the minima that ``_nearest``
+    finds at -b/2, and of their ties the half whose last nonzero coordinate
+    is positive; ``relevant_vectors`` is the coset minima that come as one
+    +- pair, so as one point of the half, element by element. On rank <= 4
+    the minima, both signs of each tie, are also a box search's, in lat's
+    own coordinates, where its box is small enough."""
     red, u = enumeration._reduced(lat)
     m = lat.rank
     cosets = [[k >> i & 1 for i in range(m)] for k in range(2 ** m)]
@@ -930,7 +931,7 @@ def _check_coset_search(lat):
         ys, p, pden = enumeration._nearest(red, [-x for x in b], 2)
         assert Fraction(q, den) == 4 * Fraction(p, pden)
         vs = [tuple(x + 2 * y for x, y in zip(b, yy)) for yy in ys]
-        assert ties == vs
+        assert ties == [v for v in vs if [x for x in v if x][-1] > 0]
         if len(vs) == 2:
             want.append(la._canonical_sign(la.vec_mat(vs[0], u)))
     assert relevant_vectors(lat) == tuple(sorted(want))
@@ -940,7 +941,8 @@ def _check_coset_search(lat):
     # so a smaller norm or a missed tie shows
     d = lat.int_gram[1]
     for q, ties in found[1:]:
-        lifted = sorted(tuple(la.vec_mat(v, u)) for v in ties)
+        lifted = sorted(tuple(la.vec_mat(v, u)) for t in ties
+                        for v in (t, [-x for x in t]))
         box = _box_coset_minima(lat, [x % 2 for x in lifted[0]],
                                 Fraction(q, den))
         if box is not None:
@@ -966,13 +968,37 @@ def test_one_coset_search_matches_on_the_catalog(name, n):
 
 
 def test_the_coset_search_keeps_the_point_budget(monkeypatch):
-    # each class of Z^4 starts at its least norm, so no cap falls: the tree
-    # walks 5 + 9 + 27 nodes above level 0 and 3 at level 0 under each of
-    # the 27 at level 1
+    # each class of Z^4 starts at its least norm, so no cap falls, and the
+    # half tree starts each x_i at 0 while the later coordinates are 0: it
+    # walks 3 + 5 + 14 nodes above level 0, and at level 0 one range of 2
+    # nodes under the 0 of the level-1 range on the top path and 3 under
+    # each of the 13 other level-1 nodes
     lat = catalog("Z", 4)
-    monkeypatch.setattr(enumeration, "POINT_BUDGET", 81)
+    monkeypatch.setattr(enumeration, "POINT_BUDGET", 41)
     assert len(enumeration._coset_scan(lat)) == 4
-    monkeypatch.setattr(enumeration, "POINT_BUDGET", 80)
+    monkeypatch.setattr(enumeration, "POINT_BUDGET", 40)
     with pytest.raises(CapabilityError,
-                       match=r"point budget 80 at level 0 \(81 nodes\)"):
+                       match=r"point budget 40 at level 0 \(41 nodes\)"):
         enumeration._coset_scan(lat)
+
+
+# Nodes the coset tree of ``_coset_scan`` enters (``_count``) on each catalog
+# lattice, on the half tree; the full tree entered Z8 10,502, D8 8,302,
+# E7 2,488 and E8 6,506.
+_COSET_NODES = {("Z", 1): 2, ("Z", 2): 7, ("Z", 3): 21, ("Z", 4): 63,
+                ("Z", 5): 189, ("Z", 6): 571, ("Z", 7): 1731, ("Z", 8): 5255,
+                ("A", 1): 2, ("A", 2): 6, ("A", 3): 21, ("A", 4): 66,
+                ("A", 5): 195, ("Astar", 1): 2, ("Astar", 2): 9,
+                ("Astar", 3): 20, ("Astar", 4): 47, ("Astar", 5): 101,
+                ("D", 3): 31, ("D", 4): 88, ("D", 5): 242, ("D", 6): 657,
+                ("D", 7): 1788, ("D", 8): 4902, ("E", 6): 438, ("E", 7): 1448,
+                ("E", 8): 3712}
+
+
+@pytest.mark.parametrize("name,n", sorted(_COSET_NODES))
+def test_catalog_coset_scans_keep_their_nodes(name, n, monkeypatch):
+    entered, count = [], enumeration._count
+    monkeypatch.setattr(enumeration, "_count", lambda nodes, i, k:
+                        entered.append(k) or count(nodes, i, k))
+    enumeration._coset_scan(catalog(name, n))
+    assert sum(entered) <= _COSET_NODES[name, n]
